@@ -30,7 +30,7 @@ from .milp import dump_lp
 from .mpc import ControllerConfig
 from .plant import PlantModel
 from .predictor import DEFAULT_OBSERVABLES, DatasetConfig, LinearPredictor
-from .stl import parse_spec_file
+from .stl import parse, spec_lines
 
 ENV_PREFIX = "WWS_"
 
@@ -103,13 +103,11 @@ class ExperimentConfig:
             text = Path(self.stl_file).read_text()
         else:
             text = resources.files("wws.data").joinpath("default_specs.stl").read_text()
-        formulas = parse_spec_file(text)  # validates the syntax up front
-        lines = [line.split("#", 1)[0].strip()
-                 for line in text.splitlines()]
-        texts = tuple(line for line in lines if line)
+        texts = tuple(spec_lines(text))
+        for line in texts:
+            parse(line)  # validates the syntax up front
         if self.stl_file is None and self.start_time != 420.0:
             texts = (mpc.supply_spec(self.start_time),) + texts[1:]
-        assert len(formulas) == len(texts)
         return texts
 
     def controller(self) -> ControllerConfig:
@@ -267,6 +265,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         {"monotone_staircase": result.is_monotone_staircase(), "notes": notes},
         indent=1))
     print(f"wrote {out / 'sweep.csv'}")
+    errors = [f"{cell}: {note}" for cell, note in notes.items()
+              if note.startswith("error:")]
+    if errors:
+        # a crashed cell reads 0 in the table; it must not pass as infeasible
+        print(f"{len(errors)} sweep cell(s) failed:", *errors, sep="\n  ",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -277,21 +282,26 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.state_range
     steps = cfg.bench_steps
+    rollouts = cfg.bench_rollouts
+    x0 = np.empty((plant_mod.N_STATES, rollouts))
+    u = np.empty((steps, rollouts))
+    for i in range(rollouts):
+        x0[:, i] = rng.uniform(lo, hi, size=plant_mod.N_STATES)
+        off = rng.uniform(size=steps) < cfg.p_off
+        u[:, i] = np.where(off, 0.0,
+                           rng.uniform(cfg.u_band[0], cfg.u_band[1], size=steps))
+    w = np.full(steps, cfg.w0)
+    # all rollouts advance together: one block plant step per time step
+    truth = plant_mod.simulate(model, x0, u, w, cfg.h, cfg.integrator_config())
     sq_err = np.zeros((steps + 1, plant_mod.N_STATES))
     zero_step = 0.0
-    integ = cfg.integrator_config()
-    for _ in range(cfg.bench_rollouts):
-        x0 = rng.uniform(lo, hi, size=plant_mod.N_STATES)
-        off = rng.uniform(size=steps) < cfg.p_off
-        u = np.where(off, 0.0, rng.uniform(cfg.u_band[0], cfg.u_band[1], size=steps))
-        w = np.full(steps, cfg.w0)
-        truth = plant_mod.simulate(model, x0, u, w, cfg.h, integ)
-        guess = predictor.predict(x0, u, w)
-        sq_err += (truth - guess) ** 2
-        zero_step = max(zero_step, float(np.max(np.abs(guess[0] - x0))))
-    rmse = np.sqrt(sq_err / cfg.bench_rollouts)
+    for i in range(rollouts):
+        guess = predictor.predict(x0[:, i], u[:, i], w)
+        sq_err += (truth[:, :, i] - guess) ** 2
+        zero_step = max(zero_step, float(np.max(np.abs(guess[0] - x0[:, i]))))
+    rmse = np.sqrt(sq_err / rollouts)
     report = {
-        "rollouts": cfg.bench_rollouts,
+        "rollouts": rollouts,
         "steps": steps,
         "h": cfg.h,
         "seed": cfg.seed,

@@ -1,6 +1,7 @@
-"""Fixed-right-hand-side ODE propagation over one hold interval.
+"""Fixed-input ODE propagation of a block of states over one hold interval.
 
-Three interchangeable engines drive ``propagate``:
+``propagate`` advances K independent columns of one system, each under its
+own held input and disturbance.  Three interchangeable engines drive it:
 
 ``rk45``
     Adaptive embedded Dormand-Prince 5(4) pair with an absolute error
@@ -8,17 +9,25 @@ Three interchangeable engines drive ``propagate``:
     pair inside its stability interval for the fastest linear modes of the
     nominal plant (rate constants up to 3e3 1/s allow roughly 2.8/3000 s;
     the default ceiling of 2e-4 s sits well below that).  This is the
-    default engine: correct but slow on stiff coefficient sets.
+    default engine: correct but slow on stiff coefficient sets.  Columns
+    are integrated one after another.
 
 ``trapezoid``
     Adaptive implicit trapezoidal rule with a damped Newton corrector on the
     analytic Jacobian and step-doubling error control.  A-stable, so the
     substep is limited by accuracy only; orders of magnitude faster than
-    ``rk45`` on stiff sets at comparable tolerances.
+    ``rk45`` on stiff sets at comparable tolerances.  Columns are integrated
+    one after another.
 
 ``lsoda``
-    scipy's LSODA (switching Adams/BDF) with the analytic Jacobian.  Fastest
-    option for bulk work (dataset synthesis, closed-loop sweeps).
+    scipy's LSODA (switching Adams/BDF) with the analytic Jacobian.  The K
+    columns are integrated jointly in one call: the state is ordered column
+    by column, so the Jacobian is block diagonal and is handed over in band
+    form (``ml = mu = n - 1``) when K > 1.  A single column keeps the dense
+    Jacobian, on which LSODA needs several times fewer steps.  Fastest
+    option for bulk work (dataset synthesis, closed-loop sweeps).  Columns
+    of one call share step sizes, so a column's result depends (within the
+    tolerance) on the batch it was integrated in.
 
 All engines are deterministic: identical inputs and settings produce
 bit-identical results on a given platform.
@@ -33,6 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 Rhs = Callable[[Sequence[float]], Sequence[float]]
+RhsFactory = Callable[[object, object], Rhs]
 Jac = Callable[[Sequence[float]], np.ndarray]
 
 
@@ -41,12 +51,18 @@ class IntegrationError(RuntimeError):
 
 
 class StateDivergence(IntegrationError):
-    """A state component left the declared bounds during propagation."""
+    """A state component left the declared bounds during propagation.
 
-    def __init__(self, message: str, t: float, state: np.ndarray):
+    ``column`` is the index of the offending column in a block of K > 1
+    columns (the lowest one if several left the bounds), else ``None``.
+    """
+
+    def __init__(self, message: str, t: float, state: np.ndarray,
+                 column: int | None = None):
         super().__init__(message)
         self.t = t
         self.state = np.asarray(state, dtype=float)
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -92,36 +108,69 @@ _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
 def propagate(
-    rhs: Rhs,
+    rhs: RhsFactory,
     jac: Jac | None,
-    x0: Sequence[float],
+    x0: np.ndarray,
+    u,
+    w,
     horizon: float,
     config: IntegratorConfig = DEFAULT_INTEGRATOR,
     state_bounds: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Advance ``x' = rhs(x)`` from ``x0`` over ``[0, horizon]``.
+    """Advance every column of ``x0`` over ``[0, horizon]`` under held inputs.
 
-    ``jac`` (x -> d rhs/dx) is required by the implicit engines and ignored
-    by ``rk45``.  ``state_bounds`` enables divergence flagging: any accepted
-    point outside ``[lo, hi]`` raises :class:`StateDivergence` rather than
-    clamping.
+    ``x0`` is one state of shape (n,) or a block of K column states of shape
+    (n, K); ``u`` and ``w`` are scalars or per-column vectors of length K.
+    ``rhs(u, w)`` returns the right-hand side closure for held inputs: it
+    maps one state to its n derivatives when ``u`` and ``w`` are scalars,
+    and an (n, K) block to n derivative rows of length K when they are
+    vectors.  ``jac`` maps one state to its (n, n) Jacobian and a block to
+    an (n, n, K) stack; the implicit engines need it, ``rk45`` ignores it.
+    ``state_bounds`` enables divergence flagging: any accepted point outside
+    ``[lo, hi]`` raises :class:`StateDivergence` rather than clamping.  The
+    result has the shape of ``x0``.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite state")
-    if config.method == "rk45":
-        return _rk45(rhs, x0, horizon, config, state_bounds)
-    if config.method == "trapezoid":
-        if jac is None:
-            raise ValueError("trapezoid engine needs an analytic Jacobian")
-        return _trapezoid(rhs, jac, x0, horizon, config, state_bounds)
+    block = x0.reshape(x0.shape[0], -1)
+    k = block.shape[1]
+    u = np.broadcast_to(np.asarray(u, dtype=float), (k,))
+    w = np.broadcast_to(np.asarray(w, dtype=float), (k,))
     if config.method == "lsoda":
         if jac is None:
             raise ValueError("lsoda engine needs an analytic Jacobian")
-        return _lsoda(rhs, jac, x0, horizon, config, state_bounds)
-    raise ValueError(f"unknown integrator method {config.method!r}")
+        return _lsoda(rhs, jac, block, u, w, horizon, config,
+                      state_bounds).reshape(x0.shape)
+    if config.method == "rk45":
+        def engine(col_rhs, xc):
+            return _rk45(col_rhs, xc, horizon, config, state_bounds)
+    elif config.method == "trapezoid":
+        if jac is None:
+            raise ValueError("trapezoid engine needs an analytic Jacobian")
+
+        def engine(col_rhs, xc):
+            return _trapezoid(col_rhs, jac, xc, horizon, config, state_bounds)
+    else:
+        raise ValueError(f"unknown integrator method {config.method!r}")
+    out = np.empty_like(block)
+    for i in range(k):
+        try:
+            out[:, i] = engine(rhs(u[i], w[i]), block[:, i])
+        except StateDivergence as exc:
+            if k == 1:
+                raise
+            raise StateDivergence(str(exc), exc.t, exc.state, column=i) from None
+    return out.reshape(x0.shape)
+
+
+def _diverged(y: list[float], t: float, bounds: tuple[float, float],
+              column: int | None = None) -> StateDivergence:
+    lo, hi = bounds
+    return StateDivergence(f"state diverged at t={t:.6g}: {y} outside [{lo}, {hi}]",
+                           t, np.array(y), column)
 
 
 def _check_bounds(y: list[float], t: float, bounds: tuple[float, float] | None) -> None:
@@ -130,9 +179,7 @@ def _check_bounds(y: list[float], t: float, bounds: tuple[float, float] | None) 
     lo, hi = bounds
     for v in y:
         if not (lo <= v <= hi) or v != v:
-            raise StateDivergence(
-                f"state diverged at t={t:.6g}: {y} outside [{lo}, {hi}]", t, np.array(y)
-            )
+            raise _diverged(y, t, bounds)
 
 
 def _rk45(rhs, x0, horizon, config, state_bounds) -> np.ndarray:
@@ -240,29 +287,83 @@ def _trapezoid(rhs, jac, x0, horizon, config, state_bounds) -> np.ndarray:
     return x
 
 
-def _lsoda(rhs, jac, x0, horizon, config, state_bounds) -> np.ndarray:
+def band_pack(blocks: np.ndarray) -> np.ndarray:
+    """Band storage of the block-diagonal matrix of an (n, n, K) block stack.
+
+    Block k covers rows and columns ``n*k .. n*k + n - 1``, so the matrix
+    has ``ml = mu = n - 1`` off-diagonals.  Entry (i, j) of the full matrix
+    lands at ``band[i - j + mu, j]``, the layout ``odeint`` documents for a
+    banded ``Dfun``.
+    """
+    n, _, k = blocks.shape
+    band = np.zeros((2 * n - 1, k, n))
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    band[rows - cols + n - 1, :, cols] = blocks.reshape(n * n, k)
+    return band.reshape(2 * n - 1, n * k)
+
+
+def _lsoda(rhs, jac, x0, u, w, horizon, config, state_bounds) -> np.ndarray:
     from scipy.integrate import odeint
 
+    n, k = x0.shape
     rtol = max(config.rtol, 1e-10)
     atol = min(config.atol, 1e-10)
     tgrid = np.linspace(0.0, horizon, 5)
+    if k == 1:
+        # dense Jacobian: on one column LSODA needs far fewer steps with it
+        f = rhs(u[0], w[0])
+        band = {}
+
+        def fun(y, _t):
+            return f(y)
+
+        def dfun(y, _t):
+            return jac(y)
+    else:
+        # column-major state: column i holds entries n*i .. n*i + n - 1
+        f = rhs(u, w)
+        band = {"ml": n - 1, "mu": n - 1}
+
+        def fun(y, _t):
+            return np.array(f(y.reshape(k, n).T)).T.ravel()
+
+        def dfun(y, _t):
+            return band_pack(jac(y.reshape(k, n).T))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol, info = odeint(
-            lambda y, _t: rhs(y),
-            np.asarray(x0, dtype=float),
+            fun,
+            x0.T.ravel(),
             tgrid,
-            Dfun=lambda y, _t: jac(y),
+            Dfun=dfun,
             rtol=rtol,
             atol=atol,
             mxstep=200_000,
             full_output=True,
+            **band,
         )
     if info["message"] != "Integration successful.":
         raise IntegrationError(f"lsoda failed: {info['message']}")
-    for row, trow in zip(sol[1:], tgrid[1:]):
-        _check_bounds(list(row), float(trow), state_bounds)
+    _check_grid(sol[1:].reshape(-1, k, n), tgrid[1:], state_bounds)
     out = sol[-1]
     if not np.all(np.isfinite(out)):
         raise IntegrationError("lsoda produced non-finite state")
-    return np.asarray(out, dtype=float)
+    return out.reshape(k, n).T.copy()
+
+
+def _check_grid(states: np.ndarray, times: np.ndarray,
+                bounds: tuple[float, float] | None) -> None:
+    """Bounds check of (T, K, n) column states at the T grid ``times``.
+
+    Reports the lowest offending column at its first offending time.
+    """
+    if bounds is None:
+        return
+    lo, hi = bounds
+    bad = ~((states >= lo) & (states <= hi)).all(axis=2)
+    if not bad.any():
+        return
+    col = int(np.flatnonzero(bad.any(axis=0))[0])
+    row = int(np.flatnonzero(bad[:, col])[0])
+    raise _diverged(states[row, col].tolist(), float(times[row]), bounds,
+                    col if states.shape[1] > 1 else None)

@@ -291,7 +291,8 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
     produced one, otherwise the previous input is held.
     """
     n = cfg.n_steps
-    formulas = cfg.formulas()
+    parsed = [parse(text) for text in cfg.stl_specs]
+    formulas = [resolve_end(f, cfg.end_time) for f in parsed]
     times = np.arange(n + 1) * cfg.h
     states = np.zeros((n + 1, plant_mod.N_STATES))
     inputs = np.zeros(n + 1)
@@ -330,12 +331,11 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
             u_k = u_hist[-1] if u_hist else 0.0
         inputs[k] = u_k
         warm = step_res.assignment if step_res.assignment is not None else warm
-        for j, text in enumerate(cfg.stl_specs):
-            f = resolve_end(parse(text), times[k])
-            sig = SampledSignal(channels={"y": np.array(y_hist),
-                                          "u": np.append(np.array(u_hist), u_k)},
-                                h=cfg.h)
-            rob[k, j] = robustness(f, sig, 0)
+        sig = SampledSignal(channels={"y": np.array(y_hist),
+                                      "u": np.append(np.array(u_hist), u_k)},
+                            h=cfg.h)
+        for j, spec in enumerate(parsed):
+            rob[k, j] = robustness(resolve_end(spec, times[k]), sig, 0)
         if stop_on_infeasible and not step_res.feasible:
             last_k = k
             break

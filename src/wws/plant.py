@@ -44,10 +44,11 @@ class DivergenceError(RuntimeError):
     """A trajectory left the physical temperature bounds."""
 
     def __init__(self, message: str, step_index: int | None = None,
-                 state: np.ndarray | None = None):
+                 state: np.ndarray | None = None, column: int | None = None):
         super().__init__(message)
         self.step_index = step_index
         self.state = state
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,25 @@ class PlantModel:
 
     # -- evaluation closures ----------------------------------------------
 
-    def rhs(self, u: float, w: float) -> Callable[[Sequence[float]], list]:
-        """Right-hand side closure for fixed held inputs (fast float path)."""
+    def rhs(self, u, w) -> Callable[[Sequence[float]], list]:
+        """Right-hand side closure for fixed held inputs.
+
+        With scalar ``u`` and ``w`` the closure maps one state to its six
+        derivatives (fast float path).  With per-column vectors of length K
+        it maps a (6, K) state block to six derivative rows of length K:
+        the same polynomial, evaluated elementwise over the columns.
+        """
         (a1, a2, a3, a4, a5, a6, a7, a8, a9, a10,
          a11, a12, a13, a14, a15, a16, a17, a18, a19, a20,
          a21, a22, a23, a24, a25, a26, a27, a28, a29, a30,
          a31, a32, a33, a34, a35, a36, a37, a38, a39, a40,
          a41, a42) = self.a
-        u = float(u)
-        w = float(w)
+        if np.ndim(u) == 0 and np.ndim(w) == 0:
+            u = float(u)
+            w = float(w)
+        else:
+            u = np.asarray(u, dtype=float)
+            w = np.asarray(w, dtype=float)
 
         def f(x: Sequence[float]) -> list:
             x1, x2, x3, x4, x5, x6 = x
@@ -138,12 +149,16 @@ class PlantModel:
         return f
 
     def jac(self) -> Callable[[Sequence[float]], np.ndarray]:
-        """State-Jacobian closure d f / d x (input/disturbance independent)."""
+        """State-Jacobian closure d f / d x (input/disturbance independent).
+
+        Maps one state to its (6, 6) Jacobian and a (6, K) state block to
+        the (6, 6, K) stack of its columns' Jacobians.
+        """
         a = self.a
 
         def J(x: Sequence[float]) -> np.ndarray:
             _x1, _x2, x3, x4, x5, _x6 = x
-            m = np.zeros((N_STATES, N_STATES))
+            m = np.zeros((N_STATES, N_STATES) + np.shape(x3))
             m[0, 0] = a[0]
             m[0, 5] = a[1]
             m[1, 0] = a[3]
@@ -211,49 +226,66 @@ def output(x: Sequence[float], output_index: int = 5) -> float:
 
 def step(
     model: PlantModel,
-    x: Sequence[float],
-    u: float,
-    w: float,
+    x: Sequence[float] | np.ndarray,
+    u,
+    w,
     h: float,
     config: IntegratorConfig = DEFAULT_INTEGRATOR,
 ) -> np.ndarray:
-    """Propagate the plant over one hold interval of length ``h`` seconds."""
+    """Propagate the plant over one hold interval of length ``h`` seconds.
+
+    ``x`` is one state of shape (6,) or a block of K column states of shape
+    (6, K); ``u`` and ``w`` are scalars or per-column vectors of length K.
+    The result has the shape of ``x``.  A column that leaves the state
+    bounds raises :class:`DivergenceError`; in a block it names the lowest
+    such column.
+    """
     if h <= 0.0:
         raise ValueError(f"hold interval must be positive, got {h}")
     x = np.asarray(x, dtype=float)
-    if x.shape != (N_STATES,):
-        raise ValueError(f"state must have shape ({N_STATES},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[0] != N_STATES:
+        raise ValueError(f"state must have shape ({N_STATES},) or ({N_STATES}, K), "
+                         f"got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
     try:
-        return propagate(model.rhs(u, w), model.jac(), x, h, config, STATE_BOUNDS)
+        return propagate(model.rhs, model.jac(), x, u, w, h, config, STATE_BOUNDS)
     except StateDivergence as exc:
-        raise DivergenceError(str(exc), state=exc.state) from exc
+        if exc.column is None:
+            raise DivergenceError(str(exc), state=exc.state) from exc
+        raise DivergenceError(f"column {exc.column}: {exc}", state=exc.state,
+                              column=exc.column) from exc
 
 
 def simulate(
     model: PlantModel,
-    x0: Sequence[float],
-    u_seq: Sequence[float],
-    w_seq: Sequence[float],
+    x0: Sequence[float] | np.ndarray,
+    u_seq: Sequence,
+    w_seq: Sequence,
     h: float,
     config: IntegratorConfig = DEFAULT_INTEGRATOR,
 ) -> np.ndarray:
-    """Repeated ZOH stepping; returns ``n+1`` states with row 0 equal to x0."""
+    """Repeated ZOH stepping; returns ``n+1`` states with row 0 equal to x0.
+
+    ``x0`` may be a (6, K) block of column states; then each input and
+    disturbance sample is a scalar or a per-column vector, every step is
+    one block :func:`step`, and the result has shape (n+1, 6, K).
+    """
     u_seq = list(u_seq)
     w_seq = list(w_seq)
     if len(u_seq) != len(w_seq):
         raise ValueError("input and disturbance sequences must have equal length")
     if not u_seq:
         raise ValueError("need at least one input sample")
-    out = np.empty((len(u_seq) + 1, N_STATES))
-    out[0] = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    out = np.empty((len(u_seq) + 1,) + x0.shape)
+    out[0] = x0
     for k, (u, w) in enumerate(zip(u_seq, w_seq)):
         try:
             out[k + 1] = step(model, out[k], u, w, h, config)
         except DivergenceError as exc:
             raise DivergenceError(f"divergence at step {k}: {exc}", step_index=k,
-                                  state=exc.state) from exc
+                                  state=exc.state, column=exc.column) from exc
     return out
 
 

@@ -278,14 +278,15 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
+def spec_lines(text: str) -> list[str]:
+    """Formula texts of a spec file: one per line, '#' starts a comment."""
+    bodies = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [body for body in bodies if body]
+
+
 def parse_spec_file(text: str) -> list[Formula]:
     """Parse a spec file: one formula per line, '#' starts a comment."""
-    formulas = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            formulas.append(parse(body))
-    return formulas
+    return [parse(line) for line in spec_lines(text)]
 
 
 def _fmt_num(v: float) -> str:

@@ -128,3 +128,27 @@ def soundness_case(rng: np.random.Generator, eps: float = 1e-6):
         if abs(rho) < 10 * eps:
             continue
         return formula, signal, rho
+
+
+# ---------------------------------------------------------------------------
+# Plant propagation reference
+# ---------------------------------------------------------------------------
+
+
+def reference_step(model, x: np.ndarray, u: float, w: float, h: float) -> np.ndarray:
+    """One hold interval of a single column by scipy's Radau at 1e-12.
+
+    Bypasses ``wws.integrators.propagate`` (which clamps its tolerances to
+    1e-10 and owns the batched LSODA path): only the model's right-hand side
+    and Jacobian are shared with the code under test.
+    """
+    from scipy.integrate import solve_ivp
+
+    f = model.rhs(u, w)
+    jac = model.jac()
+    sol = solve_ivp(lambda _t, y: f(y), (0.0, h), np.asarray(x, dtype=float),
+                    method="Radau", rtol=1e-12, atol=1e-12,
+                    jac=lambda _t, y: jac(y))
+    if not sol.success:
+        raise RuntimeError(f"reference integration failed: {sol.message}")
+    return sol.y[:, -1]

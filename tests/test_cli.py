@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wws import mpc
 from wws.cli import main
 from wws.mpc import SweepResult, read_trace_csv
 from wws.predictor import LinearPredictor
@@ -102,6 +103,29 @@ def test_sweep_csv(tmp_path, demo_pred_file):
     assert result.table.shape == (2, 2)
     notes = json.loads((out / "sweep_notes.json").read_text())
     assert "monotone_staircase" in notes
+
+
+def test_sweep_exits_nonzero_when_a_cell_crashes(tmp_path, demo_pred_file,
+                                                 monkeypatch, capsys):
+    original = mpc.run_closed_loop
+
+    def crash_at_15(model, cfg, pred, x0, **kwargs):
+        if x0[0] == 15.0:
+            raise RuntimeError("planted solver crash")
+        return original(model, cfg, pred, x0, **kwargs)
+
+    monkeypatch.setattr(mpc, "run_closed_loop", crash_at_15)
+    out = tmp_path / "sweep_err"
+    code = main(["sweep", "--plant", "demo", "--predictor", str(demo_pred_file),
+                 "--reference", "42", "--r-weight", "0.02",
+                 "--initial-temps", "15", "30", "--start-times", "60",
+                 "--out", str(out)])
+    assert code == 1
+    notes = json.loads((out / "sweep_notes.json").read_text())["notes"]
+    assert notes["15,60"] == "error: planted solver crash"
+    assert notes["30,60"] == "infeasible at step 0"
+    assert SweepResult.read_csv(out / "sweep.csv").table.shape == (2, 1)
+    assert "planted solver crash" in capsys.readouterr().err
 
 
 def test_bench_report(tmp_path, demo_pred_file):

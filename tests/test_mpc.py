@@ -107,6 +107,33 @@ def test_closed_loop_prefix_robustness_monotone_information(demo_trace):
     assert np.isfinite(demo_trace.robustness_so_far[-1, 0])
 
 
+def test_closed_loop_prefix_robustness_equals_fresh_monitor(demo_trace, demo_cfg):
+    # every recorded prefix value equals a monitor run on freshly parsed specs
+    for k, t in enumerate(demo_trace.times):
+        sig = SampledSignal(channels={"y": demo_trace.outputs[:k + 1],
+                                      "u": demo_trace.inputs[:k + 1]}, h=demo_cfg.h)
+        for j, text in enumerate(demo_trace.spec_texts):
+            f = resolve_end(parse(text), t)
+            assert robustness(f, sig, 0) == demo_trace.robustness_so_far[k, j]
+
+
+def test_closed_loop_parses_each_spec_once(monkeypatch, demo_model, demo_cfg,
+                                           demo_predictor):
+    calls = []
+    original = mpc.parse
+
+    def counting_parse(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(mpc, "parse", counting_parse)
+    cfg = replace(demo_cfg, stl_specs=(supply_spec(60.0), DEFAULT_POWER_SPEC),
+                  end_time=240.0)
+    trace = run_closed_loop(demo_model, cfg, demo_predictor, np.full(6, 5.0))
+    assert len(trace.times) == cfg.n_steps + 1
+    assert sorted(calls) == sorted(cfg.stl_specs)
+
+
 def test_infeasible_policy_holds_input(demo_model, demo_cfg, demo_predictor):
     # an impossible deadline from a cold start: step 0 already infeasible
     cfg = replace(demo_cfg, stl_specs=(supply_spec(60.0), DEFAULT_POWER_SPEC),

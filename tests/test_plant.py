@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.linalg import block_diag
+
+from oracles import reference_step
 from wws import plant
-from wws.integrators import IntegratorConfig
+from wws.integrators import IntegratorConfig, band_pack
 from wws.plant import (
     DivergenceError,
     PlantModel,
@@ -225,3 +228,84 @@ def test_trajectory_csv_roundtrip(tmp_path, demo_model):
     assert np.array_equal(cols["y"], states[:, 4])
     assert cols["t"][2] == 120.0
     assert np.isnan(cols["u"][2])
+
+
+# -- block (K-column) propagation ---------------------------------------------
+
+def _block_draw(seed: int, K: int):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(10.0, 40.0, size=(6, K))
+    U = np.where(rng.uniform(size=K) < 0.2, 0.0, rng.uniform(21.2, 26.5, size=K))
+    return X, U
+
+
+@pytest.mark.parametrize("which", ["nominal", "demo"])
+def test_block_step_matches_single_columns(which):
+    model = getattr(PlantModel, which)()
+    X, U = _block_draw(21, 100)
+    block = step(model, X, U, 10.0, 60.0, LSODA)
+    assert block.shape == X.shape
+    single = np.column_stack([step(model, X[:, i], U[i], 10.0, 60.0, LSODA)
+                              for i in range(X.shape[1])])
+    assert np.max(np.abs(block - single)) < 5e-8
+
+
+@pytest.mark.parametrize("which", ["nominal", "demo"])
+def test_block_step_matches_independent_reference(which):
+    model = getattr(PlantModel, which)()
+    X, U = _block_draw(22, 32)
+    U[0] = 0.0  # one pump-off column
+    block = step(model, X, U, 10.0, 60.0, LSODA)
+    for i in range(4):
+        ref = reference_step(model, X[:, i], U[i], 10.0, 60.0)
+        assert np.max(np.abs(block[:, i] - ref)) < 5e-8
+
+
+def test_block_rhs_and_jacobian_match_single_columns(nominal_model):
+    X, U = _block_draw(23, 5)
+    W = np.linspace(5.0, 15.0, 5)
+    F = np.array(nominal_model.rhs(U, W)(X))
+    Js = nominal_model.jac()(X)
+    assert F.shape == (6, 5) and Js.shape == (6, 6, 5)
+    for i in range(5):
+        assert np.array_equal(F[:, i], vector_field(nominal_model, X[:, i], U[i], W[i]))
+        assert np.array_equal(Js[:, :, i], jacobian_x(nominal_model, X[:, i]))
+
+
+def test_band_pack_matches_documented_odeint_layout():
+    # odeint's banded Dfun stores d f_i / d y_j at band[i - j + mu, j]
+    rng = np.random.default_rng(5)
+    n, K = 6, 4
+    blocks = rng.normal(size=(n, n, K))
+    dense = block_diag(*(blocks[:, :, k] for k in range(K)))
+    mu = n - 1
+    expected = np.zeros((2 * n - 1, n * K))
+    for i in range(n * K):
+        for j in range(n * K):
+            if abs(i - j) <= mu:
+                expected[i - j + mu, j] = dense[i, j]
+    assert np.array_equal(band_pack(blocks), expected)
+
+
+def test_divergent_block_names_lowest_column(nominal_model):
+    X, U = _block_draw(24, 12)
+    W = np.full(12, 10.0)
+    W[[9, 4, 7]] = 400.0
+    with pytest.raises(DivergenceError, match="column 4") as err:
+        step(nominal_model, X, U, W, 60.0, LSODA)
+    assert err.value.column == 4
+
+
+def test_columnwise_engine_block_equals_single_calls(demo_model):
+    X, U = _block_draw(25, 3)
+    block = step(demo_model, X, U, 10.0, 0.5, TRAP)
+    for i in range(3):
+        assert np.array_equal(block[:, i], step(demo_model, X[:, i], U[i], 10.0, 0.5, TRAP))
+
+
+def test_block_simulate_steps_all_columns(demo_model):
+    X, U = _block_draw(26, 4)
+    traj = simulate(demo_model, X, [U, U], [10.0, 10.0], 60.0, LSODA)
+    assert traj.shape == (3, 6, 4)
+    assert np.array_equal(traj[0], X)
+    assert np.array_equal(traj[1], step(demo_model, X, U, 10.0, 60.0, LSODA))

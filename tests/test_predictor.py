@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wws import plant as plant_mod
 from wws.integrators import FAST_INTEGRATOR
-from wws.plant import DivergenceError, simulate
+from wws.plant import DivergenceError, PlantModel, simulate
 from wws.predictor import (
     DEFAULT_OBSERVABLES,
     DatasetConfig,
@@ -88,6 +89,29 @@ def test_dataset_shared_draw_mode(nominal_model):
     data = generate_dataset(nominal_model,
                             DatasetConfig(K=16, seed=3, shared_state_draw=True))
     assert np.all(data.X == data.X[0:1, :])
+
+
+@pytest.mark.parametrize("which", ["nominal", "demo"])
+def test_dataset_equal_seeds_byte_identical(which):
+    model = getattr(PlantModel, which)()
+    cfg = DatasetConfig(K=300, seed=5)
+    a = generate_dataset(model, cfg)
+    b = generate_dataset(model, cfg)
+    assert a.X.tobytes() == b.X.tobytes()
+    assert a.Xp.tobytes() == b.Xp.tobytes()
+
+
+def test_dataset_is_one_block_plant_step(monkeypatch, demo_model):
+    calls = []
+    original = plant_mod.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(plant_mod, "step", counting_step)
+    generate_dataset(demo_model, DatasetConfig(K=50, seed=1))
+    assert calls == [(6, 50)]
 
 
 def test_dataset_reports_failing_column(nominal_model):
