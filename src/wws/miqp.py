@@ -39,11 +39,9 @@ class _Node:
         return (self.bound, self.counter) < (other.bound, other.counter)
 
 
-def _relax(problem: MiqpProblem, lb: np.ndarray, ub: np.ndarray,
-           feas_point: np.ndarray | None = None) -> QpResult:
+def _relax(problem: MiqpProblem, lb: np.ndarray, ub: np.ndarray) -> QpResult:
     return solve_qp(problem.H, problem.f, problem.A, problem.b, lb, ub,
-                    problem.Aeq, problem.beq, obj_const=problem.obj_const,
-                    feas_point=feas_point)
+                    problem.Aeq, problem.beq, obj_const=problem.obj_const)
 
 
 def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
@@ -74,14 +72,14 @@ def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
     def integral(x: np.ndarray) -> bool:
         return all(abs(x[i] - round(x[i])) <= integrality_tol for i in bin_idx)
 
-    def solve_fixed(assign: dict[int, float], feas_point=None) -> QpResult:
+    def solve_fixed(assign: dict[int, float]) -> QpResult:
         nonlocal qp_solves
         lb = problem.lb.copy()
         ub = problem.ub.copy()
         for i, v in assign.items():
             lb[i] = ub[i] = v
         qp_solves += 1
-        return _relax(problem, lb, ub, feas_point)
+        return _relax(problem, lb, ub)
 
     # warm start: fix the seeded binaries, keep the rest at their bounds
     if warm_binaries is not None and len(bin_idx) > 0:
@@ -136,7 +134,7 @@ def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
 
         if integral(node.x):
             assign = {i: float(round(node.x[i])) for i in bin_idx}
-            res = solve_fixed(assign, feas_point=node.x) if assign else None
+            res = solve_fixed(assign) if assign else None
             cand_x = res.x if res is not None and res.status == "optimal" else node.x
             cand_obj = res.objective if res is not None and res.status == "optimal" \
                 else problem.objective(node.x)

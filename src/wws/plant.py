@@ -15,7 +15,6 @@ re-rated set with identical structure used by demos and machinery tests.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -288,36 +287,3 @@ def simulate(
                                   state=exc.state, column=exc.column) from exc
     return out
 
-
-def write_trajectory_csv(
-    path: str | Path,
-    h: float,
-    states: np.ndarray,
-    inputs: Sequence[float],
-    disturbances: Sequence[float],
-    output_index: int = 5,
-) -> None:
-    """One row per control step: ``t,x1..x6,u,w,y`` with time in seconds."""
-    states = np.asarray(states, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for k, row in enumerate(states):
-            u = inputs[k] if k < len(inputs) else ""
-            w = disturbances[k] if k < len(disturbances) else ""
-            writer.writerow([repr(k * h), *[repr(float(v)) for v in row],
-                             "" if u == "" else repr(float(u)),
-                             "" if w == "" else repr(float(w)),
-                             repr(output(row, output_index))])
-
-
-def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into column arrays (empty cells -> nan)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols: dict[str, list[float]] = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                cols[name].append(float(cell) if cell != "" else float("nan"))
-    return {name: np.array(vals) for name, vals in cols.items()}

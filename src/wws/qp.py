@@ -7,22 +7,35 @@ matrix H + A'DA positive definite even for singular H (the identity box
 rows contribute a full-rank diagonal), so satisfaction literals and relaxed
 binaries with zero quadratic cost need no extra regularization.
 
-Feasibility is decided first by an elastic phase-1 LP (minimize the single
-violation variable t); the main Mehrotra predictor-corrector solve then runs
-on problems known to be feasible.  Infeasibility is certified through a
-weak-duality lower bound on the phase-1 optimum rather than its primal
-value, whose accuracy is limited by the interior-point duality gap.
+The main Mehrotra predictor-corrector solve runs first.  Every iterate's
+multipliers on the genuine rows give a weak-duality lower bound on the
+optimum of the elastic phase-1 LP (minimize the single violation variable t);
+a positive bound certifies infeasibility and ends the solve early.  A
+converged point is accepted as optimal only after a direct feasibility check.
+The elastic LP itself runs only as a fallback, when the main solve fails or
+its point does not pass the check.  Its infeasibility verdict is likewise a
+weak-duality lower bound, not its primal value, whose accuracy is limited by
+the interior-point duality gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 
 class QpSolverError(RuntimeError):
     pass
+
+
+class _Infeasible(Exception):
+    """Raised by ``_ipm`` when its multipliers prove the rows inconsistent."""
+
+    def __init__(self, bound: float, iterations: int):
+        super().__init__(f"infeasible: certified violation {bound:.3g}")
+        self.bound = bound
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -35,14 +48,42 @@ class QpResult:
     phase1_violation: float = 0.0
 
 
+def _elastic_dual_bound(A, b, Aeq, beq, lam, y, lb, ub) -> float:
+    """Weak-duality lower bound on the elastic violation t* of the rows.
+
+    t* = min t  s.t.  Ax - t <= b,  |Aeq x - beq| <= t,  lb <= x <= ub.
+    For any lam >= 0 and any y, with c = A'lam + Aeq'y, minimizing the
+    Lagrangian over the box and scaling away the coefficient of t gives
+    t* >= (sum_j min(c_j lb_j, c_j ub_j) - lam'b - y'beq) / (sum lam + sum |y|).
+    The numerator is lowered by a bound on its rounding error, so a positive
+    value proves infeasibility in exact arithmetic as well.
+    """
+    abs_y = np.abs(y)
+    weight = float(np.sum(lam) + np.sum(abs_y))
+    if not weight > 0.0:
+        return -np.inf
+    c = A.T @ lam + Aeq.T @ y
+    value = np.sum(np.minimum(c * lb, c * ub)) - lam @ b - y @ beq
+    box = np.maximum(np.abs(lb), np.abs(ub))
+    size = box @ (np.abs(A).T @ lam + np.abs(Aeq).T @ abs_y) \
+        + lam @ np.abs(b) + abs_y @ np.abs(beq)
+    rounding = (len(lam) + len(y) + len(lb) + 3) * np.finfo(float).eps * size
+    return float((value - rounding) / weight)
+
+
 def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
          E: np.ndarray, d: np.ndarray, x0: np.ndarray,
-         tol: float, max_iter: int, reg: float
+         tol: float, max_iter: int, reg: float,
+         certify: tuple[int, np.ndarray, np.ndarray] | None = None
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
     """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x, Ax<=b, Ex=d.
 
     Returns (x, s, lam, iterations, kkt); the slacks and multipliers let
-    callers build certified dual bounds from the final iterate.
+    callers build certified dual bounds from the final iterate.  With
+    ``certify = (m, lb, ub)``, where the first m rows of A are the genuine
+    rows and the rest fold the box lb <= x <= ub, every iterate that has not
+    converged is tested for an infeasibility certificate, and ``_Infeasible``
+    is raised as soon as one proves a positive violation.
     """
     n = len(f)
     m = len(b)
@@ -74,6 +115,12 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
         best_kkt = min(best_kkt, kkt)
         if kkt <= tol:
             return x, s, lam, it, kkt
+        if certify is not None:
+            m_rows, lb, ub = certify
+            bound = _elastic_dual_bound(A[:m_rows], b[:m_rows], E, d,
+                                        lam[:m_rows], y, lb, ub)
+            if bound > 1e-9:
+                raise _Infeasible(bound, it)
 
         dinv = lam / np.maximum(s, 1e-300)
         K = H + (A.T * dinv) @ A + reg * np.eye(n)
@@ -147,7 +194,7 @@ def _equilibrate_rows(A, b):
 
 
 def check_feasible_point(x, A, b, lb, ub, Aeq=None, beq=None, tol=1e-9) -> bool:
-    """Cheap feasibility check used to skip phase-1 for warm candidates."""
+    """Direct check of a candidate point against rows and boxes within ``tol``."""
     if np.any(x < lb - tol) or np.any(x > ub + tol):
         return False
     if A is not None and A.size and np.max(A @ x - b) > tol:
@@ -225,13 +272,16 @@ def phase1_violation(A, b, lb, ub, Aeq=None, beq=None, tol: float = 1e-9,
 def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
              lb: np.ndarray, ub: np.ndarray,
              Aeq: np.ndarray | None = None, beq: np.ndarray | None = None,
-             obj_const: float = 0.0, tol: float = 1e-9, max_iter: int = 80,
-             feas_point: np.ndarray | None = None) -> QpResult:
-    """Globally solve the convex QP; returns status "infeasible" with the
-    phase-1 violation when no point satisfies the constraints.
+             obj_const: float = 0.0, tol: float = 1e-9,
+             max_iter: int = 80) -> QpResult:
+    """Globally solve the convex QP; returns status "infeasible" with a
+    certified positive lower bound on the row violation when no point
+    satisfies the constraints.
 
-    ``feas_point`` short-circuits phase-1 when the caller already holds a
-    feasible candidate (warm starts in branch-and-bound).
+    One interior-point solve decides most problems: it either converges to a
+    point that passes ``check_feasible_point`` on the equilibrated rows, or
+    its multipliers certify infeasibility on the way.  Only when neither
+    happens does the elastic phase-1 LP (``phase1_violation``) decide.
     """
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -251,25 +301,34 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     A, b = _equilibrate_rows(A, b)
     Aeq, beq = _equilibrate_rows(Aeq, beq)
 
-    known_feasible = feas_point is not None and \
-        check_feasible_point(feas_point, A, b, lb, ub, Aeq, beq)
-    violation = 0.0
-    if not known_feasible:
-        violation = phase1_violation(A, b, lb, ub, Aeq, beq)
-        # the certified bound is rigorous, so any positive value proves
-        # infeasibility; the epsilon only guards float noise in the algebra
-        if violation > 1e-9:
-            return QpResult("infeasible", None, None, 0, np.inf, violation)
-
     A_full, b_full = _fold_boxes(A, b, lb, ub)
     x0 = 0.5 * (lb + ub)
+    main: QpResult | None = None
     last_error: Exception | None = None
     for reg in (1e-12, 1e-9, 1e-6):
         try:
             x, _s, _lam, iters, kkt = _ipm(H, f, A_full, b_full, Aeq, beq, x0,
-                                           tol=tol, max_iter=max_iter, reg=reg)
-            obj = float(0.5 * x @ H @ x + f @ x + obj_const)
-            return QpResult("optimal", x, obj, iters, kkt, violation)
+                                           tol=tol, max_iter=max_iter, reg=reg,
+                                           certify=(len(b), lb, ub))
+        except _Infeasible as proof:
+            return QpResult("infeasible", None, None, proof.iterations, np.inf,
+                            proof.bound)
         except QpSolverError as exc:
             last_error = exc
-    raise QpSolverError(f"interior point failed at all regularizations: {last_error}")
+            continue
+        obj = float(0.5 * x @ H @ x + f @ x + obj_const)
+        main = QpResult("optimal", x, obj, iters, kkt)
+        if check_feasible_point(x, A, b, lb, ub, Aeq, beq):
+            return main
+        break
+
+    violation = phase1_violation(A, b, lb, ub, Aeq, beq)
+    # the certified bound is rigorous, so any positive value proves
+    # infeasibility; the epsilon only guards float noise in the algebra
+    if violation > 1e-9:
+        return QpResult("infeasible", None, None,
+                        main.iterations if main is not None else 0, np.inf,
+                        violation)
+    if main is None:
+        raise QpSolverError(f"interior point failed at all regularizations: {last_error}")
+    return replace(main, phase1_violation=violation)

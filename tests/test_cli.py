@@ -128,6 +128,20 @@ def test_sweep_exits_nonzero_when_a_cell_crashes(tmp_path, demo_pred_file,
     assert "planted solver crash" in capsys.readouterr().err
 
 
+def test_nominal_sweep_on_near_singular_rows_does_not_crash(tmp_path):
+    # with this predictor the elastic phase-1 LP fails on every regularization
+    # in the 480 s column; the main solve's certificate must decide instead
+    pred = tmp_path / "nominal_pred.json"
+    assert main(["fit", "--plant", "nominal", "--K", "300", "--seed", "4",
+                 "--out", str(pred)]) == 0
+    out = tmp_path / "sweep_nominal"
+    code = main(["sweep", "--plant", "nominal", "--predictor", str(pred),
+                 "--jobs", "1", "--out", str(out)])
+    notes = json.loads((out / "sweep_notes.json").read_text())["notes"]
+    assert [n for n in notes.values() if n.startswith("error:")] == []
+    assert code == 0
+
+
 def test_bench_report(tmp_path, demo_pred_file):
     out = tmp_path / "bench"
     code = main(["bench", "--plant", "demo", "--predictor", str(demo_pred_file),

@@ -7,18 +7,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from oracles import reference_step
-from wws import plant
 from wws.integrators import IntegratorConfig, band_pack
 from wws.plant import (
     DivergenceError,
     PlantModel,
     jacobian_x,
     output,
-    read_trajectory_csv,
     simulate,
     step,
     vector_field,
-    write_trajectory_csv,
 )
 
 LSODA = IntegratorConfig(method="lsoda", atol=1e-10, rtol=1e-10)
@@ -215,19 +212,6 @@ def test_plant_validation():
         PlantModel(a=(1.0,) * 42, output_index=7)
     with pytest.raises(ValueError, match="finite"):
         PlantModel(a=(float("nan"),) + (1.0,) * 41)
-
-
-def test_trajectory_csv_roundtrip(tmp_path, demo_model):
-    states = simulate(demo_model, np.full(6, 15.0), [22.0, 23.0], [10.0] * 2,
-                      60.0, LSODA)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, 60.0, states, [22.0, 23.0], [10.0, 10.0])
-    cols = read_trajectory_csv(path)
-    assert list(cols) == plant.TRAJECTORY_HEADER
-    assert np.array_equal(cols["x5"], states[:, 4])
-    assert np.array_equal(cols["y"], states[:, 4])
-    assert cols["t"][2] == 120.0
-    assert np.isnan(cols["u"][2])
 
 
 # -- block (K-column) propagation ---------------------------------------------

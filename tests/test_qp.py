@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from wws.qp import check_feasible_point, phase1_violation, solve_qp
+from oracles import elastic_violation_highs, random_miqp
+from wws import miqp, qp
+from wws.mpc import plan_step
+from wws.qp import phase1_violation, solve_qp
 
 
 def test_clipped_parabola():
@@ -128,15 +133,84 @@ def test_finite_boxes_required():
                  lb=np.array([-np.inf]), ub=np.array([1.0]))
 
 
-def test_feasible_point_shortcuts_phase1():
-    H = np.eye(2)
-    f = np.zeros(2)
-    A = np.array([[1.0, 1.0]])
-    b = np.array([1.0])
-    lb = np.zeros(2)
-    ub = np.ones(2)
-    point = np.array([0.2, 0.2])
-    assert check_feasible_point(point, A, b, lb, ub)
-    res = solve_qp(H, f, A, b, lb, ub, feas_point=point)
-    assert res.status == "optimal"
-    assert res.phase1_violation == 0.0
+FEASIBLE_QP = (np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
+               np.zeros(2), np.ones(2))
+
+
+@pytest.fixture
+def phase1_calls(monkeypatch):
+    """Count calls to the elastic phase-1 LP made by ``solve_qp``."""
+    calls = []
+    original = qp.phase1_violation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "phase1_violation", counting)
+    return calls
+
+
+def test_main_solve_decides_without_phase1(phase1_calls):
+    assert solve_qp(*FEASIBLE_QP).status == "optimal"
+    infeasible = solve_qp(H=np.array([[2.0]]), f=np.array([0.0]),
+                          A=np.array([[1.0], [-1.0]]), b=np.array([0.0, -1.0]),
+                          lb=np.array([-5.0]), ub=np.array([5.0]))
+    assert infeasible.status == "infeasible"
+    assert infeasible.phase1_violation > 1e-3
+    assert phase1_calls == []
+
+
+def test_failed_feasibility_check_falls_back_to_phase1(monkeypatch, phase1_calls):
+    direct = solve_qp(*FEASIBLE_QP)
+    monkeypatch.setattr(qp, "check_feasible_point", lambda *a, **k: False)
+    fallback = solve_qp(*FEASIBLE_QP)
+    assert len(phase1_calls) == 1
+    assert fallback.status == "optimal"
+    assert np.array_equal(fallback.x, direct.x)
+    assert fallback.phase1_violation <= 1e-9
+
+
+def _agrees_with_highs(qps):
+    """Status matches HiGHS feasibility; infeasible bounds are valid."""
+    infeasible = 0
+    for H, f, A, b, lb, ub, Aeq, beq in qps:
+        res = solve_qp(H, f, A, b, lb, ub, Aeq, beq)
+        t_star = elastic_violation_highs(A, b, lb, ub, Aeq, beq)
+        if res.status == "infeasible":
+            infeasible += 1
+            assert 1e-9 < res.phase1_violation <= t_star + 1e-9
+        else:
+            assert res.status == "optimal"
+            assert t_star <= 1e-9
+    return infeasible
+
+
+def test_random_leaves_agree_with_highs():
+    rng = np.random.default_rng(7)
+    qps = []
+    for _ in range(25):
+        prob = random_miqp(rng, max_binaries=5)
+        bin_idx = np.flatnonzero(prob.binary)
+        for bits in itertools.product((0.0, 1.0), repeat=len(bin_idx)):
+            lb = prob.lb.copy()
+            ub = prob.ub.copy()
+            lb[bin_idx] = ub[bin_idx] = bits
+            qps.append((prob.H, prob.f, prob.A, prob.b, lb, ub, prob.Aeq, prob.beq))
+    infeasible = _agrees_with_highs(qps)
+    assert 0 < infeasible < len(qps)
+
+
+def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_predictor):
+    qps = []
+    original = miqp.solve_qp
+
+    def capture(H, f, A, b, lb, ub, Aeq=None, beq=None, **kwargs):
+        qps.append((H, f, A, b, lb.copy(), ub.copy(), Aeq, beq))
+        return original(H, f, A, b, lb, ub, Aeq, beq, **kwargs)
+
+    monkeypatch.setattr(miqp, "solve_qp", capture)
+    res = plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [])
+    assert res.status == "optimal" and res.nodes > 1
+    infeasible = _agrees_with_highs(qps)
+    assert 0 < infeasible < len(qps)
