@@ -68,8 +68,7 @@ class ExperimentConfig:
     stl_file: str | None = None
     no_stl: bool = False
     x0: float = 15.0
-    # solver / engines
-    integrator: str = "lsoda"
+    # solver / integration tolerances
     atol: float = 1e-10
     rtol: float = 1e-10
     miqp_gap: float = 1e-6
@@ -86,8 +85,7 @@ class ExperimentConfig:
     dump_lp: str | None = None
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(method=self.integrator, atol=self.atol,
-                                rtol=self.rtol)
+        return IntegratorConfig(atol=self.atol, rtol=self.rtol)
 
     def load_plant(self) -> PlantModel:
         if self.plant == "nominal":
@@ -370,8 +368,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (fit: file or dir)")
     p.add_argument("--plant", default=None, help="'nominal', 'demo' or a JSON path")
     p.add_argument("--predictor", default=None, help="predictor JSON to reuse")
-    p.add_argument("--integrator", default=None,
-                   choices=["lsoda", "trapezoid", "rk45"])
     p.add_argument("--jobs", type=int, default=None)
 
 

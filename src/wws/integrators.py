@@ -1,35 +1,17 @@
 """Fixed-input ODE propagation of a block of states over one hold interval.
 
 ``propagate`` advances K independent columns of one system, each under its
-own held input and disturbance.  Three interchangeable engines drive it:
+own held input and disturbance, with scipy's LSODA and the analytic
+Jacobian.  LSODA switches between Adams (non-stiff) and BDF (stiff) methods
+on its own, so one engine serves both the stiff nominal coefficient set and
+the milder demo set.  The K columns are integrated jointly in one call: the
+state is ordered column by column, so the Jacobian is block diagonal and is
+handed over in band form (``ml = mu = n - 1``) when K > 1.  A single column
+keeps the dense Jacobian, on which LSODA needs several times fewer steps.
+Columns of one call share step sizes, so a column's result depends (within
+the tolerance) on the batch it was integrated in.
 
-``rk45``
-    Adaptive embedded Dormand-Prince 5(4) pair with an absolute error
-    tolerance and a hard substep ceiling.  The ceiling keeps the explicit
-    pair inside its stability interval for the fastest linear modes of the
-    nominal plant (rate constants up to 3e3 1/s allow roughly 2.8/3000 s;
-    the default ceiling of 2e-4 s sits well below that).  This is the
-    default engine: correct but slow on stiff coefficient sets.  Columns
-    are integrated one after another.
-
-``trapezoid``
-    Adaptive implicit trapezoidal rule with a damped Newton corrector on the
-    analytic Jacobian and step-doubling error control.  A-stable, so the
-    substep is limited by accuracy only; orders of magnitude faster than
-    ``rk45`` on stiff sets at comparable tolerances.  Columns are integrated
-    one after another.
-
-``lsoda``
-    scipy's LSODA (switching Adams/BDF) with the analytic Jacobian.  The K
-    columns are integrated jointly in one call: the state is ordered column
-    by column, so the Jacobian is block diagonal and is handed over in band
-    form (``ml = mu = n - 1``) when K > 1.  A single column keeps the dense
-    Jacobian, on which LSODA needs several times fewer steps.  Fastest
-    option for bulk work (dataset synthesis, closed-loop sweeps).  Columns
-    of one call share step sizes, so a column's result depends (within the
-    tolerance) on the batch it was integrated in.
-
-All engines are deterministic: identical inputs and settings produce
+Propagation is deterministic: identical inputs and settings produce
 bit-identical results on a given platform.
 """
 
@@ -67,54 +49,20 @@ class StateDivergence(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Engine selection and tolerances for :func:`propagate`.
+    """LSODA's absolute and relative error tolerances for :func:`propagate`."""
 
-    ``max_substep`` of ``None`` resolves to a per-engine default: 2e-4 s for
-    ``rk45`` (stability ceiling), unbounded for the implicit engines.
-    """
-
-    method: str = "rk45"
-    atol: float = 1e-8
-    rtol: float = 0.0
-    max_substep: float | None = None
-    min_substep: float = 1e-13
-    max_substeps: int = 5_000_000
-
-    def resolved_ceiling(self, horizon: float) -> float:
-        if self.max_substep is not None:
-            return min(self.max_substep, horizon)
-        if self.method == "rk45":
-            return min(2e-4, horizon)
-        return horizon
-
-
-DEFAULT_INTEGRATOR = IntegratorConfig()
-FAST_INTEGRATOR = IntegratorConfig(method="lsoda", atol=1e-10, rtol=1e-10)
-
-# Dormand-Prince 5(4) tableau (FSAL form).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+    atol: float = 1e-10
+    rtol: float = 1e-10
 
 
 def propagate(
     rhs: RhsFactory,
-    jac: Jac | None,
+    jac: Jac,
     x0: np.ndarray,
     u,
     w,
     horizon: float,
-    config: IntegratorConfig = DEFAULT_INTEGRATOR,
+    config: IntegratorConfig = IntegratorConfig(),
     state_bounds: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Advance every column of ``x0`` over ``[0, horizon]`` under held inputs.
@@ -125,189 +73,20 @@ def propagate(
     maps one state to its n derivatives when ``u`` and ``w`` are scalars,
     and an (n, K) block to n derivative rows of length K when they are
     vectors.  ``jac`` maps one state to its (n, n) Jacobian and a block to
-    an (n, n, K) stack; the implicit engines need it, ``rk45`` ignores it.
-    ``state_bounds`` enables divergence flagging: any accepted point outside
-    ``[lo, hi]`` raises :class:`StateDivergence` rather than clamping.  The
-    result has the shape of ``x0``.
+    an (n, n, K) stack.  The caller guarantees a positive ``horizon`` and a
+    finite ``x0``.  ``state_bounds`` enables divergence flagging: a state
+    outside ``[lo, hi]`` at one of LSODA's output grid points (the quarters
+    of the interval) raises :class:`StateDivergence` rather than clamping;
+    an excursion between grid points goes unseen.  The result has the shape
+    of ``x0``.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("non-finite state")
-    block = x0.reshape(x0.shape[0], -1)
-    k = block.shape[1]
-    u = np.broadcast_to(np.asarray(u, dtype=float), (k,))
-    w = np.broadcast_to(np.asarray(w, dtype=float), (k,))
-    if config.method == "lsoda":
-        if jac is None:
-            raise ValueError("lsoda engine needs an analytic Jacobian")
-        return _lsoda(rhs, jac, block, u, w, horizon, config,
-                      state_bounds).reshape(x0.shape)
-    if config.method == "rk45":
-        def engine(col_rhs, xc):
-            return _rk45(col_rhs, xc, horizon, config, state_bounds)
-    elif config.method == "trapezoid":
-        if jac is None:
-            raise ValueError("trapezoid engine needs an analytic Jacobian")
-
-        def engine(col_rhs, xc):
-            return _trapezoid(col_rhs, jac, xc, horizon, config, state_bounds)
-    else:
-        raise ValueError(f"unknown integrator method {config.method!r}")
-    out = np.empty_like(block)
-    for i in range(k):
-        try:
-            out[:, i] = engine(rhs(u[i], w[i]), block[:, i])
-        except StateDivergence as exc:
-            if k == 1:
-                raise
-            raise StateDivergence(str(exc), exc.t, exc.state, column=i) from None
-    return out.reshape(x0.shape)
-
-
-def _diverged(y: list[float], t: float, bounds: tuple[float, float],
-              column: int | None = None) -> StateDivergence:
-    lo, hi = bounds
-    return StateDivergence(f"state diverged at t={t:.6g}: {y} outside [{lo}, {hi}]",
-                           t, np.array(y), column)
-
-
-def _check_bounds(y: list[float], t: float, bounds: tuple[float, float] | None) -> None:
-    if bounds is None:
-        return
-    lo, hi = bounds
-    for v in y:
-        if not (lo <= v <= hi) or v != v:
-            raise _diverged(y, t, bounds)
-
-
-def _rk45(rhs, x0, horizon, config, state_bounds) -> np.ndarray:
-    n = len(x0)
-    y = [float(v) for v in x0]
-    t = 0.0
-    ceiling = config.resolved_ceiling(horizon)
-    h = ceiling
-    atol, rtol = config.atol, config.rtol
-    k1 = [float(v) for v in rhs(y)]
-    steps = 0
-    while t < horizon:
-        if steps >= config.max_substeps:
-            raise IntegrationError(f"substep budget exhausted at t={t:.6g}")
-        steps += 1
-        h = min(h, horizon - t)
-        ks = [k1]
-        ynew = y
-        for stage in range(1, 7):
-            coeffs = _DP_A[stage]
-            ystage = [
-                y[i] + h * sum(c * ks[j][i] for j, c in enumerate(coeffs))
-                for i in range(n)
-            ]
-            ks.append([float(v) for v in rhs(ystage)])
-            if stage == 6:
-                # the last stage argument is the 5th-order solution (FSAL)
-                ynew = ystage
-        k7 = ks[6]
-        err = 0.0
-        for i in range(n):
-            e = h * sum(_DP_E[j] * ks[j][i] for j in range(7))
-            scale = atol + rtol * max(abs(y[i]), abs(ynew[i]))
-            err = max(err, abs(e) / scale)
-        if err <= 1.0:
-            t += h
-            y = ynew
-            k1 = k7
-            _check_bounds(y, t, state_bounds)
-            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h = min(h * factor, ceiling)
-        if h < config.min_substep:
-            raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3g})")
-    return np.array(y)
-
-
-def _trapezoid(rhs, jac, x0, horizon, config, state_bounds) -> np.ndarray:
-    x = np.asarray(x0, dtype=float)
-    t = 0.0
-    ceiling = config.resolved_ceiling(horizon)
-    h = min(1e-4, ceiling)
-    atol, rtol = config.atol, max(config.rtol, 0.0)
-    eye = np.eye(len(x))
-    steps = 0
-
-    def trap_step(xa: np.ndarray, dt: float) -> np.ndarray | None:
-        fa = np.asarray(rhs(xa), dtype=float)
-        y = xa + dt * fa  # explicit Euler predictor
-        const = xa + 0.5 * dt * fa
-        for _ in range(12):
-            fy = np.asarray(rhs(y), dtype=float)
-            resid = y - const - 0.5 * dt * fy
-            m = eye - 0.5 * dt * jac(y)
-            try:
-                dy = np.linalg.solve(m, -resid)
-            except np.linalg.LinAlgError:
-                return None
-            y = y + dy
-            if np.max(np.abs(dy)) <= 1e-12 * (1.0 + np.max(np.abs(y))) + 0.01 * atol:
-                return y
-        return None
-
-    while t < horizon:
-        if steps >= config.max_substeps:
-            raise IntegrationError(f"substep budget exhausted at t={t:.6g}")
-        steps += 1
-        h = min(h, horizon - t)
-        full = trap_step(x, h)
-        half = None
-        if full is not None:
-            mid = trap_step(x, 0.5 * h)
-            if mid is not None:
-                half = trap_step(mid, 0.5 * h)
-        if full is None or half is None:
-            h *= 0.25  # Newton failed; retry smaller
-            if h < config.min_substep:
-                raise IntegrationError(f"step size underflow at t={t:.6g}")
-            continue
-        err = 0.0
-        for i in range(len(x)):
-            scale = atol + rtol * max(abs(x[i]), abs(half[i]))
-            err = max(err, abs(half[i] - full[i]) / (3.0 * scale))
-        if err <= 1.0:
-            t += h
-            x = half
-            _check_bounds(list(x), t, state_bounds)
-            factor = 4.0 if err == 0.0 else min(4.0, 0.9 * err ** (-1.0 / 3.0))
-        else:
-            factor = max(0.2, 0.9 * err ** (-1.0 / 3.0))
-        h = min(h * factor, ceiling)
-        if h < config.min_substep:
-            raise IntegrationError(f"step size underflow at t={t:.6g}")
-    return x
-
-
-def band_pack(blocks: np.ndarray) -> np.ndarray:
-    """Band storage of the block-diagonal matrix of an (n, n, K) block stack.
-
-    Block k covers rows and columns ``n*k .. n*k + n - 1``, so the matrix
-    has ``ml = mu = n - 1`` off-diagonals.  Entry (i, j) of the full matrix
-    lands at ``band[i - j + mu, j]``, the layout ``odeint`` documents for a
-    banded ``Dfun``.
-    """
-    n, _, k = blocks.shape
-    band = np.zeros((2 * n - 1, k, n))
-    rows, cols = np.indices((n, n)).reshape(2, -1)
-    band[rows - cols + n - 1, :, cols] = blocks.reshape(n * n, k)
-    return band.reshape(2 * n - 1, n * k)
-
-
-def _lsoda(rhs, jac, x0, u, w, horizon, config, state_bounds) -> np.ndarray:
     from scipy.integrate import odeint
 
-    n, k = x0.shape
-    rtol = max(config.rtol, 1e-10)
-    atol = min(config.atol, 1e-10)
+    x0 = np.asarray(x0, dtype=float)
+    block = x0.reshape(x0.shape[0], -1)
+    n, k = block.shape
+    u = np.broadcast_to(np.asarray(u, dtype=float), (k,))
+    w = np.broadcast_to(np.asarray(w, dtype=float), (k,))
     tgrid = np.linspace(0.0, horizon, 5)
     if k == 1:
         # dense Jacobian: on one column LSODA needs far fewer steps with it
@@ -333,11 +112,11 @@ def _lsoda(rhs, jac, x0, u, w, horizon, config, state_bounds) -> np.ndarray:
         warnings.simplefilter("ignore")
         sol, info = odeint(
             fun,
-            x0.T.ravel(),
+            block.T.ravel(),
             tgrid,
             Dfun=dfun,
-            rtol=rtol,
-            atol=atol,
+            rtol=config.rtol,
+            atol=config.atol,
             mxstep=200_000,
             full_output=True,
             **band,
@@ -348,7 +127,22 @@ def _lsoda(rhs, jac, x0, u, w, horizon, config, state_bounds) -> np.ndarray:
     out = sol[-1]
     if not np.all(np.isfinite(out)):
         raise IntegrationError("lsoda produced non-finite state")
-    return out.reshape(k, n).T.copy()
+    return out.reshape(k, n).T.reshape(x0.shape).copy()
+
+
+def band_pack(blocks: np.ndarray) -> np.ndarray:
+    """Band storage of the block-diagonal matrix of an (n, n, K) block stack.
+
+    Block k covers rows and columns ``n*k .. n*k + n - 1``, so the matrix
+    has ``ml = mu = n - 1`` off-diagonals.  Entry (i, j) of the full matrix
+    lands at ``band[i - j + mu, j]``, the layout ``odeint`` documents for a
+    banded ``Dfun``.
+    """
+    n, _, k = blocks.shape
+    band = np.zeros((2 * n - 1, k, n))
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    band[rows - cols + n - 1, :, cols] = blocks.reshape(n * n, k)
+    return band.reshape(2 * n - 1, n * k)
 
 
 def _check_grid(states: np.ndarray, times: np.ndarray,
@@ -365,5 +159,7 @@ def _check_grid(states: np.ndarray, times: np.ndarray,
         return
     col = int(np.flatnonzero(bad.any(axis=0))[0])
     row = int(np.flatnonzero(bad[:, col])[0])
-    raise _diverged(states[row, col].tolist(), float(times[row]), bounds,
-                    col if states.shape[1] > 1 else None)
+    y = states[row, col].tolist()
+    raise StateDivergence(
+        f"state diverged at t={times[row]:.6g}: {y} outside [{lo}, {hi}]",
+        float(times[row]), np.array(y), col if states.shape[1] > 1 else None)

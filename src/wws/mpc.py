@@ -27,7 +27,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .condense import add_horizon_objective, add_lifted_state_bounds, condense
-from .integrators import FAST_INTEGRATOR, IntegratorConfig
+from .integrators import IntegratorConfig
 from .milp import LinExpr, ProblemBuilder
 from .miqp import solve_miqp
 from .plant import DivergenceError, PlantModel
@@ -281,7 +281,7 @@ class ClosedLoopTrace:
 
 def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
                     pred: LinearPredictor, x0: Sequence[float],
-                    integrator: IntegratorConfig = FAST_INTEGRATOR,
+                    integrator: IntegratorConfig = IntegratorConfig(),
                     stop_on_infeasible: bool = False) -> ClosedLoopTrace:
     """Simulate the loop: measure, plan, apply the first input, repeat.
 
@@ -425,7 +425,8 @@ def _fmt(v: float) -> str:
 
 def evaluate_cell(model: PlantModel, cfg: ControllerConfig, pred: LinearPredictor,
                   initial_temp: float, start_time: float,
-                  integrator: IntegratorConfig = FAST_INTEGRATOR) -> tuple[int, str]:
+                  integrator: IntegratorConfig = IntegratorConfig()
+                  ) -> tuple[int, str]:
     """One sweep cell: uniform initial state, shifted supply deadline."""
     cell_cfg = replace(cfg, stl_specs=(supply_spec(start_time), DEFAULT_POWER_SPEC))
     x0 = np.full(plant_mod.N_STATES, float(initial_temp))
@@ -455,7 +456,7 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
                       pred: LinearPredictor,
                       initial_temps: Sequence[float] = DEFAULT_INITIAL_TEMPS,
                       start_times: Sequence[float] = DEFAULT_START_TIMES,
-                      integrator: IntegratorConfig = FAST_INTEGRATOR,
+                      integrator: IntegratorConfig = IntegratorConfig(),
                       jobs: int = 1) -> SweepResult:
     """Grid of closed-loop feasibility over initial temperature and deadline.
 

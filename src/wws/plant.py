@@ -23,12 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrators import (
-    DEFAULT_INTEGRATOR,
-    IntegratorConfig,
-    StateDivergence,
-    propagate,
-)
+from .integrators import IntegratorConfig, StateDivergence, propagate
 
 N_STATES = 6
 N_COEFFS = 42
@@ -200,24 +195,6 @@ class PlantModel:
         return d
 
 
-def vector_field(model: PlantModel, x: Sequence[float], u: float, w: float) -> np.ndarray:
-    """Evaluate the polynomial right-hand side exactly as written."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (N_STATES,):
-        raise ValueError(f"state must have shape ({N_STATES},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite state")
-    return np.array(model.rhs(u, w)(x))
-
-
-def jacobian_x(model: PlantModel, x: Sequence[float]) -> np.ndarray:
-    """Analytic state Jacobian of the right-hand side at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite state")
-    return model.jac()(x)
-
-
 def output(x: Sequence[float], output_index: int = 5) -> float:
     """Supply temperature: the selected state coordinate (1-based index)."""
     return float(x[output_index - 1])
@@ -229,7 +206,7 @@ def step(
     u,
     w,
     h: float,
-    config: IntegratorConfig = DEFAULT_INTEGRATOR,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> np.ndarray:
     """Propagate the plant over one hold interval of length ``h`` seconds.
 
@@ -262,7 +239,7 @@ def simulate(
     u_seq: Sequence,
     w_seq: Sequence,
     h: float,
-    config: IntegratorConfig = DEFAULT_INTEGRATOR,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> np.ndarray:
     """Repeated ZOH stepping; returns ``n+1`` states with row 0 equal to x0.
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import plant as plant_mod
-from .integrators import FAST_INTEGRATOR, IntegratorConfig
+from .integrators import IntegratorConfig
 from .plant import PlantModel
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ class DatasetConfig:
     h: float = 60.0
     seed: int = 0
     shared_state_draw: bool = False
-    integrator: IntegratorConfig = FAST_INTEGRATOR
+    integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
         if self.K < plant_mod.N_STATES + 2:

@@ -284,11 +284,6 @@ def spec_lines(text: str) -> list[str]:
     return [body for body in bodies if body]
 
 
-def parse_spec_file(text: str) -> list[Formula]:
-    """Parse a spec file: one formula per line, '#' starts a comment."""
-    return [parse(line) for line in spec_lines(text)]
-
-
 def _fmt_num(v: float) -> str:
     return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
 
@@ -347,34 +342,6 @@ def resolve_end(f: Formula, end_time: float) -> Formula:
         return Ev(f.a, b, resolve_end(f.child, end_time))
     if isinstance(f, Until):
         return Until(f.a, b, resolve_end(f.left, end_time), resolve_end(f.right, end_time))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def nnf(f: Formula, negate: bool = False) -> Formula:
-    """Negation normal form: negations pushed onto predicates.
-
-    A negated ``until`` is kept wrapped (its dual is not in the grammar);
-    the encoder resolves it during window expansion instead.
-    """
-    if isinstance(f, Pred):
-        return f.negate() if negate else f
-    if isinstance(f, Not):
-        return nnf(f.child, not negate)
-    if isinstance(f, And):
-        kids = tuple(nnf(c, negate) for c in f.children)
-        return Or(kids) if negate else And(kids)
-    if isinstance(f, Or):
-        kids = tuple(nnf(c, negate) for c in f.children)
-        return And(kids) if negate else Or(kids)
-    if isinstance(f, Alw):
-        child = nnf(f.child, negate)
-        return Ev(f.a, f.b, child) if negate else Alw(f.a, f.b, child)
-    if isinstance(f, Ev):
-        child = nnf(f.child, negate)
-        return Alw(f.a, f.b, child) if negate else Ev(f.a, f.b, child)
-    if isinstance(f, Until):
-        inner = Until(f.a, f.b, nnf(f.left), nnf(f.right))
-        return Not(inner) if negate else inner
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -762,46 +729,16 @@ def _as_expr(v: Union[LinExpr, float]) -> LinExpr:
     return LinExpr.constant(float(v)) if isinstance(v, (int, float)) else v
 
 
-def _collect_unavailable(f: Formula, t: int, binding: SignalBinding, h: float,
-                         out: set) -> None:
-    if isinstance(f, Pred):
-        if not _available(f, binding, t):
-            out.add(t)
-    elif isinstance(f, Not):
-        _collect_unavailable(f.child, t, binding, h, out)
-    elif isinstance(f, (And, Or)):
-        for c in f.children:
-            _collect_unavailable(c, t, binding, h, out)
-    elif isinstance(f, (Alw, Ev)):
-        for i in _window_indices(t, f.a, f.b, h):
-            _collect_unavailable(f.child, i, binding, h, out)
-    elif isinstance(f, Until):
-        for tp in _window_indices(t, f.a, f.b, h):
-            _collect_unavailable(f.right, tp, binding, h, out)
-            for i in range(t, tp):
-                _collect_unavailable(f.left, i, binding, h, out)
-
-
 def encode_formula(builder: ProblemBuilder, f: Formula, binding: SignalBinding,
                    t_index: int, h: float, cfg: EncodingConfig,
-                   name: str = "stl",
-                   on_unavailable: str = "defer") -> EncodedFormula:
+                   name: str = "stl") -> EncodedFormula:
     """Assert that ``f`` holds at sample ``t_index`` over the bound signals.
 
     History samples appear in ``binding`` as float constants and fold away;
     decision-bound samples appear as affine expressions over problem
     variables.  Window indices with no binding follow the shrinking-horizon
-    policy described in :func:`_expand` when ``on_unavailable`` is
-    ``"defer"``; with ``"error"`` any uncoverable index raises instead.
+    policy described in :func:`_expand`.
     """
-    if on_unavailable not in ("defer", "error"):
-        raise ValueError(f"bad on_unavailable mode {on_unavailable!r}")
-    if on_unavailable == "error":
-        missing: set = set()
-        _collect_unavailable(f, t_index, binding, h, missing)
-        if missing:
-            raise StlEncodingError(
-                f"window indices {sorted(missing)} are beyond the bound signals")
     tree = _expand(f, t_index, False, binding, h, cfg.eps)
     enc = _Encoder(builder, binding, cfg, name)
     if isinstance(tree, _PFalse):

@@ -174,9 +174,9 @@ def soundness_case(rng: np.random.Generator, eps: float = 1e-6):
 def reference_step(model, x: np.ndarray, u: float, w: float, h: float) -> np.ndarray:
     """One hold interval of a single column by scipy's Radau at 1e-12.
 
-    Bypasses ``wws.integrators.propagate`` (which clamps its tolerances to
-    1e-10 and owns the batched LSODA path): only the model's right-hand side
-    and Jacobian are shared with the code under test.
+    Bypasses ``wws.integrators.propagate`` (LSODA at 1e-10, batched over
+    columns): only the model's right-hand side and Jacobian are shared with
+    the code under test.
     """
     from scipy.integrate import solve_ivp
 

@@ -18,7 +18,6 @@ import pytest
 from wws import predictor as P
 from wws.miqp import solve_miqp
 from wws.mpc import ControllerConfig, feasibility_sweep, run_closed_loop
-from wws.plant import vector_field
 from wws.predictor import (
     DEFAULT_OBSERVABLES,
     DatasetConfig,
@@ -195,8 +194,8 @@ def test_numerical_derivatives(nominal_model):
             xp, xm = x.copy(), x.copy()
             xp[j] += delta
             xm[j] -= delta
-            Jfd[:, j] = (vector_field(nominal_model, xp, 3.0, 10.0)
-                         - vector_field(nominal_model, xm, 3.0, 10.0)) / (2 * delta)
+            Jfd[:, j] = (np.array(nominal_model.rhs(3.0, 10.0)(xp))
+                         - np.array(nominal_model.rhs(3.0, 10.0)(xm))) / (2 * delta)
         worst = max(worst, np.max(np.abs(J - Jfd)) / max(1.0, np.max(np.abs(Jfd))))
     assert verdict("analytic Jacobian vs central differences",
                    worst <= 1e-6, f"worst relative error {worst:.2e}")

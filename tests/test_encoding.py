@@ -101,14 +101,6 @@ def test_windows_beyond_binding_are_deferred():
     assert enc.deferred and enc.constraints == 0
 
 
-def test_unavailable_indices_can_raise_instead():
-    builder = ProblemBuilder()
-    binding = {"y": {0: _pin(builder, "y0", 50.0)}}
-    f = stl.resolve_end(stl.parse("alw_[60,end] (y >= 40)"), 300.0)
-    with pytest.raises(StlEncodingError, match=r"\[1, 2, 3, 4, 5\]"):
-        encode_formula(builder, f, binding, 0, 60.0, CFG, on_unavailable="error")
-
-
 def test_partially_visible_window_enforces_visible_part():
     builder = ProblemBuilder()
     binding = {"y": {0: _pin(builder, "y0", 50.0), 1: _pin(builder, "y1", 50.0)}}

@@ -7,19 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from oracles import reference_step
-from wws.integrators import IntegratorConfig, band_pack
-from wws.plant import (
-    DivergenceError,
-    PlantModel,
-    jacobian_x,
-    output,
-    simulate,
-    step,
-    vector_field,
-)
-
-LSODA = IntegratorConfig(method="lsoda", atol=1e-10, rtol=1e-10)
-TRAP = IntegratorConfig(method="trapezoid", atol=1e-10)
+from wws.integrators import band_pack
+from wws.plant import DivergenceError, PlantModel, output, simulate, step
 
 # the published nominal coefficient values, restated independently here so a
 # data-file regression cannot go unnoticed
@@ -31,8 +20,9 @@ NOMINAL_COEFFS = (
     3.0e3, 3.8, -2.4e2, 2.4e2,
 )
 
-# regression anchor for step(ones, 0, 0, 60) with the default integrator,
-# confirmed by substep halving (see test_rk45_anchor_and_substep_halving)
+# regression anchor for step(ones, 0, 0, 60), computed by an adaptive
+# Dormand-Prince 5(4) pair at atol 1e-8 under a 2e-4 s substep ceiling and
+# confirmed by halving that ceiling; it shares no integration code with LSODA
 RK45_ANCHOR = np.array([
     2.795251853426e-03, 4.427623380804e-05, 4.427768914233e-10,
     2.435392728227e-13, 8.930065052291e-17, 1.414504555973e-18,
@@ -45,27 +35,30 @@ def test_nominal_coefficients_bit_equal(nominal_model):
 
 
 def test_vector_field_zero_state(nominal_model):
-    assert np.array_equal(vector_field(nominal_model, np.zeros(6), 0.0, 0.0),
-                          np.zeros(6))
+    assert np.array_equal(nominal_model.rhs(0.0, 0.0)(np.zeros(6)), np.zeros(6))
 
 
 def test_vector_field_all_ones(nominal_model):
     # hand sums of the table rows at the all-ones point
     expected = np.array([-0.058, -236.2, -2998.87, -1997.8, -2998.9, -236.2])
-    got = vector_field(nominal_model, np.ones(6), 0.0, 0.0)
+    got = np.array(nominal_model.rhs(0.0, 0.0)(np.ones(6)))
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_vector_field_input_enters_first_component_only(nominal_model):
-    base = vector_field(nominal_model, np.ones(6), 0.0, 0.0)
-    with_u = vector_field(nominal_model, np.ones(6), 1.0, 0.0)
+    base = np.array(nominal_model.rhs(0.0, 0.0)(np.ones(6)))
+    with_u = np.array(nominal_model.rhs(1.0, 0.0)(np.ones(6)))
     assert with_u[0] == pytest.approx(0.04, abs=1e-15)
     assert np.array_equal(with_u[1:], base[1:])
 
 
-def test_vector_field_rejects_non_finite(nominal_model):
+def test_step_rejects_non_finite_state(nominal_model):
     with pytest.raises(ValueError, match="non-finite state"):
-        vector_field(nominal_model, [np.nan, 0, 0, 0, 0, 0], 0.0, 0.0)
+        step(nominal_model, [np.nan, 0, 0, 0, 0, 0], 0.0, 0.0, 60.0)
+    X = np.ones((6, 3))
+    X[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite state"):
+        step(nominal_model, X, 0.0, 0.0, 60.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -74,11 +67,15 @@ def test_vector_field_rejects_non_finite(nominal_model):
 def test_vector_field_linear_in_u_and_w(x, u, w):
     model = PlantModel.nominal()
     x = np.array(x)
-    f00 = vector_field(model, x, 0.0, 0.0)
-    fu = vector_field(model, x, 1.0, 0.0) - f00
-    fw = vector_field(model, x, 0.0, 1.0) - f00
+
+    def f(u, w):
+        return np.array(model.rhs(u, w)(x))
+
+    f00 = f(0.0, 0.0)
+    fu = f(1.0, 0.0) - f00
+    fw = f(0.0, 1.0) - f00
     combined = f00 + u * fu + w * fw
-    direct = vector_field(model, x, u, w)
+    direct = f(u, w)
     assert np.allclose(direct, combined, rtol=1e-9, atol=1e-9)
 
 
@@ -87,14 +84,14 @@ def test_jacobian_matches_central_differences(nominal_model):
     delta = 1e-5
     for _ in range(10):
         x = rng.uniform(5.0, 45.0, size=6)
-        J = jacobian_x(nominal_model, x)
+        J = nominal_model.jac()(x)
         Jfd = np.zeros((6, 6))
         for j in range(6):
             xp, xm = x.copy(), x.copy()
             xp[j] += delta
             xm[j] -= delta
-            Jfd[:, j] = (vector_field(nominal_model, xp, 3.0, 10.0)
-                         - vector_field(nominal_model, xm, 3.0, 10.0)) / (2 * delta)
+            Jfd[:, j] = (np.array(nominal_model.rhs(3.0, 10.0)(xp))
+                         - np.array(nominal_model.rhs(3.0, 10.0)(xm))) / (2 * delta)
         scale = max(1.0, np.max(np.abs(Jfd)))
         assert np.max(np.abs(J - Jfd)) / scale < 1e-6
 
@@ -104,44 +101,30 @@ def test_step_rejects_empty_interval(nominal_model):
         step(nominal_model, np.ones(6), 0.0, 0.0, 0.0)
 
 
-@pytest.mark.slow
-def test_rk45_anchor_and_substep_halving(nominal_model):
-    full = step(nominal_model, np.ones(6), 0.0, 0.0, 60.0)
-    half = step(nominal_model, np.ones(6), 0.0, 0.0, 60.0,
-                IntegratorConfig(max_substep=1e-4))
-    assert np.max(np.abs(full - half)) < 1e-6
-    assert np.allclose(full, RK45_ANCHOR, atol=1e-9)
+def test_reference_step_matches_rk45_anchor(nominal_model):
+    ref = reference_step(nominal_model, np.ones(6), 0.0, 0.0, 60.0)
+    assert np.max(np.abs(ref - RK45_ANCHOR)) < 1e-9
 
 
-@pytest.mark.slow
-def test_rk45_substep_halving_at_operating_conditions(nominal_model):
-    x = np.full(6, 15.0)
-    full = step(nominal_model, x, 24.0, 10.0, 6.0)
-    half = step(nominal_model, x, 24.0, 10.0, 6.0, IntegratorConfig(max_substep=1e-4))
-    assert np.max(np.abs(full - half)) < 1e-6
-
-
-def test_implicit_engines_agree_with_rk45_anchor(nominal_model):
-    trap = step(nominal_model, np.ones(6), 0.0, 0.0, 60.0, TRAP)
-    lsoda = step(nominal_model, np.ones(6), 0.0, 0.0, 60.0, LSODA)
-    assert np.max(np.abs(trap - RK45_ANCHOR)) < 5e-8
+def test_lsoda_matches_rk45_anchor(nominal_model):
+    lsoda = step(nominal_model, np.ones(6), 0.0, 0.0, 60.0)
     assert np.max(np.abs(lsoda - RK45_ANCHOR)) < 5e-8
 
 
 def test_step_holds_equilibrium(nominal_model):
     from wws.predictor import find_equilibrium
     rest = simulate(nominal_model, np.full(6, 10.0), [12.0] * 50, [10.0] * 50,
-                    60.0, LSODA)[-1]
+                    60.0)[-1]
     eq = find_equilibrium(nominal_model, 10.0, output(rest), x_guess=rest,
                           u_guess=12.0)
-    after = step(nominal_model, eq.x, eq.u, 10.0, 60.0, LSODA)
+    after = step(nominal_model, eq.x, eq.u, 10.0, 60.0)
     assert np.max(np.abs(after - eq.x)) < 1e-6
 
 
 def test_simulate_single_step_equals_step(nominal_model):
     x0 = np.full(6, 12.0)
-    via_sim = simulate(nominal_model, x0, [5.0], [10.0], 60.0, LSODA)
-    direct = step(nominal_model, x0, 5.0, 10.0, 60.0, LSODA)
+    via_sim = simulate(nominal_model, x0, [5.0], [10.0], 60.0)
+    direct = step(nominal_model, x0, 5.0, 10.0, 60.0)
     assert np.array_equal(via_sim[1], direct)
     assert np.array_equal(via_sim[0], x0)
 
@@ -150,42 +133,44 @@ def test_simulate_chaining_is_exact(nominal_model):
     x0 = np.full(6, 12.0)
     u = [5.0, 6, 7, 8, 9, 10, 11, 12, 13, 14]
     w = [10.0] * 10
-    whole = simulate(nominal_model, x0, u, w, 60.0, LSODA)
-    first = simulate(nominal_model, x0, u[:5], w[:5], 60.0, LSODA)
-    second = simulate(nominal_model, first[-1], u[5:], w[5:], 60.0, LSODA)
+    whole = simulate(nominal_model, x0, u, w, 60.0)
+    first = simulate(nominal_model, x0, u[:5], w[:5], 60.0)
+    second = simulate(nominal_model, first[-1], u[5:], w[5:], 60.0)
     assert np.array_equal(whole, np.vstack([first, second[1:]]))
 
 
 def test_simulate_constant_at_equilibrium(nominal_model):
     from wws.predictor import find_equilibrium
     rest = simulate(nominal_model, np.full(6, 10.0), [12.0] * 50, [10.0] * 50,
-                    60.0, LSODA)[-1]
+                    60.0)[-1]
     eq = find_equilibrium(nominal_model, 10.0, output(rest), x_guess=rest,
                           u_guess=12.0)
-    traj = simulate(nominal_model, eq.x, [eq.u] * 10, [10.0] * 10, 60.0, LSODA)
+    traj = simulate(nominal_model, eq.x, [eq.u] * 10, [10.0] * 10, 60.0)
     assert np.max(np.abs(traj - eq.x[None, :])) < 1e-5
 
 
 def test_simulate_length_mismatch(nominal_model):
     with pytest.raises(ValueError, match="equal length"):
-        simulate(nominal_model, np.ones(6), [1.0, 2.0], [10.0], 60.0, LSODA)
+        simulate(nominal_model, np.ones(6), [1.0, 2.0], [10.0], 60.0)
 
 
 def test_divergence_is_flagged_with_step_index(nominal_model):
     # an ambient excursion far above the physical band drives the pipe
     # states out of range within the third hold interval
     with pytest.raises(DivergenceError) as err:
-        simulate(nominal_model, np.full(6, 15.0), [0.0] * 5, [400.0] * 5,
-                 60.0, LSODA)
+        simulate(nominal_model, np.full(6, 15.0), [0.0] * 5, [400.0] * 5, 60.0)
     assert err.value.step_index == 0
     assert "step 0" in str(err.value)
 
 
 def test_determinism_bit_identical(nominal_model):
-    for config in (LSODA, TRAP, IntegratorConfig(max_substep=2e-2)):
-        a = step(nominal_model, np.full(6, 14.0), 8.0, 10.0, 0.5, config)
-        b = step(nominal_model, np.full(6, 14.0), 8.0, 10.0, 0.5, config)
-        assert np.array_equal(a, b)
+    a = step(nominal_model, np.full(6, 14.0), 8.0, 10.0, 0.5)
+    b = step(nominal_model, np.full(6, 14.0), 8.0, 10.0, 0.5)
+    assert np.array_equal(a, b)
+    X, U = _block_draw(27, 8)
+    a = step(nominal_model, X, U, 10.0, 60.0)
+    b = step(nominal_model, X, U, 10.0, 60.0)
+    assert np.array_equal(a, b)
 
 
 def test_output_projection():
@@ -227,9 +212,9 @@ def _block_draw(seed: int, K: int):
 def test_block_step_matches_single_columns(which):
     model = getattr(PlantModel, which)()
     X, U = _block_draw(21, 100)
-    block = step(model, X, U, 10.0, 60.0, LSODA)
+    block = step(model, X, U, 10.0, 60.0)
     assert block.shape == X.shape
-    single = np.column_stack([step(model, X[:, i], U[i], 10.0, 60.0, LSODA)
+    single = np.column_stack([step(model, X[:, i], U[i], 10.0, 60.0)
                               for i in range(X.shape[1])])
     assert np.max(np.abs(block - single)) < 5e-8
 
@@ -239,7 +224,7 @@ def test_block_step_matches_independent_reference(which):
     model = getattr(PlantModel, which)()
     X, U = _block_draw(22, 32)
     U[0] = 0.0  # one pump-off column
-    block = step(model, X, U, 10.0, 60.0, LSODA)
+    block = step(model, X, U, 10.0, 60.0)
     for i in range(4):
         ref = reference_step(model, X[:, i], U[i], 10.0, 60.0)
         assert np.max(np.abs(block[:, i] - ref)) < 5e-8
@@ -252,8 +237,8 @@ def test_block_rhs_and_jacobian_match_single_columns(nominal_model):
     Js = nominal_model.jac()(X)
     assert F.shape == (6, 5) and Js.shape == (6, 6, 5)
     for i in range(5):
-        assert np.array_equal(F[:, i], vector_field(nominal_model, X[:, i], U[i], W[i]))
-        assert np.array_equal(Js[:, :, i], jacobian_x(nominal_model, X[:, i]))
+        assert np.array_equal(F[:, i], nominal_model.rhs(U[i], W[i])(X[:, i]))
+        assert np.array_equal(Js[:, :, i], nominal_model.jac()(X[:, i]))
 
 
 def test_band_pack_matches_documented_odeint_layout():
@@ -276,20 +261,13 @@ def test_divergent_block_names_lowest_column(nominal_model):
     W = np.full(12, 10.0)
     W[[9, 4, 7]] = 400.0
     with pytest.raises(DivergenceError, match="column 4") as err:
-        step(nominal_model, X, U, W, 60.0, LSODA)
+        step(nominal_model, X, U, W, 60.0)
     assert err.value.column == 4
-
-
-def test_columnwise_engine_block_equals_single_calls(demo_model):
-    X, U = _block_draw(25, 3)
-    block = step(demo_model, X, U, 10.0, 0.5, TRAP)
-    for i in range(3):
-        assert np.array_equal(block[:, i], step(demo_model, X[:, i], U[i], 10.0, 0.5, TRAP))
 
 
 def test_block_simulate_steps_all_columns(demo_model):
     X, U = _block_draw(26, 4)
-    traj = simulate(demo_model, X, [U, U], [10.0, 10.0], 60.0, LSODA)
+    traj = simulate(demo_model, X, [U, U], [10.0, 10.0], 60.0)
     assert traj.shape == (3, 6, 4)
     assert np.array_equal(traj[0], X)
-    assert np.array_equal(traj[1], step(demo_model, X, U, 10.0, 60.0, LSODA))
+    assert np.array_equal(traj[1], step(demo_model, X, U, 10.0, 60.0))

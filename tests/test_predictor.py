@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wws import plant as plant_mod
-from wws.integrators import FAST_INTEGRATOR
 from wws.plant import DivergenceError, PlantModel, simulate
 from wws.predictor import (
     DEFAULT_OBSERVABLES,
@@ -207,7 +206,7 @@ def test_open_loop_rollout_tracks_demo_plant(demo_model, demo_predictor):
     x0 = np.full(6, 15.0)
     u = rng.uniform(21.2, 26.5, size=10)
     w = np.full(10, 10.0)
-    truth = simulate(demo_model, x0, u, w, 60.0, FAST_INTEGRATOR)
+    truth = simulate(demo_model, x0, u, w, 60.0)
     guess = demo_predictor.predict(x0, u, w)
     assert np.max(np.abs(truth - guess)) < 0.5
 
@@ -220,7 +219,7 @@ def test_find_equilibrium_demo(demo_model, demo_equilibrium):
     assert abs(eq.x[4] - 40.0) <= 1e-10
     assert eq.u_within_bounds
     from wws.plant import step
-    after = step(demo_model, eq.x, eq.u, 10.0, 60.0, FAST_INTEGRATOR)
+    after = step(demo_model, eq.x, eq.u, 10.0, 60.0)
     assert np.max(np.abs(after - eq.x)) < 1e-6
     eigs = np.linalg.eigvals(demo_model.jac()(eq.x))
     assert np.all(eigs.real < 0)

@@ -18,11 +18,10 @@ from wws.stl import (
     Until,
     format_formula,
     horizon,
-    nnf,
     parse,
-    parse_spec_file,
     resolve_end,
     robustness,
+    spec_lines,
 )
 
 
@@ -68,11 +67,10 @@ def test_parse_errors_carry_positions():
         parse("y >= 40 & u <= 2")
 
 
-def test_parse_spec_file_skips_comments():
+def test_spec_lines_skips_comments():
     text = "# comment\nalw_[0,end] (y >= 40)\n\n  ev_[0,5] (u > 1) # trailing\n"
-    formulas = parse_spec_file(text)
-    assert len(formulas) == 2
-    assert isinstance(formulas[1], Ev)
+    assert spec_lines(text) == ["alw_[0,end] (y >= 40)", "ev_[0,5] (u > 1)"]
+    assert isinstance(parse(spec_lines(text)[1]), Ev)
 
 
 formula_strategy = st.deferred(lambda: st.one_of(
@@ -208,23 +206,3 @@ def test_robustness_unknown_channel():
 def test_sampled_signal_validation():
     with pytest.raises(ValueError, match="length"):
         SampledSignal(channels={"y": np.zeros(3), "u": np.zeros(2)}, h=1.0)
-
-
-# -- negation normal form ----------------------------------------------------------
-
-def test_nnf_pushes_negation_to_predicates():
-    f = parse("not (y >= 40 and ev_[0,5] (u < 2))")
-    g = nnf(f)
-    assert g == Or((Pred(((1.0, "y"),), "<", 40.0),
-                    Alw(0.0, 5.0, Pred(((1.0, "u"),), ">=", 2.0))))
-
-
-def test_nnf_double_negation():
-    f = parse("not (not (y >= 40))")
-    assert nnf(f) == Pred(((1.0, "y"),), ">=", 40.0)
-
-
-def test_nnf_keeps_negated_until_wrapped():
-    f = parse("not (y >= 0 until_[0,5] u >= 0)")
-    g = nnf(f)
-    assert isinstance(g, Not) and isinstance(g.child, Until)
