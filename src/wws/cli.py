@@ -2,7 +2,8 @@
 
 Configuration is resolved in order: built-in defaults, then a JSON config
 file (``--config``), then ``WWS_*`` environment variables, then explicit
-command-line flags.  All outputs (predictor files, trace CSVs, summaries,
+command-line flags; an unknown config key or ``WWS_*`` variable is an
+error, so a typo cannot silently leave a default in place.  All outputs (predictor files, trace CSVs, summaries,
 sweep tables, reports) land in ``--out`` and every subcommand is
 deterministic under a fixed seed.
 
@@ -64,7 +65,6 @@ class ExperimentConfig:
     start_time: float = 420.0
     w_forecast: float = 10.0
     eps: float = 1e-6
-    z_bounds: bool = False
     stl_file: str | None = None
     no_stl: bool = False
     x0: float = 15.0
@@ -114,8 +114,7 @@ class ExperimentConfig:
             r_weight=self.r_weight, reference=self.reference,
             u_min=self.u_min, u_max=self.u_max, end_time=self.end_time,
             stl_specs=self.spec_texts(), w_forecast=self.w_forecast,
-            eps=self.eps, z_state_box=(0.0, 100.0) if self.z_bounds else None,
-            miqp_gap=self.miqp_gap, node_limit=self.node_limit)
+            eps=self.eps, miqp_gap=self.miqp_gap, node_limit=self.node_limit)
 
     def dataset_config(self) -> DatasetConfig:
         return DatasetConfig(K=self.K, state_range=self.state_range,
@@ -125,9 +124,15 @@ class ExperimentConfig:
                              integrator=self.integrator_config())
 
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
 def _coerce(value: str, current):
     if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() in _TRUE + _FALSE:
+            return value.lower() in _TRUE
+        raise ValueError(f"{value!r} is not one of {', '.join(_TRUE + _FALSE)}")
     if isinstance(current, int):
         return int(value)
     if isinstance(current, float):
@@ -147,10 +152,16 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
             cur = getattr(cfg, key)
             setattr(cfg, key, tuple(val) if isinstance(cur, tuple) else val)
-    for f in dataclasses.fields(ExperimentConfig):
-        env = os.environ.get(ENV_PREFIX + f.name.upper())
-        if env is not None:
-            setattr(cfg, f.name, _coerce(env, getattr(cfg, f.name)))
+    env_fields = {ENV_PREFIX + f.name.upper(): f.name
+                  for f in dataclasses.fields(ExperimentConfig)}
+    for var in sorted(v for v in os.environ if v.startswith(ENV_PREFIX)):
+        if var not in env_fields:
+            raise ValueError(f"unknown environment variable {var}")
+        name = env_fields[var]
+        try:
+            setattr(cfg, name, _coerce(os.environ[var], getattr(cfg, name)))
+        except ValueError as exc:
+            raise ValueError(f"{var}: {exc}") from exc
     for f in dataclasses.fields(ExperimentConfig):
         val = getattr(args, f.name, None)
         if val is not None:
@@ -406,10 +417,6 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--r-weight", type=float, default=None, dest="r_weight")
     run.add_argument("--reference", type=float, default=None)
     run.add_argument("--svg", action="store_true", default=None)
-    run.add_argument("--z-bounds", action="store_true", default=None,
-                     dest="z_bounds",
-                     help="bound predicted lifted states by the lifted "
-                          "physical box (off by default; see README)")
     run.add_argument("--dump-lp", default=None, dest="dump_lp",
                      help="write the step-0 problem in LP-style text")
 
@@ -425,8 +432,6 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--q-weight", type=float, default=None, dest="q_weight")
     sweep.add_argument("--r-weight", type=float, default=None, dest="r_weight")
     sweep.add_argument("--reference", type=float, default=None)
-    sweep.add_argument("--z-bounds", action="store_true", default=None,
-                       dest="z_bounds")
 
     bench = sub.add_parser("bench", help="predictor-vs-plant rollout accuracy")
     _add_common(bench)

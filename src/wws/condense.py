@@ -69,24 +69,3 @@ def add_horizon_objective(builder: ProblemBuilder, cond: CondensedHorizon,
         builder.add_squared_cost(cond.y_expr(i + 1, u_names), q_weight,
                                  target=reference)
         builder.add_squared_cost(LinExpr.variable(u_names[i]), r_weight)
-
-
-def add_lifted_state_bounds(builder: ProblemBuilder, cond: CondensedHorizon,
-                            u_names: Sequence[str], z_min: np.ndarray,
-                            z_max: np.ndarray) -> int:
-    """Box the predicted lifted states (indices 1..Np; index 0 is data)."""
-    rows = 0
-    n = cond.G.shape[1]
-    for i in range(1, cond.horizon + 1):
-        for j in range(n):
-            expr = LinExpr.combination(u_names, cond.G[i][j], float(cond.g[i][j]))
-            if not expr.coef:
-                # constant coordinate: feasibility is decided immediately
-                if expr.const > z_max[j] + 1e-9 or expr.const < z_min[j] - 1e-9:
-                    builder.mark_infeasible(
-                        f"lifted state z[{j}] at step {i} fixed outside bounds")
-                continue
-            builder.add_leq(expr, float(z_max[j]))
-            builder.add_geq(expr, float(z_min[j]))
-            rows += 2
-    return rows

@@ -1,10 +1,13 @@
 """Containers for mixed-integer quadratic programs.
 
 ``LinExpr`` is a small affine-expression type over named variables;
-``ProblemBuilder`` accumulates variables, linear rows and quadratic cost and
-freezes everything into a dense ``MiqpProblem``.  Every variable carries a
-finite box (the solvers rely on bounded feasible sets), binaries are flagged
-in a mask, and the objective convention is
+``ProblemBuilder`` accumulates variables, linear rows ``A x <= b`` and
+quadratic cost and freezes everything into a dense ``MiqpProblem``.  The
+condensed step problem has no equality rows: eliminating the lifted states
+removes the predictor dynamics, and an equality would only pin a variable,
+which its box already does.  Every variable carries a finite box (the
+solvers rely on bounded feasible sets), binaries are flagged in a mask, and
+the objective convention is
 
     J(x) = 0.5 x' H x + f' x + const.
 
@@ -100,8 +103,6 @@ class MiqpProblem:
     obj_const: float
     A: np.ndarray          # A x <= b
     b: np.ndarray
-    Aeq: np.ndarray        # Aeq x == beq
-    beq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     binary: np.ndarray     # bool mask
@@ -121,8 +122,6 @@ class MiqpProblem:
         v = 0.0
         if self.A.size:
             v = max(v, float(np.max(self.A @ x - self.b, initial=0.0)))
-        if self.Aeq.size:
-            v = max(v, float(np.max(np.abs(self.Aeq @ x - self.beq), initial=0.0)))
         v = max(v, float(np.max(self.lb - x, initial=0.0)))
         v = max(v, float(np.max(x - self.ub, initial=0.0)))
         return v
@@ -154,8 +153,7 @@ class ProblemBuilder:
     def __init__(self):
         self._vars: list[_Var] = []
         self._index: dict[str, int] = {}
-        self._rows: list[tuple[dict[str, float], float]] = []      # expr <= rhs
-        self._eq_rows: list[tuple[dict[str, float], float]] = []   # expr == rhs
+        self._rows: list[tuple[dict[str, float], float]] = []  # expr <= rhs
         self._quad: dict[tuple[str, str], float] = {}
         self._lin: dict[str, float] = {}
         self._obj_const = 0.0
@@ -176,9 +174,6 @@ class ProblemBuilder:
         self.add_continuous(name, 0.0, 1.0)
         self._vars[-1].binary = True
         return name
-
-    def has_variable(self, name: str) -> bool:
-        return name in self._index
 
     # -- constraints ---------------------------------------------------------
 
@@ -202,14 +197,6 @@ class ProblemBuilder:
     def add_geq(self, lhs, rhs) -> None:
         self.add_leq(rhs if isinstance(rhs, LinExpr) else LinExpr.constant(rhs),
                      lhs if isinstance(lhs, LinExpr) else LinExpr.constant(lhs))
-
-    def add_eq(self, lhs, rhs) -> None:
-        coef, b = self._normalize(lhs, rhs)
-        if not coef:
-            if abs(b) > 1e-12:
-                self.mark_infeasible(f"constant equality violated (|{b:.3g}| > 0)")
-            return
-        self._eq_rows.append((coef, b))
 
     def mark_infeasible(self, reason: str) -> None:
         if self._infeasible is None:
@@ -264,24 +251,17 @@ class ProblemBuilder:
         for ni, c in self._lin.items():
             f[self._index[ni]] += c
 
-        def stack(rows):
-            if not rows:
-                return np.zeros((0, n)), np.zeros(0)
-            mat = np.zeros((len(rows), n))
-            rhs = np.zeros(len(rows))
-            for k, (coef, b) in enumerate(rows):
-                for name, c in coef.items():
-                    mat[k, self._index[name]] = c
-                rhs[k] = b
-            return mat, rhs
-
-        A, b = stack(self._rows)
-        Aeq, beq = stack(self._eq_rows)
+        A = np.zeros((len(self._rows), n))
+        b = np.zeros(len(self._rows))
+        for k, (coef, rhs) in enumerate(self._rows):
+            for name, c in coef.items():
+                A[k, self._index[name]] = c
+            b[k] = rhs
         lb = np.array([v.lb for v in self._vars])
         ub = np.array([v.ub for v in self._vars])
         binary = np.array([v.binary for v in self._vars], dtype=bool)
         problem = MiqpProblem(names=names, H=H, f=f, obj_const=self._obj_const,
-                              A=A, b=b, Aeq=Aeq, beq=beq, lb=lb, ub=ub,
+                              A=A, b=b, lb=lb, ub=ub,
                               binary=binary, infeasible_reason=self._infeasible)
         if validate:
             _validate(problem)
@@ -301,7 +281,6 @@ def _validate(p: MiqpProblem) -> None:
     # every binary must appear somewhere beyond its own box
     for i in np.flatnonzero(p.binary):
         used = (p.A.size and np.any(p.A[:, i] != 0.0)) or \
-               (p.Aeq.size and np.any(p.Aeq[:, i] != 0.0)) or \
                np.any(p.H[:, i] != 0.0) or p.f[i] != 0.0
         if not used:
             raise ValueError(f"binary {p.names[i]!r} appears in no constraint or objective")
@@ -328,9 +307,6 @@ def dump_lp(p: MiqpProblem, path: str | Path) -> None:
     for k in range(p.A.shape[0]):
         row = "".join(f" {c:+.17g} {p.names[i]}" for i, c in enumerate(p.A[k]) if c != 0.0)
         lines.append(f" c{k}:{row} <= {p.b[k]:.17g}")
-    for k in range(p.Aeq.shape[0]):
-        row = "".join(f" {c:+.17g} {p.names[i]}" for i, c in enumerate(p.Aeq[k]) if c != 0.0)
-        lines.append(f" e{k}:{row} = {p.beq[k]:.17g}")
     lines.append("Bounds")
     for i, name in enumerate(p.names):
         lines.append(f" {p.lb[i]:.17g} <= {name} <= {p.ub[i]:.17g}")

@@ -41,7 +41,7 @@ class _Node:
 
 def _relax(problem: MiqpProblem, lb: np.ndarray, ub: np.ndarray) -> QpResult:
     return solve_qp(problem.H, problem.f, problem.A, problem.b, lb, ub,
-                    problem.Aeq, problem.beq, obj_const=problem.obj_const)
+                    obj_const=problem.obj_const)
 
 
 def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,

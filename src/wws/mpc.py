@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import plant as plant_mod
-from .condense import add_horizon_objective, add_lifted_state_bounds, condense
+from .condense import add_horizon_objective, condense
 from .integrators import IntegratorConfig
 from .milp import LinExpr, ProblemBuilder
 from .miqp import solve_miqp
@@ -68,13 +68,6 @@ class ControllerConfig:
     stl_specs: tuple[str, ...] = (DEFAULT_SUPPLY_SPEC, DEFAULT_POWER_SPEC)
     w_forecast: float = 10.0
     eps: float = 1e-6
-    # Bounding predicted lifted states by the lifted physical box sounds
-    # natural but is wrong for regression predictors: iterated one-step maps
-    # drift off the monomial manifold (cross-monomial coordinates can swing
-    # negative by 1e4 while the projected output stays accurate), so the
-    # lifted box cuts off physically fine plans.  Off by default; pass a box
-    # to enable interval-lifted bounds.
-    z_state_box: tuple[float, float] | None = None
     y_bounds: tuple[float, float] = plant_mod.STATE_BOUNDS
     output_index: int = 5
     miqp_gap: float = 1e-6
@@ -140,11 +133,6 @@ def build_step_problem(cfg: ControllerConfig, pred: LinearPredictor,
     cond = condense(pred, z0, np_h, [cfg.w_forecast] * np_h, cfg.output_index)
     add_horizon_objective(builder, cond, u_names, cfg.q_weight, cfg.r_weight,
                           cfg.reference)
-    if cfg.z_state_box is not None:
-        lo, hi = cfg.z_state_box
-        z_min, z_max = pred.observables.lift_bounds(
-            np.full(plant_mod.N_STATES, lo), np.full(plant_mod.N_STATES, hi))
-        add_lifted_state_bounds(builder, cond, u_names, z_min, z_max)
 
     binding = {
         "y": {**{j: float(y_hist[j]) for j in range(k + 1)},

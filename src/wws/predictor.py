@@ -64,26 +64,6 @@ class ObservableSet:
                     out[i] *= x[j] ** e
         return out
 
-    def lift_bounds(self, lo: Sequence[float], hi: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Interval bounds of each monomial over the box [lo, hi]."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        zmin = np.empty(self.n)
-        zmax = np.empty(self.n)
-        for i, exps in enumerate(self.exponents):
-            plo, phi = 1.0, 1.0
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                cands = [lo[j] ** e, hi[j] ** e]
-                if e % 2 == 0 and lo[j] < 0.0 < hi[j]:
-                    cands.append(0.0)
-                clo, chi = min(cands), max(cands)
-                corners = [plo * clo, plo * chi, phi * clo, phi * chi]
-                plo, phi = min(corners), max(corners)
-            zmin[i], zmax[i] = plo, phi
-        return zmin, zmax
-
     def descriptors(self) -> list[list[int]]:
         return [list(e) for e in self.exponents]
 
@@ -163,9 +143,6 @@ class LinearPredictor:
             return np.zeros(self.n)
         z_ref = self.observables.lift(np.asarray(self.x_ref, dtype=float))
         return z_ref - self.A @ z_ref - self.b_u * self.u_ref - self.b_d * self.w_ref
-
-    def step_lifted(self, z: np.ndarray, u: float, w: float) -> np.ndarray:
-        return self.A @ z + self.b_u * u + self.b_d * w + self.affine_const()
 
     def predict(self, x0: Sequence[float], u_seq: Sequence[float],
                 w_seq: Sequence[float]) -> np.ndarray:

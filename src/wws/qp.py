@@ -1,7 +1,7 @@
 """Convex quadratic programming via a primal-dual interior-point method.
 
-Solves   minimize 0.5 x'Hx + f'x   subject to   A x <= b,  Aeq x = beq,
-lb <= x <= ub   with H symmetric PSD and every variable finitely boxed.
+Solves   minimize 0.5 x'Hx + f'x   subject to   A x <= b,  lb <= x <= ub
+with H symmetric PSD and every variable finitely boxed.
 Boxes are folded into the inequality rows, which keeps the reduced normal
 matrix H + A'DA positive definite even for singular H (the identity box
 rows contribute a full-rank diagonal), so satisfaction literals and relaxed
@@ -48,66 +48,59 @@ class QpResult:
     phase1_violation: float = 0.0
 
 
-def _elastic_dual_bound(A, b, Aeq, beq, lam, y, lb, ub) -> float:
+def _elastic_dual_bound(A, b, lam, lb, ub) -> float:
     """Weak-duality lower bound on the elastic violation t* of the rows.
 
-    t* = min t  s.t.  Ax - t <= b,  |Aeq x - beq| <= t,  lb <= x <= ub.
-    For any lam >= 0 and any y, with c = A'lam + Aeq'y, minimizing the
-    Lagrangian over the box and scaling away the coefficient of t gives
-    t* >= (sum_j min(c_j lb_j, c_j ub_j) - lam'b - y'beq) / (sum lam + sum |y|).
+    t* = min t  s.t.  Ax - t <= b,  lb <= x <= ub.  For any lam >= 0, with
+    c = A'lam, minimizing the Lagrangian over the box and scaling away the
+    coefficient of t gives
+    t* >= (sum_j min(c_j lb_j, c_j ub_j) - lam'b) / sum lam.
     The numerator is lowered by a bound on its rounding error, so a positive
     value proves infeasibility in exact arithmetic as well.
     """
-    abs_y = np.abs(y)
-    weight = float(np.sum(lam) + np.sum(abs_y))
+    weight = float(np.sum(lam))
     if not weight > 0.0:
         return -np.inf
-    c = A.T @ lam + Aeq.T @ y
-    value = np.sum(np.minimum(c * lb, c * ub)) - lam @ b - y @ beq
+    c = A.T @ lam
+    value = np.sum(np.minimum(c * lb, c * ub)) - lam @ b
     box = np.maximum(np.abs(lb), np.abs(ub))
-    size = box @ (np.abs(A).T @ lam + np.abs(Aeq).T @ abs_y) \
-        + lam @ np.abs(b) + abs_y @ np.abs(beq)
-    rounding = (len(lam) + len(y) + len(lb) + 3) * np.finfo(float).eps * size
+    size = box @ (np.abs(A).T @ lam) + lam @ np.abs(b)
+    rounding = (len(lam) + len(lb) + 3) * np.finfo(float).eps * size
     return float((value - rounding) / weight)
 
 
 def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-         E: np.ndarray, d: np.ndarray, x0: np.ndarray,
-         tol: float, max_iter: int, reg: float,
+         x0: np.ndarray, tol: float, max_iter: int, reg: float,
          certify: tuple[int, np.ndarray, np.ndarray] | None = None
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x, Ax<=b, Ex=d.
+    """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x  s.t.  Ax <= b.
 
-    Returns (x, s, lam, iterations, kkt); the slacks and multipliers let
-    callers build certified dual bounds from the final iterate.  With
-    ``certify = (m, lb, ub)``, where the first m rows of A are the genuine
-    rows and the rest fold the box lb <= x <= ub, every iterate that has not
-    converged is tested for an infeasibility certificate, and ``_Infeasible``
-    is raised as soon as one proves a positive violation.
+    Each Newton step factors the reduced normal matrix K = H + A'DA + reg I
+    with D = diag(lam / s).  Returns (x, s, lam, iterations, kkt); the slacks
+    and multipliers let callers build certified dual bounds from the final
+    iterate.  With ``certify = (m, lb, ub)``, where the first m rows of A are
+    the genuine rows and the rest fold the box lb <= x <= ub, every iterate
+    that has not converged is tested for an infeasibility certificate, and
+    ``_Infeasible`` is raised as soon as one proves a positive violation.
     """
     n = len(f)
     m = len(b)
-    p = len(d)
     x = x0.astype(float).copy()
     s = np.maximum(b - A @ x, 1.0)
     lam = np.ones(m)
-    y = np.zeros(p)
 
     scale_b = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     scale_f = 1.0 + float(np.max(np.abs(f))) + (float(np.max(np.abs(H))) if H.size else 0.0)
-    scale_d = 1.0 + (float(np.max(np.abs(d))) if p else 0.0)
 
     best_kkt = np.inf
     for it in range(1, max_iter + 1):
-        r_dual = H @ x + f + A.T @ lam + (E.T @ y if p else 0.0)
+        r_dual = H @ x + f + A.T @ lam
         r_pri = A @ x + s - b
-        r_eq = E @ x - d if p else np.zeros(0)
         mu = float(s @ lam / m) if m else 0.0
 
         kkt = max(
             float(np.max(np.abs(r_dual))) / scale_f,
             float(np.max(np.abs(r_pri))) / scale_b if m else 0.0,
-            float(np.max(np.abs(r_eq))) / scale_d if p else 0.0,
             mu / scale_f,
         )
         if not np.isfinite(kkt):
@@ -117,31 +110,25 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
             return x, s, lam, it, kkt
         if certify is not None:
             m_rows, lb, ub = certify
-            bound = _elastic_dual_bound(A[:m_rows], b[:m_rows], E, d,
-                                        lam[:m_rows], y, lb, ub)
+            bound = _elastic_dual_bound(A[:m_rows], b[:m_rows], lam[:m_rows],
+                                        lb, ub)
             if bound > 1e-9:
                 raise _Infeasible(bound, it)
 
         dinv = lam / np.maximum(s, 1e-300)
         K = H + (A.T * dinv) @ A + reg * np.eye(n)
-        if p:
-            kkt_mat = np.block([[K, E.T], [E, -reg * np.eye(p)]])
-        else:
-            kkt_mat = K
 
-        def solve_kkt(rhs_x, rhs_e):
-            rhs = np.concatenate([rhs_x, rhs_e]) if p else rhs_x
+        def solve_kkt(rhs):
             try:
-                sol = np.linalg.solve(kkt_mat, rhs)
+                sol = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError as exc:
                 raise QpSolverError("singular KKT system") from exc
             if not np.all(np.isfinite(sol)):
                 raise QpSolverError("non-finite Newton step")
-            return (sol[:n], sol[n:]) if p else (sol, np.zeros(0))
+            return sol
 
         # affine predictor
-        rhs_x = -(r_dual + A.T @ (dinv * r_pri - lam))
-        dx_aff, dy_aff = solve_kkt(rhs_x, -r_eq if p else np.zeros(0))
+        dx_aff = solve_kkt(-(r_dual + A.T @ (dinv * r_pri - lam)))
         ds_aff = -r_pri - A @ dx_aff
         dlam_aff = -lam - dinv * ds_aff
 
@@ -158,8 +145,7 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
 
         # corrector with centering
         comp = ds_aff * dlam_aff - sigma * mu
-        rhs_x = -(r_dual + A.T @ (dinv * r_pri - lam - comp / np.maximum(s, 1e-300)))
-        dx, dy = solve_kkt(rhs_x, -r_eq if p else np.zeros(0))
+        dx = solve_kkt(-(r_dual + A.T @ (dinv * r_pri - lam - comp / np.maximum(s, 1e-300))))
         ds = -r_pri - A @ dx
         dlam = -lam - dinv * ds - comp / np.maximum(s, 1e-300)
 
@@ -170,7 +156,6 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
         x += alpha * dx
         s += alpha * ds
         lam += alpha * dlam
-        y += alpha * dy
         s = np.maximum(s, 1e-300)
         lam = np.maximum(lam, 1e-300)
 
@@ -193,34 +178,27 @@ def _equilibrate_rows(A, b):
     return A / r[:, None], b / r
 
 
-def check_feasible_point(x, A, b, lb, ub, Aeq=None, beq=None, tol=1e-9) -> bool:
+def check_feasible_point(x, A, b, lb, ub, tol=1e-9) -> bool:
     """Direct check of a candidate point against rows and boxes within ``tol``."""
     if np.any(x < lb - tol) or np.any(x > ub + tol):
         return False
     if A is not None and A.size and np.max(A @ x - b) > tol:
         return False
-    if Aeq is not None and Aeq.size and np.max(np.abs(Aeq @ x - beq)) > tol:
-        return False
     return True
 
 
-def phase1_violation(A, b, lb, ub, Aeq=None, beq=None, tol: float = 1e-9,
-                     max_iter: int = 100) -> float:
+def phase1_violation(A, b, lb, ub, max_iter: int = 100) -> float:
     """Certified lower bound on the minimal uniform constraint relaxation.
 
-    Solves the elastic LP  min t  s.t.  Ax - t <= b, |Aeq x - beq| <= t,
-    lb <= x <= ub, t >= -1, after scaling every row to unit max coefficient,
-    so t* is the smallest uniform row-relative violation; the system is
-    feasible iff t* <= 0.  The primal value of an interior-point iterate
+    Solves the elastic LP  min t  s.t.  Ax - t <= b,  lb <= x <= ub,  t >= -1,
+    after scaling every row to unit max coefficient, so t* is the smallest
+    uniform row-relative violation; the system is feasible iff t* <= 0.  The primal value of an interior-point iterate
     overestimates t* by up to the duality gap (sum s_i lam_i, easily 1e-6
     with hundreds of rows), which is far too coarse to threshold against -
     so the returned value is a rigorous dual lower bound built from the
     final multipliers: positive only when the system is provably infeasible.
     """
-    Aeq = np.zeros((0, len(lb))) if Aeq is None else Aeq
-    beq = np.zeros(0) if beq is None else beq
     A, b = _equilibrate_rows(A, b)
-    Aeq, beq = _equilibrate_rows(Aeq, beq)
     A_full, b_full = _fold_boxes(A, b, lb, ub)
     m0 = A.shape[0] if A.size else 0
     n = len(lb)
@@ -229,17 +207,10 @@ def phase1_violation(A, b, lb, ub, Aeq=None, beq=None, tol: float = 1e-9,
     ones[:m0] = 1.0
     blocks = [np.column_stack([A_full, -ones])]
     rhs = [b_full]
-    if Aeq.size:
-        blocks.append(np.column_stack([Aeq, -np.ones(len(beq))]))
-        rhs.append(beq)
-        blocks.append(np.column_stack([-Aeq, -np.ones(len(beq))]))
-        rhs.append(-beq)
     x0 = 0.5 * (lb + ub)
     t0 = 1.0
     if A.size:
         t0 += float(np.max(np.abs(A @ x0 - b), initial=0.0))
-    if Aeq.size:
-        t0 += float(np.max(np.abs(Aeq @ x0 - beq), initial=0.0))
     # box on t keeps the LP bounded in every direction
     blocks.append(np.array([[0.0] * n + [-1.0]]))
     rhs.append(np.array([1.0]))
@@ -256,8 +227,7 @@ def phase1_violation(A, b, lb, ub, Aeq=None, beq=None, tol: float = 1e-9,
     last: Exception | None = None
     for ipm_tol, reg in ((1e-10, 1e-10), (1e-9, 1e-8), (1e-8, 1e-6)):
         try:
-            z, _s, lam, _, _ = _ipm(H, f, A_ph, b_ph, np.zeros((0, n + 1)),
-                                    np.zeros(0), z0, tol=ipm_tol,
+            z, _s, lam, _, _ = _ipm(H, f, A_ph, b_ph, z0, tol=ipm_tol,
                                     max_iter=max_iter, reg=reg)
         except QpSolverError as exc:
             last = exc
@@ -270,10 +240,8 @@ def phase1_violation(A, b, lb, ub, Aeq=None, beq=None, tol: float = 1e-9,
 
 
 def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-             lb: np.ndarray, ub: np.ndarray,
-             Aeq: np.ndarray | None = None, beq: np.ndarray | None = None,
-             obj_const: float = 0.0, tol: float = 1e-9,
-             max_iter: int = 80) -> QpResult:
+             lb: np.ndarray, ub: np.ndarray, obj_const: float = 0.0,
+             tol: float = 1e-9, max_iter: int = 80) -> QpResult:
     """Globally solve the convex QP; returns status "infeasible" with a
     certified positive lower bound on the row violation when no point
     satisfies the constraints.
@@ -289,17 +257,12 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     b = np.asarray(b, dtype=float) if b is not None else np.zeros(0)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    Aeq = np.zeros((0, len(f))) if Aeq is None or not np.asarray(Aeq).size \
-        else np.asarray(Aeq, dtype=float)
-    beq = np.zeros(0) if beq is None or not np.asarray(beq).size \
-        else np.asarray(beq, dtype=float)
     if np.any(lb > ub + 1e-15):
         return QpResult("infeasible", None, None, 0, np.inf,
                         float(np.max(lb - ub)))
     if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
         raise ValueError("all variables must carry finite boxes")
     A, b = _equilibrate_rows(A, b)
-    Aeq, beq = _equilibrate_rows(Aeq, beq)
 
     A_full, b_full = _fold_boxes(A, b, lb, ub)
     x0 = 0.5 * (lb + ub)
@@ -307,8 +270,8 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     last_error: Exception | None = None
     for reg in (1e-12, 1e-9, 1e-6):
         try:
-            x, _s, _lam, iters, kkt = _ipm(H, f, A_full, b_full, Aeq, beq, x0,
-                                           tol=tol, max_iter=max_iter, reg=reg,
+            x, _s, _lam, iters, kkt = _ipm(H, f, A_full, b_full, x0, tol=tol,
+                                           max_iter=max_iter, reg=reg,
                                            certify=(len(b), lb, ub))
         except _Infeasible as proof:
             return QpResult("infeasible", None, None, proof.iterations, np.inf,
@@ -318,11 +281,11 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
             continue
         obj = float(0.5 * x @ H @ x + f @ x + obj_const)
         main = QpResult("optimal", x, obj, iters, kkt)
-        if check_feasible_point(x, A, b, lb, ub, Aeq, beq):
+        if check_feasible_point(x, A, b, lb, ub):
             return main
         break
 
-    violation = phase1_violation(A, b, lb, ub, Aeq, beq)
+    violation = phase1_violation(A, b, lb, ub)
     # the certified bound is rigorous, so any positive value proves
     # infeasibility; the epsilon only guards float noise in the algebra
     if violation > 1e-9:

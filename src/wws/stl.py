@@ -457,20 +457,22 @@ def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
 # Mixed-integer encoding
 # ---------------------------------------------------------------------------
 
+#: Safety factor on the predicate range that makes each big-M constant.
+BIG_M_MARGIN = 1.1
+
 
 @dataclass(frozen=True)
 class EncodingConfig:
     """Big-M derivation and strictness margin for the MILP encoding.
 
-    Per-predicate constants are derived from declared channel ranges with a
-    safety factor; ``big_m`` is only a fallback for channels without bounds.
-    Strict inequalities are encoded with margin ``eps``.
+    Per-predicate constants are derived from the declared channel ranges
+    with the safety factor ``BIG_M_MARGIN``; a predicate over a channel
+    without declared bounds cannot be encoded.  Strict inequalities are
+    encoded with margin ``eps``.
     """
 
     channel_bounds: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     eps: float = 1e-6
-    big_m: float | None = None
-    margin_factor: float = 1.1
 
 
 # Propositional tree over per-index predicate literals.
@@ -639,19 +641,15 @@ class _Encoder:
     def big_m(self, pred: Pred) -> float:
         lo = hi = 0.0
         for c, ch in pred.terms:
-            if ch in self.cfg.channel_bounds:
-                blo, bhi = self.cfg.channel_bounds[ch]
-            elif self.cfg.big_m is not None:
-                return self.cfg.big_m
-            else:
-                raise StlEncodingError(
-                    f"no declared bounds for channel {ch!r} and no fallback big-M")
+            if ch not in self.cfg.channel_bounds:
+                raise StlEncodingError(f"no declared bounds for channel {ch!r}")
+            blo, bhi = self.cfg.channel_bounds[ch]
             lo += min(c * blo, c * bhi)
             hi += max(c * blo, c * bhi)
         m_lo, m_hi = lo - pred.const, hi - pred.const
         if pred.op in ("<=", "<"):
             m_lo, m_hi = -m_hi, -m_lo
-        return self.cfg.margin_factor * (max(abs(m_lo), abs(m_hi)) + self.cfg.eps + 1.0)
+        return BIG_M_MARGIN * (max(abs(m_lo), abs(m_hi)) + self.cfg.eps + 1.0)
 
     def eps_of(self, pred: Pred) -> float:
         return self.cfg.eps if pred.strict else 0.0

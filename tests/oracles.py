@@ -28,7 +28,7 @@ def enumerate_miqp(problem: MiqpProblem) -> tuple[float, np.ndarray | None]:
         for i, v in zip(bin_idx, bits):
             lb[i] = ub[i] = v
         res = solve_qp(problem.H, problem.f, problem.A, problem.b, lb, ub,
-                       problem.Aeq, problem.beq, obj_const=problem.obj_const)
+                       obj_const=problem.obj_const)
         if res.status == "optimal" and res.objective < best_obj:
             best_obj, best_x = res.objective, res.x
     return best_obj, best_x
@@ -55,32 +55,26 @@ def random_miqp(rng: np.random.Generator, max_binaries: int = 8) -> MiqpProblem:
     return b.build()
 
 
-def elastic_violation_highs(A, b, lb, ub, Aeq=None, beq=None) -> float:
+def elastic_violation_highs(A, b, lb, ub) -> float:
     """Optimal elastic violation t* of the row-equilibrated system, by HiGHS.
 
-    Solves  min t  s.t.  Ax - t <= b,  |Aeq x - beq| <= t,  lb <= x <= ub,
-    t >= -1 with every row first scaled to unit max coefficient (rows of
-    all zeros keep a 1e-12 floor), so t* is the smallest uniform relative
-    violation and the rows are feasible iff t* <= 0.  Shares no code with
-    ``wws.qp``: scipy's ``linprog`` with the HiGHS dual simplex.
+    Solves  min t  s.t.  Ax - t <= b,  lb <= x <= ub,  t >= -1  with every
+    row first scaled to unit max coefficient (rows of all zeros keep a
+    1e-12 floor), so t* is the smallest uniform relative violation and the
+    rows are feasible iff t* <= 0.  Shares no code with ``wws.qp``: scipy's
+    ``linprog`` with the HiGHS dual simplex.
     """
     from scipy.optimize import linprog
 
     n = len(lb)
-    rows, rhs = [], []
-    for M, v, signs in ((A, b, (1.0,)), (Aeq, beq, (1.0, -1.0))):
-        if M is None or not np.asarray(M).size:
-            continue
-        M = np.asarray(M, dtype=float)
-        v = np.asarray(v, dtype=float)
-        r = np.maximum(np.max(np.abs(M), axis=1), 1e-12)
-        for sign in signs:
-            rows.append(np.column_stack([sign * M / r[:, None], -np.ones(len(v))]))
-            rhs.append(sign * v / r)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    r = np.maximum(np.max(np.abs(A), axis=1), 1e-12)
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
     bounds = list(zip(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)))
-    res = linprog(cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+    res = linprog(cost, A_ub=np.column_stack([A / r[:, None], -np.ones(len(b))]),
+                  b_ub=b / r,
                   bounds=bounds + [(-1.0, None)], method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})

@@ -201,3 +201,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"not_a_key": 1}))
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var, value, reason", [
+    ("WWS_ATOLL", "5", "unknown environment variable WWS_ATOLL"),
+    ("WWS_Z_BOUNDS", "1", "unknown environment variable WWS_Z_BOUNDS"),
+    ("WWS_SVG", "maybe", "WWS_SVG: 'maybe' is not one of"),
+], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG"])
+def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch,
+                                           capsys, var, value, reason):
+    monkeypatch.setenv(var, value)
+    assert main(["bench", "--plant", "demo", "--predictor", str(demo_pred_file),
+                 "--bench-rollouts", "1", "--bench-steps", "1",
+                 "--out", str(tmp_path / "bench")]) == 1
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_z_bounds_flag_removed(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--z-bounds"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --z-bounds" in capsys.readouterr().err

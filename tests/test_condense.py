@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wws.condense import add_horizon_objective, add_lifted_state_bounds, condense
-from wws.milp import LinExpr, ProblemBuilder
+from wws.condense import add_horizon_objective, condense
+from wws.milp import ProblemBuilder
 from wws.mpc import ControllerConfig
 from wws.predictor import IDENTITY_OBSERVABLES, LinearPredictor
 from wws.qp import solve_qp
@@ -106,30 +106,15 @@ def test_full_horizon_hessian_is_psd(demo_predictor):
     assert eigs.min() >= 2.0 * 10.0 - 1e-9  # the R-block guarantees strict convexity
 
 
-def test_z_bound_rows_filter_constant_coordinates():
-    pred = _identity_predictor(np.zeros((6, 6)), np.eye(6)[0], np.zeros(6))
-    cond = condense(pred, np.full(6, 5.0), 2, [0.0] * 2)
-    builder = ProblemBuilder()
-    names = [builder.add_continuous(f"u{i}", 0.0, 10.0) for i in range(2)]
-    rows = add_lifted_state_bounds(builder, cond, names, np.zeros(6),
-                                   np.full(6, 100.0))
-    # only the first coordinate depends on u: two rows per step
-    assert rows == 4
-    prob = builder.build()
-    assert prob.infeasible_reason is None
-
-
-def test_z_bound_constant_violation_marks_infeasible():
-    pred = _identity_predictor(np.eye(6), np.eye(6)[0], np.zeros(6))
-    cond = condense(pred, np.full(6, 200.0), 1, [0.0])
-    builder = ProblemBuilder()
-    names = [builder.add_continuous("u0", 0.0, 10.0)]
-    add_lifted_state_bounds(builder, cond, names, np.zeros(6), np.full(6, 100.0))
-    assert builder.infeasible_reason is not None
-
-
 def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibrium):
-    """Eliminating the states must not change the optimum."""
+    """Eliminating the states must not change the optimum.
+
+    The explicit formulation keeps every lifted state as a variable tied by
+    equality dynamics; it is solved by one KKT system in numpy, without
+    ``wws.qp``.  Its solution lies inside every box of the explicit problem
+    (u in [0, 26.5], z in [-500, 500]), so it is also the box-constrained
+    optimum that the condensed QP must reproduce.
+    """
     from wws.predictor import linearize_local
 
     eq = demo_equilibrium
@@ -147,33 +132,39 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
     p1 = builder.build()
     r1 = solve_qp(p1.H, p1.f, p1.A, p1.b, p1.lb, p1.ub, obj_const=p1.obj_const)
 
-    # explicit lifted states with equality dynamics
-    b2 = ProblemBuilder()
-    u_names = [b2.add_continuous(f"u{i}", 0.0, 26.5) for i in range(np_h)]
-    z_names = [[b2.add_continuous(f"z{i}_{j}", -500.0, 500.0) for j in range(6)]
-               for i in range(np_h + 1)]
-    z0 = pred.lift(x0)
-    c = pred.affine_const()
-    for j in range(6):
-        b2.add_eq(LinExpr.variable(z_names[0][j]), float(z0[j]))
-    for i in range(np_h):
-        for j in range(6):
-            rhs = LinExpr.constant(float(pred.b_d[j] * w[i] + c[j]))
-            for k in range(6):
-                if pred.A[j, k] != 0.0:
-                    rhs = rhs + pred.A[j, k] * LinExpr.variable(z_names[i][k])
-            rhs = rhs + float(pred.b_u[j]) * LinExpr.variable(u_names[i])
-            b2.add_eq(LinExpr.variable(z_names[i + 1][j]), rhs)
-    for i in range(np_h):
-        y_expr = LinExpr.variable(z_names[i + 1][4])
-        b2.add_squared_cost(y_expr, q_w, target=ref)
-        b2.add_squared_cost(LinExpr.variable(u_names[i]), r_w)
-    p2 = b2.build()
-    r2 = solve_qp(p2.H, p2.f, p2.A, p2.b, p2.lb, p2.ub, p2.Aeq, p2.beq,
-                  obj_const=p2.obj_const)
+    # explicit lifted states: v = (u_0..u_{Np-1}, z_0, .., z_Np), E v = d
+    n_z = 6 * (np_h + 1)
+    n = np_h + n_z
 
-    assert r1.status == r2.status == "optimal"
-    assert abs(r1.objective - r2.objective) <= 1e-6
-    u1 = r1.x[:np_h]
-    u2 = np.array([r2.x[p2.index(n)] for n in u_names])
-    assert np.max(np.abs(u1 - u2)) <= 1e-5
+    def z(i, j):
+        return np_h + 6 * i + j
+
+    H = np.zeros((n, n))
+    f = np.zeros(n)
+    const = 0.0
+    for i in range(np_h):
+        H[i, i] = 2.0 * r_w
+        y = z(i + 1, 4)
+        H[y, y] = 2.0 * q_w
+        f[y] = -2.0 * q_w * ref
+        const += q_w * ref ** 2
+    E = np.zeros((n_z, n))
+    d = np.zeros(n_z)
+    E[:6, np_h:np_h + 6] = np.eye(6)
+    d[:6] = pred.lift(x0)
+    c = pred.affine_const()
+    for i in range(np_h):
+        rows = slice(6 * (i + 1), 6 * (i + 2))
+        E[rows, z(i + 1, 0):z(i + 1, 6)] = np.eye(6)
+        E[rows, z(i, 0):z(i, 6)] = -pred.A
+        E[rows, i] = -pred.b_u
+        d[rows] = pred.b_d * w[i] + c
+    kkt = np.block([[H, E.T], [E, np.zeros((n_z, n_z))]])
+    v = np.linalg.solve(kkt, np.concatenate([-f, d]))[:n]
+    assert np.max(np.abs(E @ v - d)) <= 1e-9
+    assert np.all((v[:np_h] >= 0.0) & (v[:np_h] <= 26.5))
+    assert np.all(np.abs(v[np_h:]) <= 500.0)
+
+    assert r1.status == "optimal"
+    assert abs(r1.objective - (0.5 * v @ H @ v + f @ v + const)) <= 1e-6
+    assert np.max(np.abs(r1.x[:np_h] - v[:np_h])) <= 1e-5

@@ -127,11 +127,6 @@ def test_missing_channel_bounds_raise():
     with pytest.raises(StlEncodingError, match="no declared bounds"):
         encode_formula(builder, f, binding, 0, 60.0,
                        EncodingConfig(channel_bounds={}))
-    builder2 = ProblemBuilder()
-    binding2 = {"q": {0: _pin(builder2, "q0", 1.0)}}
-    fallback = EncodingConfig(channel_bounds={}, big_m=100.0)
-    enc = encode_formula(builder2, f, binding2, 0, 60.0, fallback)
-    assert enc.constraints >= 1 and len(enc.binaries) == 2
 
 
 def test_encoding_soundness_random_suite():

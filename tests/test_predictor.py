@@ -49,17 +49,6 @@ def test_lift_batch_matches_columns():
         assert np.allclose(Z[:, i], DEFAULT_OBSERVABLES.lift(X[:, i]))
 
 
-def test_lift_bounds_contain_samples():
-    rng = np.random.default_rng(1)
-    lo = np.zeros(6)
-    hi = np.full(6, 100.0)
-    zmin, zmax = DEFAULT_OBSERVABLES.lift_bounds(lo, hi)
-    X = rng.uniform(0, 100, size=(6, 500))
-    Z = DEFAULT_OBSERVABLES.lift(X)
-    assert np.all(Z >= zmin[:, None] - 1e-9)
-    assert np.all(Z <= zmax[:, None] + 1e-9)
-
-
 def test_observable_validation():
     with pytest.raises(ValueError):
         ObservableSet(((1, 0, 0),))

@@ -26,28 +26,6 @@ def test_infeasible_box_pair():
     assert res.phase1_violation > 1e-3  # certified separation
 
 
-def test_equality_constrained_matches_kkt_solution():
-    rng = np.random.default_rng(0)
-    checked = 0
-    for _ in range(30):
-        n = 5
-        M = rng.normal(size=(n, n))
-        H = M @ M.T + np.eye(n)
-        f = rng.normal(size=n)
-        E = rng.normal(size=(2, n))
-        d = rng.normal(size=2)
-        kkt = np.block([[H, E.T], [E, np.zeros((2, 2))]])
-        xs = np.linalg.solve(kkt, np.concatenate([-f, d]))[:n]
-        if np.max(np.abs(xs)) > 50:
-            continue
-        res = solve_qp(H, f, None, None, lb=np.full(n, -100.0),
-                       ub=np.full(n, 100.0), Aeq=E, beq=d)
-        assert res.status == "optimal"
-        assert np.max(np.abs(res.x - xs)) <= 1e-8
-        checked += 1
-    assert checked >= 20
-
-
 def _active_set_stationarity(H, f, A, b, lb, ub, x, tol=1e-5):
     """Nonnegative multipliers on the active rows certify stationarity."""
     from scipy.optimize import nnls
@@ -120,13 +98,6 @@ def test_phase1_certificate_signs():
     assert tight <= 1e-9
 
 
-def test_equality_infeasible_detected():
-    res = solve_qp(np.eye(1), np.zeros(1), None, None,
-                   lb=np.zeros(1), ub=np.ones(1),
-                   Aeq=np.array([[1.0], [1.0]]), beq=np.array([0.2, 0.8]))
-    assert res.status == "infeasible"
-
-
 def test_finite_boxes_required():
     with pytest.raises(ValueError, match="finite"):
         solve_qp(np.eye(1), np.zeros(1), None, None,
@@ -174,9 +145,9 @@ def test_failed_feasibility_check_falls_back_to_phase1(monkeypatch, phase1_calls
 def _agrees_with_highs(qps):
     """Status matches HiGHS feasibility; infeasible bounds are valid."""
     infeasible = 0
-    for H, f, A, b, lb, ub, Aeq, beq in qps:
-        res = solve_qp(H, f, A, b, lb, ub, Aeq, beq)
-        t_star = elastic_violation_highs(A, b, lb, ub, Aeq, beq)
+    for H, f, A, b, lb, ub in qps:
+        res = solve_qp(H, f, A, b, lb, ub)
+        t_star = elastic_violation_highs(A, b, lb, ub)
         if res.status == "infeasible":
             infeasible += 1
             assert 1e-9 < res.phase1_violation <= t_star + 1e-9
@@ -196,7 +167,7 @@ def test_random_leaves_agree_with_highs():
             lb = prob.lb.copy()
             ub = prob.ub.copy()
             lb[bin_idx] = ub[bin_idx] = bits
-            qps.append((prob.H, prob.f, prob.A, prob.b, lb, ub, prob.Aeq, prob.beq))
+            qps.append((prob.H, prob.f, prob.A, prob.b, lb, ub))
     infeasible = _agrees_with_highs(qps)
     assert 0 < infeasible < len(qps)
 
@@ -205,9 +176,9 @@ def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_predic
     qps = []
     original = miqp.solve_qp
 
-    def capture(H, f, A, b, lb, ub, Aeq=None, beq=None, **kwargs):
-        qps.append((H, f, A, b, lb.copy(), ub.copy(), Aeq, beq))
-        return original(H, f, A, b, lb, ub, Aeq, beq, **kwargs)
+    def capture(H, f, A, b, lb, ub, **kwargs):
+        qps.append((H, f, A, b, lb.copy(), ub.copy()))
+        return original(H, f, A, b, lb, ub, **kwargs)
 
     monkeypatch.setattr(miqp, "solve_qp", capture)
     res = plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [])
