@@ -2,10 +2,11 @@
 
 ``LinExpr`` is a small affine-expression type over named variables;
 ``ProblemBuilder`` accumulates variables, linear rows ``A x <= b`` and
-quadratic cost and freezes everything into a dense ``MiqpProblem``.  The
-condensed step problem has no equality rows: eliminating the lifted states
-removes the predictor dynamics, and an equality would only pin a variable,
-which its box already does.  Every variable carries a finite box (the
+quadratic cost and freezes everything into a dense ``MiqpProblem``, without
+the rows that no point of the variable box can violate.  The condensed step
+problem has no equality rows: eliminating the lifted states removes the
+predictor dynamics, and an equality would only pin a variable, which its
+box already does.  Every variable carries a finite box (the
 solvers rely on bounded feasible sets), binaries are flagged in a mask, and
 the objective convention is
 
@@ -17,7 +18,7 @@ problems against external solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -117,14 +118,6 @@ class MiqpProblem:
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.f @ x + self.obj_const)
-
-    def max_violation(self, x: np.ndarray) -> float:
-        v = 0.0
-        if self.A.size:
-            v = max(v, float(np.max(self.A @ x - self.b, initial=0.0)))
-        v = max(v, float(np.max(self.lb - x, initial=0.0)))
-        v = max(v, float(np.max(x - self.ub, initial=0.0)))
-        return v
 
     def assignment(self, x: np.ndarray) -> dict[str, float]:
         return {n: float(v) for n, v in zip(self.names, x)}
@@ -228,12 +221,6 @@ class ProblemBuilder:
             self._lin[ni] = self._lin.get(ni, 0.0) + 2.0 * weight * e.coef[ni] * e.const
         self._obj_const += weight * e.const ** 2
 
-    def add_linear_cost(self, expr: Union[LinExpr, Number], weight: float = 1.0) -> None:
-        e = expr if isinstance(expr, LinExpr) else LinExpr.constant(expr)
-        for n, c in e.coef.items():
-            self._lin[n] = self._lin.get(n, 0.0) + weight * c
-        self._obj_const += weight * e.const
-
     # -- assembly ------------------------------------------------------------
 
     def build(self, validate: bool = True) -> MiqpProblem:
@@ -265,7 +252,28 @@ class ProblemBuilder:
                               binary=binary, infeasible_reason=self._infeasible)
         if validate:
             _validate(problem)
+        violable = ~_box_redundant(A, b, lb, ub)
+        if not np.all(violable):
+            problem = replace(problem, A=A[violable], b=b[violable])
         return problem
+
+
+def _box_redundant(A: np.ndarray, b: np.ndarray, lb: np.ndarray,
+                   ub: np.ndarray) -> np.ndarray:
+    """Mask of the rows that no point of the box lb <= x <= ub can violate.
+
+    A row is redundant when its exact maximum over the box,
+    sum_j max(a_j lb_j, a_j ub_j), stays at or below b after adding a bound
+    on the rounding error of that sum.  This generalizes the folding of
+    constant rows in ``add_leq``: a row whose coefficients are rounding noise
+    against its right-hand side is dropped here instead of reaching the
+    solver, where row equilibration would blow it up.
+    """
+    if not A.size:
+        return np.zeros(A.shape[0], dtype=bool)
+    sup = np.sum(np.maximum(A * lb, A * ub), axis=1)
+    size = np.abs(A) @ np.maximum(np.abs(lb), np.abs(ub))
+    return sup + (A.shape[1] + 2) * np.finfo(float).eps * size <= b
 
 
 def _validate(p: MiqpProblem) -> None:

@@ -9,7 +9,8 @@ fixed and the node re-solved, which cleans the incumbent to full constraint
 feasibility before it is stored.
 
 Scope: tens of binaries and continuous variables; no cutting planes or
-presolve beyond constant folding done by the problem builder.
+presolve beyond the problem builder's dropping of constant rows and of
+rows that no point of the box can violate.
 """
 
 from __future__ import annotations

@@ -348,21 +348,6 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         aborted=aborted, abort_reason=abort_reason)
 
 
-def read_trace_csv(path: str | Path) -> dict[str, list]:
-    """Columns of a trace CSV; numeric cells parsed to float, others kept."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols: dict[str, list] = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                try:
-                    cols[name].append(float(cell) if cell != "" else float("nan"))
-                except ValueError:
-                    cols[name].append(cell)
-    return cols
-
-
 # ---------------------------------------------------------------------------
 # Feasibility sweep
 # ---------------------------------------------------------------------------
@@ -391,20 +376,6 @@ class SweepResult:
             w.writerow(["initial\\start"] + [_fmt(s) for s in self.start_times])
             for temp, row in zip(self.initial_temps, self.table):
                 w.writerow([_fmt(temp)] + [str(int(v)) for v in row])
-
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "SweepResult":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            starts = tuple(float(v) for v in header[1:])
-            temps = []
-            rows = []
-            for row in reader:
-                temps.append(float(row[0]))
-                rows.append([int(v) for v in row[1:]])
-        return cls(initial_temps=tuple(temps), start_times=starts,
-                   table=np.array(rows, dtype=int))
 
 
 def _fmt(v: float) -> str:

@@ -2,16 +2,20 @@
 
 Solves   minimize 0.5 x'Hx + f'x   subject to   A x <= b,  lb <= x <= ub
 with H symmetric PSD and every variable finitely boxed.
-Boxes are folded into the inequality rows, which keeps the reduced normal
-matrix H + A'DA positive definite even for singular H (the identity box
-rows contribute a full-rank diagonal), so satisfaction literals and relaxed
-binaries with zero quadratic cost need no extra regularization.
+The boxes are native to the interior-point method: each bound carries its
+own slack and multiplier, updated with vector operations, and adds only a
+diagonal to the reduced normal matrix H + A'DA.  That diagonal is positive,
+so the matrix stays positive definite even for singular H (satisfaction
+literals and relaxed binaries with zero quadratic cost need no extra
+regularization) and one Cholesky factorization serves both Newton solves of
+an iteration.
 
 The main Mehrotra predictor-corrector solve runs first.  Every iterate's
 multipliers on the genuine rows give a weak-duality lower bound on the
 optimum of the elastic phase-1 LP (minimize the single violation variable t);
-a positive bound certifies infeasibility and ends the solve early.  A
-converged point is accepted as optimal only after a direct feasibility check.
+a positive bound certifies infeasibility and ends the solve early.  The stop
+test includes the direct violation of the rows and bounds, so a converged
+point also passes the direct feasibility check that accepts it as optimal.
 The elastic LP itself runs only as a fallback, when the main solve fails or
 its point does not pass the check.  Its infeasibility verdict is likewise a
 weak-duality lower bound, not its primal value, whose accuracy is limited by
@@ -23,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class QpSolverError(RuntimeError):
@@ -48,7 +54,7 @@ class QpResult:
     phase1_violation: float = 0.0
 
 
-def _elastic_dual_bound(A, b, lam, lb, ub) -> float:
+def _elastic_dual_bound(A, b, lb, ub):
     """Weak-duality lower bound on the elastic violation t* of the rows.
 
     t* = min t  s.t.  Ax - t <= b,  lb <= x <= ub.  For any lam >= 0, with
@@ -56,118 +62,142 @@ def _elastic_dual_bound(A, b, lam, lb, ub) -> float:
     coefficient of t gives
     t* >= (sum_j min(c_j lb_j, c_j ub_j) - lam'b) / sum lam.
     The numerator is lowered by a bound on its rounding error, so a positive
-    value proves infeasibility in exact arithmetic as well.
+    value proves infeasibility in exact arithmetic as well.  Returns the bound
+    as a function of (lam, c); the lam-independent parts of the rounding
+    bound are computed here, once per solve.
     """
-    weight = float(np.sum(lam))
-    if not weight > 0.0:
-        return -np.inf
-    c = A.T @ lam
-    value = np.sum(np.minimum(c * lb, c * ub)) - lam @ b
-    box = np.maximum(np.abs(lb), np.abs(ub))
-    size = box @ (np.abs(A).T @ lam) + lam @ np.abs(b)
-    rounding = (len(lam) + len(lb) + 3) * np.finfo(float).eps * size
-    return float((value - rounding) / weight)
+    size = np.abs(A) @ np.maximum(np.abs(lb), np.abs(ub)) + np.abs(b)
+    rounding = (len(b) + len(lb) + 3) * np.finfo(float).eps
+
+    def bound(lam, c) -> float:
+        weight = float(lam.sum())
+        if not weight > 0.0:
+            return -np.inf
+        value = np.minimum(c * lb, c * ub).sum() - lam @ b
+        return float((value - rounding * (lam @ size)) / weight)
+
+    return bound
+
+
+def _step_to_boundary(v, dv) -> float:
+    """Largest step in (0, 1] that keeps v + alpha dv nonnegative (v > 0)."""
+    with np.errstate(over="ignore"):
+        lo = float((dv / v).min())
+    return 1.0 if lo >= -1.0 else -1.0 / lo
 
 
 def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-         x0: np.ndarray, tol: float, max_iter: int, reg: float,
-         certify: tuple[int, np.ndarray, np.ndarray] | None = None
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x  s.t.  Ax <= b.
+         lb: np.ndarray, ub: np.ndarray, x0: np.ndarray, tol: float,
+         max_iter: int, reg: float, certify: bool = False
+         ) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x  s.t.  Ax <= b,
+    lb <= x <= ub.
 
-    Each Newton step factors the reduced normal matrix K = H + A'DA + reg I
-    with D = diag(lam / s).  Returns (x, s, lam, iterations, kkt); the slacks
-    and multipliers let callers build certified dual bounds from the final
-    iterate.  With ``certify = (m, lb, ub)``, where the first m rows of A are
-    the genuine rows and the rest fold the box lb <= x <= ub, every iterate
-    that has not converged is tested for an infeasibility certificate, and
-    ``_Infeasible`` is raised as soon as one proves a positive violation.
+    The m rows and the 2n bounds each carry a slack s and a multiplier lam,
+    kept in one vector ordered (rows, upper bounds, lower bounds).  Each
+    Newton step factors the reduced normal matrix
+    K = H + A'D_A A + diag(lam_u/s_u + lam_l/s_l) + reg I, with
+    D_A = diag(lam_A / s_A), once by Cholesky; the predictor and corrector
+    share the factor.  The bounds make the diagonal positive, so K is
+    positive definite; a failed factorization raises ``QpSolverError``.
+
+    The stop measure is the largest of the scaled dual residual, primal
+    residual and complementarity, and of the unscaled direct violation
+    max(0, max(Ax - b), max(lb - x), max(x - ub)), so a point returned at
+    ``tol`` violates no row or bound by more than ``tol``.  Returns
+    (x, lam, iterations, kkt), lam ordered as above.  With ``certify``, every
+    iterate that has not converged is tested for a certificate of
+    infeasibility of the rows within the bounds (``_elastic_dual_bound``),
+    and ``_Infeasible`` is raised as soon as one proves a positive violation.
     """
     n = len(f)
     m = len(b)
-    x = x0.astype(float).copy()
-    s = np.maximum(b - A @ x, 1.0)
-    lam = np.ones(m)
+    M = m + 2 * n
+    upper = slice(m, m + n)
+    lower = slice(m + n, M)
+    b_full = np.concatenate([b, ub, -lb])
 
-    scale_b = 1.0 + float(np.max(np.abs(b))) if m else 1.0
+    def lift(dx):  # [A; I; -I] dx
+        return np.concatenate([A @ dx, dx, -dx])
+
+    x = x0.astype(float).copy()
+    v = np.ones(2 * M)          # (s, lam)
+    s, lam = v[:M], v[M:]
+    np.maximum(b_full - lift(x), 1.0, out=s)
+    dv = np.empty(2 * M)        # (ds, dlam)
+    ds, dlam = dv[:M], dv[M:]
+    diag = np.diag_indices(n)
+    bound = _elastic_dual_bound(A, b, lb, ub) if certify else None
+
+    scale_b = 1.0 + float(np.max(np.abs(b_full)))
     scale_f = 1.0 + float(np.max(np.abs(f))) + (float(np.max(np.abs(H))) if H.size else 0.0)
 
     best_kkt = np.inf
     for it in range(1, max_iter + 1):
-        r_dual = H @ x + f + A.T @ lam
-        r_pri = A @ x + s - b
-        mu = float(s @ lam / m) if m else 0.0
+        c = A.T @ lam[:m]
+        r_dual = H @ x + f + c + lam[upper] - lam[lower]
+        residual = lift(x) - b_full
+        r_pri = residual + s
+        mu = float(s @ lam / M)
 
         kkt = max(
-            float(np.max(np.abs(r_dual))) / scale_f,
-            float(np.max(np.abs(r_pri))) / scale_b if m else 0.0,
+            float(np.abs(r_dual).max()) / scale_f,
+            float(np.abs(r_pri).max()) / scale_b,
             mu / scale_f,
+            float(residual.max()),
         )
         if not np.isfinite(kkt):
             raise QpSolverError("non-finite iterate")
         best_kkt = min(best_kkt, kkt)
         if kkt <= tol:
-            return x, s, lam, it, kkt
-        if certify is not None:
-            m_rows, lb, ub = certify
-            bound = _elastic_dual_bound(A[:m_rows], b[:m_rows], lam[:m_rows],
-                                        lb, ub)
-            if bound > 1e-9:
-                raise _Infeasible(bound, it)
+            return x, lam, it, kkt
+        if bound is not None:
+            certified = bound(lam[:m], c)
+            if certified > 1e-9:
+                raise _Infeasible(certified, it)
 
-        dinv = lam / np.maximum(s, 1e-300)
-        K = H + (A.T * dinv) @ A + reg * np.eye(n)
+        d = lam / s
+        # upper triangle of K by a rank-m update of H; the update and the
+        # factorization both run in scipy's BLAS, whose thread pool would
+        # otherwise alternate with numpy's on every iteration
+        K = np.array(H, order="F")
+        if m:
+            K = dsyrk(1.0, A.T * np.sqrt(d[:m]), beta=1.0, c=K, overwrite_c=1)
+        K[diag] += d[upper] + d[lower] + reg
+        factor, info = dpotrf(K, clean=0, overwrite_a=1)
+        if info != 0:
+            raise QpSolverError("singular KKT system")
 
-        def solve_kkt(rhs):
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise QpSolverError("singular KKT system") from exc
-            if not np.all(np.isfinite(sol)):
+        def newton(w):
+            """Step for the reduced system; w is the slack-scaled target."""
+            g = -(r_dual + A.T @ w[:m] + w[upper] - w[lower])
+            dx, _ = dpotrs(factor, g)
+            if not np.isfinite(dx).all():
                 raise QpSolverError("non-finite Newton step")
-            return sol
+            np.subtract(-r_pri, lift(dx), out=ds)
+            return dx
 
         # affine predictor
-        dx_aff = solve_kkt(-(r_dual + A.T @ (dinv * r_pri - lam)))
-        ds_aff = -r_pri - A @ dx_aff
-        dlam_aff = -lam - dinv * ds_aff
-
-        def max_step(v, dv):
-            neg = dv < 0
-            if not np.any(neg):
-                return 1.0
-            with np.errstate(over="ignore", divide="ignore"):
-                return min(1.0, float(np.min(-v[neg] / dv[neg])))
-
-        alpha_aff = min(max_step(s, ds_aff), max_step(lam, dlam_aff))
-        mu_aff = float((s + alpha_aff * ds_aff) @ (lam + alpha_aff * dlam_aff) / m) if m else 0.0
+        target = d * r_pri - lam
+        newton(target)
+        np.subtract(-lam, d * ds, out=dlam)
+        alpha_aff = _step_to_boundary(v, dv)
+        trial = v + alpha_aff * dv
+        mu_aff = float(trial[:M] @ trial[M:] / M)
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # corrector with centering
-        comp = ds_aff * dlam_aff - sigma * mu
-        dx = solve_kkt(-(r_dual + A.T @ (dinv * r_pri - lam - comp / np.maximum(s, 1e-300))))
-        ds = -r_pri - A @ dx
-        dlam = -lam - dinv * ds - comp / np.maximum(s, 1e-300)
+        comp = (ds * dlam - sigma * mu) / s
+        dx = newton(target - comp)
+        np.subtract(-lam, d * ds + comp, out=dlam)
 
         frac = 0.995 if mu > 1e-8 * scale_f else 0.9999
-        alpha_p = frac * max_step(s, ds)
-        alpha_d = frac * max_step(lam, dlam)
-        alpha = min(alpha_p, alpha_d, 1.0)
+        alpha = frac * _step_to_boundary(v, dv)
         x += alpha * dx
-        s += alpha * ds
-        lam += alpha * dlam
-        s = np.maximum(s, 1e-300)
-        lam = np.maximum(lam, 1e-300)
+        v += alpha * dv
+        np.maximum(v, 1e-300, out=v)
 
     raise QpSolverError(f"no convergence in {max_iter} iterations (kkt {best_kkt:.3g})")
-
-
-def _fold_boxes(A, b, lb, ub):
-    n = len(lb)
-    eye = np.eye(n)
-    A_full = np.vstack([A, eye, -eye]) if A.size else np.vstack([eye, -eye])
-    b_full = np.concatenate([b, ub, -lb])
-    return A_full, b_full
 
 
 def _equilibrate_rows(A, b):
@@ -192,49 +222,45 @@ def phase1_violation(A, b, lb, ub, max_iter: int = 100) -> float:
 
     Solves the elastic LP  min t  s.t.  Ax - t <= b,  lb <= x <= ub,  t >= -1,
     after scaling every row to unit max coefficient, so t* is the smallest
-    uniform row-relative violation; the system is feasible iff t* <= 0.  The primal value of an interior-point iterate
-    overestimates t* by up to the duality gap (sum s_i lam_i, easily 1e-6
-    with hundreds of rows), which is far too coarse to threshold against -
-    so the returned value is a rigorous dual lower bound built from the
-    final multipliers: positive only when the system is provably infeasible.
+    uniform row-relative violation; the system is feasible iff t* <= 0.  The
+    LP runs on the same kernel as the main solve, with the bounds on x and t
+    native.  The primal value of an interior-point iterate overestimates t*
+    by up to the duality gap (sum s_i lam_i, easily 1e-6 with hundreds of
+    rows), which is far too coarse to threshold against - so the returned
+    value is a rigorous dual lower bound built from the final row and bound
+    multipliers: positive only when the system is provably infeasible.
     """
     A, b = _equilibrate_rows(A, b)
-    A_full, b_full = _fold_boxes(A, b, lb, ub)
-    m0 = A.shape[0] if A.size else 0
-    n = len(lb)
-    # variables (x, t); elastic only on genuine rows, not on the boxes
-    ones = np.zeros(A_full.shape[0])
-    ones[:m0] = 1.0
-    blocks = [np.column_stack([A_full, -ones])]
-    rhs = [b_full]
+    m, n = len(b), len(lb)
+    # variables z = (x, t); the elastic t enters the genuine rows only
+    A_ph = np.column_stack([A, -np.ones(m)])
     x0 = 0.5 * (lb + ub)
     t0 = 1.0
-    if A.size:
+    if m:
         t0 += float(np.max(np.abs(A @ x0 - b), initial=0.0))
-    # box on t keeps the LP bounded in every direction
-    blocks.append(np.array([[0.0] * n + [-1.0]]))
-    rhs.append(np.array([1.0]))
-    blocks.append(np.array([[0.0] * n + [1.0]]))
-    rhs.append(np.array([2.0 * t0 + 10.0]))
-    A_ph = np.vstack(blocks)
-    b_ph = np.concatenate(rhs)
+    # the box on t keeps the LP bounded in every direction
+    lb_z = np.append(lb, -1.0)
+    ub_z = np.append(ub, 2.0 * t0 + 10.0)
     H = np.zeros((n + 1, n + 1))
     f = np.zeros(n + 1)
     f[-1] = 1.0
-    z0 = np.concatenate([x0, [t0 + 1.0]])
+    z0 = np.append(x0, t0 + 1.0)
     # every variable of the elastic LP lives in a box of this radius
     z_inf = float(max(np.max(np.abs(lb)), np.max(np.abs(ub)), 2.0 * t0 + 10.0, 1.0))
     last: Exception | None = None
     for ipm_tol, reg in ((1e-10, 1e-10), (1e-9, 1e-8), (1e-8, 1e-6)):
         try:
-            z, _s, lam, _, _ = _ipm(H, f, A_ph, b_ph, z0, tol=ipm_tol,
-                                    max_iter=max_iter, reg=reg)
+            _z, lam, _, _ = _ipm(H, f, A_ph, b, lb_z, ub_z, z0, tol=ipm_tol,
+                                 max_iter=max_iter, reg=reg)
         except QpSolverError as exc:
             last = exc
             continue
-        # weak duality: t* >= -lam'b - |dual residual|'|z| for any lam >= 0
-        r_d = f + A_ph.T @ lam
-        cert = float(-(lam @ b_ph) - np.sum(np.abs(r_d)) * z_inf)
+        # weak duality: t* >= -lam'b_full - |dual residual|'|z| for any
+        # lam >= 0, with the bounds as rows ub_z and -lb_z of b_full
+        lam_a, lam_u, lam_l = lam[:m], lam[m:m + n + 1], lam[m + n + 1:]
+        r_d = f + A_ph.T @ lam_a + lam_u - lam_l
+        cert = float(-(lam_a @ b + lam_u @ ub_z - lam_l @ lb_z)
+                     - np.sum(np.abs(r_d)) * z_inf)
         return max(cert, -1.0)
     raise QpSolverError(f"phase-1 failed at all regularizations: {last}")
 
@@ -246,10 +272,12 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     certified positive lower bound on the row violation when no point
     satisfies the constraints.
 
-    One interior-point solve decides most problems: it either converges to a
-    point that passes ``check_feasible_point`` on the equilibrated rows, or
-    its multipliers certify infeasibility on the way.  Only when neither
-    happens does the elastic phase-1 LP (``phase1_violation``) decide.
+    One interior-point solve decides the problem: it either converges to a
+    point that passes ``check_feasible_point`` on the equilibrated rows (its
+    stop test includes that check), or its multipliers certify infeasibility
+    on the way.  Only when neither happens (the main solve fails at every
+    regularization, or, as a safety net, its point fails the check) does
+    the elastic phase-1 LP (``phase1_violation``) decide.
     """
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -264,15 +292,13 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
         raise ValueError("all variables must carry finite boxes")
     A, b = _equilibrate_rows(A, b)
 
-    A_full, b_full = _fold_boxes(A, b, lb, ub)
     x0 = 0.5 * (lb + ub)
     main: QpResult | None = None
     last_error: Exception | None = None
     for reg in (1e-12, 1e-9, 1e-6):
         try:
-            x, _s, _lam, iters, kkt = _ipm(H, f, A_full, b_full, x0, tol=tol,
-                                           max_iter=max_iter, reg=reg,
-                                           certify=(len(b), lb, ub))
+            x, _lam, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, tol=tol,
+                                       max_iter=max_iter, reg=reg, certify=True)
         except _Infeasible as proof:
             return QpResult("infeasible", None, None, proof.iterations, np.inf,
                             proof.bound)

@@ -13,13 +13,13 @@ Interval bounds are seconds; the upper bound may be the token ``end``, which
 is resolved to the final closed-loop time before monitoring or encoding.
 Windows map to sample indices as  {t + ceil(a/h) .. t + floor(b/h)}.
 
-The module provides three consumers of the same AST: a quantitative
-robustness monitor (min/max semantics), the horizon bound, and a big-M
-mixed-integer encoder that emits into a caller-owned problem builder.  The
-monitor works directly on the AST; the encoder first expands temporal
-operators into a propositional tree over per-index predicates (negation is
-pushed to the leaves during expansion), which keeps the two evaluation paths
-independent of each other.
+The module provides two consumers of the same AST: a quantitative
+robustness monitor (min/max semantics) and a big-M mixed-integer encoder
+that emits into a caller-owned problem builder.  The monitor works directly
+on the AST; the encoder first expands temporal operators into a
+propositional tree over per-index predicates (negation is pushed to the
+leaves during expansion), which keeps the two evaluation paths independent
+of each other.
 """
 
 from __future__ import annotations
@@ -342,32 +342,6 @@ def resolve_end(f: Formula, end_time: float) -> Formula:
         return Ev(f.a, b, resolve_end(f.child, end_time))
     if isinstance(f, Until):
         return Until(f.a, b, resolve_end(f.left, end_time), resolve_end(f.right, end_time))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Horizon
-# ---------------------------------------------------------------------------
-
-
-def _window_steps(b: Bound, h: float) -> int:
-    if isinstance(b, _End):
-        raise StlEvaluationError("unbounded interval: resolve 'end' first")
-    return math.ceil(b / h - 1e-9)
-
-
-def horizon(f: Formula, h: float) -> int:
-    """Future samples needed to evaluate the formula at one time point."""
-    if isinstance(f, Pred):
-        return 0
-    if isinstance(f, Not):
-        return horizon(f.child, h)
-    if isinstance(f, (And, Or)):
-        return max(horizon(c, h) for c in f.children)
-    if isinstance(f, (Alw, Ev)):
-        return _window_steps(f.b, h) + horizon(f.child, h)
-    if isinstance(f, Until):
-        return _window_steps(f.b, h) + max(horizon(f.left, h), horizon(f.right, h))
     raise TypeError(f"not a formula: {f!r}")
 
 

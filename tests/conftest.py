@@ -2,6 +2,7 @@ import pytest
 from dataclasses import replace
 
 from wws import predictor as P
+from wws import qp
 from wws.mpc import ControllerConfig
 from wws.plant import PlantModel
 
@@ -43,3 +44,17 @@ def nominal_predictor(nominal_dataset_10k):
 @pytest.fixture(scope="session")
 def demo_equilibrium(demo_model):
     return P.find_equilibrium(demo_model, 10.0, 40.0)
+
+
+@pytest.fixture
+def phase1_calls(monkeypatch):
+    """Count calls to the elastic phase-1 LP made by ``solve_qp``."""
+    calls = []
+    original = qp.phase1_violation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "phase1_violation", counting)
+    return calls

@@ -2,19 +2,27 @@
 
 Everything here deliberately avoids the code paths it checks: enumeration
 instead of branch-and-bound, direct rollouts instead of condensing, random
-formula/signal generation paired with the quantitative monitor, and HiGHS
+formula/signal generation paired with the quantitative monitor, HiGHS
 instead of the interior-point method for the elastic violation of a QP's
-rows.
+rows, and nonnegative least squares on the active set for the KKT
+conditions of a returned QP point.  The readers of the CSV files that the
+program writes live here too, since only the tests read those files back.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
+from dataclasses import replace
+from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from wws import stl
 from wws.milp import LinExpr, MiqpProblem, ProblemBuilder
+from wws.mpc import SweepResult
 from wws.qp import solve_qp
 
 
@@ -43,8 +51,7 @@ def random_miqp(rng: np.random.Generator, max_binaries: int = 8) -> MiqpProblem:
     ps = [b.add_binary(f"p{i}") for i in range(nb)]
     for x in xs:
         b.add_squared_cost(LinExpr.variable(x), 1.0, target=float(rng.normal()))
-    for p in ps:
-        b.add_linear_cost(LinExpr.variable(p), float(rng.normal()))
+    costs = {p: float(rng.normal()) for p in ps}
     for _ in range(int(rng.integers(1, 2 + nb))):
         expr = LinExpr.constant(0.0)
         for x in xs:
@@ -52,7 +59,55 @@ def random_miqp(rng: np.random.Generator, max_binaries: int = 8) -> MiqpProblem:
         for p in rng.choice(ps, size=min(2, nb), replace=False):
             expr = expr + float(rng.normal(0, 2)) * LinExpr.variable(p)
         b.add_leq(expr, float(rng.normal(1.0, 1.0)))
-    return b.build()
+    # a binary may appear only in the cost, which is added after the build
+    return add_linear_cost(b.build(validate=False), costs)
+
+
+def add_linear_cost(problem: MiqpProblem, weights: Mapping[str, float]) -> MiqpProblem:
+    """``problem`` with sum_i w_i x_i added to its objective."""
+    f = problem.f.copy()
+    for name, w in weights.items():
+        f[problem.index(name)] += w
+    return replace(problem, f=f)
+
+
+def max_violation(problem: MiqpProblem, x: np.ndarray) -> float:
+    """Largest absolute violation of the rows and bounds at x (0 if none)."""
+    v = float(np.max(problem.A @ x - problem.b, initial=0.0))
+    v = max(v, float(np.max(problem.lb - x, initial=0.0)))
+    return max(v, float(np.max(x - problem.ub, initial=0.0)))
+
+
+def kkt_residual(H, f, A, b, lb, ub, x, active_tol: float = 1e-5
+                 ) -> tuple[float, float]:
+    """(stationarity, primal violation) of a QP point, without ``wws.qp``.
+
+    For  min 0.5 x'Hx + f'x  s.t.  Ax <= b,  lb <= x <= ub,  the rows and
+    bounds within ``active_tol`` of equality (rows measured relative to their
+    largest coefficient) form the active set.  Multipliers lam >= 0 on it are
+    fitted by ``scipy.optimize.nnls`` to  Hx + f + A_act' lam = 0; the
+    stationarity is the largest entry of the remaining residual.  The primal
+    violation is the largest of max(0, (a_k x - b_k) / max_j |a_kj|) over the
+    rows and the absolute bound violations.
+    """
+    from scipy.optimize import nnls
+
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scale = np.maximum(np.max(np.abs(A), axis=1, initial=0.0), 1e-12)
+    row_gap = (A @ x - b) / scale
+    eye = np.eye(len(x))
+    active = [A[row_gap >= -active_tol] / scale[row_gap >= -active_tol, None],
+              eye[x >= ub - active_tol], -eye[x <= lb + active_tol]]
+    A_act = np.vstack(active)
+    g = H @ x + f
+    if A_act.shape[0]:
+        lam, _ = nnls(A_act.T, -g)
+        g = g + A_act.T @ lam
+    violation = max(float(np.max(row_gap, initial=0.0)),
+                    float(np.max(lb - x, initial=0.0)),
+                    float(np.max(x - ub, initial=0.0)))
+    return float(np.max(np.abs(g))), violation
 
 
 def elastic_violation_highs(A, b, lb, ub) -> float:
@@ -149,7 +204,7 @@ def soundness_case(rng: np.random.Generator, eps: float = 1e-6):
     """
     while True:
         formula = random_formula(rng, int(rng.integers(1, 4)), 8)
-        needed = stl.horizon(formula, 1.0) + 1
+        needed = horizon(formula, 1.0) + 1
         if needed > 8:
             continue
         length = int(rng.integers(needed, 9))
@@ -158,6 +213,59 @@ def soundness_case(rng: np.random.Generator, eps: float = 1e-6):
         if abs(rho) < 10 * eps:
             continue
         return formula, signal, rho
+
+
+def horizon(f: stl.Formula, h: float) -> int:
+    """Future samples needed to evaluate the formula at one time point."""
+    if isinstance(f, stl.Pred):
+        return 0
+    if isinstance(f, stl.Not):
+        return horizon(f.child, h)
+    if isinstance(f, (stl.And, stl.Or)):
+        return max(horizon(c, h) for c in f.children)
+    if not isinstance(f, (stl.Alw, stl.Ev, stl.Until)):
+        raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f.b, type(stl.END)):
+        raise stl.StlEvaluationError("unbounded interval: resolve 'end' first")
+    window = math.ceil(f.b / h - 1e-9)
+    if isinstance(f, stl.Until):
+        return window + max(horizon(f.left, h), horizon(f.right, h))
+    return window + horizon(f.child, h)
+
+
+# ---------------------------------------------------------------------------
+# Readers of the CSV files the program writes
+# ---------------------------------------------------------------------------
+
+
+def read_trace_csv(path: str | Path) -> dict[str, list]:
+    """Columns of a trace CSV; numeric cells parsed to float, others kept."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cols: dict[str, list] = {name: [] for name in header}
+        for row in reader:
+            for name, cell in zip(header, row):
+                try:
+                    cols[name].append(float(cell) if cell != "" else float("nan"))
+                except ValueError:
+                    cols[name].append(cell)
+    return cols
+
+
+def read_sweep_csv(path: str | Path) -> SweepResult:
+    """The table of a sweep CSV written by ``SweepResult.write_csv``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        starts = tuple(float(v) for v in header[1:])
+        temps = []
+        rows = []
+        for row in reader:
+            temps.append(float(row[0]))
+            rows.append([int(v) for v in row[1:]])
+    return SweepResult(initial_temps=tuple(temps), start_times=starts,
+                       table=np.array(rows, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 
 from wws import mpc
 from wws.cli import main
-from wws.mpc import SweepResult, read_trace_csv
 from wws.predictor import LinearPredictor
+
+from oracles import read_sweep_csv, read_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ def test_sweep_csv(tmp_path, demo_pred_file):
                  "--initial-temps", "15", "30",
                  "--start-times", "120", "360", "--out", str(out)])
     assert code == 0
-    result = SweepResult.read_csv(out / "sweep.csv")
+    result = read_sweep_csv(out / "sweep.csv")
     assert result.table.shape == (2, 2)
     notes = json.loads((out / "sweep_notes.json").read_text())
     assert "monotone_staircase" in notes
@@ -124,7 +125,7 @@ def test_sweep_exits_nonzero_when_a_cell_crashes(tmp_path, demo_pred_file,
     notes = json.loads((out / "sweep_notes.json").read_text())["notes"]
     assert notes["15,60"] == "error: planted solver crash"
     assert notes["30,60"] == "infeasible at step 0"
-    assert SweepResult.read_csv(out / "sweep.csv").table.shape == (2, 1)
+    assert read_sweep_csv(out / "sweep.csv").table.shape == (2, 1)
     assert "planted solver crash" in capsys.readouterr().err
 
 
@@ -224,3 +225,21 @@ def test_z_bounds_flag_removed(command, capsys):
         main([command, "--z-bounds"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --z-bounds" in capsys.readouterr().err
+
+
+def test_nominal_run_with_noise_output_rows(tmp_path):
+    # the nominal output rows carry coefficients of about 3e-14; the builder
+    # drops those that no input can violate, so the node QPs never see them
+    pred = tmp_path / "nominal_pred"
+    assert main(["fit", "--plant", "nominal", "--K", "300", "--seed", "4",
+                 "--out", str(pred)]) == 0
+    spec = tmp_path / "s.stl"
+    spec.write_text(f"alw_[0,end] (y >= 5)\n{mpc.DEFAULT_POWER_SPEC}\n")
+    out = tmp_path / "run_nominal"
+    code = main(["run", "--plant", "nominal", "--predictor",
+                 str(pred / "predictor.json"), "--x0", "20",
+                 "--stl-file", str(spec), "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_infeasible"] == 0 and not summary["aborted"]
+    assert len(read_trace_csv(out / "trace.csv")["t"]) == 21

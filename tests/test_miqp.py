@@ -5,7 +5,7 @@ from wws.milp import LinExpr, ProblemBuilder, dump_lp
 from wws.miqp import MiqpError, solve_miqp
 from wws.qp import solve_qp
 
-from oracles import enumerate_miqp, random_miqp
+from oracles import enumerate_miqp, max_violation, random_miqp
 
 
 def _band_problem(y0=42.0, gain=0.1):
@@ -49,7 +49,7 @@ def test_matches_enumeration_on_random_instances():
         else:
             assert res.status == "optimal"
             assert abs(res.objective - oracle_obj) <= 1e-6
-            assert prob.max_violation(res.x) <= 1e-7
+            assert max_violation(prob, res.x) <= 1e-7
 
 
 def test_root_relaxation_bounds_integer_optimum():
@@ -174,6 +174,29 @@ def test_builder_validations():
         b2.add_continuous("z", 0.0, np.inf)
     with pytest.raises(ValueError, match="unknown variable"):
         b2.add_leq(LinExpr.variable("nope"), 1.0)
+
+
+def test_build_drops_rows_no_box_point_can_violate():
+    b = ProblemBuilder()
+    x = LinExpr.variable(b.add_continuous("x", 0.0, 26.5))
+    y = LinExpr.variable(b.add_continuous("y", -1.0, 1.0))
+    p = LinExpr.variable(b.add_binary("p"))
+    b.add_leq(3e-14 * x, 15.0)            # rounding noise against its rhs: dropped
+    b.add_geq(20.0 - 3e-14 * x, 5.0)      # the same row written as >=: dropped
+    b.add_leq(x + 2.0 * y + p, 29.6)      # box maximum 29.5: dropped
+    b.add_leq(x + 2.0 * y + p, 29.5)      # binding at a corner: kept
+    b.add_leq(x - 26.5 * p, 0.0)          # violable: kept
+    b.add_geq(3e-14 * x, 1.0)             # violated by every box point: kept
+    b.add_squared_cost(x, 1.0)
+    prob = b.build()
+    assert prob.A.shape == (3, 3)
+    assert np.array_equal(prob.b, [29.5, 0.0, -1.0])
+    assert np.array_equal(prob.A[1], [1.0, 0.0, -26.5])
+    # a binary used only in a dropped row still passes the usage rule
+    b2 = ProblemBuilder()
+    q = LinExpr.variable(b2.add_binary("q"))
+    b2.add_leq(q, 2.0)
+    assert b2.build().A.shape == (0, 1)
 
 
 def test_dump_lp_writes_sections(tmp_path):

@@ -10,11 +10,12 @@ from wws.mpc import (
     evaluate_cell,
     feasibility_sweep,
     plan_step,
-    read_trace_csv,
     run_closed_loop,
     supply_spec,
 )
 from wws.stl import SampledSignal, parse, resolve_end, robustness
+
+from oracles import read_sweep_csv, read_trace_csv
 
 
 def _in_band(u, eps=1e-6, slack=1e-7):
@@ -73,6 +74,15 @@ def test_closed_loop_shape_and_feasibility(demo_trace, demo_cfg):
     assert np.array_equal(demo_trace.times, np.arange(n + 1) * demo_cfg.h)
     assert demo_trace.n_infeasible == 0
     assert not demo_trace.aborted
+
+
+def test_closed_loop_never_reaches_phase1(phase1_calls, demo_model, demo_cfg,
+                                         demo_predictor):
+    # every node QP of the loop is decided by the main interior-point solve:
+    # converged points pass the feasibility check, the rest carry a certificate
+    trace = run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, 15.0))
+    assert len(trace.times) == demo_cfg.n_steps + 1 and trace.n_infeasible == 0
+    assert phase1_calls == []
 
 
 def test_closed_loop_satisfies_both_specs(demo_trace):
@@ -201,7 +211,7 @@ def test_sweep_csv_roundtrip(tmp_path, demo_model, demo_cfg, demo_predictor):
                               initial_temps=(30.0,), start_times=(360.0,))
     path = tmp_path / "sweep.csv"
     sweep.write_csv(path)
-    again = mpc.SweepResult.read_csv(path)
+    again = read_sweep_csv(path)
     assert np.array_equal(again.table, sweep.table)
     assert again.initial_temps == sweep.initial_temps
     assert again.start_times == sweep.start_times

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import elastic_violation_highs, random_miqp
+from oracles import elastic_violation_highs, kkt_residual, random_miqp
 from wws import miqp, qp
 from wws.mpc import plan_step
 from wws.qp import phase1_violation, solve_qp
@@ -26,21 +26,6 @@ def test_infeasible_box_pair():
     assert res.phase1_violation > 1e-3  # certified separation
 
 
-def _active_set_stationarity(H, f, A, b, lb, ub, x, tol=1e-5):
-    """Nonnegative multipliers on the active rows certify stationarity."""
-    from scipy.optimize import nnls
-
-    rows = [A[k] for k in range(A.shape[0]) if A[k] @ x >= b[k] - tol]
-    rows += [e for i, e in enumerate(np.eye(len(x))) if x[i] >= ub[i] - tol]
-    rows += [-e for i, e in enumerate(np.eye(len(x))) if x[i] <= lb[i] + tol]
-    g = H @ x + f
-    if not rows:
-        return float(np.max(np.abs(g)))
-    Aact = np.array(rows)
-    lam, _ = nnls(Aact.T, -g)
-    return float(np.max(np.abs(g + Aact.T @ lam)))
-
-
 def test_random_inequality_qps_satisfy_kkt():
     rng = np.random.default_rng(1)
     solved = 0
@@ -57,13 +42,11 @@ def test_random_inequality_qps_satisfy_kkt():
         if res.status != "optimal":
             continue
         solved += 1
-        x = res.x
-        assert np.max(A @ x - b) <= 1e-8
-        assert np.all(x >= lb - 1e-8) and np.all(x <= ub + 1e-8)
         assert res.kkt_residual <= 1e-8
         # stationarity against active-set multipliers (independent of the IPM)
-        scale = 1.0 + float(np.max(np.abs(f)))
-        assert _active_set_stationarity(H, f, A, b, lb, ub, x) <= 1e-5 * scale
+        stationarity, violation = kkt_residual(H, f, A, b, lb, ub, res.x)
+        assert violation <= 1e-9
+        assert stationarity <= 1e-5 * (1.0 + float(np.max(np.abs(f))))
     assert solved >= 30
 
 
@@ -108,20 +91,6 @@ FEASIBLE_QP = (np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
                np.zeros(2), np.ones(2))
 
 
-@pytest.fixture
-def phase1_calls(monkeypatch):
-    """Count calls to the elastic phase-1 LP made by ``solve_qp``."""
-    calls = []
-    original = qp.phase1_violation
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(qp, "phase1_violation", counting)
-    return calls
-
-
 def test_main_solve_decides_without_phase1(phase1_calls):
     assert solve_qp(*FEASIBLE_QP).status == "optimal"
     infeasible = solve_qp(H=np.array([[2.0]]), f=np.array([0.0]),
@@ -142,8 +111,12 @@ def test_failed_feasibility_check_falls_back_to_phase1(monkeypatch, phase1_calls
     assert fallback.phase1_violation <= 1e-9
 
 
-def _agrees_with_highs(qps):
-    """Status matches HiGHS feasibility; infeasible bounds are valid."""
+def _agrees_with_highs(qps, stationarity_tol=None):
+    """Status matches HiGHS feasibility; infeasible bounds are valid.
+
+    With ``stationarity_tol``, every optimal point must also pass the
+    active-set KKT check, relative to the size of H and f.
+    """
     infeasible = 0
     for H, f, A, b, lb, ub in qps:
         res = solve_qp(H, f, A, b, lb, ub)
@@ -154,6 +127,11 @@ def _agrees_with_highs(qps):
         else:
             assert res.status == "optimal"
             assert t_star <= 1e-9
+            if stationarity_tol is not None:
+                stationarity, violation = kkt_residual(H, f, A, b, lb, ub, res.x)
+                scale = 1.0 + float(np.max(np.abs(f)) + np.max(np.abs(H)))
+                assert violation <= 1e-9
+                assert stationarity <= stationarity_tol * scale
     return infeasible
 
 
@@ -183,5 +161,5 @@ def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_predic
     monkeypatch.setattr(miqp, "solve_qp", capture)
     res = plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [])
     assert res.status == "optimal" and res.nodes > 1
-    infeasible = _agrees_with_highs(qps)
+    infeasible = _agrees_with_highs(qps, stationarity_tol=1e-6)
     assert 0 < infeasible < len(qps)

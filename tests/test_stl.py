@@ -17,12 +17,13 @@ from wws.stl import (
     StlSyntaxError,
     Until,
     format_formula,
-    horizon,
     parse,
     resolve_end,
     robustness,
     spec_lines,
 )
+
+from oracles import horizon
 
 
 # -- parsing ------------------------------------------------------------------
