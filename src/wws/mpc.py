@@ -173,15 +173,16 @@ def plan_step(cfg: ControllerConfig, pred: LinearPredictor, x_k: Sequence[float]
                       infeasible_reason=problem.infeasible_reason)
 
 
-_BINARY_NAME = re.compile(r"^(?P<stem>.*\.t)(?P<t>\d+)(?P<tail>\.p\d+)$")
+_BINARY_NAME = re.compile(r"^(?P<stem>.*\.t)(?P<t>\d+)(?P<tail>\.[dp]\d+)$")
 
 
 def _shift_warm(prev: dict[str, float], problem) -> dict[str, float]:
     """Map the previous step's binary values onto this step's names.
 
-    Predicate binaries are named by absolute time index, so shared indices
-    carry over directly; indices newly entering the horizon inherit the
-    value of the same predicate one step earlier.
+    Disjunction binaries (``.d``) and predicate literals (``.p``) are named
+    by absolute time index, so shared indices carry over directly; indices
+    newly entering the horizon inherit the value of the same disjunction or
+    predicate one step earlier.
     """
     warm: dict[str, float] = {}
     for i in np.flatnonzero(problem.binary):

@@ -20,6 +20,16 @@ on the AST; the encoder first expands temporal operators into a
 propositional tree over per-index predicates (negation is pushed to the
 leaves during expansion), which keeps the two evaluation paths independent
 of each other.
+
+The encoder puts binaries only where the formula branches (Kurtz & Lin
+2022, "Mixed-integer programming for signal temporal logic with fewer
+binary variables"): a conjunctive obligation is a plain row, a 2-way
+disjunction that must hold gets one binary selecting its branch, and a
+predicate below it one big-M row on that selector.  A disjunction of two
+intervals on one decision sample gets the two convex-hull rows of the
+interval pair instead (Balas 1985, disjunctive programming).  Only below an
+n-ary disjunction, whose continuous selectors make the required truth
+fractional, does a predicate get a binary literal of its own.
 """
 
 from __future__ import annotations
@@ -440,9 +450,9 @@ class EncodingConfig:
     """Big-M derivation and strictness margin for the MILP encoding.
 
     Per-predicate constants are derived from the declared channel ranges
-    with the safety factor ``BIG_M_MARGIN``; a predicate over a channel
-    without declared bounds cannot be encoded.  Strict inequalities are
-    encoded with margin ``eps``.
+    with the safety factor ``BIG_M_MARGIN``; a predicate below a disjunction
+    (the only place that needs one) over a channel without declared bounds
+    cannot be encoded.  Strict inequalities are encoded with margin ``eps``.
     """
 
     channel_bounds: Mapping[str, tuple[float, float]] = field(default_factory=dict)
@@ -486,7 +496,14 @@ SignalBinding = Mapping[str, Mapping[int, Union[LinExpr, float]]]
 
 @dataclass
 class EncodedFormula:
-    """What one formula contributed to the problem under construction."""
+    """What one formula contributed to the problem under construction.
+
+    ``binaries`` holds the disjunction binaries (``{name}.t{t}.d{j}``, named
+    by the first sample the disjunction reads) and the predicate literals
+    (``{name}.t{t}.p{pid}``); ``literals`` holds the continuous selectors of
+    disjunctions under a fractional required truth; ``constraints`` counts
+    the rows emitted.
+    """
 
     binaries: list[str]
     literals: list[str]
@@ -585,6 +602,20 @@ def _combine(kids: list, conj: bool):
 
 
 class _Encoder:
+    """Emits ``truth(node) >= lower`` for a propositional tree.
+
+    A required truth ``lower`` is integral when it is the constant 1.0 or an
+    integer combination of disjunction binaries made here; only then can a
+    branch point be decided by a binary.  A 2-way Or under an integral
+    ``lower`` gets one binary ``d`` (branch 0 must hold at least ``d``,
+    branch 1 at least ``lower - d``), or, under ``lower == 1.0`` when both
+    branches bound one decision sample to an interval, the two convex-hull
+    rows of that interval pair.  A predicate under an integral ``lower``
+    becomes one implied big-M row with no literal of its own.  Everything
+    under a fractional ``lower`` (below an n-ary Or's continuous selectors)
+    uses continuous selectors and two-sided predicate literals.
+    """
+
     def __init__(self, builder: ProblemBuilder, binding: SignalBinding,
                  cfg: EncodingConfig, name: str):
         self.builder = builder
@@ -595,6 +626,8 @@ class _Encoder:
         # ids keyed by predicate identity, so a predicate keeps its name
         # component across receding-horizon steps (warm starts match names)
         self.pred_ids: dict[Pred, int] = {}
+        self.disjunctions: set[str] = set()   # disjunction binaries
+        self.per_sample: dict[int, int] = {}  # disjunctions named per sample
         self.result = EncodedFormula(binaries=[], literals=[], constraints=0)
         self.counter = 0
 
@@ -628,6 +661,13 @@ class _Encoder:
     def eps_of(self, pred: Pred) -> float:
         return self.cfg.eps if pred.strict else 0.0
 
+    def integral(self, lower: Union[LinExpr, float]) -> bool:
+        if isinstance(lower, float):
+            return lower == 1.0
+        return float(lower.const).is_integer() and all(
+            name in self.disjunctions and float(c).is_integer()
+            for name, c in lower.coef.items())
+
     def pred_literal(self, node: _PPred) -> str:
         """Binary with two-sided big-M linking: p == 1 iff the margin is met."""
         key = (node.pred, node.t)
@@ -647,6 +687,73 @@ class _Encoder:
         self.pred_literals[key] = p
         return p
 
+    def implied_row(self, node: _PPred, lower: Union[LinExpr, float]) -> None:
+        """margin >= eps - M (1 - lower) for an integral ``lower``."""
+        margin = self.margin_expr(node.pred, node.t)
+        if isinstance(lower, float):  # lower == 1.0: the plain predicate row
+            self.builder.add_geq(margin, self.eps_of(node.pred))
+        else:
+            m = self.big_m(node.pred)
+            self.builder.add_geq(margin + m * (1.0 - lower), self.eps_of(node.pred))
+        self.result.constraints += 1
+
+    def selector(self) -> LinExpr:
+        """Continuous Or selector in [0, 1]."""
+        sel = self.builder.add_continuous(self.fresh("or."), 0.0, 1.0)
+        self.result.literals.append(sel)
+        return LinExpr.variable(sel)
+
+    def disjunction_binary(self, node: _POr) -> LinExpr:
+        """Binary named by the Or's first sample, stable across steps."""
+        t = _first_sample(node)
+        j = self.per_sample.get(t, 0)
+        self.per_sample[t] = j + 1
+        d = self.builder.add_binary(f"{self.name}.t{t}.d{j}")
+        self.disjunctions.add(d)
+        self.result.binaries.append(d)
+        return LinExpr.variable(d)
+
+    def interval(self, node) -> tuple[tuple[str, int], float, float] | None:
+        """(sample, lo, hi) when ``node`` bounds one sample to a finite,
+        non-empty interval through single-term predicates, else None."""
+        preds = node.children if isinstance(node, _PAnd) else (node,)
+        if not all(isinstance(p, _PPred) and len(p.pred.terms) == 1 for p in preds):
+            return None
+        samples = {(p.pred.terms[0][1], p.t) for p in preds}
+        if len(samples) != 1:
+            return None
+        lo, hi = -math.inf, math.inf
+        for p in preds:
+            # margin = sign (c s - const) >= eps  <=>  a s >= sign const + eps
+            sign = 1.0 if p.pred.op in (">=", ">") else -1.0
+            a = sign * p.pred.terms[0][0]
+            if a == 0.0:
+                return None
+            edge = (sign * p.pred.const + self.eps_of(p.pred)) / a
+            if a > 0.0:
+                lo = max(lo, edge)
+            else:
+                hi = min(hi, edge)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            return None
+        return samples.pop(), lo, hi
+
+    def hull_rows(self, node: _POr) -> bool:
+        """Convex hull of s in [lo0, hi0] (d = 0) or s in [lo1, hi1] (d = 1):
+        s >= lo0 + (lo1 - lo0) d  and  s <= hi0 + (hi1 - hi0) d."""
+        first, second = (self.interval(k) for k in node.children)
+        if first is None or second is None or first[0] != second[0] \
+                or first[1:] == second[1:]:
+            return False
+        (ch, t), lo0, hi0 = first
+        _, lo1, hi1 = second
+        s = self.binding[ch][t]
+        d = self.disjunction_binary(node)
+        self.builder.add_geq(s - (lo1 - lo0) * d, lo0)
+        self.builder.add_leq(s - (hi1 - hi0) * d, hi0)
+        self.result.constraints += 2
+        return True
+
     def assert_at_least(self, node, lower: Union[LinExpr, float]) -> None:
         """Emit constraints forcing truth(node) >= lower."""
         if isinstance(node, _PTrue):
@@ -656,11 +763,10 @@ class _Encoder:
             self.builder.add_leq(_as_expr(lower), 0.0)
             self.result.constraints += 1
             return
+        integral = self.integral(lower)
         if isinstance(node, _PPred):
-            if isinstance(lower, float) and lower >= 1.0:
-                eps = self.eps_of(node.pred)
-                self.builder.add_geq(self.margin_expr(node.pred, node.t), eps)
-                self.result.constraints += 1
+            if integral:
+                self.implied_row(node, lower)
                 return
             p = self.pred_literal(node)
             self.builder.add_geq(LinExpr.variable(p) - _as_expr(lower), 0.0)
@@ -673,28 +779,27 @@ class _Encoder:
         if isinstance(node, _POr):
             kids = node.children
             if len(kids) == 2:
-                sel = self.builder.add_continuous(self.fresh("or."), 0.0, 1.0)
-                self.result.literals.append(sel)
-                sv = LinExpr.variable(sel)
-                low = _as_expr(lower)
+                # a float `lower` is integral only as the constant 1.0
+                if integral and isinstance(lower, float) and self.hull_rows(node):
+                    return
+                sel = self.disjunction_binary(node) if integral else self.selector()
                 # selected share of `lower` goes to each branch
-                self.assert_at_least(kids[0], sv)
-                self.assert_at_least(kids[1], low - sv)
+                self.assert_at_least(kids[0], sel)
+                self.assert_at_least(kids[1], _as_expr(lower) - sel)
                 return
-            sels = []
-            for _k in kids:
-                s = self.builder.add_continuous(self.fresh("or."), 0.0, 1.0)
-                self.result.literals.append(s)
-                sels.append(s)
-            total = LinExpr.constant(0.0)
-            for s in sels:
-                total = total + LinExpr.variable(s)
-            self.builder.add_geq(total - _as_expr(lower), 0.0)
+            sels = [self.selector() for _ in kids]
+            self.builder.add_geq(sum(sels, LinExpr.constant(0.0)) - _as_expr(lower), 0.0)
             self.result.constraints += 1
-            for child, s in zip(kids, sels):
-                self.assert_at_least(child, LinExpr.variable(s))
+            for child, sel in zip(kids, sels):
+                self.assert_at_least(child, sel)
             return
         raise TypeError(f"bad propositional node {node!r}")
+
+
+def _first_sample(node) -> int:
+    if isinstance(node, _PPred):
+        return node.t
+    return min(_first_sample(c) for c in node.children)
 
 
 def _as_expr(v: Union[LinExpr, float]) -> LinExpr:

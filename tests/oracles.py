@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: enumeration
 instead of branch-and-bound, direct rollouts instead of condensing, random
 formula/signal generation paired with the quantitative monitor, HiGHS
 instead of the interior-point method for the elastic violation of a QP's
-rows, and nonnegative least squares on the active set for the KKT
+rows and instead of branch-and-bound for the feasibility of an encoded
+formula, and nonnegative least squares on the active set for the KKT
 conditions of a returned QP point.  The readers of the CSV files that the
 program writes live here too, since only the tests read those files back.
 """
@@ -136,6 +137,40 @@ def elastic_violation_highs(A, b, lb, ub) -> float:
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed on the elastic LP: {res.message}")
     return float(res.fun)
+
+
+def milp_feasible(problem: MiqpProblem) -> bool:
+    """Whether the rows, box and integrality admit a point, by HiGHS.
+
+    Solves the zero-objective feasibility MILP with ``scipy.optimize.milp``.
+    HiGHS accepts a binary within 1e-6 of integral, which a big-M row turns
+    into a slack of about M 1e-6; so a feasible verdict is confirmed by an LP
+    with the binaries fixed at their rounded values under a 1e-10 primal
+    tolerance, and a verdict that LP does not confirm raises.  Shares no code
+    with ``wws.qp`` or ``wws.miqp``.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+    if problem.infeasible_reason is not None:
+        return False
+    if problem.n == 0:
+        return True
+    rows = problem.A.shape[0] > 0
+    res = milp(np.zeros(problem.n), integrality=problem.binary.astype(int),
+               bounds=Bounds(problem.lb, problem.ub),
+               constraints=[LinearConstraint(problem.A, -np.inf, problem.b)] if rows else None)
+    if res.status == 2:
+        return False
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed on the feasibility MILP: {res.message}")
+    lb, ub = problem.lb.copy(), problem.ub.copy()
+    lb[problem.binary] = ub[problem.binary] = np.round(res.x[problem.binary])
+    lp = linprog(np.zeros(problem.n), A_ub=problem.A if rows else None,
+                 b_ub=problem.b if rows else None, bounds=list(zip(lb, ub)),
+                 method="highs-ds", options={"primal_feasibility_tolerance": 1e-10})
+    if lp.status != 0:
+        raise RuntimeError(f"HiGHS point fails with its binaries rounded: {lp.message}")
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ from wws.milp import LinExpr, ProblemBuilder
 from wws.miqp import solve_miqp
 from wws.stl import EncodingConfig, StlEncodingError, encode_formula
 
-from oracles import encode_fixed_signal, soundness_case
+from oracles import encode_fixed_signal, milp_feasible, soundness_case
 
 CFG = EncodingConfig(channel_bounds={"y": (-50.0, 150.0), "u": (0.0, 26.5)})
+POWER_BAND = "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"
+# case 56 of the random suite below: an n-ary Or over nested 2-way and 3-way Ors
+CASE_56 = ("ev_[2,5] ((u < 3.2327503949826752 or y >= 2.4985852820182544) or "
+           "(u <= 4.154776091992526 or y >= 1.1499212699464127 or u < -3.189823397577809))")
 
 
 def _pin(builder, name, value):
@@ -36,14 +40,46 @@ def test_conjunctive_spec_infeasible_on_violating_signal():
 
 
 def test_power_band_binary_and_literal_count():
+    # two intervals on one sample: one binary and the two convex-hull rows
     builder = ProblemBuilder()
     u0 = builder.add_continuous("u0", 0.0, 26.5)
     binding = {"u": {0: LinExpr.variable(u0)}}
-    f = stl.resolve_end(stl.parse(
-        "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"), 0.0)
-    enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
-    assert len(enc.binaries) == 4
-    assert len(enc.literals) == 1
+    enc = encode_formula(builder, stl.parse(POWER_BAND), binding, 0, 60.0, CFG)
+    assert enc.binaries == ["stl.t0.d0"]
+    assert enc.literals == []
+    assert enc.constraints == 2
+
+
+def test_power_band_hull_rows_are_exact_at_interval_ends():
+    eps = CFG.eps
+    for end in (0.001, 0.01, 21.2, 26.5):
+        for u in (end - 1e-5, end + 1e-5):
+            builder = ProblemBuilder()
+            binding = {"u": {0: _pin(builder, "u0", u)}}
+            encode_formula(builder, stl.parse(POWER_BAND), binding, 0, 60.0, CFG)
+            problem = builder.build()
+            inside = 0.001 + eps <= u <= 0.01 - eps or 21.2 <= u <= 26.5
+            assert (solve_miqp(problem).status == "optimal") == inside, u
+            assert milp_feasible(problem) == inside, u
+
+
+def test_mixed_channel_disjunction_uses_implied_rows():
+    # branches on different channels: a binary per sample and one big-M row
+    # per predicate, no predicate literals and no continuous selectors
+    f = stl.resolve_end(stl.parse("alw_[0,end] (y >= 40 or u <= 1)"), 120.0)
+    for u1, holds in ((0.5, True), (2.0, False)):
+        signal = stl.SampledSignal(channels={"y": np.array([41.0, 30.0, 45.0]),
+                                             "u": np.array([5.0, u1, 3.0])}, h=60.0)
+        assert (stl.robustness(f, signal) >= 0.0) == holds
+        builder = ProblemBuilder()
+        binding = {ch: {t: _pin(builder, f"{ch}{t}", v) for t, v in enumerate(vals)}
+                   for ch, vals in signal.channels.items()}
+        enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
+        assert enc.binaries == ["stl.t0.d0", "stl.t1.d0", "stl.t2.d0"]
+        assert enc.literals == [] and enc.constraints == 6
+        problem = builder.build()
+        assert (solve_miqp(problem).status == "optimal") == holds
+        assert milp_feasible(problem) == holds
 
 
 def test_power_band_selects_off_branch_when_cheap():
@@ -141,3 +177,24 @@ def test_encoding_soundness_random_suite():
             disagreements.append((case, rho, res.status,
                                   stl.format_formula(formula)))
     assert not disagreements, disagreements[:3]
+
+
+def test_highs_milp_agrees_with_robustness():
+    # the same 60 cases as above, decided without the branch-and-bound
+    rng = np.random.default_rng(2024)
+    disagreements = []
+    for case in range(60):
+        formula, signal, rho = soundness_case(rng)
+        if milp_feasible(encode_fixed_signal(formula, signal)) != (rho >= 0.0):
+            disagreements.append((case, rho, stl.format_formula(formula)))
+    assert not disagreements, disagreements[:3]
+
+
+def test_nested_disjunction_case_is_solved():
+    # binary selectors under this case's 4-way Or leave a zero-objective
+    # search with fractional relaxations; continuous selectors keep it small
+    rng = np.random.default_rng(2024)
+    for _ in range(57):
+        formula, signal, rho = soundness_case(rng)
+    assert stl.format_formula(formula) == CASE_56 and rho > 0.0
+    assert solve_miqp(encode_fixed_signal(formula, signal)).status == "optimal"

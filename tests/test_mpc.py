@@ -68,6 +68,36 @@ def demo_trace(demo_model, demo_cfg, demo_predictor) -> ClosedLoopTrace:
     return run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, 15.0))
 
 
+def _seeded(name: str, prev: dict[str, float]) -> bool:
+    """Whether a binary's warm value comes from the previous plan."""
+    if name in prev:
+        return True
+    m = mpc._BINARY_NAME.match(name)
+    return m is not None and any(
+        f"{m.group('stem')}{int(m.group('t')) - back}{m.group('tail')}" in prev
+        for back in range(1, 4))
+
+
+def test_warm_plans_take_one_node(monkeypatch, demo_model, demo_cfg, demo_predictor):
+    # every binary of a later step, those entering the horizon included, is
+    # seeded from the previous plan, and the seed closes the search at the root
+    complete = []
+    original = mpc._shift_warm
+
+    def recording(prev, problem):
+        names = [problem.names[i] for i in np.flatnonzero(problem.binary)]
+        complete.append(bool(names) and all(_seeded(n, prev) for n in names))
+        return original(prev, problem)
+
+    monkeypatch.setattr(mpc, "_shift_warm", recording)
+    for temp in mpc.DEFAULT_INITIAL_TEMPS:
+        complete.clear()
+        trace = run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, temp))
+        assert trace.n_infeasible == 0
+        assert complete == [True] * demo_cfg.n_steps, temp
+        assert np.all(trace.nodes[1:] == 1), (temp, trace.nodes)
+
+
 def test_closed_loop_shape_and_feasibility(demo_trace, demo_cfg):
     n = demo_cfg.n_steps
     assert len(demo_trace.times) == n + 1
