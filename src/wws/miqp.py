@@ -2,11 +2,14 @@
 
 Best-bound-first search over the binary variables with convex-QP node
 relaxations.  Branching picks the most fractional binary (ties broken by
-lowest variable index) and node order is made deterministic by a push
-counter, so identical problems always return identical incumbents, node
-counts and bounds.  When a relaxation comes back integral the binaries are
-fixed and the node re-solved, which cleans the incumbent to full constraint
-feasibility before it is stored.
+lowest variable index).  Nodes of equal bound are taken newest first, by a
+push counter: among ties the search dives instead of sweeping a whole level,
+which matters when many nodes share a bound (a zero objective gives every
+relaxation the bound 0).  The order is deterministic, so identical problems
+always return identical incumbents, node counts and bounds.  When a
+relaxation comes back integral the binaries are fixed and the node
+re-solved, which cleans the incumbent to full constraint feasibility before
+it is stored.
 
 Scope: tens of binaries and continuous variables; no cutting planes or
 presolve beyond the problem builder's dropping of constant rows and of
@@ -23,6 +26,8 @@ import numpy as np
 from .milp import MiqpProblem, SolveResult
 from .qp import QpResult, solve_qp
 
+INTEGRALITY_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
+
 
 class MiqpError(RuntimeError):
     pass
@@ -37,7 +42,7 @@ class _Node:
     x: np.ndarray
 
     def __lt__(self, other: "_Node") -> bool:
-        return (self.bound, self.counter) < (other.bound, other.counter)
+        return (self.bound, -self.counter) < (other.bound, -other.counter)
 
 
 def _relax(problem: MiqpProblem, lb: np.ndarray, ub: np.ndarray) -> QpResult:
@@ -47,8 +52,7 @@ def _relax(problem: MiqpProblem, lb: np.ndarray, ub: np.ndarray) -> QpResult:
 
 def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
                node_limit: int = 100_000, binary_limit: int = 128,
-               warm_binaries: dict[str, int] | None = None,
-               integrality_tol: float = 1e-6) -> SolveResult:
+               warm_binaries: dict[str, int] | None = None) -> SolveResult:
     """Globally minimize the MIQP to absolute gap ``gap_tol``.
 
     ``warm_binaries`` seeds the incumbent by solving the QP with the given
@@ -71,7 +75,7 @@ def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
     incumbent_obj = np.inf
 
     def integral(x: np.ndarray) -> bool:
-        return all(abs(x[i] - round(x[i])) <= integrality_tol for i in bin_idx)
+        return all(abs(x[i] - round(x[i])) <= INTEGRALITY_TOL for i in bin_idx)
 
     def solve_fixed(assign: dict[int, float]) -> QpResult:
         nonlocal qp_solves
@@ -147,7 +151,7 @@ def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
         # most fractional binary, ties by lowest index
         fracs = [(-(min(node.x[i] - np.floor(node.x[i]),
                         np.ceil(node.x[i]) - node.x[i])), i)
-                 for i in bin_idx if abs(node.x[i] - round(node.x[i])) > integrality_tol]
+                 for i in bin_idx if abs(node.x[i] - round(node.x[i])) > INTEGRALITY_TOL]
         fracs.sort()
         branch_var = fracs[0][1]
         for side in (0.0, 1.0):

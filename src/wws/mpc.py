@@ -72,7 +72,6 @@ class ControllerConfig:
     output_index: int = 5
     miqp_gap: float = 1e-6
     node_limit: int = 200_000
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.horizon < 1 or self.h <= 0 or self.end_time <= 0:
@@ -161,7 +160,7 @@ def plan_step(cfg: ControllerConfig, pred: LinearPredictor, x_k: Sequence[float]
     """
     problem, u_names, n_binaries = build_step_problem(cfg, pred, x_k, k, y_hist,
                                                       u_hist, formulas)
-    warm_binaries = _shift_warm(warm, problem) if (warm and cfg.warm_start) else None
+    warm_binaries = _shift_warm(warm, problem) if warm else None
     res = solve_miqp(problem, gap_tol=cfg.miqp_gap, node_limit=cfg.node_limit,
                      warm_binaries=warm_binaries)
     u0 = None

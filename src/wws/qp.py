@@ -10,25 +10,26 @@ literals and relaxed binaries with zero quadratic cost need no extra
 regularization) and one Cholesky factorization serves both Newton solves of
 an iteration.
 
-The main Mehrotra predictor-corrector solve runs first.  Every iterate's
-multipliers on the genuine rows give a weak-duality lower bound on the
-optimum of the elastic phase-1 LP (minimize the single violation variable t);
+One Mehrotra predictor-corrector solve decides every problem.  Each
+iterate's multipliers on the rows give a weak-duality lower bound on the
+violation t* of the elastic LP (minimize the single violation variable t);
 a positive bound certifies infeasibility and ends the solve early.  The stop
 test includes the direct violation of the rows and bounds, so a converged
-point also passes the direct feasibility check that accepts it as optimal.
-The elastic LP itself runs only as a fallback, when the main solve fails or
-its point does not pass the check.  Its infeasibility verdict is likewise a
-weak-duality lower bound, not its primal value, whose accuracy is limited by
-the interior-point duality gap.
+point passes the direct feasibility check that accepts it as optimal.  A
+solve that neither converges to a checked point nor finds a certificate is
+a solver fault and raises ``QpSolverError``; it never becomes a verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
+
+TOL = 1e-9          # stop measure of the interior point and feasibility check
+MAX_ITER = 80       # interior-point iterations per regularization
 
 
 class QpSolverError(RuntimeError):
@@ -51,6 +52,7 @@ class QpResult:
     objective: float | None
     iterations: int
     kkt_residual: float
+    # when infeasible: certified lower bound on the elastic violation t*
     phase1_violation: float = 0.0
 
 
@@ -87,9 +89,8 @@ def _step_to_boundary(v, dv) -> float:
 
 
 def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-         lb: np.ndarray, ub: np.ndarray, x0: np.ndarray, tol: float,
-         max_iter: int, reg: float, certify: bool = False
-         ) -> tuple[np.ndarray, np.ndarray, int, float]:
+         lb: np.ndarray, ub: np.ndarray, x0: np.ndarray, reg: float
+         ) -> tuple[np.ndarray, int, float]:
     """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x  s.t.  Ax <= b,
     lb <= x <= ub.
 
@@ -104,11 +105,11 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     The stop measure is the largest of the scaled dual residual, primal
     residual and complementarity, and of the unscaled direct violation
     max(0, max(Ax - b), max(lb - x), max(x - ub)), so a point returned at
-    ``tol`` violates no row or bound by more than ``tol``.  Returns
-    (x, lam, iterations, kkt), lam ordered as above.  With ``certify``, every
-    iterate that has not converged is tested for a certificate of
-    infeasibility of the rows within the bounds (``_elastic_dual_bound``),
-    and ``_Infeasible`` is raised as soon as one proves a positive violation.
+    ``TOL`` violates no row or bound by more than ``TOL``.  Returns
+    (x, iterations, kkt).  Every iterate that has not converged is tested
+    for a certificate of infeasibility of the rows within the bounds
+    (``_elastic_dual_bound``), and ``_Infeasible`` is raised as soon as one
+    proves a positive violation.
     """
     n = len(f)
     m = len(b)
@@ -127,13 +128,13 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     dv = np.empty(2 * M)        # (ds, dlam)
     ds, dlam = dv[:M], dv[M:]
     diag = np.diag_indices(n)
-    bound = _elastic_dual_bound(A, b, lb, ub) if certify else None
+    bound = _elastic_dual_bound(A, b, lb, ub)
 
     scale_b = 1.0 + float(np.max(np.abs(b_full)))
     scale_f = 1.0 + float(np.max(np.abs(f))) + (float(np.max(np.abs(H))) if H.size else 0.0)
 
     best_kkt = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         c = A.T @ lam[:m]
         r_dual = H @ x + f + c + lam[upper] - lam[lower]
         residual = lift(x) - b_full
@@ -149,12 +150,11 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
         if not np.isfinite(kkt):
             raise QpSolverError("non-finite iterate")
         best_kkt = min(best_kkt, kkt)
-        if kkt <= tol:
-            return x, lam, it, kkt
-        if bound is not None:
-            certified = bound(lam[:m], c)
-            if certified > 1e-9:
-                raise _Infeasible(certified, it)
+        if kkt <= TOL:
+            return x, it, kkt
+        certified = bound(lam[:m], c)
+        if certified > 1e-9:
+            raise _Infeasible(certified, it)
 
         d = lam / s
         # upper triangle of K by a rank-m update of H; the update and the
@@ -197,7 +197,7 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
         v += alpha * dv
         np.maximum(v, 1e-300, out=v)
 
-    raise QpSolverError(f"no convergence in {max_iter} iterations (kkt {best_kkt:.3g})")
+    raise QpSolverError(f"no convergence in {MAX_ITER} iterations (kkt {best_kkt:.3g})")
 
 
 def _equilibrate_rows(A, b):
@@ -208,66 +208,17 @@ def _equilibrate_rows(A, b):
     return A / r[:, None], b / r
 
 
-def check_feasible_point(x, A, b, lb, ub, tol=1e-9) -> bool:
-    """Direct check of a candidate point against rows and boxes within ``tol``."""
-    if np.any(x < lb - tol) or np.any(x > ub + tol):
+def check_feasible_point(x, A, b, lb, ub) -> bool:
+    """Direct check of a candidate point against rows and boxes within ``TOL``."""
+    if np.any(x < lb - TOL) or np.any(x > ub + TOL):
         return False
-    if A is not None and A.size and np.max(A @ x - b) > tol:
+    if A.size and np.max(A @ x - b) > TOL:
         return False
     return True
 
 
-def phase1_violation(A, b, lb, ub, max_iter: int = 100) -> float:
-    """Certified lower bound on the minimal uniform constraint relaxation.
-
-    Solves the elastic LP  min t  s.t.  Ax - t <= b,  lb <= x <= ub,  t >= -1,
-    after scaling every row to unit max coefficient, so t* is the smallest
-    uniform row-relative violation; the system is feasible iff t* <= 0.  The
-    LP runs on the same kernel as the main solve, with the bounds on x and t
-    native.  The primal value of an interior-point iterate overestimates t*
-    by up to the duality gap (sum s_i lam_i, easily 1e-6 with hundreds of
-    rows), which is far too coarse to threshold against - so the returned
-    value is a rigorous dual lower bound built from the final row and bound
-    multipliers: positive only when the system is provably infeasible.
-    """
-    A, b = _equilibrate_rows(A, b)
-    m, n = len(b), len(lb)
-    # variables z = (x, t); the elastic t enters the genuine rows only
-    A_ph = np.column_stack([A, -np.ones(m)])
-    x0 = 0.5 * (lb + ub)
-    t0 = 1.0
-    if m:
-        t0 += float(np.max(np.abs(A @ x0 - b), initial=0.0))
-    # the box on t keeps the LP bounded in every direction
-    lb_z = np.append(lb, -1.0)
-    ub_z = np.append(ub, 2.0 * t0 + 10.0)
-    H = np.zeros((n + 1, n + 1))
-    f = np.zeros(n + 1)
-    f[-1] = 1.0
-    z0 = np.append(x0, t0 + 1.0)
-    # every variable of the elastic LP lives in a box of this radius
-    z_inf = float(max(np.max(np.abs(lb)), np.max(np.abs(ub)), 2.0 * t0 + 10.0, 1.0))
-    last: Exception | None = None
-    for ipm_tol, reg in ((1e-10, 1e-10), (1e-9, 1e-8), (1e-8, 1e-6)):
-        try:
-            _z, lam, _, _ = _ipm(H, f, A_ph, b, lb_z, ub_z, z0, tol=ipm_tol,
-                                 max_iter=max_iter, reg=reg)
-        except QpSolverError as exc:
-            last = exc
-            continue
-        # weak duality: t* >= -lam'b_full - |dual residual|'|z| for any
-        # lam >= 0, with the bounds as rows ub_z and -lb_z of b_full
-        lam_a, lam_u, lam_l = lam[:m], lam[m:m + n + 1], lam[m + n + 1:]
-        r_d = f + A_ph.T @ lam_a + lam_u - lam_l
-        cert = float(-(lam_a @ b + lam_u @ ub_z - lam_l @ lb_z)
-                     - np.sum(np.abs(r_d)) * z_inf)
-        return max(cert, -1.0)
-    raise QpSolverError(f"phase-1 failed at all regularizations: {last}")
-
-
 def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-             lb: np.ndarray, ub: np.ndarray, obj_const: float = 0.0,
-             tol: float = 1e-9, max_iter: int = 80) -> QpResult:
+             lb: np.ndarray, ub: np.ndarray, obj_const: float = 0.0) -> QpResult:
     """Globally solve the convex QP; returns status "infeasible" with a
     certified positive lower bound on the row violation when no point
     satisfies the constraints.
@@ -275,9 +226,9 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     One interior-point solve decides the problem: it either converges to a
     point that passes ``check_feasible_point`` on the equilibrated rows (its
     stop test includes that check), or its multipliers certify infeasibility
-    on the way.  Only when neither happens (the main solve fails at every
-    regularization, or, as a safety net, its point fails the check) does
-    the elastic phase-1 LP (``phase1_violation``) decide.
+    on the way.  A solve that fails, or whose point fails the check, is
+    retried at the next, larger regularization; after the last one
+    ``QpSolverError`` is raised.
     """
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -293,31 +244,18 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     A, b = _equilibrate_rows(A, b)
 
     x0 = 0.5 * (lb + ub)
-    main: QpResult | None = None
-    last_error: Exception | None = None
+    failure = ""
     for reg in (1e-12, 1e-9, 1e-6):
         try:
-            x, _lam, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, tol=tol,
-                                       max_iter=max_iter, reg=reg, certify=True)
+            x, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, reg)
         except _Infeasible as proof:
             return QpResult("infeasible", None, None, proof.iterations, np.inf,
                             proof.bound)
         except QpSolverError as exc:
-            last_error = exc
+            failure = str(exc)
             continue
-        obj = float(0.5 * x @ H @ x + f @ x + obj_const)
-        main = QpResult("optimal", x, obj, iters, kkt)
         if check_feasible_point(x, A, b, lb, ub):
-            return main
-        break
-
-    violation = phase1_violation(A, b, lb, ub)
-    # the certified bound is rigorous, so any positive value proves
-    # infeasibility; the epsilon only guards float noise in the algebra
-    if violation > 1e-9:
-        return QpResult("infeasible", None, None,
-                        main.iterations if main is not None else 0, np.inf,
-                        violation)
-    if main is None:
-        raise QpSolverError(f"interior point failed at all regularizations: {last_error}")
-    return replace(main, phase1_violation=violation)
+            obj = float(0.5 * x @ H @ x + f @ x + obj_const)
+            return QpResult("optimal", x, obj, iters, kkt)
+        failure = f"converged point fails the feasibility check (kkt {kkt:.3g})"
+    raise QpSolverError(f"interior point failed at all regularizations: {failure}")

@@ -128,6 +128,21 @@ def test_gap_reported_within_tolerance():
             assert res.gap is not None and res.gap <= 1e-6 + 1e-12
 
 
+def test_equal_bounds_search_newest_first():
+    # zero objective: every relaxation bound ties at 0, and only a dive
+    # (newest node first) reaches an integral leaf before the fixings pile up
+    b = ProblemBuilder()
+    p = [b.add_binary(f"p{i}") for i in range(12)]
+    total = LinExpr.combination(p, [1.0] * 12)
+    b.add_leq(total, 6.0)
+    b.add_geq(total, 6.0)
+    res = solve_miqp(b.build())
+    assert res.status == "optimal"
+    assert res.objective == 0.0
+    assert sum(res.assignment.values()) == pytest.approx(6.0, abs=1e-9)
+    assert res.nodes == 7
+
+
 def test_node_limit_returns_incumbent():
     rng = np.random.default_rng(9)
     prob = random_miqp(rng, max_binaries=6)

@@ -106,15 +106,6 @@ def test_closed_loop_shape_and_feasibility(demo_trace, demo_cfg):
     assert not demo_trace.aborted
 
 
-def test_closed_loop_never_reaches_phase1(phase1_calls, demo_model, demo_cfg,
-                                         demo_predictor):
-    # every node QP of the loop is decided by the main interior-point solve:
-    # converged points pass the feasibility check, the rest carry a certificate
-    trace = run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, 15.0))
-    assert len(trace.times) == demo_cfg.n_steps + 1 and trace.n_infeasible == 0
-    assert phase1_calls == []
-
-
 def test_closed_loop_satisfies_both_specs(demo_trace):
     final = demo_trace.final_robustness()
     assert len(final) == 2

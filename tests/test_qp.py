@@ -6,7 +6,7 @@ import pytest
 from oracles import elastic_violation_highs, kkt_residual, random_miqp
 from wws import miqp, qp
 from wws.mpc import plan_step
-from wws.qp import phase1_violation, solve_qp
+from wws.qp import QpSolverError, solve_qp
 
 
 def test_clipped_parabola():
@@ -69,18 +69,6 @@ def test_degenerate_pinned_variable():
     assert res.x[0] == pytest.approx(0.5, abs=1e-7)
 
 
-def test_phase1_certificate_signs():
-    lb = np.zeros(2)
-    ub = np.ones(2)
-    feasible = phase1_violation(np.array([[1.0, 1.0]]), np.array([1.5]), lb, ub)
-    assert feasible <= 1e-9
-    infeasible = phase1_violation(np.array([[1.0, 1.0]]), np.array([-0.5]), lb, ub)
-    assert infeasible > 0.1  # row-scaled true violation is 0.25
-    tight = phase1_violation(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                             np.array([0.5, -0.5]), lb, ub)
-    assert tight <= 1e-9
-
-
 def test_finite_boxes_required():
     with pytest.raises(ValueError, match="finite"):
         solve_qp(np.eye(1), np.zeros(1), None, None,
@@ -91,24 +79,12 @@ FEASIBLE_QP = (np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
                np.zeros(2), np.ones(2))
 
 
-def test_main_solve_decides_without_phase1(phase1_calls):
+def test_failed_feasibility_check_raises(monkeypatch):
+    # a converged point that fails the check is a solver fault, never a verdict
     assert solve_qp(*FEASIBLE_QP).status == "optimal"
-    infeasible = solve_qp(H=np.array([[2.0]]), f=np.array([0.0]),
-                          A=np.array([[1.0], [-1.0]]), b=np.array([0.0, -1.0]),
-                          lb=np.array([-5.0]), ub=np.array([5.0]))
-    assert infeasible.status == "infeasible"
-    assert infeasible.phase1_violation > 1e-3
-    assert phase1_calls == []
-
-
-def test_failed_feasibility_check_falls_back_to_phase1(monkeypatch, phase1_calls):
-    direct = solve_qp(*FEASIBLE_QP)
     monkeypatch.setattr(qp, "check_feasible_point", lambda *a, **k: False)
-    fallback = solve_qp(*FEASIBLE_QP)
-    assert len(phase1_calls) == 1
-    assert fallback.status == "optimal"
-    assert np.array_equal(fallback.x, direct.x)
-    assert fallback.phase1_violation <= 1e-9
+    with pytest.raises(QpSolverError, match="feasibility check"):
+        solve_qp(*FEASIBLE_QP)
 
 
 def _agrees_with_highs(qps, stationarity_tol=None):
@@ -146,6 +122,9 @@ def test_random_leaves_agree_with_highs():
             ub = prob.ub.copy()
             lb[bin_idx] = ub[bin_idx] = bits
             qps.append((prob.H, prob.f, prob.A, prob.b, lb, ub))
+    # x1 + x2 <= -0.5 on the unit box: t* = 0.5
+    qps.append((np.zeros((2, 2)), np.zeros(2), np.array([[1.0, 1.0]]),
+                np.array([-0.5]), np.zeros(2), np.ones(2)))
     infeasible = _agrees_with_highs(qps)
     assert 0 < infeasible < len(qps)
 
