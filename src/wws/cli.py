@@ -50,7 +50,6 @@ class ExperimentConfig:
     u_band: tuple[float, float] = (21.2, 26.5)
     p_off: float = 0.2
     w0: float = 10.0
-    shared_state_draw: bool = False
     local: bool = False
     target_y: float = 40.0
     # controller
@@ -68,11 +67,6 @@ class ExperimentConfig:
     stl_file: str | None = None
     no_stl: bool = False
     x0: float = 15.0
-    # solver / integration tolerances
-    atol: float = 1e-10
-    rtol: float = 1e-10
-    miqp_gap: float = 1e-6
-    node_limit: int = 200_000
     jobs: int = 1
     # sweep grids
     initial_temps: tuple[float, ...] = mpc.DEFAULT_INITIAL_TEMPS
@@ -85,7 +79,8 @@ class ExperimentConfig:
     dump_lp: str | None = None
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(atol=self.atol, rtol=self.rtol)
+        """LSODA's tolerances, the ones every plant step uses."""
+        return IntegratorConfig()
 
     def load_plant(self) -> PlantModel:
         if self.plant == "nominal":
@@ -108,20 +103,18 @@ class ExperimentConfig:
             texts = (mpc.supply_spec(self.start_time),) + texts[1:]
         return texts
 
-    def controller(self) -> ControllerConfig:
+    def controller(self, model: PlantModel) -> ControllerConfig:
         return ControllerConfig(
             horizon=self.horizon, h=self.h, q_weight=self.q_weight,
             r_weight=self.r_weight, reference=self.reference,
             u_min=self.u_min, u_max=self.u_max, end_time=self.end_time,
             stl_specs=self.spec_texts(), w_forecast=self.w_forecast,
-            eps=self.eps, miqp_gap=self.miqp_gap, node_limit=self.node_limit)
+            eps=self.eps, output_index=model.output_index)
 
     def dataset_config(self) -> DatasetConfig:
         return DatasetConfig(K=self.K, state_range=self.state_range,
                              u_band=self.u_band, p_off=self.p_off, w0=self.w0,
-                             h=self.h, seed=self.seed,
-                             shared_state_draw=self.shared_state_draw,
-                             integrator=self.integrator_config())
+                             h=self.h, seed=self.seed)
 
 
 _TRUE = ("1", "true", "yes", "on")
@@ -224,17 +217,15 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
 def cmd_run(cfg: ExperimentConfig) -> int:
     model = cfg.load_plant()
     predictor = _load_or_fit_predictor(cfg, model)
-    controller = cfg.controller()
+    controller = cfg.controller(model)
     out = _outdir(cfg)
+    x0 = np.full(plant_mod.N_STATES, cfg.x0)
     if cfg.dump_lp:
-        x0 = np.full(plant_mod.N_STATES, cfg.x0)
-        problem, _, _ = mpc.build_step_problem(controller, predictor, x0, 0,
-                                               [plant_mod.output(x0)], [])
+        problem, _, _ = mpc.build_step_problem(
+            controller, predictor, x0, 0, [plant_mod.output(x0, model.output_index)], [])
         dump_lp(problem, cfg.dump_lp)
     t0 = time.perf_counter()
-    trace = mpc.run_closed_loop(model, controller, predictor,
-                                np.full(plant_mod.N_STATES, cfg.x0),
-                                integrator=cfg.integrator_config())
+    trace = mpc.run_closed_loop(model, controller, predictor, x0)
     wall = time.perf_counter() - t0
     trace.write_csv(out / "trace.csv")
     start_idx = int(np.ceil(cfg.start_time / cfg.h - 1e-9))
@@ -261,13 +252,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     model = cfg.load_plant()
     predictor = _load_or_fit_predictor(cfg, model)
-    controller = cfg.controller()
+    controller = cfg.controller(model)
     out = _outdir(cfg)
     result = mpc.feasibility_sweep(model, controller, predictor,
                                    initial_temps=cfg.initial_temps,
-                                   start_times=cfg.start_times,
-                                   integrator=cfg.integrator_config(),
-                                   jobs=cfg.jobs)
+                                   start_times=cfg.start_times, jobs=cfg.jobs)
     result.write_csv(out / "sweep.csv")
     notes = {f"{int(k[0])},{int(k[1])}": v for k, v in result.notes.items()}
     (out / "sweep_notes.json").write_text(json.dumps(
@@ -301,7 +290,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
                            rng.uniform(cfg.u_band[0], cfg.u_band[1], size=steps))
     w = np.full(steps, cfg.w0)
     # all rollouts advance together: one block plant step per time step
-    truth = plant_mod.simulate(model, x0, u, w, cfg.h, cfg.integrator_config())
+    truth = plant_mod.simulate(model, x0, u, w, cfg.h)
     sq_err = np.zeros((steps + 1, plant_mod.N_STATES))
     zero_step = 0.0
     for i in range(rollouts):

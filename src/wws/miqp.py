@@ -27,6 +27,9 @@ from .milp import MiqpProblem, SolveResult
 from .qp import QpResult, solve_qp
 
 INTEGRALITY_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
+GAP_TOL = 1e-6          # absolute optimality gap at which the search stops
+NODE_LIMIT = 200_000    # nodes explored before "iteration-limit"
+BINARY_LIMIT = 128      # larger problems are refused
 
 
 class MiqpError(RuntimeError):
@@ -50,15 +53,15 @@ def _relax(problem: MiqpProblem, lb: np.ndarray, ub: np.ndarray) -> QpResult:
                     obj_const=problem.obj_const)
 
 
-def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
-               node_limit: int = 100_000, binary_limit: int = 128,
+def solve_miqp(problem: MiqpProblem,
                warm_binaries: dict[str, int] | None = None) -> SolveResult:
-    """Globally minimize the MIQP to absolute gap ``gap_tol``.
+    """Globally minimize the MIQP to absolute gap ``GAP_TOL``.
 
     ``warm_binaries`` seeds the incumbent by solving the QP with the given
     binary assignment fixed; an incomplete or infeasible seed is simply
-    ignored.  Exceeding ``node_limit`` returns status ``iteration-limit``
-    with the best incumbent found so far, if any.
+    ignored.  Exceeding ``NODE_LIMIT`` returns status ``iteration-limit``
+    with the best incumbent found so far, if any; more than
+    ``BINARY_LIMIT`` binaries raise :class:`MiqpError`.
     """
     if problem.infeasible_reason is not None:
         return SolveResult(status="infeasible", nodes=0)
@@ -67,8 +70,8 @@ def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
         return SolveResult(status="optimal", objective=problem.obj_const,
                            x=np.zeros(0), assignment={}, nodes=0, gap=0.0)
     bin_idx = np.flatnonzero(problem.binary)
-    if len(bin_idx) > binary_limit:
-        raise MiqpError(f"{len(bin_idx)} binaries exceed the limit of {binary_limit}")
+    if len(bin_idx) > BINARY_LIMIT:
+        raise MiqpError(f"{len(bin_idx)} binaries exceed the limit of {BINARY_LIMIT}")
 
     qp_solves = 0
     incumbent_x: np.ndarray | None = None
@@ -123,11 +126,11 @@ def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
 
     while heap:
         node = heapq.heappop(heap)
-        if node.bound >= incumbent_obj - gap_tol:
+        if node.bound >= incumbent_obj - GAP_TOL:
             cutoff_bound = node.bound
             break  # best-first: every open node is at least as bad
         nodes += 1
-        if nodes > node_limit:
+        if nodes > NODE_LIMIT:
             status = "iteration-limit"
             gap = incumbent_obj - node.bound if incumbent_x is not None else None
             return SolveResult(
@@ -162,7 +165,7 @@ def solve_miqp(problem: MiqpProblem, gap_tol: float = 1e-6,
             child = _relax(problem, lb, ub)
             if child.status != "optimal":
                 continue
-            if child.objective >= incumbent_obj - gap_tol:
+            if child.objective >= incumbent_obj - GAP_TOL:
                 continue
             counter += 1
             heapq.heappush(heap, _Node(child.objective, counter, lb, ub, child.x))

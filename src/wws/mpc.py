@@ -27,7 +27,6 @@ import numpy as np
 
 from . import plant as plant_mod
 from .condense import add_horizon_objective, condense
-from .integrators import IntegratorConfig
 from .milp import LinExpr, ProblemBuilder
 from .miqp import solve_miqp
 from .plant import DivergenceError, PlantModel
@@ -68,10 +67,7 @@ class ControllerConfig:
     stl_specs: tuple[str, ...] = (DEFAULT_SUPPLY_SPEC, DEFAULT_POWER_SPEC)
     w_forecast: float = 10.0
     eps: float = 1e-6
-    y_bounds: tuple[float, float] = plant_mod.STATE_BOUNDS
     output_index: int = 5
-    miqp_gap: float = 1e-6
-    node_limit: int = 200_000
 
     def __post_init__(self):
         if self.horizon < 1 or self.h <= 0 or self.end_time <= 0:
@@ -90,7 +86,7 @@ class ControllerConfig:
 
     def encoding(self) -> EncodingConfig:
         return EncodingConfig(
-            channel_bounds={"y": self.y_bounds, "u": (self.u_min, self.u_max)},
+            channel_bounds={"y": plant_mod.STATE_BOUNDS, "u": (self.u_min, self.u_max)},
             eps=self.eps)
 
 
@@ -118,8 +114,12 @@ def build_step_problem(cfg: ControllerConfig, pred: LinearPredictor,
     """Assemble the horizon MIQP at step ``k`` without solving it.
 
     Returns ``(problem, u_names, n_binaries)``; usable directly for problem
-    dumps and cross-checking against external solvers.
+    dumps and cross-checking against external solvers.  The predictor's
+    sampling period must be the controller's.
     """
+    if pred.h != cfg.h:
+        raise ValueError(f"predictor sampled at h={pred.h:g} s, "
+                         f"controller at h={cfg.h:g} s")
     if len(y_hist) != k + 1:
         raise ValueError(f"need {k + 1} output samples, got {len(y_hist)}")
     if len(u_hist) != k:
@@ -161,8 +161,7 @@ def plan_step(cfg: ControllerConfig, pred: LinearPredictor, x_k: Sequence[float]
     problem, u_names, n_binaries = build_step_problem(cfg, pred, x_k, k, y_hist,
                                                       u_hist, formulas)
     warm_binaries = _shift_warm(warm, problem) if warm else None
-    res = solve_miqp(problem, gap_tol=cfg.miqp_gap, node_limit=cfg.node_limit,
-                     warm_binaries=warm_binaries)
+    res = solve_miqp(problem, warm_binaries=warm_binaries)
     u0 = None
     if res.x is not None:
         u0 = float(res.assignment[u_names[0]])
@@ -269,15 +268,18 @@ class ClosedLoopTrace:
 
 def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
                     pred: LinearPredictor, x0: Sequence[float],
-                    integrator: IntegratorConfig = IntegratorConfig(),
                     stop_on_infeasible: bool = False) -> ClosedLoopTrace:
     """Simulate the loop: measure, plan, apply the first input, repeat.
 
     The plan at the final sample is solved (so the input channel covers the
     whole window of the power specification) but not applied.  On an
     infeasible step the best-effort incumbent is applied if the solver
-    produced one, otherwise the previous input is held.
+    produced one, otherwise the previous input is held.  The controller
+    must read the plant's output state.
     """
+    if cfg.output_index != model.output_index:
+        raise ValueError(f"controller reads x{cfg.output_index}, "
+                         f"plant output is x{model.output_index}")
     n = cfg.n_steps
     parsed = [parse(text) for text in cfg.stl_specs]
     formulas = [resolve_end(f, cfg.end_time) for f in parsed]
@@ -330,7 +332,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         if k == n:
             break
         try:
-            x = plant_mod.step(model, x, u_k, cfg.w_forecast, cfg.h, integrator)
+            x = plant_mod.step(model, x, u_k, cfg.w_forecast, cfg.h)
         except DivergenceError as exc:
             aborted = True
             abort_reason = str(exc)
@@ -383,15 +385,12 @@ def _fmt(v: float) -> str:
 
 
 def evaluate_cell(model: PlantModel, cfg: ControllerConfig, pred: LinearPredictor,
-                  initial_temp: float, start_time: float,
-                  integrator: IntegratorConfig = IntegratorConfig()
-                  ) -> tuple[int, str]:
+                  initial_temp: float, start_time: float) -> tuple[int, str]:
     """One sweep cell: uniform initial state, shifted supply deadline."""
     cell_cfg = replace(cfg, stl_specs=(supply_spec(start_time), DEFAULT_POWER_SPEC))
     x0 = np.full(plant_mod.N_STATES, float(initial_temp))
     try:
-        trace = run_closed_loop(model, cell_cfg, pred, x0, integrator=integrator,
-                                stop_on_infeasible=True)
+        trace = run_closed_loop(model, cell_cfg, pred, x0, stop_on_infeasible=True)
     except Exception as exc:  # cell failures are recorded, the sweep continues
         return 0, f"error: {exc}"
     if trace.aborted:
@@ -406,8 +405,8 @@ def evaluate_cell(model: PlantModel, cfg: ControllerConfig, pred: LinearPredicto
 
 
 def _cell_worker(args) -> tuple[int, int, int, str]:
-    model, cfg, pred, i, j, temp, start, integrator = args
-    val, note = evaluate_cell(model, cfg, pred, temp, start, integrator)
+    model, cfg, pred, i, j, temp, start = args
+    val, note = evaluate_cell(model, cfg, pred, temp, start)
     return i, j, val, note
 
 
@@ -415,7 +414,6 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
                       pred: LinearPredictor,
                       initial_temps: Sequence[float] = DEFAULT_INITIAL_TEMPS,
                       start_times: Sequence[float] = DEFAULT_START_TIMES,
-                      integrator: IntegratorConfig = IntegratorConfig(),
                       jobs: int = 1) -> SweepResult:
     """Grid of closed-loop feasibility over initial temperature and deadline.
 
@@ -426,7 +424,7 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
     start_times = tuple(float(v) for v in start_times)
     table = np.zeros((len(initial_temps), len(start_times)), dtype=int)
     notes: dict[tuple[float, float], str] = {}
-    tasks = [(model, cfg, pred, i, j, temp, start, integrator)
+    tasks = [(model, cfg, pred, i, j, temp, start)
              for i, temp in enumerate(initial_temps)
              for j, start in enumerate(start_times)]
     if jobs > 1:

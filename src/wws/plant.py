@@ -239,7 +239,6 @@ def simulate(
     u_seq: Sequence,
     w_seq: Sequence,
     h: float,
-    config: IntegratorConfig = IntegratorConfig(),
 ) -> np.ndarray:
     """Repeated ZOH stepping; returns ``n+1`` states with row 0 equal to x0.
 
@@ -258,7 +257,7 @@ def simulate(
     out[0] = x0
     for k, (u, w) in enumerate(zip(u_seq, w_seq)):
         try:
-            out[k + 1] = step(model, out[k], u, w, h, config)
+            out[k + 1] = step(model, out[k], u, w, h)
         except DivergenceError as exc:
             raise DivergenceError(f"divergence at step {k}: {exc}", step_index=k,
                                   state=exc.state, column=exc.column) from exc

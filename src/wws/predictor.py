@@ -24,7 +24,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import plant as plant_mod
-from .integrators import IntegratorConfig
 from .plant import PlantModel
 
 # ---------------------------------------------------------------------------
@@ -216,10 +215,9 @@ class LinearPredictor:
 class DatasetConfig:
     """Snapshot-pair synthesis settings.
 
-    Initial states are uniform on ``state_range`` (independent draw per
-    component unless ``shared_state_draw``); the input is zero with
-    probability ``p_off`` and otherwise uniform on ``u_band``; the
-    disturbance is the constant ``w0``.
+    Initial states are uniform on ``state_range``, drawn independently per
+    component; the input is zero with probability ``p_off`` and otherwise
+    uniform on ``u_band``; the disturbance is the constant ``w0``.
     """
 
     K: int = 10_000
@@ -229,8 +227,6 @@ class DatasetConfig:
     w0: float = 10.0
     h: float = 60.0
     seed: int = 0
-    shared_state_draw: bool = False
-    integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
         if self.K < plant_mod.N_STATES + 2:
@@ -261,16 +257,12 @@ def generate_dataset(model: PlantModel, cfg: DatasetConfig) -> Dataset:
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.state_range
-    if cfg.shared_state_draw:
-        shared = rng.uniform(lo, hi, size=cfg.K)
-        X = np.tile(shared, (plant_mod.N_STATES, 1))
-    else:
-        X = rng.uniform(lo, hi, size=(plant_mod.N_STATES, cfg.K))
+    X = rng.uniform(lo, hi, size=(plant_mod.N_STATES, cfg.K))
     off = rng.uniform(size=cfg.K) < cfg.p_off
     band = rng.uniform(cfg.u_band[0], cfg.u_band[1], size=cfg.K)
     U = np.where(off, 0.0, band)
     W = np.full(cfg.K, cfg.w0)
-    Xp = plant_mod.step(model, X, U, W, cfg.h, cfg.integrator)
+    Xp = plant_mod.step(model, X, U, W, cfg.h)
     return Dataset(X=X, U=U, W=W, Xp=Xp, config=cfg)
 
 

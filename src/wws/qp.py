@@ -53,7 +53,7 @@ class QpResult:
     iterations: int
     kkt_residual: float
     # when infeasible: certified lower bound on the elastic violation t*
-    phase1_violation: float = 0.0
+    certified_violation: float = 0.0
 
 
 def _elastic_dual_bound(A, b, lb, ub):

@@ -366,7 +366,6 @@ class SampledSignal:
 
     channels: Mapping[str, np.ndarray]
     h: float
-    start_time: float = 0.0
 
     def __post_init__(self):
         lengths = {len(v) for v in self.channels.values()}
@@ -757,11 +756,6 @@ class _Encoder:
     def assert_at_least(self, node, lower: Union[LinExpr, float]) -> None:
         """Emit constraints forcing truth(node) >= lower."""
         if isinstance(node, _PTrue):
-            return
-        if isinstance(node, _PFalse):
-            # reachable only for non-constant `lower`; forces lower <= 0
-            self.builder.add_leq(_as_expr(lower), 0.0)
-            self.result.constraints += 1
             return
         integral = self.integral(lower)
         if isinstance(node, _PPred):

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wws import mpc
 from wws.cli import main
+from wws.plant import PlantModel
 from wws.predictor import LinearPredictor
 
 from oracles import read_sweep_csv, read_trace_csv
@@ -208,7 +210,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("WWS_ATOLL", "5", "unknown environment variable WWS_ATOLL"),
     ("WWS_Z_BOUNDS", "1", "unknown environment variable WWS_Z_BOUNDS"),
     ("WWS_SVG", "maybe", "WWS_SVG: 'maybe' is not one of"),
-], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG"])
+    ("WWS_ATOL", "1e-8", "unknown environment variable WWS_ATOL"),
+    ("WWS_MIQP_GAP", "1e-3", "unknown environment variable WWS_MIQP_GAP"),
+    ("WWS_SHARED_STATE_DRAW", "1", "unknown environment variable WWS_SHARED_STATE_DRAW"),
+], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG", "WWS_ATOL", "WWS_MIQP_GAP",
+        "WWS_SHARED_STATE_DRAW"])
 def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch,
                                            capsys, var, value, reason):
     monkeypatch.setenv(var, value)
@@ -243,3 +249,34 @@ def test_nominal_run_with_noise_output_rows(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_infeasible"] == 0 and not summary["aborted"]
     assert len(read_trace_csv(out / "trace.csv")["t"]) == 21
+
+
+def test_sampling_period_mismatch_rejected(tmp_path, demo_pred_file, capsys):
+    # the predictor was fitted at h = 60 s; a 30 s loop would apply it every 30 s
+    code = main(["run", *RUN_FLAGS, "--predictor", str(demo_pred_file),
+                 "--h", "30", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "predictor sampled at h=60 s, controller at h=30 s" in capsys.readouterr().err
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--plant", "demo", "--predictor", str(demo_pred_file),
+                 "--reference", "42", "--r-weight", "0.02", "--h", "30",
+                 "--initial-temps", "15", "30", "--start-times", "360",
+                 "--out", str(out)])
+    assert code == 1
+    notes = json.loads((out / "sweep_notes.json").read_text())["notes"]
+    assert all(n.startswith("error: predictor sampled at h=60 s") for n in notes.values())
+    assert len(notes) == 2
+
+
+def test_output_index_taken_from_plant(tmp_path, demo_pred_file):
+    plant_file = tmp_path / "plant_x4.json"
+    replace(PlantModel.demo(), output_index=4).to_json(plant_file)
+    out = tmp_path / "run_x4"
+    code = main(["run", *RUN_FLAGS, "--plant", str(plant_file),
+                 "--predictor", str(demo_pred_file), "--out", str(out)])
+    assert code in (0, 2)
+    cols = read_trace_csv(out / "trace.csv")
+    assert cols["y"] == cols["x4"] and cols["y"] != cols["x5"]
+    with pytest.raises(ValueError, match="controller reads x5, plant output is x4"):
+        mpc.run_closed_loop(PlantModel.from_json(plant_file), mpc.ControllerConfig(),
+                            LinearPredictor.from_json(demo_pred_file), np.full(6, 15.0))

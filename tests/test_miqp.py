@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wws.milp import LinExpr, ProblemBuilder, dump_lp
+from wws import miqp
 from wws.miqp import MiqpError, solve_miqp
 from wws.qp import solve_qp
 
@@ -123,7 +124,7 @@ def test_gap_reported_within_tolerance():
     rng = np.random.default_rng(5)
     for _ in range(10):
         prob = random_miqp(rng)
-        res = solve_miqp(prob, gap_tol=1e-6)
+        res = solve_miqp(prob)
         if res.status == "optimal":
             assert res.gap is not None and res.gap <= 1e-6 + 1e-12
 
@@ -143,24 +144,27 @@ def test_equal_bounds_search_newest_first():
     assert res.nodes == 7
 
 
-def test_node_limit_returns_incumbent():
+def test_node_limit_returns_incumbent(monkeypatch):
     rng = np.random.default_rng(9)
     prob = random_miqp(rng, max_binaries=6)
     full = solve_miqp(prob)
     if full.status != "optimal":
         pytest.skip("instance infeasible")
     warm_bins = {n: v for n, v in full.assignment.items() if n.startswith("p")}
-    res = solve_miqp(prob, node_limit=1, warm_binaries=warm_bins)
+    monkeypatch.setattr(miqp, "NODE_LIMIT", 1)
+    res = solve_miqp(prob, warm_binaries=warm_bins)
     assert res.status in ("iteration-limit", "optimal")
     if res.status == "iteration-limit":
         assert res.objective is not None  # best effort incumbent retained
 
 
 def test_binary_limit_enforced():
-    rng = np.random.default_rng(2)
-    prob = random_miqp(rng, max_binaries=5)
+    n = miqp.BINARY_LIMIT + 1
+    b = ProblemBuilder()
+    p = [b.add_binary(f"p{i}") for i in range(n)]
+    b.add_leq(LinExpr.combination(p, [1.0] * n), 1.0)
     with pytest.raises(MiqpError, match="exceed"):
-        solve_miqp(prob, binary_limit=2)
+        solve_miqp(b.build())
 
 
 def test_marked_infeasible_short_circuits():

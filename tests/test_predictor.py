@@ -73,12 +73,6 @@ def test_dataset_off_fraction(nominal_dataset_10k):
     assert abs(frac - 0.2) <= 0.02
 
 
-def test_dataset_shared_draw_mode(nominal_model):
-    data = generate_dataset(nominal_model,
-                            DatasetConfig(K=16, seed=3, shared_state_draw=True))
-    assert np.all(data.X == data.X[0:1, :])
-
-
 @pytest.mark.parametrize("which", ["nominal", "demo"])
 def test_dataset_equal_seeds_byte_identical(which):
     model = getattr(PlantModel, which)()

@@ -23,7 +23,7 @@ def test_infeasible_box_pair():
                    A=np.array([[1.0], [-1.0]]), b=np.array([0.0, -1.0]),
                    lb=np.array([-5.0]), ub=np.array([5.0]))
     assert res.status == "infeasible"
-    assert res.phase1_violation > 1e-3  # certified separation
+    assert res.certified_violation > 1e-3  # certified separation
 
 
 def test_random_inequality_qps_satisfy_kkt():
@@ -99,7 +99,7 @@ def _agrees_with_highs(qps, stationarity_tol=None):
         t_star = elastic_violation_highs(A, b, lb, ub)
         if res.status == "infeasible":
             infeasible += 1
-            assert 1e-9 < res.phase1_violation <= t_star + 1e-9
+            assert 1e-9 < res.certified_violation <= t_star + 1e-9
         else:
             assert res.status == "optimal"
             assert t_star <= 1e-9
