@@ -31,7 +31,7 @@ from .milp import dump_lp
 from .mpc import ControllerConfig
 from .plant import PlantModel
 from .predictor import DEFAULT_OBSERVABLES, DatasetConfig, LinearPredictor
-from .stl import parse, spec_lines
+from .stl import spec_lines
 
 ENV_PREFIX = "WWS_"
 
@@ -97,13 +97,12 @@ class ExperimentConfig:
         else:
             text = resources.files("wws.data").joinpath("default_specs.stl").read_text()
         texts = tuple(spec_lines(text))
-        for line in texts:
-            parse(line)  # validates the syntax up front
         if self.stl_file is None and self.start_time != 420.0:
             texts = (mpc.supply_spec(self.start_time),) + texts[1:]
         return texts
 
     def controller(self, model: PlantModel) -> ControllerConfig:
+        """The controller that reads ``model``'s output; parses the specs."""
         return ControllerConfig(
             horizon=self.horizon, h=self.h, q_weight=self.q_weight,
             r_weight=self.r_weight, reference=self.reference,
@@ -216,13 +215,14 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     model = cfg.load_plant()
-    predictor = _load_or_fit_predictor(cfg, model)
     controller = cfg.controller(model)
+    predictor = _load_or_fit_predictor(cfg, model)
     out = _outdir(cfg)
     x0 = np.full(plant_mod.N_STATES, cfg.x0)
     if cfg.dump_lp:
         problem, _, _ = mpc.build_step_problem(
-            controller, predictor, x0, 0, [plant_mod.output(x0, model.output_index)], [])
+            controller, mpc.condense(predictor, controller), x0, 0,
+            [plant_mod.output(x0, model.output_index)], [])
         dump_lp(problem, cfg.dump_lp)
     t0 = time.perf_counter()
     trace = mpc.run_closed_loop(model, controller, predictor, x0)
@@ -250,9 +250,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
+    for name in ("stl_file", "no_stl"):
+        if getattr(cfg, name):
+            raise ValueError(f"wws sweep sets the specifications of each cell; "
+                             f"{name} is not supported here")
     model = cfg.load_plant()
-    predictor = _load_or_fit_predictor(cfg, model)
     controller = cfg.controller(model)
+    predictor = _load_or_fit_predictor(cfg, model)
     out = _outdir(cfg)
     result = mpc.feasibility_sweep(model, controller, predictor,
                                    initial_temps=cfg.initial_temps,
@@ -276,6 +280,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def cmd_bench(cfg: ExperimentConfig) -> int:
     model = cfg.load_plant()
     predictor = _load_or_fit_predictor(cfg, model)
+    if predictor.h != cfg.h:
+        raise ValueError(f"predictor sampled at h={predictor.h:g} s, "
+                         f"plant stepped at h={cfg.h:g} s")
     out = _outdir(cfg)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.state_range

@@ -2,70 +2,83 @@
 
 The lifted dynamics  z_{i+1} = A z_i + b_u u_i + b_d w_i + c  are equality
 constraints, so the horizon states are eliminated exactly by forward
-substitution:  z_i = G_i u + g_i  with u the stacked input vector.  This
-drops the decision dimension from (N+1) lifted states plus inputs down to
-the inputs alone; predicted outputs become affine rows over u.
+substitution: the predicted outputs are  y = Y u + y0,  with u the stacked
+input vector, Y the input-to-output map and y0 the free response of the
+measured state.  This drops the decision dimension from (N+1) lifted states
+plus inputs down to the inputs alone.
+
+Y and the input Hessian of the tracking cost depend only on the predictor
+and the controller's weights (Korda & Mezic 2018), so ``condense`` computes
+them once per closed loop; each step computes only y0 and the cost's linear
+term, the parametric-QP split of qpOASES (Ferreau et al. 2014).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .milp import LinExpr, ProblemBuilder
 from .predictor import LinearPredictor
+
+if TYPE_CHECKING:
+    from .mpc import ControllerConfig
 
 
 @dataclass(frozen=True)
 class CondensedHorizon:
-    """Affine maps z_i = G[i] @ u + g[i] and the output rows they induce."""
+    """What every step of one closed loop shares.
 
-    G: np.ndarray        # (Np+1, N, Np)
-    g: np.ndarray        # (Np+1, N)
-    y_coef: np.ndarray   # (Np+1, Np)   output row of C applied to G
-    y_const: np.ndarray  # (Np+1,)
-    horizon: int
+    Predicted outputs at horizon offsets 1..Np are ``Y @ u + y0``, where
+    ``free_response`` gives y0 for a measured state.  The tracking cost
+    sum_i q (y_i - ref)^2 + r u_i^2 is  0.5 u'Hu + f'u + const  with the
+    fixed  H = 2 (q Y'Y + r I);  ``linear_cost`` gives f and const.
+    """
 
-    def y_expr(self, i: int, u_names: Sequence[str]) -> LinExpr:
-        """Predicted output at horizon offset ``i`` as an expression over u."""
-        return LinExpr.combination(u_names, self.y_coef[i], float(self.y_const[i]))
+    pred: LinearPredictor
+    Y: np.ndarray          # (Np, Np)   output rows of offsets 1..Np over u
+    H: np.ndarray          # (Np, Np)
+    q_weight: float
+    reference: float
+    out_row: np.ndarray    # (N,)       row of C that reads the output
+    drive: np.ndarray      # (N,)       b_d w of the disturbance forecast
+    c: np.ndarray          # (N,)       affine constant of the recursion
 
-    def rollout(self, u: np.ndarray) -> np.ndarray:
-        """Lifted trajectory for a concrete input vector (Np+1, N)."""
-        return np.einsum("inp,p->in", self.G, u) + self.g
+    @property
+    def horizon(self) -> int:
+        return len(self.Y)
+
+    def free_response(self, x: Sequence[float]) -> np.ndarray:
+        """Outputs at offsets 1..Np from the measured state ``x`` with u = 0."""
+        g = np.zeros((self.horizon + 1, self.pred.n))
+        g[0] = self.pred.lift(np.asarray(x, dtype=float))
+        for i in range(self.horizon):
+            g[i + 1] = self.pred.A @ g[i] + self.drive + self.c
+        return (g @ self.out_row)[1:]
+
+    def linear_cost(self, y0: np.ndarray) -> tuple[np.ndarray, float]:
+        """Linear term f = 2q Y'(y0 - ref) and constant q |y0 - ref|^2."""
+        e = y0 - self.reference
+        return 2.0 * self.q_weight * (self.Y.T @ e), self.q_weight * float(e @ e)
 
 
-def condense(pred: LinearPredictor, z0: np.ndarray, horizon: int,
-             w_seq: Sequence[float], output_index: int = 5) -> CondensedHorizon:
-    """Unroll the predictor over ``horizon`` steps from lifted state ``z0``."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    w_seq = list(w_seq)
-    if len(w_seq) != horizon:
-        raise ValueError(f"need {horizon} disturbance samples, got {len(w_seq)}")
-    n = pred.n
-    A = pred.A
-    c = pred.affine_const()
-    G = np.zeros((horizon + 1, n, horizon))
-    g = np.zeros((horizon + 1, n))
-    g[0] = np.asarray(z0, dtype=float)
-    for i in range(horizon):
-        G[i + 1] = A @ G[i]
+def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon:
+    """Unroll the predictor over the controller's horizon, once per run.
+
+    The predictor's sampling period must be the controller's.
+    """
+    if pred.h != cfg.h:
+        raise ValueError(f"predictor sampled at h={pred.h:g} s, "
+                         f"controller at h={cfg.h:g} s")
+    np_h = cfg.horizon
+    G = np.zeros((np_h + 1, pred.n, np_h))
+    for i in range(np_h):
+        G[i + 1] = pred.A @ G[i]
         G[i + 1][:, i] += pred.b_u
-        g[i + 1] = A @ g[i] + pred.b_d * w_seq[i] + c
-    out_row = pred.C[output_index - 1]
-    y_coef = np.einsum("j,ijp->ip", out_row, G)
-    y_const = g @ out_row
-    return CondensedHorizon(G=G, g=g, y_coef=y_coef, y_const=y_const, horizon=horizon)
-
-
-def add_horizon_objective(builder: ProblemBuilder, cond: CondensedHorizon,
-                          u_names: Sequence[str], q_weight: float,
-                          r_weight: float, reference: float) -> None:
-    """Tracking cost sum_i { Q (y_{i+1} - ref)^2 + R u_i^2 } over the horizon."""
-    for i in range(cond.horizon):
-        builder.add_squared_cost(cond.y_expr(i + 1, u_names), q_weight,
-                                 target=reference)
-        builder.add_squared_cost(LinExpr.variable(u_names[i]), r_weight)
+    out_row = pred.C[cfg.output_index - 1]
+    Y = np.einsum("j,ijp->ip", out_row, G)[1:]
+    H = 2.0 * (cfg.q_weight * (Y.T @ Y) + cfg.r_weight * np.eye(np_h))
+    return CondensedHorizon(pred=pred, Y=Y, H=H, q_weight=cfg.q_weight,
+                            reference=cfg.reference, out_row=out_row,
+                            drive=pred.b_d * cfg.w_forecast, c=pred.affine_const())

@@ -135,10 +135,6 @@ class SolveResult:
     gap: float | None = None
     qp_solves: int = 0
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 class ProblemBuilder:
     """Accumulates one MIQP; not thread-safe, use one builder per problem."""
@@ -147,8 +143,7 @@ class ProblemBuilder:
         self._vars: list[_Var] = []
         self._index: dict[str, int] = {}
         self._rows: list[tuple[dict[str, float], float]] = []  # expr <= rhs
-        self._quad: dict[tuple[str, str], float] = {}
-        self._lin: dict[str, float] = {}
+        self._objective: list[tuple[list[int], np.ndarray, np.ndarray]] = []
         self._obj_const = 0.0
         self._infeasible: str | None = None
 
@@ -201,25 +196,15 @@ class ProblemBuilder:
 
     # -- objective -----------------------------------------------------------
 
-    def add_squared_cost(self, expr: Union[LinExpr, Number], weight: float,
-                         target: float = 0.0) -> None:
-        """Accumulate weight * (expr - target)^2 into the objective.
-
-        ``_quad`` stores monomial coefficients q_ij of x_i x_j with i <= j;
-        ``build`` converts them to the 0.5 x'Hx convention.
-        """
-        e = (expr if isinstance(expr, LinExpr) else LinExpr.constant(expr)) - target
-        names = list(e.coef)
-        for i, ni in enumerate(names):
-            ci = e.coef[ni]
-            for nj in names[i:]:
-                cj = e.coef[nj]
-                key = (ni, nj) if self._index[ni] <= self._index[nj] else (nj, ni)
-                factor = 1.0 if ni == nj else 2.0
-                self._quad[key] = self._quad.get(key, 0.0) + factor * weight * ci * cj
-        for ni in names:
-            self._lin[ni] = self._lin.get(ni, 0.0) + 2.0 * weight * e.coef[ni] * e.const
-        self._obj_const += weight * e.const ** 2
+    def add_quadratic(self, names: Iterable[str], H: np.ndarray, f: np.ndarray,
+                      const: float = 0.0) -> None:
+        """Add 0.5 v'Hv + f'v + const to the objective, v the named variables."""
+        idx = [self._index[n] for n in names]
+        if len(set(idx)) != len(idx):
+            raise ValueError("a quadratic term names a variable twice")
+        self._objective.append((idx, np.asarray(H, dtype=float),
+                                np.asarray(f, dtype=float)))
+        self._obj_const += float(const)
 
     # -- assembly ------------------------------------------------------------
 
@@ -227,16 +212,10 @@ class ProblemBuilder:
         n = len(self._vars)
         names = tuple(v.name for v in self._vars)
         H = np.zeros((n, n))
-        for (ni, nj), q in self._quad.items():
-            i, j = self._index[ni], self._index[nj]
-            if i == j:
-                H[i, i] += 2.0 * q
-            else:
-                H[i, j] += q
-                H[j, i] += q
         f = np.zeros(n)
-        for ni, c in self._lin.items():
-            f[self._index[ni]] += c
+        for idx, H_block, f_block in self._objective:
+            H[np.ix_(idx, idx)] += H_block
+            f[idx] += f_block
 
         A = np.zeros((len(self._rows), n))
         b = np.zeros(len(self._rows))

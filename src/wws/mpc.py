@@ -1,9 +1,10 @@
 """Receding-horizon control with temporal-logic constraints.
 
-Each step lifts the measured state, condenses the predictor over the
-horizon, encodes every specification over the concatenation of frozen
-history samples and decision-bound horizon samples, solves the resulting
-MIQP and applies the first input under zeroth-order hold.
+The predictor is condensed over the horizon once per run (``condense``).
+Each step lifts the measured state into its free response, encodes every
+specification over the concatenation of frozen history samples and
+decision-bound horizon samples, solves the resulting MIQP and applies the
+first input under zeroth-order hold.
 
 Specification windows follow the shrinking-horizon reading: past samples
 are constants, samples inside the horizon are decision variables, and
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import plant as plant_mod
-from .condense import add_horizon_objective, condense
+from .condense import CondensedHorizon, condense
 from .milp import LinExpr, ProblemBuilder
 from .miqp import solve_miqp
 from .plant import DivergenceError, PlantModel
@@ -54,7 +55,12 @@ def supply_spec(start_time_s: float) -> str:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Horizon, weights, bounds and specifications of the controller."""
+    """Horizon, weights, bounds and specifications of the controller.
+
+    The specifications are parsed once, at construction: ``specs`` keeps
+    the ``end`` token for the prefix monitor, ``formulas`` has it resolved
+    to ``end_time`` for the encoder.
+    """
 
     horizon: int = 10
     h: float = 60.0
@@ -68,6 +74,8 @@ class ControllerConfig:
     w_forecast: float = 10.0
     eps: float = 1e-6
     output_index: int = 5
+    specs: tuple[Formula, ...] = field(init=False, repr=False, compare=False)
+    formulas: tuple[Formula, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1 or self.h <= 0 or self.end_time <= 0:
@@ -76,13 +84,14 @@ class ControllerConfig:
             raise ValueError("weights must be positive")
         if self.end_time / self.h != round(self.end_time / self.h):
             raise ValueError("end_time must be a multiple of the sampling period")
+        specs = tuple(parse(text) for text in self.stl_specs)
+        object.__setattr__(self, "specs", specs)
+        object.__setattr__(self, "formulas",
+                           tuple(resolve_end(f, self.end_time) for f in specs))
 
     @property
     def n_steps(self) -> int:
         return int(round(self.end_time / self.h))
-
-    def formulas(self) -> list[Formula]:
-        return [resolve_end(parse(text), self.end_time) for text in self.stl_specs]
 
     def encoding(self) -> EncodingConfig:
         return EncodingConfig(
@@ -107,50 +116,44 @@ class StepResult:
         return self.status == "optimal"
 
 
-def build_step_problem(cfg: ControllerConfig, pred: LinearPredictor,
+def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
                        x_k: Sequence[float], k: int, y_hist: Sequence[float],
-                       u_hist: Sequence[float],
-                       formulas: Sequence[Formula] | None = None):
+                       u_hist: Sequence[float]):
     """Assemble the horizon MIQP at step ``k`` without solving it.
 
+    ``cond`` is ``condense(pred, cfg)``, shared by every step of a run.
     Returns ``(problem, u_names, n_binaries)``; usable directly for problem
-    dumps and cross-checking against external solvers.  The predictor's
-    sampling period must be the controller's.
+    dumps and cross-checking against external solvers.
     """
-    if pred.h != cfg.h:
-        raise ValueError(f"predictor sampled at h={pred.h:g} s, "
-                         f"controller at h={cfg.h:g} s")
     if len(y_hist) != k + 1:
         raise ValueError(f"need {k + 1} output samples, got {len(y_hist)}")
     if len(u_hist) != k:
         raise ValueError(f"need {k} applied inputs, got {len(u_hist)}")
-    np_h = cfg.horizon
+    np_h = cond.horizon
     builder = ProblemBuilder()
     u_names = [builder.add_continuous(f"u{k + i}", cfg.u_min, cfg.u_max)
                for i in range(np_h)]
-    z0 = pred.lift(np.asarray(x_k, dtype=float))
-    cond = condense(pred, z0, np_h, [cfg.w_forecast] * np_h, cfg.output_index)
-    add_horizon_objective(builder, cond, u_names, cfg.q_weight, cfg.r_weight,
-                          cfg.reference)
+    y0 = cond.free_response(x_k)
+    builder.add_quadratic(u_names, cond.H, *cond.linear_cost(y0))
 
     binding = {
         "y": {**{j: float(y_hist[j]) for j in range(k + 1)},
-              **{k + i: cond.y_expr(i, u_names) for i in range(1, np_h + 1)}},
+              **{k + 1 + i: LinExpr.combination(u_names, cond.Y[i], float(y0[i]))
+                 for i in range(np_h)}},
         "u": {**{j: float(u_hist[j]) for j in range(k)},
               **{k + i: LinExpr.variable(u_names[i]) for i in range(np_h)}},
     }
     enc_cfg = cfg.encoding()
     n_binaries = 0
-    for j, f in enumerate(formulas if formulas is not None else cfg.formulas()):
+    for j, f in enumerate(cfg.formulas):
         enc = encode_formula(builder, f, binding, 0, cfg.h, enc_cfg, name=f"stl{j}")
         n_binaries += len(enc.binaries)
     return builder.build(), u_names, n_binaries
 
 
-def plan_step(cfg: ControllerConfig, pred: LinearPredictor, x_k: Sequence[float],
+def plan_step(cfg: ControllerConfig, cond: CondensedHorizon, x_k: Sequence[float],
               k: int, y_hist: Sequence[float], u_hist: Sequence[float],
-              warm: dict[str, float] | None = None,
-              formulas: Sequence[Formula] | None = None) -> StepResult:
+              warm: dict[str, float] | None = None) -> StepResult:
     """Assemble and solve the horizon MIQP at step ``k``.
 
     ``y_hist`` holds measured outputs up to and including step ``k``;
@@ -158,8 +161,8 @@ def plan_step(cfg: ControllerConfig, pred: LinearPredictor, x_k: Sequence[float]
     optimal input, with the full solver assignment retained for warm
     starting the next step.
     """
-    problem, u_names, n_binaries = build_step_problem(cfg, pred, x_k, k, y_hist,
-                                                      u_hist, formulas)
+    problem, u_names, n_binaries = build_step_problem(cfg, cond, x_k, k, y_hist,
+                                                      u_hist)
     warm_binaries = _shift_warm(warm, problem) if warm else None
     res = solve_miqp(problem, warm_binaries=warm_binaries)
     u0 = None
@@ -210,7 +213,7 @@ class ClosedLoopTrace:
     Row ``k`` holds the state measured at time ``k h``, the input chosen at
     that time (the final row's input is planned but never applied) and the
     solver outcome.  ``robustness_so_far`` monitors each specification over
-    the realized prefix with the end token resolved to the current time.
+    the realized prefix, every window clipped to that prefix.
     """
 
     h: float
@@ -233,19 +236,13 @@ class ClosedLoopTrace:
     def n_infeasible(self) -> int:
         return sum(1 for s in self.statuses if s != "optimal")
 
-    def signal(self, upto: int | None = None) -> SampledSignal:
-        end = len(self.times) if upto is None else upto + 1
-        return SampledSignal(channels={"y": self.outputs[:end],
-                                       "u": self.inputs[:end]}, h=self.h)
+    def signal(self) -> SampledSignal:
+        return SampledSignal(channels={"y": self.outputs, "u": self.inputs}, h=self.h)
 
     def final_robustness(self) -> list[float]:
         """Realized robustness of each spec over the whole trace."""
         sig = self.signal()
-        out = []
-        for text in self.spec_texts:
-            f = resolve_end(parse(text), self.times[-1])
-            out.append(robustness(f, sig, 0))
-        return out
+        return [robustness(parse(text), sig, 0, prefix=True) for text in self.spec_texts]
 
     def write_csv(self, path: str | Path) -> None:
         header = plant_mod.TRAJECTORY_HEADER + ["status", "objective",
@@ -261,8 +258,7 @@ class ClosedLoopTrace:
                         repr(float(self.outputs[i])), self.statuses[i],
                         repr(float(self.objectives[i])) if np.isfinite(self.objectives[i]) else "",
                         str(int(self.binaries[i])), str(int(self.nodes[i]))]
-                row += [repr(float(v)) if np.isfinite(v) else "inf"
-                        for v in self.robustness_so_far[i]]
+                row += [repr(float(v)) for v in self.robustness_so_far[i]]
                 w.writerow(row)
 
 
@@ -280,9 +276,8 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
     if cfg.output_index != model.output_index:
         raise ValueError(f"controller reads x{cfg.output_index}, "
                          f"plant output is x{model.output_index}")
+    cond = condense(pred, cfg)
     n = cfg.n_steps
-    parsed = [parse(text) for text in cfg.stl_specs]
-    formulas = [resolve_end(f, cfg.end_time) for f in parsed]
     times = np.arange(n + 1) * cfg.h
     states = np.zeros((n + 1, plant_mod.N_STATES))
     inputs = np.zeros(n + 1)
@@ -307,8 +302,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         outputs[k] = y_k
         y_hist.append(y_k)
         t_plan = time.perf_counter()
-        step_res = plan_step(cfg, pred, x, k, y_hist, u_hist, warm=warm,
-                             formulas=formulas)
+        step_res = plan_step(cfg, cond, x, k, y_hist, u_hist, warm=warm)
         plan_seconds[k] = time.perf_counter() - t_plan
         statuses.append(step_res.status)
         if step_res.objective is not None:
@@ -324,8 +318,8 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         sig = SampledSignal(channels={"y": np.array(y_hist),
                                       "u": np.append(np.array(u_hist), u_k)},
                             h=cfg.h)
-        for j, spec in enumerate(parsed):
-            rob[k, j] = robustness(resolve_end(spec, times[k]), sig, 0)
+        for j, spec in enumerate(cfg.specs):
+            rob[k, j] = robustness(spec, sig, 0, prefix=True)
         if stop_on_infeasible and not step_res.feasible:
             last_k = k
             break
@@ -417,6 +411,8 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
                       jobs: int = 1) -> SweepResult:
     """Grid of closed-loop feasibility over initial temperature and deadline.
 
+    The sweep owns the specifications: every cell replaces ``cfg.stl_specs``
+    with the supply guarantee at its deadline and the power specification.
     Cells are independent closed loops; ``jobs > 1`` runs them in separate
     processes with identical per-cell results.
     """

@@ -270,9 +270,11 @@ def generate_dataset(model: PlantModel, cfg: DatasetConfig) -> Dataset:
 # Regression
 # ---------------------------------------------------------------------------
 
+RCOND = 1e-12  # relative singular-value cutoff of every pseudo-inverse fit
 
-def _equilibrated_pinv_fit(target: np.ndarray, regressor: np.ndarray,
-                           rcond: float) -> tuple[np.ndarray, dict]:
+
+def _equilibrated_pinv_fit(target: np.ndarray,
+                           regressor: np.ndarray) -> tuple[np.ndarray, dict]:
     """Least-squares fit  target ~= M @ regressor  via an SVD pseudo-inverse.
 
     Regressor rows are scaled to unit RMS before inversion (monomial rows
@@ -283,13 +285,13 @@ def _equilibrated_pinv_fit(target: np.ndarray, regressor: np.ndarray,
     scale = np.sqrt(np.mean(regressor ** 2, axis=1))
     scale[scale < 1e-300] = 1.0
     reg_s = regressor / scale[:, None]
-    m_scaled = target @ np.linalg.pinv(reg_s, rcond=rcond)
+    m_scaled = target @ np.linalg.pinv(reg_s, rcond=RCOND)
     m = m_scaled / scale[None, :]
     sv = np.linalg.svd(reg_s, compute_uv=False)
     resid = target - m @ regressor
     diag = {
         "cond": float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf"),
-        "rank": int(np.sum(sv > rcond * sv[0])),
+        "rank": int(np.sum(sv > RCOND * sv[0])),
         "rows": int(regressor.shape[0]),
         "residual_max": float(np.max(np.abs(resid))),
         "residual_rms": float(np.sqrt(np.mean(resid ** 2))),
@@ -297,8 +299,8 @@ def _equilibrated_pinv_fit(target: np.ndarray, regressor: np.ndarray,
     return m, diag
 
 
-def fit_linear_maps(Z: np.ndarray, U: np.ndarray, W: np.ndarray, Zp: np.ndarray,
-                    rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def fit_linear_maps(Z: np.ndarray, U: np.ndarray, W: np.ndarray,
+                    Zp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Estimate (A, b_u, b_d) from lifted snapshot pairs.
 
     Solves  Zp ~= [A, b_u, b_d] @ [Z; U; W]  in the least-squares sense with
@@ -311,42 +313,34 @@ def fit_linear_maps(Z: np.ndarray, U: np.ndarray, W: np.ndarray, Zp: np.ndarray,
     if k < n + 2:
         raise ValueError(f"need at least {n + 2} snapshot pairs, got {k}")
     regressor = np.vstack([Z, np.asarray(U, float)[None, :], np.asarray(W, float)[None, :]])
-    m, diag = _equilibrated_pinv_fit(Zp, regressor, rcond)
+    m, diag = _equilibrated_pinv_fit(Zp, regressor)
     if diag["rank"] < n + 2:
         warnings.warn(f"rank-deficient regressor (rank {diag['rank']} of {n + 2})")
     return m[:, :n], m[:, n], m[:, n + 1], diag
 
 
-def fit_edmd(obs: ObservableSet, X: np.ndarray, U: np.ndarray, W: np.ndarray,
-             Xp: np.ndarray, h: float, rcond: float = 1e-12,
-             meta: dict | None = None) -> LinearPredictor:
-    """Fit the lifted transition and read-out maps from raw snapshot pairs."""
-    X = np.asarray(X, dtype=float)
-    Xp = np.asarray(Xp, dtype=float)
-    Z = obs.lift(X)
-    Zp = obs.lift(Xp)
-    A, b_u, b_d, dyn_diag = fit_linear_maps(Z, U, W, Zp, rcond)
-    C, out_diag = _equilibrated_pinv_fit(X, Z, rcond)
-    info = dict(meta or {})
-    info["fit"] = {"dynamics": dyn_diag, "readout": out_diag,
-                   "K": int(X.shape[1]), "rcond": rcond}
-    return LinearPredictor(A=A, b_u=b_u, b_d=b_d, C=C, h=float(h),
-                           observables=obs, meta=info)
-
-
-def fit_edmd_from_dataset(obs: ObservableSet, data: Dataset,
-                          rcond: float = 1e-12) -> LinearPredictor:
+def fit_edmd_from_dataset(obs: ObservableSet, data: Dataset) -> LinearPredictor:
+    """Fit the lifted transition and read-out maps from a snapshot dataset."""
+    Z = obs.lift(data.X)
+    Zp = obs.lift(data.Xp)
+    A, b_u, b_d, dyn_diag = fit_linear_maps(Z, data.U, data.W, Zp)
+    C, out_diag = _equilibrated_pinv_fit(data.X, Z)
     meta = {"seed": data.config.seed, "K": data.config.K,
             "state_range": list(data.config.state_range),
             "u_band": list(data.config.u_band), "p_off": data.config.p_off,
-            "w0": data.config.w0}
-    return fit_edmd(obs, data.X, data.U, data.W, data.Xp, data.config.h,
-                    rcond=rcond, meta=meta)
+            "w0": data.config.w0,
+            "fit": {"dynamics": dyn_diag, "readout": out_diag,
+                    "K": int(data.X.shape[1]), "rcond": RCOND}}
+    return LinearPredictor(A=A, b_u=b_u, b_d=b_d, C=C, h=float(data.config.h),
+                           observables=obs, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # Equilibrium and local linearization
 # ---------------------------------------------------------------------------
+
+EQUILIBRIUM_TOL = 1e-10     # max-norm residual at which the Newton iteration stops
+EQUILIBRIUM_MAX_ITER = 100  # Newton iterations before EquilibriumError
 
 
 class EquilibriumError(RuntimeError):
@@ -366,14 +360,13 @@ class EquilibriumPoint:
 def find_equilibrium(model: PlantModel, w: float, target_y: float,
                      x_guess: Sequence[float] | None = None,
                      u_guess: float = 13.0,
-                     tol: float = 1e-10, max_iter: int = 100,
                      u_bounds: tuple[float, float] = (0.0, 26.5)) -> EquilibriumPoint:
     """Solve f(x, u, w) = 0 with the output pinned to ``target_y``.
 
     Damped Newton on the seven-equation system in (x, u).  Raises
     :class:`EquilibriumError` with the last residual when the iteration does
-    not reach ``tol``; an input outside ``u_bounds`` only sets a flag, since
-    the solved point is still a valid equilibrium of the dynamics.
+    not reach ``EQUILIBRIUM_TOL``; an input outside ``u_bounds`` only sets a
+    flag, since the solved point is still a valid equilibrium of the dynamics.
     """
     out = model.output_index - 1
     jac = model.jac()
@@ -387,9 +380,9 @@ def find_equilibrium(model: PlantModel, w: float, target_y: float,
         else np.full(plant_mod.N_STATES, float(target_y))
     u = float(u_guess)
     F = residual(x, u)
-    for _ in range(max_iter):
+    for _ in range(EQUILIBRIUM_MAX_ITER):
         norm_inf = np.max(np.abs(F))
-        if norm_inf <= tol:
+        if norm_inf <= EQUILIBRIUM_TOL:
             break
         J = np.zeros((7, 7))
         J[:6, :6] = jac(x)
@@ -414,10 +407,10 @@ def find_equilibrium(model: PlantModel, w: float, target_y: float,
                 f"line search stalled (residual {norm_inf:.3g})", norm_inf)
         x, u, F = xn, un, Fn
     norm_inf = float(np.max(np.abs(F)))
-    if norm_inf > tol:
+    if norm_inf > EQUILIBRIUM_TOL:
         raise EquilibriumError(
-            f"no convergence after {max_iter} iterations (residual {norm_inf:.3g})",
-            norm_inf)
+            f"no convergence after {EQUILIBRIUM_MAX_ITER} iterations "
+            f"(residual {norm_inf:.3g})", norm_inf)
     in_bounds = bool(u_bounds[0] <= u <= u_bounds[1])
     if not in_bounds:
         warnings.warn(f"equilibrium input {u:.4g} kW outside {u_bounds}")
@@ -442,8 +435,7 @@ def zoh_discretize(A_c: np.ndarray, B_c: np.ndarray, h: float) -> tuple[np.ndarr
 
 
 def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
-                    w_star: float, h: float,
-                    check_equilibrium: bool = True) -> LinearPredictor:
+                    w_star: float, h: float) -> LinearPredictor:
     """Local-linearization predictor at an equilibrium, absolute interface.
 
     The continuous-time Jacobians are evaluated analytically, discretized
@@ -453,7 +445,7 @@ def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
     """
     x_star = np.asarray(x_star, dtype=float)
     resid = float(np.max(np.abs(model.rhs(u_star, w_star)(x_star))))
-    if check_equilibrium and resid > 1e-6:
+    if resid > 1e-6:
         raise ValueError(f"(x*, u*) is not an equilibrium (|f| = {resid:.3g})")
     A_c = model.jac()(x_star)
     B = np.column_stack([model.input_direction(), model.disturbance_direction()])

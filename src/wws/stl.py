@@ -382,24 +382,33 @@ class SampledSignal:
         return {ch: float(v[t_index]) for ch, v in self.channels.items()}
 
 
-def _window_indices(t: int, a: float, b: Bound, h: float) -> range:
-    if isinstance(b, _End):
+def _window_indices(t: int, a: float, b: Bound, h: float,
+                    last: int | None = None) -> range:
+    """Samples of the window [a, b] at ``t``, clipped to ``last`` if given."""
+    hi = math.inf if isinstance(b, _End) else t + math.floor(b / h + 1e-9)
+    if last is not None:
+        hi = min(hi, last)
+    elif isinstance(b, _End):
         raise StlEvaluationError("unbounded interval: resolve 'end' first")
     lo = t + math.ceil(a / h - 1e-9)
-    hi = t + math.floor(b / h + 1e-9)
     return range(lo, hi + 1)
 
 
 def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
-               strict_shift: float = 0.0) -> float:
+               strict_shift: float = 0.0, prefix: bool = False) -> float:
     """Quantitative robustness of ``f`` at sample ``t_index``.
 
     Positive means satisfied with slack.  ``strict_shift`` subtracts a
     margin from strict predicates only; the mixed-integer encoder replaces
     strictness with an epsilon, and passing that epsilon here makes the
     monitor the exact feasibility oracle for the encoding.
+
+    With ``prefix`` the signal is a realized prefix: every window is clipped
+    to its last sample and ``end`` means that sample, so samples not yet
+    realized are left out instead of raising.
     """
     n = signal.length
+    last = n - 1 if prefix else None
 
     def ev(node: Formula, t: int) -> float:
         if isinstance(node, Pred):
@@ -418,13 +427,13 @@ def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
         if isinstance(node, Or):
             return max(ev(c, t) for c in node.children)
         if isinstance(node, Alw):
-            idx = _window_indices(t, node.a, node.b, signal.h)
+            idx = _window_indices(t, node.a, node.b, signal.h, last)
             return min((ev(node.child, i) for i in idx), default=math.inf)
         if isinstance(node, Ev):
-            idx = _window_indices(t, node.a, node.b, signal.h)
+            idx = _window_indices(t, node.a, node.b, signal.h, last)
             return max((ev(node.child, i) for i in idx), default=-math.inf)
         if isinstance(node, Until):
-            idx = _window_indices(t, node.a, node.b, signal.h)
+            idx = _window_indices(t, node.a, node.b, signal.h, last)
             best = -math.inf
             for tp in idx:
                 rho2 = ev(node.right, tp)

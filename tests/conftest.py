@@ -2,7 +2,7 @@ import pytest
 from dataclasses import replace
 
 from wws import predictor as P
-from wws.mpc import ControllerConfig
+from wws.mpc import ControllerConfig, condense
 from wws.plant import PlantModel
 
 
@@ -28,6 +28,11 @@ def demo_cfg():
     # reference above the supply floor keeps the hard constraint slack, so
     # model error cannot push the realized trace below it (see README)
     return replace(ControllerConfig(), reference=42.0, r_weight=0.02)
+
+
+@pytest.fixture(scope="session")
+def demo_cond(demo_predictor, demo_cfg):
+    return condense(demo_predictor, demo_cfg)
 
 
 @pytest.fixture(scope="session")

@@ -51,7 +51,7 @@ def random_miqp(rng: np.random.Generator, max_binaries: int = 8) -> MiqpProblem:
     xs = [b.add_continuous(f"x{i}", -5.0, 5.0) for i in range(nc)]
     ps = [b.add_binary(f"p{i}") for i in range(nb)]
     for x in xs:
-        b.add_squared_cost(LinExpr.variable(x), 1.0, target=float(rng.normal()))
+        add_squared_cost(b, LinExpr.variable(x), 1.0, target=float(rng.normal()))
     costs = {p: float(rng.normal()) for p in ps}
     for _ in range(int(rng.integers(1, 2 + nb))):
         expr = LinExpr.constant(0.0)
@@ -62,6 +62,16 @@ def random_miqp(rng: np.random.Generator, max_binaries: int = 8) -> MiqpProblem:
         b.add_leq(expr, float(rng.normal(1.0, 1.0)))
     # a binary may appear only in the cost, which is added after the build
     return add_linear_cost(b.build(validate=False), costs)
+
+
+def add_squared_cost(builder: ProblemBuilder, expr: LinExpr | float, weight: float,
+                     target: float = 0.0) -> None:
+    """Add weight * (expr - target)^2 to the builder's objective."""
+    e = (expr if isinstance(expr, LinExpr) else LinExpr.constant(expr)) - target
+    names = list(e.coef)
+    c = np.array([e.coef[n] for n in names])
+    builder.add_quadratic(names, 2.0 * weight * np.outer(c, c),
+                          2.0 * weight * e.const * c, weight * e.const ** 2)
 
 
 def add_linear_cost(problem: MiqpProblem, weights: Mapping[str, float]) -> MiqpProblem:

@@ -8,6 +8,7 @@ from wws import mpc
 from wws.cli import main
 from wws.plant import PlantModel
 from wws.predictor import LinearPredictor
+from wws.stl import SampledSignal, parse, robustness
 
 from oracles import read_sweep_csv, read_trace_csv
 
@@ -266,6 +267,12 @@ def test_sampling_period_mismatch_rejected(tmp_path, demo_pred_file, capsys):
     notes = json.loads((out / "sweep_notes.json").read_text())["notes"]
     assert all(n.startswith("error: predictor sampled at h=60 s") for n in notes.values())
     assert len(notes) == 2
+    code = main(["bench", "--plant", "demo", "--predictor", str(demo_pred_file),
+                 "--h", "30", "--bench-rollouts", "2", "--bench-steps", "2",
+                 "--out", str(tmp_path / "bench")])
+    assert code == 1
+    assert "predictor sampled at h=60 s, plant stepped at h=30 s" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_output_index_taken_from_plant(tmp_path, demo_pred_file):
@@ -280,3 +287,39 @@ def test_output_index_taken_from_plant(tmp_path, demo_pred_file):
     with pytest.raises(ValueError, match="controller reads x5, plant output is x4"):
         mpc.run_closed_loop(PlantModel.from_json(plant_file), mpc.ControllerConfig(),
                             LinearPredictor.from_json(demo_pred_file), np.full(6, 15.0))
+
+
+@pytest.mark.parametrize("spec", ["alw_[0,600] (y >= 10)", "ev_[600,900] (y >= 43)"])
+def test_monitor_clips_numeric_windows_to_the_prefix(tmp_path, demo_pred_file, spec):
+    # before the window's end is realized, the monitor reads the samples so far
+    spec_file = tmp_path / "b.stl"
+    spec_file.write_text(spec + "\n")
+    out = tmp_path / "run"
+    code = main(["run", *RUN_FLAGS, "--predictor", str(demo_pred_file),
+                 "--stl-file", str(spec_file), "--out", str(out)])
+    assert code in (0, 2)
+    cols = read_trace_csv(out / "trace.csv")
+    assert len(cols["t"]) == 21
+    y, u = np.array(cols["y"]), np.array(cols["u"])
+    for k in range(len(y)):
+        sig = SampledSignal(channels={"y": y[:k + 1], "u": u[:k + 1]}, h=60.0)
+        assert cols["rob0"][k] == robustness(parse(spec), sig, 0, prefix=True)
+    if spec.startswith("ev"):
+        assert cols["rob0"][:10] == [-np.inf] * 10
+
+
+@pytest.mark.parametrize("var, name", [("WWS_STL_FILE", "stl_file"),
+                                       ("WWS_NO_STL", "no_stl")])
+def test_sweep_refuses_configured_specs(tmp_path, demo_pred_file, monkeypatch,
+                                        capsys, var, name):
+    # each sweep cell sets its own specs; a configured set must not be dropped silently
+    spec_file = tmp_path / "s.stl"
+    spec_file.write_text("\n".join([mpc.DEFAULT_SUPPLY_SPEC, mpc.DEFAULT_POWER_SPEC,
+                                    "alw_[0,end] (u <= 0.5)"]) + "\n")
+    monkeypatch.setenv(var, str(spec_file) if name == "stl_file" else "1")
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--plant", "demo", "--predictor", str(demo_pred_file),
+                 "--initial-temps", "15", "--start-times", "420", "--out", str(out)])
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
-from wws.condense import add_horizon_objective, condense
-from wws.milp import ProblemBuilder
-from wws.mpc import ControllerConfig
+from wws import mpc
+from wws.condense import condense
+from wws.mpc import ControllerConfig, build_step_problem, run_closed_loop
 from wws.predictor import IDENTITY_OBSERVABLES, LinearPredictor
 from wws.qp import solve_qp
 
@@ -14,73 +15,72 @@ def _identity_predictor(A, b_u, b_d, h=60.0):
                            observables=IDENTITY_OBSERVABLES)
 
 
+def _tracking_cfg(**kwargs):
+    return ControllerConfig(stl_specs=(), **kwargs)
+
+
 def test_single_step_unrolling():
     rng = np.random.default_rng(0)
     A = rng.normal(0, 0.3, size=(6, 6))
     bu = rng.normal(size=6)
     bd = rng.normal(size=6)
     pred = _identity_predictor(A, bu, bd)
+    cond = condense(pred, _tracking_cfg(horizon=1, w_forecast=3.0))
     z0 = rng.normal(size=6)
-    cond = condense(pred, z0, 1, [3.0])
     u0 = 1.7
-    z1 = cond.G[1] @ np.array([u0]) + cond.g[1]
-    assert np.allclose(z1, A @ z0 + bu * u0 + bd * 3.0, atol=1e-14)
-    assert np.array_equal(cond.G[0], np.zeros((6, 1)))
-    assert np.array_equal(cond.g[0], z0)
+    y1 = cond.Y[0, 0] * u0 + cond.free_response(z0)[0]
+    assert y1 == pytest.approx((A @ z0 + bu * u0 + bd * 3.0)[4], abs=1e-14)
 
 
 def test_scalar_toy_running_sum():
+    # with identity dynamics and unit input direction, y_{i+1} = sum_{k<=i} u_k
     pred = _identity_predictor(np.eye(6), np.ones(6), np.zeros(6))
-    cond = condense(pred, np.zeros(6), 5, [0.0] * 5)
-    u = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    Z = cond.rollout(u)
-    # with identity dynamics and unit input direction, z_i = sum_{k<i} u_k
-    partial = np.concatenate([[0.0], np.cumsum(u)])
-    for i in range(6):
-        assert np.allclose(Z[i], partial[i])
+    cond = condense(pred, _tracking_cfg(horizon=5))
+    assert np.array_equal(cond.Y, np.tril(np.ones((5, 5))))
+    assert np.array_equal(cond.free_response(np.zeros(6)), np.zeros(5))
 
 
 def test_condensed_rollout_matches_iterated_predictor(demo_predictor):
     rng = np.random.default_rng(1)
-    x0 = rng.uniform(10, 40, size=6)
-    u = rng.uniform(0, 26.5, size=10)
-    w = rng.uniform(5, 15, size=10)
-    z0 = demo_predictor.lift(x0)
-    cond = condense(demo_predictor, z0, 10, w)
-    Z = cond.rollout(u)
-    z = z0.copy()
-    c = demo_predictor.affine_const()
-    for i in range(10):
-        assert np.max(np.abs(Z[i] - z)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
-        z = demo_predictor.A @ z + demo_predictor.b_u * u[i] \
-            + demo_predictor.b_d * w[i] + c
-    assert np.max(np.abs(Z[10] - z)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
+    cfg = _tracking_cfg(w_forecast=float(rng.uniform(5, 15)))
+    cond = condense(demo_predictor, cfg)
+    for _ in range(4):
+        x0 = rng.uniform(10, 40, size=6)
+        u = rng.uniform(0, 26.5, size=cfg.horizon)
+        y = demo_predictor.predict(x0, u, [cfg.w_forecast] * cfg.horizon)[1:, 4]
+        got = cond.Y @ u + cond.free_response(x0)
+        assert np.max(np.abs(got - y)) <= 1e-10 * np.max(np.abs(y))
 
 
-def test_y_expr_matches_rollout(demo_predictor):
-    rng = np.random.default_rng(2)
-    x0 = rng.uniform(10, 40, size=6)
-    u = rng.uniform(0, 26.5, size=4)
-    cond = condense(demo_predictor, demo_predictor.lift(x0), 4, [10.0] * 4)
-    names = [f"u{i}" for i in range(4)]
-    assign = dict(zip(names, u))
-    for i in range(5):
-        expr = cond.y_expr(i, names)
-        assert expr.value(assign) == pytest.approx(cond.rollout(u)[i][4], abs=1e-9)
+def test_objective_matches_expanded_tracking_cost(demo_predictor):
+    # expand sum_i q (y_i - ref)^2 + r u_i^2 with y = M u + y0 read off
+    # predictor rollouts, independently of the condensed recursion
+    cfg = _tracking_cfg(q_weight=1.5, r_weight=0.3, reference=42.0)
+    x0 = np.full(6, 15.0)
+    n, w = cfg.horizon, [cfg.w_forecast] * cfg.horizon
+    y0 = demo_predictor.predict(x0, np.zeros(n), w)[1:, 4]
+    M = np.column_stack([demo_predictor.predict(x0, np.eye(n)[j], w)[1:, 4] - y0
+                         for j in range(n)])
+    H = 2.0 * (cfg.q_weight * M.T @ M + cfg.r_weight * np.eye(n))
+    f = 2.0 * cfg.q_weight * M.T @ (y0 - cfg.reference)
+    const = cfg.q_weight * np.sum((y0 - cfg.reference) ** 2)
+
+    problem, u_names, _ = build_step_problem(cfg, condense(demo_predictor, cfg),
+                                             x0, 0, [15.0], [])
+    assert list(problem.names) == u_names
+    assert np.max(np.abs(problem.H - H)) <= 1e-12 * np.max(np.abs(H))
+    assert np.max(np.abs(problem.f - f)) <= 1e-12 * np.max(np.abs(f))
+    assert abs(problem.obj_const - const) <= 1e-12 * const
 
 
 def test_unconstrained_tracking_hits_reference():
-    # toy: y_1 = u_0 exactly; Q = 1, R = 0 -> minimizer is the reference
-    A = np.zeros((6, 6))
+    # toy: y_1 = u_0 exactly; Q = 1, R = 1e-9 -> minimizer 40 / (1 + 1e-9)
     bu = np.zeros(6)
     bu[4] = 1.0
-    pred = _identity_predictor(A, bu, np.zeros(6))
-    cond = condense(pred, np.zeros(6), 1, [0.0])
-    builder = ProblemBuilder()
-    u0 = builder.add_continuous("u0", 0.0, 100.0)
-    add_horizon_objective(builder, cond, [u0], q_weight=1.0, r_weight=0.0,
-                          reference=40.0)
-    prob = builder.build()
+    pred = _identity_predictor(np.zeros((6, 6)), bu, np.zeros(6))
+    cfg = _tracking_cfg(horizon=1, reference=40.0, r_weight=1e-9, u_max=100.0)
+    prob, _, _ = build_step_problem(cfg, condense(pred, cfg), np.zeros(6), 0,
+                                    [0.0], [])
     res = solve_qp(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
                    obj_const=prob.obj_const)
     assert res.x[0] == pytest.approx(40.0, abs=1e-7)
@@ -95,15 +95,25 @@ def test_default_weights():
 
 
 def test_full_horizon_hessian_is_psd(demo_predictor):
-    builder = ProblemBuilder()
-    names = [builder.add_continuous(f"u{i}", 0.0, 26.5) for i in range(10)]
-    cond = condense(demo_predictor, demo_predictor.lift(np.full(6, 15.0)),
-                    10, [10.0] * 10)
-    add_horizon_objective(builder, cond, names, 1.0, 10.0, 40.0)
-    prob = builder.build()  # build() already validates PSD
-    eigs = np.linalg.eigvalsh(prob.H)
-    assert eigs.min() >= -1e-8 * max(1.0, eigs.max())
+    H = condense(demo_predictor, ControllerConfig()).H
+    assert np.array_equal(H, H.T)
+    eigs = np.linalg.eigvalsh(H)
     assert eigs.min() >= 2.0 * 10.0 - 1e-9  # the R-block guarantees strict convexity
+
+
+def test_one_condense_per_closed_loop(monkeypatch, demo_model, demo_cfg, demo_predictor):
+    calls = []
+    original = mpc.condense
+
+    def counting(pred, cfg):
+        calls.append(cfg)
+        return original(pred, cfg)
+
+    monkeypatch.setattr(mpc, "condense", counting)
+    cfg = replace(demo_cfg, end_time=240.0)
+    trace = run_closed_loop(demo_model, cfg, demo_predictor, np.full(6, 15.0))
+    assert len(trace.statuses) == cfg.n_steps + 1
+    assert calls == [cfg]
 
 
 def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibrium):
@@ -125,11 +135,8 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
     q_w, r_w, ref = 1.0, 10.0, 40.0
 
     # condensed
-    cond = condense(pred, pred.lift(x0), np_h, w)
-    builder = ProblemBuilder()
-    names = [builder.add_continuous(f"u{i}", 0.0, 26.5) for i in range(np_h)]
-    add_horizon_objective(builder, cond, names, q_w, r_w, ref)
-    p1 = builder.build()
+    cfg = _tracking_cfg(horizon=np_h, q_weight=q_w, r_weight=r_w, reference=ref)
+    p1, _, _ = build_step_problem(cfg, condense(pred, cfg), x0, 0, [30.0], [])
     r1 = solve_qp(p1.H, p1.f, p1.A, p1.b, p1.lb, p1.ub, obj_const=p1.obj_const)
 
     # explicit lifted states: v = (u_0..u_{Np-1}, z_0, .., z_Np), E v = d

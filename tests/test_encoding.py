@@ -6,7 +6,7 @@ from wws.milp import LinExpr, ProblemBuilder
 from wws.miqp import solve_miqp
 from wws.stl import EncodingConfig, StlEncodingError, encode_formula
 
-from oracles import encode_fixed_signal, milp_feasible, soundness_case
+from oracles import add_squared_cost, encode_fixed_signal, milp_feasible, soundness_case
 
 CFG = EncodingConfig(channel_bounds={"y": (-50.0, 150.0), "u": (0.0, 26.5)})
 POWER_BAND = "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"
@@ -89,7 +89,7 @@ def test_power_band_selects_off_branch_when_cheap():
     f = stl.resolve_end(stl.parse(
         "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"), 0.0)
     encode_formula(builder, f, binding, 0, 60.0, CFG)
-    builder.add_squared_cost(LinExpr.variable(u0), 1.0)
+    add_squared_cost(builder, LinExpr.variable(u0), 1.0)
     res = solve_miqp(builder.build())
     assert res.status == "optimal"
     u = res.assignment["u0"]

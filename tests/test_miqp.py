@@ -6,7 +6,7 @@ from wws import miqp
 from wws.miqp import MiqpError, solve_miqp
 from wws.qp import solve_qp
 
-from oracles import enumerate_miqp, max_violation, random_miqp
+from oracles import add_squared_cost, enumerate_miqp, max_violation, random_miqp
 
 
 def _band_problem(y0=42.0, gain=0.1):
@@ -20,15 +20,15 @@ def _band_problem(y0=42.0, gain=0.1):
     stl.encode_formula(b, f, binding, 0, 60.0,
                        stl.EncodingConfig(channel_bounds={"u": (0.0, 26.5)}))
     y1 = y0 + gain * LinExpr.variable(u0)
-    b.add_squared_cost(y1, 1.0, target=40.0)
-    b.add_squared_cost(LinExpr.variable(u0), 10.0)
+    add_squared_cost(b, y1, 1.0, target=40.0)
+    add_squared_cost(b, LinExpr.variable(u0), 10.0)
     return b.build()
 
 
 def test_no_binaries_reduces_to_qp():
     b = ProblemBuilder()
     x = b.add_continuous("x", -4.0, 4.0)
-    b.add_squared_cost(LinExpr.variable(x), 1.0, target=3.0)
+    add_squared_cost(b, LinExpr.variable(x), 1.0, target=3.0)
     b.add_leq(LinExpr.variable(x), 2.0)
     prob = b.build()
     res = solve_miqp(prob)
@@ -206,7 +206,7 @@ def test_build_drops_rows_no_box_point_can_violate():
     b.add_leq(x + 2.0 * y + p, 29.5)      # binding at a corner: kept
     b.add_leq(x - 26.5 * p, 0.0)          # violable: kept
     b.add_geq(3e-14 * x, 1.0)             # violated by every box point: kept
-    b.add_squared_cost(x, 1.0)
+    add_squared_cost(b, x, 1.0)
     prob = b.build()
     assert prob.A.shape == (3, 3)
     assert np.array_equal(prob.b, [29.5, 0.0, -1.0])

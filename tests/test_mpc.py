@@ -24,40 +24,40 @@ def _in_band(u, eps=1e-6, slack=1e-7):
     return off or run
 
 
-def test_plan_step_infeasible_on_violated_history(demo_cfg, demo_predictor):
+def test_plan_step_infeasible_on_violated_history(demo_cfg, demo_cond):
     # a recorded sample below the floor inside the supply window is final
     y_hist = [15.0, 20.0, 30.0, 35.0, 38.0, 41.0, 42.0, 39.0, 42.0]
     u_hist = [22.0] * 8
-    res = plan_step(demo_cfg, demo_predictor, np.full(6, 42.0), 8, y_hist, u_hist)
+    res = plan_step(demo_cfg, demo_cond, np.full(6, 42.0), 8, y_hist, u_hist)
     assert res.status == "infeasible"
     assert "fixed samples" in (res.infeasible_reason or "")
     assert res.nodes == 0  # no search needed: constants already decide
 
 
-def test_plan_step_initial_heating(demo_cfg, demo_predictor):
-    res = plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [])
+def test_plan_step_initial_heating(demo_cfg, demo_cond):
+    res = plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [])
     assert res.status == "optimal"
     assert 21.2 - 1e-7 <= res.u0 <= 26.5 + 1e-7  # heating required, pump on
 
 
-def test_plan_step_without_specs_is_plain_tracking(demo_cfg, demo_predictor):
+def test_plan_step_without_specs_is_plain_tracking(demo_cfg, demo_cond):
     cfg = replace(demo_cfg, stl_specs=())
-    res = plan_step(cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [])
+    res = plan_step(cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [])
     assert res.status == "optimal"
     assert res.binaries == 0
     assert res.nodes == 1
 
 
-def test_plan_step_validates_history_lengths(demo_cfg, demo_predictor):
+def test_plan_step_validates_history_lengths(demo_cfg, demo_cond):
     with pytest.raises(ValueError, match="output samples"):
-        plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 1, [15.0], [])
+        plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 1, [15.0], [])
     with pytest.raises(ValueError, match="applied inputs"):
-        plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 1, [15.0, 16.0], [1.0, 2.0])
+        plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 1, [15.0, 16.0], [1.0, 2.0])
 
 
-def test_warm_start_consistency(demo_cfg, demo_predictor):
-    cold = plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [])
-    warm = plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [],
+def test_warm_start_consistency(demo_cfg, demo_cond):
+    cold = plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [])
+    warm = plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [],
                      warm=cold.assignment)
     assert warm.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)

@@ -129,7 +129,7 @@ def test_random_leaves_agree_with_highs():
     assert 0 < infeasible < len(qps)
 
 
-def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_predictor):
+def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_cond):
     qps = []
     original = miqp.solve_qp
 
@@ -138,7 +138,7 @@ def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_predic
         return original(H, f, A, b, lb, ub, **kwargs)
 
     monkeypatch.setattr(miqp, "solve_qp", capture)
-    res = plan_step(demo_cfg, demo_predictor, np.full(6, 15.0), 0, [15.0], [])
+    res = plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [])
     assert res.status == "optimal" and res.nodes > 1
     infeasible = _agrees_with_highs(qps, stationarity_tol=1e-6)
     assert 0 < infeasible < len(qps)
