@@ -220,10 +220,10 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     x0 = np.full(plant_mod.N_STATES, cfg.x0)
     if cfg.dump_lp:
-        problem, _, _ = mpc.build_step_problem(
+        step = mpc.build_step_problem(
             controller, mpc.condense(predictor, controller), x0, 0,
             [plant_mod.output(x0, model.output_index)], [])
-        dump_lp(problem, cfg.dump_lp)
+        dump_lp(step.problem, cfg.dump_lp)
     t0 = time.perf_counter()
     trace = mpc.run_closed_loop(model, controller, predictor, x0)
     wall = time.perf_counter() - t0

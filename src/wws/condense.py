@@ -66,7 +66,9 @@ class CondensedHorizon:
 def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon:
     """Unroll the predictor over the controller's horizon, once per run.
 
-    The predictor's sampling period must be the controller's.
+    The predictor's sampling period must be the controller's.  The Hessian
+    is checked positive semidefinite here, once per run: ``ProblemBuilder``
+    leaves curvature to its callers, and every step problem reuses it.
     """
     if pred.h != cfg.h:
         raise ValueError(f"predictor sampled at h={pred.h:g} s, "
@@ -79,6 +81,9 @@ def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon
     out_row = pred.C[cfg.output_index - 1]
     Y = np.einsum("j,ijp->ip", out_row, G)[1:]
     H = 2.0 * (cfg.q_weight * (Y.T @ Y) + cfg.r_weight * np.eye(np_h))
+    w = np.linalg.eigvalsh(H)
+    if w.min() < -1e-8 * (1.0 + float(np.max(np.abs(H)))):
+        raise ValueError(f"objective quadratic term not PSD (min eig {w.min():.3g})")
     return CondensedHorizon(pred=pred, Y=Y, H=H, q_weight=cfg.q_weight,
                             reference=cfg.reference, out_row=out_row,
                             drive=pred.b_d * cfg.w_forecast, c=pred.affine_const())

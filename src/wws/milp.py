@@ -1,12 +1,15 @@
 """Containers for mixed-integer quadratic programs.
 
 ``LinExpr`` is a small affine-expression type over named variables;
-``ProblemBuilder`` accumulates variables, linear rows ``A x <= b`` and
-quadratic cost and freezes everything into a dense ``MiqpProblem``, without
-the rows that no point of the variable box can violate.  The condensed step
-problem has no equality rows: eliminating the lifted states removes the
-predictor dynamics, and an equality would only pin a variable, which its
-box already does.  Every variable carries a finite box (the
+``ProblemBuilder`` accumulates variables, linear rows ``A x <= b`` (one at
+a time from expressions, or as dense blocks from arrays, the way the
+controller's step problems arrive) and quadratic cost, and freezes
+everything into a dense ``MiqpProblem``, without the rows that no point of
+the variable box can violate.  Freezing checks structure only (symmetry,
+every binary used); the curvature of H belongs to whoever formed it.  The
+condensed step problem has no equality rows: eliminating the lifted states
+removes the predictor dynamics, and an equality would only pin a variable,
+which its box already does.  Every variable carries a finite box (the
 solvers rely on bounded feasible sets), binaries are flagged in a mask, and
 the objective convention is
 
@@ -18,6 +21,7 @@ problems against external solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Union
@@ -86,14 +90,6 @@ class LinExpr:
         return " ".join(parts)
 
 
-@dataclass
-class _Var:
-    name: str
-    lb: float
-    ub: float
-    binary: bool
-
-
 @dataclass(frozen=True)
 class MiqpProblem:
     """Frozen dense MIQP: minimize 0.5 x'Hx + f'x + const over the rows."""
@@ -140,9 +136,13 @@ class ProblemBuilder:
     """Accumulates one MIQP; not thread-safe, use one builder per problem."""
 
     def __init__(self):
-        self._vars: list[_Var] = []
+        self._names: list[str] = []
+        self._lb: list[float] = []
+        self._ub: list[float] = []
+        self._binary: list[bool] = []
         self._index: dict[str, int] = {}
-        self._rows: list[tuple[dict[str, float], float]] = []  # expr <= rhs
+        # row blocks A_blk x[cols] <= b_blk, in the order they were added
+        self._blocks: list[tuple[list[int], np.ndarray, np.ndarray]] = []
         self._objective: list[tuple[list[int], np.ndarray, np.ndarray]] = []
         self._obj_const = 0.0
         self._infeasible: str | None = None
@@ -150,18 +150,29 @@ class ProblemBuilder:
     # -- variables ---------------------------------------------------------
 
     def add_continuous(self, name: str, lb: float, ub: float) -> str:
-        if name in self._index:
-            raise ValueError(f"duplicate variable {name!r}")
-        if not (np.isfinite(lb) and np.isfinite(ub) and lb <= ub):
-            raise ValueError(f"variable {name!r} needs a finite box, got [{lb}, {ub}]")
-        self._index[name] = len(self._vars)
-        self._vars.append(_Var(name, float(lb), float(ub), binary=False))
+        self.add_variables([name], lb, ub, [False])
         return name
 
     def add_binary(self, name: str) -> str:
-        self.add_continuous(name, 0.0, 1.0)
-        self._vars[-1].binary = True
+        self.add_variables([name], 0.0, 1.0, [True])
         return name
+
+    def add_variables(self, names: Iterable[str], lb: float, ub: float,
+                      binary: Iterable[bool]) -> None:
+        """Add variables sharing the box [lb, ub]; ``binary`` flags each."""
+        names = list(names)
+        if not (math.isfinite(lb) and math.isfinite(ub) and lb <= ub):
+            raise ValueError(f"variables {names} need a finite box, got [{lb}, {ub}]")
+        if len(set(names)) != len(names) or not self._index.keys().isdisjoint(names):
+            seen = set(self._index)
+            dup = next(n for n in names if n in seen or seen.add(n))
+            raise ValueError(f"duplicate variable {dup!r}")
+        start = len(self._names)
+        self._index.update(zip(names, range(start, start + len(names))))
+        self._names += names
+        self._binary += [bool(v) for v in binary]
+        self._lb += [float(lb)] * len(names)
+        self._ub += [float(ub)] * len(names)
 
     # -- constraints ---------------------------------------------------------
 
@@ -177,10 +188,32 @@ class ProblemBuilder:
     def add_leq(self, lhs, rhs) -> None:
         coef, b = self._normalize(lhs, rhs)
         if not coef:
-            if b < -1e-12:
-                self.mark_infeasible(f"constant constraint violated ({-b:.3g} > 0)")
+            self._constant_row(b)
             return
-        self._rows.append((coef, b))
+        self._blocks.append(([self._index[n] for n in coef],
+                             np.array([list(coef.values())]), np.array([b])))
+
+    def add_rows(self, names: Iterable[str], A: np.ndarray, b: np.ndarray) -> None:
+        """Add the rows ``A v <= b``, ``v`` the named variables.
+
+        A row with no nonzero coefficient is a constant and folds away here,
+        as in ``add_leq``.
+        """
+        cols = [self._index[n] for n in names]
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        live = A.any(axis=1)
+        if not live.all():
+            for rhs in b[~live]:
+                self._constant_row(float(rhs))
+            A, b = A[live], b[live]
+        if len(b):
+            self._blocks.append((cols, A, b))
+
+    def _constant_row(self, b: float) -> None:
+        """The row ``0 <= b``."""
+        if b < -1e-12:
+            self.mark_infeasible(f"constant constraint violated ({-b:.3g} > 0)")
 
     def add_geq(self, lhs, rhs) -> None:
         self.add_leq(rhs if isinstance(rhs, LinExpr) else LinExpr.constant(rhs),
@@ -198,7 +231,11 @@ class ProblemBuilder:
 
     def add_quadratic(self, names: Iterable[str], H: np.ndarray, f: np.ndarray,
                       const: float = 0.0) -> None:
-        """Add 0.5 v'Hv + f'v + const to the objective, v the named variables."""
+        """Add 0.5 v'Hv + f'v + const to the objective, v the named variables.
+
+        ``H`` must be symmetric positive semidefinite: ``build`` checks the
+        symmetry but not the curvature, which is the caller's to ensure.
+        """
         idx = [self._index[n] for n in names]
         if len(set(idx)) != len(idx):
             raise ValueError("a quadratic term names a variable twice")
@@ -209,23 +246,25 @@ class ProblemBuilder:
     # -- assembly ------------------------------------------------------------
 
     def build(self, validate: bool = True) -> MiqpProblem:
-        n = len(self._vars)
-        names = tuple(v.name for v in self._vars)
+        n = len(self._names)
+        names = tuple(self._names)
         H = np.zeros((n, n))
         f = np.zeros(n)
         for idx, H_block, f_block in self._objective:
             H[np.ix_(idx, idx)] += H_block
             f[idx] += f_block
 
-        A = np.zeros((len(self._rows), n))
-        b = np.zeros(len(self._rows))
-        for k, (coef, rhs) in enumerate(self._rows):
-            for name, c in coef.items():
-                A[k, self._index[name]] = c
-            b[k] = rhs
-        lb = np.array([v.lb for v in self._vars])
-        ub = np.array([v.ub for v in self._vars])
-        binary = np.array([v.binary for v in self._vars], dtype=bool)
+        m = sum(len(rhs) for _, _, rhs in self._blocks)
+        A = np.zeros((m, n))
+        b = np.zeros(m)
+        r = 0
+        for cols, block, rhs in self._blocks:
+            A[r:r + len(rhs), cols] = block
+            b[r:r + len(rhs)] = rhs
+            r += len(rhs)
+        lb = np.array(self._lb)
+        ub = np.array(self._ub)
+        binary = np.array(self._binary, dtype=bool)
         problem = MiqpProblem(names=names, H=H, f=f, obj_const=self._obj_const,
                               A=A, b=b, lb=lb, ub=ub,
                               binary=binary, infeasible_reason=self._infeasible)
@@ -256,21 +295,16 @@ def _box_redundant(A: np.ndarray, b: np.ndarray, lb: np.ndarray,
 
 
 def _validate(p: MiqpProblem) -> None:
+    """Structural checks only: whoever forms H owns its curvature (the
+    condensed horizon checks its Hessian once per run)."""
     if p.n == 0:
         return
     if not np.allclose(p.H, p.H.T, atol=1e-12):
         raise ValueError("objective quadratic term is not symmetric")
-    scale = 1.0 + float(np.max(np.abs(p.H))) if p.H.size else 1.0
-    if p.H.size:
-        w = np.linalg.eigvalsh(p.H)
-        if w.min() < -1e-8 * scale:
-            raise ValueError(f"objective quadratic term not PSD (min eig {w.min():.3g})")
     # every binary must appear somewhere beyond its own box
-    for i in np.flatnonzero(p.binary):
-        used = (p.A.size and np.any(p.A[:, i] != 0.0)) or \
-               np.any(p.H[:, i] != 0.0) or p.f[i] != 0.0
-        if not used:
-            raise ValueError(f"binary {p.names[i]!r} appears in no constraint or objective")
+    used = p.A.any(axis=0) | p.H.any(axis=0) | (p.f != 0.0)
+    for i in np.flatnonzero(p.binary & ~used):
+        raise ValueError(f"binary {p.names[i]!r} appears in no constraint or objective")
 
 
 def dump_lp(p: MiqpProblem, path: str | Path) -> None:

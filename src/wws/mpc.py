@@ -1,10 +1,13 @@
 """Receding-horizon control with temporal-logic constraints.
 
-The predictor is condensed over the horizon once per run (``condense``).
-Each step lifts the measured state into its free response, encodes every
-specification over the concatenation of frozen history samples and
-decision-bound horizon samples, solves the resulting MIQP and applies the
-first input under zeroth-order hold.
+The predictor is condensed over the horizon once per run (``condense``),
+and each specification is compiled once per controller configuration into
+a template (``stl.FormulaTemplate``).  Each step lifts the measured state
+into its free response y0, binds the template's slots (history samples to
+their recorded values, horizon outputs to ``Y u + y0``, horizon inputs to
+u), lets the template fold the history and emit its rows in slot space,
+maps those rows onto u with one affine map, solves the resulting MIQP and
+applies the first input under zeroth-order hold.
 
 Specification windows follow the shrinking-horizon reading: past samples
 are constants, samples inside the horizon are decision variables, and
@@ -17,26 +20,28 @@ the horizon and is frozen once realized.
 from __future__ import annotations
 
 import csv
-import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import plant as plant_mod
 from .condense import CondensedHorizon, condense
-from .milp import LinExpr, ProblemBuilder
+from .milp import MiqpProblem, ProblemBuilder
 from .miqp import solve_miqp
 from .plant import DivergenceError, PlantModel
 from .predictor import LinearPredictor
 from .stl import (
+    DECISION,
+    HISTORY,
     EncodingConfig,
     Formula,
+    FormulaTemplate,
     SampledSignal,
-    encode_formula,
     parse,
     resolve_end,
     robustness,
@@ -59,7 +64,9 @@ class ControllerConfig:
 
     The specifications are parsed once, at construction: ``specs`` keeps
     the ``end`` token for the prefix monitor, ``formulas`` has it resolved
-    to ``end_time`` for the encoder.
+    to ``end_time`` for the encoder.  ``templates`` compiles the formulas
+    on first use, once per configuration; they do not depend on the
+    predictor.
     """
 
     horizon: int = 10
@@ -98,6 +105,12 @@ class ControllerConfig:
             channel_bounds={"y": plant_mod.STATE_BOUNDS, "u": (self.u_min, self.u_max)},
             eps=self.eps)
 
+    @cached_property
+    def templates(self) -> tuple[FormulaTemplate, ...]:
+        enc = self.encoding()
+        return tuple(FormulaTemplate(f, self.h, enc, name=f"stl{j}")
+                     for j, f in enumerate(self.formulas))
+
 
 @dataclass(frozen=True)
 class StepResult:
@@ -116,14 +129,61 @@ class StepResult:
         return self.status == "optimal"
 
 
+class StepProblem(NamedTuple):
+    """The horizon MIQP of one step and what the step needs besides it.
+
+    ``warm_sources`` holds, per binary in column order, its name followed
+    by the names of the same disjunction or literal one to three samples
+    earlier; ``u0_bounds`` holds ``(col, lo0, hi0, lo1, hi1)`` for every
+    row that bounds the first input to an interval, the second interval
+    applying when binary column ``col`` rounds to 1 (``col`` is -1 for an
+    unconditional row).
+    """
+
+    problem: MiqpProblem
+    u_names: list[str]
+    n_binaries: int
+    warm_sources: list[tuple[str, ...]]
+    u0_bounds: list[tuple[int, float, float, float, float]]
+
+
+def _bind(tmpl: FormulaTemplate, k: int, y_hist: np.ndarray, u_hist: np.ndarray,
+          y0: np.ndarray, Y: np.ndarray):
+    """State, value and map onto u of each slot of ``tmpl`` at step ``k``.
+
+    Outputs up to sample k and inputs before it are history; the horizon's
+    outputs k+1..k+Np are ``Y u + y0`` and its inputs k..k+Np-1 are u.
+    """
+    np_h = len(Y)
+    n = len(tmpl.slots)
+    state = np.zeros(n, dtype=np.int8)
+    values = np.zeros(n)
+    M = np.zeros((n, np_h))
+    # a channel's slots are one run ordered by sample: history, then the
+    # horizon's decision samples, then unbound ones
+    if "y" in tmpl.channel_slots:
+        s0, t = tmpl.channel_slots["y"]
+        d0, d1 = s0 + np.searchsorted(t, [k, k + np_h], side="right")
+        i = t[d0 - s0:d1 - s0] - k - 1
+        state[s0:d0], values[s0:d0] = HISTORY, y_hist[t[:d0 - s0]]
+        state[d0:d1], values[d0:d1], M[d0:d1] = DECISION, y0[i], Y[i]
+    if "u" in tmpl.channel_slots:
+        s0, t = tmpl.channel_slots["u"]
+        d0, d1 = s0 + np.searchsorted(t, [k, k + np_h], side="left")
+        state[s0:d0], values[s0:d0] = HISTORY, u_hist[t[:d0 - s0]]
+        state[d0:d1] = DECISION
+        M[np.arange(d0, d1), t[d0 - s0:d1 - s0] - k] = 1.0
+    return state, values, M
+
+
 def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
                        x_k: Sequence[float], k: int, y_hist: Sequence[float],
-                       u_hist: Sequence[float]):
+                       u_hist: Sequence[float]) -> StepProblem:
     """Assemble the horizon MIQP at step ``k`` without solving it.
 
     ``cond`` is ``condense(pred, cfg)``, shared by every step of a run.
-    Returns ``(problem, u_names, n_binaries)``; usable directly for problem
-    dumps and cross-checking against external solvers.
+    The problem is usable directly for problem dumps and cross-checking
+    against external solvers.
     """
     if len(y_hist) != k + 1:
         raise ValueError(f"need {k + 1} output samples, got {len(y_hist)}")
@@ -131,24 +191,24 @@ def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
         raise ValueError(f"need {k} applied inputs, got {len(u_hist)}")
     np_h = cond.horizon
     builder = ProblemBuilder()
-    u_names = [builder.add_continuous(f"u{k + i}", cfg.u_min, cfg.u_max)
-               for i in range(np_h)]
+    u_names = [f"u{k + i}" for i in range(np_h)]
+    builder.add_variables(u_names, cfg.u_min, cfg.u_max, [False] * np_h)
     y0 = cond.free_response(x_k)
     builder.add_quadratic(u_names, cond.H, *cond.linear_cost(y0))
-
-    binding = {
-        "y": {**{j: float(y_hist[j]) for j in range(k + 1)},
-              **{k + 1 + i: LinExpr.combination(u_names, cond.Y[i], float(y0[i]))
-                 for i in range(np_h)}},
-        "u": {**{j: float(u_hist[j]) for j in range(k)},
-              **{k + i: LinExpr.variable(u_names[i]) for i in range(np_h)}},
-    }
-    enc_cfg = cfg.encoding()
-    n_binaries = 0
-    for j, f in enumerate(cfg.formulas):
-        enc = encode_formula(builder, f, binding, 0, cfg.h, enc_cfg, name=f"stl{j}")
-        n_binaries += len(enc.binaries)
-    return builder.build(), u_names, n_binaries
+    y_hist = np.asarray(y_hist, dtype=float)
+    u_hist = np.asarray(u_hist, dtype=float)
+    n_binaries, sources, bounds, col = 0, [], [], np_h
+    for tmpl in cfg.templates:
+        state, values, M = _bind(tmpl, k, y_hist, u_hist, y0, cond.Y)
+        rows = tmpl.instantiate(state, values)
+        rows.add_to(builder, u_names, M)
+        n_binaries += len(rows.warm_sources)
+        sources += rows.warm_sources
+        u_k = tmpl.slots.get(("u", k))
+        bounds += [(-1 if aux < 0 else col + aux, *box)
+                   for slot, aux, *box in rows.bounds if slot == u_k]
+        col += len(rows.aux_names)
+    return StepProblem(builder.build(), u_names, n_binaries, sources, bounds)
 
 
 def plan_step(cfg: ControllerConfig, cond: CondensedHorizon, x_k: Sequence[float],
@@ -161,49 +221,45 @@ def plan_step(cfg: ControllerConfig, cond: CondensedHorizon, x_k: Sequence[float
     optimal input, with the full solver assignment retained for warm
     starting the next step.
     """
-    problem, u_names, n_binaries = build_step_problem(cfg, cond, x_k, k, y_hist,
-                                                      u_hist)
-    warm_binaries = _shift_warm(warm, problem) if warm else None
-    res = solve_miqp(problem, warm_binaries=warm_binaries)
+    step = build_step_problem(cfg, cond, x_k, k, y_hist, u_hist)
+    warm_binaries = _shift_warm(warm, step.warm_sources) if warm else None
+    res = solve_miqp(step.problem, warm_binaries=warm_binaries)
     u0 = None
     if res.x is not None:
-        u0 = float(res.assignment[u_names[0]])
+        u0 = _clamp_u0(res.x, step.u0_bounds)
     return StepResult(status=res.status, u0=u0,
                       objective=res.objective, assignment=res.assignment,
-                      binaries=n_binaries, nodes=res.nodes,
-                      infeasible_reason=problem.infeasible_reason)
+                      binaries=step.n_binaries, nodes=res.nodes,
+                      infeasible_reason=step.problem.infeasible_reason)
 
 
-_BINARY_NAME = re.compile(r"^(?P<stem>.*\.t)(?P<t>\d+)(?P<tail>\.[dp]\d+)$")
+def _clamp_u0(x: np.ndarray, bounds: Sequence[tuple[int, float, float, float, float]]
+              ) -> float:
+    """The first input moved onto the intervals its rows selected.
 
-
-def _shift_warm(prev: dict[str, float], problem) -> dict[str, float]:
-    """Map the previous step's binary values onto this step's names.
-
-    Disjunction binaries (``.d``) and predicate literals (``.p``) are named
-    by absolute time index, so shared indices carry over directly; indices
-    newly entering the horizon inherit the value of the same disjunction or
-    predicate one step earlier.
+    The solver meets a row only to its tolerance, so the first input can
+    sit a little outside the band its rounded binary chose; once applied
+    it is history, and history folds with no tolerance.  Clamping to the
+    predicates' own edges keeps the applied input on the band it was
+    planned under.  Intervals that do not intersect leave it unclamped.
     """
-    warm: dict[str, float] = {}
-    for i in np.flatnonzero(problem.binary):
-        name = problem.names[i]
-        if name in prev:
-            warm[name] = prev[name]
-            continue
-        m = _BINARY_NAME.match(name)
-        if m is None:
-            warm[name] = 1.0
-            continue
-        t = int(m.group("t"))
-        for back in range(1, 4):
-            cand = f"{m.group('stem')}{t - back}{m.group('tail')}"
-            if cand in prev:
-                warm[name] = prev[cand]
-                break
-        else:
-            warm[name] = 1.0
-    return warm
+    lo, hi = -np.inf, np.inf
+    for col, lo0, hi0, lo1, hi1 in bounds:
+        a, b = (lo1, hi1) if col >= 0 and x[col] >= 0.5 else (lo0, hi0)
+        lo, hi = max(lo, a), min(hi, b)
+    u0 = float(x[0])
+    return min(max(u0, lo), hi) if lo <= hi else u0
+
+
+def _shift_warm(prev: dict[str, float], sources: Sequence[tuple[str, ...]]
+                ) -> dict[str, float]:
+    """Seed each binary from the previous step's assignment.
+
+    A binary takes its own previous value, else that of the same
+    disjunction or literal one to three samples earlier, else 1.
+    """
+    return {chain[0]: next((prev[n] for n in chain if n in prev), 1.0)
+            for chain in sources}
 
 
 @dataclass
@@ -277,6 +333,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         raise ValueError(f"controller reads x{cfg.output_index}, "
                          f"plant output is x{model.output_index}")
     cond = condense(pred, cfg)
+    cfg.templates  # compiled once per configuration, before the first step
     n = cfg.n_steps
     times = np.arange(n + 1) * cfg.h
     states = np.zeros((n + 1, plant_mod.N_STATES))
@@ -378,10 +435,9 @@ def _fmt(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
-def evaluate_cell(model: PlantModel, cfg: ControllerConfig, pred: LinearPredictor,
-                  initial_temp: float, start_time: float) -> tuple[int, str]:
-    """One sweep cell: uniform initial state, shifted supply deadline."""
-    cell_cfg = replace(cfg, stl_specs=(supply_spec(start_time), DEFAULT_POWER_SPEC))
+def evaluate_cell(model: PlantModel, cell_cfg: ControllerConfig, pred: LinearPredictor,
+                  initial_temp: float) -> tuple[int, str]:
+    """One sweep cell: uniform initial state under its column's controller."""
     x0 = np.full(plant_mod.N_STATES, float(initial_temp))
     try:
         trace = run_closed_loop(model, cell_cfg, pred, x0, stop_on_infeasible=True)
@@ -399,8 +455,8 @@ def evaluate_cell(model: PlantModel, cfg: ControllerConfig, pred: LinearPredicto
 
 
 def _cell_worker(args) -> tuple[int, int, int, str]:
-    model, cfg, pred, i, j, temp, start = args
-    val, note = evaluate_cell(model, cfg, pred, temp, start)
+    model, cell_cfg, pred, i, j, temp = args
+    val, note = evaluate_cell(model, cell_cfg, pred, temp)
     return i, j, val, note
 
 
@@ -411,18 +467,22 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
                       jobs: int = 1) -> SweepResult:
     """Grid of closed-loop feasibility over initial temperature and deadline.
 
-    The sweep owns the specifications: every cell replaces ``cfg.stl_specs``
-    with the supply guarantee at its deadline and the power specification.
-    Cells are independent closed loops; ``jobs > 1`` runs them in separate
-    processes with identical per-cell results.
+    The sweep owns the specifications: each deadline column replaces
+    ``cfg.stl_specs`` with the supply guarantee at its deadline and the
+    power specification, and the cells of a column share that one
+    configuration, so in one process its specs are parsed and compiled
+    once.  Cells are independent closed loops; ``jobs > 1`` runs them in
+    separate processes with identical per-cell results.
     """
     initial_temps = tuple(float(v) for v in initial_temps)
     start_times = tuple(float(v) for v in start_times)
     table = np.zeros((len(initial_temps), len(start_times)), dtype=int)
     notes: dict[tuple[float, float], str] = {}
-    tasks = [(model, cfg, pred, i, j, temp, start)
+    columns = [replace(cfg, stl_specs=(supply_spec(start), DEFAULT_POWER_SPEC))
+               for start in start_times]
+    tasks = [(model, columns[j], pred, i, j, temp)
              for i, temp in enumerate(initial_temps)
-             for j, start in enumerate(start_times)]
+             for j in range(len(start_times))]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_cell_worker, tasks))

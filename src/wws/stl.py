@@ -14,12 +14,15 @@ is resolved to the final closed-loop time before monitoring or encoding.
 Windows map to sample indices as  {t + ceil(a/h) .. t + floor(b/h)}.
 
 The module provides two consumers of the same AST: a quantitative
-robustness monitor (min/max semantics) and a big-M mixed-integer encoder
-that emits into a caller-owned problem builder.  The monitor works directly
-on the AST; the encoder first expands temporal operators into a
-propositional tree over per-index predicates (negation is pushed to the
-leaves during expansion), which keeps the two evaluation paths independent
-of each other.
+robustness monitor (min/max semantics) and a big-M mixed-integer encoder.
+The monitor works directly on the AST, which keeps it an independent
+oracle for the encoder.  The encoder compiles a formula once into a
+``FormulaTemplate``: temporal operators expanded over absolute sample
+indices, negation pushed to the leaves, and every leaf's slots (one channel
+at one sample), sign, constant, eps and big-M fixed.  At each use the
+caller marks every slot as history, decision or unbound; the template
+folds the history truths, folds the tree, and emits the live nodes' rows
+over the slots (``StepRows``), which the caller maps onto its variables.
 
 The encoder puts binaries only where the formula branches (Kurtz & Lin
 2022, "Mixed-integer programming for signal temporal logic with fewer
@@ -34,14 +37,15 @@ fractional, does a predicate get a binary literal of its own.
 
 from __future__ import annotations
 
+import enum
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .milp import LinExpr, ProblemBuilder
+from .milp import ProblemBuilder
 
 
 class StlSyntaxError(ValueError):
@@ -452,6 +456,11 @@ def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
 #: Safety factor on the predicate range that makes each big-M constant.
 BIG_M_MARGIN = 1.1
 
+#: What a caller binds each slot (one channel at one sample) to: nothing yet
+#: (the obligation is deferred), a realized value, or an affine expression
+#: over decision variables.
+UNBOUND, HISTORY, DECISION = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class EncodingConfig:
@@ -467,366 +476,556 @@ class EncodingConfig:
     eps: float = 1e-6
 
 
-# Propositional tree over per-index predicate literals.
-@dataclass(frozen=True)
-class _PTrue:
-    pass
+# what the padding slot after a template's own slots reads
+_PAD_STATE = np.array([HISTORY], dtype=np.int8)
+_PAD_VALUE = np.zeros(1)
 
 
-@dataclass(frozen=True)
-class _PFalse:
-    pass
+class _Fold(enum.Enum):
+    """Truth of a subtree that needs no rows at this step."""
+
+    TRUE = "true"
+    FALSE = "false"
+    DEFERRED = "deferred"   # every obligation lies beyond the bound samples
 
 
-@dataclass(frozen=True)
-class _PDeferred:
-    """Obligation whose window lies wholly beyond the bound signal."""
+@dataclass(eq=False)
+class _Leaf:
+    """Predicate at one absolute sample; only alive during compilation."""
 
-
-@dataclass(frozen=True)
-class _PPred:
     pred: Pred
     t: int
 
 
-@dataclass(frozen=True)
-class _PAnd:
-    children: tuple
+class _Node:
+    """And (``conj``) or Or over children: leaf indices or nodes.
 
-
-@dataclass(frozen=True)
-class _POr:
-    children: tuple
-
-
-SignalBinding = Mapping[str, Mapping[int, Union[LinExpr, float]]]
-
-
-@dataclass
-class EncodedFormula:
-    """What one formula contributed to the problem under construction.
-
-    ``binaries`` holds the disjunction binaries (``{name}.t{t}.d{j}``, named
-    by the first sample the disjunction reads) and the predicate literals
-    (``{name}.t{t}.p{pid}``); ``literals`` holds the continuous selectors of
-    disjunctions under a fractional required truth; ``constraints`` counts
-    the rows emitted.
+    Compiled nodes cover the leaves ``lo..hi-1`` (depth-first order);
+    nodes that folding creates at a step do not.  ``first`` is the
+    earliest sample read, which names the disjunction binary; ``hull``
+    caches the interval pair of a 2-way Or (None: not computed yet, False:
+    not an interval pair).
     """
 
-    binaries: list[str]
-    literals: list[str]
-    constraints: int
-    deferred: bool = False
-    infeasible: bool = False
+    __slots__ = ("conj", "kids", "first", "lo", "hi", "hull")
+
+    def __init__(self, conj: bool, kids: list):
+        self.conj = conj
+        self.kids = kids
+        self.first = self.lo = self.hi = -1
+        self.hull = None
 
 
-def _fold_constant_margin(pred: Pred, values: Mapping[str, float], eps: float) -> bool:
-    rho = pred.margin(values)
-    if pred.strict:
-        # grace of 1e-9 keeps inputs applied exactly at an encoded band edge
-        # (m == eps by construction) folding to true despite float round-off
-        return rho >= eps - 1e-9
-    return rho >= 0.0
+def _join(kids: list, conj: bool):
+    """And/Or of compile-time children, folding constant ones away."""
+    absorbing, neutral = (_Fold.FALSE, _Fold.TRUE) if conj else (_Fold.TRUE, _Fold.FALSE)
+    if any(k is absorbing for k in kids):
+        return absorbing
+    kept = [k for k in kids if k is not neutral]
+    if not kept:
+        return neutral
+    return kept[0] if len(kept) == 1 else _Node(conj, kept)
 
 
-def _available(pred: Pred, binding: SignalBinding, t: int) -> bool:
-    return all(ch in binding and t in binding[ch] for ch in pred.channels())
-
-
-def _expand(f: Formula, t: int, neg: bool, binding: SignalBinding,
-            h: float, eps: float):
-    """Temporal and negation expansion into a propositional tree.
-
-    Unavailable indices follow the shrinking-window policy: conjunctive
-    obligations are deferred to later steps, disjunctive ones are enforced
-    over the visible part of the window (stricter, hence sound).  Constant
-    (history) samples fold to boolean constants immediately.
-    """
+def _unroll(f: Formula, t: int, neg: bool, h: float):
+    """Expand temporal operators over absolute samples, negation at leaves."""
     if isinstance(f, Not):
-        return _expand(f.child, t, not neg, binding, h, eps)
+        return _unroll(f.child, t, not neg, h)
     if isinstance(f, Pred):
-        pred = f.negate() if neg else f
-        if not _available(pred, binding, t):
-            return _PDeferred()
-        vals = {ch: binding[ch][t] for ch in pred.channels()}
-        if all(isinstance(v, (int, float)) for v in vals.values()):
-            return _PTrue() if _fold_constant_margin(pred, vals, eps) else _PFalse()
-        return _PPred(pred, t)
+        return _Leaf(f.negate() if neg else f, t)
     if isinstance(f, (And, Or)):
-        conj = isinstance(f, And) ^ neg
-        kids = [_expand(c, t, neg, binding, h, eps) for c in f.children]
-        return _combine(kids, conj)
+        return _join([_unroll(c, t, neg, h) for c in f.children],
+                     isinstance(f, And) ^ neg)
     if isinstance(f, (Alw, Ev)):
-        conj = isinstance(f, Alw) ^ neg
-        idx = _window_indices(t, f.a, f.b, h)
-        kids = [_expand(f.child, i, neg, binding, h, eps) for i in idx]
-        return _combine(kids, conj)
+        return _join([_unroll(f.child, i, neg, h)
+                      for i in _window_indices(t, f.a, f.b, h)],
+                     isinstance(f, Alw) ^ neg)
     if isinstance(f, Until):
-        idx = _window_indices(t, f.a, f.b, h)
         disjuncts = []
-        for tp in idx:
-            parts = [_expand(f.right, tp, neg, binding, h, eps)]
-            parts += [_expand(f.left, i, neg, binding, h, eps) for i in range(t, tp)]
-            disjuncts.append(_combine(parts, conj=not neg))
-        return _combine(disjuncts, conj=neg)
+        for tp in _window_indices(t, f.a, f.b, h):
+            parts = [_unroll(f.right, tp, neg, h)]
+            parts += [_unroll(f.left, i, neg, h) for i in range(t, tp)]
+            disjuncts.append(_join(parts, conj=not neg))
+        return _join(disjuncts, conj=neg)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _combine(kids: list, conj: bool):
-    """And/Or constant folding with deferral semantics."""
+    """And/Or folding at a step, with deferral semantics."""
     kept = []
     saw_deferred = False
     for k in kids:
-        if isinstance(k, _PDeferred):
+        if k is _Fold.DEFERRED:
             saw_deferred = True
             if conj:
                 continue  # conjunct deferred to a later step
             kept.append(k)
-        elif isinstance(k, _PTrue):
+        elif k is _Fold.TRUE:
             if not conj:
-                return _PTrue()
-        elif isinstance(k, _PFalse):
+                return _Fold.TRUE
+        elif k is _Fold.FALSE:
             if conj:
-                return _PFalse()
+                return _Fold.FALSE
         else:
             kept.append(k)
     if conj:
         if not kept:
             # distinguish "satisfied now" from "every obligation is beyond
             # the bound horizon"
-            return _PDeferred() if saw_deferred else _PTrue()
-        if len(kept) == 1:
-            return kept[0]
-        return _PAnd(tuple(kept))
+            return _Fold.DEFERRED if saw_deferred else _Fold.TRUE
+        return kept[0] if len(kept) == 1 else _Node(True, kept)
     # disjunction: visible members only; wholly invisible -> deferred
-    visible = [k for k in kept if not isinstance(k, _PDeferred)]
+    visible = [k for k in kept if k is not _Fold.DEFERRED]
     if not kept:
-        return _PFalse()
+        return _Fold.FALSE
     if not visible:
-        return _PDeferred()
-    if len(visible) == 1:
-        return visible[0]
-    return _POr(tuple(visible))
+        return _Fold.DEFERRED
+    return visible[0] if len(visible) == 1 else _Node(False, visible)
 
 
-class _Encoder:
-    """Emits ``truth(node) >= lower`` for a propositional tree.
+@dataclass(frozen=True)
+class StepRows:
+    """What one formula asks of one step's problem.
 
-    A required truth ``lower`` is integral when it is the constant 1.0 or an
-    integer combination of disjunction binaries made here; only then can a
+    The rows read ``R s + aux a <= b``: ``s`` are the template's slots
+    (only decision slots carry nonzero columns) and ``a`` the auxiliary
+    variables created for this step, in creation order (``aux_names``,
+    binaries flagged in ``aux_binary``).  ``warm_sources`` gives, per
+    binary in creation order, its own name and the names of the same
+    disjunction or literal one to three samples earlier.  ``bounds`` lists
+    the intervals that rows put on single slots: ``(slot, aux, lo0, hi0,
+    lo1, hi1)``, the second interval applying when auxiliary ``aux`` rounds
+    to 1 (``aux`` is -1 for an unconditional row).
+    """
+
+    name: str
+    infeasible: bool
+    deferred: bool
+    R: np.ndarray
+    aux: np.ndarray
+    b: np.ndarray
+    aux_names: tuple[str, ...]
+    aux_binary: tuple[bool, ...]
+    warm_sources: tuple[tuple[str, ...], ...]
+    bounds: tuple[tuple[int, int, float, float, float, float], ...]
+
+    def add_to(self, builder: ProblemBuilder, names: Sequence[str], M: np.ndarray) -> None:
+        """Add the rows to ``builder`` with the slots mapped through ``M``.
+
+        Slot ``s`` is ``M[s] @ v + offset``, ``v`` the named variables; the
+        offsets were the ``values`` that gave ``b``.
+        """
+        if self.infeasible:
+            builder.mark_infeasible(f"{self.name}: violated by already-fixed samples")
+            return
+        builder.add_variables(self.aux_names, 0.0, 1.0, self.aux_binary)
+        if len(self.b):
+            builder.add_rows([*names, *self.aux_names], np.hstack((self.R @ M, self.aux)),
+                             self.b)
+
+
+class FormulaTemplate:
+    """One formula compiled once for encoding at sample 0.
+
+    Compiling expands every temporal operator over absolute sample indices,
+    pushes negation to the leaves and precomputes each leaf's slots,
+    coefficients, sign, constant, eps and big-M, and each 2-way Or's
+    interval pair.  :meth:`instantiate` then only classifies the leaves
+    against the caller's binding, folds the history truths and the internal
+    nodes, and emits the rows of the live nodes in slot space.
+    """
+
+    def __init__(self, f: Formula, h: float, cfg: EncodingConfig, name: str = "stl"):
+        self.name = name
+        self.cfg = cfg
+        root = _unroll(f, 0, False, h)
+        leaves: list[_Leaf] = []
+        nodes: list[_Node] = []
+        self.root = self._number(root, leaves, nodes)
+        # slots ordered by channel, then sample: each channel's slots are
+        # one contiguous run, ``channel_slots[ch] = (first slot, samples)``
+        read = sorted({(ch, leaf.t) for leaf in leaves for _, ch in leaf.pred.terms})
+        self.slots: dict[tuple[str, int], int] = {key: s for s, key in enumerate(read)}
+        self.channel_slots: dict[str, tuple[int, np.ndarray]] = {}
+        for ch in dict.fromkeys(ch for ch, _ in read):
+            self.channel_slots[ch] = (self.slots[(ch, min(t for c, t in read if c == ch))],
+                                      np.array([t for c, t in read if c == ch]))
+        self._compile_leaves(leaves)
+        for node in nodes:
+            if not node.conj and len(node.kids) == 2:
+                self.hull(node)
+        self._names: dict[tuple[str, int, int], tuple[str, ...]] = {}
+
+    def _number(self, node, leaves: list, nodes: list):
+        """Leaves to depth-first indices; nodes get their leaf range."""
+        if isinstance(node, _Fold):
+            return node
+        if isinstance(node, _Leaf):
+            leaves.append(node)
+            return len(leaves) - 1
+        node.lo = len(leaves)
+        node.kids = [self._number(k, leaves, nodes) for k in node.kids]
+        node.hi = len(leaves)
+        node.first = min(leaves[k].t if isinstance(k, int) else k.first for k in node.kids)
+        nodes.append(node)
+        return node
+
+    def _compile_leaves(self, leaves: list[_Leaf]) -> None:
+        """Row sources: the leaves, then one unit source per slot, then an
+        empty one.  Source ``i`` reads ``sum_j coef[i, j] * slot[i, j]``."""
+        n_slots = len(self.slots)
+        width = max([1] + [len(leaf.pred.terms) for leaf in leaves])
+        pad = [n_slots] * width                # a slot index that reads 0.0
+        term_slot, term_coef = [], []
+        per_pred: dict[Pred, tuple] = {}
+        infos = []
+        self.leaf_t, self.edges = [], []
+        for leaf in leaves:
+            pred = leaf.pred
+            info = per_pred.get(pred)
+            if info is None:
+                info = per_pred[pred] = (len(per_pred), *self._pred_constants(pred))
+            infos.append(info)
+            slots = [self.slots[(ch, leaf.t)] for _, ch in pred.terms]
+            term_slot.append(slots + pad[len(slots):])
+            term_coef.append([c for c, _ in pred.terms] + [0.0] * (width - len(slots)))
+            self.leaf_t.append(leaf.t)
+            self.edges.append(None if info[-1] is None else (slots[0], *info[-1]))
+        # predicate key, sign, const, eps, fold threshold and big-M of each leaf
+        (self.pred_key, self.leaf_sign, self.leaf_const, self.leaf_eps, fold_at,
+         self.big_m_of) = ([info[i] for info in infos] for i in range(6))
+        self.fold_at = np.array(fold_at)
+        self.leaf_sign_arr = np.array(self.leaf_sign)
+        self.leaf_const_arr = np.array(self.leaf_const)
+        units = [[s] + pad[1:] for s in range(n_slots)]
+        self.empty = len(leaves) + n_slots     # the source with no terms
+        self.term_slot = np.array(term_slot + units + [pad], dtype=int).reshape(-1, width)
+        self.term_coef = np.array(term_coef + [[1.0] + [0.0] * (width - 1)] * n_slots
+                                  + [[0.0] * width]).reshape(-1, width)
+
+    def _pred_constants(self, pred: Pred) -> tuple:
+        """Sign, constant, eps, fold threshold, big-M (or the error message
+        when a channel has no declared bounds) and the (lo, hi) that a
+        single-term predicate bounds its slot to (None otherwise)."""
+        eps = self.cfg.eps
+        sign = 1.0 if pred.op in (">=", ">") else -1.0
+        lo = hi = 0.0
+        big_m: float | str
+        for c, ch in pred.terms:
+            if ch not in self.cfg.channel_bounds:
+                big_m = f"no declared bounds for channel {ch!r}"
+                break
+            blo, bhi = self.cfg.channel_bounds[ch]
+            lo += min(c * blo, c * bhi)
+            hi += max(c * blo, c * bhi)
+        else:
+            m_lo, m_hi = lo - pred.const, hi - pred.const
+            if pred.op in ("<=", "<"):
+                m_lo, m_hi = -m_hi, -m_lo
+            big_m = BIG_M_MARGIN * (max(abs(m_lo), abs(m_hi)) + eps + 1.0)
+        edge = None
+        # margin = sign (c s - const) >= eps  <=>  a s >= sign const + eps
+        if len(pred.terms) == 1 and sign * pred.terms[0][0] != 0.0:
+            a = sign * pred.terms[0][0]
+            at = (sign * pred.const + (eps if pred.strict else 0.0)) / a
+            edge = (at, math.inf) if a > 0.0 else (-math.inf, at)
+        return (sign, pred.const, eps if pred.strict else 0.0,
+                eps - 1e-9 if pred.strict else 0.0, big_m, edge)
+
+    # -- one step --------------------------------------------------------
+
+    def instantiate(self, state: np.ndarray, values: np.ndarray) -> StepRows:
+        """Rows of the formula under one binding of its slots.
+
+        ``state[s]`` is UNBOUND, HISTORY or DECISION; ``values[s]`` is the
+        realized value of a history slot and the constant offset of a
+        decision slot.  Leaves reading an unbound slot are deferred
+        (shrinking-window policy: conjunctive obligations wait for a later
+        step, disjunctive ones are enforced over the visible part of the
+        window, which is stricter and hence sound); history leaves fold to
+        constants.
+        """
+        n_leaves = len(self.leaf_t)
+        st = np.concatenate((state, _PAD_STATE))[self.term_slot[:n_leaves]]
+        val = np.concatenate((values, _PAD_VALUE))
+        reads = self.term_coef[:, 0] * val[self.term_slot[:, 0]]
+        for j in range(1, self.term_slot.shape[1]):
+            reads = reads + self.term_coef[:, j] * val[self.term_slot[:, j]]
+        if st.shape[1] == 1:
+            leaf_state = st[:, 0]
+        else:
+            leaf_state = np.where(st.min(axis=1) == UNBOUND, UNBOUND,
+                                  np.where(st.max(axis=1) == DECISION, DECISION, HISTORY))
+        # a non-strict predicate folds with zero tolerance; a strict one with
+        # a grace of 1e-9, which keeps inputs applied exactly at an encoded
+        # band edge (margin == eps by construction) folding to true despite
+        # float round-off
+        truth = (leaf_state == HISTORY) & (
+            self.leaf_sign_arr * (reads[:n_leaves] - self.leaf_const_arr) >= self.fold_at)
+        tree = self._fold(leaf_state, truth)
+        em = _Emitter(self)
+        if isinstance(tree, (_Node, int)):
+            em.require(tree, None)
+        return em.rows(tree, reads)
+
+    def _fold(self, leaf_state: np.ndarray, leaf_truth: np.ndarray):
+        root = self.root
+        if isinstance(root, _Fold):
+            return root
+        state = leaf_state.tolist()
+        truth = leaf_truth.tolist()
+        dec = [0] + np.cumsum(leaf_state == DECISION).tolist()
+        und = [0] + np.cumsum(leaf_state == UNBOUND).tolist()
+
+        def holds(node) -> bool:  # a subtree of history leaves only
+            if isinstance(node, int):
+                return truth[node]
+            return (all if node.conj else any)(holds(k) for k in node.kids)
+
+        def fold(node):
+            if isinstance(node, int):
+                s = state[node]
+                if s == DECISION:
+                    return node
+                if s == UNBOUND:
+                    return _Fold.DEFERRED
+                return _Fold.TRUE if truth[node] else _Fold.FALSE
+            lo, hi = node.lo, node.hi
+            n_dec, n_und = dec[hi] - dec[lo], und[hi] - und[lo]
+            if n_dec == hi - lo:
+                return node
+            if n_und == hi - lo:
+                return _Fold.DEFERRED
+            if n_dec + n_und == 0:
+                return _Fold.TRUE if holds(node) else _Fold.FALSE
+            kids = [fold(k) for k in node.kids]
+            folded = _combine(kids, node.conj)
+            if isinstance(folded, _Node):
+                folded.first = min(self.leaf_t[k] if isinstance(k, int) else k.first
+                                   for k in folded.kids)
+            return folded
+
+        return fold(root)
+
+    def interval(self, node) -> tuple[int, float, float] | None:
+        """(slot, lo, hi) when ``node`` bounds one slot to a finite,
+        non-empty interval through single-term predicates, else None."""
+        if isinstance(node, int):
+            kids = (node,)
+        elif node.conj and all(isinstance(k, int) for k in node.kids):
+            kids = node.kids
+        else:
+            return None
+        slot, lo, hi = None, -math.inf, math.inf
+        for k in kids:
+            edge = self.edges[k]
+            if edge is None or (slot is not None and edge[0] != slot):
+                return None
+            slot = edge[0]
+            lo, hi = max(lo, edge[1]), min(hi, edge[2])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            return None
+        return slot, lo, hi
+
+    def hull(self, node: _Node):
+        """(slot, lo0, hi0, lo1, hi1) of a 2-way Or of two distinct
+        intervals on one slot, else False; cached on the node."""
+        if node.hull is None:
+            first, second = (self.interval(k) for k in node.kids)
+            if first is None or second is None or first[0] != second[0] \
+                    or first[1:] == second[1:]:
+                node.hull = False
+            else:
+                node.hull = (first[0], first[1], first[2], second[1], second[2])
+        return node.hull
+
+    def binary_name(self, tag: str, t: int, j: int) -> tuple[str, ...]:
+        """``{name}.t{t}.{tag}{j}`` and the same binary 1..3 samples earlier."""
+        key = (tag, t, j)
+        if key not in self._names:
+            self._names[key] = tuple(f"{self.name}.t{s}.{tag}{j}"
+                                     for s in range(t, max(t - 4, -1), -1))
+        return self._names[key]
+
+
+class _Emitter:
+    """Emits ``truth(node) >= lower`` for a folded tree, as slot-space rows.
+
+    A required truth ``lower`` is None (the constant 1) or ``(const, coefs)``
+    over auxiliary columns; it is integral when it is 1 or an integer
+    combination of disjunction binaries made here, and only then can a
     branch point be decided by a binary.  A 2-way Or under an integral
     ``lower`` gets one binary ``d`` (branch 0 must hold at least ``d``,
-    branch 1 at least ``lower - d``), or, under ``lower == 1.0`` when both
+    branch 1 at least ``lower - d``), or, under ``lower`` 1 when both
     branches bound one decision sample to an interval, the two convex-hull
     rows of that interval pair.  A predicate under an integral ``lower``
     becomes one implied big-M row with no literal of its own.  Everything
     under a fractional ``lower`` (below an n-ary Or's continuous selectors)
     uses continuous selectors and two-sided predicate literals.
+
+    Each row is ``-sign * coef`` on its source's slots plus auxiliary
+    columns, with right-hand side ``(sign (read - const) + k1) - k2``,
+    ``read`` the source's value at the slot offsets: the order in which the
+    expression arithmetic of a row builder would round it.
     """
 
-    def __init__(self, builder: ProblemBuilder, binding: SignalBinding,
-                 cfg: EncodingConfig, name: str):
-        self.builder = builder
-        self.binding = binding
-        self.cfg = cfg
-        self.name = name
-        self.pred_literals: dict[tuple[Pred, int], str] = {}
-        # ids keyed by predicate identity, so a predicate keeps its name
-        # component across receding-horizon steps (warm starts match names)
-        self.pred_ids: dict[Pred, int] = {}
-        self.disjunctions: set[str] = set()   # disjunction binaries
-        self.per_sample: dict[int, int] = {}  # disjunctions named per sample
-        self.result = EncodedFormula(binaries=[], literals=[], constraints=0)
+    def __init__(self, tmpl: FormulaTemplate):
+        self.tmpl = tmpl
+        self.src, self.sign, self.const, self.k1, self.k2 = [], [], [], [], []
+        self.aux_at: list[tuple[int, int, float]] = []
+        self.aux_names: list[str] = []
+        self.aux_binary: list[bool] = []
+        self.warm_sources: list[tuple[str, ...]] = []
+        self.bounds: list[tuple[int, int, float, float, float, float]] = []
+        self.disjunctions: set[int] = set()
+        self.per_sample: dict[int, int] = {}
+        self.pred_ids: dict[int, int] = {}
+        self.pred_literals: dict[tuple[int, int], int] = {}
         self.counter = 0
 
-    def fresh(self, tag: str) -> str:
-        self.counter += 1
-        return f"{self.name}.{tag}{self.counter}"
+    def row(self, src: int, sign: float, const: float, k1: float, k2: float,
+            aux: Sequence[tuple[int, float]] = ()) -> None:
+        r = len(self.src)
+        self.src.append(src)
+        self.sign.append(sign)
+        self.const.append(const)
+        self.k1.append(k1)
+        self.k2.append(k2)
+        self.aux_at += [(r, col, v) for col, v in aux]
 
-    def margin_expr(self, pred: Pred, t: int) -> LinExpr:
-        expr = LinExpr.constant(0.0)
-        for c, ch in pred.terms:
-            bound = self.binding[ch][t]
-            term = LinExpr.constant(float(bound)) if isinstance(bound, (int, float)) else bound
-            expr = expr + c * term
-        if pred.op in (">=", ">"):
-            return expr - pred.const
-        return LinExpr.constant(pred.const) - expr
+    def new_aux(self, name: str, binary: bool) -> int:
+        self.aux_names.append(name)
+        self.aux_binary.append(binary)
+        return len(self.aux_names) - 1
 
-    def big_m(self, pred: Pred) -> float:
-        lo = hi = 0.0
-        for c, ch in pred.terms:
-            if ch not in self.cfg.channel_bounds:
-                raise StlEncodingError(f"no declared bounds for channel {ch!r}")
-            blo, bhi = self.cfg.channel_bounds[ch]
-            lo += min(c * blo, c * bhi)
-            hi += max(c * blo, c * bhi)
-        m_lo, m_hi = lo - pred.const, hi - pred.const
-        if pred.op in ("<=", "<"):
-            m_lo, m_hi = -m_hi, -m_lo
-        return BIG_M_MARGIN * (max(abs(m_lo), abs(m_hi)) + self.cfg.eps + 1.0)
+    def binary(self, tag: str, t: int, j: int) -> int:
+        chain = self.tmpl.binary_name(tag, t, j)
+        self.warm_sources.append(chain)
+        return self.new_aux(chain[0], True)
 
-    def eps_of(self, pred: Pred) -> float:
-        return self.cfg.eps if pred.strict else 0.0
+    def big_m(self, leaf: int) -> float:
+        m = self.tmpl.big_m_of[leaf]
+        if isinstance(m, str):
+            raise StlEncodingError(m)
+        return m
 
-    def integral(self, lower: Union[LinExpr, float]) -> bool:
-        if isinstance(lower, float):
-            return lower == 1.0
-        return float(lower.const).is_integer() and all(
-            name in self.disjunctions and float(c).is_integer()
-            for name, c in lower.coef.items())
+    def integral(self, lower) -> bool:
+        if lower is None:
+            return True
+        const, coefs = lower
+        return float(const).is_integer() and all(
+            a in self.disjunctions and float(c).is_integer() for a, c in coefs.items())
 
-    def pred_literal(self, node: _PPred) -> str:
+    def implied_row(self, leaf: int, lower) -> None:
+        """margin >= eps - M (1 - lower) for an integral ``lower``."""
+        t = self.tmpl
+        if lower is None:  # the plain predicate row
+            self.row(leaf, t.leaf_sign[leaf], t.leaf_const[leaf], 0.0, t.leaf_eps[leaf])
+            edge = t.edges[leaf]
+            if edge is not None:
+                self.bounds.append((edge[0], -1, edge[1], edge[2], edge[1], edge[2]))
+            return
+        m = self.big_m(leaf)
+        const, coefs = lower
+        self.row(leaf, t.leaf_sign[leaf], t.leaf_const[leaf], m * (1.0 - const),
+                 t.leaf_eps[leaf], [(a, m * c) for a, c in coefs.items()])
+
+    def pred_literal(self, leaf: int) -> int:
         """Binary with two-sided big-M linking: p == 1 iff the margin is met."""
-        key = (node.pred, node.t)
+        t = self.tmpl
+        key = (t.pred_key[leaf], t.leaf_t[leaf])
         if key in self.pred_literals:
             return self.pred_literals[key]
-        pid = self.pred_ids.setdefault(node.pred, len(self.pred_ids))
-        p = self.builder.add_binary(f"{self.name}.t{node.t}.p{pid}")
-        m = self.big_m(node.pred)
-        eps = self.eps_of(node.pred)
-        margin = self.margin_expr(node.pred, node.t)
-        pvar = LinExpr.variable(p)
+        pid = self.pred_ids.setdefault(key[0], len(self.pred_ids))
+        p = self.binary("p", t.leaf_t[leaf], pid)
+        m = self.big_m(leaf)
+        eps, sign, const = t.leaf_eps[leaf], t.leaf_sign[leaf], t.leaf_const[leaf]
         # margin >= -M (1 - p) + eps   and   margin <= M p - eps
-        self.builder.add_geq(margin - m * pvar, eps - m)
-        self.builder.add_leq(margin - m * pvar, -eps)
-        self.result.binaries.append(p)
-        self.result.constraints += 2
+        self.row(leaf, sign, const, -(eps - m), 0.0, [(p, m)])
+        self.row(leaf, -sign, const, 0.0, eps, [(p, -m)])
         self.pred_literals[key] = p
         return p
 
-    def implied_row(self, node: _PPred, lower: Union[LinExpr, float]) -> None:
-        """margin >= eps - M (1 - lower) for an integral ``lower``."""
-        margin = self.margin_expr(node.pred, node.t)
-        if isinstance(lower, float):  # lower == 1.0: the plain predicate row
-            self.builder.add_geq(margin, self.eps_of(node.pred))
-        else:
-            m = self.big_m(node.pred)
-            self.builder.add_geq(margin + m * (1.0 - lower), self.eps_of(node.pred))
-        self.result.constraints += 1
-
-    def selector(self) -> LinExpr:
+    def selector(self) -> int:
         """Continuous Or selector in [0, 1]."""
-        sel = self.builder.add_continuous(self.fresh("or."), 0.0, 1.0)
-        self.result.literals.append(sel)
-        return LinExpr.variable(sel)
+        self.counter += 1
+        name = f"{self.tmpl.name}.or.{self.counter}"
+        return self.new_aux(name, False)
 
-    def disjunction_binary(self, node: _POr) -> LinExpr:
+    def disjunction_binary(self, node: _Node) -> int:
         """Binary named by the Or's first sample, stable across steps."""
-        t = _first_sample(node)
-        j = self.per_sample.get(t, 0)
-        self.per_sample[t] = j + 1
-        d = self.builder.add_binary(f"{self.name}.t{t}.d{j}")
+        j = self.per_sample.get(node.first, 0)
+        self.per_sample[node.first] = j + 1
+        d = self.binary("d", node.first, j)
         self.disjunctions.add(d)
-        self.result.binaries.append(d)
-        return LinExpr.variable(d)
+        return d
 
-    def interval(self, node) -> tuple[tuple[str, int], float, float] | None:
-        """(sample, lo, hi) when ``node`` bounds one sample to a finite,
-        non-empty interval through single-term predicates, else None."""
-        preds = node.children if isinstance(node, _PAnd) else (node,)
-        if not all(isinstance(p, _PPred) and len(p.pred.terms) == 1 for p in preds):
-            return None
-        samples = {(p.pred.terms[0][1], p.t) for p in preds}
-        if len(samples) != 1:
-            return None
-        lo, hi = -math.inf, math.inf
-        for p in preds:
-            # margin = sign (c s - const) >= eps  <=>  a s >= sign const + eps
-            sign = 1.0 if p.pred.op in (">=", ">") else -1.0
-            a = sign * p.pred.terms[0][0]
-            if a == 0.0:
-                return None
-            edge = (sign * p.pred.const + self.eps_of(p.pred)) / a
-            if a > 0.0:
-                lo = max(lo, edge)
-            else:
-                hi = min(hi, edge)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            return None
-        return samples.pop(), lo, hi
-
-    def hull_rows(self, node: _POr) -> bool:
+    def hull_rows(self, node: _Node) -> bool:
         """Convex hull of s in [lo0, hi0] (d = 0) or s in [lo1, hi1] (d = 1):
         s >= lo0 + (lo1 - lo0) d  and  s <= hi0 + (hi1 - hi0) d."""
-        first, second = (self.interval(k) for k in node.children)
-        if first is None or second is None or first[0] != second[0] \
-                or first[1:] == second[1:]:
+        pair = self.tmpl.hull(node)
+        if not pair:
             return False
-        (ch, t), lo0, hi0 = first
-        _, lo1, hi1 = second
-        s = self.binding[ch][t]
+        slot, lo0, hi0, lo1, hi1 = pair
         d = self.disjunction_binary(node)
-        self.builder.add_geq(s - (lo1 - lo0) * d, lo0)
-        self.builder.add_leq(s - (hi1 - hi0) * d, hi0)
-        self.result.constraints += 2
+        unit = len(self.tmpl.leaf_t) + slot   # the source reading the slot itself
+        self.row(unit, 1.0, lo0, 0.0, 0.0, [(d, lo1 - lo0)])
+        self.row(unit, -1.0, hi0, 0.0, 0.0, [(d, -(hi1 - hi0))])
+        self.bounds.append((slot, d, lo0, hi0, lo1, hi1))
         return True
 
-    def assert_at_least(self, node, lower: Union[LinExpr, float]) -> None:
-        """Emit constraints forcing truth(node) >= lower."""
-        if isinstance(node, _PTrue):
-            return
+    def require(self, node, lower) -> None:
+        """Emit rows forcing truth(node) >= lower."""
         integral = self.integral(lower)
-        if isinstance(node, _PPred):
+        if isinstance(node, int):
             if integral:
                 self.implied_row(node, lower)
                 return
             p = self.pred_literal(node)
-            self.builder.add_geq(LinExpr.variable(p) - _as_expr(lower), 0.0)
-            self.result.constraints += 1
+            const, coefs = lower
+            self.row(self.tmpl.empty, 1.0, 0.0, -const, 0.0, [(p, -1.0), *coefs.items()])
             return
-        if isinstance(node, _PAnd):
-            for child in node.children:
-                self.assert_at_least(child, lower)
+        if node.conj:
+            for kid in node.kids:
+                self.require(kid, lower)
             return
-        if isinstance(node, _POr):
-            kids = node.children
-            if len(kids) == 2:
-                # a float `lower` is integral only as the constant 1.0
-                if integral and isinstance(lower, float) and self.hull_rows(node):
-                    return
-                sel = self.disjunction_binary(node) if integral else self.selector()
-                # selected share of `lower` goes to each branch
-                self.assert_at_least(kids[0], sel)
-                self.assert_at_least(kids[1], _as_expr(lower) - sel)
+        kids = node.kids
+        if len(kids) == 2:
+            if lower is None and self.hull_rows(node):
                 return
-            sels = [self.selector() for _ in kids]
-            self.builder.add_geq(sum(sels, LinExpr.constant(0.0)) - _as_expr(lower), 0.0)
-            self.result.constraints += 1
-            for child, sel in zip(kids, sels):
-                self.assert_at_least(child, sel)
+            sel = self.disjunction_binary(node) if integral else self.selector()
+            # selected share of `lower` goes to each branch
+            self.require(kids[0], (0.0, {sel: 1.0}))
+            const, coefs = (1.0, {}) if lower is None else lower
+            self.require(kids[1], (const, {**coefs, sel: -1.0}))
             return
-        raise TypeError(f"bad propositional node {node!r}")
+        sels = [self.selector() for _ in kids]
+        const, coefs = (1.0, {}) if lower is None else lower
+        self.row(self.tmpl.empty, 1.0, 0.0, -const, 0.0,
+                 [*((s, -1.0) for s in sels), *coefs.items()])
+        for kid, sel in zip(kids, sels):
+            self.require(kid, (0.0, {sel: 1.0}))
 
-
-def _first_sample(node) -> int:
-    if isinstance(node, _PPred):
-        return node.t
-    return min(_first_sample(c) for c in node.children)
-
-
-def _as_expr(v: Union[LinExpr, float]) -> LinExpr:
-    return LinExpr.constant(float(v)) if isinstance(v, (int, float)) else v
-
-
-def encode_formula(builder: ProblemBuilder, f: Formula, binding: SignalBinding,
-                   t_index: int, h: float, cfg: EncodingConfig,
-                   name: str = "stl") -> EncodedFormula:
-    """Assert that ``f`` holds at sample ``t_index`` over the bound signals.
-
-    History samples appear in ``binding`` as float constants and fold away;
-    decision-bound samples appear as affine expressions over problem
-    variables.  Window indices with no binding follow the shrinking-horizon
-    policy described in :func:`_expand`.
-    """
-    tree = _expand(f, t_index, False, binding, h, cfg.eps)
-    enc = _Encoder(builder, binding, cfg, name)
-    if isinstance(tree, _PFalse):
-        builder.mark_infeasible(f"{name}: violated by already-fixed samples")
-        enc.result.infeasible = True
-        return enc.result
-    if isinstance(tree, _PDeferred):
-        enc.result.deferred = True
-        return enc.result
-    enc.assert_at_least(tree, 1.0)
-    return enc.result
+    def rows(self, tree, reads: np.ndarray) -> StepRows:
+        tmpl = self.tmpl
+        m = len(self.src)
+        n_slots = len(tmpl.slots)
+        src = np.array(self.src, dtype=int)
+        sign = np.array(self.sign)
+        R = np.zeros((m, n_slots + 1))
+        at = np.arange(m)
+        coef = -sign[:, None] * tmpl.term_coef[src]
+        slot = tmpl.term_slot[src]
+        for j in range(slot.shape[1]):
+            R[at, slot[:, j]] += coef[:, j]
+        aux = np.zeros((m, len(self.aux_names)))
+        if self.aux_at:
+            r, c, v = zip(*self.aux_at)
+            aux[list(r), list(c)] = v
+        b = (sign * (reads[src] - np.array(self.const)) + np.array(self.k1)) \
+            - np.array(self.k2)
+        return StepRows(
+            name=tmpl.name, infeasible=tree is _Fold.FALSE,
+            deferred=tree is _Fold.DEFERRED, R=R[:, :n_slots], aux=aux, b=b,
+            aux_names=tuple(self.aux_names), aux_binary=tuple(self.aux_binary),
+            warm_sources=tuple(self.warm_sources), bounds=tuple(self.bounds))

@@ -7,7 +7,11 @@ instead of the interior-point method for the elastic violation of a QP's
 rows and instead of branch-and-bound for the feasibility of an encoded
 formula, and nonnegative least squares on the active set for the KKT
 conditions of a returned QP point.  The readers of the CSV files that the
-program writes live here too, since only the tests read those files back.
+program writes live here too, since only the tests read those files back,
+as do two adapters that state test problems through the program's own
+entry points: ``add_squared_cost`` (an expression's squared cost through
+``ProblemBuilder.add_quadratic``) and ``encode_formula`` (a formula over a
+generic binding through ``stl.FormulaTemplate``).
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -72,6 +76,63 @@ def add_squared_cost(builder: ProblemBuilder, expr: LinExpr | float, weight: flo
     c = np.array([e.coef[n] for n in names])
     builder.add_quadratic(names, 2.0 * weight * np.outer(c, c),
                           2.0 * weight * e.const * c, weight * e.const ** 2)
+
+
+SignalBinding = Mapping[str, Mapping[int, Union[LinExpr, float]]]
+
+
+@dataclass
+class EncodedFormula:
+    """What one formula contributed to the problem under construction.
+
+    ``binaries`` holds the disjunction binaries (``{name}.t{t}.d{j}``, named
+    by the first sample the disjunction reads) and the predicate literals
+    (``{name}.t{t}.p{pid}``); ``literals`` holds the continuous selectors of
+    disjunctions under a fractional required truth; ``constraints`` counts
+    the rows emitted.
+    """
+
+    binaries: list[str]
+    literals: list[str]
+    constraints: int
+    deferred: bool = False
+    infeasible: bool = False
+
+
+def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBinding,
+                   h: float, cfg: stl.EncodingConfig, name: str = "stl") -> EncodedFormula:
+    """Assert that ``f`` holds at sample 0 over a generic binding of its signals.
+
+    History samples appear in ``binding`` as float constants and fold away;
+    decision-bound samples appear as affine expressions over the builder's
+    variables, which are substituted for the template's slots.  Samples
+    with no binding are unbound: their obligations are deferred.
+    """
+    tmpl = stl.FormulaTemplate(f, h, cfg, name)
+    names = list(dict.fromkeys(var for samples in binding.values()
+                               for v in samples.values() if isinstance(v, LinExpr)
+                               for var in v.coef))
+    column = {n: i for i, n in enumerate(names)}
+    state = np.full(len(tmpl.slots), stl.UNBOUND, dtype=np.int8)
+    values = np.zeros(len(tmpl.slots))
+    M = np.zeros((len(tmpl.slots), len(names)))
+    for (ch, t), s in tmpl.slots.items():
+        if ch not in binding or t not in binding[ch]:
+            continue
+        v = binding[ch][t]
+        if isinstance(v, (int, float)):
+            state[s], values[s] = stl.HISTORY, v
+        else:
+            state[s], values[s] = stl.DECISION, v.const
+            for var, c in v.coef.items():
+                M[s, column[var]] = c
+    rows = tmpl.instantiate(state, values)
+    rows.add_to(builder, names, M)
+    return EncodedFormula(binaries=[chain[0] for chain in rows.warm_sources],
+                          literals=[n for n, is_bin in zip(rows.aux_names, rows.aux_binary)
+                                    if not is_bin],
+                          constraints=len(rows.b), deferred=rows.deferred,
+                          infeasible=rows.infeasible)
 
 
 def add_linear_cost(problem: MiqpProblem, weights: Mapping[str, float]) -> MiqpProblem:
@@ -236,7 +297,7 @@ def encode_fixed_signal(formula: stl.Formula, signal: stl.SampledSignal,
             name = builder.add_continuous(f"{ch}{t}", float(v), float(v))
             binding[ch][t] = LinExpr.variable(name)
     cfg = stl.EncodingConfig(channel_bounds=CHANNEL_RANGES, eps=eps)
-    stl.encode_formula(builder, formula, binding, 0, signal.h, cfg)
+    encode_formula(builder, formula, binding, signal.h, cfg)
     return builder.build()
 
 

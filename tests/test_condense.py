@@ -65,8 +65,8 @@ def test_objective_matches_expanded_tracking_cost(demo_predictor):
     f = 2.0 * cfg.q_weight * M.T @ (y0 - cfg.reference)
     const = cfg.q_weight * np.sum((y0 - cfg.reference) ** 2)
 
-    problem, u_names, _ = build_step_problem(cfg, condense(demo_predictor, cfg),
-                                             x0, 0, [15.0], [])
+    problem, u_names = build_step_problem(cfg, condense(demo_predictor, cfg),
+                                          x0, 0, [15.0], [])[:2]
     assert list(problem.names) == u_names
     assert np.max(np.abs(problem.H - H)) <= 1e-12 * np.max(np.abs(H))
     assert np.max(np.abs(problem.f - f)) <= 1e-12 * np.max(np.abs(f))
@@ -79,8 +79,8 @@ def test_unconstrained_tracking_hits_reference():
     bu[4] = 1.0
     pred = _identity_predictor(np.zeros((6, 6)), bu, np.zeros(6))
     cfg = _tracking_cfg(horizon=1, reference=40.0, r_weight=1e-9, u_max=100.0)
-    prob, _, _ = build_step_problem(cfg, condense(pred, cfg), np.zeros(6), 0,
-                                    [0.0], [])
+    prob = build_step_problem(cfg, condense(pred, cfg), np.zeros(6), 0,
+                              [0.0], []).problem
     res = solve_qp(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
                    obj_const=prob.obj_const)
     assert res.x[0] == pytest.approx(40.0, abs=1e-7)
@@ -136,7 +136,7 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
 
     # condensed
     cfg = _tracking_cfg(horizon=np_h, q_weight=q_w, r_weight=r_w, reference=ref)
-    p1, _, _ = build_step_problem(cfg, condense(pred, cfg), x0, 0, [30.0], [])
+    p1 = build_step_problem(cfg, condense(pred, cfg), x0, 0, [30.0], []).problem
     r1 = solve_qp(p1.H, p1.f, p1.A, p1.b, p1.lb, p1.ub, obj_const=p1.obj_const)
 
     # explicit lifted states: v = (u_0..u_{Np-1}, z_0, .., z_Np), E v = d

@@ -4,9 +4,10 @@ import pytest
 from wws import stl
 from wws.milp import LinExpr, ProblemBuilder
 from wws.miqp import solve_miqp
-from wws.stl import EncodingConfig, StlEncodingError, encode_formula
+from wws.stl import EncodingConfig, StlEncodingError
 
-from oracles import add_squared_cost, encode_fixed_signal, milp_feasible, soundness_case
+from oracles import (add_squared_cost, encode_fixed_signal, encode_formula, milp_feasible,
+                     soundness_case)
 
 CFG = EncodingConfig(channel_bounds={"y": (-50.0, 150.0), "u": (0.0, 26.5)})
 POWER_BAND = "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"
@@ -24,7 +25,7 @@ def test_conjunctive_spec_needs_no_binaries():
     builder = ProblemBuilder()
     binding = {"y": {t: _pin(builder, f"y{t}", 41.0 + t) for t in range(4)}}
     f = stl.resolve_end(stl.parse("alw_[60,end] (y >= 40)"), 180.0)
-    enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
+    enc = encode_formula(builder, f, binding, 60.0, CFG)
     assert enc.binaries == [] and enc.literals == []
     res = solve_miqp(builder.build())
     assert res.status == "optimal" and res.nodes <= 1
@@ -34,7 +35,7 @@ def test_conjunctive_spec_infeasible_on_violating_signal():
     builder = ProblemBuilder()
     binding = {"y": {t: _pin(builder, f"y{t}", 41.0 - 2 * t) for t in range(4)}}
     f = stl.resolve_end(stl.parse("alw_[60,end] (y >= 40)"), 180.0)
-    encode_formula(builder, f, binding, 0, 60.0, CFG)
+    encode_formula(builder, f, binding, 60.0, CFG)
     res = solve_miqp(builder.build())
     assert res.status == "infeasible"
 
@@ -44,7 +45,7 @@ def test_power_band_binary_and_literal_count():
     builder = ProblemBuilder()
     u0 = builder.add_continuous("u0", 0.0, 26.5)
     binding = {"u": {0: LinExpr.variable(u0)}}
-    enc = encode_formula(builder, stl.parse(POWER_BAND), binding, 0, 60.0, CFG)
+    enc = encode_formula(builder, stl.parse(POWER_BAND), binding, 60.0, CFG)
     assert enc.binaries == ["stl.t0.d0"]
     assert enc.literals == []
     assert enc.constraints == 2
@@ -56,7 +57,7 @@ def test_power_band_hull_rows_are_exact_at_interval_ends():
         for u in (end - 1e-5, end + 1e-5):
             builder = ProblemBuilder()
             binding = {"u": {0: _pin(builder, "u0", u)}}
-            encode_formula(builder, stl.parse(POWER_BAND), binding, 0, 60.0, CFG)
+            encode_formula(builder, stl.parse(POWER_BAND), binding, 60.0, CFG)
             problem = builder.build()
             inside = 0.001 + eps <= u <= 0.01 - eps or 21.2 <= u <= 26.5
             assert (solve_miqp(problem).status == "optimal") == inside, u
@@ -74,7 +75,7 @@ def test_mixed_channel_disjunction_uses_implied_rows():
         builder = ProblemBuilder()
         binding = {ch: {t: _pin(builder, f"{ch}{t}", v) for t, v in enumerate(vals)}
                    for ch, vals in signal.channels.items()}
-        enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
+        enc = encode_formula(builder, f, binding, 60.0, CFG)
         assert enc.binaries == ["stl.t0.d0", "stl.t1.d0", "stl.t2.d0"]
         assert enc.literals == [] and enc.constraints == 6
         problem = builder.build()
@@ -88,7 +89,7 @@ def test_power_band_selects_off_branch_when_cheap():
     binding = {"u": {0: LinExpr.variable(u0)}}
     f = stl.resolve_end(stl.parse(
         "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"), 0.0)
-    encode_formula(builder, f, binding, 0, 60.0, CFG)
+    encode_formula(builder, f, binding, 60.0, CFG)
     add_squared_cost(builder, LinExpr.variable(u0), 1.0)
     res = solve_miqp(builder.build())
     assert res.status == "optimal"
@@ -103,7 +104,7 @@ def test_history_constants_fold_away():
     builder = ProblemBuilder()
     binding = {"y": {0: 41.0, 1: 42.0, 2: 43.0}}
     f = stl.resolve_end(stl.parse("alw_[0,end] (y >= 40)"), 120.0)
-    enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
+    enc = encode_formula(builder, f, binding, 60.0, CFG)
     assert enc.constraints == 0 and not enc.infeasible
     problem = builder.build()
     assert problem.n == 0
@@ -114,7 +115,7 @@ def test_violated_history_marks_problem_infeasible():
     builder = ProblemBuilder()
     binding = {"y": {0: 41.0, 1: 39.0, 2: 43.0}}
     f = stl.resolve_end(stl.parse("alw_[0,end] (y >= 40)"), 120.0)
-    enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
+    enc = encode_formula(builder, f, binding, 60.0, CFG)
     assert enc.infeasible
     res = solve_miqp(builder.build())
     assert res.status == "infeasible"
@@ -125,7 +126,7 @@ def test_strict_dead_zone_is_infeasible_at_fixed_signal():
     # (-eps, eps) of a strict boundary admits no binary assignment
     builder = ProblemBuilder()
     binding = {"u": {0: _pin(builder, "u0", 5.0 + 0.5 * CFG.eps)}}
-    encode_formula(builder, stl.parse("u > 5"), binding, 0, 60.0, CFG)
+    encode_formula(builder, stl.parse("u > 5"), binding, 60.0, CFG)
     assert solve_miqp(builder.build()).status == "infeasible"
 
 
@@ -133,7 +134,7 @@ def test_windows_beyond_binding_are_deferred():
     builder = ProblemBuilder()
     binding = {"y": {0: _pin(builder, "y0", 50.0)}}
     f = stl.resolve_end(stl.parse("alw_[60,end] (y >= 40)"), 300.0)
-    enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
+    enc = encode_formula(builder, f, binding, 60.0, CFG)
     assert enc.deferred and enc.constraints == 0
 
 
@@ -141,7 +142,7 @@ def test_partially_visible_window_enforces_visible_part():
     builder = ProblemBuilder()
     binding = {"y": {0: _pin(builder, "y0", 50.0), 1: _pin(builder, "y1", 50.0)}}
     f = stl.resolve_end(stl.parse("alw_[0,end] (y >= 40)"), 300.0)
-    enc = encode_formula(builder, f, binding, 0, 60.0, CFG)
+    enc = encode_formula(builder, f, binding, 60.0, CFG)
     assert not enc.deferred
     assert enc.constraints == 2  # indices 0 and 1 only
 
@@ -151,7 +152,7 @@ def test_eventually_with_invisible_tail_is_stricter():
     builder = ProblemBuilder()
     binding = {"y": {0: _pin(builder, "y0", 20.0)}}
     f = stl.resolve_end(stl.parse("ev_[0,end] (y >= 40)"), 300.0)
-    encode_formula(builder, f, binding, 0, 60.0, CFG)
+    encode_formula(builder, f, binding, 60.0, CFG)
     assert solve_miqp(builder.build()).status == "infeasible"
 
 
@@ -161,7 +162,7 @@ def test_missing_channel_bounds_raise():
     builder = ProblemBuilder()
     binding = {"q": {0: _pin(builder, "q0", 1.0)}}
     with pytest.raises(StlEncodingError, match="no declared bounds"):
-        encode_formula(builder, f, binding, 0, 60.0,
+        encode_formula(builder, f, binding, 60.0,
                        EncodingConfig(channel_bounds={}))
 
 

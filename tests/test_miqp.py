@@ -6,7 +6,7 @@ from wws import miqp
 from wws.miqp import MiqpError, solve_miqp
 from wws.qp import solve_qp
 
-from oracles import add_squared_cost, enumerate_miqp, max_violation, random_miqp
+from oracles import add_squared_cost, encode_formula, enumerate_miqp, max_violation, random_miqp
 
 
 def _band_problem(y0=42.0, gain=0.1):
@@ -17,7 +17,7 @@ def _band_problem(y0=42.0, gain=0.1):
     u0 = b.add_continuous("u0", 0.0, 26.5)
     binding = {"u": {0: LinExpr.variable(u0)}}
     f = stl.parse("((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))")
-    stl.encode_formula(b, f, binding, 0, 60.0,
+    encode_formula(b, f, binding, 60.0,
                        stl.EncodingConfig(channel_bounds={"u": (0.0, 26.5)}))
     y1 = y0 + gain * LinExpr.variable(u0)
     add_squared_cost(b, y1, 1.0, target=40.0)
