@@ -262,7 +262,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                                    initial_temps=cfg.initial_temps,
                                    start_times=cfg.start_times, jobs=cfg.jobs)
     result.write_csv(out / "sweep.csv")
-    notes = {f"{int(k[0])},{int(k[1])}": v for k, v in result.notes.items()}
+    notes = {f"{mpc._fmt(k[0])},{mpc._fmt(k[1])}": v for k, v in result.notes.items()}
     (out / "sweep_notes.json").write_text(json.dumps(
         {"monotone_staircase": result.is_monotone_staircase(), "notes": notes},
         indent=1))

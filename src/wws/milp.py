@@ -1,17 +1,15 @@
 """Containers for mixed-integer quadratic programs.
 
-``LinExpr`` is a small affine-expression type over named variables;
-``ProblemBuilder`` accumulates variables, linear rows ``A x <= b`` (one at
-a time from expressions, or as dense blocks from arrays, the way the
-controller's step problems arrive) and quadratic cost, and freezes
-everything into a dense ``MiqpProblem``, without the rows that no point of
-the variable box can violate.  Freezing checks structure only (symmetry,
-every binary used); the curvature of H belongs to whoever formed it.  The
-condensed step problem has no equality rows: eliminating the lifted states
-removes the predictor dynamics, and an equality would only pin a variable,
-which its box already does.  Every variable carries a finite box (the
-solvers rely on bounded feasible sets), binaries are flagged in a mask, and
-the objective convention is
+``ProblemBuilder`` accumulates variables, linear rows ``A x <= b`` (as dense
+blocks over named variables, the way the controller's step problems arrive)
+and quadratic cost, and freezes everything into a dense ``MiqpProblem``,
+without the rows that no point of the variable box can violate.  Freezing
+checks structure only (symmetry, every binary used); the curvature of H
+belongs to whoever formed it.  The condensed step problem has no equality
+rows: eliminating the lifted states removes the predictor dynamics, and an
+equality would only pin a variable, which its box already does.  Every
+variable carries a finite box (the solvers rely on bounded feasible sets),
+binaries are flagged in a mask, and the objective convention is
 
     J(x) = 0.5 x' H x + f' x + const.
 
@@ -24,71 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable
 
 import numpy as np
-
-Number = Union[int, float]
-
-
-class LinExpr:
-    """Immutable affine expression: sum(coef * var) + const."""
-
-    __slots__ = ("coef", "const")
-
-    def __init__(self, coef: Mapping[str, float] | None = None, const: float = 0.0):
-        object.__setattr__(self, "coef", dict(coef or {}))
-        object.__setattr__(self, "const", float(const))
-
-    def __setattr__(self, *_args):
-        raise AttributeError("LinExpr is immutable")
-
-    @staticmethod
-    def constant(value: float) -> "LinExpr":
-        return LinExpr({}, value)
-
-    @staticmethod
-    def variable(name: str, coef: float = 1.0) -> "LinExpr":
-        return LinExpr({name: float(coef)}, 0.0)
-
-    @staticmethod
-    def combination(names: Iterable[str], coefs: Iterable[float],
-                    const: float = 0.0) -> "LinExpr":
-        return LinExpr({n: float(c) for n, c in zip(names, coefs) if c != 0.0}, const)
-
-    def __add__(self, other: Union["LinExpr", Number]) -> "LinExpr":
-        if isinstance(other, (int, float)):
-            return LinExpr(self.coef, self.const + other)
-        merged = dict(self.coef)
-        for name, c in other.coef.items():
-            merged[name] = merged.get(name, 0.0) + c
-        return LinExpr(merged, self.const + other.const)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LinExpr":
-        return LinExpr({n: -c for n, c in self.coef.items()}, -self.const)
-
-    def __sub__(self, other: Union["LinExpr", Number]) -> "LinExpr":
-        return self + (-other if isinstance(other, LinExpr) else -float(other))
-
-    def __rsub__(self, other: Number) -> "LinExpr":
-        return (-self) + float(other)
-
-    def __mul__(self, scalar: Number) -> "LinExpr":
-        s = float(scalar)
-        return LinExpr({n: c * s for n, c in self.coef.items()}, self.const * s)
-
-    __rmul__ = __mul__
-
-    def value(self, assignment: Mapping[str, float]) -> float:
-        return self.const + sum(c * assignment[n] for n, c in self.coef.items())
-
-    def __repr__(self):
-        parts = [f"{c:+g}*{n}" for n, c in sorted(self.coef.items())]
-        parts.append(f"{self.const:+g}")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class MiqpProblem:
@@ -149,14 +85,6 @@ class ProblemBuilder:
 
     # -- variables ---------------------------------------------------------
 
-    def add_continuous(self, name: str, lb: float, ub: float) -> str:
-        self.add_variables([name], lb, ub, [False])
-        return name
-
-    def add_binary(self, name: str) -> str:
-        self.add_variables([name], 0.0, 1.0, [True])
-        return name
-
     def add_variables(self, names: Iterable[str], lb: float, ub: float,
                       binary: Iterable[bool]) -> None:
         """Add variables sharing the box [lb, ub]; ``binary`` flags each."""
@@ -176,56 +104,30 @@ class ProblemBuilder:
 
     # -- constraints ---------------------------------------------------------
 
-    def _normalize(self, lhs: Union[LinExpr, Number], rhs: Union[LinExpr, Number]
-                   ) -> tuple[dict[str, float], float]:
-        expr = (lhs if isinstance(lhs, LinExpr) else LinExpr.constant(lhs)) \
-            - (rhs if isinstance(rhs, LinExpr) else LinExpr.constant(rhs))
-        for n in expr.coef:
-            if n not in self._index:
-                raise ValueError(f"unknown variable {n!r} in constraint")
-        return dict(expr.coef), -expr.const
-
-    def add_leq(self, lhs, rhs) -> None:
-        coef, b = self._normalize(lhs, rhs)
-        if not coef:
-            self._constant_row(b)
-            return
-        self._blocks.append(([self._index[n] for n in coef],
-                             np.array([list(coef.values())]), np.array([b])))
-
     def add_rows(self, names: Iterable[str], A: np.ndarray, b: np.ndarray) -> None:
         """Add the rows ``A v <= b``, ``v`` the named variables.
 
-        A row with no nonzero coefficient is a constant and folds away here,
-        as in ``add_leq``.
+        A row with no nonzero coefficient is the constant ``0 <= b`` and
+        folds away here; a violated one marks the problem infeasible.
         """
-        cols = [self._index[n] for n in names]
+        try:
+            cols = [self._index[n] for n in names]
+        except KeyError as exc:
+            raise ValueError(f"unknown variable {exc.args[0]!r} in constraint") from None
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         live = A.any(axis=1)
         if not live.all():
             for rhs in b[~live]:
-                self._constant_row(float(rhs))
+                if rhs < -1e-12:
+                    self.mark_infeasible(f"constant constraint violated ({-rhs:.3g} > 0)")
             A, b = A[live], b[live]
         if len(b):
             self._blocks.append((cols, A, b))
 
-    def _constant_row(self, b: float) -> None:
-        """The row ``0 <= b``."""
-        if b < -1e-12:
-            self.mark_infeasible(f"constant constraint violated ({-b:.3g} > 0)")
-
-    def add_geq(self, lhs, rhs) -> None:
-        self.add_leq(rhs if isinstance(rhs, LinExpr) else LinExpr.constant(rhs),
-                     lhs if isinstance(lhs, LinExpr) else LinExpr.constant(lhs))
-
     def mark_infeasible(self, reason: str) -> None:
         if self._infeasible is None:
             self._infeasible = reason
-
-    @property
-    def infeasible_reason(self) -> str | None:
-        return self._infeasible
 
     # -- objective -----------------------------------------------------------
 
@@ -245,7 +147,7 @@ class ProblemBuilder:
 
     # -- assembly ------------------------------------------------------------
 
-    def build(self, validate: bool = True) -> MiqpProblem:
+    def build(self) -> MiqpProblem:
         n = len(self._names)
         names = tuple(self._names)
         H = np.zeros((n, n))
@@ -268,8 +170,7 @@ class ProblemBuilder:
         problem = MiqpProblem(names=names, H=H, f=f, obj_const=self._obj_const,
                               A=A, b=b, lb=lb, ub=ub,
                               binary=binary, infeasible_reason=self._infeasible)
-        if validate:
-            _validate(problem)
+        _validate(problem)
         violable = ~_box_redundant(A, b, lb, ub)
         if not np.all(violable):
             problem = replace(problem, A=A[violable], b=b[violable])
@@ -283,7 +184,7 @@ def _box_redundant(A: np.ndarray, b: np.ndarray, lb: np.ndarray,
     A row is redundant when its exact maximum over the box,
     sum_j max(a_j lb_j, a_j ub_j), stays at or below b after adding a bound
     on the rounding error of that sum.  This generalizes the folding of
-    constant rows in ``add_leq``: a row whose coefficients are rounding noise
+    constant rows in ``add_rows``: a row whose coefficients are rounding noise
     against its right-hand side is dropped here instead of reaching the
     solver, where row equilibration would blow it up.
     """

@@ -269,7 +269,8 @@ class ClosedLoopTrace:
     Row ``k`` holds the state measured at time ``k h``, the input chosen at
     that time (the final row's input is planned but never applied) and the
     solver outcome.  ``robustness_so_far`` monitors each specification over
-    the realized prefix, every window clipped to that prefix.
+    the realized prefix, every window clipped to that prefix; ``specs`` are
+    the parsed ``spec_texts``.
     """
 
     h: float
@@ -284,6 +285,7 @@ class ClosedLoopTrace:
     nodes: np.ndarray
     robustness_so_far: np.ndarray     # (steps, n_formulas)
     spec_texts: tuple[str, ...]
+    specs: tuple[Formula, ...]
     plan_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
     aborted: bool = False
     abort_reason: str | None = None
@@ -298,7 +300,7 @@ class ClosedLoopTrace:
     def final_robustness(self) -> list[float]:
         """Realized robustness of each spec over the whole trace."""
         sig = self.signal()
-        return [robustness(parse(text), sig, 0, prefix=True) for text in self.spec_texts]
+        return [robustness(f, sig, 0, prefix=True) for f in self.specs]
 
     def write_csv(self, path: str | Path) -> None:
         header = plant_mod.TRAJECTORY_HEADER + ["status", "objective",
@@ -397,7 +399,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         disturbances=np.full(end, cfg.w_forecast), outputs=outputs[:end],
         statuses=statuses[:end], objectives=objectives[:end],
         binaries=binaries[:end], nodes=nodes[:end], robustness_so_far=rob[:end],
-        spec_texts=cfg.stl_specs, plan_seconds=plan_seconds[:end],
+        spec_texts=cfg.stl_specs, specs=cfg.specs, plan_seconds=plan_seconds[:end],
         aborted=aborted, abort_reason=abort_reason)
 
 

@@ -232,8 +232,8 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     """
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
-    A = np.asarray(A, dtype=float) if A is not None else np.zeros((0, len(f)))
-    b = np.asarray(b, dtype=float) if b is not None else np.zeros(0)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     if np.any(lb > ub + 1e-15):

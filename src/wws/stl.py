@@ -9,6 +9,9 @@ Concrete syntax (one formula per line in spec files, ``#`` comments)::
              | '(' formula ')' | channel relop number
     relop   := '>=' | '<=' | '>' | '<'
 
+A predicate compares one channel with a number; sums, scaled channels and
+channel-to-channel comparisons are outside the grammar.
+
 Interval bounds are seconds; the upper bound may be the token ``end``, which
 is resolved to the final closed-loop time before monitoring or encoding.
 Windows map to sample indices as  {t + ceil(a/h) .. t + floor(b/h)}.
@@ -18,11 +21,12 @@ robustness monitor (min/max semantics) and a big-M mixed-integer encoder.
 The monitor works directly on the AST, which keeps it an independent
 oracle for the encoder.  The encoder compiles a formula once into a
 ``FormulaTemplate``: temporal operators expanded over absolute sample
-indices, negation pushed to the leaves, and every leaf's slots (one channel
-at one sample), sign, constant, eps and big-M fixed.  At each use the
+indices, negation pushed to the leaves, and every leaf's slot (its channel
+at its sample), sign, constant, eps and big-M fixed.  At each use the
 caller marks every slot as history, decision or unbound; the template
 folds the history truths, folds the tree, and emits the live nodes' rows
-over the slots (``StepRows``), which the caller maps onto its variables.
+over the slots (``StepRows``), each row reading one slot, which the caller
+maps onto its variables.
 
 The encoder puts binaries only where the formula branches (Kurtz & Lin
 2022, "Mixed-integer programming for signal temporal logic with fewer
@@ -85,9 +89,9 @@ _STRICT = {">", "<"}
 
 @dataclass(frozen=True)
 class Pred:
-    """Linear predicate over named channels: sum(coef * channel) relop const."""
+    """One channel compared with a number: ``channel relop const``."""
 
-    terms: tuple[tuple[float, str], ...]
+    channel: str
     op: str
     const: float
 
@@ -99,18 +103,15 @@ class Pred:
     def strict(self) -> bool:
         return self.op in _STRICT
 
-    def channels(self) -> tuple[str, ...]:
-        return tuple(ch for _, ch in self.terms)
-
     def negate(self) -> "Pred":
-        return Pred(self.terms, _FLIP[self.op], self.const)
+        return Pred(self.channel, _FLIP[self.op], self.const)
 
-    def margin(self, values: Mapping[str, float]) -> float:
-        """Signed satisfaction margin; positive means satisfied."""
-        expr = sum(c * values[ch] for c, ch in self.terms)
+    def margin(self, value: float) -> float:
+        """Signed satisfaction margin of the channel's value; positive means
+        satisfied."""
         if self.op in (">=", ">"):
-            return expr - self.const
-        return self.const - expr
+            return value - self.const
+        return self.const - value
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ class _Parser:
             self.take()
             op = self.take("relop")[1]
             num = float(self.take("number")[1])
-            return Pred(((1.0, value),), op, num)
+            return Pred(value, op, num)
         raise StlSyntaxError(f"expected a formula, found {value!r}", pos)
 
     def bounds(self) -> tuple[float, Bound]:
@@ -315,11 +316,7 @@ def format_formula(f: Formula) -> str:
         return format_formula(child)
 
     if isinstance(f, Pred):
-        if len(f.terms) == 1 and f.terms[0][0] == 1.0:
-            lhs = f.terms[0][1]
-        else:  # linear predicates beyond the grammar print unambiguously
-            lhs = " + ".join(f"{_fmt_num(c)}*{ch}" for c, ch in f.terms)
-        return f"{lhs} {f.op} {_fmt_num(f.const)}"
+        return f"{f.channel} {f.op} {_fmt_num(f.const)}"
     if isinstance(f, Not):
         return f"not {wrap(f.child)}"
     if isinstance(f, And):
@@ -382,9 +379,6 @@ class SampledSignal:
     def length(self) -> int:
         return len(next(iter(self.channels.values()))) if self.channels else 0
 
-    def value(self, t_index: int) -> dict[str, float]:
-        return {ch: float(v[t_index]) for ch, v in self.channels.items()}
-
 
 def _window_indices(t: int, a: float, b: Bound, h: float,
                     last: int | None = None) -> range:
@@ -420,7 +414,7 @@ def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
                 raise StlEvaluationError(
                     f"signal too short: predicate needs index {t}, have 0..{n - 1}")
             try:
-                rho = node.margin(signal.value(t))
+                rho = node.margin(float(signal.channels[node.channel][t]))
             except KeyError as exc:
                 raise StlEvaluationError(f"unknown channel {exc.args[0]!r}") from exc
             return rho - strict_shift if node.strict else rho
@@ -474,11 +468,6 @@ class EncodingConfig:
 
     channel_bounds: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     eps: float = 1e-6
-
-
-# what the padding slot after a template's own slots reads
-_PAD_STATE = np.array([HISTORY], dtype=np.int8)
-_PAD_VALUE = np.zeros(1)
 
 
 class _Fold(enum.Enum):
@@ -588,7 +577,8 @@ class StepRows:
     """What one formula asks of one step's problem.
 
     The rows read ``R s + aux a <= b``: ``s`` are the template's slots
-    (only decision slots carry nonzero columns) and ``a`` the auxiliary
+    (a row of R holds at most one nonzero, +1 or -1, and only in a decision
+    slot's column) and ``a`` the auxiliary
     variables created for this step, in creation order (``aux_names``,
     binaries flagged in ``aux_binary``).  ``warm_sources`` gives, per
     binary in creation order, its own name and the names of the same
@@ -628,11 +618,11 @@ class FormulaTemplate:
     """One formula compiled once for encoding at sample 0.
 
     Compiling expands every temporal operator over absolute sample indices,
-    pushes negation to the leaves and precomputes each leaf's slots,
-    coefficients, sign, constant, eps and big-M, and each 2-way Or's
-    interval pair.  :meth:`instantiate` then only classifies the leaves
-    against the caller's binding, folds the history truths and the internal
-    nodes, and emits the rows of the live nodes in slot space.
+    pushes negation to the leaves and precomputes each leaf's slot, sign,
+    constant, eps, big-M and edge, and each 2-way Or's interval pair.
+    :meth:`instantiate` then only classifies the leaves against the caller's
+    binding, folds the history truths and the internal nodes, and emits the
+    rows of the live nodes in slot space.
     """
 
     def __init__(self, f: Formula, h: float, cfg: EncodingConfig, name: str = "stl"):
@@ -644,8 +634,9 @@ class FormulaTemplate:
         self.root = self._number(root, leaves, nodes)
         # slots ordered by channel, then sample: each channel's slots are
         # one contiguous run, ``channel_slots[ch] = (first slot, samples)``
-        read = sorted({(ch, leaf.t) for leaf in leaves for _, ch in leaf.pred.terms})
+        read = sorted({(leaf.pred.channel, leaf.t) for leaf in leaves})
         self.slots: dict[tuple[str, int], int] = {key: s for s, key in enumerate(read)}
+        self.pad = len(read)                   # a slot index that reads 0.0
         self.channel_slots: dict[str, tuple[int, np.ndarray]] = {}
         for ch in dict.fromkeys(ch for ch, _ in read):
             self.channel_slots[ch] = (self.slots[(ch, min(t for c, t in read if c == ch))],
@@ -671,64 +662,41 @@ class FormulaTemplate:
         return node
 
     def _compile_leaves(self, leaves: list[_Leaf]) -> None:
-        """Row sources: the leaves, then one unit source per slot, then an
-        empty one.  Source ``i`` reads ``sum_j coef[i, j] * slot[i, j]``."""
-        n_slots = len(self.slots)
-        width = max([1] + [len(leaf.pred.terms) for leaf in leaves])
-        pad = [n_slots] * width                # a slot index that reads 0.0
-        term_slot, term_coef = [], []
+        """Each leaf's slot, sample, predicate constants and edge."""
         per_pred: dict[Pred, tuple] = {}
         infos = []
-        self.leaf_t, self.edges = [], []
         for leaf in leaves:
-            pred = leaf.pred
-            info = per_pred.get(pred)
+            info = per_pred.get(leaf.pred)
             if info is None:
-                info = per_pred[pred] = (len(per_pred), *self._pred_constants(pred))
+                info = per_pred[leaf.pred] = (len(per_pred), *self._pred_constants(leaf.pred))
             infos.append(info)
-            slots = [self.slots[(ch, leaf.t)] for _, ch in pred.terms]
-            term_slot.append(slots + pad[len(slots):])
-            term_coef.append([c for c, _ in pred.terms] + [0.0] * (width - len(slots)))
-            self.leaf_t.append(leaf.t)
-            self.edges.append(None if info[-1] is None else (slots[0], *info[-1]))
-        # predicate key, sign, const, eps, fold threshold and big-M of each leaf
+        slots = [self.slots[(leaf.pred.channel, leaf.t)] for leaf in leaves]
+        self.leaf_slot = np.array(slots, dtype=int)
+        self.leaf_t = [leaf.t for leaf in leaves]
+        # predicate key, sign, const, eps, fold threshold, big-M and edge
         (self.pred_key, self.leaf_sign, self.leaf_const, self.leaf_eps, fold_at,
-         self.big_m_of) = ([info[i] for info in infos] for i in range(6))
+         self.big_m_of, edges) = ([info[i] for info in infos] for i in range(7))
+        self.edges = [(slot, *edge) for slot, edge in zip(slots, edges)]
         self.fold_at = np.array(fold_at)
         self.leaf_sign_arr = np.array(self.leaf_sign)
         self.leaf_const_arr = np.array(self.leaf_const)
-        units = [[s] + pad[1:] for s in range(n_slots)]
-        self.empty = len(leaves) + n_slots     # the source with no terms
-        self.term_slot = np.array(term_slot + units + [pad], dtype=int).reshape(-1, width)
-        self.term_coef = np.array(term_coef + [[1.0] + [0.0] * (width - 1)] * n_slots
-                                  + [[0.0] * width]).reshape(-1, width)
 
     def _pred_constants(self, pred: Pred) -> tuple:
         """Sign, constant, eps, fold threshold, big-M (or the error message
-        when a channel has no declared bounds) and the (lo, hi) that a
-        single-term predicate bounds its slot to (None otherwise)."""
+        when the channel has no declared bounds) and the (lo, hi) that the
+        predicate bounds its slot to."""
         eps = self.cfg.eps
         sign = 1.0 if pred.op in (">=", ">") else -1.0
-        lo = hi = 0.0
         big_m: float | str
-        for c, ch in pred.terms:
-            if ch not in self.cfg.channel_bounds:
-                big_m = f"no declared bounds for channel {ch!r}"
-                break
-            blo, bhi = self.cfg.channel_bounds[ch]
-            lo += min(c * blo, c * bhi)
-            hi += max(c * blo, c * bhi)
+        if pred.channel in self.cfg.channel_bounds:
+            lo, hi = self.cfg.channel_bounds[pred.channel]
+            big_m = BIG_M_MARGIN * (max(abs(lo - pred.const), abs(hi - pred.const))
+                                    + eps + 1.0)
         else:
-            m_lo, m_hi = lo - pred.const, hi - pred.const
-            if pred.op in ("<=", "<"):
-                m_lo, m_hi = -m_hi, -m_lo
-            big_m = BIG_M_MARGIN * (max(abs(m_lo), abs(m_hi)) + eps + 1.0)
-        edge = None
-        # margin = sign (c s - const) >= eps  <=>  a s >= sign const + eps
-        if len(pred.terms) == 1 and sign * pred.terms[0][0] != 0.0:
-            a = sign * pred.terms[0][0]
-            at = (sign * pred.const + (eps if pred.strict else 0.0)) / a
-            edge = (at, math.inf) if a > 0.0 else (-math.inf, at)
+            big_m = f"no declared bounds for channel {pred.channel!r}"
+        # margin = sign (s - const) >= eps  <=>  sign s >= sign const + eps
+        at = (sign * pred.const + (eps if pred.strict else 0.0)) / sign
+        edge = (at, math.inf) if sign > 0.0 else (-math.inf, at)
         return (sign, pred.const, eps if pred.strict else 0.0,
                 eps - 1e-9 if pred.strict else 0.0, big_m, edge)
 
@@ -745,28 +713,19 @@ class FormulaTemplate:
         window, which is stricter and hence sound); history leaves fold to
         constants.
         """
-        n_leaves = len(self.leaf_t)
-        st = np.concatenate((state, _PAD_STATE))[self.term_slot[:n_leaves]]
-        val = np.concatenate((values, _PAD_VALUE))
-        reads = self.term_coef[:, 0] * val[self.term_slot[:, 0]]
-        for j in range(1, self.term_slot.shape[1]):
-            reads = reads + self.term_coef[:, j] * val[self.term_slot[:, j]]
-        if st.shape[1] == 1:
-            leaf_state = st[:, 0]
-        else:
-            leaf_state = np.where(st.min(axis=1) == UNBOUND, UNBOUND,
-                                  np.where(st.max(axis=1) == DECISION, DECISION, HISTORY))
+        leaf_state = state[self.leaf_slot]
+        val = np.append(values, 0.0)           # the pad slot reads 0.0
         # a non-strict predicate folds with zero tolerance; a strict one with
         # a grace of 1e-9, which keeps inputs applied exactly at an encoded
         # band edge (margin == eps by construction) folding to true despite
         # float round-off
         truth = (leaf_state == HISTORY) & (
-            self.leaf_sign_arr * (reads[:n_leaves] - self.leaf_const_arr) >= self.fold_at)
+            self.leaf_sign_arr * (val[self.leaf_slot] - self.leaf_const_arr) >= self.fold_at)
         tree = self._fold(leaf_state, truth)
         em = _Emitter(self)
         if isinstance(tree, (_Node, int)):
             em.require(tree, None)
-        return em.rows(tree, reads)
+        return em.rows(tree, val)
 
     def _fold(self, leaf_state: np.ndarray, leaf_truth: np.ndarray):
         root = self.root
@@ -809,7 +768,7 @@ class FormulaTemplate:
 
     def interval(self, node) -> tuple[int, float, float] | None:
         """(slot, lo, hi) when ``node`` bounds one slot to a finite,
-        non-empty interval through single-term predicates, else None."""
+        non-empty interval, else None."""
         if isinstance(node, int):
             kids = (node,)
         elif node.conj and all(isinstance(k, int) for k in node.kids):
@@ -819,7 +778,7 @@ class FormulaTemplate:
         slot, lo, hi = None, -math.inf, math.inf
         for k in kids:
             edge = self.edges[k]
-            if edge is None or (slot is not None and edge[0] != slot):
+            if slot is not None and edge[0] != slot:
                 return None
             slot = edge[0]
             lo, hi = max(lo, edge[1]), min(hi, edge[2])
@@ -863,15 +822,16 @@ class _Emitter:
     under a fractional ``lower`` (below an n-ary Or's continuous selectors)
     uses continuous selectors and two-sided predicate literals.
 
-    Each row is ``-sign * coef`` on its source's slots plus auxiliary
-    columns, with right-hand side ``(sign (read - const) + k1) - k2``,
-    ``read`` the source's value at the slot offsets: the order in which the
-    expression arithmetic of a row builder would round it.
+    Each row reads one slot with coefficient ``-sign`` (a leaf's slot, or
+    the slot of a hull row), or the pad slot for a row over selectors only,
+    plus auxiliary columns; its right-hand side is
+    ``(sign (value - const) + k1) - k2``, ``value`` the slot's offset (0.0
+    for the pad slot).
     """
 
     def __init__(self, tmpl: FormulaTemplate):
         self.tmpl = tmpl
-        self.src, self.sign, self.const, self.k1, self.k2 = [], [], [], [], []
+        self.slot, self.sign, self.const, self.k1, self.k2 = [], [], [], [], []
         self.aux_at: list[tuple[int, int, float]] = []
         self.aux_names: list[str] = []
         self.aux_binary: list[bool] = []
@@ -883,10 +843,10 @@ class _Emitter:
         self.pred_literals: dict[tuple[int, int], int] = {}
         self.counter = 0
 
-    def row(self, src: int, sign: float, const: float, k1: float, k2: float,
+    def row(self, slot: int, sign: float, const: float, k1: float, k2: float,
             aux: Sequence[tuple[int, float]] = ()) -> None:
-        r = len(self.src)
-        self.src.append(src)
+        r = len(self.slot)
+        self.slot.append(slot)
         self.sign.append(sign)
         self.const.append(const)
         self.k1.append(k1)
@@ -919,15 +879,14 @@ class _Emitter:
     def implied_row(self, leaf: int, lower) -> None:
         """margin >= eps - M (1 - lower) for an integral ``lower``."""
         t = self.tmpl
+        slot, lo, hi = t.edges[leaf]
         if lower is None:  # the plain predicate row
-            self.row(leaf, t.leaf_sign[leaf], t.leaf_const[leaf], 0.0, t.leaf_eps[leaf])
-            edge = t.edges[leaf]
-            if edge is not None:
-                self.bounds.append((edge[0], -1, edge[1], edge[2], edge[1], edge[2]))
+            self.row(slot, t.leaf_sign[leaf], t.leaf_const[leaf], 0.0, t.leaf_eps[leaf])
+            self.bounds.append((slot, -1, lo, hi, lo, hi))
             return
         m = self.big_m(leaf)
         const, coefs = lower
-        self.row(leaf, t.leaf_sign[leaf], t.leaf_const[leaf], m * (1.0 - const),
+        self.row(slot, t.leaf_sign[leaf], t.leaf_const[leaf], m * (1.0 - const),
                  t.leaf_eps[leaf], [(a, m * c) for a, c in coefs.items()])
 
     def pred_literal(self, leaf: int) -> int:
@@ -941,8 +900,9 @@ class _Emitter:
         m = self.big_m(leaf)
         eps, sign, const = t.leaf_eps[leaf], t.leaf_sign[leaf], t.leaf_const[leaf]
         # margin >= -M (1 - p) + eps   and   margin <= M p - eps
-        self.row(leaf, sign, const, -(eps - m), 0.0, [(p, m)])
-        self.row(leaf, -sign, const, 0.0, eps, [(p, -m)])
+        slot = t.leaf_slot[leaf]
+        self.row(slot, sign, const, -(eps - m), 0.0, [(p, m)])
+        self.row(slot, -sign, const, 0.0, eps, [(p, -m)])
         self.pred_literals[key] = p
         return p
 
@@ -968,9 +928,8 @@ class _Emitter:
             return False
         slot, lo0, hi0, lo1, hi1 = pair
         d = self.disjunction_binary(node)
-        unit = len(self.tmpl.leaf_t) + slot   # the source reading the slot itself
-        self.row(unit, 1.0, lo0, 0.0, 0.0, [(d, lo1 - lo0)])
-        self.row(unit, -1.0, hi0, 0.0, 0.0, [(d, -(hi1 - hi0))])
+        self.row(slot, 1.0, lo0, 0.0, 0.0, [(d, lo1 - lo0)])
+        self.row(slot, -1.0, hi0, 0.0, 0.0, [(d, -(hi1 - hi0))])
         self.bounds.append((slot, d, lo0, hi0, lo1, hi1))
         return True
 
@@ -983,7 +942,7 @@ class _Emitter:
                 return
             p = self.pred_literal(node)
             const, coefs = lower
-            self.row(self.tmpl.empty, 1.0, 0.0, -const, 0.0, [(p, -1.0), *coefs.items()])
+            self.row(self.tmpl.pad, 1.0, 0.0, -const, 0.0, [(p, -1.0), *coefs.items()])
             return
         if node.conj:
             for kid in node.kids:
@@ -1001,31 +960,28 @@ class _Emitter:
             return
         sels = [self.selector() for _ in kids]
         const, coefs = (1.0, {}) if lower is None else lower
-        self.row(self.tmpl.empty, 1.0, 0.0, -const, 0.0,
+        self.row(self.tmpl.pad, 1.0, 0.0, -const, 0.0,
                  [*((s, -1.0) for s in sels), *coefs.items()])
         for kid, sel in zip(kids, sels):
             self.require(kid, (0.0, {sel: 1.0}))
 
-    def rows(self, tree, reads: np.ndarray) -> StepRows:
+    def rows(self, tree, values: np.ndarray) -> StepRows:
+        """The rows emitted so far; ``values`` holds each slot's offset and
+        the pad slot's 0.0."""
         tmpl = self.tmpl
-        m = len(self.src)
-        n_slots = len(tmpl.slots)
-        src = np.array(self.src, dtype=int)
+        m = len(self.slot)
+        slot = np.array(self.slot, dtype=int)
         sign = np.array(self.sign)
-        R = np.zeros((m, n_slots + 1))
-        at = np.arange(m)
-        coef = -sign[:, None] * tmpl.term_coef[src]
-        slot = tmpl.term_slot[src]
-        for j in range(slot.shape[1]):
-            R[at, slot[:, j]] += coef[:, j]
+        R = np.zeros((m, tmpl.pad + 1))
+        R[np.arange(m), slot] = -sign
         aux = np.zeros((m, len(self.aux_names)))
         if self.aux_at:
             r, c, v = zip(*self.aux_at)
             aux[list(r), list(c)] = v
-        b = (sign * (reads[src] - np.array(self.const)) + np.array(self.k1)) \
+        b = (sign * (values[slot] - np.array(self.const)) + np.array(self.k1)) \
             - np.array(self.k2)
         return StepRows(
             name=tmpl.name, infeasible=tree is _Fold.FALSE,
-            deferred=tree is _Fold.DEFERRED, R=R[:, :n_slots], aux=aux, b=b,
+            deferred=tree is _Fold.DEFERRED, R=R[:, :tmpl.pad], aux=aux, b=b,
             aux_names=tuple(self.aux_names), aux_binary=tuple(self.aux_binary),
             warm_sources=tuple(self.warm_sources), bounds=tuple(self.bounds))

@@ -9,9 +9,11 @@ formula, and nonnegative least squares on the active set for the KKT
 conditions of a returned QP point.  The readers of the CSV files that the
 program writes live here too, since only the tests read those files back,
 as do two adapters that state test problems through the program's own
-entry points: ``add_squared_cost`` (an expression's squared cost through
-``ProblemBuilder.add_quadratic``) and ``encode_formula`` (a formula over a
-generic binding through ``stl.FormulaTemplate``).
+entry points: ``add_squared_cost`` (the squared cost of a linear form
+through ``ProblemBuilder.add_quadratic``) and ``encode_formula`` (a formula
+over a generic binding through ``stl.FormulaTemplate``).  Test problems
+state their variables, rows and costs through ``add_variables``,
+``add_rows`` and ``add_quadratic``, as the controller does.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from wws import stl
-from wws.milp import LinExpr, MiqpProblem, ProblemBuilder
+from wws.milp import MiqpProblem, ProblemBuilder
 from wws.mpc import SweepResult
 from wws.qp import solve_qp
 
@@ -48,37 +50,35 @@ def enumerate_miqp(problem: MiqpProblem) -> tuple[float, np.ndarray | None]:
 
 
 def random_miqp(rng: np.random.Generator, max_binaries: int = 8) -> MiqpProblem:
-    """Small random MIQP with box-bounded continuous vars and coupled binaries."""
+    """Small random MIQP: boxed continuous vars, coupled binaries with linear costs."""
     nb = int(rng.integers(1, max_binaries + 1))
     nc = int(rng.integers(1, 4))
     b = ProblemBuilder()
-    xs = [b.add_continuous(f"x{i}", -5.0, 5.0) for i in range(nc)]
-    ps = [b.add_binary(f"p{i}") for i in range(nb)]
+    xs, ps = [f"x{i}" for i in range(nc)], [f"p{i}" for i in range(nb)]
+    b.add_variables(xs, -5.0, 5.0, [False] * nc)
+    b.add_variables(ps, 0.0, 1.0, [True] * nb)
     for x in xs:
-        add_squared_cost(b, LinExpr.variable(x), 1.0, target=float(rng.normal()))
-    costs = {p: float(rng.normal()) for p in ps}
+        add_squared_cost(b, [x], [1.0], 1.0, target=float(rng.normal()))
+    b.add_quadratic(ps, np.zeros((nb, nb)), [float(rng.normal()) for _ in ps])
     for _ in range(int(rng.integers(1, 2 + nb))):
-        expr = LinExpr.constant(0.0)
-        for x in xs:
-            expr = expr + float(rng.normal()) * LinExpr.variable(x)
-        for p in rng.choice(ps, size=min(2, nb), replace=False):
-            expr = expr + float(rng.normal(0, 2)) * LinExpr.variable(p)
-        b.add_leq(expr, float(rng.normal(1.0, 1.0)))
-    # a binary may appear only in the cost, which is added after the build
-    return add_linear_cost(b.build(validate=False), costs)
+        coefs = [float(rng.normal()) for _ in xs]
+        picked = list(rng.choice(ps, size=min(2, nb), replace=False))
+        coefs += [float(rng.normal(0, 2)) for _ in picked]
+        b.add_rows(xs + picked, [coefs], [float(rng.normal(1.0, 1.0))])
+    return b.build()
 
 
-def add_squared_cost(builder: ProblemBuilder, expr: LinExpr | float, weight: float,
-                     target: float = 0.0) -> None:
-    """Add weight * (expr - target)^2 to the builder's objective."""
-    e = (expr if isinstance(expr, LinExpr) else LinExpr.constant(expr)) - target
-    names = list(e.coef)
-    c = np.array([e.coef[n] for n in names])
+def add_squared_cost(builder: ProblemBuilder, names: Sequence[str], coefs: Sequence[float],
+                     weight: float, target: float = 0.0) -> None:
+    """Add weight * (coefs . v - target)^2 to the builder's objective, v the
+    named variables."""
+    c = np.asarray(coefs, dtype=float)
+    e = -float(target)
     builder.add_quadratic(names, 2.0 * weight * np.outer(c, c),
-                          2.0 * weight * e.const * c, weight * e.const ** 2)
+                          2.0 * weight * e * c, weight * e ** 2)
 
 
-SignalBinding = Mapping[str, Mapping[int, Union[LinExpr, float]]]
+SignalBinding = Mapping[str, Mapping[int, Union[str, float]]]
 
 
 @dataclass
@@ -104,28 +104,22 @@ def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBindi
     """Assert that ``f`` holds at sample 0 over a generic binding of its signals.
 
     History samples appear in ``binding`` as float constants and fold away;
-    decision-bound samples appear as affine expressions over the builder's
-    variables, which are substituted for the template's slots.  Samples
-    with no binding are unbound: their obligations are deferred.
+    decision-bound samples appear as the names of the builder's variables,
+    which are substituted for the template's slots.  Samples with no
+    binding are unbound: their obligations are deferred.
     """
     tmpl = stl.FormulaTemplate(f, h, cfg, name)
-    names = list(dict.fromkeys(var for samples in binding.values()
-                               for v in samples.values() if isinstance(v, LinExpr)
-                               for var in v.coef))
-    column = {n: i for i, n in enumerate(names)}
+    names = list(dict.fromkeys(v for samples in binding.values()
+                               for v in samples.values() if isinstance(v, str)))
     state = np.full(len(tmpl.slots), stl.UNBOUND, dtype=np.int8)
     values = np.zeros(len(tmpl.slots))
     M = np.zeros((len(tmpl.slots), len(names)))
     for (ch, t), s in tmpl.slots.items():
-        if ch not in binding or t not in binding[ch]:
-            continue
-        v = binding[ch][t]
-        if isinstance(v, (int, float)):
+        v = binding.get(ch, {}).get(t)
+        if isinstance(v, str):
+            state[s], M[s, names.index(v)] = stl.DECISION, 1.0
+        elif v is not None:
             state[s], values[s] = stl.HISTORY, v
-        else:
-            state[s], values[s] = stl.DECISION, v.const
-            for var, c in v.coef.items():
-                M[s, column[var]] = c
     rows = tmpl.instantiate(state, values)
     rows.add_to(builder, names, M)
     return EncodedFormula(binaries=[chain[0] for chain in rows.warm_sources],
@@ -133,14 +127,6 @@ def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBindi
                                     if not is_bin],
                           constraints=len(rows.b), deferred=rows.deferred,
                           infeasible=rows.infeasible)
-
-
-def add_linear_cost(problem: MiqpProblem, weights: Mapping[str, float]) -> MiqpProblem:
-    """``problem`` with sum_i w_i x_i added to its objective."""
-    f = problem.f.copy()
-    for name, w in weights.items():
-        f[problem.index(name)] += w
-    return replace(problem, f=f)
 
 
 def max_violation(problem: MiqpProblem, x: np.ndarray) -> float:
@@ -259,7 +245,7 @@ def random_formula(rng: np.random.Generator, depth: int, max_len: int) -> stl.Fo
     if op == "pred":
         ch = CHANNELS[int(rng.integers(0, len(CHANNELS)))]
         rel = (">=", "<=", ">", "<")[int(rng.integers(0, 4))]
-        return stl.Pred(((1.0, ch),), rel, float(rng.uniform(-6, 6)))
+        return stl.Pred(ch, rel, float(rng.uniform(-6, 6)))
     if op == "not":
         return stl.Not(random_formula(rng, depth - 1, max_len))
     if op in ("and", "or"):
@@ -290,12 +276,11 @@ def encode_fixed_signal(formula: stl.Formula, signal: stl.SampledSignal,
     big-M machinery while fixing the signal content.
     """
     builder = ProblemBuilder()
-    binding: dict[str, dict[int, LinExpr]] = {}
+    binding = {ch: {t: f"{ch}{t}" for t in range(len(vals))}
+               for ch, vals in signal.channels.items()}
     for ch, vals in signal.channels.items():
-        binding[ch] = {}
         for t, v in enumerate(vals):
-            name = builder.add_continuous(f"{ch}{t}", float(v), float(v))
-            binding[ch][t] = LinExpr.variable(name)
+            builder.add_variables([binding[ch][t]], float(v), float(v), [False])
     cfg = stl.EncodingConfig(channel_bounds=CHANNEL_RANGES, eps=eps)
     encode_formula(builder, formula, binding, signal.h, cfg)
     return builder.build()

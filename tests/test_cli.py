@@ -122,12 +122,13 @@ def test_sweep_exits_nonzero_when_a_cell_crashes(tmp_path, demo_pred_file,
     out = tmp_path / "sweep_err"
     code = main(["sweep", "--plant", "demo", "--predictor", str(demo_pred_file),
                  "--reference", "42", "--r-weight", "0.02",
-                 "--initial-temps", "15", "30", "--start-times", "60",
+                 "--initial-temps", "15", "15.4", "--start-times", "60",
                  "--out", str(out)])
     assert code == 1
+    # 15.4 degC gets its own note: sharing one with 15 would hide the crash
     notes = json.loads((out / "sweep_notes.json").read_text())["notes"]
-    assert notes["15,60"] == "error: planted solver crash"
-    assert notes["30,60"] == "infeasible at step 0"
+    assert notes == {"15,60": "error: planted solver crash",
+                     "15.4,60": "infeasible at step 0"}
     assert read_sweep_csv(out / "sweep.csv").table.shape == (2, 1)
     assert "planted solver crash" in capsys.readouterr().err
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wws import stl
-from wws.milp import LinExpr, ProblemBuilder
+from wws.milp import ProblemBuilder
 from wws.miqp import solve_miqp
 from wws.stl import EncodingConfig, StlEncodingError
 
@@ -17,8 +17,8 @@ CASE_56 = ("ev_[2,5] ((u < 3.2327503949826752 or y >= 2.4985852820182544) or "
 
 
 def _pin(builder, name, value):
-    builder.add_continuous(name, float(value), float(value))
-    return LinExpr.variable(name)
+    builder.add_variables([name], float(value), float(value), [False])
+    return name
 
 
 def test_conjunctive_spec_needs_no_binaries():
@@ -43,9 +43,8 @@ def test_conjunctive_spec_infeasible_on_violating_signal():
 def test_power_band_binary_and_literal_count():
     # two intervals on one sample: one binary and the two convex-hull rows
     builder = ProblemBuilder()
-    u0 = builder.add_continuous("u0", 0.0, 26.5)
-    binding = {"u": {0: LinExpr.variable(u0)}}
-    enc = encode_formula(builder, stl.parse(POWER_BAND), binding, 60.0, CFG)
+    builder.add_variables(["u0"], 0.0, 26.5, [False])
+    enc = encode_formula(builder, stl.parse(POWER_BAND), {"u": {0: "u0"}}, 60.0, CFG)
     assert enc.binaries == ["stl.t0.d0"]
     assert enc.literals == []
     assert enc.constraints == 2
@@ -85,12 +84,11 @@ def test_mixed_channel_disjunction_uses_implied_rows():
 
 def test_power_band_selects_off_branch_when_cheap():
     builder = ProblemBuilder()
-    u0 = builder.add_continuous("u0", 0.0, 26.5)
-    binding = {"u": {0: LinExpr.variable(u0)}}
+    builder.add_variables(["u0"], 0.0, 26.5, [False])
     f = stl.resolve_end(stl.parse(
         "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"), 0.0)
-    encode_formula(builder, f, binding, 60.0, CFG)
-    add_squared_cost(builder, LinExpr.variable(u0), 1.0)
+    encode_formula(builder, f, {"u": {0: "u0"}}, 60.0, CFG)
+    add_squared_cost(builder, ["u0"], [1.0], 1.0)
     res = solve_miqp(builder.build())
     assert res.status == "optimal"
     u = res.assignment["u0"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wws.milp import LinExpr, ProblemBuilder, dump_lp
+from wws.milp import ProblemBuilder, dump_lp
 from wws import miqp
 from wws.miqp import MiqpError, solve_miqp
 from wws.qp import solve_qp
@@ -14,22 +14,20 @@ def _band_problem(y0=42.0, gain=0.1):
     from wws import stl
 
     b = ProblemBuilder()
-    u0 = b.add_continuous("u0", 0.0, 26.5)
-    binding = {"u": {0: LinExpr.variable(u0)}}
+    b.add_variables(["u0"], 0.0, 26.5, [False])
     f = stl.parse("((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))")
-    encode_formula(b, f, binding, 60.0,
-                       stl.EncodingConfig(channel_bounds={"u": (0.0, 26.5)}))
-    y1 = y0 + gain * LinExpr.variable(u0)
-    add_squared_cost(b, y1, 1.0, target=40.0)
-    add_squared_cost(b, LinExpr.variable(u0), 10.0)
+    encode_formula(b, f, {"u": {0: "u0"}}, 60.0,
+                   stl.EncodingConfig(channel_bounds={"u": (0.0, 26.5)}))
+    add_squared_cost(b, ["u0"], [gain], 1.0, target=40.0 - y0)
+    add_squared_cost(b, ["u0"], [1.0], 10.0)
     return b.build()
 
 
 def test_no_binaries_reduces_to_qp():
     b = ProblemBuilder()
-    x = b.add_continuous("x", -4.0, 4.0)
-    add_squared_cost(b, LinExpr.variable(x), 1.0, target=3.0)
-    b.add_leq(LinExpr.variable(x), 2.0)
+    b.add_variables(["x"], -4.0, 4.0, [False])
+    add_squared_cost(b, ["x"], [1.0], 1.0, target=3.0)
+    b.add_rows(["x"], [[1.0]], [2.0])
     prob = b.build()
     res = solve_miqp(prob)
     qp = solve_qp(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
@@ -133,10 +131,9 @@ def test_equal_bounds_search_newest_first():
     # zero objective: every relaxation bound ties at 0, and only a dive
     # (newest node first) reaches an integral leaf before the fixings pile up
     b = ProblemBuilder()
-    p = [b.add_binary(f"p{i}") for i in range(12)]
-    total = LinExpr.combination(p, [1.0] * 12)
-    b.add_leq(total, 6.0)
-    b.add_geq(total, 6.0)
+    p = [f"p{i}" for i in range(12)]
+    b.add_variables(p, 0.0, 1.0, [True] * 12)
+    b.add_rows(p, [[1.0] * 12, [-1.0] * 12], [6.0, -6.0])
     res = solve_miqp(b.build())
     assert res.status == "optimal"
     assert res.objective == 0.0
@@ -161,15 +158,16 @@ def test_node_limit_returns_incumbent(monkeypatch):
 def test_binary_limit_enforced():
     n = miqp.BINARY_LIMIT + 1
     b = ProblemBuilder()
-    p = [b.add_binary(f"p{i}") for i in range(n)]
-    b.add_leq(LinExpr.combination(p, [1.0] * n), 1.0)
+    p = [f"p{i}" for i in range(n)]
+    b.add_variables(p, 0.0, 1.0, [True] * n)
+    b.add_rows(p, [[1.0] * n], [1.0])
     with pytest.raises(MiqpError, match="exceed"):
         solve_miqp(b.build())
 
 
 def test_marked_infeasible_short_circuits():
     b = ProblemBuilder()
-    b.add_continuous("x", 0.0, 1.0)
+    b.add_variables(["x"], 0.0, 1.0, [False])
     b.mark_infeasible("history violated")
     res = solve_miqp(b.build())
     assert res.status == "infeasible" and res.nodes == 0
@@ -182,39 +180,39 @@ def test_empty_problem_is_trivially_optimal():
 
 def test_builder_validations():
     b = ProblemBuilder()
-    p = b.add_binary("p")
+    b.add_variables(["p"], 0.0, 1.0, [True])
     with pytest.raises(ValueError, match="no constraint"):
         b.build()
     b2 = ProblemBuilder()
-    x = b2.add_continuous("x", 0.0, 1.0)
+    b2.add_variables(["x"], 0.0, 1.0, [False])
     with pytest.raises(ValueError, match="duplicate"):
-        b2.add_continuous("x", 0.0, 1.0)
+        b2.add_variables(["x"], 0.0, 1.0, [False])
     with pytest.raises(ValueError, match="finite box"):
-        b2.add_continuous("z", 0.0, np.inf)
+        b2.add_variables(["z"], 0.0, np.inf, [False])
     with pytest.raises(ValueError, match="unknown variable"):
-        b2.add_leq(LinExpr.variable("nope"), 1.0)
+        b2.add_rows(["nope"], [[1.0]], [1.0])
 
 
 def test_build_drops_rows_no_box_point_can_violate():
     b = ProblemBuilder()
-    x = LinExpr.variable(b.add_continuous("x", 0.0, 26.5))
-    y = LinExpr.variable(b.add_continuous("y", -1.0, 1.0))
-    p = LinExpr.variable(b.add_binary("p"))
-    b.add_leq(3e-14 * x, 15.0)            # rounding noise against its rhs: dropped
-    b.add_geq(20.0 - 3e-14 * x, 5.0)      # the same row written as >=: dropped
-    b.add_leq(x + 2.0 * y + p, 29.6)      # box maximum 29.5: dropped
-    b.add_leq(x + 2.0 * y + p, 29.5)      # binding at a corner: kept
-    b.add_leq(x - 26.5 * p, 0.0)          # violable: kept
-    b.add_geq(3e-14 * x, 1.0)             # violated by every box point: kept
-    add_squared_cost(b, x, 1.0)
+    b.add_variables(["x"], 0.0, 26.5, [False])
+    b.add_variables(["y"], -1.0, 1.0, [False])
+    b.add_variables(["p"], 0.0, 1.0, [True])
+    b.add_rows(["x", "y", "p"], [[3e-14, 0.0, 0.0],     # rounding noise against its rhs: dropped
+                                 [1.0, 2.0, 1.0],       # box maximum 29.5: dropped
+                                 [1.0, 2.0, 1.0],       # binding at a corner: kept
+                                 [1.0, 0.0, -26.5],     # violable: kept
+                                 [-3e-14, 0.0, 0.0]],   # violated by every box point: kept
+               [15.0, 29.6, 29.5, 0.0, -1.0])
+    add_squared_cost(b, ["x"], [1.0], 1.0)
     prob = b.build()
     assert prob.A.shape == (3, 3)
     assert np.array_equal(prob.b, [29.5, 0.0, -1.0])
     assert np.array_equal(prob.A[1], [1.0, 0.0, -26.5])
     # a binary used only in a dropped row still passes the usage rule
     b2 = ProblemBuilder()
-    q = LinExpr.variable(b2.add_binary("q"))
-    b2.add_leq(q, 2.0)
+    b2.add_variables(["q"], 0.0, 1.0, [True])
+    b2.add_rows(["q"], [[1.0]], [2.0])
     assert b2.build().A.shape == (0, 1)
 
 

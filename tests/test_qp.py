@@ -71,7 +71,7 @@ def test_degenerate_pinned_variable():
 
 def test_finite_boxes_required():
     with pytest.raises(ValueError, match="finite"):
-        solve_qp(np.eye(1), np.zeros(1), None, None,
+        solve_qp(np.eye(1), np.zeros(1), np.zeros((0, 1)), np.zeros(0),
                  lb=np.array([-np.inf]), ub=np.array([1.0]))
 
 

@@ -30,7 +30,7 @@ from oracles import horizon
 
 def test_parse_supply_guarantee():
     f = parse("alw_[420,end] (y >= 40)")
-    assert f == Alw(420.0, END, Pred(((1.0, "y"),), ">=", 40.0))
+    assert f == Alw(420.0, END, Pred("y", ">=", 40.0))
 
 
 def test_parse_power_band():
@@ -39,14 +39,12 @@ def test_parse_power_band():
     assert isinstance(f, Alw) and f.a == 0.0 and f.b is END
     assert isinstance(f.child, Or) and len(f.child.children) == 2
     off, run = f.child.children
-    assert off == And((Pred(((1.0, "u"),), ">", 0.001),
-                       Pred(((1.0, "u"),), "<", 0.01)))
-    assert run == And((Pred(((1.0, "u"),), ">=", 21.2),
-                       Pred(((1.0, "u"),), "<=", 26.5)))
+    assert off == And((Pred("u", ">", 0.001), Pred("u", "<", 0.01)))
+    assert run == And((Pred("u", ">=", 21.2), Pred("u", "<=", 26.5)))
 
 
 def test_parse_eventually():
-    assert parse("ev_[0,10] (y >= 1)") == Ev(0.0, 10.0, Pred(((1.0, "y"),), ">=", 1.0))
+    assert parse("ev_[0,10] (y >= 1)") == Ev(0.0, 10.0, Pred("y", ">=", 1.0))
 
 
 def test_parse_until_and_precedence():
@@ -66,6 +64,9 @@ def test_parse_errors_carry_positions():
         parse("alw_[10,5] (y >= 0)")
     with pytest.raises(StlSyntaxError, match="unexpected character"):
         parse("y >= 40 & u <= 2")
+    for text in ("u + y >= 1", "2 * u >= 1", "y >= u"):  # one channel against a number
+        with pytest.raises(StlSyntaxError):
+            parse(text)
 
 
 def test_spec_lines_skips_comments():
@@ -75,9 +76,7 @@ def test_spec_lines_skips_comments():
 
 
 formula_strategy = st.deferred(lambda: st.one_of(
-    st.builds(lambda ch, op, c: Pred(((1.0, ch),), op, c),
-              st.sampled_from(["y", "u"]),
-              st.sampled_from([">=", "<=", ">", "<"]),
+    st.builds(Pred, st.sampled_from(["y", "u"]), st.sampled_from([">=", "<=", ">", "<"]),
               st.integers(-50, 50).map(float)),
     st.builds(Not, formula_strategy),
     st.builds(lambda a, b: And((a, b)), formula_strategy, formula_strategy),
@@ -113,7 +112,7 @@ def test_format_parse_is_canonical():
 
 def test_resolve_end():
     f = resolve_end(parse("alw_[420,end] (y >= 40)"), 1200.0)
-    assert f == Alw(420.0, 1200.0, Pred(((1.0, "y"),), ">=", 40.0))
+    assert f == Alw(420.0, 1200.0, Pred("y", ">=", 40.0))
 
 
 def test_horizon_examples():
@@ -130,7 +129,7 @@ def test_horizon_requires_bounded_intervals():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 50), st.integers(1, 10))
 def test_horizon_of_predicate_window(b, h):
-    f = Alw(0.0, float(b), Pred(((1.0, "y"),), ">=", 0.0))
+    f = Alw(0.0, float(b), Pred("y", ">=", 0.0))
     assert horizon(f, float(h)) == math.ceil(b / h)
 
 
@@ -166,9 +165,9 @@ def test_robustness_until_matches_eventually_for_true_guard():
     for _ in range(20):
         y = rng.uniform(-5, 5, size=8)
         sig = SampledSignal(channels={"y": y}, h=1.0)
-        guard = Pred(((1.0, "y"),), ">=", -1e9)  # effectively always true
-        u = Until(1.0, 5.0, guard, Pred(((1.0, "y"),), ">=", 0.0))
-        e = Ev(1.0, 5.0, Pred(((1.0, "y"),), ">=", 0.0))
+        guard = Pred("y", ">=", -1e9)  # effectively always true
+        u = Until(1.0, 5.0, guard, Pred("y", ">=", 0.0))
+        e = Ev(1.0, 5.0, Pred("y", ">=", 0.0))
         assert robustness(u, sig) == pytest.approx(robustness(e, sig))
 
 
@@ -177,7 +176,7 @@ def test_robustness_until_hand_case():
     y = np.array([1.0, 2.0, -1.0, 5.0])
     r = np.array([-1.0, -2.0, 3.0, 4.0])
     sig = SampledSignal(channels={"y": y, "u": r}, h=1.0)
-    f = Until(0.0, 3.0, Pred(((1.0, "y"),), ">=", 0.0), Pred(((1.0, "u"),), ">=", 0.0))
+    f = Until(0.0, 3.0, Pred("y", ">=", 0.0), Pred("u", ">=", 0.0))
     # t'=2: min(3, min(1,2)) = 1 ; t'=3: min(4, min(1,2,-1)) = -1 ; best is 1
     assert robustness(f, sig) == pytest.approx(1.0)
 
