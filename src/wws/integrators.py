@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-Rhs = Callable[[Sequence[float]], Sequence[float]]
+Rhs = Callable[[np.ndarray], np.ndarray]
 RhsFactory = Callable[[object, object], Rhs]
-Jac = Callable[[Sequence[float]], np.ndarray]
+Jac = Callable[[np.ndarray], np.ndarray]
 
 
 class IntegrationError(RuntimeError):
@@ -70,15 +70,15 @@ def propagate(
     ``x0`` is one state of shape (n,) or a block of K column states of shape
     (n, K); ``u`` and ``w`` are scalars or per-column vectors of length K.
     ``rhs(u, w)`` returns the right-hand side closure for held inputs: it
-    maps one state to its n derivatives when ``u`` and ``w`` are scalars,
-    and an (n, K) block to n derivative rows of length K when they are
-    vectors.  ``jac`` maps one state to its (n, n) Jacobian and a block to
-    an (n, n, K) stack.  The caller guarantees a positive ``horizon`` and a
-    finite ``x0``.  ``state_bounds`` enables divergence flagging: a state
-    outside ``[lo, hi]`` at one of LSODA's output grid points (the quarters
-    of the interval) raises :class:`StateDivergence` rather than clamping;
-    an excursion between grid points goes unseen.  The result has the shape
-    of ``x0``.
+    maps one state to the array of its n derivatives when ``u`` and ``w``
+    are scalars, and an (n, K) block to the (n, K) array of its derivatives
+    when they are vectors.  ``jac`` maps one state to its (n, n) Jacobian
+    and a block to an (n, n, K) stack.  The caller guarantees a positive
+    ``horizon`` and a finite ``x0``.  ``state_bounds`` enables divergence
+    flagging: a state outside ``[lo, hi]`` at one of LSODA's output grid
+    points (the quarters of the interval) raises :class:`StateDivergence`
+    rather than clamping; an excursion between grid points goes unseen.
+    The result has the shape of ``x0``.
     """
     from scipy.integrate import odeint
 
@@ -104,7 +104,7 @@ def propagate(
         band = {"ml": n - 1, "mu": n - 1}
 
         def fun(y, _t):
-            return np.array(f(y.reshape(k, n).T)).T.ravel()
+            return f(y.reshape(k, n).T).T.ravel()
 
         def dfun(y, _t):
             return band_pack(jac(y.reshape(k, n).T))

@@ -110,10 +110,7 @@ class ProblemBuilder:
         A row with no nonzero coefficient is the constant ``0 <= b`` and
         folds away here; a violated one marks the problem infeasible.
         """
-        try:
-            cols = [self._index[n] for n in names]
-        except KeyError as exc:
-            raise ValueError(f"unknown variable {exc.args[0]!r} in constraint") from None
+        cols = self._columns(names, "constraint")
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         live = A.any(axis=1)
@@ -124,6 +121,12 @@ class ProblemBuilder:
             A, b = A[live], b[live]
         if len(b):
             self._blocks.append((cols, A, b))
+
+    def _columns(self, names: Iterable[str], where: str) -> list[int]:
+        try:
+            return [self._index[n] for n in names]
+        except KeyError as exc:
+            raise ValueError(f"unknown variable {exc.args[0]!r} in {where}") from None
 
     def mark_infeasible(self, reason: str) -> None:
         if self._infeasible is None:
@@ -138,7 +141,7 @@ class ProblemBuilder:
         ``H`` must be symmetric positive semidefinite: ``build`` checks the
         symmetry but not the curvature, which is the caller's to ensure.
         """
-        idx = [self._index[n] for n in names]
+        idx = self._columns(names, "objective")
         if len(set(idx)) != len(idx):
             raise ValueError("a quadratic term names a variable twice")
         self._objective.append((idx, np.asarray(H, dtype=float),

@@ -2,21 +2,23 @@
 
 States are water temperatures in degC, in loop order: heat pump outlet (x1),
 supply pipe (x2), tank layers one to three (x3..x5), return pipe (x6).  The
-supply output is the third tank layer.  The right-hand side is a fixed
-42-coefficient polynomial: linear couplings plus squared, cubic and mixed
-cubic exchange terms between adjacent tank layers.  The single input ``u`` is
-heat-pump electrical power in kW (enters x1 only); the single disturbance
-``w`` is the ambient temperature in degC.
-
-Coefficients live in versioned JSON data files so the plant is swappable;
-``PlantModel.nominal()`` loads the bundled nominal set and ``demo()`` loads a
-re-rated set with identical structure used by demos and machinery tests.
+supply output is the third tank layer.  The single input ``u`` is heat-pump
+electrical power in kW (enters x1 only); the single disturbance ``w`` is the
+ambient temperature in degC.  The right-hand side is a fixed 42-coefficient
+polynomial, held as data: it is linear in the 16 :data:`MONOMIALS` phi(x)
+(states, squares, cubes and mixed cubic exchange terms between adjacent tank
+layers; the predictor lifts by the same ones), and :data:`TERMS` places each
+coefficient in a (6, 18) matrix F with dx/dt = F [phi(x); u; w].
+Coefficients live in versioned JSON data files: ``PlantModel.nominal()``
+loads the bundled nominal set and ``demo()`` a re-rated set with identical
+structure used by demos and machinery tests.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,6 +29,29 @@ from .integrators import IntegratorConfig, StateDivergence, propagate
 
 N_STATES = 6
 N_COEFFS = 42
+
+#: Exponents over (x1..x6) of phi(x): states, squares, mixed products, cubes.
+MONOMIALS = (
+    (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1),
+    (0, 0, 2, 0, 0, 0), (0, 0, 0, 2, 0, 0), (0, 0, 0, 0, 2, 0),
+    (0, 0, 2, 1, 0, 0), (0, 0, 1, 2, 0, 0), (0, 0, 0, 2, 1, 0), (0, 0, 0, 1, 2, 0),
+    (0, 0, 3, 0, 0, 0), (0, 0, 0, 3, 0, 0), (0, 0, 0, 0, 3, 0),
+)
+N_MONOMIALS = len(MONOMIALS)
+U, W = N_MONOMIALS, N_MONOMIALS + 1  # columns of the held input and disturbance
+
+#: (row, column, coefficient index): dx_row/dt has the term a[index] times
+#: entry ``column`` of [phi(x); u; w].
+TERMS = (
+    (0, 0, 0), (0, 5, 1), (0, U, 2), (1, 0, 3), (1, 1, 4), (1, W, 5),
+    (2, 1, 6), (2, 2, 7), (2, 3, 8), (2, 6, 9), (2, 7, 10), (2, 9, 11), (2, 10, 12),
+    (2, 13, 13), (2, 14, 14), (2, W, 15),
+    (3, 2, 16), (3, 3, 17), (3, 4, 18), (3, 6, 19), (3, 7, 20), (3, 8, 21), (3, 9, 22),
+    (3, 10, 23), (3, 11, 24), (3, 12, 25), (3, 13, 26), (3, 14, 27), (3, 15, 28), (3, W, 29),
+    (4, 3, 30), (4, 4, 31), (4, 7, 32), (4, 8, 33), (4, 11, 34), (4, 12, 35),
+    (4, 14, 36), (4, 15, 37), (4, W, 38), (5, 4, 39), (5, 5, 40), (5, W, 41),
+)
 
 # Divergence flagging limits; excursions are reported, never clamped.
 STATE_BOUNDS = (-50.0, 150.0)
@@ -101,98 +126,73 @@ class PlantModel:
 
     # -- evaluation closures ----------------------------------------------
 
-    def rhs(self, u, w) -> Callable[[Sequence[float]], list]:
-        """Right-hand side closure for fixed held inputs.
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The read-only (6, 18) matrix F of :data:`TERMS`: dx/dt = F [phi(x); u; w]."""
+        F = np.zeros((N_STATES, N_MONOMIALS + 2))
+        rows, cols, idx = np.array(TERMS).T
+        F[rows, cols] = np.asarray(self.a)[idx]
+        F.flags.writeable = False
+        return F
 
-        With scalar ``u`` and ``w`` the closure maps one state to its six
-        derivatives (fast float path).  With per-column vectors of length K
-        it maps a (6, K) state block to six derivative rows of length K:
-        the same polynomial, evaluated elementwise over the columns.
+    def rhs(self, u, w) -> Callable[[np.ndarray], np.ndarray]:
+        """Right-hand side closure ``F_x phi(x) + drive`` for fixed held inputs.
+
+        ``F_x`` is the monomial block of :attr:`coefficients`, ``drive`` its
+        u and w columns times the held inputs.  With scalar ``u`` and ``w``
+        the closure maps one state to its six derivatives, with per-column
+        vectors of length K a (6, K) state block to its (6, K) derivatives.
         """
-        (a1, a2, a3, a4, a5, a6, a7, a8, a9, a10,
-         a11, a12, a13, a14, a15, a16, a17, a18, a19, a20,
-         a21, a22, a23, a24, a25, a26, a27, a28, a29, a30,
-         a31, a32, a33, a34, a35, a36, a37, a38, a39, a40,
-         a41, a42) = self.a
-        if np.ndim(u) == 0 and np.ndim(w) == 0:
-            u = float(u)
-            w = float(w)
-        else:
-            u = np.asarray(u, dtype=float)
-            w = np.asarray(w, dtype=float)
+        F = self.coefficients
+        Fx = F[:, :N_MONOMIALS]
+        drive = np.multiply.outer(F[:, U], u) + np.multiply.outer(F[:, W], w)
+        phi = np.empty((N_MONOMIALS,) + drive.shape[1:])
 
-        def f(x: Sequence[float]) -> list:
-            x1, x2, x3, x4, x5, x6 = x
-            return [
-                a1 * x1 + a2 * x6 + a3 * u,
-                a4 * x1 + a5 * x2 + a6 * w,
-                a7 * x2 + a8 * x3 + a9 * x4 + a10 * x3 * x3 + a11 * x4 * x4
-                + a12 * x3 * x3 * x4 + a13 * x3 * x4 * x4
-                + a14 * x3 * x3 * x3 + a15 * x4 * x4 * x4 + a16 * w,
-                a17 * x3 + a18 * x4 + a19 * x5 + a20 * x3 * x3 + a21 * x4 * x4
-                + a22 * x5 * x5 + a23 * x3 * x3 * x4 + a24 * x3 * x4 * x4
-                + a25 * x4 * x4 * x5 + a26 * x4 * x5 * x5
-                + a27 * x3 * x3 * x3 + a28 * x4 * x4 * x4 + a29 * x5 * x5 * x5
-                + a30 * w,
-                a31 * x4 + a32 * x5 + a33 * x4 * x4 + a34 * x5 * x5
-                + a35 * x4 * x4 * x5 + a36 * x4 * x5 * x5
-                + a37 * x4 * x4 * x4 + a38 * x5 * x5 * x5 + a39 * w,
-                a40 * x5 + a41 * x6 + a42 * w,
-            ]
+        def f(x) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            phi[:] = _monomials(*(x.tolist() if x.ndim == 1 else x))
+            return Fx @ phi + drive
 
         return f
 
-    def jac(self) -> Callable[[Sequence[float]], np.ndarray]:
-        """State-Jacobian closure d f / d x (input/disturbance independent).
+    def jac(self) -> Callable[[np.ndarray], np.ndarray]:
+        """State-Jacobian closure ``F_x d phi / d x`` (input independent): one
+        state to its (6, 6) Jacobian, a (6, K) block to the (6, 6, K) stack."""
+        Fx = self.coefficients[:, :N_MONOMIALS]
 
-        Maps one state to its (6, 6) Jacobian and a (6, K) state block to
-        the (6, 6, K) stack of its columns' Jacobians.
-        """
-        a = self.a
-
-        def J(x: Sequence[float]) -> np.ndarray:
-            _x1, _x2, x3, x4, x5, _x6 = x
-            m = np.zeros((N_STATES, N_STATES) + np.shape(x3))
-            m[0, 0] = a[0]
-            m[0, 5] = a[1]
-            m[1, 0] = a[3]
-            m[1, 1] = a[4]
-            m[2, 1] = a[6]
-            m[2, 2] = a[7] + 2 * a[9] * x3 + 2 * a[11] * x3 * x4 + a[12] * x4 * x4 \
-                + 3 * a[13] * x3 * x3
-            m[2, 3] = a[8] + 2 * a[10] * x4 + a[11] * x3 * x3 + 2 * a[12] * x3 * x4 \
-                + 3 * a[14] * x4 * x4
-            m[3, 2] = a[16] + 2 * a[19] * x3 + 2 * a[22] * x3 * x4 + a[23] * x4 * x4 \
-                + 3 * a[26] * x3 * x3
-            m[3, 3] = a[17] + 2 * a[20] * x4 + a[22] * x3 * x3 + 2 * a[23] * x3 * x4 \
-                + 2 * a[24] * x4 * x5 + a[25] * x5 * x5 + 3 * a[27] * x4 * x4
-            m[3, 4] = a[18] + 2 * a[21] * x5 + a[24] * x4 * x4 + 2 * a[25] * x4 * x5 \
-                + 3 * a[28] * x5 * x5
-            m[4, 3] = a[30] + 2 * a[32] * x4 + 2 * a[34] * x4 * x5 + a[35] * x5 * x5 \
-                + 3 * a[36] * x4 * x4
-            m[4, 4] = a[31] + 2 * a[33] * x5 + a[34] * x4 * x4 + 2 * a[35] * x4 * x5 \
-                + 3 * a[37] * x5 * x5
-            m[5, 4] = a[39]
-            m[5, 5] = a[40]
-            return m
+        def J(x) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            ones_x = np.concatenate([np.ones((1,) + x.shape[1:]), x])
+            scale = _GRAD_SCALE.reshape((-1,) + (1,) * (x.ndim - 1))
+            dphi = np.zeros((N_MONOMIALS,) + x.shape)
+            dphi[_GRAD_M, _GRAD_I] = scale * ones_x[_GRAD_A] * ones_x[_GRAD_B]
+            return (Fx @ dphi.reshape(N_MONOMIALS, -1)).reshape((N_STATES,) + x.shape)
 
         return J
 
     def input_direction(self) -> np.ndarray:
         """d f / d u (constant: power enters the heat pump state only)."""
-        b = np.zeros(N_STATES)
-        b[0] = self.a[2]
-        return b
+        return self.coefficients[:, U].copy()
 
     def disturbance_direction(self) -> np.ndarray:
         """d f / d w (constant: ambient coupling of every passive component)."""
-        d = np.zeros(N_STATES)
-        d[1] = self.a[5]
-        d[2] = self.a[15]
-        d[3] = self.a[29]
-        d[4] = self.a[38]
-        d[5] = self.a[41]
-        return d
+        return self.coefficients[:, W].copy()
+
+
+def _monomials(x1, x2, x3, x4, x5, x6) -> tuple:
+    """The monomials of :data:`MONOMIALS`, in order, over floats or rows."""
+    s3, s4, s5 = x3 * x3, x4 * x4, x5 * x5
+    return (x1, x2, x3, x4, x5, x6, s3, s4, s5,
+            s3 * x4, x3 * s4, s4 * x5, x4 * s5, s3 * x3, s4 * x4, s5 * x5)
+
+
+# d phi_m / d x_i = e x ** (MONOMIALS[m] - unit_i) for each exponent e = MONOMIALS[m][i]
+# > 0; at degree <= 3 that power is the product of two entries A, B of (1, x1..x6)
+_GRAD_M, _GRAD_I = np.nonzero(MONOMIALS)
+_GRAD_SCALE = np.array(MONOMIALS, dtype=float)[_GRAD_M, _GRAD_I]
+_GRAD_A, _GRAD_B = np.array([
+    ([j + 1 for j, p in enumerate(MONOMIALS[m]) for _ in range(p - (j == i))] + [0, 0])[:2]
+    for m, i in zip(_GRAD_M, _GRAD_I)]).T
 
 
 def output(x: Sequence[float], output_index: int = 5) -> float:

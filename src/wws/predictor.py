@@ -71,24 +71,13 @@ class ObservableSet:
         return cls(tuple(tuple(int(v) for v in e) for e in desc))
 
 
-def _mono(*pairs: tuple[int, int]) -> tuple[int, ...]:
-    e = [0] * plant_mod.N_STATES
-    for idx, p in pairs:
-        e[idx - 1] = p
-    return tuple(e)
+#: The plant's own monomials: the identity coordinates followed by every
+#: nonlinear term of the plant polynomials (squares and cubics of the tank
+#: layers plus the mixed products coupling adjacent layers), in which the
+#: plant's right-hand side is linear.
+DEFAULT_OBSERVABLES = ObservableSet(plant_mod.MONOMIALS)
 
-
-#: Identity coordinates followed by every nonlinear term of the plant
-#: polynomials: squares and cubics of the tank layers plus the mixed
-#: products coupling adjacent layers.
-DEFAULT_OBSERVABLES = ObservableSet((
-    _mono((1, 1)), _mono((2, 1)), _mono((3, 1)), _mono((4, 1)), _mono((5, 1)), _mono((6, 1)),
-    _mono((3, 2)), _mono((4, 2)), _mono((5, 2)),
-    _mono((3, 2), (4, 1)), _mono((3, 1), (4, 2)), _mono((4, 2), (5, 1)), _mono((4, 1), (5, 2)),
-    _mono((3, 3)), _mono((4, 3)), _mono((5, 3)),
-))
-
-IDENTITY_OBSERVABLES = ObservableSet(tuple(_mono((i, 1)) for i in range(1, 7)))
+IDENTITY_OBSERVABLES = ObservableSet(plant_mod.MONOMIALS[:plant_mod.N_STATES])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ instead of branch-and-bound, direct rollouts instead of condensing, random
 formula/signal generation paired with the quantitative monitor, HiGHS
 instead of the interior-point method for the elastic violation of a QP's
 rows and instead of branch-and-bound for the feasibility of an encoded
-formula, and nonnegative least squares on the active set for the KKT
-conditions of a returned QP point.  The readers of the CSV files that the
+formula, nonnegative least squares on the active set for the KKT
+conditions of a returned QP point, and the plant polynomial written out
+term by term, integrated by Radau, instead of the coefficient matrix
+integrated by LSODA.  The readers of the CSV files that the
 program writes live here too, since only the tests read those files back,
 as do two adapters that state test problems through the program's own
 entry points: ``add_squared_cost`` (the squared cost of a linear form
@@ -364,17 +366,81 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
+def reference_rhs(model, u: float, w: float):
+    """The plant's right-hand side for held scalar inputs, written out term by
+    term from the coefficient table's documentation (a1 is ``model.a[0]``)."""
+    (a1, a2, a3, a4, a5, a6, a7, a8, a9, a10,
+     a11, a12, a13, a14, a15, a16, a17, a18, a19, a20,
+     a21, a22, a23, a24, a25, a26, a27, a28, a29, a30,
+     a31, a32, a33, a34, a35, a36, a37, a38, a39, a40,
+     a41, a42) = model.a
+
+    def f(x) -> np.ndarray:
+        x1, x2, x3, x4, x5, x6 = x
+        return np.array([
+            a1 * x1 + a2 * x6 + a3 * u,
+            a4 * x1 + a5 * x2 + a6 * w,
+            a7 * x2 + a8 * x3 + a9 * x4 + a10 * x3 * x3 + a11 * x4 * x4
+            + a12 * x3 * x3 * x4 + a13 * x3 * x4 * x4
+            + a14 * x3 * x3 * x3 + a15 * x4 * x4 * x4 + a16 * w,
+            a17 * x3 + a18 * x4 + a19 * x5 + a20 * x3 * x3 + a21 * x4 * x4
+            + a22 * x5 * x5 + a23 * x3 * x3 * x4 + a24 * x3 * x4 * x4
+            + a25 * x4 * x4 * x5 + a26 * x4 * x5 * x5
+            + a27 * x3 * x3 * x3 + a28 * x4 * x4 * x4 + a29 * x5 * x5 * x5
+            + a30 * w,
+            a31 * x4 + a32 * x5 + a33 * x4 * x4 + a34 * x5 * x5
+            + a35 * x4 * x4 * x5 + a36 * x4 * x5 * x5
+            + a37 * x4 * x4 * x4 + a38 * x5 * x5 * x5 + a39 * w,
+            a40 * x5 + a41 * x6 + a42 * w,
+        ])
+
+    return f
+
+
+def reference_jac(model):
+    """The (6, 6) state Jacobian of :func:`reference_rhs`, derived by hand."""
+    a = model.a
+
+    def J(x) -> np.ndarray:
+        _x1, _x2, x3, x4, x5, _x6 = x
+        m = np.zeros((6, 6))
+        m[0, 0] = a[0]
+        m[0, 5] = a[1]
+        m[1, 0] = a[3]
+        m[1, 1] = a[4]
+        m[2, 1] = a[6]
+        m[2, 2] = a[7] + 2 * a[9] * x3 + 2 * a[11] * x3 * x4 + a[12] * x4 * x4 \
+            + 3 * a[13] * x3 * x3
+        m[2, 3] = a[8] + 2 * a[10] * x4 + a[11] * x3 * x3 + 2 * a[12] * x3 * x4 \
+            + 3 * a[14] * x4 * x4
+        m[3, 2] = a[16] + 2 * a[19] * x3 + 2 * a[22] * x3 * x4 + a[23] * x4 * x4 \
+            + 3 * a[26] * x3 * x3
+        m[3, 3] = a[17] + 2 * a[20] * x4 + a[22] * x3 * x3 + 2 * a[23] * x3 * x4 \
+            + 2 * a[24] * x4 * x5 + a[25] * x5 * x5 + 3 * a[27] * x4 * x4
+        m[3, 4] = a[18] + 2 * a[21] * x5 + a[24] * x4 * x4 + 2 * a[25] * x4 * x5 \
+            + 3 * a[28] * x5 * x5
+        m[4, 3] = a[30] + 2 * a[32] * x4 + 2 * a[34] * x4 * x5 + a[35] * x5 * x5 \
+            + 3 * a[36] * x4 * x4
+        m[4, 4] = a[31] + 2 * a[33] * x5 + a[34] * x4 * x4 + 2 * a[35] * x4 * x5 \
+            + 3 * a[37] * x5 * x5
+        m[5, 4] = a[39]
+        m[5, 5] = a[40]
+        return m
+
+    return J
+
+
 def reference_step(model, x: np.ndarray, u: float, w: float, h: float) -> np.ndarray:
     """One hold interval of a single column by scipy's Radau at 1e-12.
 
-    Bypasses ``wws.integrators.propagate`` (LSODA at 1e-10, batched over
-    columns): only the model's right-hand side and Jacobian are shared with
-    the code under test.
+    Bypasses ``wws.plant`` and ``wws.integrators`` altogether: it integrates
+    :func:`reference_rhs` with :func:`reference_jac`, so it shares only the
+    model's coefficients with the code under test.
     """
     from scipy.integrate import solve_ivp
 
-    f = model.rhs(u, w)
-    jac = model.jac()
+    f = reference_rhs(model, u, w)
+    jac = reference_jac(model)
     sol = solve_ivp(lambda _t, y: f(y), (0.0, h), np.asarray(x, dtype=float),
                     method="Radau", rtol=1e-12, atol=1e-12,
                     jac=lambda _t, y: jac(y))

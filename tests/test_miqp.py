@@ -193,6 +193,13 @@ def test_builder_validations():
         b2.add_rows(["nope"], [[1.0]], [1.0])
 
 
+def test_unknown_name_in_objective_is_a_value_error():
+    b = ProblemBuilder()
+    b.add_variables(["x"], 0.0, 1.0, [False])
+    with pytest.raises(ValueError, match="unknown variable 'y' in objective"):
+        b.add_quadratic(["x", "y"], np.eye(2), np.zeros(2))
+
+
 def test_build_drops_rows_no_box_point_can_violate():
     b = ProblemBuilder()
     b.add_variables(["x"], 0.0, 26.5, [False])

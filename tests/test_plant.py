@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import block_diag
 
-from oracles import reference_step
+from oracles import reference_jac, reference_rhs, reference_step
 from wws.integrators import band_pack
-from wws.plant import DivergenceError, PlantModel, output, simulate, step
+from wws.plant import (MONOMIALS, TERMS, DivergenceError, PlantModel, output, simulate,
+                       step)
+from wws.predictor import DEFAULT_OBSERVABLES
 
 # the published nominal coefficient values, restated independently here so a
 # data-file regression cannot go unnoticed
@@ -230,15 +232,43 @@ def test_block_step_matches_independent_reference(which):
         assert np.max(np.abs(block[:, i] - ref)) < 5e-8
 
 
-def test_block_rhs_and_jacobian_match_single_columns(nominal_model):
-    X, U = _block_draw(23, 5)
-    W = np.linspace(5.0, 15.0, 5)
-    F = np.array(nominal_model.rhs(U, W)(X))
-    Js = nominal_model.jac()(X)
-    assert F.shape == (6, 5) and Js.shape == (6, 6, 5)
-    for i in range(5):
-        assert np.array_equal(F[:, i], nominal_model.rhs(U[i], W[i])(X[:, i]))
-        assert np.array_equal(Js[:, :, i], nominal_model.jac()(X[:, i]))
+def test_block_rhs_and_jacobian_match_single_columns():
+    # Both shapes of rhs and jac against the hand-written oracle, within the
+    # rounding bound C * eps * sum|terms| per entry (eps = 2u, u the unit
+    # roundoff); sum|terms| is the oracle at |a|, |u|, |w| and |x|.  rhs: a
+    # term F_m * phi_m carries at most 3 roundings (x3 * x3, then * x4, then
+    # the coefficient) and passes at most 16 additions (15 inside F_x @ phi,
+    # 1 for the drive), so the code is within 19u; the oracle's terms carry
+    # 3 roundings and pass at most 13 additions (14 terms), within 16u.
+    # jac: F_x @ dphi is within (2 + 1 + 15)u, the oracle within (3 + 6)u.
+    # The worse difference is 35u < 36u, so C = 18.
+    C = 18
+    eps = np.finfo(float).eps
+    X, U = _block_draw(23, 33)
+    U[0] = 0.0  # one pump-off column
+    W = np.linspace(5.0, 15.0, 33)
+    for model in (PlantModel.nominal(), PlantModel.demo()):
+        size = PlantModel(a=tuple(abs(v) for v in model.a))
+        F = model.rhs(U, W)(X)
+        Js = model.jac()(X)
+        assert F.shape == (6, 33) and Js.shape == (6, 6, 33)
+        for i in range(33):
+            x = X[:, i]
+            ref = reference_rhs(model, U[i], W[i])(x)
+            tol = C * eps * reference_rhs(size, U[i], abs(W[i]))(np.abs(x))
+            assert np.all(np.abs(F[:, i] - ref) <= tol)
+            assert np.all(np.abs(model.rhs(U[i], W[i])(x) - ref) <= tol)
+            ref = reference_jac(model)(x)
+            tol = C * eps * reference_jac(size)(np.abs(x))
+            assert np.all(np.abs(Js[:, :, i] - ref) <= tol)
+            assert np.all(np.abs(model.jac()(x) - ref) <= tol)
+
+
+def test_coefficient_table_places_each_coefficient_once():
+    rows, cols, idx = zip(*TERMS)
+    assert sorted(idx) == list(range(42))
+    assert len(set(zip(rows, cols))) == len(TERMS)
+    assert DEFAULT_OBSERVABLES.exponents == MONOMIALS
 
 
 def test_band_pack_matches_documented_odeint_layout():
