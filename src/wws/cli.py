@@ -20,16 +20,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import mpc, plant as plant_mod, predictor as pred_mod
-from .integrators import IntegratorConfig
 from .milp import dump_lp
 from .mpc import ControllerConfig
-from .plant import PlantModel
+from .plant import IntegratorConfig, PlantModel
 from .predictor import DEFAULT_OBSERVABLES, DatasetConfig, LinearPredictor
 from .stl import spec_lines
 
@@ -92,14 +90,9 @@ class ExperimentConfig:
     def spec_texts(self) -> tuple[str, ...]:
         if self.no_stl:
             return ()
-        if self.stl_file is not None:
-            text = Path(self.stl_file).read_text()
-        else:
-            text = resources.files("wws.data").joinpath("default_specs.stl").read_text()
-        texts = tuple(spec_lines(text))
-        if self.stl_file is None and self.start_time != 420.0:
-            texts = (mpc.supply_spec(self.start_time),) + texts[1:]
-        return texts
+        if self.stl_file is None:
+            return (mpc.supply_spec(self.start_time), mpc.DEFAULT_POWER_SPEC)
+        return tuple(spec_lines(Path(self.stl_file).read_text()))
 
     def controller(self, model: PlantModel) -> ControllerConfig:
         """The controller that reads ``model``'s output; parses the specs."""
@@ -131,6 +124,8 @@ def _coerce(value: str, current):
         return float(value)
     if isinstance(current, tuple):
         parsed = json.loads(value)
+        if not isinstance(parsed, list):
+            raise ValueError(f"{value!r} is not a JSON list")
         return tuple(parsed)
     return value
 
@@ -142,8 +137,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         for key, val in doc.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
-            cur = getattr(cfg, key)
-            setattr(cfg, key, tuple(val) if isinstance(cur, tuple) else val)
+            if isinstance(getattr(cfg, key), tuple):
+                if not isinstance(val, list):
+                    raise ValueError(f"config key {key!r}: {val!r} is not a list")
+                val = tuple(val)
+            setattr(cfg, key, val)
     env_fields = {ENV_PREFIX + f.name.upper(): f.name
                   for f in dataclasses.fields(ExperimentConfig)}
     for var in sorted(v for v in os.environ if v.startswith(ENV_PREFIX)):
@@ -283,19 +281,20 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     if predictor.h != cfg.h:
         raise ValueError(f"predictor sampled at h={predictor.h:g} s, "
                          f"plant stepped at h={cfg.h:g} s")
+    draw = cfg.dataset_config()  # rollouts start from the fit's validated draw
     out = _outdir(cfg)
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.state_range
+    lo, hi = draw.state_range
     steps = cfg.bench_steps
     rollouts = cfg.bench_rollouts
     x0 = np.empty((plant_mod.N_STATES, rollouts))
     u = np.empty((steps, rollouts))
     for i in range(rollouts):
         x0[:, i] = rng.uniform(lo, hi, size=plant_mod.N_STATES)
-        off = rng.uniform(size=steps) < cfg.p_off
+        off = rng.uniform(size=steps) < draw.p_off
         u[:, i] = np.where(off, 0.0,
-                           rng.uniform(cfg.u_band[0], cfg.u_band[1], size=steps))
-    w = np.full(steps, cfg.w0)
+                           rng.uniform(draw.u_band[0], draw.u_band[1], size=steps))
+    w = np.full(steps, draw.w0)
     # all rollouts advance together: one block plant step per time step
     truth = plant_mod.simulate(model, x0, u, w, cfg.h)
     sq_err = np.zeros((steps + 1, plant_mod.N_STATES))

@@ -47,7 +47,11 @@ from .stl import (
     robustness,
 )
 
+#: Warm-water supply temperature guarantee: the tank output must stay at or
+#: above 40 degC from the end of the warm-up transient until the final time.
 DEFAULT_SUPPLY_SPEC = "alw_[420,end] (y >= 40)"
+#: Heat-pump operating bands: the pump either idles (a few watts of standby
+#: draw) or runs between 80% of rated power and the rated 26.5 kW.
 DEFAULT_POWER_SPEC = ("alw_[0,end] (((u > 0.001) and (u < 0.01))"
                       " or ((u >= 21.2) and (u <= 26.5)))")
 
@@ -269,8 +273,7 @@ class ClosedLoopTrace:
     Row ``k`` holds the state measured at time ``k h``, the input chosen at
     that time (the final row's input is planned but never applied) and the
     solver outcome.  ``robustness_so_far`` monitors each specification over
-    the realized prefix, every window clipped to that prefix; ``specs`` are
-    the parsed ``spec_texts``.
+    the realized prefix, every window clipped to that prefix.
     """
 
     h: float
@@ -285,7 +288,6 @@ class ClosedLoopTrace:
     nodes: np.ndarray
     robustness_so_far: np.ndarray     # (steps, n_formulas)
     spec_texts: tuple[str, ...]
-    specs: tuple[Formula, ...]
     plan_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
     aborted: bool = False
     abort_reason: str | None = None
@@ -294,13 +296,10 @@ class ClosedLoopTrace:
     def n_infeasible(self) -> int:
         return sum(1 for s in self.statuses if s != "optimal")
 
-    def signal(self) -> SampledSignal:
-        return SampledSignal(channels={"y": self.outputs, "u": self.inputs}, h=self.h)
-
     def final_robustness(self) -> list[float]:
-        """Realized robustness of each spec over the whole trace."""
-        sig = self.signal()
-        return [robustness(f, sig, 0, prefix=True) for f in self.specs]
+        """Realized robustness of each spec over the whole trace (the last
+        row of ``robustness_so_far``)."""
+        return self.robustness_so_far[-1].tolist()
 
     def write_csv(self, path: str | Path) -> None:
         header = plant_mod.TRAJECTORY_HEADER + ["status", "objective",
@@ -399,7 +398,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         disturbances=np.full(end, cfg.w_forecast), outputs=outputs[:end],
         statuses=statuses[:end], objectives=objectives[:end],
         binaries=binaries[:end], nodes=nodes[:end], robustness_so_far=rob[:end],
-        spec_texts=cfg.stl_specs, specs=cfg.specs, plan_seconds=plan_seconds[:end],
+        spec_texts=cfg.stl_specs, plan_seconds=plan_seconds[:end],
         aborted=aborted, abort_reason=abort_reason)
 
 

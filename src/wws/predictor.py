@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -33,35 +34,30 @@ from .plant import PlantModel
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """Ordered monomials over the six state coordinates.
+    """The first ``n`` of the plant's :data:`~wws.plant.MONOMIALS`.
 
-    Each descriptor is a 6-tuple of exponents; the first six descriptors of
-    the default set are the identity coordinates, so the raw state is always
-    recoverable from the lifted vector by projection.
+    Each descriptor is a 6-tuple of exponents.  The first six are the
+    identity coordinates, so the raw state is always recoverable from the
+    lifted vector by projection, and the plant's right-hand side is linear
+    in all 16.
     """
 
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for e in self.exponents:
-            if len(e) != plant_mod.N_STATES or any(k < 0 for k in e):
-                raise ValueError(f"bad exponent vector {e}")
+        if not self.exponents or self.exponents != plant_mod.MONOMIALS[:self.n]:
+            raise ValueError("observables must be a non-empty prefix of the plant's "
+                             f"monomials, got {[list(e) for e in self.exponents]}")
 
     @property
     def n(self) -> int:
         return len(self.exponents)
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate all monomials; accepts a state (6,) or a batch (6, K)."""
+        """Evaluate the monomials at a state (6,) or at a batch (6, K) by the
+        plant's own products."""
         x = np.asarray(x, dtype=float)
-        out = np.ones((self.n,) + x.shape[1:], dtype=float)
-        for i, exps in enumerate(self.exponents):
-            for j, e in enumerate(exps):
-                if e == 1:
-                    out[i] *= x[j]
-                elif e > 1:
-                    out[i] *= x[j] ** e
-        return out
+        return np.array(plant_mod._monomials(*(x.tolist() if x.ndim == 1 else x))[:self.n])
 
     def descriptors(self) -> list[list[int]]:
         return [list(e) for e in self.exponents]
@@ -71,10 +67,9 @@ class ObservableSet:
         return cls(tuple(tuple(int(v) for v in e) for e in desc))
 
 
-#: The plant's own monomials: the identity coordinates followed by every
+#: All of the plant's monomials: the identity coordinates followed by every
 #: nonlinear term of the plant polynomials (squares and cubics of the tank
-#: layers plus the mixed products coupling adjacent layers), in which the
-#: plant's right-hand side is linear.
+#: layers plus the mixed products coupling adjacent layers).
 DEFAULT_OBSERVABLES = ObservableSet(plant_mod.MONOMIALS)
 
 IDENTITY_OBSERVABLES = ObservableSet(plant_mod.MONOMIALS[:plant_mod.N_STATES])
@@ -224,6 +219,12 @@ class DatasetConfig:
             raise ValueError("p_off must lie in [0, 1]")
         if self.h <= 0:
             raise ValueError("sampling period must be positive")
+        for name in ("state_range", "u_band"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(v, Real) and np.isfinite(v) for v in pair)
+                    and pair[0] <= pair[1]):
+                raise ValueError(f"{name} must be two finite numbers lo <= hi, got {pair!r}")
 
 
 @dataclass(frozen=True)

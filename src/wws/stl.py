@@ -505,17 +505,6 @@ class _Node:
         self.hull = None
 
 
-def _join(kids: list, conj: bool):
-    """And/Or of compile-time children, folding constant ones away."""
-    absorbing, neutral = (_Fold.FALSE, _Fold.TRUE) if conj else (_Fold.TRUE, _Fold.FALSE)
-    if any(k is absorbing for k in kids):
-        return absorbing
-    kept = [k for k in kids if k is not neutral]
-    if not kept:
-        return neutral
-    return kept[0] if len(kept) == 1 else _Node(conj, kept)
-
-
 def _unroll(f: Formula, t: int, neg: bool, h: float):
     """Expand temporal operators over absolute samples, negation at leaves."""
     if isinstance(f, Not):
@@ -523,24 +512,25 @@ def _unroll(f: Formula, t: int, neg: bool, h: float):
     if isinstance(f, Pred):
         return _Leaf(f.negate() if neg else f, t)
     if isinstance(f, (And, Or)):
-        return _join([_unroll(c, t, neg, h) for c in f.children],
-                     isinstance(f, And) ^ neg)
+        return _combine([_unroll(c, t, neg, h) for c in f.children],
+                        isinstance(f, And) ^ neg)
     if isinstance(f, (Alw, Ev)):
-        return _join([_unroll(f.child, i, neg, h)
-                      for i in _window_indices(t, f.a, f.b, h)],
-                     isinstance(f, Alw) ^ neg)
+        return _combine([_unroll(f.child, i, neg, h)
+                         for i in _window_indices(t, f.a, f.b, h)],
+                        isinstance(f, Alw) ^ neg)
     if isinstance(f, Until):
         disjuncts = []
         for tp in _window_indices(t, f.a, f.b, h):
             parts = [_unroll(f.right, tp, neg, h)]
             parts += [_unroll(f.left, i, neg, h) for i in range(t, tp)]
-            disjuncts.append(_join(parts, conj=not neg))
-        return _join(disjuncts, conj=neg)
+            disjuncts.append(_combine(parts, conj=not neg))
+        return _combine(disjuncts, conj=neg)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _combine(kids: list, conj: bool):
-    """And/Or folding at a step, with deferral semantics."""
+    """And/Or of children, folding constant ones away, with deferral
+    semantics (at compile time no child is deferred)."""
     kept = []
     saw_deferred = False
     for k in kids:

@@ -433,9 +433,10 @@ def reference_jac(model):
 def reference_step(model, x: np.ndarray, u: float, w: float, h: float) -> np.ndarray:
     """One hold interval of a single column by scipy's Radau at 1e-12.
 
-    Bypasses ``wws.plant`` and ``wws.integrators`` altogether: it integrates
-    :func:`reference_rhs` with :func:`reference_jac`, so it shares only the
-    model's coefficients with the code under test.
+    Bypasses ``wws.plant``'s right-hand side, Jacobian and LSODA call
+    altogether: it integrates :func:`reference_rhs` with
+    :func:`reference_jac`, so it shares only the model's coefficients with
+    the code under test.
     """
     from scipy.integrate import solve_ivp
 

@@ -208,6 +208,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_tuple_setting_must_be_a_list(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"state_range": 5}))
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")]) == 1
+    assert "config key 'state_range': 5 is not a list" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("var, value, reason", [
     ("WWS_ATOLL", "5", "unknown environment variable WWS_ATOLL"),
     ("WWS_Z_BOUNDS", "1", "unknown environment variable WWS_Z_BOUNDS"),
@@ -215,8 +222,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("WWS_ATOL", "1e-8", "unknown environment variable WWS_ATOL"),
     ("WWS_MIQP_GAP", "1e-3", "unknown environment variable WWS_MIQP_GAP"),
     ("WWS_SHARED_STATE_DRAW", "1", "unknown environment variable WWS_SHARED_STATE_DRAW"),
+    ("WWS_H", "abc", "WWS_H: could not convert string to float: 'abc'"),
+    ("WWS_STATE_RANGE", "5", "WWS_STATE_RANGE: '5' is not a JSON list"),
+    ("WWS_STATE_RANGE", "[1, 2, 3]", "state_range must be two finite numbers lo <= hi"),
 ], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG", "WWS_ATOL", "WWS_MIQP_GAP",
-        "WWS_SHARED_STATE_DRAW"])
+        "WWS_SHARED_STATE_DRAW", "WWS_H", "WWS_STATE_RANGE-scalar",
+        "WWS_STATE_RANGE-triple"])
 def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch,
                                            capsys, var, value, reason):
     monkeypatch.setenv(var, value)

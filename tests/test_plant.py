@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from oracles import reference_jac, reference_rhs, reference_step
-from wws.integrators import band_pack
-from wws.plant import (MONOMIALS, TERMS, DivergenceError, PlantModel, output, simulate,
-                       step)
+from wws.plant import (MONOMIALS, TERMS, DivergenceError, PlantModel, band_pack, output,
+                       simulate, step)
 from wws.predictor import DEFAULT_OBSERVABLES
 
 # the published nominal coefficient values, restated independently here so a

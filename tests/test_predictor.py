@@ -49,11 +49,31 @@ def test_lift_batch_matches_columns():
         assert np.allclose(Z[:, i], DEFAULT_OBSERVABLES.lift(X[:, i]))
 
 
+def test_lift_is_the_plants_monomial_evaluation(demo_model):
+    # F_x lift(x) must be the plant's right-hand side at zero drive, bit for
+    # bit: the predictor lifts by the very products the plant integrates
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-50, 150, size=(6, 200))
+    Fx = demo_model.coefficients[:, :plant_mod.N_MONOMIALS]
+    assert np.array_equal(Fx @ DEFAULT_OBSERVABLES.lift(X),
+                          demo_model.rhs(np.zeros(200), np.zeros(200))(X))
+    for x in X.T:
+        assert np.array_equal(Fx @ DEFAULT_OBSERVABLES.lift(x), demo_model.rhs(0.0, 0.0)(x))
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         ObservableSet(((1, 0, 0),))
     with pytest.raises(ValueError):
         ObservableSet(((1, 0, 0, 0, 0, -1),))
+    skipped = plant_mod.MONOMIALS[:6] + plant_mod.MONOMIALS[7:]
+    with pytest.raises(ValueError, match="prefix"):
+        ObservableSet(skipped)
+    doc = {"N": 15, "h": 60.0, "A": np.eye(15).tolist(), "bu": [0.0] * 15,
+           "bd": [0.0] * 15, "C": np.eye(6, 15).tolist(),
+           "observables": [list(e) for e in skipped]}
+    with pytest.raises(ValueError, match="prefix"):
+        LinearPredictor.from_dict(doc)
 
 
 # -- dataset -----------------------------------------------------------------
