@@ -126,8 +126,18 @@ def _coerce(value: str, current):
         parsed = json.loads(value)
         if not isinstance(parsed, list):
             raise ValueError(f"{value!r} is not a JSON list")
-        return tuple(parsed)
+        return _floats(parsed)
     return value
+
+
+def _floats(items) -> tuple[float, ...]:
+    """A tuple setting from a list, every element converted with float()."""
+    if not isinstance(items, list):
+        raise ValueError(f"{items!r} is not a list")
+    try:
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError):
+        raise ValueError(f"{items!r} is not a list of numbers") from None
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -138,9 +148,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(getattr(cfg, key), tuple):
-                if not isinstance(val, list):
-                    raise ValueError(f"config key {key!r}: {val!r} is not a list")
-                val = tuple(val)
+                try:
+                    val = _floats(val)
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from None
             setattr(cfg, key, val)
     env_fields = {ENV_PREFIX + f.name.upper(): f.name
                   for f in dataclasses.fields(ExperimentConfig)}
@@ -185,7 +196,6 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
                                        u_bounds=(cfg.u_min, cfg.u_max))
         predictor = pred_mod.linearize_local(model, eq.x, eq.u, cfg.w0, cfg.h)
         predictor.meta.update({"seed": cfg.seed, "target_y": cfg.target_y,
-                               "equilibrium_u": eq.u,
                                "u_within_bounds": eq.u_within_bounds})
         report = {"kind": "local-linearization", "target_y": cfg.target_y,
                   "equilibrium_u": eq.u, "residual": eq.residual,

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .predictor import LinearPredictor
+from .predictor import LinearPredictor, lift
 
 if TYPE_CHECKING:
     from .mpc import ControllerConfig
@@ -43,7 +43,6 @@ class CondensedHorizon:
     reference: float
     out_row: np.ndarray    # (N,)       row of C that reads the output
     drive: np.ndarray      # (N,)       b_d w of the disturbance forecast
-    c: np.ndarray          # (N,)       affine constant of the recursion
 
     @property
     def horizon(self) -> int:
@@ -52,9 +51,9 @@ class CondensedHorizon:
     def free_response(self, x: Sequence[float]) -> np.ndarray:
         """Outputs at offsets 1..Np from the measured state ``x`` with u = 0."""
         g = np.zeros((self.horizon + 1, self.pred.n))
-        g[0] = self.pred.lift(np.asarray(x, dtype=float))
+        g[0] = lift(x, self.pred.n)
         for i in range(self.horizon):
-            g[i + 1] = self.pred.A @ g[i] + self.drive + self.c
+            g[i + 1] = self.pred.A @ g[i] + self.drive + self.pred.c
         return (g @ self.out_row)[1:]
 
     def linear_cost(self, y0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -86,4 +85,4 @@ def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon
         raise ValueError(f"objective quadratic term not PSD (min eig {w.min():.3g})")
     return CondensedHorizon(pred=pred, Y=Y, H=H, q_weight=cfg.q_weight,
                             reference=cfg.reference, out_row=out_row,
-                            drive=pred.b_d * cfg.w_forecast, c=pred.affine_const())
+                            drive=pred.b_d * cfg.w_forecast)

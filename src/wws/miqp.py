@@ -105,22 +105,13 @@ def solve_miqp(problem: MiqpProblem,
                 incumbent_x = res.x
                 incumbent_obj = res.objective
 
-    # root relaxation
-    root_lb = problem.lb.copy()
-    root_ub = problem.ub.copy()
+    # the root is an ordinary node, open only when its relaxation is optimal
     qp_solves += 1
-    root = _relax(problem, root_lb, root_ub)
-    if root.status != "optimal":
-        if incumbent_x is None:
-            return SolveResult(status="infeasible", nodes=1, qp_solves=qp_solves)
-        # a concrete warm incumbent trumps a marginal relaxation status
-        return SolveResult(status="optimal", objective=incumbent_obj, x=incumbent_x,
-                           assignment=problem.assignment(incumbent_x), nodes=1,
-                           gap=0.0, qp_solves=qp_solves)
-
+    root = _relax(problem, problem.lb, problem.ub)
     counter = 0
     heap: list[_Node] = []
-    heapq.heappush(heap, _Node(root.objective, counter, root_lb, root_ub, root.x))
+    if root.status == "optimal":
+        heap.append(_Node(root.objective, counter, problem.lb, problem.ub, root.x))
     nodes = 0
     cutoff_bound: float | None = None
 

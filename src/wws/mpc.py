@@ -58,19 +58,19 @@ DEFAULT_POWER_SPEC = ("alw_[0,end] (((u > 0.001) and (u < 0.01))"
 
 def supply_spec(start_time_s: float) -> str:
     """Supply guarantee with a configurable warm-up deadline."""
-    start = int(start_time_s) if float(start_time_s).is_integer() else start_time_s
-    return f"alw_[{start},end] (y >= 40)"
+    return f"alw_[{_fmt(start_time_s)},end] (y >= 40)"
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
     """Horizon, weights, bounds and specifications of the controller.
 
-    The specifications are parsed once, at construction: ``specs`` keeps
-    the ``end`` token for the prefix monitor, ``formulas`` has it resolved
-    to ``end_time`` for the encoder.  ``templates`` compiles the formulas
-    on first use, once per configuration; they do not depend on the
-    predictor.
+    The specifications are parsed once, at construction, into ``formulas``
+    with the ``end`` token resolved to ``end_time``; the encoder and the
+    prefix monitor both read them (a realized prefix clips every window
+    to its last sample, which is never past ``end_time``).  ``templates``
+    compiles the formulas on first use, once per configuration; they do
+    not depend on the predictor.
     """
 
     horizon: int = 10
@@ -85,7 +85,6 @@ class ControllerConfig:
     w_forecast: float = 10.0
     eps: float = 1e-6
     output_index: int = 5
-    specs: tuple[Formula, ...] = field(init=False, repr=False, compare=False)
     formulas: tuple[Formula, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,10 +94,8 @@ class ControllerConfig:
             raise ValueError("weights must be positive")
         if self.end_time / self.h != round(self.end_time / self.h):
             raise ValueError("end_time must be a multiple of the sampling period")
-        specs = tuple(parse(text) for text in self.stl_specs)
-        object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "formulas",
-                           tuple(resolve_end(f, self.end_time) for f in specs))
+        object.__setattr__(self, "formulas", tuple(
+            resolve_end(parse(text), self.end_time) for text in self.stl_specs))
 
     @property
     def n_steps(self) -> int:
@@ -376,8 +373,8 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         sig = SampledSignal(channels={"y": np.array(y_hist),
                                       "u": np.append(np.array(u_hist), u_k)},
                             h=cfg.h)
-        for j, spec in enumerate(cfg.specs):
-            rob[k, j] = robustness(spec, sig, 0, prefix=True)
+        for j, f in enumerate(cfg.formulas):
+            rob[k, j] = robustness(f, sig, 0, prefix=True)
         if stop_on_infeasible and not step_res.feasible:
             last_k = k
             break
@@ -392,7 +389,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
             break
         u_hist.append(u_k)
 
-    end = last_k + 1 if (aborted or last_k < n) else n + 1
+    end = last_k + 1
     return ClosedLoopTrace(
         h=cfg.h, times=times[:end], states=states[:end], inputs=inputs[:end],
         disturbances=np.full(end, cfg.w_forecast), outputs=outputs[:end],

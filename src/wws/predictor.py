@@ -28,104 +28,56 @@ from . import plant as plant_mod
 from .plant import PlantModel
 
 # ---------------------------------------------------------------------------
-# Observables
+# Observables and the predictor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """The first ``n`` of the plant's :data:`~wws.plant.MONOMIALS`.
-
-    Each descriptor is a 6-tuple of exponents.  The first six are the
-    identity coordinates, so the raw state is always recoverable from the
-    lifted vector by projection, and the plant's right-hand side is linear
-    in all 16.
-    """
-
-    exponents: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.exponents or self.exponents != plant_mod.MONOMIALS[:self.n]:
-            raise ValueError("observables must be a non-empty prefix of the plant's "
-                             f"monomials, got {[list(e) for e in self.exponents]}")
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the monomials at a state (6,) or at a batch (6, K) by the
-        plant's own products."""
-        x = np.asarray(x, dtype=float)
-        return np.array(plant_mod._monomials(*(x.tolist() if x.ndim == 1 else x))[:self.n])
-
-    def descriptors(self) -> list[list[int]]:
-        return [list(e) for e in self.exponents]
-
-    @classmethod
-    def from_descriptors(cls, desc: Sequence[Sequence[int]]) -> "ObservableSet":
-        return cls(tuple(tuple(int(v) for v in e) for e in desc))
+def lift(x: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` of the plant's :data:`~wws.plant.MONOMIALS` at a state
+    (6,) or a batch (6, K), by the plant's own products; the first six are
+    the state itself, and the plant's right-hand side is linear in all 16."""
+    x = np.asarray(x, dtype=float)
+    return np.array(plant_mod._monomials(*(x.tolist() if x.ndim == 1 else x))[:n])
 
 
-#: All of the plant's monomials: the identity coordinates followed by every
-#: nonlinear term of the plant polynomials (squares and cubics of the tank
-#: layers plus the mixed products coupling adjacent layers).
-DEFAULT_OBSERVABLES = ObservableSet(plant_mod.MONOMIALS)
-
-IDENTITY_OBSERVABLES = ObservableSet(plant_mod.MONOMIALS[:plant_mod.N_STATES])
-
-
-# ---------------------------------------------------------------------------
-# Predictor container
-# ---------------------------------------------------------------------------
+#: Observable count of a regression fit: all of the plant's monomials.
+DEFAULT_OBSERVABLES = plant_mod.N_MONOMIALS
 
 
 @dataclass(frozen=True)
 class LinearPredictor:
-    """Discrete-time lifted linear model  z+ = A z + b_u u + b_d w + c.
+    """Discrete-time lifted linear model  z+ = A z + b_u u + b_d w + c,  x = C z.
 
-    For a predictor built by local linearization, (x_ref, u_ref, w_ref)
-    stores the operating point; the affine constant c folds the deviation
-    form back into absolute coordinates so that both predictor routes share
-    one interface.
+    z holds the first n = len(b_u) of the plant's monomials.  c is zero for
+    a regression fit; a local linearization folds its operating point into
+    c, so both routes share one interface.
     """
 
     A: np.ndarray
     b_u: np.ndarray
     b_d: np.ndarray
+    c: np.ndarray
     C: np.ndarray
     h: float
-    observables: ObservableSet
-    x_ref: np.ndarray | None = None
-    u_ref: float | None = None
-    w_ref: float | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        n = self.observables.n
-        ok = (self.A.shape == (n, n) and self.b_u.shape == (n,)
-              and self.b_d.shape == (n,) and self.C.shape == (plant_mod.N_STATES, n))
-        if not ok:
+        n = self.n if self.b_u.ndim == 1 else 0
+        if not 1 <= n <= plant_mod.N_MONOMIALS:
+            raise ValueError(f"a predictor has 1..{plant_mod.N_MONOMIALS} observables, "
+                             f"got b_u of shape {self.b_u.shape}")
+        if (self.A.shape != (n, n) or self.b_d.shape != (n,) or self.c.shape != (n,)
+                or self.C.shape != (plant_mod.N_STATES, n)):
             raise ValueError("inconsistent predictor dimensions")
         if self.h <= 0:
             raise ValueError("sampling period must be positive")
-        for arr in (self.A, self.b_u, self.b_d, self.C):
+        for arr in (self.A, self.b_u, self.b_d, self.c, self.C):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite predictor entry")
 
     @property
     def n(self) -> int:
-        return self.observables.n
-
-    def lift(self, x: Sequence[float]) -> np.ndarray:
-        return self.observables.lift(np.asarray(x, dtype=float))
-
-    def affine_const(self) -> np.ndarray:
-        """Constant term of the lifted recursion (zero for regression fits)."""
-        if self.x_ref is None:
-            return np.zeros(self.n)
-        z_ref = self.observables.lift(np.asarray(self.x_ref, dtype=float))
-        return z_ref - self.A @ z_ref - self.b_u * self.u_ref - self.b_d * self.w_ref
+        return len(self.b_u)
 
     def predict(self, x0: Sequence[float], u_seq: Sequence[float],
                 w_seq: Sequence[float]) -> np.ndarray:
@@ -134,35 +86,28 @@ class LinearPredictor:
         w_seq = list(w_seq)
         if len(u_seq) != len(w_seq):
             raise ValueError("input and disturbance sequences must have equal length")
-        z = self.lift(x0)
-        c = self.affine_const()
+        z = lift(x0, self.n)
         out = np.empty((len(u_seq) + 1, plant_mod.N_STATES))
         out[0] = self.C @ z
         for k, (u, w) in enumerate(zip(u_seq, w_seq)):
-            z = self.A @ z + self.b_u * u + self.b_d * w + c
+            z = self.A @ z + self.b_u * u + self.b_d * w + self.c
             out[k + 1] = self.C @ z
         return out
 
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "N": self.n,
             "h": self.h,
             "A": self.A.tolist(),
             "bu": self.b_u.tolist(),
             "bd": self.b_d.tolist(),
+            "c": self.c.tolist(),
             "C": self.C.tolist(),
-            "observables": self.observables.descriptors(),
+            "observables": [list(e) for e in plant_mod.MONOMIALS[:self.n]],
             "meta": self.meta,
         }
-        if self.x_ref is not None:
-            doc["offset"] = {
-                "x_ref": np.asarray(self.x_ref, dtype=float).tolist(),
-                "u_ref": float(self.u_ref),
-                "w_ref": float(self.w_ref),
-            }
-        return doc
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -170,19 +115,23 @@ class LinearPredictor:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearPredictor":
-        off = doc.get("offset")
-        return cls(
+        if "c" not in doc:
+            raise ValueError("predictor file has no affine constant 'c' (it predates "
+                             "the stored constant); refit it with 'wws fit'")
+        pred = cls(
             A=np.array(doc["A"], dtype=float),
             b_u=np.array(doc["bu"], dtype=float),
             b_d=np.array(doc["bd"], dtype=float),
+            c=np.array(doc["c"], dtype=float),
             C=np.array(doc["C"], dtype=float),
             h=float(doc["h"]),
-            observables=ObservableSet.from_descriptors(doc["observables"]),
-            x_ref=None if off is None else np.array(off["x_ref"], dtype=float),
-            u_ref=None if off is None else float(off["u_ref"]),
-            w_ref=None if off is None else float(off["w_ref"]),
             meta=dict(doc.get("meta", {})),
         )
+        obs = tuple(tuple(int(v) for v in e) for e in doc["observables"])
+        if obs != plant_mod.MONOMIALS[:pred.n]:
+            raise ValueError(f"observables must be the {pred.n}-monomial prefix of the "
+                             f"plant's monomials, got {[list(e) for e in obs]}")
+        return pred
 
     @classmethod
     def from_json(cls, path: str | Path) -> "LinearPredictor":
@@ -309,10 +258,11 @@ def fit_linear_maps(Z: np.ndarray, U: np.ndarray, W: np.ndarray,
     return m[:, :n], m[:, n], m[:, n + 1], diag
 
 
-def fit_edmd_from_dataset(obs: ObservableSet, data: Dataset) -> LinearPredictor:
-    """Fit the lifted transition and read-out maps from a snapshot dataset."""
-    Z = obs.lift(data.X)
-    Zp = obs.lift(data.Xp)
+def fit_edmd_from_dataset(n: int, data: Dataset) -> LinearPredictor:
+    """Fit the lifted transition and read-out maps over the first ``n``
+    monomials from a snapshot dataset; the affine constant is zero."""
+    Z = lift(data.X, n)
+    Zp = lift(data.Xp, n)
     A, b_u, b_d, dyn_diag = fit_linear_maps(Z, data.U, data.W, Zp)
     C, out_diag = _equilibrated_pinv_fit(data.X, Z)
     meta = {"seed": data.config.seed, "K": data.config.K,
@@ -321,8 +271,8 @@ def fit_edmd_from_dataset(obs: ObservableSet, data: Dataset) -> LinearPredictor:
             "w0": data.config.w0,
             "fit": {"dynamics": dyn_diag, "readout": out_diag,
                     "K": int(data.X.shape[1]), "rcond": RCOND}}
-    return LinearPredictor(A=A, b_u=b_u, b_d=b_d, C=C, h=float(data.config.h),
-                           observables=obs, meta=meta)
+    return LinearPredictor(A=A, b_u=b_u, b_d=b_d, c=np.zeros(n), C=C,
+                           h=float(data.config.h), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +378,9 @@ def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
                     w_star: float, h: float) -> LinearPredictor:
     """Local-linearization predictor at an equilibrium, absolute interface.
 
-    The continuous-time Jacobians are evaluated analytically, discretized
-    exactly under ZOH, and the operating point is stored so the deviation
-    form is hidden behind the shared predictor interface (N = 6, identity
-    observables, C = I).
+    The continuous-time Jacobians are evaluated analytically and discretized
+    exactly under ZOH (n = 6, so z = x and C = I); the operating point folds
+    into  c = x* - A x* - b_u u* - b_d w*  and is recorded in ``meta``.
     """
     x_star = np.asarray(x_star, dtype=float)
     resid = float(np.max(np.abs(model.rhs(u_star, w_star)(x_star))))
@@ -440,9 +389,11 @@ def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
     A_c = model.jac()(x_star)
     B = np.column_stack([model.input_direction(), model.disturbance_direction()])
     A_d, B_d = zoh_discretize(A_c, B, h)
+    b_u, b_d = B_d[:, 0], B_d[:, 1]
+    u_star, w_star = float(u_star), float(w_star)
     return LinearPredictor(
-        A=A_d, b_u=B_d[:, 0], b_d=B_d[:, 1], C=np.eye(plant_mod.N_STATES),
-        h=float(h), observables=IDENTITY_OBSERVABLES,
-        x_ref=x_star, u_ref=float(u_star), w_ref=float(w_star),
-        meta={"kind": "local-linearization", "residual": resid},
+        A=A_d, b_u=b_u, b_d=b_d, c=x_star - A_d @ x_star - b_u * u_star - b_d * w_star,
+        C=np.eye(plant_mod.N_STATES), h=float(h),
+        meta={"kind": "local-linearization", "residual": resid,
+              "x_ref": x_star.tolist(), "u_ref": u_star, "w_ref": w_star},
     )

@@ -155,7 +155,7 @@ Formula = Union[Pred, Not, And, Or, Alw, Ev, Until]
 
 
 # ---------------------------------------------------------------------------
-# Parsing and printing
+# Parsing
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -209,6 +209,13 @@ class _Parser:
             raise StlSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
         self.i += 1
         return tok
+
+    def number(self) -> float:
+        _, text, pos = self.take("number")
+        value = float(text)
+        if not math.isfinite(value):
+            raise StlSyntaxError(f"number {text!r} is not finite", pos)
+        return value
 
     def parse(self) -> Formula:
         f = self.or_expr()
@@ -265,19 +272,19 @@ class _Parser:
         if kind == "ident":
             self.take()
             op = self.take("relop")[1]
-            num = float(self.take("number")[1])
-            return Pred(value, op, num)
+            return Pred(value, op, self.number())
         raise StlSyntaxError(f"expected a formula, found {value!r}", pos)
 
     def bounds(self) -> tuple[float, Bound]:
         # the opening 'xx_[' token was already consumed
-        a = float(self.take("number")[1])
+        a = self.number()
         self.take("comma")
-        kind, value, pos = self.take()
+        kind, value, pos = self.peek()
         if kind == "end":
+            self.take()
             b: Bound = END
         elif kind == "number":
-            b = float(value)
+            b = self.number()
         else:
             raise StlSyntaxError(f"expected a bound, found {value!r}", pos)
         self.take("rbrack")
@@ -297,43 +304,6 @@ def spec_lines(text: str) -> list[str]:
     """Formula texts of a spec file: one per line, '#' starts a comment."""
     bodies = (line.split("#", 1)[0].strip() for line in text.splitlines())
     return [body for body in bodies if body]
-
-
-def _fmt_num(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
-
-
-def _fmt_bound(b: Bound) -> str:
-    return "end" if isinstance(b, _End) else _fmt_num(b)
-
-
-def format_formula(f: Formula) -> str:
-    """Canonical concrete syntax; parse(format_formula(f)) == f."""
-
-    def wrap(child: Formula) -> str:
-        if isinstance(child, (And, Or, Until)):
-            return f"({format_formula(child)})"
-        return format_formula(child)
-
-    if isinstance(f, Pred):
-        return f"{f.channel} {f.op} {_fmt_num(f.const)}"
-    if isinstance(f, Not):
-        return f"not {wrap(f.child)}"
-    if isinstance(f, And):
-        return " and ".join(
-            f"({format_formula(c)})" if isinstance(c, (And, Or)) else format_formula(c)
-            for c in f.children)
-    if isinstance(f, Or):
-        return " or ".join(
-            f"({format_formula(c)})" if isinstance(c, Or) else format_formula(c)
-            for c in f.children)
-    if isinstance(f, Alw):
-        return f"alw_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.child)}"
-    if isinstance(f, Ev):
-        return f"ev_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.child)}"
-    if isinstance(f, Until):
-        return f"{wrap(f.left)} until_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.right)}"
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def resolve_end(f: Formula, end_time: float) -> Formula:

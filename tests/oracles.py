@@ -233,7 +233,8 @@ def milp_feasible(problem: MiqpProblem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Random bounded formulas and signals for the encoding soundness suite
+# Random bounded formulas and signals for the encoding soundness suite, and
+# the canonical printer the parser round-trips through
 # ---------------------------------------------------------------------------
 
 CHANNELS = ("y", "u")
@@ -324,6 +325,43 @@ def horizon(f: stl.Formula, h: float) -> int:
     if isinstance(f, stl.Until):
         return window + max(horizon(f.left, h), horizon(f.right, h))
     return window + horizon(f.child, h)
+
+
+def _fmt_num(v: float) -> str:
+    return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
+
+
+def _fmt_bound(b: stl.Bound) -> str:
+    return "end" if isinstance(b, type(stl.END)) else _fmt_num(b)
+
+
+def format_formula(f: stl.Formula) -> str:
+    """Canonical concrete syntax; stl.parse(format_formula(f)) == f."""
+
+    def wrap(child: stl.Formula) -> str:
+        if isinstance(child, (stl.And, stl.Or, stl.Until)):
+            return f"({format_formula(child)})"
+        return format_formula(child)
+
+    if isinstance(f, stl.Pred):
+        return f"{f.channel} {f.op} {_fmt_num(f.const)}"
+    if isinstance(f, stl.Not):
+        return f"not {wrap(f.child)}"
+    if isinstance(f, stl.And):
+        return " and ".join(
+            f"({format_formula(c)})" if isinstance(c, (stl.And, stl.Or)) else format_formula(c)
+            for c in f.children)
+    if isinstance(f, stl.Or):
+        return " or ".join(
+            f"({format_formula(c)})" if isinstance(c, stl.Or) else format_formula(c)
+            for c in f.children)
+    if isinstance(f, stl.Alw):
+        return f"alw_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.child)}"
+    if isinstance(f, stl.Ev):
+        return f"ev_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.child)}"
+    if isinstance(f, stl.Until):
+        return f"{wrap(f.left)} until_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.right)}"
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

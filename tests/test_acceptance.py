@@ -162,7 +162,7 @@ def test_edmd_correctness(nominal_predictor, nominal_dataset_10k):
     rng = np.random.default_rng(7)
     K = 60
     X = rng.uniform(10, 40, size=(6, K))
-    Z = DEFAULT_OBSERVABLES.lift(X)
+    Z = P.lift(X, DEFAULT_OBSERVABLES)
     A0 = rng.normal(0, 0.3, size=(16, 16))
     bu0 = rng.normal(0, 0.5, size=16)
     bd0 = rng.normal(0, 0.5, size=16)
@@ -173,7 +173,7 @@ def test_edmd_correctness(nominal_predictor, nominal_dataset_10k):
     recovery = max(np.max(np.abs(A - A0)), np.max(np.abs(bu - bu0)),
                    np.max(np.abs(bd - bd0)))
     recon = float(np.max(np.abs(
-        nominal_predictor.C @ DEFAULT_OBSERVABLES.lift(nominal_dataset_10k.X)
+        nominal_predictor.C @ P.lift(nominal_dataset_10k.X, DEFAULT_OBSERVABLES)
         - nominal_dataset_10k.X)))
     ok = recovery <= 1e-8 and recon <= 1e-8
     assert verdict("lifted-regression exactness",

@@ -48,7 +48,9 @@ def test_fit_local_baseline(tmp_path):
                  "--out", str(out)])
     assert code == 0
     pred = LinearPredictor.from_json(out)
-    assert pred.n == 6 and pred.x_ref is not None
+    assert pred.n == 6 and np.any(pred.c != 0.0)
+    doc = json.loads(out.read_text())
+    assert set(doc["meta"]) >= {"x_ref", "u_ref", "w_ref"} and "equilibrium_u" not in doc["meta"]
 
 
 def test_fit_local_fails_cleanly_on_nominal(tmp_path, capsys):
@@ -208,11 +210,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_config_tuple_setting_must_be_a_list(tmp_path, capsys):
+@pytest.mark.parametrize("doc, reason", [
+    ({"state_range": 5}, "config key 'state_range': 5 is not a list"),
+    ({"initial_temps": ["a"]}, "config key 'initial_temps': ['a'] is not a list of numbers"),
+    ({"start_times": [60, None]},
+     "config key 'start_times': [60, None] is not a list of numbers"),
+], ids=["state_range-scalar", "initial_temps-string", "start_times-null"])
+def test_config_tuple_setting_must_be_a_list(tmp_path, capsys, doc, reason):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"state_range": 5}))
+    cfg_path.write_text(json.dumps(doc))
     assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")]) == 1
-    assert "config key 'state_range': 5 is not a list" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("var, value, reason", [
@@ -225,9 +233,10 @@ def test_config_tuple_setting_must_be_a_list(tmp_path, capsys):
     ("WWS_H", "abc", "WWS_H: could not convert string to float: 'abc'"),
     ("WWS_STATE_RANGE", "5", "WWS_STATE_RANGE: '5' is not a JSON list"),
     ("WWS_STATE_RANGE", "[1, 2, 3]", "state_range must be two finite numbers lo <= hi"),
+    ("WWS_INITIAL_TEMPS", '["a"]', "WWS_INITIAL_TEMPS: ['a'] is not a list of numbers"),
 ], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG", "WWS_ATOL", "WWS_MIQP_GAP",
         "WWS_SHARED_STATE_DRAW", "WWS_H", "WWS_STATE_RANGE-scalar",
-        "WWS_STATE_RANGE-triple"])
+        "WWS_STATE_RANGE-triple", "WWS_INITIAL_TEMPS-string"])
 def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch,
                                            capsys, var, value, reason):
     monkeypatch.setenv(var, value)

@@ -5,14 +5,13 @@ from dataclasses import replace
 from wws import mpc
 from wws.condense import condense
 from wws.mpc import ControllerConfig, build_step_problem, run_closed_loop
-from wws.predictor import IDENTITY_OBSERVABLES, LinearPredictor
+from wws.predictor import LinearPredictor, lift
 from wws.qp import solve_qp
 
 
 def _identity_predictor(A, b_u, b_d, h=60.0):
     return LinearPredictor(A=np.asarray(A, float), b_u=np.asarray(b_u, float),
-                           b_d=np.asarray(b_d, float), C=np.eye(6), h=h,
-                           observables=IDENTITY_OBSERVABLES)
+                           b_d=np.asarray(b_d, float), c=np.zeros(6), C=np.eye(6), h=h)
 
 
 def _tracking_cfg(**kwargs):
@@ -158,14 +157,13 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
     E = np.zeros((n_z, n))
     d = np.zeros(n_z)
     E[:6, np_h:np_h + 6] = np.eye(6)
-    d[:6] = pred.lift(x0)
-    c = pred.affine_const()
+    d[:6] = lift(x0, pred.n)
     for i in range(np_h):
         rows = slice(6 * (i + 1), 6 * (i + 2))
         E[rows, z(i + 1, 0):z(i + 1, 6)] = np.eye(6)
         E[rows, z(i, 0):z(i, 6)] = -pred.A
         E[rows, i] = -pred.b_u
-        d[rows] = pred.b_d * w[i] + c
+        d[rows] = pred.b_d * w[i] + pred.c
     kkt = np.block([[H, E.T], [E, np.zeros((n_z, n_z))]])
     v = np.linalg.solve(kkt, np.concatenate([-f, d]))[:n]
     assert np.max(np.abs(E @ v - d)) <= 1e-9

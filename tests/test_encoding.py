@@ -6,8 +6,8 @@ from wws.milp import ProblemBuilder
 from wws.miqp import solve_miqp
 from wws.stl import EncodingConfig, StlEncodingError
 
-from oracles import (add_squared_cost, encode_fixed_signal, encode_formula, milp_feasible,
-                     soundness_case)
+from oracles import (add_squared_cost, encode_fixed_signal, encode_formula, format_formula,
+                     milp_feasible, soundness_case)
 
 CFG = EncodingConfig(channel_bounds={"y": (-50.0, 150.0), "u": (0.0, 26.5)})
 POWER_BAND = "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"
@@ -174,7 +174,7 @@ def test_encoding_soundness_random_suite():
         feasible = res.status == "optimal"
         if feasible != (rho >= 0.0):
             disagreements.append((case, rho, res.status,
-                                  stl.format_formula(formula)))
+                                  format_formula(formula)))
     assert not disagreements, disagreements[:3]
 
 
@@ -185,7 +185,7 @@ def test_highs_milp_agrees_with_robustness():
     for case in range(60):
         formula, signal, rho = soundness_case(rng)
         if milp_feasible(encode_fixed_signal(formula, signal)) != (rho >= 0.0):
-            disagreements.append((case, rho, stl.format_formula(formula)))
+            disagreements.append((case, rho, format_formula(formula)))
     assert not disagreements, disagreements[:3]
 
 
@@ -195,5 +195,5 @@ def test_nested_disjunction_case_is_solved():
     rng = np.random.default_rng(2024)
     for _ in range(57):
         formula, signal, rho = soundness_case(rng)
-    assert stl.format_formula(formula) == CASE_56 and rho > 0.0
+    assert format_formula(formula) == CASE_56 and rho > 0.0
     assert solve_miqp(encode_fixed_signal(formula, signal)).status == "optimal"

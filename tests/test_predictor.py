@@ -12,11 +12,11 @@ from wws.predictor import (
     DatasetConfig,
     EquilibriumError,
     LinearPredictor,
-    ObservableSet,
     find_equilibrium,
     fit_edmd_from_dataset,
     fit_linear_maps,
     generate_dataset,
+    lift,
     linearize_local,
     zoh_discretize,
 )
@@ -27,26 +27,26 @@ from wws.predictor import (
 def test_default_observables_match_published_order():
     x = np.array([1.0, 2, 3, 4, 5, 6])
     expected = [1, 2, 3, 4, 5, 6, 9, 16, 25, 36, 48, 80, 100, 27, 64, 125]
-    assert DEFAULT_OBSERVABLES.n == 16
-    assert np.array_equal(DEFAULT_OBSERVABLES.lift(x), expected)
-    assert np.array_equal(DEFAULT_OBSERVABLES.lift(np.ones(6)), np.ones(16))
-    assert np.array_equal(DEFAULT_OBSERVABLES.lift(np.zeros(6)), np.zeros(16))
+    assert DEFAULT_OBSERVABLES == 16
+    assert np.array_equal(lift(x, DEFAULT_OBSERVABLES), expected)
+    assert np.array_equal(lift(np.ones(6), DEFAULT_OBSERVABLES), np.ones(16))
+    assert np.array_equal(lift(np.zeros(6), DEFAULT_OBSERVABLES), np.zeros(16))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-50, 150), min_size=6, max_size=6))
 def test_lift_identity_coordinates(x):
-    z = DEFAULT_OBSERVABLES.lift(np.array(x))
+    z = lift(np.array(x), DEFAULT_OBSERVABLES)
     assert np.array_equal(z[:6], np.array(x))
 
 
 def test_lift_batch_matches_columns():
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 50, size=(6, 20))
-    Z = DEFAULT_OBSERVABLES.lift(X)
+    Z = lift(X, DEFAULT_OBSERVABLES)
     assert Z.shape == (16, 20)
     for i in range(20):
-        assert np.allclose(Z[:, i], DEFAULT_OBSERVABLES.lift(X[:, i]))
+        assert np.allclose(Z[:, i], lift(X[:, i], DEFAULT_OBSERVABLES))
 
 
 def test_lift_is_the_plants_monomial_evaluation(demo_model):
@@ -55,25 +55,26 @@ def test_lift_is_the_plants_monomial_evaluation(demo_model):
     rng = np.random.default_rng(3)
     X = rng.uniform(-50, 150, size=(6, 200))
     Fx = demo_model.coefficients[:, :plant_mod.N_MONOMIALS]
-    assert np.array_equal(Fx @ DEFAULT_OBSERVABLES.lift(X),
+    assert np.array_equal(Fx @ lift(X, DEFAULT_OBSERVABLES),
                           demo_model.rhs(np.zeros(200), np.zeros(200))(X))
     for x in X.T:
-        assert np.array_equal(Fx @ DEFAULT_OBSERVABLES.lift(x), demo_model.rhs(0.0, 0.0)(x))
+        assert np.array_equal(Fx @ lift(x, DEFAULT_OBSERVABLES), demo_model.rhs(0.0, 0.0)(x))
 
 
 def test_observable_validation():
-    with pytest.raises(ValueError):
-        ObservableSet(((1, 0, 0),))
-    with pytest.raises(ValueError):
-        ObservableSet(((1, 0, 0, 0, 0, -1),))
     skipped = plant_mod.MONOMIALS[:6] + plant_mod.MONOMIALS[7:]
-    with pytest.raises(ValueError, match="prefix"):
-        ObservableSet(skipped)
     doc = {"N": 15, "h": 60.0, "A": np.eye(15).tolist(), "bu": [0.0] * 15,
-           "bd": [0.0] * 15, "C": np.eye(6, 15).tolist(),
+           "bd": [0.0] * 15, "c": [0.0] * 15, "C": np.eye(6, 15).tolist(),
            "observables": [list(e) for e in skipped]}
     with pytest.raises(ValueError, match="prefix"):
         LinearPredictor.from_dict(doc)
+
+
+@pytest.mark.parametrize("n", [0, 17])
+def test_predictor_observable_count_bounds(n):
+    with pytest.raises(ValueError, match="1..16 observables"):
+        LinearPredictor(A=np.eye(n), b_u=np.zeros(n), b_d=np.zeros(n), c=np.zeros(n),
+                        C=np.eye(6, n), h=60.0)
 
 
 # -- dataset -----------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_planted_linear_system_recovery():
     rng = np.random.default_rng(7)
     K = 60
     X = rng.uniform(10, 40, size=(6, K))
-    Z = DEFAULT_OBSERVABLES.lift(X)
+    Z = lift(X, DEFAULT_OBSERVABLES)
     A0 = rng.normal(0, 0.3, size=(16, 16))
     bu0 = rng.normal(0, 0.5, size=16)
     bd0 = rng.normal(0, 0.5, size=16)
@@ -150,7 +151,7 @@ def test_rank_deficiency_is_reported_not_fatal():
     rng = np.random.default_rng(8)
     K = 50
     X = rng.uniform(10, 40, size=(6, K))
-    Z = DEFAULT_OBSERVABLES.lift(X)
+    Z = lift(X, DEFAULT_OBSERVABLES)
     U = np.zeros(K)  # input row identically zero: rank drops by one
     W = np.full(K, 10.0)
     Zp = 0.5 * Z
@@ -163,7 +164,7 @@ def test_rank_deficiency_is_reported_not_fatal():
 
 
 def test_training_set_output_reconstruction(nominal_predictor, nominal_dataset_10k):
-    Z = DEFAULT_OBSERVABLES.lift(nominal_dataset_10k.X)
+    Z = lift(nominal_dataset_10k.X, DEFAULT_OBSERVABLES)
     resid = nominal_predictor.C @ Z - nominal_dataset_10k.X
     assert np.max(np.abs(resid)) <= 1e-8
 
@@ -182,7 +183,7 @@ def test_predict_zero_steps(nominal_predictor):
     x0 = np.full(6, 20.0)
     out = nominal_predictor.predict(x0, [], [])
     assert out.shape == (1, 6)
-    assert np.allclose(out[0], nominal_predictor.C @ nominal_predictor.lift(x0))
+    assert np.allclose(out[0], nominal_predictor.C @ lift(x0, nominal_predictor.n))
 
 
 def test_predict_reproduces_planted_trajectory():
@@ -191,12 +192,11 @@ def test_predict_reproduces_planted_trajectory():
     bu0 = rng.normal(size=16)
     bd0 = rng.normal(size=16)
     C0 = np.hstack([np.eye(6), np.zeros((6, 10))])
-    pred = LinearPredictor(A=A0, b_u=bu0, b_d=bd0, C=C0, h=60.0,
-                           observables=DEFAULT_OBSERVABLES)
+    pred = LinearPredictor(A=A0, b_u=bu0, b_d=bd0, c=np.zeros(16), C=C0, h=60.0)
     x0 = rng.uniform(10, 40, size=6)
     u = rng.uniform(0, 5, size=4)
     w = rng.uniform(0, 2, size=4)
-    z = DEFAULT_OBSERVABLES.lift(x0)
+    z = lift(x0, DEFAULT_OBSERVABLES)
     manual = [C0 @ z]
     for k in range(4):
         z = A0 @ z + bu0 * u[k] + bd0 * w[k]
@@ -284,22 +284,36 @@ def test_predictor_json_roundtrip(tmp_path, nominal_predictor):
     again = LinearPredictor.from_json(path)
     assert np.array_equal(again.A, nominal_predictor.A)
     assert np.array_equal(again.C, nominal_predictor.C)
-    assert again.observables == nominal_predictor.observables
-    assert again.x_ref is None
+    assert np.array_equal(again.c, np.zeros(16))
     doc = json.loads(path.read_text())
-    assert set(doc) == {"N", "h", "A", "bu", "bd", "C", "observables", "meta"}
+    assert set(doc) == {"N", "h", "A", "bu", "bd", "c", "C", "observables", "meta"}
     assert doc["N"] == 16
+    assert doc["observables"] == [list(e) for e in plant_mod.MONOMIALS]
 
 
 def test_local_predictor_json_carries_offset(tmp_path, demo_model, demo_equilibrium):
     eq = demo_equilibrium
     pred = linearize_local(demo_model, eq.x, eq.u, 10.0, 60.0)
+    # the operating point folds into c once, by the deviation-form identity
+    assert np.array_equal(pred.c, eq.x - pred.A @ eq.x - pred.b_u * eq.u - pred.b_d * 10.0)
+    assert pred.meta["x_ref"] == eq.x.tolist()
+    assert pred.meta["u_ref"] == eq.u and pred.meta["w_ref"] == 10.0
     path = tmp_path / "local.json"
     pred.to_json(path)
     again = LinearPredictor.from_json(path)
-    assert np.array_equal(again.x_ref, eq.x)
-    assert again.u_ref == eq.u and again.w_ref == 10.0
-    assert np.allclose(again.affine_const(), pred.affine_const())
+    assert np.array_equal(again.c, pred.c)
+    assert again.meta == pred.meta
+
+
+def test_predictor_file_without_c_is_refused(demo_model, demo_equilibrium):
+    # a file written before c was stored carried the local operating point as
+    # "offset"; loading it with c = 0 would predict the wrong trajectory
+    eq = demo_equilibrium
+    doc = linearize_local(demo_model, eq.x, eq.u, 10.0, 60.0).to_dict()
+    del doc["c"]
+    doc["offset"] = {"x_ref": eq.x.tolist(), "u_ref": eq.u, "w_ref": 10.0}
+    with pytest.raises(ValueError, match="'c'.*refit"):
+        LinearPredictor.from_dict(doc)
 
 
 def test_fit_pipeline_deterministic(nominal_model):

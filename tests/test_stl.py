@@ -16,14 +16,13 @@ from wws.stl import (
     StlEvaluationError,
     StlSyntaxError,
     Until,
-    format_formula,
     parse,
     resolve_end,
     robustness,
     spec_lines,
 )
 
-from oracles import horizon
+from oracles import format_formula, horizon
 
 
 # -- parsing ------------------------------------------------------------------
@@ -67,6 +66,11 @@ def test_parse_errors_carry_positions():
     for text in ("u + y >= 1", "2 * u >= 1", "y >= u"):  # one channel against a number
         with pytest.raises(StlSyntaxError):
             parse(text)
+    # a number that overflows to infinity is refused where it stands
+    for text, pos in (("alw_[0,1e999] (y >= 1)", 7), ("alw_[0,end] (y >= 1e999)", 18)):
+        with pytest.raises(StlSyntaxError, match="not finite") as err:
+            parse(text)
+        assert err.value.pos == pos
 
 
 def test_spec_lines_skips_comments():
