@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -131,13 +132,16 @@ def _coerce(value: str, current):
 
 
 def _floats(items) -> tuple[float, ...]:
-    """A tuple setting from a list, every element converted with float()."""
+    """A tuple setting from a list, every element a finite float()."""
     if not isinstance(items, list):
         raise ValueError(f"{items!r} is not a list")
     try:
-        return tuple(float(v) for v in items)
+        values = tuple(float(v) for v in items)
     except (TypeError, ValueError):
         raise ValueError(f"{items!r} is not a list of numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{items!r} is not a list of finite numbers")
+    return values
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -165,6 +169,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"{var}: {exc}") from exc
     for f in dataclasses.fields(ExperimentConfig):
         val = getattr(args, f.name, None)
+        if val is not None and isinstance(getattr(cfg, f.name), tuple):
+            try:
+                val = _floats(val)
+            except ValueError as exc:
+                raise ValueError(f"--{f.name.replace('_', '-')}: {exc}") from None
         if val is not None:
             setattr(cfg, f.name, val)
     return cfg

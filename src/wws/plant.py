@@ -12,12 +12,21 @@ coefficient in a (6, 18) matrix F with dx/dt = F [phi(x); u; w].
 Coefficients live in versioned JSON data files: ``PlantModel.nominal()``
 loads the bundled nominal set and ``demo()`` a re-rated set with identical
 structure used by demos and machinery tests.
+
+:func:`step` advances one state or a block of K column states; it cuts a
+block into contiguous pieces of at most :data:`BLOCK` columns, one LSODA
+call each, spread over the available cores.  A column's result depends
+(within the tolerance) on the piece it was integrated in, which depends
+only on K, not on the number of cores.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -51,6 +60,9 @@ TERMS = (
     (4, 3, 30), (4, 4, 31), (4, 7, 32), (4, 8, 33), (4, 11, 34), (4, 12, 35),
     (4, 14, 36), (4, 15, 37), (4, W, 38), (5, 4, 39), (5, 5, 40), (5, W, 41),
 )
+
+#: Widest column block one LSODA call integrates; wider blocks are cut.
+BLOCK = 500
 
 # Divergence flagging limits; excursions are reported, never clamped.
 STATE_BOUNDS = (-50.0, 150.0)
@@ -224,17 +236,23 @@ def step(
 
     ``x`` is one state of shape (6,) or a block of K column states of shape
     (6, K); ``u`` and ``w`` are scalars or per-column vectors of length K.
-    The result has the shape of ``x``.  One LSODA call with the analytic
-    Jacobian advances all K columns: LSODA switches between Adams and BDF
-    on its own, so it serves both the stiff nominal set and the milder demo
-    set.  Columns share step sizes, so a column's result depends (within
-    the tolerance) on the block it was integrated in; identical inputs give
-    bit-identical results on one platform.  A state outside
+    The result has the shape of ``x``.  The K columns are cut into
+    ceil(K / :data:`BLOCK`) contiguous blocks of nearly equal width, and one
+    LSODA call with the analytic Jacobian advances each block: LSODA
+    switches between Adams and BDF on its own, so it serves both the stiff
+    nominal set and the milder demo set.  The blocks run across the
+    available cores in forked processes (in order, in this process, on one
+    core).  Columns of a block share step sizes, so a column's result
+    depends (within the tolerance) on the block it was integrated in; the
+    cut depends only on K, so identical inputs give bit-identical results
+    on one platform, whatever the number of cores.  A state outside
     :data:`STATE_BOUNDS` at one of the quarters of the interval raises
     :class:`DivergenceError`, in a block naming the lowest such column; an
     excursion between those grid points goes unseen.
     """
-    from scipy.integrate import odeint
+    # imported here, before any fork, so that the block workers inherit it
+    # and `import wws` stays free of scipy.integrate
+    from scipy.integrate import odeint  # noqa: F401
 
     if h <= 0.0:
         raise ValueError(f"hold interval must be positive, got {h}")
@@ -244,10 +262,39 @@ def step(
                          f"got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
-    n = N_STATES
     k = 1 if x.ndim == 1 else x.shape[1]
     u = np.broadcast_to(np.asarray(u, dtype=float), (k,))
     w = np.broadcast_to(np.asarray(w, dtype=float), (k,))
+    n_blocks = max(1, -(-k // BLOCK))
+    edges = [k * i // n_blocks for i in range(n_blocks + 1)]
+    if n_blocks == 1:
+        results = [_step_block(model, x, u, w, h, config)]
+    else:
+        results = _map_blocks(_step_block, [
+            (model, x[:, a:b], u[a:b], w[a:b], h, config)
+            for a, b in zip(edges, edges[1:])])
+    # errors come back as values, so the lowest failing block reports
+    # whatever the schedule
+    for start, res in zip(edges, results):
+        if isinstance(res, DivergenceError) and res.column is not None:
+            col = start + res.column
+            raise DivergenceError(f"column {col}: {res}", state=res.state, column=col)
+        if isinstance(res, Exception):
+            raise res
+    return results[0] if len(results) == 1 else np.concatenate(results, axis=1)
+
+
+def _step_block(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray,
+                h: float, config: IntegratorConfig
+                ) -> np.ndarray | DivergenceError | IntegrationError:
+    """One LSODA call over ``x``, one state or a (6, k) block, with the
+    per-column ``u`` and ``w``; a failure is returned, not raised, and a
+    :class:`DivergenceError` from k > 1 columns carries the block's own
+    lowest column."""
+    from scipy.integrate import odeint
+
+    n = N_STATES
+    k = len(u)
     jac = model.jac()
     tgrid = np.linspace(0.0, h, 5)
     if k == 1:
@@ -278,7 +325,7 @@ def step(
                            rtol=config.rtol, atol=config.atol, mxstep=200_000,
                            full_output=True, **band)
     if info["message"] != "Integration successful.":
-        raise IntegrationError(f"lsoda failed: {info['message']}")
+        return IntegrationError(f"lsoda failed: {info['message']}")
     lo, hi = STATE_BOUNDS
     grid = sol[1:].reshape(-1, k, n)
     bad = ~((grid >= lo) & (grid <= hi)).all(axis=2)
@@ -286,14 +333,34 @@ def step(
         col = int(np.flatnonzero(bad.any(axis=0))[0])
         row = int(np.flatnonzero(bad[:, col])[0])
         y = grid[row, col].tolist()
-        msg = f"state diverged at t={tgrid[row + 1]:.6g}: {y} outside [{lo}, {hi}]"
-        if k == 1:
-            raise DivergenceError(msg, state=np.array(y))
-        raise DivergenceError(f"column {col}: {msg}", state=np.array(y), column=col)
+        return DivergenceError(
+            f"state diverged at t={tgrid[row + 1]:.6g}: {y} outside [{lo}, {hi}]",
+            state=np.array(y), column=None if k == 1 else col)
     out = sol[-1]
     if not np.all(np.isfinite(out)):
-        raise IntegrationError("lsoda produced non-finite state")
+        return IntegrationError("lsoda produced non-finite state")
     return out.reshape(k, n).T.reshape(x.shape).copy()
+
+
+def _map_blocks(fn: Callable, calls: list[tuple]) -> list:
+    """``[fn(*args) for args in calls]``, spread over the available cores.
+
+    With c cores (the ones this process may run on), c - 1 forked worker
+    processes take the calls whose index is not a multiple of c while this
+    process makes the others; with one core, or where ``fork`` or the core
+    count does not exist, all calls run here in order.
+    The workers are gone when this returns; a worker that dies raises
+    ``BrokenProcessPool``.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(len(calls), cores)
+    if procs < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*args) for args in calls]
+    with ProcessPoolExecutor(procs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(fn, *args) if i % procs else None
+                   for i, args in enumerate(calls)]
+        return [fn(*args) if fut is None else fut.result()
+                for args, fut in zip(calls, futures)]
 
 
 def band_pack(blocks: np.ndarray) -> np.ndarray:

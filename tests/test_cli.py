@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from wws.predictor import LinearPredictor
 from wws.stl import SampledSignal, parse, robustness
 
 from oracles import read_sweep_csv, read_trace_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +221,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"initial_temps": ["a"]}, "config key 'initial_temps': ['a'] is not a list of numbers"),
     ({"start_times": [60, None]},
      "config key 'start_times': [60, None] is not a list of numbers"),
-], ids=["state_range-scalar", "initial_temps-string", "start_times-null"])
+    ({"start_times": [60, float("nan")]},
+     "config key 'start_times': [60, nan] is not a list of finite numbers"),
+], ids=["state_range-scalar", "initial_temps-string", "start_times-null",
+        "start_times-nan"])
 def test_config_tuple_setting_must_be_a_list(tmp_path, capsys, doc, reason):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -234,9 +243,13 @@ def test_config_tuple_setting_must_be_a_list(tmp_path, capsys, doc, reason):
     ("WWS_STATE_RANGE", "5", "WWS_STATE_RANGE: '5' is not a JSON list"),
     ("WWS_STATE_RANGE", "[1, 2, 3]", "state_range must be two finite numbers lo <= hi"),
     ("WWS_INITIAL_TEMPS", '["a"]', "WWS_INITIAL_TEMPS: ['a'] is not a list of numbers"),
+    ("WWS_INITIAL_TEMPS", "[1e999]",
+     "WWS_INITIAL_TEMPS: [inf] is not a list of finite numbers"),
+    ("WWS_START_TIMES", "[NaN]", "WWS_START_TIMES: [nan] is not a list of finite numbers"),
 ], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG", "WWS_ATOL", "WWS_MIQP_GAP",
         "WWS_SHARED_STATE_DRAW", "WWS_H", "WWS_STATE_RANGE-scalar",
-        "WWS_STATE_RANGE-triple", "WWS_INITIAL_TEMPS-string"])
+        "WWS_STATE_RANGE-triple", "WWS_INITIAL_TEMPS-string", "WWS_INITIAL_TEMPS-inf",
+        "WWS_START_TIMES-nan"])
 def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch,
                                            capsys, var, value, reason):
     monkeypatch.setenv(var, value)
@@ -245,6 +258,30 @@ def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch
                  "--out", str(tmp_path / "bench")]) == 1
     assert reason in capsys.readouterr().err
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["sweep", "--initial-temps", "20", "inf"],
+     "--initial-temps: [20.0, inf] is not a list of finite numbers"),
+    (["sweep", "--start-times", "nan"], "--start-times: [nan] is not a list of finite numbers"),
+    (["fit", "--state-range", "10", "inf"],
+     "--state-range: [10.0, inf] is not a list of finite numbers"),
+    (["fit", "--u-band", "21.2", "nan"], "--u-band: [21.2, nan] is not a list of finite numbers"),
+], ids=["initial-temps", "start-times", "state-range", "u-band"])
+def test_non_finite_tuple_flag_rejected(tmp_path, capsys, argv, reason):
+    out = tmp_path / "out"
+    assert main(argv + ["--plant", "demo", "--K", "100", "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the plant imports it on its first step: a module-level import would
+    # add its load time to every `wws` start
+    code = "import sys, wws.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

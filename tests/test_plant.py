@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -7,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from oracles import reference_jac, reference_rhs, reference_step
-from wws.plant import (MONOMIALS, TERMS, DivergenceError, PlantModel, band_pack, output,
-                       simulate, step)
+from wws import plant
+from wws.plant import (MONOMIALS, TERMS, DivergenceError, IntegrationError, PlantModel,
+                       band_pack, output, simulate, step)
 from wws.predictor import DEFAULT_OBSERVABLES
 
 # the published nominal coefficient values, restated independently here so a
@@ -300,3 +305,73 @@ def test_block_simulate_steps_all_columns(demo_model):
     assert traj.shape == (3, 6, 4)
     assert np.array_equal(traj[0], X)
     assert np.array_equal(traj[1], step(demo_model, X, U, 10.0, 60.0))
+
+
+# -- column blocks across processes -------------------------------------------
+
+# K = 1100 is cut into the blocks [0, 366), [366, 733) and [733, 1100)
+BLOCK_EDGES = (0, 366, 733, 1100)
+_TEST_PID = os.getpid()
+
+
+def _cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)))
+
+
+def test_block_schedules_are_bit_identical(demo_model, monkeypatch):
+    X, U = _block_draw(27, 1100)
+    _cores(monkeypatch, 1)
+    serial = step(demo_model, X, U, 10.0, 60.0)
+    pools = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            pools.append(max_workers)
+
+    monkeypatch.setattr(plant, "ProcessPoolExecutor", Spy)
+    _cores(monkeypatch, 3)
+    forked = step(demo_model, X, U, 10.0, 60.0)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    assert forked.tobytes() == serial.tobytes()
+    for a, b in zip(BLOCK_EDGES, BLOCK_EDGES[1:]):
+        for i in (a, b - 1):
+            ref = reference_step(demo_model, X[:, i], U[i], 10.0, 60.0)
+            assert np.max(np.abs(forked[:, i] - ref)) < 5e-8
+
+
+def test_divergent_blocks_name_the_lowest_column(nominal_model, monkeypatch):
+    # both divergent columns lie in blocks that forked workers integrate
+    X, U = _block_draw(28, 1100)
+    W = np.full(1100, 10.0)
+    W[[1050, 620]] = 400.0
+    _cores(monkeypatch, 3)
+    with pytest.raises(DivergenceError, match="^column 620: state diverged") as err:
+        step(nominal_model, X, U, W, 60.0)
+    assert err.value.column == 620
+    assert multiprocessing.active_children() == []
+
+
+def _fails_in_worker(model, x, u, w, h, config):
+    if os.getpid() == _TEST_PID:
+        return np.zeros_like(x)
+    return IntegrationError("lsoda failed: in a worker")
+
+
+def _dies_in_worker(model, x, u, w, h, config):
+    if os.getpid() == _TEST_PID:
+        return np.zeros_like(x)
+    os._exit(1)
+
+
+@pytest.mark.parametrize("block, error", [
+    (_fails_in_worker, IntegrationError), (_dies_in_worker, BrokenProcessPool),
+], ids=["integration-error", "killed"])
+def test_worker_failure_reaches_the_caller(demo_model, monkeypatch, block, error):
+    monkeypatch.setattr(plant, "_step_block", block)
+    _cores(monkeypatch, 2)
+    X, U = _block_draw(29, 1000)
+    with pytest.raises(error):
+        step(demo_model, X, U, 10.0, 60.0)
+    assert multiprocessing.active_children() == []
