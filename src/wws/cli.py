@@ -2,10 +2,16 @@
 
 Configuration is resolved in order: built-in defaults, then a JSON config
 file (``--config``), then ``WWS_*`` environment variables, then explicit
-command-line flags; an unknown config key or ``WWS_*`` variable is an
-error, so a typo cannot silently leave a default in place.  All outputs (predictor files, trace CSVs, summaries,
-sweep tables, reports) land in ``--out`` and every subcommand is
-deterministic under a fixed seed.
+command-line flags.  One function checks every value against its
+setting's default type, whatever the source: numbers must be finite (and
+integral for integer settings), config files take strict JSON types
+(``true``, not ``"yes"``; ``100``, not ``"100"``) and optional paths may be
+``null``.  An unknown config key or ``WWS_*`` variable is an error, so a
+typo cannot silently leave a default in place.  Each subcommand declares
+its flags by setting name in :data:`COMMANDS`; ``--jobs`` is a ``sweep``
+flag.  All outputs (predictor files, trace CSVs, summaries, sweep tables,
+reports) land in ``--out`` and every subcommand is deterministic under a
+fixed seed.
 
 Exit codes: 0 success, 2 a closed-loop run recorded an infeasible step,
 1 any other failure.
@@ -37,32 +43,33 @@ ENV_PREFIX = "WWS_"
 
 @dataclass
 class ExperimentConfig:
-    """Everything a subcommand needs, JSON- and environment-overridable."""
+    """Everything a subcommand needs, JSON- and environment-overridable;
+    controller and dataset defaults are read from their owners."""
 
     plant: str = "nominal"              # "nominal" | "demo" | path to JSON
     predictor: str | None = None        # path; fitted on the fly when absent
     out: str = "out"
-    seed: int = 0
+    seed: int = DatasetConfig.seed
     # dataset / fit
-    K: int = 10_000
-    state_range: tuple[float, float] = (10.0, 40.0)
-    u_band: tuple[float, float] = (21.2, 26.5)
-    p_off: float = 0.2
-    w0: float = 10.0
+    K: int = DatasetConfig.K
+    state_range: tuple[float, float] = DatasetConfig.state_range
+    u_band: tuple[float, float] = DatasetConfig.u_band
+    p_off: float = DatasetConfig.p_off
+    w0: float = DatasetConfig.w0
     local: bool = False
     target_y: float = 40.0
     # controller
-    horizon: int = 10
-    h: float = 60.0
-    q_weight: float = 1.0
-    r_weight: float = 10.0
-    reference: float = 40.0
-    u_min: float = 0.0
-    u_max: float = 26.5
-    end_time: float = 1200.0
-    start_time: float = 420.0
-    w_forecast: float = 10.0
-    eps: float = 1e-6
+    horizon: int = ControllerConfig.horizon
+    h: float = ControllerConfig.h
+    q_weight: float = ControllerConfig.q_weight
+    r_weight: float = ControllerConfig.r_weight
+    reference: float = ControllerConfig.reference
+    u_min: float = ControllerConfig.u_min
+    u_max: float = ControllerConfig.u_max
+    end_time: float = ControllerConfig.end_time
+    start_time: float = mpc.DEFAULT_START_TIME
+    w_forecast: float = ControllerConfig.w_forecast
+    eps: float = ControllerConfig.eps
     stl_file: str | None = None
     no_stl: bool = False
     x0: float = 15.0
@@ -110,72 +117,86 @@ class ExperimentConfig:
                              h=self.h, seed=self.seed)
 
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
+_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+SETTINGS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
-def _coerce(value: str, current):
-    if isinstance(current, bool):
-        if value.lower() in _TRUE + _FALSE:
-            return value.lower() in _TRUE
-        raise ValueError(f"{value!r} is not one of {', '.join(_TRUE + _FALSE)}")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    if isinstance(current, tuple):
-        parsed = json.loads(value)
-        if not isinstance(parsed, list):
-            raise ValueError(f"{value!r} is not a JSON list")
-        return _floats(parsed)
-    return value
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _floats(items) -> tuple[float, ...]:
-    """A tuple setting from a list, every element a finite float()."""
-    if not isinstance(items, list):
-        raise ValueError(f"{items!r} is not a list")
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _setting(name: str, value, where: str):
+    """``value`` as setting ``name``, checked against its default's type.
+
+    ``where`` names the source and starts every error: ``config key 'x'``,
+    ``--x`` or ``WWS_X``.  An environment value is text, read first as a
+    bool word, a JSON list or a number; the other sources arrive typed.
+    """
+    default = getattr(ExperimentConfig, name)
+    kind = type(default)
     try:
-        values = tuple(float(v) for v in items)
-    except (TypeError, ValueError):
-        raise ValueError(f"{items!r} is not a list of numbers") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{items!r} is not a list of finite numbers")
-    return values
+        if where.startswith(ENV_PREFIX):
+            if kind is bool:
+                if value.lower() not in _WORDS:
+                    raise ValueError(f"{value!r} is not one of {', '.join(_WORDS)}")
+                value = _WORDS[value.lower()]
+            elif kind is tuple:
+                parsed = json.loads(value)
+                if not isinstance(parsed, list):
+                    raise ValueError(f"{value!r} is not a JSON list")
+                value = parsed
+            elif kind in (int, float):
+                value = kind(value)
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise ValueError(f"{value!r} is not true or false")
+            return value
+        if kind is tuple:
+            if not isinstance(value, list):
+                raise ValueError(f"{value!r} is not a list")
+            if not all(_number(v) for v in value):
+                raise ValueError(f"{value!r} is not a list of numbers")
+            if not all(math.isfinite(v) for v in value):
+                raise ValueError(f"{value!r} is not a list of finite numbers")
+            return tuple(float(v) for v in value)
+        if kind in (int, float):
+            finite = _number(value) and math.isfinite(value)
+            if kind is int and not (finite and value == int(value)):
+                raise ValueError(f"{value!r} is not an integer")
+            if not finite:
+                raise ValueError(f"{value!r} is not a finite number")
+            return kind(value)
+        if isinstance(value, str) or value is default is None:
+            return value
+        raise ValueError(f"{value!r} is not a string" + (" or null" if default is None else ""))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        for key, val in doc.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key {key!r}")
-            if isinstance(getattr(cfg, key), tuple):
-                try:
-                    val = _floats(val)
-                except ValueError as exc:
-                    raise ValueError(f"config key {key!r}: {exc}") from None
-            setattr(cfg, key, val)
-    env_fields = {ENV_PREFIX + f.name.upper(): f.name
-                  for f in dataclasses.fields(ExperimentConfig)}
+    """Defaults, then the ``--config`` file, then ``WWS_*`` variables, then
+    flags; every value is converted and checked by :func:`_setting`."""
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    sources = []
+    for key, val in doc.items():
+        if key not in SETTINGS:
+            raise ValueError(f"unknown config key {key!r}")
+        sources.append((key, val, f"config key {key!r}"))
+    env_names = {ENV_PREFIX + name.upper(): name for name in SETTINGS}
     for var in sorted(v for v in os.environ if v.startswith(ENV_PREFIX)):
-        if var not in env_fields:
+        if var not in env_names:
             raise ValueError(f"unknown environment variable {var}")
-        name = env_fields[var]
-        try:
-            setattr(cfg, name, _coerce(os.environ[var], getattr(cfg, name)))
-        except ValueError as exc:
-            raise ValueError(f"{var}: {exc}") from exc
-    for f in dataclasses.fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
-        if val is not None and isinstance(getattr(cfg, f.name), tuple):
-            try:
-                val = _floats(val)
-            except ValueError as exc:
-                raise ValueError(f"--{f.name.replace('_', '-')}: {exc}") from None
-        if val is not None:
-            setattr(cfg, f.name, val)
+        sources.append((env_names[var], os.environ[var], var))
+    sources += [(name, getattr(args, name), _flag(name)) for name in SETTINGS
+                if getattr(args, name, None) is not None]
+    cfg = ExperimentConfig()
+    for name, val, where in sources:
+        setattr(cfg, name, _setting(name, val, where))
     return cfg
 
 
@@ -387,88 +408,63 @@ def _write_run_svg(path: Path, trace: mpc.ClosedLoopTrace,
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory (fit: file or dir)")
-    p.add_argument("--plant", default=None, help="'nominal', 'demo' or a JSON path")
-    p.add_argument("--predictor", default=None, help="predictor JSON to reuse")
-    p.add_argument("--jobs", type=int, default=None)
+_HELP = {
+    "config": "JSON config file",
+    "out": "output directory (fit: file or dir)",
+    "plant": "'nominal', 'demo' or a JSON path",
+    "predictor": "predictor JSON to reuse",
+    "local": "local-linearization baseline instead of regression",
+    "x0": "uniform initial state",
+    "dump_lp": "write the step-0 problem in LP-style text",
+}
+_COMMON = ("config", "seed", "out", "plant", "predictor",
+           "K", "h", "state_range", "u_band", "p_off", "w0")
+#: Each subcommand's function, help and the settings it takes as flags
+#: ("config" names the config file itself).
+COMMANDS = {
+    "fit": (cmd_fit, "estimate a predictor and write it to disk",
+            (*_COMMON, "local", "target_y")),
+    "run": (cmd_run, "closed-loop simulation",
+            (*_COMMON, "x0", "no_stl", "stl_file", "start_time", "end_time",
+             "horizon", "q_weight", "r_weight", "reference", "svg", "dump_lp")),
+    "sweep": (cmd_sweep, "feasibility table over initial temperatures and deadlines",
+              (*_COMMON, "jobs", "initial_temps", "start_times", "end_time",
+               "q_weight", "r_weight", "reference")),
+    "bench": (cmd_bench, "predictor-vs-plant rollout accuracy",
+              (*_COMMON, "bench_rollouts", "bench_steps")),
+}
 
 
-def _add_fit_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--K", type=int, default=None, dest="K")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--state-range", type=float, nargs=2, default=None,
-                   dest="state_range")
-    p.add_argument("--u-band", type=float, nargs=2, default=None, dest="u_band")
-    p.add_argument("--p-off", type=float, default=None, dest="p_off")
-    p.add_argument("--w0", type=float, default=None)
+def _add_flag(p: argparse.ArgumentParser, name: str) -> None:
+    """The flag of setting ``name``, typed by its default: a bool is a
+    switch, a pair takes two numbers and a list one or more."""
+    default = getattr(ExperimentConfig, name, None)
+    kw = {"dest": name, "default": None, "help": _HELP.get(name)}
+    if isinstance(default, bool):
+        kw["action"] = "store_true"
+    elif isinstance(default, tuple):
+        pair = ExperimentConfig.__annotations__[name] == "tuple[float, float]"
+        kw.update(type=float, nargs=2 if pair else "+")
+    elif isinstance(default, (int, float)):
+        kw["type"] = type(default)
+    p.add_argument(_flag(name), **kw)
 
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wws",
                                  description="warm-water supply control stack")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    fit = sub.add_parser("fit", help="estimate a predictor and write it to disk")
-    _add_common(fit)
-    _add_fit_params(fit)
-    fit.add_argument("--local", action="store_true", default=None,
-                     help="local-linearization baseline instead of regression")
-    fit.add_argument("--target-y", type=float, default=None, dest="target_y")
-
-    run = sub.add_parser("run", help="closed-loop simulation")
-    _add_common(run)
-    _add_fit_params(run)
-    run.add_argument("--x0", type=float, default=None, help="uniform initial state")
-    run.add_argument("--no-stl", action="store_true", default=None, dest="no_stl")
-    run.add_argument("--stl-file", default=None, dest="stl_file")
-    run.add_argument("--start-time", type=float, default=None, dest="start_time")
-    run.add_argument("--end-time", type=float, default=None, dest="end_time")
-    run.add_argument("--horizon", type=int, default=None)
-    run.add_argument("--q-weight", type=float, default=None, dest="q_weight")
-    run.add_argument("--r-weight", type=float, default=None, dest="r_weight")
-    run.add_argument("--reference", type=float, default=None)
-    run.add_argument("--svg", action="store_true", default=None)
-    run.add_argument("--dump-lp", default=None, dest="dump_lp",
-                     help="write the step-0 problem in LP-style text")
-
-    sweep = sub.add_parser("sweep", help="feasibility table over initial "
-                                         "temperatures and deadlines")
-    _add_common(sweep)
-    _add_fit_params(sweep)
-    sweep.add_argument("--initial-temps", type=float, nargs="+", default=None,
-                       dest="initial_temps")
-    sweep.add_argument("--start-times", type=float, nargs="+", default=None,
-                       dest="start_times")
-    sweep.add_argument("--end-time", type=float, default=None, dest="end_time")
-    sweep.add_argument("--q-weight", type=float, default=None, dest="q_weight")
-    sweep.add_argument("--r-weight", type=float, default=None, dest="r_weight")
-    sweep.add_argument("--reference", type=float, default=None)
-
-    bench = sub.add_parser("bench", help="predictor-vs-plant rollout accuracy")
-    _add_common(bench)
-    _add_fit_params(bench)
-    bench.add_argument("--bench-rollouts", type=int, default=None,
-                       dest="bench_rollouts")
-    bench.add_argument("--bench-steps", type=int, default=None, dest="bench_steps")
+    for command, (_, text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in names:
+            _add_flag(p, name)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        raise SystemExit(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](resolve_config(args))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {exc}", file=sys.stderr)
         return 1

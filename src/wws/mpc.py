@@ -47,9 +47,6 @@ from .stl import (
     robustness,
 )
 
-#: Warm-water supply temperature guarantee: the tank output must stay at or
-#: above 40 degC from the end of the warm-up transient until the final time.
-DEFAULT_SUPPLY_SPEC = "alw_[420,end] (y >= 40)"
 #: Heat-pump operating bands: the pump either idles (a few watts of standby
 #: draw) or runs between 80% of rated power and the rated 26.5 kW.
 DEFAULT_POWER_SPEC = ("alw_[0,end] (((u > 0.001) and (u < 0.01))"
@@ -59,6 +56,17 @@ DEFAULT_POWER_SPEC = ("alw_[0,end] (((u > 0.001) and (u < 0.01))"
 def supply_spec(start_time_s: float) -> str:
     """Supply guarantee with a configurable warm-up deadline."""
     return f"alw_[{_fmt(start_time_s)},end] (y >= 40)"
+
+
+def _fmt(v: float) -> str:
+    return str(int(v)) if float(v).is_integer() else repr(float(v))
+
+
+#: End of the warm-up transient [s], the default supply deadline.
+DEFAULT_START_TIME = 420.0
+#: Warm-water supply temperature guarantee: the tank output must stay at or
+#: above 40 degC from the end of the warm-up transient until the final time.
+DEFAULT_SUPPLY_SPEC = supply_spec(DEFAULT_START_TIME)
 
 
 @dataclass(frozen=True)
@@ -427,10 +435,6 @@ class SweepResult:
             w.writerow(["initial\\start"] + [_fmt(s) for s in self.start_times])
             for temp, row in zip(self.initial_temps, self.table):
                 w.writerow([_fmt(temp)] + [str(int(v)) for v in row])
-
-
-def _fmt(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 def evaluate_cell(model: PlantModel, cell_cfg: ControllerConfig, pred: LinearPredictor,

@@ -248,14 +248,15 @@ def step(
     on one platform, whatever the number of cores.  A state outside
     :data:`STATE_BOUNDS` at one of the quarters of the interval raises
     :class:`DivergenceError`, in a block naming the lowest such column; an
-    excursion between those grid points goes unseen.
+    excursion between those grid points goes unseen.  A non-finite state,
+    input, disturbance or ``h`` raises ``ValueError`` before any LSODA call.
     """
     # imported here, before any fork, so that the block workers inherit it
     # and `import wws` stays free of scipy.integrate
     from scipy.integrate import odeint  # noqa: F401
 
-    if h <= 0.0:
-        raise ValueError(f"hold interval must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"hold interval must be positive and finite, got {h}")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[0] != N_STATES:
         raise ValueError(f"state must have shape ({N_STATES},) or ({N_STATES}, K), "
@@ -265,32 +266,26 @@ def step(
     k = 1 if x.ndim == 1 else x.shape[1]
     u = np.broadcast_to(np.asarray(u, dtype=float), (k,))
     w = np.broadcast_to(np.asarray(w, dtype=float), (k,))
+    for name, v in (("input u", u), ("disturbance w", w)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"non-finite {name}")
     n_blocks = max(1, -(-k // BLOCK))
-    edges = [k * i // n_blocks for i in range(n_blocks + 1)]
     if n_blocks == 1:
-        results = [_step_block(model, x, u, w, h, config)]
-    else:
-        results = _map_blocks(_step_block, [
-            (model, x[:, a:b], u[a:b], w[a:b], h, config)
-            for a, b in zip(edges, edges[1:])])
-    # errors come back as values, so the lowest failing block reports
-    # whatever the schedule
-    for start, res in zip(edges, results):
-        if isinstance(res, DivergenceError) and res.column is not None:
-            col = start + res.column
-            raise DivergenceError(f"column {col}: {res}", state=res.state, column=col)
-        if isinstance(res, Exception):
-            raise res
-    return results[0] if len(results) == 1 else np.concatenate(results, axis=1)
+        return _step_block(model, x, u, w, h, config, 0)
+    edges = [k * i // n_blocks for i in range(n_blocks + 1)]
+    # results are gathered in block order, so the lowest failing block
+    # raises first whatever the schedule
+    return np.concatenate(_map_blocks(_step_block, [
+        (model, x[:, a:b], u[a:b], w[a:b], h, config, a)
+        for a, b in zip(edges, edges[1:])]), axis=1)
 
 
 def _step_block(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray,
-                h: float, config: IntegratorConfig
-                ) -> np.ndarray | DivergenceError | IntegrationError:
-    """One LSODA call over ``x``, one state or a (6, k) block, with the
-    per-column ``u`` and ``w``; a failure is returned, not raised, and a
-    :class:`DivergenceError` from k > 1 columns carries the block's own
-    lowest column."""
+                h: float, config: IntegratorConfig, start: int) -> np.ndarray:
+    """One LSODA call over ``x``, one state or a (6, k) block whose first
+    column is column ``start`` of the caller's; a :class:`DivergenceError`
+    from k > 1 columns names the lowest diverging column in the caller's
+    numbering."""
     from scipy.integrate import odeint
 
     n = N_STATES
@@ -325,7 +320,7 @@ def _step_block(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray,
                            rtol=config.rtol, atol=config.atol, mxstep=200_000,
                            full_output=True, **band)
     if info["message"] != "Integration successful.":
-        return IntegrationError(f"lsoda failed: {info['message']}")
+        raise IntegrationError(f"lsoda failed: {info['message']}")
     lo, hi = STATE_BOUNDS
     grid = sol[1:].reshape(-1, k, n)
     bad = ~((grid >= lo) & (grid <= hi)).all(axis=2)
@@ -333,12 +328,14 @@ def _step_block(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray,
         col = int(np.flatnonzero(bad.any(axis=0))[0])
         row = int(np.flatnonzero(bad[:, col])[0])
         y = grid[row, col].tolist()
-        return DivergenceError(
-            f"state diverged at t={tgrid[row + 1]:.6g}: {y} outside [{lo}, {hi}]",
-            state=np.array(y), column=None if k == 1 else col)
+        msg = f"state diverged at t={tgrid[row + 1]:.6g}: {y} outside [{lo}, {hi}]"
+        if k == 1:
+            raise DivergenceError(msg, state=np.array(y))
+        raise DivergenceError(f"column {start + col}: {msg}", state=np.array(y),
+                              column=start + col)
     out = sol[-1]
     if not np.all(np.isfinite(out)):
-        return IntegrationError("lsoda produced non-finite state")
+        raise IntegrationError("lsoda produced non-finite state")
     return out.reshape(k, n).T.reshape(x.shape).copy()
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from wws import mpc
-from wws.cli import main
+from wws.cli import COMMANDS, SETTINGS, main, make_parser, resolve_config
 from wws.plant import PlantModel
 from wws.predictor import LinearPredictor
 from wws.stl import SampledSignal, parse, robustness
@@ -273,6 +274,89 @@ def test_non_finite_tuple_flag_rejected(tmp_path, capsys, argv, reason):
     assert main(argv + ["--plant", "demo", "--K", "100", "--out", str(out)]) == 1
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"svg": "no"}, "config key 'svg': 'no' is not true or false"),
+    ({"K": "100"}, "config key 'K': '100' is not an integer"),
+    ({"h": None}, "config key 'h': None is not a finite number"),
+    ({"reference": float("nan")}, "config key 'reference': nan is not a finite number"),
+], ids=["svg-string", "K-string", "h-null", "reference-nan"])
+def test_config_scalar_setting_checked(tmp_path, capsys, doc, reason):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--plant", "demo", "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env, reason", [
+    (["fit", "--w0", "nan"], {}, "--w0: nan is not a finite number"),
+    (["sweep"], {"WWS_H": "inf"}, "WWS_H: inf is not a finite number"),
+    (["sweep", "--reference", "nan"], {}, "--reference: nan is not a finite number"),
+], ids=["fit-w0", "sweep-WWS_H", "sweep-reference"])
+def test_non_finite_scalar_setting_rejected(tmp_path, monkeypatch, capsys, argv, env, reason):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    out = tmp_path / "out"
+    assert main(argv + ["--plant", "demo", "--K", "100", "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_converted_to_their_setting_type(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"K": 400.0, "reference": 42, "predictor": None,
+                                    "state_range": [5, 60]}))
+    cfg = resolve_config(make_parser().parse_args(["fit", "--config", str(cfg_path)]))
+    assert type(cfg.K) is int and cfg.K == 400
+    assert type(cfg.reference) is float and cfg.reference == 42.0
+    assert cfg.predictor is None and cfg.state_range == (5.0, 60.0)
+
+
+@pytest.mark.parametrize("command", ["fit", "run", "bench"])
+def test_jobs_is_a_sweep_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    assert make_parser().parse_args(["sweep", "--jobs", "1"]).jobs == 1
+
+
+COMMON_FLAGS = {"--config", "--seed", "--out", "--plant", "--predictor",
+                "--K", "--h", "--state-range", "--u-band", "--p-off", "--w0"}
+
+
+def test_flag_table():
+    # every subcommand keeps the flags and help texts it had before the
+    # flags were declared from the settings table
+    subparsers = next(a for a in make_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for command, p in subparsers.choices.items()}
+    assert flags == {
+        "fit": COMMON_FLAGS | {"--local", "--target-y"},
+        "run": COMMON_FLAGS | {"--x0", "--no-stl", "--stl-file", "--start-time",
+                               "--end-time", "--horizon", "--q-weight", "--r-weight",
+                               "--reference", "--svg", "--dump-lp"},
+        "sweep": COMMON_FLAGS | {"--jobs", "--initial-temps", "--start-times",
+                                 "--end-time", "--q-weight", "--r-weight", "--reference"},
+        "bench": COMMON_FLAGS | {"--bench-rollouts", "--bench-steps"},
+    }
+    helps = {s: a.help for p in subparsers.choices.values() for a in p._actions
+             for s in a.option_strings if a.help and s != "--help" and s != "-h"}
+    assert helps == {
+        "--config": "JSON config file",
+        "--out": "output directory (fit: file or dir)",
+        "--plant": "'nominal', 'demo' or a JSON path",
+        "--predictor": "predictor JSON to reuse",
+        "--local": "local-linearization baseline instead of regression",
+        "--x0": "uniform initial state",
+        "--dump-lp": "write the step-0 problem in LP-style text",
+    }
+    for _, _, names in COMMANDS.values():
+        assert set(names) <= {*SETTINGS, "config"}
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -67,6 +67,27 @@ def test_step_rejects_non_finite_state(nominal_model):
         step(nominal_model, X, 0.0, 0.0, 60.0)
 
 
+def _no_lsoda(*args):
+    raise AssertionError("LSODA called")
+
+
+def test_step_rejects_non_finite_inputs(demo_model, monkeypatch):
+    # a bad input is named before any LSODA call, never reported as divergence
+    monkeypatch.setattr(plant, "_step_block", _no_lsoda)
+    x = np.full(6, 20.0)
+    with pytest.raises(ValueError, match="non-finite input u"):
+        step(demo_model, x, np.nan, 10.0, 60.0)
+    with pytest.raises(ValueError, match="non-finite disturbance w"):
+        step(demo_model, x, 0.0, np.nan, 60.0)
+    X, U = _block_draw(5, 600)
+    U[437] = np.nan
+    with pytest.raises(ValueError, match="non-finite input u"):
+        step(demo_model, X, U, 10.0, 60.0)
+    for h in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="hold interval must be positive and finite"):
+            step(demo_model, x, 0.0, 10.0, h)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-40, 80), min_size=6, max_size=6),
        st.floats(0, 26.5), st.floats(-20, 40))
@@ -353,13 +374,13 @@ def test_divergent_blocks_name_the_lowest_column(nominal_model, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _fails_in_worker(model, x, u, w, h, config):
+def _fails_in_worker(model, x, u, w, h, config, start):
     if os.getpid() == _TEST_PID:
         return np.zeros_like(x)
-    return IntegrationError("lsoda failed: in a worker")
+    raise IntegrationError("lsoda failed: in a worker")
 
 
-def _dies_in_worker(model, x, u, w, h, config):
+def _dies_in_worker(model, x, u, w, h, config, start):
     if os.getpid() == _TEST_PID:
         return np.zeros_like(x)
     os._exit(1)
