@@ -182,6 +182,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then the ``--config`` file, then ``WWS_*`` variables, then
     flags; every value is converted and checked by :func:`_setting`."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {args.config} does not hold a JSON object")
     sources = []
     for key, val in doc.items():
         if key not in SETTINGS:
@@ -450,19 +452,23 @@ def _add_flag(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument(_flag(name), **kw)
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``wws`` parser with every subcommand; with ``command`` only that
+    subcommand gets its flags, which is all that parsing its line needs."""
     ap = argparse.ArgumentParser(prog="wws",
                                  description="warm-water supply control stack")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (_, text, names) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        for name in names:
-            _add_flag(p, name)
+    for name, (_, text, settings) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            for setting in settings:
+                _add_flag(p, setting)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return COMMANDS[args.command][0](resolve_config(args))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

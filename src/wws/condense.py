@@ -66,8 +66,8 @@ def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon
     """Unroll the predictor over the controller's horizon, once per run.
 
     The predictor's sampling period must be the controller's.  The Hessian
-    is checked positive semidefinite here, once per run: ``ProblemBuilder``
-    leaves curvature to its callers, and every step problem reuses it.
+    is checked symmetric and positive semidefinite here, once per run:
+    every step problem reuses it and checks neither.
     """
     if pred.h != cfg.h:
         raise ValueError(f"predictor sampled at h={pred.h:g} s, "
@@ -80,6 +80,8 @@ def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon
     out_row = pred.C[cfg.output_index - 1]
     Y = np.einsum("j,ijp->ip", out_row, G)[1:]
     H = 2.0 * (cfg.q_weight * (Y.T @ Y) + cfg.r_weight * np.eye(np_h))
+    if not np.allclose(H, H.T, atol=1e-12):
+        raise ValueError("objective quadratic term is not symmetric")
     w = np.linalg.eigvalsh(H)
     if w.min() < -1e-8 * (1.0 + float(np.max(np.abs(H)))):
         raise ValueError(f"objective quadratic term not PSD (min eig {w.min():.3g})")

@@ -5,9 +5,10 @@ and each specification is compiled once per controller configuration into
 a template (``stl.FormulaTemplate``).  Each step lifts the measured state
 into its free response y0, binds the template's slots (history samples to
 their recorded values, horizon outputs to ``Y u + y0``, horizon inputs to
-u), lets the template fold the history and emit its rows in slot space,
-maps those rows onto u with one affine map, solves the resulting MIQP and
-applies the first input under zeroth-order hold.
+u), takes the template's rows in slot space (folded and emitted once per
+leaf pattern, so only their right-hand side is new), maps them onto u with
+one affine map, assembles the MIQP directly, solves it and applies the
+first input under zeroth-order hold.
 
 Specification windows follow the shrinking-horizon reading: past samples
 are constants, samples inside the horizon are decision variables, and
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .condense import CondensedHorizon, condense
-from .milp import MiqpProblem, ProblemBuilder
+from .milp import MiqpProblem, _box_redundant
 from .miqp import solve_miqp
 from .plant import DivergenceError, PlantModel
 from .predictor import LinearPredictor
@@ -102,6 +103,8 @@ class ControllerConfig:
             raise ValueError("weights must be positive")
         if self.end_time / self.h != round(self.end_time / self.h):
             raise ValueError("end_time must be a multiple of the sampling period")
+        if not (np.isfinite(self.u_min) and np.isfinite(self.u_max) and self.u_min <= self.u_max):
+            raise ValueError(f"inputs need a finite box, got [{self.u_min}, {self.u_max}]")
         object.__setattr__(self, "formulas", tuple(
             resolve_end(parse(text), self.end_time) for text in self.stl_specs))
 
@@ -191,33 +194,60 @@ def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
     """Assemble the horizon MIQP at step ``k`` without solving it.
 
     ``cond`` is ``condense(pred, cfg)``, shared by every step of a run.
-    The problem is usable directly for problem dumps and cross-checking
-    against external solvers.
+    The columns are u, then each template's auxiliary variables in
+    template order, and the rows follow the templates.  A row left with no
+    coefficient is the constant ``0 <= b``: it is dropped, and a violated
+    one marks the problem infeasible; so are the rows no point of the box
+    can violate.  The problem is usable directly for problem dumps and
+    cross-checking against external solvers.
     """
     if len(y_hist) != k + 1:
         raise ValueError(f"need {k + 1} output samples, got {len(y_hist)}")
     if len(u_hist) != k:
         raise ValueError(f"need {k} applied inputs, got {len(u_hist)}")
     np_h = cond.horizon
-    builder = ProblemBuilder()
     u_names = [f"u{k + i}" for i in range(np_h)]
-    builder.add_variables(u_names, cfg.u_min, cfg.u_max, [False] * np_h)
     y0 = cond.free_response(x_k)
-    builder.add_quadratic(u_names, cond.H, *cond.linear_cost(y0))
+    f_u, obj_const = cond.linear_cost(y0)
     y_hist = np.asarray(y_hist, dtype=float)
     u_hist = np.asarray(u_hist, dtype=float)
-    n_binaries, sources, bounds, col = 0, [], [], np_h
+    names, binary, blocks, sources, bounds, reasons = [*u_names], [False] * np_h, [], [], [], []
     for tmpl in cfg.templates:
         state, values, M = _bind(tmpl, k, y_hist, u_hist, y0, cond.Y)
         rows = tmpl.instantiate(state, values)
-        rows.add_to(builder, u_names, M)
-        n_binaries += len(rows.warm_sources)
-        sources += rows.warm_sources
+        if rows.infeasible:
+            reasons.append(f"{rows.name}: violated by already-fixed samples")
+        RM, aux, rhs = rows.R @ M, rows.aux, rows.b
+        live = RM.any(axis=1) | aux.any(axis=1)
+        if not live.all():
+            reasons += [f"constant constraint violated ({-v:.3g} > 0)"
+                        for v in rhs[~live] if v < -1e-12]
+            RM, aux, rhs = RM[live], aux[live], rhs[live]
         u_k = tmpl.slots.get(("u", k))
-        bounds += [(-1 if aux < 0 else col + aux, *box)
-                   for slot, aux, *box in rows.bounds if slot == u_k]
-        col += len(rows.aux_names)
-    return StepProblem(builder.build(), u_names, n_binaries, sources, bounds)
+        bounds += [(-1 if a < 0 else len(names) + a, *box)
+                   for slot, a, *box in rows.bounds if slot == u_k]
+        blocks.append((len(names), RM, aux, rhs))
+        names += rows.aux_names
+        binary += rows.aux_binary
+        sources += rows.warm_sources
+    n = len(names)
+    A = np.zeros((sum(len(rhs) for *_, rhs in blocks), n))
+    b = np.zeros(len(A))
+    r = 0
+    for col, RM, aux, rhs in blocks:
+        A[r:r + len(rhs), :np_h] = RM
+        A[r:r + len(rhs), col:col + aux.shape[1]] = aux
+        b[r:r + len(rhs)] = rhs
+        r += len(rhs)
+    H, f, lb, ub = np.zeros((n, n)), np.zeros(n), np.zeros(n), np.ones(n)
+    H[:np_h, :np_h], f[:np_h], lb[:np_h], ub[:np_h] = cond.H, f_u, cfg.u_min, cfg.u_max
+    violable = ~_box_redundant(A, b, lb, ub)
+    if not violable.all():
+        A, b = A[violable], b[violable]
+    problem = MiqpProblem(names=tuple(names), H=H, f=f, obj_const=obj_const, A=A, b=b,
+                          lb=lb, ub=ub, binary=np.array(binary, dtype=bool),
+                          infeasible_reason=reasons[0] if reasons else None)
+    return StepProblem(problem, u_names, len(sources), sources, bounds)
 
 
 def plan_step(cfg: ControllerConfig, cond: CondensedHorizon, x_k: Sequence[float],

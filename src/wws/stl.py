@@ -26,7 +26,9 @@ at its sample), sign, constant, eps and big-M fixed.  At each use the
 caller marks every slot as history, decision or unbound; the template
 folds the history truths, folds the tree, and emits the live nodes' rows
 over the slots (``StepRows``), each row reading one slot, which the caller
-maps onto its variables.
+maps onto its variables.  Fold and rows are kept per leaf pattern (which
+leaves are history, decision or unbound, and which history leaves hold),
+so a use whose pattern was seen before computes only the right-hand side.
 
 The encoder puts binaries only where the formula branches (Kurtz & Lin
 2022, "Mixed-integer programming for signal temporal logic with fewer
@@ -44,12 +46,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-
-from .milp import ProblemBuilder
 
 
 class StlSyntaxError(ValueError):
@@ -545,7 +545,9 @@ class StepRows:
     disjunction or literal one to three samples earlier.  ``bounds`` lists
     the intervals that rows put on single slots: ``(slot, aux, lo0, hi0,
     lo1, hi1)``, the second interval applying when auxiliary ``aux`` rounds
-    to 1 (``aux`` is -1 for an unconditional row).
+    to 1 (``aux`` is -1 for an unconditional row).  Every binding with the
+    same leaf pattern shares all but ``b``, so ``R`` and ``aux`` are
+    read-only.
     """
 
     name: str
@@ -559,19 +561,24 @@ class StepRows:
     warm_sources: tuple[tuple[str, ...], ...]
     bounds: tuple[tuple[int, int, float, float, float, float], ...]
 
-    def add_to(self, builder: ProblemBuilder, names: Sequence[str], M: np.ndarray) -> None:
-        """Add the rows to ``builder`` with the slots mapped through ``M``.
 
-        Slot ``s`` is ``M[s] @ v + offset``, ``v`` the named variables; the
-        offsets were the ``values`` that gave ``b``.
-        """
-        if self.infeasible:
-            builder.mark_infeasible(f"{self.name}: violated by already-fixed samples")
-            return
-        builder.add_variables(self.aux_names, 0.0, 1.0, self.aux_binary)
-        if len(self.b):
-            builder.add_rows([*names, *self.aux_names], np.hstack((self.R @ M, self.aux)),
-                             self.b)
+
+@dataclass(frozen=True)
+class _Layout:
+    """The rows of one leaf pattern: everything of ``StepRows`` but ``b``,
+    which row ``r`` gives as ``(sign[r] (values[slot[r]] - const[r]) +
+    k1[r]) - k2[r]``."""
+
+    rows: StepRows
+    slot: np.ndarray
+    sign: np.ndarray
+    const: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+
+    def at(self, values: np.ndarray) -> StepRows:
+        b = (self.sign * (values[self.slot] - self.const) + self.k1) - self.k2
+        return replace(self.rows, b=b)
 
 
 class FormulaTemplate:
@@ -582,7 +589,10 @@ class FormulaTemplate:
     constant, eps, big-M and edge, and each 2-way Or's interval pair.
     :meth:`instantiate` then only classifies the leaves against the caller's
     binding, folds the history truths and the internal nodes, and emits the
-    rows of the live nodes in slot space.
+    rows of the live nodes in slot space.  The fold and the rows depend on
+    the binding only through the leaf pattern (each leaf's state and each
+    history leaf's truth), so they are kept per pattern: at most one entry
+    for each pattern the template has been instantiated with.
     """
 
     def __init__(self, f: Formula, h: float, cfg: EncodingConfig, name: str = "stl"):
@@ -606,6 +616,7 @@ class FormulaTemplate:
             if not node.conj and len(node.kids) == 2:
                 self.hull(node)
         self._names: dict[tuple[str, int, int], tuple[str, ...]] = {}
+        self._layouts: dict[bytes, _Layout] = {}
 
     def _number(self, node, leaves: list, nodes: list):
         """Leaves to depth-first indices; nodes get their leaf range."""
@@ -671,7 +682,9 @@ class FormulaTemplate:
         (shrinking-window policy: conjunctive obligations wait for a later
         step, disjunctive ones are enforced over the visible part of the
         window, which is stricter and hence sound); history leaves fold to
-        constants.
+        constants.  Only the first binding with a given leaf pattern folds
+        and emits; a later one reuses those rows, whose arrays are
+        read-only, and computes only its right-hand side.
         """
         leaf_state = state[self.leaf_slot]
         val = np.append(values, 0.0)           # the pad slot reads 0.0
@@ -681,11 +694,15 @@ class FormulaTemplate:
         # float round-off
         truth = (leaf_state == HISTORY) & (
             self.leaf_sign_arr * (val[self.leaf_slot] - self.leaf_const_arr) >= self.fold_at)
-        tree = self._fold(leaf_state, truth)
-        em = _Emitter(self)
-        if isinstance(tree, (_Node, int)):
-            em.require(tree, None)
-        return em.rows(tree, val)
+        key = leaf_state.tobytes() + truth.tobytes()
+        layout = self._layouts.get(key)
+        if layout is None:
+            tree = self._fold(leaf_state, truth)
+            em = _Emitter(self)
+            if isinstance(tree, (_Node, int)):
+                em.require(tree, None)
+            layout = self._layouts[key] = em.layout(tree)
+        return layout.at(val)
 
     def _fold(self, leaf_state: np.ndarray, leaf_truth: np.ndarray):
         root = self.root
@@ -925,9 +942,9 @@ class _Emitter:
         for kid, sel in zip(kids, sels):
             self.require(kid, (0.0, {sel: 1.0}))
 
-    def rows(self, tree, values: np.ndarray) -> StepRows:
-        """The rows emitted so far; ``values`` holds each slot's offset and
-        the pad slot's 0.0."""
+    def layout(self, tree) -> _Layout:
+        """The rows emitted so far, checked once for every binding that
+        shares them: aux names are unique and every binary is in a row."""
         tmpl = self.tmpl
         m = len(self.slot)
         slot = np.array(self.slot, dtype=int)
@@ -938,10 +955,18 @@ class _Emitter:
         if self.aux_at:
             r, c, v = zip(*self.aux_at)
             aux[list(r), list(c)] = v
-        b = (sign * (values[slot] - np.array(self.const)) + np.array(self.k1)) \
-            - np.array(self.k2)
-        return StepRows(
+        if len(set(self.aux_names)) != len(self.aux_names):
+            raise ValueError(f"{tmpl.name}: duplicate auxiliary variable")
+        unused = np.array(self.aux_binary, dtype=bool) & ~aux.any(axis=0)
+        if unused.any():
+            raise ValueError(f"binary {self.aux_names[np.argmax(unused)]!r} appears in no row")
+        R = R[:, :tmpl.pad]
+        per_row = (slot, sign, np.array(self.const), np.array(self.k1), np.array(self.k2))
+        for a in (R, aux, *per_row):
+            a.setflags(write=False)
+        rows = StepRows(
             name=tmpl.name, infeasible=tree is _Fold.FALSE,
-            deferred=tree is _Fold.DEFERRED, R=R[:, :tmpl.pad], aux=aux, b=b,
+            deferred=tree is _Fold.DEFERRED, R=R, aux=aux, b=np.zeros(0),
             aux_names=tuple(self.aux_names), aux_binary=tuple(self.aux_binary),
             warm_sources=tuple(self.warm_sources), bounds=tuple(self.bounds))
+        return _Layout(rows, *per_row)

@@ -10,12 +10,12 @@ conditions of a returned QP point, and the plant polynomial written out
 term by term, integrated by Radau, instead of the coefficient matrix
 integrated by LSODA.  The readers of the CSV files that the
 program writes live here too, since only the tests read those files back,
-as do two adapters that state test problems through the program's own
-entry points: ``add_squared_cost`` (the squared cost of a linear form
-through ``ProblemBuilder.add_quadratic``) and ``encode_formula`` (a formula
-over a generic binding through ``stl.FormulaTemplate``).  Test problems
-state their variables, rows and costs through ``add_variables``,
-``add_rows`` and ``add_quadratic``, as the controller does.
+as does ``ProblemBuilder``, which states test problems by name: their
+variables, rows and costs through ``add_variables``, ``add_rows`` and
+``add_quadratic``.  Three adapters build on it: ``add_squared_cost`` (the
+squared cost of a linear form), ``add_step_rows`` (a template's rows
+mapped onto named variables) and ``encode_formula`` (a formula over a
+generic binding through ``stl.FormulaTemplate``).
 """
 
 from __future__ import annotations
@@ -23,16 +23,177 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from wws import stl
-from wws.milp import MiqpProblem, ProblemBuilder
-from wws.mpc import SweepResult
+from wws.milp import MiqpProblem, _box_redundant
+from wws.mpc import SweepResult, _bind
 from wws.qp import solve_qp
+
+
+class ProblemBuilder:
+    """Accumulates one MIQP by name: variables, row blocks and quadratic
+    cost, frozen by ``build`` without the rows no box point can violate.
+
+    The controller assembles its step problems directly; test problems are
+    stated through this builder, which checks names, boxes and binaries
+    as they arrive.
+    """
+
+    def __init__(self):
+        self._names: list[str] = []
+        self._lb: list[float] = []
+        self._ub: list[float] = []
+        self._binary: list[bool] = []
+        self._index: dict[str, int] = {}
+        # row blocks A_blk x[cols] <= b_blk, in the order they were added
+        self._blocks: list[tuple[list[int], np.ndarray, np.ndarray]] = []
+        self._objective: list[tuple[list[int], np.ndarray, np.ndarray]] = []
+        self._obj_const = 0.0
+        self._infeasible: str | None = None
+
+    # -- variables ---------------------------------------------------------
+
+    def add_variables(self, names: Iterable[str], lb: float, ub: float,
+                      binary: Iterable[bool]) -> None:
+        """Add variables sharing the box [lb, ub]; ``binary`` flags each."""
+        names = list(names)
+        if not (math.isfinite(lb) and math.isfinite(ub) and lb <= ub):
+            raise ValueError(f"variables {names} need a finite box, got [{lb}, {ub}]")
+        if len(set(names)) != len(names) or not self._index.keys().isdisjoint(names):
+            seen = set(self._index)
+            dup = next(n for n in names if n in seen or seen.add(n))
+            raise ValueError(f"duplicate variable {dup!r}")
+        start = len(self._names)
+        self._index.update(zip(names, range(start, start + len(names))))
+        self._names += names
+        self._binary += [bool(v) for v in binary]
+        self._lb += [float(lb)] * len(names)
+        self._ub += [float(ub)] * len(names)
+
+    # -- constraints ---------------------------------------------------------
+
+    def add_rows(self, names: Iterable[str], A: np.ndarray, b: np.ndarray) -> None:
+        """Add the rows ``A v <= b``, ``v`` the named variables.
+
+        A row with no nonzero coefficient is the constant ``0 <= b`` and
+        folds away here; a violated one marks the problem infeasible.
+        """
+        cols = self._columns(names, "constraint")
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        live = A.any(axis=1)
+        if not live.all():
+            for rhs in b[~live]:
+                if rhs < -1e-12:
+                    self.mark_infeasible(f"constant constraint violated ({-rhs:.3g} > 0)")
+            A, b = A[live], b[live]
+        if len(b):
+            self._blocks.append((cols, A, b))
+
+    def _columns(self, names: Iterable[str], where: str) -> list[int]:
+        try:
+            return [self._index[n] for n in names]
+        except KeyError as exc:
+            raise ValueError(f"unknown variable {exc.args[0]!r} in {where}") from None
+
+    def mark_infeasible(self, reason: str) -> None:
+        if self._infeasible is None:
+            self._infeasible = reason
+
+    # -- objective -----------------------------------------------------------
+
+    def add_quadratic(self, names: Iterable[str], H: np.ndarray, f: np.ndarray,
+                      const: float = 0.0) -> None:
+        """Add 0.5 v'Hv + f'v + const to the objective, v the named variables.
+
+        ``H`` must be symmetric positive semidefinite: ``build`` checks the
+        symmetry but not the curvature, which is the caller's to ensure.
+        """
+        idx = self._columns(names, "objective")
+        if len(set(idx)) != len(idx):
+            raise ValueError("a quadratic term names a variable twice")
+        self._objective.append((idx, np.asarray(H, dtype=float),
+                                np.asarray(f, dtype=float)))
+        self._obj_const += float(const)
+
+    # -- assembly ------------------------------------------------------------
+
+    def build(self) -> MiqpProblem:
+        n = len(self._names)
+        names = tuple(self._names)
+        H = np.zeros((n, n))
+        f = np.zeros(n)
+        for idx, H_block, f_block in self._objective:
+            H[np.ix_(idx, idx)] += H_block
+            f[idx] += f_block
+
+        m = sum(len(rhs) for _, _, rhs in self._blocks)
+        A = np.zeros((m, n))
+        b = np.zeros(m)
+        r = 0
+        for cols, block, rhs in self._blocks:
+            A[r:r + len(rhs), cols] = block
+            b[r:r + len(rhs)] = rhs
+            r += len(rhs)
+        lb = np.array(self._lb)
+        ub = np.array(self._ub)
+        binary = np.array(self._binary, dtype=bool)
+        problem = MiqpProblem(names=names, H=H, f=f, obj_const=self._obj_const,
+                              A=A, b=b, lb=lb, ub=ub,
+                              binary=binary, infeasible_reason=self._infeasible)
+        _validate(problem)
+        violable = ~_box_redundant(A, b, lb, ub)
+        if not np.all(violable):
+            problem = replace(problem, A=A[violable], b=b[violable])
+        return problem
+
+
+def _validate(p: MiqpProblem) -> None:
+    """Structural checks only: whoever forms H owns its curvature."""
+    if p.n == 0:
+        return
+    if not np.allclose(p.H, p.H.T, atol=1e-12):
+        raise ValueError("objective quadratic term is not symmetric")
+    # every binary must appear somewhere beyond its own box
+    used = p.A.any(axis=0) | p.H.any(axis=0) | (p.f != 0.0)
+    for i in np.flatnonzero(p.binary & ~used):
+        raise ValueError(f"binary {p.names[i]!r} appears in no constraint or objective")
+
+
+def add_step_rows(builder: ProblemBuilder, rows: stl.StepRows, names: Sequence[str],
+                  M: np.ndarray) -> None:
+    """Add a template's rows to ``builder`` with the slots mapped through ``M``.
+
+    Slot ``s`` is ``M[s] @ v + offset``, ``v`` the named variables; the
+    offsets were the ``values`` that gave ``rows.b``.
+    """
+    if rows.infeasible:
+        builder.mark_infeasible(f"{rows.name}: violated by already-fixed samples")
+        return
+    builder.add_variables(rows.aux_names, 0.0, 1.0, rows.aux_binary)
+    if len(rows.b):
+        builder.add_rows([*names, *rows.aux_names], np.hstack((rows.R @ M, rows.aux)), rows.b)
+
+
+def builder_step_problem(cfg, cond, x_k: Sequence[float], k: int,
+                         y_hist: Sequence[float], u_hist: Sequence[float]) -> MiqpProblem:
+    """The step problem of ``mpc.build_step_problem`` stated through the
+    builder: the same bindings and template rows, assembled by name."""
+    builder = ProblemBuilder()
+    u_names = [f"u{k + i}" for i in range(cond.horizon)]
+    builder.add_variables(u_names, cfg.u_min, cfg.u_max, [False] * len(u_names))
+    y0 = cond.free_response(x_k)
+    builder.add_quadratic(u_names, cond.H, *cond.linear_cost(y0))
+    for tmpl in cfg.templates:
+        state, values, M = _bind(tmpl, k, np.asarray(y_hist, dtype=float),
+                                 np.asarray(u_hist, dtype=float), y0, cond.Y)
+        add_step_rows(builder, tmpl.instantiate(state, values), u_names, M)
+    return builder.build()
 
 
 def enumerate_miqp(problem: MiqpProblem) -> tuple[float, np.ndarray | None]:
@@ -123,7 +284,7 @@ def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBindi
         elif v is not None:
             state[s], values[s] = stl.HISTORY, v
     rows = tmpl.instantiate(state, values)
-    rows.add_to(builder, names, M)
+    add_step_rows(builder, rows, names, M)
     return EncodedFormula(binaries=[chain[0] for chain in rows.warm_sources],
                           literals=[n for n, is_bin in zip(rows.aux_names, rows.aux_binary)
                                     if not is_bin],

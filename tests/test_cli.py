@@ -210,6 +210,14 @@ def test_config_file(tmp_path, demo_pred_file):
     assert (tmp_path / "from_config" / "summary.json").exists()
 
 
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1]")
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config file {cfg_path} does not hold a JSON object\n"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"not_a_key": 1}))
@@ -357,6 +365,26 @@ def test_flag_table():
     }
     for _, _, names in COMMANDS.values():
         assert set(names) <= {*SETTINGS, "config"}
+
+
+def _help(parser, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_parser_of_one_command_matches_the_full_parser(capsys):
+    # main gives flags only to the subcommand it parses
+    full = make_parser()
+    for command in COMMANDS:
+        assert _help(make_parser(command), [command, "--help"], capsys) \
+            == _help(full, [command, "--help"], capsys)
+    text = _help(full, ["--help"], capsys)
+    assert all(command in text for command in COMMANDS)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == text
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from wws import stl
-from wws.milp import ProblemBuilder
 from wws.miqp import solve_miqp
 from wws.stl import EncodingConfig, StlEncodingError
 
-from oracles import (add_squared_cost, encode_fixed_signal, encode_formula, format_formula,
-                     milp_feasible, soundness_case)
+from oracles import (ProblemBuilder, add_squared_cost, encode_fixed_signal, encode_formula,
+                     format_formula, milp_feasible, soundness_case)
 
 CFG = EncodingConfig(channel_bounds={"y": (-50.0, 150.0), "u": (0.0, 26.5)})
 POWER_BAND = "((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))"
@@ -96,6 +95,20 @@ def test_power_band_selects_off_branch_when_cheap():
     # cost-minimal point is the epsilon-shifted band edge, recovered to
     # interior-point accuracy (the objective is nearly flat there)
     assert u == pytest.approx(0.001 + CFG.eps, abs=1e-5)
+
+
+def test_cached_rows_are_read_only():
+    # a second binding with the same leaf pattern shares the first one's
+    # rows and gets its own right-hand side
+    tmpl = stl.FormulaTemplate(stl.parse(f"alw_[0,120] ({POWER_BAND})"), 60.0, CFG)
+    state = np.full(len(tmpl.slots), stl.DECISION, dtype=np.int8)
+    first = tmpl.instantiate(state, np.zeros(len(tmpl.slots)))
+    second = tmpl.instantiate(state, np.ones(len(tmpl.slots)))
+    assert second.R is first.R and second.aux is first.aux and len(tmpl._layouts) == 1
+    assert not np.array_equal(second.b, first.b)
+    for a in (first.R, first.aux):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
 
 
 def test_history_constants_fold_away():

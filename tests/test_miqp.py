@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wws.milp import ProblemBuilder, dump_lp
+from wws.milp import _box_redundant, dump_lp
+from wws.mpc import build_step_problem
 from wws import miqp
 from wws.miqp import MiqpError, solve_miqp
 from wws.qp import solve_qp
 
-from oracles import add_squared_cost, encode_formula, enumerate_miqp, max_violation, random_miqp
+from oracles import (ProblemBuilder, add_squared_cost, encode_formula, enumerate_miqp,
+                     max_violation, random_miqp)
 
 
 def _band_problem(y0=42.0, gain=0.1):
@@ -178,49 +182,26 @@ def test_empty_problem_is_trivially_optimal():
     assert res.status == "optimal" and res.objective == 0.0
 
 
-def test_builder_validations():
-    b = ProblemBuilder()
-    b.add_variables(["p"], 0.0, 1.0, [True])
-    with pytest.raises(ValueError, match="no constraint"):
-        b.build()
-    b2 = ProblemBuilder()
-    b2.add_variables(["x"], 0.0, 1.0, [False])
-    with pytest.raises(ValueError, match="duplicate"):
-        b2.add_variables(["x"], 0.0, 1.0, [False])
-    with pytest.raises(ValueError, match="finite box"):
-        b2.add_variables(["z"], 0.0, np.inf, [False])
-    with pytest.raises(ValueError, match="unknown variable"):
-        b2.add_rows(["nope"], [[1.0]], [1.0])
-
-
-def test_unknown_name_in_objective_is_a_value_error():
-    b = ProblemBuilder()
-    b.add_variables(["x"], 0.0, 1.0, [False])
-    with pytest.raises(ValueError, match="unknown variable 'y' in objective"):
-        b.add_quadratic(["x", "y"], np.eye(2), np.zeros(2))
-
-
-def test_build_drops_rows_no_box_point_can_violate():
-    b = ProblemBuilder()
-    b.add_variables(["x"], 0.0, 26.5, [False])
-    b.add_variables(["y"], -1.0, 1.0, [False])
-    b.add_variables(["p"], 0.0, 1.0, [True])
-    b.add_rows(["x", "y", "p"], [[3e-14, 0.0, 0.0],     # rounding noise against its rhs: dropped
-                                 [1.0, 2.0, 1.0],       # box maximum 29.5: dropped
-                                 [1.0, 2.0, 1.0],       # binding at a corner: kept
-                                 [1.0, 0.0, -26.5],     # violable: kept
-                                 [-3e-14, 0.0, 0.0]],   # violated by every box point: kept
-               [15.0, 29.6, 29.5, 0.0, -1.0])
-    add_squared_cost(b, ["x"], [1.0], 1.0)
-    prob = b.build()
-    assert prob.A.shape == (3, 3)
-    assert np.array_equal(prob.b, [29.5, 0.0, -1.0])
-    assert np.array_equal(prob.A[1], [1.0, 0.0, -26.5])
-    # a binary used only in a dropped row still passes the usage rule
-    b2 = ProblemBuilder()
-    b2.add_variables(["q"], 0.0, 1.0, [True])
-    b2.add_rows(["q"], [[1.0]], [2.0])
-    assert b2.build().A.shape == (0, 1)
+def test_build_drops_rows_no_box_point_can_violate(demo_cfg, demo_cond):
+    A = np.array([[3e-14, 0.0, 0.0],     # rounding noise against its rhs: dropped
+                  [1.0, 2.0, 1.0],       # box maximum 29.5: dropped
+                  [1.0, 2.0, 1.0],       # binding at a corner: kept
+                  [1.0, 0.0, -26.5],     # violable: kept
+                  [-3e-14, 0.0, 0.0]])   # violated by every box point: kept
+    b = np.array([15.0, 29.6, 29.5, 0.0, -1.0])
+    lb, ub = np.array([0.0, -1.0, 0.0]), np.array([26.5, 1.0, 1.0])
+    assert np.array_equal(_box_redundant(A, b, lb, ub), [True, True, False, False, False])
+    # the step problem leaves them out: u <= 27 holds on the whole box
+    # [0, 26.5], u >= 1 does not
+    args = (np.full(6, 15.0), 0, [15.0], [])
+    np_h = demo_cond.horizon
+    cfg = replace(demo_cfg, stl_specs=("alw_[0,end] (u <= 27)", "alw_[0,end] (u >= 1)"))
+    prob = build_step_problem(cfg, demo_cond, *args).problem
+    assert np.array_equal(prob.A, -np.eye(np_h)) and np.all(prob.b == -1.0)
+    # a binary used only in dropped rows still passes the usage rule
+    cfg = replace(demo_cfg, stl_specs=("alw_[0,end] ((u <= 27) or (u <= 28))",))
+    step = build_step_problem(cfg, demo_cond, *args)
+    assert step.problem.A.shape == (0, 2 * np_h) and step.n_binaries == np_h
 
 
 def test_dump_lp_writes_sections(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from wws import mpc
+from wws import mpc, stl
 from wws.mpc import (
     ClosedLoopTrace,
     ControllerConfig,
     DEFAULT_POWER_SPEC,
+    build_step_problem,
     evaluate_cell,
     feasibility_sweep,
     plan_step,
@@ -15,7 +16,7 @@ from wws.mpc import (
 )
 from wws.stl import SampledSignal, parse, resolve_end, robustness
 
-from oracles import read_sweep_csv, read_trace_csv
+from oracles import builder_step_problem, read_sweep_csv, read_trace_csv
 
 
 def _in_band(u, eps=1e-6, slack=1e-7):
@@ -32,6 +33,59 @@ def test_plan_step_infeasible_on_violated_history(demo_cfg, demo_cond):
     assert res.status == "infeasible"
     assert "fixed samples" in (res.infeasible_reason or "")
     assert res.nodes == 0  # no search needed: constants already decide
+
+
+def test_violated_history_after_a_cached_feasible_pattern(demo_cfg, demo_cond):
+    # the same step index and horizon, but sample 7 of the supply window now
+    # folds false: a new leaf pattern, not the cached feasible one
+    cfg, x = replace(demo_cfg), np.full(6, 42.0)
+    u_hist = [22.0] * 8
+    ok = [15.0, 20.0, 30.0, 35.0, 38.0, 41.0, 42.0, 41.0, 42.0]
+    bad = [15.0, 20.0, 30.0, 35.0, 38.0, 41.0, 42.0, 39.0, 42.0]
+    assert build_step_problem(cfg, demo_cond, x, 8, ok, u_hist).problem.infeasible_reason is None
+    warm = build_step_problem(cfg, demo_cond, x, 8, bad, u_hist).problem
+    fresh = build_step_problem(replace(demo_cfg), demo_cond, x, 8, bad, u_hist).problem
+    assert warm.infeasible_reason == fresh.infeasible_reason \
+        == "stl0: violated by already-fixed samples"
+
+
+def test_cached_layouts_build_the_fresh_problems(monkeypatch, demo_model, demo_cfg,
+                                                 demo_predictor):
+    # every step of the seven demo loops is built by templates that have
+    # seen all earlier steps, by freshly compiled ones, and by the builder
+    warm_cfg = replace(demo_cfg)
+    original = mpc.build_step_problem
+    steps = []
+
+    def all_three(cfg, cond, *args):
+        warm = original(cfg, cond, *args)
+        fresh = original(replace(cfg), cond, *args)
+        steps.append((warm, fresh, builder_step_problem(replace(cfg), cond, *args)))
+        return warm
+
+    monkeypatch.setattr(mpc, "build_step_problem", all_three)
+    for temp in mpc.DEFAULT_INITIAL_TEMPS:
+        run_closed_loop(demo_model, warm_cfg, demo_predictor, np.full(6, temp))
+    assert len(steps) == len(mpc.DEFAULT_INITIAL_TEMPS) * (warm_cfg.n_steps + 1)
+    assert sum(len(t._layouts) for t in warm_cfg.templates) < len(steps)
+    for warm, fresh, built in steps:
+        for p in (fresh.problem, built):
+            for name in ("A", "b", "f", "H", "lb", "ub", "binary"):
+                assert np.array_equal(getattr(warm.problem, name), getattr(p, name)), name
+            assert (warm.problem.names, warm.problem.obj_const, warm.problem.infeasible_reason) \
+                == (p.names, p.obj_const, p.infeasible_reason)
+        assert warm.warm_sources == fresh.warm_sources
+        assert warm.u0_bounds == fresh.u0_bounds
+
+
+def test_step_layout_rejects_an_unused_binary(monkeypatch, demo_cfg, demo_cond):
+    def binary_without_rows(self, node):
+        self.disjunction_binary(node)
+        return True
+
+    monkeypatch.setattr(stl._Emitter, "hull_rows", binary_without_rows)
+    with pytest.raises(ValueError, match=r"binary 'stl1\.t0\.d0' appears in no row"):
+        build_step_problem(replace(demo_cfg), demo_cond, np.full(6, 15.0), 0, [15.0], [])
 
 
 def test_plan_step_initial_heating(demo_cfg, demo_cond):
@@ -288,3 +342,5 @@ def test_controller_config_validation():
         ControllerConfig(q_weight=0.0)
     with pytest.raises(ValueError, match="multiple"):
         ControllerConfig(end_time=1000.0)
+    with pytest.raises(ValueError, match="finite box"):
+        ControllerConfig(u_min=5.0, u_max=1.0)
