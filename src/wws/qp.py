@@ -10,18 +10,25 @@ literals and relaxed binaries with zero quadratic cost need no extra
 regularization) and one Cholesky factorization serves both Newton solves of
 an iteration.
 
-One Mehrotra predictor-corrector solve decides every problem.  Each
-iterate's multipliers on the rows give a weak-duality lower bound on the
-violation t* of the elastic LP (minimize the single violation variable t);
-a positive bound certifies infeasibility and ends the solve early.  The stop
-test includes the direct violation of the rows and bounds, so a converged
-point passes the direct feasibility check that accepts it as optimal.  A
-solve that neither converges to a checked point nor finds a certificate is
-a solver fault and raises ``QpSolverError``; it never becomes a verdict.
+Infeasibility is certified by multipliers on the rows, each turned into a
+weak-duality lower bound on the violation t* of the elastic LP (minimize
+the single violation variable t) by ``_elastic_dual_bound``; a positive
+bound is the certificate.  The multipliers come from one of two places.
+First, one pass of bound propagation, which reads fixed columns as
+constants and rows with one other nonzero as bounds, proposes multipliers
+when it finds an empty interval or a row that cannot be met; a positive
+bound ends the solve before the interior point.  Otherwise one Mehrotra
+predictor-corrector solve decides the unmodified problem, and the
+multipliers of each of its iterates are tested the same way.  The stop test
+includes the direct violation of the rows and bounds, so a converged point
+passes the direct feasibility check that accepts it as optimal.  A solve
+that neither converges to a checked point nor finds a certificate is a
+solver fault and raises ``QpSolverError``; it never becomes a verdict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,15 +88,71 @@ def _elastic_dual_bound(A, b, lb, ub):
     return bound
 
 
+def _propagation_certificate(A, b, lb, ub, bound) -> float:
+    """Infeasibility bound from one pass of bound propagation, or -inf.
+
+    Fixed columns (lb == ub) count as constants, so a row with one other
+    nonzero a_pj is a bound on column j.  The tightest such bounds give a
+    box [lo, hi].  If some column's interval is empty, the rows that bound
+    it, each with weight 1/|a_pj|, are the multipliers; otherwise, if some
+    row i cannot be met over the box (its minimum exceeds b_i), that row
+    with weight 1 and each singleton row p that tightened a bound row i
+    reads, with weight |a_ij|/|a_pj|, are.  Either way the bound columns
+    cancel in A'lam and the bound is the gap that was found, divided by the
+    sum of the weights.  The value is ``bound`` (``_elastic_dual_bound``) at
+    these multipliers, so its soundness does not rest on this pass.
+    """
+    if not A.size:
+        return -np.inf
+    fixed = lb == ub
+    live = (A != 0.0) & ~fixed
+    single = (live.sum(axis=1) == 1).nonzero()[0]
+    col = live[single].argmax(axis=1)
+    a = A[single, col]
+    value = (b - A @ (lb * fixed))[single] / a
+    lo, hi = lb.tolist(), ub.tolist()
+    lo_row, hi_row = {}, {}     # column -> the singleton row that set its bound
+    for p, j, a_pj, v in zip(single.tolist(), col.tolist(), a.tolist(), value.tolist()):
+        if a_pj > 0.0:
+            if v < hi[j]:
+                hi[j], hi_row[j] = v, p
+        elif v > lo[j]:
+            lo[j], lo_row[j] = v, p
+    lo, hi = np.array(lo), np.array(hi)
+
+    lam = np.zeros(len(b))
+    gap = lo - hi
+    j = int(gap.argmax())
+    if gap[j] > 0.0:
+        for rows in (lo_row, hi_row):
+            if j in rows:
+                lam[rows[j]] = 1.0 / abs(A[rows[j], j])
+    else:
+        # minimum of each row over the box, as hi - lo >= 0
+        short = A @ lo + np.minimum(A, 0.0) @ (hi - lo) - b
+        i = int(short.argmax())
+        if not short[i] > 0.0:
+            return -np.inf
+        lam[i] = 1.0
+        for rows, reads in ((lo_row, 1.0), (hi_row, -1.0)):
+            for j, p in rows.items():
+                if reads * A[i, j] > 0.0:
+                    lam[p] += abs(A[i, j] / A[p, j])
+    return bound(lam, A.T @ lam)
+
+
 def _step_to_boundary(v, dv) -> float:
-    """Largest step in (0, 1] that keeps v + alpha dv nonnegative (v > 0)."""
-    with np.errstate(over="ignore"):
-        lo = float((dv / v).min())
+    """Largest step in (0, 1] that keeps v + alpha dv nonnegative (v > 0).
+
+    The caller runs it with overflow ignored: an overflowing ratio is
+    infinite, and a negative one gives alpha 0.
+    """
+    lo = float((dv / v).min())
     return 1.0 if lo >= -1.0 else -1.0 / lo
 
 
 def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-         lb: np.ndarray, ub: np.ndarray, x0: np.ndarray, reg: float
+         lb: np.ndarray, ub: np.ndarray, x0: np.ndarray, reg: float, bound
          ) -> tuple[np.ndarray, int, float]:
     """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x  s.t.  Ax <= b,
     lb <= x <= ub.
@@ -108,8 +171,8 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     ``TOL`` violates no row or bound by more than ``TOL``.  Returns
     (x, iterations, kkt).  Every iterate that has not converged is tested
     for a certificate of infeasibility of the rows within the bounds
-    (``_elastic_dual_bound``), and ``_Infeasible`` is raised as soon as one
-    proves a positive violation.
+    (``bound``, from ``_elastic_dual_bound``), and ``_Infeasible`` is
+    raised as soon as one proves a positive violation.
     """
     n = len(f)
     m = len(b)
@@ -117,9 +180,13 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     upper = slice(m, m + n)
     lower = slice(m + n, M)
     b_full = np.concatenate([b, ub, -lb])
+    lifted = np.empty(M)
 
-    def lift(dx):  # [A; I; -I] dx
-        return np.concatenate([A @ dx, dx, -dx])
+    def lift(dx):  # [A; I; -I] dx, into the one buffer
+        np.matmul(A, dx, out=lifted[:m])
+        lifted[upper] = dx
+        np.negative(dx, out=lifted[lower])
+        return lifted
 
     x = x0.astype(float).copy()
     v = np.ones(2 * M)          # (s, lam)
@@ -128,74 +195,73 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     dv = np.empty(2 * M)        # (ds, dlam)
     ds, dlam = dv[:M], dv[M:]
     diag = np.diag_indices(n)
-    bound = _elastic_dual_bound(A, b, lb, ub)
 
     scale_b = 1.0 + float(np.max(np.abs(b_full)))
     scale_f = 1.0 + float(np.max(np.abs(f))) + (float(np.max(np.abs(H))) if H.size else 0.0)
 
     best_kkt = np.inf
-    for it in range(1, MAX_ITER + 1):
-        c = A.T @ lam[:m]
-        r_dual = H @ x + f + c + lam[upper] - lam[lower]
-        residual = lift(x) - b_full
-        r_pri = residual + s
-        mu = float(s @ lam / M)
+    with np.errstate(over="ignore"):
+        for it in range(1, MAX_ITER + 1):
+            c = A.T @ lam[:m]
+            r_dual = H @ x + f + c + lam[upper] - lam[lower]
+            residual = lift(x) - b_full
+            r_pri = residual + s
+            mu = float(s @ lam / M)
 
-        kkt = max(
-            float(np.abs(r_dual).max()) / scale_f,
-            float(np.abs(r_pri).max()) / scale_b,
-            mu / scale_f,
-            float(residual.max()),
-        )
-        if not np.isfinite(kkt):
-            raise QpSolverError("non-finite iterate")
-        best_kkt = min(best_kkt, kkt)
-        if kkt <= TOL:
-            return x, it, kkt
-        certified = bound(lam[:m], c)
-        if certified > 1e-9:
-            raise _Infeasible(certified, it)
+            kkt = max(
+                float(np.abs(r_dual).max()) / scale_f,
+                float(np.abs(r_pri).max()) / scale_b,
+                mu / scale_f,
+                float(residual.max()),
+            )
+            if not math.isfinite(kkt):
+                raise QpSolverError("non-finite iterate")
+            best_kkt = min(best_kkt, kkt)
+            if kkt <= TOL:
+                return x, it, kkt
+            certified = bound(lam[:m], c)
+            if certified > 1e-9:
+                raise _Infeasible(certified, it)
 
-        d = lam / s
-        # upper triangle of K by a rank-m update of H; the update and the
-        # factorization both run in scipy's BLAS, whose thread pool would
-        # otherwise alternate with numpy's on every iteration
-        K = np.array(H, order="F")
-        if m:
-            K = dsyrk(1.0, A.T * np.sqrt(d[:m]), beta=1.0, c=K, overwrite_c=1)
-        K[diag] += d[upper] + d[lower] + reg
-        factor, info = dpotrf(K, clean=0, overwrite_a=1)
-        if info != 0:
-            raise QpSolverError("singular KKT system")
+            d = lam / s
+            # upper triangle of K by a rank-m update of H; the update and the
+            # factorization both run in scipy's BLAS, whose thread pool would
+            # otherwise alternate with numpy's on every iteration
+            K = np.array(H, order="F")
+            if m:
+                K = dsyrk(1.0, A.T * np.sqrt(d[:m]), beta=1.0, c=K, overwrite_c=1)
+            K[diag] += d[upper] + d[lower] + reg
+            factor, info = dpotrf(K, clean=0, overwrite_a=1)
+            if info != 0:
+                raise QpSolverError("singular KKT system")
 
-        def newton(w):
-            """Step for the reduced system; w is the slack-scaled target."""
-            g = -(r_dual + A.T @ w[:m] + w[upper] - w[lower])
-            dx, _ = dpotrs(factor, g)
+            # affine predictor; each Newton step solves the reduced system
+            # for the slack-scaled target w
+            target = d * r_pri - lam
+            dx, _ = dpotrs(factor, -(r_dual + A.T @ target[:m] + target[upper]
+                                     - target[lower]))
+            np.subtract(-r_pri, lift(dx), out=ds)
+            np.subtract(-lam, d * ds, out=dlam)
+            alpha_aff = _step_to_boundary(v, dv)
+            trial = v + alpha_aff * dv
+            mu_aff = float(trial[:M] @ trial[M:] / M)
+            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+
+            # corrector with centering; a non-finite predictor step makes
+            # this one non-finite too, so one check covers both
+            comp = (ds * dlam - sigma * mu) / s
+            w = target - comp
+            dx, _ = dpotrs(factor, -(r_dual + A.T @ w[:m] + w[upper] - w[lower]))
             if not np.isfinite(dx).all():
                 raise QpSolverError("non-finite Newton step")
             np.subtract(-r_pri, lift(dx), out=ds)
-            return dx
+            np.subtract(-lam, d * ds + comp, out=dlam)
 
-        # affine predictor
-        target = d * r_pri - lam
-        newton(target)
-        np.subtract(-lam, d * ds, out=dlam)
-        alpha_aff = _step_to_boundary(v, dv)
-        trial = v + alpha_aff * dv
-        mu_aff = float(trial[:M] @ trial[M:] / M)
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-        # corrector with centering
-        comp = (ds * dlam - sigma * mu) / s
-        dx = newton(target - comp)
-        np.subtract(-lam, d * ds + comp, out=dlam)
-
-        frac = 0.995 if mu > 1e-8 * scale_f else 0.9999
-        alpha = frac * _step_to_boundary(v, dv)
-        x += alpha * dx
-        v += alpha * dv
-        np.maximum(v, 1e-300, out=v)
+            frac = 0.995 if mu > 1e-8 * scale_f else 0.9999
+            alpha = frac * _step_to_boundary(v, dv)
+            x += alpha * dx
+            v += alpha * dv
+            np.maximum(v, 1e-300, out=v)
 
     raise QpSolverError(f"no convergence in {MAX_ITER} iterations (kkt {best_kkt:.3g})")
 
@@ -223,7 +289,9 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     certified positive lower bound on the row violation when no point
     satisfies the constraints.
 
-    One interior-point solve decides the problem: it either converges to a
+    A propagation certificate (``_propagation_certificate``) on the
+    equilibrated rows ends the solve with zero iterations.  Otherwise one
+    interior-point solve decides the problem: it either converges to a
     point that passes ``check_feasible_point`` on the equilibrated rows (its
     stop test includes that check), or its multipliers certify infeasibility
     on the way.  A solve that fails, or whose point fails the check, is
@@ -242,12 +310,16 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
         raise ValueError("all variables must carry finite boxes")
     A, b = _equilibrate_rows(A, b)
+    bound = _elastic_dual_bound(A, b, lb, ub)
+    certified = _propagation_certificate(A, b, lb, ub, bound)
+    if certified > 1e-9:
+        return QpResult("infeasible", None, None, 0, np.inf, certified)
 
     x0 = 0.5 * (lb + ub)
     failure = ""
     for reg in (1e-12, 1e-9, 1e-6):
         try:
-            x, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, reg)
+            x, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, reg, bound)
         except _Infeasible as proof:
             return QpResult("infeasible", None, None, proof.iterations, np.inf,
                             proof.bound)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from wws import mpc, stl
+from wws import mpc, qp, stl
 from wws.mpc import (
     ClosedLoopTrace,
     ControllerConfig,
@@ -76,6 +76,24 @@ def test_cached_layouts_build_the_fresh_problems(monkeypatch, demo_model, demo_c
                 == (p.names, p.obj_const, p.infeasible_reason)
         assert warm.warm_sources == fresh.warm_sources
         assert warm.u0_bounds == fresh.u0_bounds
+
+
+def test_propagation_only_removes_interior_point_work(monkeypatch, demo_model, demo_cfg,
+                                                     demo_predictor):
+    # with the propagation pass finding nothing, the interior point decides
+    # every node; the seven demo loops must come out bit-identical
+    def loops():
+        return [run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, temp))
+                for temp in mpc.DEFAULT_INITIAL_TEMPS]
+
+    with_pass = loops()
+    monkeypatch.setattr(qp, "_propagation_certificate", lambda *args: -np.inf)
+    for a, b in zip(with_pass, loops()):
+        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.outputs, b.outputs)
+        assert np.array_equal(a.objectives, b.objectives, equal_nan=True)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert a.statuses == b.statuses
 
 
 def test_step_layout_rejects_an_unused_binary(monkeypatch, demo_cfg, demo_cond):

@@ -1,11 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import elastic_violation_highs, kkt_residual, random_miqp
-from wws import miqp, qp
-from wws.mpc import plan_step
+from wws import miqp, mpc, qp
+from wws.mpc import DEFAULT_INITIAL_TEMPS, DEFAULT_POWER_SPEC, plan_step, supply_spec
 from wws.qp import QpSolverError, solve_qp
 
 
@@ -24,6 +25,39 @@ def test_infeasible_box_pair():
                    lb=np.array([-5.0]), ub=np.array([5.0]))
     assert res.status == "infeasible"
     assert res.certified_violation > 1e-3  # certified separation
+
+
+def _propagation_verdict(A, b, lb, ub):
+    res = solve_qp(np.zeros((len(lb), len(lb))), np.zeros(len(lb)),
+                   np.array(A, dtype=float), np.array(b, dtype=float),
+                   np.array(lb, dtype=float), np.array(ub, dtype=float))
+    assert res.status == "infeasible" and res.iterations == 0
+    assert 1e-9 < res.certified_violation <= elastic_violation_highs(A, b, lb, ub) + 1e-9
+    return res.certified_violation
+
+
+def test_conflicting_singleton_rows_certified_before_the_interior_point():
+    # x <= 0.3 and x >= 0.6 on [0, 1]: t* = 0.15 at x = 0.45
+    bound = _propagation_verdict([[1.0], [-1.0]], [0.3, -0.6], [0.0], [1.0])
+    assert bound == pytest.approx(0.15, abs=1e-12)
+
+
+def test_row_unmet_through_a_fixed_column_certified_before_the_interior_point():
+    # x0 + x1 <= 0.2 with x1 fixed at 1: t* = 0.8 at x0 = 0
+    bound = _propagation_verdict([[1.0, 1.0]], [0.2], [0.0, 1.0], [1.0, 1.0])
+    assert bound == pytest.approx(0.8, abs=1e-12)
+
+
+def test_conflict_of_three_rows_is_certified_by_the_interior_point():
+    # x0 + x1 >= 1.2, x1 + x2 >= 1.2, x0 + x2 <= 0.2 on the unit box: any two
+    # rows can be met, all three force x1 >= 1.1; t* = 0.2 / 3.  No row is a
+    # singleton and none is unmeetable alone, so propagation finds nothing.
+    A = np.array([[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [1.0, 0.0, 1.0]])
+    b = np.array([-1.2, -1.2, 0.2])
+    lb, ub = np.zeros(3), np.ones(3)
+    res = solve_qp(np.zeros((3, 3)), np.zeros(3), A, b, lb, ub)
+    assert res.status == "infeasible" and res.iterations > 0
+    assert 1e-9 < res.certified_violation <= elastic_violation_highs(A, b, lb, ub) + 1e-9
 
 
 def test_random_inequality_qps_satisfy_kkt():
@@ -90,15 +124,18 @@ def test_failed_feasibility_check_raises(monkeypatch):
 def _agrees_with_highs(qps, stationarity_tol=None):
     """Status matches HiGHS feasibility; infeasible bounds are valid.
 
-    With ``stationarity_tol``, every optimal point must also pass the
-    active-set KKT check, relative to the size of H and f.
+    Returns the number of infeasible verdicts and how many of them the
+    propagation pass gave (zero iterations).  With ``stationarity_tol``,
+    every optimal point must also pass the active-set KKT check, relative
+    to the size of H and f.
     """
-    infeasible = 0
+    infeasible = propagated = 0
     for H, f, A, b, lb, ub in qps:
         res = solve_qp(H, f, A, b, lb, ub)
         t_star = elastic_violation_highs(A, b, lb, ub)
         if res.status == "infeasible":
             infeasible += 1
+            propagated += res.iterations == 0
             assert 1e-9 < res.certified_violation <= t_star + 1e-9
         else:
             assert res.status == "optimal"
@@ -108,7 +145,7 @@ def _agrees_with_highs(qps, stationarity_tol=None):
                 scale = 1.0 + float(np.max(np.abs(f)) + np.max(np.abs(H)))
                 assert violation <= 1e-9
                 assert stationarity <= stationarity_tol * scale
-    return infeasible
+    return infeasible, propagated
 
 
 def test_random_leaves_agree_with_highs():
@@ -125,7 +162,7 @@ def test_random_leaves_agree_with_highs():
     # x1 + x2 <= -0.5 on the unit box: t* = 0.5
     qps.append((np.zeros((2, 2)), np.zeros(2), np.array([[1.0, 1.0]]),
                 np.array([-0.5]), np.zeros(2), np.ones(2)))
-    infeasible = _agrees_with_highs(qps)
+    infeasible, _ = _agrees_with_highs(qps)
     assert 0 < infeasible < len(qps)
 
 
@@ -140,5 +177,50 @@ def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_cond):
     monkeypatch.setattr(miqp, "solve_qp", capture)
     res = plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [])
     assert res.status == "optimal" and res.nodes > 1
-    infeasible = _agrees_with_highs(qps, stationarity_tol=1e-6)
-    assert 0 < infeasible < len(qps)
+    infeasible, propagated = _agrees_with_highs(qps, stationarity_tol=1e-6)
+    assert 0 < infeasible < len(qps) and propagated > 0
+
+
+def _capture_node_qps(monkeypatch):
+    """Record the node QPs of every plan, one list per ``plan_step`` call."""
+    steps = []
+    solve, plan = miqp.solve_qp, mpc.plan_step
+
+    def capture(H, f, A, b, lb, ub, **kwargs):
+        steps[-1].append((H, f, A, b, lb.copy(), ub.copy()))
+        return solve(H, f, A, b, lb, ub, **kwargs)
+
+    def each_plan(*args, **kwargs):
+        steps.append([])
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(miqp, "solve_qp", capture)
+    monkeypatch.setattr(mpc, "plan_step", each_plan)
+    return steps
+
+
+def test_warm_step_node_qps_agree_with_highs(monkeypatch, demo_model, demo_cfg,
+                                             demo_predictor):
+    # the first warm step (k >= 1) of the 15 degC loop with an infeasible child
+    steps = _capture_node_qps(monkeypatch)
+    trace = mpc.run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, 15.0))
+    assert trace.n_infeasible == 0
+    for qps in steps[1:]:
+        if any(solve_qp(*node).status == "infeasible" for node in qps):
+            break
+    else:
+        pytest.fail("no warm step with an infeasible child")
+    infeasible, propagated = _agrees_with_highs(qps, stationarity_tol=1e-6)
+    assert 0 < infeasible < len(qps) and propagated > 0
+
+
+def test_sweep_certify_step0_qps_agree_with_highs(monkeypatch, demo_cfg, demo_cond):
+    # a 60 s deadline is out of reach from every default start temperature
+    cfg = replace(demo_cfg, stl_specs=(supply_spec(60.0), DEFAULT_POWER_SPEC))
+    steps = _capture_node_qps(monkeypatch)
+    for temp in DEFAULT_INITIAL_TEMPS:
+        assert mpc.plan_step(cfg, demo_cond, np.full(6, temp), 0, [temp], []).status \
+            == "infeasible"
+    qps = [node for step in steps for node in step]
+    infeasible, propagated = _agrees_with_highs(qps)
+    assert infeasible == len(qps) > 0 and propagated > 0
