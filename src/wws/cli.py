@@ -7,11 +7,12 @@ setting's default type, whatever the source: numbers must be finite (and
 integral for integer settings), config files take strict JSON types
 (``true``, not ``"yes"``; ``100``, not ``"100"``) and optional paths may be
 ``null``.  An unknown config key or ``WWS_*`` variable is an error, so a
-typo cannot silently leave a default in place.  Each subcommand declares
-its flags by setting name in :data:`COMMANDS`; ``--jobs`` is a ``sweep``
-flag.  All outputs (predictor files, trace CSVs, summaries, sweep tables,
-reports) land in ``--out`` and every subcommand is deterministic under a
-fixed seed.
+typo cannot silently leave a default in place.  Each subcommand lists the
+settings it reads in :data:`COMMANDS` and takes exactly those, as flags,
+config keys and ``WWS_*`` variables; any other is an error (``jobs``, for
+one, is read by ``sweep`` only).  All outputs (predictor files, trace
+CSVs, summaries, sweep tables, reports) land in ``--out`` and every
+subcommand is deterministic under a fixed seed.
 
 Exit codes: 0 success, 2 a closed-loop run recorded an infeasible step,
 1 any other failure.
@@ -68,7 +69,6 @@ class ExperimentConfig:
     u_max: float = ControllerConfig.u_max
     end_time: float = ControllerConfig.end_time
     start_time: float = mpc.DEFAULT_START_TIME
-    w_forecast: float = ControllerConfig.w_forecast
     eps: float = ControllerConfig.eps
     stl_file: str | None = None
     no_stl: bool = False
@@ -108,8 +108,8 @@ class ExperimentConfig:
             horizon=self.horizon, h=self.h, q_weight=self.q_weight,
             r_weight=self.r_weight, reference=self.reference,
             u_min=self.u_min, u_max=self.u_max, end_time=self.end_time,
-            stl_specs=self.spec_texts(), w_forecast=self.w_forecast,
-            eps=self.eps, output_index=model.output_index)
+            stl_specs=self.spec_texts(), eps=self.eps,
+            output_index=model.output_index)
 
     def dataset_config(self) -> DatasetConfig:
         return DatasetConfig(K=self.K, state_range=self.state_range,
@@ -180,7 +180,8 @@ def _setting(name: str, value, where: str):
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then the ``--config`` file, then ``WWS_*`` variables, then
-    flags; every value is converted and checked by :func:`_setting`."""
+    flags; a setting the subcommand does not read is refused, and every
+    value is converted and checked by :func:`_setting`."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(doc, dict):
         raise ValueError(f"config file {args.config} does not hold a JSON object")
@@ -196,8 +197,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         sources.append((env_names[var], os.environ[var], var))
     sources += [(name, getattr(args, name), _flag(name)) for name in SETTINGS
                 if getattr(args, name, None) is not None]
+    reads = set(COMMANDS[args.command][2])
     cfg = ExperimentConfig()
     for name, val, where in sources:
+        if name not in reads:
+            raise ValueError(f"{where}: wws {args.command} does not read this setting")
         setattr(cfg, name, _setting(name, val, where))
     return cfg
 
@@ -290,10 +294,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    for name in ("stl_file", "no_stl"):
-        if getattr(cfg, name):
-            raise ValueError(f"wws sweep sets the specifications of each cell; "
-                             f"{name} is not supported here")
     model = cfg.load_plant()
     controller = cfg.controller(model)
     predictor = _load_or_fit_predictor(cfg, model)
@@ -336,7 +336,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         off = rng.uniform(size=steps) < draw.p_off
         u[:, i] = np.where(off, 0.0,
                            rng.uniform(draw.u_band[0], draw.u_band[1], size=steps))
-    w = np.full(steps, draw.w0)
+    w = np.full(steps, predictor.w)
     # all rollouts advance together: one block plant step per time step
     truth = plant_mod.simulate(model, x0, u, w, cfg.h)
     sq_err = np.zeros((steps + 1, plant_mod.N_STATES))
@@ -414,26 +414,28 @@ _HELP = {
     "config": "JSON config file",
     "out": "output directory (fit: file or dir)",
     "plant": "'nominal', 'demo' or a JSON path",
+    "w0": "constant ambient of a fit [degC]",
     "predictor": "predictor JSON to reuse",
     "local": "local-linearization baseline instead of regression",
     "x0": "uniform initial state",
     "dump_lp": "write the step-0 problem in LP-style text",
 }
-_COMMON = ("config", "seed", "out", "plant", "predictor",
-           "K", "h", "state_range", "u_band", "p_off", "w0")
-#: Each subcommand's function, help and the settings it takes as flags
-#: ("config" names the config file itself).
+_FIT = ("config", "seed", "out", "plant", "K", "h", "state_range", "u_band", "p_off", "w0")
+#: Each subcommand's function, help and the settings it reads, the only ones
+#: it takes from any source ("config" names the config file itself); run,
+#: sweep and bench fit a predictor when none is given.
 COMMANDS = {
     "fit": (cmd_fit, "estimate a predictor and write it to disk",
-            (*_COMMON, "local", "target_y")),
+            (*_FIT, "local", "target_y", "u_min", "u_max")),
     "run": (cmd_run, "closed-loop simulation",
-            (*_COMMON, "x0", "no_stl", "stl_file", "start_time", "end_time",
-             "horizon", "q_weight", "r_weight", "reference", "svg", "dump_lp")),
+            (*_FIT, "predictor", "x0", "no_stl", "stl_file", "start_time", "end_time",
+             "horizon", "q_weight", "r_weight", "reference", "u_min", "u_max", "eps",
+             "svg", "dump_lp")),
     "sweep": (cmd_sweep, "feasibility table over initial temperatures and deadlines",
-              (*_COMMON, "jobs", "initial_temps", "start_times", "end_time",
-               "q_weight", "r_weight", "reference")),
+              (*_FIT, "predictor", "jobs", "initial_temps", "start_times", "end_time",
+               "horizon", "q_weight", "r_weight", "reference", "u_min", "u_max", "eps")),
     "bench": (cmd_bench, "predictor-vs-plant rollout accuracy",
-              (*_COMMON, "bench_rollouts", "bench_steps")),
+              (*_FIT, "predictor", "bench_rollouts", "bench_steps")),
 }
 
 

@@ -42,7 +42,7 @@ class CondensedHorizon:
     q_weight: float
     reference: float
     out_row: np.ndarray    # (N,)       row of C that reads the output
-    drive: np.ndarray      # (N,)       b_d w of the disturbance forecast
+    drive: np.ndarray      # (N,)       b_d w at the predictor's ambient
 
     @property
     def horizon(self) -> int:
@@ -87,4 +87,4 @@ def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon
         raise ValueError(f"objective quadratic term not PSD (min eig {w.min():.3g})")
     return CondensedHorizon(pred=pred, Y=Y, H=H, q_weight=cfg.q_weight,
                             reference=cfg.reference, out_row=out_row,
-                            drive=pred.b_d * cfg.w_forecast)
+                            drive=pred.b_d * pred.w)

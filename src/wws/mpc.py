@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -91,7 +90,6 @@ class ControllerConfig:
     u_max: float = 26.5
     end_time: float = 1200.0
     stl_specs: tuple[str, ...] = (DEFAULT_SUPPLY_SPEC, DEFAULT_POWER_SPEC)
-    w_forecast: float = 10.0
     eps: float = 1e-6
     output_index: int = 5
     formulas: tuple[Formula, ...] = field(init=False, repr=False, compare=False)
@@ -362,8 +360,9 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
     The plan at the final sample is solved (so the input channel covers the
     whole window of the power specification) but not applied.  On an
     infeasible step the best-effort incumbent is applied if the solver
-    produced one, otherwise the previous input is held.  The controller
-    must read the plant's output state.
+    produced one, otherwise the previous input is held.  The plant runs at
+    the predictor's ambient ``pred.w``.  The controller must read the
+    plant's output state.
     """
     if cfg.output_index != model.output_index:
         raise ValueError(f"controller reads x{cfg.output_index}, "
@@ -419,7 +418,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
         if k == n:
             break
         try:
-            x = plant_mod.step(model, x, u_k, cfg.w_forecast, cfg.h)
+            x = plant_mod.step(model, x, u_k, pred.w, cfg.h)
         except DivergenceError as exc:
             aborted = True
             abort_reason = str(exc)
@@ -430,7 +429,7 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
     end = last_k + 1
     return ClosedLoopTrace(
         h=cfg.h, times=times[:end], states=states[:end], inputs=inputs[:end],
-        disturbances=np.full(end, cfg.w_forecast), outputs=outputs[:end],
+        disturbances=np.full(end, pred.w), outputs=outputs[:end],
         statuses=statuses[:end], objectives=objectives[:end],
         binaries=binaries[:end], nodes=nodes[:end], robustness_so_far=rob[:end],
         spec_texts=cfg.stl_specs, plan_seconds=plan_seconds[:end],
@@ -486,12 +485,6 @@ def evaluate_cell(model: PlantModel, cell_cfg: ControllerConfig, pred: LinearPre
     return 1, "feasible"
 
 
-def _cell_worker(args) -> tuple[int, int, int, str]:
-    model, cell_cfg, pred, i, j, temp = args
-    val, note = evaluate_cell(model, cell_cfg, pred, temp)
-    return i, j, val, note
-
-
 def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
                       pred: LinearPredictor,
                       initial_temps: Sequence[float] = DEFAULT_INITIAL_TEMPS,
@@ -503,8 +496,9 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
     ``cfg.stl_specs`` with the supply guarantee at its deadline and the
     power specification, and the cells of a column share that one
     configuration, so in one process its specs are parsed and compiled
-    once.  Cells are independent closed loops; ``jobs > 1`` runs them in
-    separate processes with identical per-cell results.
+    once.  Cells are independent closed loops; ``jobs > 1`` spreads them
+    over that many processes with identical per-cell results, and
+    ``jobs == 1`` runs them here in order.
     """
     initial_temps = tuple(float(v) for v in initial_temps)
     start_times = tuple(float(v) for v in start_times)
@@ -512,15 +506,10 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
     notes: dict[tuple[float, float], str] = {}
     columns = [replace(cfg, stl_specs=(supply_spec(start), DEFAULT_POWER_SPEC))
                for start in start_times]
-    tasks = [(model, columns[j], pred, i, j, temp)
-             for i, temp in enumerate(initial_temps)
-             for j in range(len(start_times))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, tasks))
-    else:
-        results = [_cell_worker(t) for t in tasks]
-    for i, j, val, note in results:
+    cells = [(i, j) for i in range(len(initial_temps)) for j in range(len(start_times))]
+    calls = [(model, columns[j], pred, initial_temps[i]) for i, j in cells]
+    results = plant_mod._map_blocks(evaluate_cell, calls, jobs)
+    for (i, j), (val, note) in zip(cells, results):
         table[i, j] = val
         notes[(initial_temps[i], start_times[j])] = note
     return SweepResult(initial_temps=initial_temps, start_times=start_times,

@@ -143,11 +143,6 @@ class PlantModel:
         """Re-rated controllable set with the same polynomial structure."""
         return cls._from_resource("demo_plant.json")
 
-    def to_json(self, path: str | Path) -> None:
-        doc = {"name": self.name, "a": list(self.a), "output_index": self.output_index}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-
     # -- evaluation closures ----------------------------------------------
 
     @cached_property
@@ -275,9 +270,10 @@ def step(
     edges = [k * i // n_blocks for i in range(n_blocks + 1)]
     # results are gathered in block order, so the lowest failing block
     # raises first whatever the schedule
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return np.concatenate(_map_blocks(_step_block, [
         (model, x[:, a:b], u[a:b], w[a:b], h, config, a)
-        for a, b in zip(edges, edges[1:])]), axis=1)
+        for a, b in zip(edges, edges[1:])], cores), axis=1)
 
 
 def _step_block(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray,
@@ -339,18 +335,16 @@ def _step_block(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray,
     return out.reshape(k, n).T.reshape(x.shape).copy()
 
 
-def _map_blocks(fn: Callable, calls: list[tuple]) -> list:
-    """``[fn(*args) for args in calls]``, spread over the available cores.
+def _map_blocks(fn: Callable, calls: list[tuple], procs: int) -> list:
+    """``[fn(*args) for args in calls]``, spread over ``procs`` processes.
 
-    With c cores (the ones this process may run on), c - 1 forked worker
-    processes take the calls whose index is not a multiple of c while this
-    process makes the others; with one core, or where ``fork`` or the core
-    count does not exist, all calls run here in order.
-    The workers are gone when this returns; a worker that dies raises
-    ``BrokenProcessPool``.
+    With p = min(procs, len(calls)), p - 1 forked worker processes take the
+    calls whose index is not a multiple of p while this process makes the
+    others; with p < 2, or where ``fork`` does not exist, all calls run
+    here in order.  The workers are gone when this returns; a worker that
+    dies raises ``BrokenProcessPool``.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    procs = min(len(calls), cores)
+    procs = min(len(calls), procs)
     if procs < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(*args) for args in calls]
     with ProcessPoolExecutor(procs - 1, mp_context=multiprocessing.get_context("fork")) as pool:

@@ -9,7 +9,9 @@ Two routes produce the same predictor interface:
   affine constant.
 
 Both yield a discrete-time map  z+ = A z + b_u u + b_d w + c,  x_hat = C z
-with z the lifted state and c zero for the regression route.
+with z the lifted state and c zero for the regression route.  Each predictor
+records the constant ambient w it was built for: the one its data held, or
+the one it was linearized at.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ class LinearPredictor:
 
     z holds the first n = len(b_u) of the plant's monomials.  c is zero for
     a regression fit; a local linearization folds its operating point into
-    c, so both routes share one interface.
+    c, so both routes share one interface.  ``w`` is the constant ambient the
+    predictor was built for (a regression fit's data hold it, so there b_d
+    acts only as a constant term); the loop predicts and runs at it.
     """
 
     A: np.ndarray
@@ -59,6 +63,7 @@ class LinearPredictor:
     c: np.ndarray
     C: np.ndarray
     h: float
+    w: float
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -71,6 +76,8 @@ class LinearPredictor:
             raise ValueError("inconsistent predictor dimensions")
         if self.h <= 0:
             raise ValueError("sampling period must be positive")
+        if not np.isfinite(self.w):
+            raise ValueError(f"ambient w must be finite, got {self.w}")
         for arr in (self.A, self.b_u, self.b_d, self.c, self.C):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite predictor entry")
@@ -100,6 +107,7 @@ class LinearPredictor:
         return {
             "N": self.n,
             "h": self.h,
+            "w": self.w,
             "A": self.A.tolist(),
             "bu": self.b_u.tolist(),
             "bd": self.b_d.tolist(),
@@ -118,6 +126,9 @@ class LinearPredictor:
         if "c" not in doc:
             raise ValueError("predictor file has no affine constant 'c' (it predates "
                              "the stored constant); refit it with 'wws fit'")
+        if "w" not in doc:
+            raise ValueError("predictor file has no ambient 'w' (it predates the "
+                             "stored ambient); refit it with 'wws fit'")
         pred = cls(
             A=np.array(doc["A"], dtype=float),
             b_u=np.array(doc["bu"], dtype=float),
@@ -125,6 +136,7 @@ class LinearPredictor:
             c=np.array(doc["c"], dtype=float),
             C=np.array(doc["C"], dtype=float),
             h=float(doc["h"]),
+            w=float(doc["w"]),
             meta=dict(doc.get("meta", {})),
         )
         obs = tuple(tuple(int(v) for v in e) for e in doc["observables"])
@@ -268,11 +280,10 @@ def fit_edmd_from_dataset(n: int, data: Dataset) -> LinearPredictor:
     meta = {"seed": data.config.seed, "K": data.config.K,
             "state_range": list(data.config.state_range),
             "u_band": list(data.config.u_band), "p_off": data.config.p_off,
-            "w0": data.config.w0,
             "fit": {"dynamics": dyn_diag, "readout": out_diag,
                     "K": int(data.X.shape[1]), "rcond": RCOND}}
     return LinearPredictor(A=A, b_u=b_u, b_d=b_d, c=np.zeros(n), C=C,
-                           h=float(data.config.h), meta=meta)
+                           h=float(data.config.h), w=float(data.config.w0), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +391,8 @@ def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
 
     The continuous-time Jacobians are evaluated analytically and discretized
     exactly under ZOH (n = 6, so z = x and C = I); the operating point folds
-    into  c = x* - A x* - b_u u* - b_d w*  and is recorded in ``meta``.
+    into  c = x* - A x* - b_u u* - b_d w*; x* and u* are recorded in
+    ``meta`` and w* is the predictor's ambient.
     """
     x_star = np.asarray(x_star, dtype=float)
     resid = float(np.max(np.abs(model.rhs(u_star, w_star)(x_star))))
@@ -393,7 +405,7 @@ def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
     u_star, w_star = float(u_star), float(w_star)
     return LinearPredictor(
         A=A_d, b_u=b_u, b_d=b_d, c=x_star - A_d @ x_star - b_u * u_star - b_d * w_star,
-        C=np.eye(plant_mod.N_STATES), h=float(h),
+        C=np.eye(plant_mod.N_STATES), h=float(h), w=w_star,
         meta={"kind": "local-linearization", "residual": resid,
-              "x_ref": x_star.tolist(), "u_ref": u_star, "w_ref": w_star},
+              "x_ref": x_star.tolist(), "u_ref": u_star},
     )

@@ -700,7 +700,7 @@ class FormulaTemplate:
             tree = self._fold(leaf_state, truth)
             em = _Emitter(self)
             if isinstance(tree, (_Node, int)):
-                em.require(tree, None)
+                em.require(tree, None, True)
             layout = self._layouts[key] = em.layout(tree)
         return layout.at(val)
 
@@ -788,13 +788,13 @@ class _Emitter:
     """Emits ``truth(node) >= lower`` for a folded tree, as slot-space rows.
 
     A required truth ``lower`` is None (the constant 1) or ``(const, coefs)``
-    over auxiliary columns; it is integral when it is 1 or an integer
-    combination of disjunction binaries made here, and only then can a
-    branch point be decided by a binary.  A 2-way Or under an integral
-    ``lower`` gets one binary ``d`` (branch 0 must hold at least ``d``,
-    branch 1 at least ``lower - d``), or, under ``lower`` 1 when both
-    branches bound one decision sample to an interval, the two convex-hull
-    rows of that interval pair.  A predicate under an integral ``lower``
+    over auxiliary columns; it is integral (1 or an integer combination of
+    disjunction binaries) exactly when no n-ary Or lies above the node, and
+    only then can a branch point be decided by a binary.  A 2-way Or under
+    an integral ``lower`` gets one binary ``d`` (branch 0 must hold at
+    least ``d``, branch 1 at least ``lower - d``), or, under ``lower`` 1
+    when both branches bound one decision sample to an interval, the two
+    convex-hull rows of that interval pair.  A predicate under an integral ``lower``
     becomes one implied big-M row with no literal of its own.  Everything
     under a fractional ``lower`` (below an n-ary Or's continuous selectors)
     uses continuous selectors and two-sided predicate literals.
@@ -814,7 +814,6 @@ class _Emitter:
         self.aux_binary: list[bool] = []
         self.warm_sources: list[tuple[str, ...]] = []
         self.bounds: list[tuple[int, int, float, float, float, float]] = []
-        self.disjunctions: set[int] = set()
         self.per_sample: dict[int, int] = {}
         self.pred_ids: dict[int, int] = {}
         self.pred_literals: dict[tuple[int, int], int] = {}
@@ -845,13 +844,6 @@ class _Emitter:
         if isinstance(m, str):
             raise StlEncodingError(m)
         return m
-
-    def integral(self, lower) -> bool:
-        if lower is None:
-            return True
-        const, coefs = lower
-        return float(const).is_integer() and all(
-            a in self.disjunctions and float(c).is_integer() for a, c in coefs.items())
 
     def implied_row(self, leaf: int, lower) -> None:
         """margin >= eps - M (1 - lower) for an integral ``lower``."""
@@ -893,9 +885,7 @@ class _Emitter:
         """Binary named by the Or's first sample, stable across steps."""
         j = self.per_sample.get(node.first, 0)
         self.per_sample[node.first] = j + 1
-        d = self.binary("d", node.first, j)
-        self.disjunctions.add(d)
-        return d
+        return self.binary("d", node.first, j)
 
     def hull_rows(self, node: _Node) -> bool:
         """Convex hull of s in [lo0, hi0] (d = 0) or s in [lo1, hi1] (d = 1):
@@ -910,9 +900,9 @@ class _Emitter:
         self.bounds.append((slot, d, lo0, hi0, lo1, hi1))
         return True
 
-    def require(self, node, lower) -> None:
-        """Emit rows forcing truth(node) >= lower."""
-        integral = self.integral(lower)
+    def require(self, node, lower, integral: bool) -> None:
+        """Emit rows forcing truth(node) >= lower; ``integral`` is whether
+        ``lower`` is (no n-ary Or above ``node``)."""
         if isinstance(node, int):
             if integral:
                 self.implied_row(node, lower)
@@ -923,7 +913,7 @@ class _Emitter:
             return
         if node.conj:
             for kid in node.kids:
-                self.require(kid, lower)
+                self.require(kid, lower, integral)
             return
         kids = node.kids
         if len(kids) == 2:
@@ -931,16 +921,16 @@ class _Emitter:
                 return
             sel = self.disjunction_binary(node) if integral else self.selector()
             # selected share of `lower` goes to each branch
-            self.require(kids[0], (0.0, {sel: 1.0}))
+            self.require(kids[0], (0.0, {sel: 1.0}), integral)
             const, coefs = (1.0, {}) if lower is None else lower
-            self.require(kids[1], (const, {**coefs, sel: -1.0}))
+            self.require(kids[1], (const, {**coefs, sel: -1.0}), integral)
             return
         sels = [self.selector() for _ in kids]
         const, coefs = (1.0, {}) if lower is None else lower
         self.row(self.tmpl.pad, 1.0, 0.0, -const, 0.0,
                  [*((s, -1.0) for s in sels), *coefs.items()])
         for kid, sel in zip(kids, sels):
-            self.require(kid, (0.0, {sel: 1.0}))
+            self.require(kid, (0.0, {sel: 1.0}), False)
 
     def layout(self, tree) -> _Layout:
         """The rows emitted so far, checked once for every binding that

@@ -10,7 +10,8 @@ conditions of a returned QP point, and the plant polynomial written out
 term by term, integrated by Radau, instead of the coefficient matrix
 integrated by LSODA.  The readers of the CSV files that the
 program writes live here too, since only the tests read those files back,
-as does ``ProblemBuilder``, which states test problems by name: their
+and the writer of plant files, since only the tests write them, as does
+``ProblemBuilder``, which states test problems by name: their
 variables, rows and costs through ``add_variables``, ``add_rows`` and
 ``add_quadratic``.  Three adapters build on it: ``add_squared_cost`` (the
 squared cost of a linear form), ``add_step_rows`` (a template's rows
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -526,8 +528,14 @@ def format_formula(f: stl.Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Readers of the CSV files the program writes
+# Readers of the CSV files the program writes, and a writer of plant files
 # ---------------------------------------------------------------------------
+
+
+def write_plant_json(model, path: str | Path) -> None:
+    """``model`` as a plant file that ``PlantModel.from_json`` reads back."""
+    doc = {"name": model.name, "a": list(model.a), "output_index": model.output_index}
+    Path(path).write_text(json.dumps(doc, indent=1))
 
 
 def read_trace_csv(path: str | Path) -> dict[str, list]:

@@ -15,7 +15,7 @@ from wws.plant import PlantModel
 from wws.predictor import LinearPredictor
 from wws.stl import SampledSignal, parse, robustness
 
-from oracles import read_sweep_csv, read_trace_csv
+from oracles import read_sweep_csv, read_trace_csv, write_plant_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -57,7 +57,8 @@ def test_fit_local_baseline(tmp_path):
     pred = LinearPredictor.from_json(out)
     assert pred.n == 6 and np.any(pred.c != 0.0)
     doc = json.loads(out.read_text())
-    assert set(doc["meta"]) >= {"x_ref", "u_ref", "w_ref"} and "equilibrium_u" not in doc["meta"]
+    assert set(doc["meta"]) >= {"x_ref", "u_ref"} and doc["w"] == 10.0
+    assert "equilibrium_u" not in doc["meta"] and "w_ref" not in doc["meta"]
 
 
 def test_fit_local_fails_cleanly_on_nominal(tmp_path, capsys):
@@ -103,6 +104,28 @@ def test_run_without_stl(tmp_path, demo_pred_file):
     assert code == 0
     cols = read_trace_csv(out / "trace.csv")
     assert np.all(np.array(cols["binaries"]) == 0)
+
+
+def test_run_steps_the_plant_at_the_fit_ambient(tmp_path):
+    out = tmp_path / "run_w0"
+    code = main(["run", "--plant", "demo", "--K", "200", "--w0", "0", "--no-stl",
+                 "--end-time", "300", "--out", str(out)])
+    assert code == 0
+    assert read_trace_csv(out / "trace.csv")["w"] == [0.0] * 6
+
+
+def test_bench_rolls_out_at_the_predictor_ambient(tmp_path):
+    pred = tmp_path / "pred_w0.json"
+    assert main(["fit", "--plant", "demo", "--K", "200", "--w0", "0",
+                 "--state-range", "5", "60", "--out", str(pred)]) == 0
+    reports = []
+    for name, extra in (("plain", []), ("w0", ["--w0", "0"])):
+        out = tmp_path / name
+        assert main(["bench", "--plant", "demo", "--predictor", str(pred),
+                     "--state-range", "5", "60", "--bench-rollouts", "3",
+                     "--bench-steps", "4", "--out", str(out), *extra]) == 0
+        reports.append((out / "bench.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_sweep_csv(tmp_path, demo_pred_file):
@@ -225,48 +248,54 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc, reason", [
-    ({"state_range": 5}, "config key 'state_range': 5 is not a list"),
-    ({"initial_temps": ["a"]}, "config key 'initial_temps': ['a'] is not a list of numbers"),
-    ({"start_times": [60, None]},
+@pytest.mark.parametrize("command, doc, reason", [
+    ("fit", {"state_range": 5}, "config key 'state_range': 5 is not a list"),
+    ("sweep", {"initial_temps": ["a"]},
+     "config key 'initial_temps': ['a'] is not a list of numbers"),
+    ("sweep", {"start_times": [60, None]},
      "config key 'start_times': [60, None] is not a list of numbers"),
-    ({"start_times": [60, float("nan")]},
+    ("sweep", {"start_times": [60, float("nan")]},
      "config key 'start_times': [60, nan] is not a list of finite numbers"),
 ], ids=["state_range-scalar", "initial_temps-string", "start_times-null",
         "start_times-nan"])
-def test_config_tuple_setting_must_be_a_list(tmp_path, capsys, doc, reason):
+def test_config_tuple_setting_must_be_a_list(tmp_path, capsys, command, doc, reason):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
-    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "fit")]) == 1
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert reason in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("var, value, reason", [
-    ("WWS_ATOLL", "5", "unknown environment variable WWS_ATOLL"),
-    ("WWS_Z_BOUNDS", "1", "unknown environment variable WWS_Z_BOUNDS"),
-    ("WWS_SVG", "maybe", "WWS_SVG: 'maybe' is not one of"),
-    ("WWS_ATOL", "1e-8", "unknown environment variable WWS_ATOL"),
-    ("WWS_MIQP_GAP", "1e-3", "unknown environment variable WWS_MIQP_GAP"),
-    ("WWS_SHARED_STATE_DRAW", "1", "unknown environment variable WWS_SHARED_STATE_DRAW"),
-    ("WWS_H", "abc", "WWS_H: could not convert string to float: 'abc'"),
-    ("WWS_STATE_RANGE", "5", "WWS_STATE_RANGE: '5' is not a JSON list"),
-    ("WWS_STATE_RANGE", "[1, 2, 3]", "state_range must be two finite numbers lo <= hi"),
-    ("WWS_INITIAL_TEMPS", '["a"]', "WWS_INITIAL_TEMPS: ['a'] is not a list of numbers"),
-    ("WWS_INITIAL_TEMPS", "[1e999]",
+@pytest.mark.parametrize("command, var, value, reason", [
+    ("bench", "WWS_ATOLL", "5", "unknown environment variable WWS_ATOLL"),
+    ("bench", "WWS_Z_BOUNDS", "1", "unknown environment variable WWS_Z_BOUNDS"),
+    ("run", "WWS_SVG", "maybe", "WWS_SVG: 'maybe' is not one of"),
+    ("bench", "WWS_ATOL", "1e-8", "unknown environment variable WWS_ATOL"),
+    ("bench", "WWS_MIQP_GAP", "1e-3", "unknown environment variable WWS_MIQP_GAP"),
+    ("bench", "WWS_SHARED_STATE_DRAW", "1",
+     "unknown environment variable WWS_SHARED_STATE_DRAW"),
+    ("run", "WWS_W_FORECAST", "10", "unknown environment variable WWS_W_FORECAST"),
+    ("bench", "WWS_H", "abc", "WWS_H: could not convert string to float: 'abc'"),
+    ("bench", "WWS_STATE_RANGE", "5", "WWS_STATE_RANGE: '5' is not a JSON list"),
+    ("bench", "WWS_STATE_RANGE", "[1, 2, 3]",
+     "state_range must be two finite numbers lo <= hi"),
+    ("sweep", "WWS_INITIAL_TEMPS", '["a"]',
+     "WWS_INITIAL_TEMPS: ['a'] is not a list of numbers"),
+    ("sweep", "WWS_INITIAL_TEMPS", "[1e999]",
      "WWS_INITIAL_TEMPS: [inf] is not a list of finite numbers"),
-    ("WWS_START_TIMES", "[NaN]", "WWS_START_TIMES: [nan] is not a list of finite numbers"),
+    ("sweep", "WWS_START_TIMES", "[NaN]",
+     "WWS_START_TIMES: [nan] is not a list of finite numbers"),
+    ("bench", "WWS_JOBS", "2", "WWS_JOBS: wws bench does not read this setting"),
 ], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG", "WWS_ATOL", "WWS_MIQP_GAP",
-        "WWS_SHARED_STATE_DRAW", "WWS_H", "WWS_STATE_RANGE-scalar",
+        "WWS_SHARED_STATE_DRAW", "WWS_W_FORECAST", "WWS_H", "WWS_STATE_RANGE-scalar",
         "WWS_STATE_RANGE-triple", "WWS_INITIAL_TEMPS-string", "WWS_INITIAL_TEMPS-inf",
-        "WWS_START_TIMES-nan"])
+        "WWS_START_TIMES-nan", "WWS_JOBS"])
 def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch,
-                                           capsys, var, value, reason):
+                                           capsys, command, var, value, reason):
     monkeypatch.setenv(var, value)
-    assert main(["bench", "--plant", "demo", "--predictor", str(demo_pred_file),
-                 "--bench-rollouts", "1", "--bench-steps", "1",
-                 "--out", str(tmp_path / "bench")]) == 1
+    assert main([command, "--plant", "demo", "--predictor", str(demo_pred_file),
+                 "--out", str(tmp_path / "out")]) == 1
     assert reason in capsys.readouterr().err
-    assert not (tmp_path / "bench").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -317,40 +346,52 @@ def test_config_values_converted_to_their_setting_type(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"K": 400.0, "reference": 42, "predictor": None,
                                     "state_range": [5, 60]}))
-    cfg = resolve_config(make_parser().parse_args(["fit", "--config", str(cfg_path)]))
+    cfg = resolve_config(make_parser().parse_args(["run", "--config", str(cfg_path)]))
     assert type(cfg.K) is int and cfg.K == 400
     assert type(cfg.reference) is float and cfg.reference == 42.0
     assert cfg.predictor is None and cfg.state_range == (5.0, 60.0)
 
 
 @pytest.mark.parametrize("command", ["fit", "run", "bench"])
-def test_jobs_is_a_sweep_flag(command, capsys):
+def test_jobs_is_a_sweep_flag(command, tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--jobs", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
     assert make_parser().parse_args(["sweep", "--jobs", "1"]).jobs == 1
+    # nor does the command take it from the environment or a config file
+    out = tmp_path / "out"
+    monkeypatch.setenv("WWS_JOBS", "2")
+    assert main([command, "--plant", "demo", "--K", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: WWS_JOBS: wws {command} does not read this setting\n"
+    monkeypatch.delenv("WWS_JOBS")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"jobs": 2}))
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config key 'jobs': wws {command} does not read this setting\n"
+    assert not out.exists()
 
 
-COMMON_FLAGS = {"--config", "--seed", "--out", "--plant", "--predictor",
-                "--K", "--h", "--state-range", "--u-band", "--p-off", "--w0"}
+FIT_FLAGS = {"--config", "--seed", "--out", "--plant", "--K", "--h", "--state-range",
+             "--u-band", "--p-off", "--w0"}
+LOOP_FLAGS = {"--predictor", "--end-time", "--horizon", "--q-weight", "--r-weight",
+              "--reference", "--u-min", "--u-max", "--eps"}
 
 
 def test_flag_table():
-    # every subcommand keeps the flags and help texts it had before the
-    # flags were declared from the settings table
+    # each subcommand takes exactly the settings it reads as flags
     subparsers = next(a for a in make_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     flags = {command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
              for command, p in subparsers.choices.items()}
     assert flags == {
-        "fit": COMMON_FLAGS | {"--local", "--target-y"},
-        "run": COMMON_FLAGS | {"--x0", "--no-stl", "--stl-file", "--start-time",
-                               "--end-time", "--horizon", "--q-weight", "--r-weight",
-                               "--reference", "--svg", "--dump-lp"},
-        "sweep": COMMON_FLAGS | {"--jobs", "--initial-temps", "--start-times",
-                                 "--end-time", "--q-weight", "--r-weight", "--reference"},
-        "bench": COMMON_FLAGS | {"--bench-rollouts", "--bench-steps"},
+        "fit": FIT_FLAGS | {"--local", "--target-y", "--u-min", "--u-max"},
+        "run": FIT_FLAGS | LOOP_FLAGS | {"--x0", "--no-stl", "--stl-file", "--start-time",
+                                         "--svg", "--dump-lp"},
+        "sweep": FIT_FLAGS | LOOP_FLAGS | {"--jobs", "--initial-temps", "--start-times"},
+        "bench": FIT_FLAGS | {"--predictor", "--bench-rollouts", "--bench-steps"},
     }
     helps = {s: a.help for p in subparsers.choices.values() for a in p._actions
              for s in a.option_strings if a.help and s != "--help" and s != "-h"}
@@ -358,13 +399,14 @@ def test_flag_table():
         "--config": "JSON config file",
         "--out": "output directory (fit: file or dir)",
         "--plant": "'nominal', 'demo' or a JSON path",
+        "--w0": "constant ambient of a fit [degC]",
         "--predictor": "predictor JSON to reuse",
         "--local": "local-linearization baseline instead of regression",
         "--x0": "uniform initial state",
         "--dump-lp": "write the step-0 problem in LP-style text",
     }
-    for _, _, names in COMMANDS.values():
-        assert set(names) <= {*SETTINGS, "config"}
+    # every setting is read by some subcommand
+    assert set().union(*(names for *_, names in COMMANDS.values())) == {*SETTINGS, "config"}
 
 
 def _help(parser, argv, capsys) -> str:
@@ -447,7 +489,7 @@ def test_sampling_period_mismatch_rejected(tmp_path, demo_pred_file, capsys):
 
 def test_output_index_taken_from_plant(tmp_path, demo_pred_file):
     plant_file = tmp_path / "plant_x4.json"
-    replace(PlantModel.demo(), output_index=4).to_json(plant_file)
+    write_plant_json(replace(PlantModel.demo(), output_index=4), plant_file)
     out = tmp_path / "run_x4"
     code = main(["run", *RUN_FLAGS, "--plant", str(plant_file),
                  "--predictor", str(demo_pred_file), "--out", str(out)])
@@ -491,5 +533,5 @@ def test_sweep_refuses_configured_specs(tmp_path, demo_pred_file, monkeypatch,
     code = main(["sweep", "--plant", "demo", "--predictor", str(demo_pred_file),
                  "--initial-temps", "15", "--start-times", "420", "--out", str(out)])
     assert code == 1
-    assert name in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert f"{var}: wws sweep does not read this setting" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,7 +11,8 @@ from wws.qp import solve_qp
 
 def _identity_predictor(A, b_u, b_d, h=60.0):
     return LinearPredictor(A=np.asarray(A, float), b_u=np.asarray(b_u, float),
-                           b_d=np.asarray(b_d, float), c=np.zeros(6), C=np.eye(6), h=h)
+                           b_d=np.asarray(b_d, float), c=np.zeros(6), C=np.eye(6), h=h,
+                           w=10.0)
 
 
 def _tracking_cfg(**kwargs):
@@ -23,8 +24,8 @@ def test_single_step_unrolling():
     A = rng.normal(0, 0.3, size=(6, 6))
     bu = rng.normal(size=6)
     bd = rng.normal(size=6)
-    pred = _identity_predictor(A, bu, bd)
-    cond = condense(pred, _tracking_cfg(horizon=1, w_forecast=3.0))
+    pred = replace(_identity_predictor(A, bu, bd), w=3.0)
+    cond = condense(pred, _tracking_cfg(horizon=1))
     z0 = rng.normal(size=6)
     u0 = 1.7
     y1 = cond.Y[0, 0] * u0 + cond.free_response(z0)[0]
@@ -41,12 +42,13 @@ def test_scalar_toy_running_sum():
 
 def test_condensed_rollout_matches_iterated_predictor(demo_predictor):
     rng = np.random.default_rng(1)
-    cfg = _tracking_cfg(w_forecast=float(rng.uniform(5, 15)))
-    cond = condense(demo_predictor, cfg)
+    pred = replace(demo_predictor, w=float(rng.uniform(5, 15)))
+    cfg = _tracking_cfg()
+    cond = condense(pred, cfg)
     for _ in range(4):
         x0 = rng.uniform(10, 40, size=6)
         u = rng.uniform(0, 26.5, size=cfg.horizon)
-        y = demo_predictor.predict(x0, u, [cfg.w_forecast] * cfg.horizon)[1:, 4]
+        y = pred.predict(x0, u, [pred.w] * cfg.horizon)[1:, 4]
         got = cond.Y @ u + cond.free_response(x0)
         assert np.max(np.abs(got - y)) <= 1e-10 * np.max(np.abs(y))
 
@@ -56,7 +58,7 @@ def test_objective_matches_expanded_tracking_cost(demo_predictor):
     # predictor rollouts, independently of the condensed recursion
     cfg = _tracking_cfg(q_weight=1.5, r_weight=0.3, reference=42.0)
     x0 = np.full(6, 15.0)
-    n, w = cfg.horizon, [cfg.w_forecast] * cfg.horizon
+    n, w = cfg.horizon, [demo_predictor.w] * cfg.horizon
     y0 = demo_predictor.predict(x0, np.zeros(n), w)[1:, 4]
     M = np.column_stack([demo_predictor.predict(x0, np.eye(n)[j], w)[1:, 4] - y0
                          for j in range(n)])
@@ -90,7 +92,7 @@ def test_default_weights():
     assert cfg.q_weight == 1.0 and cfg.r_weight == 10.0
     assert cfg.horizon == 10 and cfg.h == 60.0 and cfg.reference == 40.0
     assert (cfg.u_min, cfg.u_max) == (0.0, 26.5)
-    assert cfg.end_time == 1200.0 and cfg.w_forecast == 10.0
+    assert cfg.end_time == 1200.0
 
 
 def test_full_horizon_hessian_is_psd(demo_predictor):

@@ -337,6 +337,7 @@ def test_sweep_cell_parallel_equals_serial(demo_model, demo_cfg, demo_predictor)
                                  initial_temps=(15.0, 30.0),
                                  start_times=(120.0, 360.0), jobs=2)
     assert np.array_equal(serial.table, parallel.table)
+    assert list(serial.notes.items()) == list(parallel.notes.items())
 
 
 def test_sweep_csv_roundtrip(tmp_path, demo_model, demo_cfg, demo_predictor):

