@@ -10,9 +10,10 @@ integral for integer settings), config files take strict JSON types
 typo cannot silently leave a default in place.  Each subcommand lists the
 settings it reads in :data:`COMMANDS` and takes exactly those, as flags,
 config keys and ``WWS_*`` variables; any other is an error (``jobs``, for
-one, is read by ``sweep`` only).  All outputs (predictor files, trace
-CSVs, summaries, sweep tables, reports) land in ``--out`` and every
-subcommand is deterministic under a fixed seed.
+one, is read by ``sweep`` only), and so is a fit setting of
+:data:`FIT_ONLY` while a predictor file is given.  All outputs (predictor
+files, trace CSVs, summaries, sweep tables, reports) land in ``--out`` and
+every subcommand is deterministic under a fixed seed.
 
 Exit codes: 0 success, 2 a closed-loop run recorded an infeasible step,
 1 any other failure.
@@ -180,7 +181,8 @@ def _setting(name: str, value, where: str):
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then the ``--config`` file, then ``WWS_*`` variables, then
-    flags; a setting the subcommand does not read is refused, and every
+    flags; a setting the subcommand does not read is refused (with a
+    predictor, so is one of its :data:`FIT_ONLY` settings), and every
     value is converted and checked by :func:`_setting`."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(doc, dict):
@@ -203,6 +205,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if name not in reads:
             raise ValueError(f"{where}: wws {args.command} does not read this setting")
         setattr(cfg, name, _setting(name, val, where))
+    if cfg.predictor is not None:
+        fit_only = FIT_ONLY.get(args.command, ())
+        for name, _, where in sources:
+            if name in fit_only:
+                raise ValueError(f"{where}: wws {args.command} with a predictor "
+                                 "does not read this setting")
     return cfg
 
 
@@ -263,13 +271,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     predictor = _load_or_fit_predictor(cfg, model)
     out = _outdir(cfg)
     x0 = np.full(plant_mod.N_STATES, cfg.x0)
+    cond = mpc.condense(predictor, controller)
     if cfg.dump_lp:
-        step = mpc.build_step_problem(
-            controller, mpc.condense(predictor, controller), x0, 0,
-            [plant_mod.output(x0, model.output_index)], [])
+        step = mpc.build_step_problem(controller, cond, x0, 0,
+                                      [plant_mod.output(x0, model.output_index)], [])
         dump_lp(step.problem, cfg.dump_lp)
     t0 = time.perf_counter()
-    trace = mpc.run_closed_loop(model, controller, predictor, x0)
+    trace = mpc.run_condensed(model, cond, x0)
     wall = time.perf_counter() - t0
     trace.write_csv(out / "trace.csv")
     start_idx = int(np.ceil(cfg.start_time / cfg.h - 1e-9))
@@ -436,6 +444,14 @@ COMMANDS = {
                "horizon", "q_weight", "r_weight", "reference", "u_min", "u_max", "eps")),
     "bench": (cmd_bench, "predictor-vs-plant rollout accuracy",
               (*_FIT, "predictor", "bench_rollouts", "bench_steps")),
+}
+#: The settings a subcommand reads only to fit its own predictor; with
+#: ``predictor`` set they are refused (bench's rollouts still draw from
+#: the fit's state range, input band, off share and seed).
+FIT_ONLY = {
+    "run": ("K", "w0", "state_range", "u_band", "p_off"),
+    "sweep": ("seed", "K", "w0", "state_range", "u_band", "p_off"),
+    "bench": ("K", "w0"),
 }
 
 

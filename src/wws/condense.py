@@ -7,10 +7,12 @@ input vector, Y the input-to-output map and y0 the free response of the
 measured state.  This drops the decision dimension from (N+1) lifted states
 plus inputs down to the inputs alone.
 
-Y and the input Hessian of the tracking cost depend only on the predictor
-and the controller's weights (Korda & Mezic 2018), so ``condense`` computes
-them once per closed loop; each step computes only y0 and the cost's linear
-term, the parametric-QP split of qpOASES (Ferreau et al. 2014).
+Y, the input Hessian of the tracking cost and the free response's affine
+map  y0 = Phi lift(x) + psi  depend only on the predictor and the
+controller's horizon, weights and output (Korda & Mezic 2018), so
+``condense`` computes them once per closed loop, and a sweep once per
+deadline column; each step computes only y0 and the cost's linear term,
+the parametric-QP split of qpOASES (Ferreau et al. 2014).
 """
 
 from __future__ import annotations
@@ -25,41 +27,49 @@ from .predictor import LinearPredictor, lift
 if TYPE_CHECKING:
     from .mpc import ControllerConfig
 
+#: The controller settings ``condense`` reads; a horizon serves any
+#: configuration that agrees with its own on all of them.
+CONDENSED_SETTINGS = ("horizon", "h", "q_weight", "r_weight", "reference", "output_index")
+
 
 @dataclass(frozen=True)
 class CondensedHorizon:
     """What every step of one closed loop shares.
 
     Predicted outputs at horizon offsets 1..Np are ``Y @ u + y0``, where
-    ``free_response`` gives y0 for a measured state.  The tracking cost
-    sum_i q (y_i - ref)^2 + r u_i^2 is  0.5 u'Hu + f'u + const  with the
-    fixed  H = 2 (q Y'Y + r I);  ``linear_cost`` gives f and const.
+    ``free_response`` gives y0 = Phi lift(x) + psi for a measured state x.
+    The tracking cost  sum_i q (y_i - ref)^2 + r u_i^2  is
+    0.5 u'Hu + f'u + const  with the fixed  H = 2 (q Y'Y + r I);
+    ``linear_cost`` gives f and const.  ``cfg`` is the configuration it was
+    condensed for.
     """
 
     pred: LinearPredictor
+    cfg: "ControllerConfig"
     Y: np.ndarray          # (Np, Np)   output rows of offsets 1..Np over u
     H: np.ndarray          # (Np, Np)
-    q_weight: float
-    reference: float
-    out_row: np.ndarray    # (N,)       row of C that reads the output
-    drive: np.ndarray      # (N,)       b_d w at the predictor's ambient
+    Phi: np.ndarray        # (Np, N)    row i: out_row A^(i+1)
+    psi: np.ndarray        # (Np,)      output response to b_d w + c alone
 
     @property
     def horizon(self) -> int:
         return len(self.Y)
 
+    def check(self, cfg: "ControllerConfig") -> None:
+        """Refuse a configuration this horizon was not condensed for."""
+        if cfg is not self.cfg and any(getattr(cfg, name) != getattr(self.cfg, name)
+                                       for name in CONDENSED_SETTINGS):
+            raise ValueError("horizon condensed for another controller configuration")
+
     def free_response(self, x: Sequence[float]) -> np.ndarray:
         """Outputs at offsets 1..Np from the measured state ``x`` with u = 0."""
-        g = np.zeros((self.horizon + 1, self.pred.n))
-        g[0] = lift(x, self.pred.n)
-        for i in range(self.horizon):
-            g[i + 1] = self.pred.A @ g[i] + self.drive + self.pred.c
-        return (g @ self.out_row)[1:]
+        return self.Phi @ lift(x, self.pred.n) + self.psi
 
     def linear_cost(self, y0: np.ndarray) -> tuple[np.ndarray, float]:
         """Linear term f = 2q Y'(y0 - ref) and constant q |y0 - ref|^2."""
-        e = y0 - self.reference
-        return 2.0 * self.q_weight * (self.Y.T @ e), self.q_weight * float(e @ e)
+        q = self.cfg.q_weight
+        e = y0 - self.cfg.reference
+        return 2.0 * q * (self.Y.T @ e), q * float(e @ e)
 
 
 def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon:
@@ -85,6 +95,10 @@ def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon
     w = np.linalg.eigvalsh(H)
     if w.min() < -1e-8 * (1.0 + float(np.max(np.abs(H)))):
         raise ValueError(f"objective quadratic term not PSD (min eig {w.min():.3g})")
-    return CondensedHorizon(pred=pred, Y=Y, H=H, q_weight=cfg.q_weight,
-                            reference=cfg.reference, out_row=out_row,
-                            drive=pred.b_d * pred.w)
+    # y0_i = out_row (A^(i+1) z0 + sum_{k<=i} A^k d),  d = b_d w + c
+    Phi, psi = np.zeros((np_h, pred.n)), np.zeros(np_h)
+    row, g, d = out_row, np.zeros(pred.n), pred.b_d * pred.w + pred.c
+    for i in range(np_h):
+        row, g = row @ pred.A, pred.A @ g + d
+        Phi[i], psi[i] = row, out_row @ g
+    return CondensedHorizon(pred=pred, cfg=cfg, Y=Y, H=H, Phi=Phi, psi=psi)

@@ -1,14 +1,15 @@
 """Receding-horizon control with temporal-logic constraints.
 
-The predictor is condensed over the horizon once per run (``condense``),
-and each specification is compiled once per controller configuration into
-a template (``stl.FormulaTemplate``).  Each step lifts the measured state
-into its free response y0, binds the template's slots (history samples to
-their recorded values, horizon outputs to ``Y u + y0``, horizon inputs to
-u), takes the template's rows in slot space (folded and emitted once per
-leaf pattern, so only their right-hand side is new), maps them onto u with
-one affine map, assembles the MIQP directly, solves it and applies the
-first input under zeroth-order hold.
+The predictor is condensed over the horizon once per run (``condense``)
+and once per deadline column of a sweep, and each specification is
+compiled once per controller configuration into a template
+(``stl.FormulaTemplate``).  Each step maps the lifted measured state onto
+its free response y0 (one affine map), binds the template's slots (history
+samples to their recorded values, horizon outputs to ``Y u + y0``, horizon
+inputs to u), takes the template's rows in slot space (folded and emitted
+once per leaf pattern, so only their right-hand side is new), maps them
+onto u with one affine map, assembles the MIQP directly, solves it and
+applies the first input under zeroth-order hold.
 
 Specification windows follow the shrinking-horizon reading: past samples
 are constants, samples inside the horizon are decision variables, and
@@ -191,18 +192,20 @@ def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
                        u_hist: Sequence[float]) -> StepProblem:
     """Assemble the horizon MIQP at step ``k`` without solving it.
 
-    ``cond`` is ``condense(pred, cfg)``, shared by every step of a run.
-    The columns are u, then each template's auxiliary variables in
-    template order, and the rows follow the templates.  A row left with no
-    coefficient is the constant ``0 <= b``: it is dropped, and a violated
-    one marks the problem infeasible; so are the rows no point of the box
-    can violate.  The problem is usable directly for problem dumps and
+    ``cond`` is ``condense(pred, cfg)``, shared by every step of a run; a
+    horizon condensed for another horizon, period, weight, reference or
+    output is refused.  The columns are u, then each template's auxiliary
+    variables in template order, and the rows follow the templates.  A row
+    left with no coefficient is the constant ``0 <= b``: it is dropped, and
+    a violated one marks the problem infeasible; so are the rows no point
+    of the box can violate.  The problem is usable directly for problem dumps and
     cross-checking against external solvers.
     """
     if len(y_hist) != k + 1:
         raise ValueError(f"need {k + 1} output samples, got {len(y_hist)}")
     if len(u_hist) != k:
         raise ValueError(f"need {k} applied inputs, got {len(u_hist)}")
+    cond.check(cfg)
     np_h = cond.horizon
     u_names = [f"u{k + i}" for i in range(np_h)]
     y0 = cond.free_response(x_k)
@@ -357,17 +360,26 @@ def run_closed_loop(model: PlantModel, cfg: ControllerConfig,
                     stop_on_infeasible: bool = False) -> ClosedLoopTrace:
     """Simulate the loop: measure, plan, apply the first input, repeat.
 
+    ``run_condensed`` on ``condense(pred, cfg)``.
+    """
+    return run_condensed(model, condense(pred, cfg), x0, stop_on_infeasible)
+
+
+def run_condensed(model: PlantModel, cond: CondensedHorizon, x0: Sequence[float],
+                  stop_on_infeasible: bool = False) -> ClosedLoopTrace:
+    """The closed loop of ``cond.cfg`` on ``model`` from ``x0``.
+
     The plan at the final sample is solved (so the input channel covers the
     whole window of the power specification) but not applied.  On an
     infeasible step the best-effort incumbent is applied if the solver
     produced one, otherwise the previous input is held.  The plant runs at
-    the predictor's ambient ``pred.w``.  The controller must read the
+    the predictor's ambient ``cond.pred.w``.  The controller must read the
     plant's output state.
     """
+    cfg, pred = cond.cfg, cond.pred
     if cfg.output_index != model.output_index:
         raise ValueError(f"controller reads x{cfg.output_index}, "
                          f"plant output is x{model.output_index}")
-    cond = condense(pred, cfg)
     cfg.templates  # compiled once per configuration, before the first step
     n = cfg.n_steps
     times = np.arange(n + 1) * cfg.h
@@ -466,12 +478,13 @@ class SweepResult:
                 w.writerow([_fmt(temp)] + [str(int(v)) for v in row])
 
 
-def evaluate_cell(model: PlantModel, cell_cfg: ControllerConfig, pred: LinearPredictor,
+def evaluate_cell(model: PlantModel, cond: CondensedHorizon,
                   initial_temp: float) -> tuple[int, str]:
-    """One sweep cell: uniform initial state under its column's controller."""
+    """One sweep cell: uniform initial state under its column's condensed
+    controller."""
     x0 = np.full(plant_mod.N_STATES, float(initial_temp))
     try:
-        trace = run_closed_loop(model, cell_cfg, pred, x0, stop_on_infeasible=True)
+        trace = run_condensed(model, cond, x0, stop_on_infeasible=True)
     except Exception as exc:  # cell failures are recorded, the sweep continues
         return 0, f"error: {exc}"
     if trace.aborted:
@@ -494,22 +507,32 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
 
     The sweep owns the specifications: each deadline column replaces
     ``cfg.stl_specs`` with the supply guarantee at its deadline and the
-    power specification, and the cells of a column share that one
-    configuration, so in one process its specs are parsed and compiled
-    once.  Cells are independent closed loops; ``jobs > 1`` spreads them
-    over that many processes with identical per-cell results, and
-    ``jobs == 1`` runs them here in order.
+    power specification.  Each column is condensed once, here, and its
+    cells share that condensed horizon and its configuration, so in one
+    process a column's specs are parsed and compiled once; a column whose
+    condensing fails gives each of its cells that error.  Cells are
+    independent closed loops; ``jobs > 1`` spreads them over that many
+    processes, each cell's condensed horizon travelling with its
+    arguments, with identical per-cell results, and ``jobs == 1`` runs
+    them here in order.
     """
     initial_temps = tuple(float(v) for v in initial_temps)
     start_times = tuple(float(v) for v in start_times)
     table = np.zeros((len(initial_temps), len(start_times)), dtype=int)
     notes: dict[tuple[float, float], str] = {}
-    columns = [replace(cfg, stl_specs=(supply_spec(start), DEFAULT_POWER_SPEC))
-               for start in start_times]
+    columns: list[CondensedHorizon | str] = []
+    for start in start_times:
+        column = replace(cfg, stl_specs=(supply_spec(start), DEFAULT_POWER_SPEC))
+        try:
+            columns.append(condense(pred, column))
+        except Exception as exc:  # recorded in each of the column's cells
+            columns.append(f"error: {exc}")
     cells = [(i, j) for i in range(len(initial_temps)) for j in range(len(start_times))]
-    calls = [(model, columns[j], pred, initial_temps[i]) for i, j in cells]
-    results = plant_mod._map_blocks(evaluate_cell, calls, jobs)
-    for (i, j), (val, note) in zip(cells, results):
+    run = [(i, j) for i, j in cells if not isinstance(columns[j], str)]
+    results = dict(zip(run, plant_mod._map_blocks(
+        evaluate_cell, [(model, columns[j], initial_temps[i]) for i, j in run], jobs)))
+    for i, j in cells:
+        val, note = results.get((i, j), (0, columns[j]))
         table[i, j] = val
         notes[(initial_temps[i], start_times[j])] = note
     return SweepResult(initial_temps=initial_temps, start_times=start_times,

@@ -256,16 +256,19 @@ def fit_linear_maps(Z: np.ndarray, U: np.ndarray, W: np.ndarray,
 
     Solves  Zp ~= [A, b_u, b_d] @ [Z; U; W]  in the least-squares sense with
     the minimum-norm pseudo-inverse.  Rank deficiency is tolerated and
-    reported in the diagnostics, not raised.
+    reported in the diagnostics, not raised; it warns unless all it lacks is
+    an all-zero disturbance row (data at a constant ambient of 0, where b_d
+    is 0 and no more can be learned).
     """
     Z = np.asarray(Z, dtype=float)
     Zp = np.asarray(Zp, dtype=float)
+    W = np.asarray(W, float)
     n, k = Z.shape
     if k < n + 2:
         raise ValueError(f"need at least {n + 2} snapshot pairs, got {k}")
-    regressor = np.vstack([Z, np.asarray(U, float)[None, :], np.asarray(W, float)[None, :]])
+    regressor = np.vstack([Z, np.asarray(U, float)[None, :], W[None, :]])
     m, diag = _equilibrated_pinv_fit(Zp, regressor)
-    if diag["rank"] < n + 2:
+    if diag["rank"] < n + 1 + bool(W.any()):
         warnings.warn(f"rank-deficient regressor (rank {diag['rank']} of {n + 2})")
     return m[:, :n], m[:, n], m[:, n + 1], diag
 

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the code paths it checks: enumeration
-instead of branch-and-bound, direct rollouts instead of condensing, random
-formula/signal generation paired with the quantitative monitor, HiGHS
+instead of branch-and-bound, direct rollouts instead of condensing (the
+free response of a step problem included), random formula/signal
+generation paired with the quantitative monitor, HiGHS
 instead of the interior-point method for the elastic violation of a QP's
 rows and instead of branch-and-bound for the feasibility of an encoded
 formula, nonnegative least squares on the active set for the KKT
@@ -34,6 +35,7 @@ import numpy as np
 from wws import stl
 from wws.milp import MiqpProblem, _box_redundant
 from wws.mpc import SweepResult, _bind
+from wws.predictor import lift
 from wws.qp import solve_qp
 
 
@@ -182,14 +184,25 @@ def add_step_rows(builder: ProblemBuilder, rows: stl.StepRows, names: Sequence[s
         builder.add_rows([*names, *rows.aux_names], np.hstack((rows.R @ M, rows.aux)), rows.b)
 
 
+def iterated_free_response(pred, cfg, x: Sequence[float]) -> np.ndarray:
+    """Outputs at horizon offsets 1..Np from the state ``x`` with u = 0, by
+    stepping the lifted dynamics one sample at a time."""
+    g = np.zeros((cfg.horizon + 1, pred.n))
+    g[0] = lift(x, pred.n)
+    for i in range(cfg.horizon):
+        g[i + 1] = pred.A @ g[i] + pred.b_d * pred.w + pred.c
+    return (g @ pred.C[cfg.output_index - 1])[1:]
+
+
 def builder_step_problem(cfg, cond, x_k: Sequence[float], k: int,
                          y_hist: Sequence[float], u_hist: Sequence[float]) -> MiqpProblem:
     """The step problem of ``mpc.build_step_problem`` stated through the
-    builder: the same bindings and template rows, assembled by name."""
+    builder: the same bindings and template rows, assembled by name, from
+    the iterated free response."""
     builder = ProblemBuilder()
     u_names = [f"u{k + i}" for i in range(cond.horizon)]
     builder.add_variables(u_names, cfg.u_min, cfg.u_max, [False] * len(u_names))
-    y0 = cond.free_response(x_k)
+    y0 = iterated_free_response(cond.pred, cfg, x_k)
     builder.add_quadratic(u_names, cond.H, *cond.linear_cost(y0))
     for tmpl in cfg.templates:
         state, values, M = _bind(tmpl, k, np.asarray(y_hist, dtype=float),

@@ -114,18 +114,59 @@ def test_run_steps_the_plant_at_the_fit_ambient(tmp_path):
     assert read_trace_csv(out / "trace.csv")["w"] == [0.0] * 6
 
 
-def test_bench_rolls_out_at_the_predictor_ambient(tmp_path):
+def test_bench_rolls_out_at_the_predictor_ambient(tmp_path, capsys):
     pred = tmp_path / "pred_w0.json"
     assert main(["fit", "--plant", "demo", "--K", "200", "--w0", "0",
                  "--state-range", "5", "60", "--out", str(pred)]) == 0
+    flags = ["bench", "--plant", "demo", "--predictor", str(pred), "--state-range", "5", "60",
+             "--bench-rollouts", "3", "--bench-steps", "4"]
+    assert main([*flags, "--out", str(tmp_path / "plain")]) == 0
+    # the ambient is the predictor's; a --w0 beside it is refused, not ignored
+    assert main([*flags, "--w0", "0", "--out", str(tmp_path / "w0")]) == 1
+    assert "--w0: wws bench with a predictor does not read this setting" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "w0").exists()
+
+
+@pytest.mark.parametrize("command, setting, value", [
+    ("run", "K", 5), ("run", "w0", 0.0), ("run", "state_range", [5.0, 60.0]),
+    ("run", "u_band", [20.0, 26.5]), ("run", "p_off", 0.5),
+    ("sweep", "seed", 3), ("sweep", "K", 5), ("sweep", "w0", 0.0),
+    ("sweep", "state_range", [5.0, 60.0]), ("sweep", "u_band", [20.0, 26.5]),
+    ("sweep", "p_off", 0.5), ("bench", "K", 5), ("bench", "w0", 0.0),
+])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_fit_settings_refused_with_a_predictor(tmp_path, demo_pred_file, monkeypatch,
+                                               capsys, command, setting, value, source):
+    # a predictor file fixes the fit; its settings would be silently dropped
+    argv = [command, "--plant", "demo", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        where = "--" + setting.replace("_", "-")
+        argv += [where, *map(str, value if isinstance(value, list) else [value])]
+    elif source == "config":
+        where = f"config key {setting!r}"
+        (tmp_path / "cfg.json").write_text(json.dumps({setting: value}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        where = "WWS_" + setting.upper()
+        monkeypatch.setenv(where, json.dumps(value))
+    monkeypatch.setenv("WWS_PREDICTOR", str(demo_pred_file))
+    assert main(argv) == 1
+    assert f"{where}: wws {command} with a predictor does not read this setting" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_with_a_predictor_draws_from_the_fit_settings(tmp_path, demo_pred_file):
+    # bench's rollouts still read the draw settings and the seed
+    base = ["bench", "--plant", "demo", "--predictor", str(demo_pred_file),
+            "--state-range", "5", "60", "--bench-rollouts", "2", "--bench-steps", "2"]
     reports = []
-    for name, extra in (("plain", []), ("w0", ["--w0", "0"])):
-        out = tmp_path / name
-        assert main(["bench", "--plant", "demo", "--predictor", str(pred),
-                     "--state-range", "5", "60", "--bench-rollouts", "3",
-                     "--bench-steps", "4", "--out", str(out), *extra]) == 0
-        reports.append((out / "bench.json").read_bytes())
-    assert reports[0] == reports[1]
+    for name, extra in (("a", []), ("b", ["--u-band", "22", "24", "--p-off", "0.5"]),
+                        ("c", ["--seed", "3"])):
+        assert main([*base, *extra, "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "bench.json").read_bytes())
+    assert len(set(reports)) == 3
 
 
 def test_sweep_csv(tmp_path, demo_pred_file):
@@ -143,14 +184,14 @@ def test_sweep_csv(tmp_path, demo_pred_file):
 
 def test_sweep_exits_nonzero_when_a_cell_crashes(tmp_path, demo_pred_file,
                                                  monkeypatch, capsys):
-    original = mpc.run_closed_loop
+    original = mpc.run_condensed
 
-    def crash_at_15(model, cfg, pred, x0, **kwargs):
+    def crash_at_15(model, cond, x0, **kwargs):
         if x0[0] == 15.0:
             raise RuntimeError("planted solver crash")
-        return original(model, cfg, pred, x0, **kwargs)
+        return original(model, cond, x0, **kwargs)
 
-    monkeypatch.setattr(mpc, "run_closed_loop", crash_at_15)
+    monkeypatch.setattr(mpc, "run_condensed", crash_at_15)
     out = tmp_path / "sweep_err"
     code = main(["sweep", "--plant", "demo", "--predictor", str(demo_pred_file),
                  "--reference", "42", "--r-weight", "0.02",

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -5,8 +7,10 @@ from dataclasses import replace
 from wws import mpc
 from wws.condense import condense
 from wws.mpc import ControllerConfig, build_step_problem, run_closed_loop
-from wws.predictor import LinearPredictor, lift
+from wws.predictor import LinearPredictor, lift, linearize_local
 from wws.qp import solve_qp
+
+from oracles import iterated_free_response
 
 
 def _identity_predictor(A, b_u, b_d, h=60.0):
@@ -51,6 +55,36 @@ def test_condensed_rollout_matches_iterated_predictor(demo_predictor):
         y = pred.predict(x0, u, [pred.w] * cfg.horizon)[1:, 4]
         got = cond.Y @ u + cond.free_response(x0)
         assert np.max(np.abs(got - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("fit", ["demo_predictor", "nominal_predictor", "local"])
+def test_free_response_matches_iterated_dynamics(request, fit):
+    # the affine map Phi lift(x) + psi against stepping the lifted dynamics;
+    # the local linearization carries a nonzero affine constant c
+    if fit == "local":
+        eq = request.getfixturevalue("demo_equilibrium")
+        pred = linearize_local(request.getfixturevalue("demo_model"), eq.x, eq.u, 10.0, 60.0)
+        assert pred.c.any()
+    else:
+        pred = request.getfixturevalue(fit)
+    rng = np.random.default_rng(2)
+    for cfg in (_tracking_cfg(), _tracking_cfg(horizon=3, reference=42.0)):
+        cond = condense(pred, cfg)
+        for _ in range(8):
+            x = rng.uniform(5, 60, size=6)
+            want = iterated_free_response(pred, cfg, x)
+            assert np.max(np.abs(cond.free_response(x) - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+
+
+def test_horizon_refused_for_another_configuration(demo_cfg, demo_cond):
+    args = (np.full(6, 15.0), 0, [15.0], [])
+    # the specifications and the input box are not condensed: any may pair
+    build_step_problem(replace(demo_cfg, stl_specs=(), u_max=20.0), demo_cond, *args)
+    for change in ({"horizon": 5}, {"q_weight": 2.0}, {"r_weight": 10.0},
+                   {"reference": 40.0}, {"output_index": 4}, {"h": 30.0, "end_time": 1200.0}):
+        with pytest.raises(ValueError, match="condensed for another controller configuration"):
+            build_step_problem(replace(demo_cfg, **change), demo_cond, *args)
 
 
 def test_objective_matches_expanded_tracking_cost(demo_predictor):
@@ -117,6 +151,40 @@ def test_one_condense_per_closed_loop(monkeypatch, demo_model, demo_cfg, demo_pr
     assert calls == [cfg]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_condense_per_sweep_column(monkeypatch, demo_model, demo_cfg, demo_predictor,
+                                       jobs):
+    # the columns are condensed in the calling process, never in a cell
+    calls, caller = [], os.getpid()
+    original = mpc.condense
+
+    def counting(pred, cfg):
+        if os.getpid() != caller:
+            raise RuntimeError("condensed in a worker")
+        calls.append(cfg.stl_specs)
+        return original(pred, cfg)
+
+    monkeypatch.setattr(mpc, "condense", counting)
+    starts = (60.0, 120.0)
+    sweep = mpc.feasibility_sweep(demo_model, demo_cfg, demo_predictor,
+                                  initial_temps=(5.0, 15.0, 30.0), start_times=starts,
+                                  jobs=jobs)
+    assert calls == [(mpc.supply_spec(s), mpc.DEFAULT_POWER_SPEC) for s in starts]
+    assert not [n for n in sweep.notes.values() if n.startswith("error:")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_column_condense_reaches_every_cell(demo_model, demo_cfg, demo_predictor,
+                                                   jobs):
+    sweep = mpc.feasibility_sweep(demo_model, demo_cfg, replace(demo_predictor, h=30.0),
+                                  initial_temps=(5.0, 15.0), start_times=(60.0, 120.0),
+                                  jobs=jobs)
+    assert not sweep.table.any()
+    assert set(sweep.notes.values()) \
+        == {"error: predictor sampled at h=30 s, controller at h=60 s"}
+    assert len(sweep.notes) == 4
+
+
 def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibrium):
     """Eliminating the states must not change the optimum.
 
@@ -126,8 +194,6 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
     (u in [0, 26.5], z in [-500, 500]), so it is also the box-constrained
     optimum that the condensed QP must reproduce.
     """
-    from wws.predictor import linearize_local
-
     eq = demo_equilibrium
     pred = linearize_local(demo_model, eq.x, eq.u, 10.0, 60.0)
     x0 = np.full(6, 30.0)

@@ -8,6 +8,7 @@ from wws.mpc import (
     ControllerConfig,
     DEFAULT_POWER_SPEC,
     build_step_problem,
+    condense,
     evaluate_cell,
     feasibility_sweep,
     plan_step,
@@ -70,10 +71,16 @@ def test_cached_layouts_build_the_fresh_problems(monkeypatch, demo_model, demo_c
     assert sum(len(t._layouts) for t in warm_cfg.templates) < len(steps)
     for warm, fresh, built in steps:
         for p in (fresh.problem, built):
-            for name in ("A", "b", "f", "H", "lb", "ub", "binary"):
+            for name in ("A", "H", "lb", "ub", "binary"):
                 assert np.array_equal(getattr(warm.problem, name), getattr(p, name)), name
-            assert (warm.problem.names, warm.problem.obj_const, warm.problem.infeasible_reason) \
-                == (p.names, p.obj_const, p.infeasible_reason)
+            assert (warm.problem.names, warm.problem.infeasible_reason) \
+                == (p.names, p.infeasible_reason)
+        for name in ("b", "f", "obj_const"):
+            assert np.array_equal(getattr(warm.problem, name), getattr(fresh.problem, name))
+            # the builder's free response is iterated, not the condensed map
+            a, c = getattr(warm.problem, name), getattr(built, name)
+            assert np.max(np.abs(a - c), initial=0.0) \
+                <= 1e-12 * (1.0 + np.max(np.abs(a), initial=0.0)), name
         assert warm.warm_sources == fresh.warm_sources
         assert warm.u0_bounds == fresh.u0_bounds
 
@@ -342,7 +349,7 @@ def test_sweep_cell_parallel_equals_serial(demo_model, demo_cfg, demo_predictor)
 
 def test_sweep_csv_roundtrip(tmp_path, demo_model, demo_cfg, demo_predictor):
     cell_cfg = replace(demo_cfg, stl_specs=(supply_spec(360.0), DEFAULT_POWER_SPEC))
-    cell, note = evaluate_cell(demo_model, cell_cfg, demo_predictor, 30.0)
+    cell, note = evaluate_cell(demo_model, condense(demo_predictor, cell_cfg), 30.0)
     assert cell == 1 and note == "feasible"
     sweep = feasibility_sweep(demo_model, demo_cfg, demo_predictor,
                               initial_temps=(30.0,), start_times=(360.0,))

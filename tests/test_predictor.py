@@ -164,6 +164,29 @@ def test_rank_deficiency_is_reported_not_fatal():
     assert np.max(np.abs(A - 0.5 * np.eye(16))) < 1e-7
 
 
+def test_zero_disturbance_row_is_not_a_deficiency():
+    # a constant ambient of 0 leaves the disturbance row all zero: b_d is 0,
+    # the rank drops by one and the fit is as good as it can be
+    rng = np.random.default_rng(9)
+    K = 60
+    X = rng.uniform(10, 40, size=(6, K))
+    Z = lift(X, DEFAULT_OBSERVABLES)
+    A0 = rng.normal(0, 0.3, size=(16, 16))
+    bu0 = rng.normal(0, 0.5, size=16)
+    U = rng.uniform(0, 26.5, size=K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A, bu, bd, diag = fit_linear_maps(Z, U, np.zeros(K), A0 @ Z + np.outer(bu0, U))
+    assert diag["rank"] == 17
+    assert np.max(np.abs(A - A0)) <= 1e-8 and np.max(np.abs(bu - bu0)) <= 1e-8
+    assert np.array_equal(bd, np.zeros(16))
+    # a dependent row besides it still warns
+    U = Z[0]
+    with pytest.warns(UserWarning, match=r"rank-deficient regressor \(rank 16 of 18\)"):
+        _, _, _, diag = fit_linear_maps(Z, U, np.zeros(K), A0 @ Z + np.outer(bu0, U))
+    assert diag["rank"] == 16
+
+
 def test_training_set_output_reconstruction(nominal_predictor, nominal_dataset_10k):
     Z = lift(nominal_dataset_10k.X, DEFAULT_OBSERVABLES)
     resid = nominal_predictor.C @ Z - nominal_dataset_10k.X
