@@ -62,8 +62,11 @@ class SolveResult:
     x: np.ndarray | None = None
     assignment: dict[str, float] | None = None
     nodes: int = 0
+    # incumbent minus the lowest node bound when the search stopped, or
+    # minus the incumbent's own bound on a root it fathomed; at most
+    # GAP_TOL when optimal
     gap: float | None = None
-    qp_solves: int = 0
+    qp_solves: int = 0             # node QPs solved, fathomed nodes not counted
 
 
 def _box_redundant(A: np.ndarray, b: np.ndarray, lb: np.ndarray,

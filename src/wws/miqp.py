@@ -11,6 +11,18 @@ relaxation comes back integral the binaries are fixed and the node
 re-solved, which cleans the incumbent to full constraint feasibility before
 it is stored.
 
+The rows are equilibrated once per problem, and every node QP is solved on
+them.  A node is fathomed before its QP when the incumbent proves it
+prunable: an incumbent from an optimal QP keeps that solve's point x and
+row multipliers lam, and ``qp._objective_dual_bound`` turns them into a
+weak-duality lower bound on the relaxation over any node box.  The root
+(after a warm seed) and each child are tested; a bound at or above the
+incumbent minus ``GAP_TOL`` skips the solve.  The search applies the same
+test to a relaxation's optimum after solving it, and the bound never
+exceeds that optimum, so (up to the solve's feasibility tolerance) only
+nodes the solve would have pruned are fathomed: decisions, incumbents and
+node counts stay as they were, and only interior-point work goes.
+
 Scope: tens of binaries and continuous variables; no cutting planes or
 presolve beyond the problem builder's dropping of constant rows and of
 rows that no point of the box can violate.
@@ -24,7 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .milp import MiqpProblem, SolveResult
-from .qp import QpResult, solve_qp
+from .qp import QpResult, _equilibrate_rows, _objective_dual_bound, _require_finite_boxes
+# node QPs are solved on rows equilibrated once per problem; tests and the
+# benchmark's layer tracer hook this module's ``solve_qp`` to see each one
+from .qp import _solve_equilibrated as solve_qp
 
 INTEGRALITY_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
 GAP_TOL = 1e-6          # absolute optimality gap at which the search stops
@@ -48,11 +63,6 @@ class _Node:
         return (self.bound, -self.counter) < (other.bound, -other.counter)
 
 
-def _relax(problem: MiqpProblem, lb: np.ndarray, ub: np.ndarray) -> QpResult:
-    return solve_qp(problem.H, problem.f, problem.A, problem.b, lb, ub,
-                    obj_const=problem.obj_const)
-
-
 def solve_miqp(problem: MiqpProblem,
                warm_binaries: dict[str, int] | None = None) -> SolveResult:
     """Globally minimize the MIQP to absolute gap ``GAP_TOL``.
@@ -73,21 +83,47 @@ def solve_miqp(problem: MiqpProblem,
     if len(bin_idx) > BINARY_LIMIT:
         raise MiqpError(f"{len(bin_idx)} binaries exceed the limit of {BINARY_LIMIT}")
 
+    H, f, box_lb, box_ub = (np.asarray(v, dtype=float) for v in
+                            (problem.H, problem.f, problem.lb, problem.ub))
+    _require_finite_boxes(box_lb, box_ub)
+    A, b = _equilibrate_rows(np.asarray(problem.A, dtype=float),
+                             np.asarray(problem.b, dtype=float))
+    nonzero = A != 0.0
+
     qp_solves = 0
     incumbent_x: np.ndarray | None = None
     incumbent_obj = np.inf
+    # lower bound on the relaxation over a node box, from the (x, lam) of
+    # the last incumbent that an optimal QP gave
+    incumbent_bound = None
+
+    def relax(lb: np.ndarray, ub: np.ndarray) -> QpResult:
+        nonlocal qp_solves
+        qp_solves += 1
+        return solve_qp(H, f, A, b, lb, ub, obj_const=problem.obj_const, nonzero=nonzero)
+
+    def store(res: QpResult) -> None:
+        nonlocal incumbent_x, incumbent_obj, incumbent_bound
+        incumbent_x, incumbent_obj = res.x, res.objective
+        incumbent_bound = _objective_dual_bound(H, f, A, b, res.x, res.multipliers,
+                                                box_lb, box_ub)
+
+    def fathom(lb: np.ndarray, ub: np.ndarray) -> float | None:
+        """The incumbent's bound on the node, when it prunes the node."""
+        if incumbent_bound is None:
+            return None
+        bound = incumbent_bound(lb, ub) + problem.obj_const
+        return bound if bound >= incumbent_obj - GAP_TOL else None
 
     def integral(x: np.ndarray) -> bool:
         return all(abs(x[i] - round(x[i])) <= INTEGRALITY_TOL for i in bin_idx)
 
     def solve_fixed(assign: dict[int, float]) -> QpResult:
-        nonlocal qp_solves
-        lb = problem.lb.copy()
-        ub = problem.ub.copy()
+        lb = box_lb.copy()
+        ub = box_ub.copy()
         for i, v in assign.items():
             lb[i] = ub[i] = v
-        qp_solves += 1
-        return _relax(problem, lb, ub)
+        return relax(lb, ub)
 
     # warm start: fix the seeded binaries, keep the rest at their bounds
     if warm_binaries is not None and len(bin_idx) > 0:
@@ -102,18 +138,18 @@ def solve_miqp(problem: MiqpProblem,
         if len(assign) == len(bin_idx):
             res = solve_fixed(assign)
             if res.status == "optimal":
-                incumbent_x = res.x
-                incumbent_obj = res.objective
+                store(res)
 
-    # the root is an ordinary node, open only when its relaxation is optimal
-    qp_solves += 1
-    root = _relax(problem, problem.lb, problem.ub)
+    # the root is an ordinary node: fathomed by a warm incumbent's bound, or
+    # open only when its relaxation is optimal
     counter = 0
     heap: list[_Node] = []
-    if root.status == "optimal":
-        heap.append(_Node(root.objective, counter, problem.lb, problem.ub, root.x))
     nodes = 0
-    cutoff_bound: float | None = None
+    cutoff_bound = fathom(box_lb, box_ub)
+    if cutoff_bound is None:
+        root = relax(box_lb, box_ub)
+        if root.status == "optimal":
+            heap.append(_Node(root.objective, counter, box_lb, box_ub, root.x))
 
     while heap:
         node = heapq.heappop(heap)
@@ -134,12 +170,11 @@ def solve_miqp(problem: MiqpProblem,
         if integral(node.x):
             assign = {i: float(round(node.x[i])) for i in bin_idx}
             res = solve_fixed(assign) if assign else None
-            cand_x = res.x if res is not None and res.status == "optimal" else node.x
-            cand_obj = res.objective if res is not None and res.status == "optimal" \
-                else problem.objective(node.x)
-            if cand_obj < incumbent_obj:
-                incumbent_obj = cand_obj
-                incumbent_x = cand_x
+            if res is not None and res.status == "optimal":
+                if res.objective < incumbent_obj:
+                    store(res)
+            elif (obj := problem.objective(node.x)) < incumbent_obj:
+                incumbent_x, incumbent_obj = node.x, obj
             continue
 
         # most fractional binary, ties by lowest index
@@ -152,8 +187,9 @@ def solve_miqp(problem: MiqpProblem,
             lb = node.lb.copy()
             ub = node.ub.copy()
             lb[branch_var] = ub[branch_var] = side
-            qp_solves += 1
-            child = _relax(problem, lb, ub)
+            if fathom(lb, ub) is not None:
+                continue
+            child = relax(lb, ub)
             if child.status != "optimal":
                 continue
             if child.objective >= incumbent_obj - GAP_TOL:

@@ -79,7 +79,8 @@ class ControllerConfig:
     prefix monitor both read them (a realized prefix clips every window
     to its last sample, which is never past ``end_time``).  ``templates``
     compiles the formulas on first use, once per configuration; they do
-    not depend on the predictor.
+    not depend on the predictor.  A pickled configuration carries only its
+    fields: the process that unpickles it compiles its own templates.
     """
 
     horizon: int = 10
@@ -121,6 +122,11 @@ class ControllerConfig:
         enc = self.encoding()
         return tuple(FormulaTemplate(f, self.h, enc, name=f"stl{j}")
                      for j, f in enumerate(self.formulas))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("templates", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -513,7 +519,8 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
     condensing fails gives each of its cells that error.  Cells are
     independent closed loops; ``jobs > 1`` spreads them over that many
     processes, each cell's condensed horizon travelling with its
-    arguments, with identical per-cell results, and ``jobs == 1`` runs
+    arguments (its configuration without templates, which each worker
+    compiles), with identical per-cell results, and ``jobs == 1`` runs
     them here in order.
     """
     initial_temps = tuple(float(v) for v in initial_temps)

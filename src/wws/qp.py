@@ -24,6 +24,11 @@ includes the direct violation of the rows and bounds, so a converged point
 passes the direct feasibility check that accepts it as optimal.  A solve
 that neither converges to a checked point nor finds a certificate is a
 solver fault and raises ``QpSolverError``; it never becomes a verdict.
+
+An optimal result also carries the row multipliers of its final iterate.
+With any point, ``_objective_dual_bound`` turns them into a rounding-guarded
+weak-duality lower bound on the optimum over any smaller box, which
+branch-and-bound uses to fathom nodes without solving them.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ class QpResult:
     kkt_residual: float
     # when infeasible: certified lower bound on the elastic violation t*
     certified_violation: float = 0.0
+    # when optimal: the multipliers of the equilibrated rows at the final
+    # iterate, which ``_objective_dual_bound`` reads
+    multipliers: np.ndarray | None = None
 
 
 def _elastic_dual_bound(A, b, lb, ub):
@@ -88,7 +96,36 @@ def _elastic_dual_bound(A, b, lb, ub):
     return bound
 
 
-def _propagation_certificate(A, b, lb, ub, bound) -> float:
+def _objective_dual_bound(H, f, A, b, x, lam, lb, ub):
+    """Weak-duality lower bound on the optimum over the rows and a box.
+
+    For H PSD, any point x and any row multipliers lam >= 0, with
+    g = Hx + f and c = g + A'lam, every z with Az <= b in a box [l, u] has
+    q(z) >= q(x) + g'(z - x) + lam'(Az - b), so
+    min q >= q(x) - g'x - lam'b + sum_j min(c_j l_j, c_j u_j)
+           = -x'Hx/2 - lam'b + sum_j min(c_j l_j, c_j u_j).
+    The value is lowered by a bound on its rounding error, taken over the
+    box [lb, ub], so it is sound in exact arithmetic for every box inside
+    [lb, ub].  Returns the bound as a function of (l, u); c, the constant
+    and the rounding bound are computed here, once per (x, lam).
+    """
+    Hx = H @ x
+    c = Hx + f + A.T @ lam
+    abs_x = np.abs(x)
+    abs_H = np.abs(H)
+    weight = abs_H @ abs_x + np.abs(f) + np.abs(A).T @ lam
+    size = (2.0 * weight @ np.maximum(np.abs(lb), np.abs(ub))
+            + abs_x @ abs_H @ abs_x + lam @ np.abs(b))
+    rounding = (len(b) + len(x) + 5) * np.finfo(float).eps
+    const = float(-0.5 * (x @ Hx) - lam @ b - rounding * size)
+
+    def bound(l, u) -> float:
+        return const + float(np.minimum(c * l, c * u).sum())
+
+    return bound
+
+
+def _propagation_certificate(A, b, lb, ub, bound, nonzero) -> float:
     """Infeasibility bound from one pass of bound propagation, or -inf.
 
     Fixed columns (lb == ub) count as constants, so a row with one other
@@ -101,11 +138,12 @@ def _propagation_certificate(A, b, lb, ub, bound) -> float:
     cancel in A'lam and the bound is the gap that was found, divided by the
     sum of the weights.  The value is ``bound`` (``_elastic_dual_bound``) at
     these multipliers, so its soundness does not rest on this pass.
+    ``nonzero`` is the pattern A != 0 of the rows.
     """
     if not A.size:
         return -np.inf
     fixed = lb == ub
-    live = (A != 0.0) & ~fixed
+    live = nonzero & ~fixed
     single = (live.sum(axis=1) == 1).nonzero()[0]
     col = live[single].argmax(axis=1)
     a = A[single, col]
@@ -153,7 +191,7 @@ def _step_to_boundary(v, dv) -> float:
 
 def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
          lb: np.ndarray, ub: np.ndarray, x0: np.ndarray, reg: float, bound
-         ) -> tuple[np.ndarray, int, float]:
+         ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x  s.t.  Ax <= b,
     lb <= x <= ub.
 
@@ -169,10 +207,10 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     residual and complementarity, and of the unscaled direct violation
     max(0, max(Ax - b), max(lb - x), max(x - ub)), so a point returned at
     ``TOL`` violates no row or bound by more than ``TOL``.  Returns
-    (x, iterations, kkt).  Every iterate that has not converged is tested
-    for a certificate of infeasibility of the rows within the bounds
-    (``bound``, from ``_elastic_dual_bound``), and ``_Infeasible`` is
-    raised as soon as one proves a positive violation.
+    (x, row multipliers, iterations, kkt).  Every iterate that has not
+    converged is tested for a certificate of infeasibility of the rows
+    within the bounds (``bound``, from ``_elastic_dual_bound``), and
+    ``_Infeasible`` is raised as soon as one proves a positive violation.
     """
     n = len(f)
     m = len(b)
@@ -218,7 +256,7 @@ def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
                 raise QpSolverError("non-finite iterate")
             best_kkt = min(best_kkt, kkt)
             if kkt <= TOL:
-                return x, it, kkt
+                return x, lam[:m].copy(), it, kkt
             certified = bound(lam[:m], c)
             if certified > 1e-9:
                 raise _Infeasible(certified, it)
@@ -283,35 +321,53 @@ def check_feasible_point(x, A, b, lb, ub) -> bool:
     return True
 
 
+def _require_finite_boxes(lb, ub) -> None:
+    """Refuse an infinite bound, unless an empty interval decides first."""
+    if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))) \
+            and not np.any(lb > ub + 1e-15):
+        raise ValueError("all variables must carry finite boxes")
+
+
 def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
              lb: np.ndarray, ub: np.ndarray, obj_const: float = 0.0) -> QpResult:
     """Globally solve the convex QP; returns status "infeasible" with a
     certified positive lower bound on the row violation when no point
     satisfies the constraints.
 
-    A propagation certificate (``_propagation_certificate``) on the
-    equilibrated rows ends the solve with zero iterations.  Otherwise one
-    interior-point solve decides the problem: it either converges to a
-    point that passes ``check_feasible_point`` on the equilibrated rows (its
-    stop test includes that check), or its multipliers certify infeasibility
-    on the way.  A solve that fails, or whose point fails the check, is
-    retried at the next, larger regularization; after the last one
-    ``QpSolverError`` is raised.
+    The rows are equilibrated (``_equilibrate_rows``) and the problem goes
+    to ``_solve_equilibrated``.
     """
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
+    _require_finite_boxes(lb, ub)
+    A, b = _equilibrate_rows(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+    return _solve_equilibrated(H, f, A, b, lb, ub, obj_const=obj_const,
+                               nonzero=A != 0.0)
+
+
+def _solve_equilibrated(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
+                        lb: np.ndarray, ub: np.ndarray, *, obj_const: float,
+                        nonzero: np.ndarray) -> QpResult:
+    """``solve_qp`` on float arrays, finite boxes and rows that
+    ``_equilibrate_rows`` already scaled, with their pattern ``nonzero``
+    (A != 0).  Branch-and-bound solves every node of one problem here, so
+    it scales the rows and scans their pattern once per problem.
+
+    A propagation certificate (``_propagation_certificate``) ends the solve
+    with zero iterations.  Otherwise one interior-point solve decides the
+    problem: it either converges to a point that passes
+    ``check_feasible_point`` (its stop test includes that check), or its
+    multipliers certify infeasibility on the way.  A solve that fails, or
+    whose point fails the check, is retried at the next, larger
+    regularization; after the last one ``QpSolverError`` is raised.
+    """
     if np.any(lb > ub + 1e-15):
         return QpResult("infeasible", None, None, 0, np.inf,
                         float(np.max(lb - ub)))
-    if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
-        raise ValueError("all variables must carry finite boxes")
-    A, b = _equilibrate_rows(A, b)
     bound = _elastic_dual_bound(A, b, lb, ub)
-    certified = _propagation_certificate(A, b, lb, ub, bound)
+    certified = _propagation_certificate(A, b, lb, ub, bound, nonzero)
     if certified > 1e-9:
         return QpResult("infeasible", None, None, 0, np.inf, certified)
 
@@ -319,7 +375,7 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
     failure = ""
     for reg in (1e-12, 1e-9, 1e-6):
         try:
-            x, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, reg, bound)
+            x, lam, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, reg, bound)
         except _Infeasible as proof:
             return QpResult("infeasible", None, None, proof.iterations, np.inf,
                             proof.bound)
@@ -328,6 +384,6 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
             continue
         if check_feasible_point(x, A, b, lb, ub):
             obj = float(0.5 * x @ H @ x + f @ x + obj_const)
-            return QpResult("optimal", x, obj, iters, kkt)
+            return QpResult("optimal", x, obj, iters, kkt, multipliers=lam)
         failure = f"converged point fails the feasibility check (kkt {kkt:.3g})"
     raise QpSolverError(f"interior point failed at all regularizations: {failure}")

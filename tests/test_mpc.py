@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from wws import mpc, qp, stl
+from wws import miqp, mpc, qp, stl
 from wws.mpc import (
     ClosedLoopTrace,
     ControllerConfig,
@@ -101,6 +103,37 @@ def test_propagation_only_removes_interior_point_work(monkeypatch, demo_model, d
         assert np.array_equal(a.objectives, b.objectives, equal_nan=True)
         assert np.array_equal(a.nodes, b.nodes)
         assert a.statuses == b.statuses
+
+
+def test_incumbent_fathoming_only_removes_interior_point_work(monkeypatch, demo_model,
+                                                              demo_cfg, demo_predictor):
+    # with the incumbent's bound proving nothing, every node it fathoms is
+    # solved and then pruned; the seven demo loops must come out
+    # bit-identical, and the bound must have saved some solves
+    solves = []
+    solve = miqp.solve_qp
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def loops():
+        solves.clear()
+        traces = [run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, temp))
+                  for temp in mpc.DEFAULT_INITIAL_TEMPS]
+        return traces, len(solves)
+
+    monkeypatch.setattr(miqp, "solve_qp", counting)
+    fathomed, with_bound = loops()
+    monkeypatch.setattr(miqp, "_objective_dual_bound", lambda *args: lambda lb, ub: -np.inf)
+    solved, without_bound = loops()
+    for a, b in zip(fathomed, solved):
+        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.outputs, b.outputs)
+        assert np.array_equal(a.objectives, b.objectives, equal_nan=True)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert a.statuses == b.statuses
+    assert with_bound < without_bound
 
 
 def test_step_layout_rejects_an_unused_binary(monkeypatch, demo_cfg, demo_cond):
@@ -345,6 +378,19 @@ def test_sweep_cell_parallel_equals_serial(demo_model, demo_cfg, demo_predictor)
                                  start_times=(120.0, 360.0), jobs=2)
     assert np.array_equal(serial.table, parallel.table)
     assert list(serial.notes.items()) == list(parallel.notes.items())
+
+
+def test_pickled_config_compiles_its_own_templates(demo_model, demo_cfg, demo_predictor):
+    # what a sweep worker receives: the column's condensed horizon after
+    # this process compiled the column's templates
+    cfg = replace(demo_cfg, stl_specs=(supply_spec(360.0), DEFAULT_POWER_SPEC))
+    cond = condense(demo_predictor, cfg)
+    here = evaluate_cell(demo_model, cond, 30.0)
+    assert "templates" in vars(cfg)
+    sent = pickle.loads(pickle.dumps(cond))
+    assert "templates" not in vars(sent.cfg)
+    assert sent.cfg == cfg
+    assert evaluate_cell(demo_model, sent, 30.0) == here
 
 
 def test_sweep_csv_roundtrip(tmp_path, demo_model, demo_cfg, demo_predictor):

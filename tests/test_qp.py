@@ -109,6 +109,59 @@ def test_finite_boxes_required():
                  lb=np.array([-np.inf]), ub=np.array([1.0]))
 
 
+def _random_node_box(rng, prob):
+    """A box inside the problem's: each binary fixed to 0 or 1 or left free,
+    each continuous variable on a random sub-interval."""
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    for j in range(prob.n):
+        if prob.binary[j]:
+            side = int(rng.integers(3))
+            if side < 2:
+                lb[j] = ub[j] = float(side)
+        else:
+            lb[j], ub[j] = np.sort(rng.uniform(prob.lb[j], prob.ub[j], 2))
+    return lb, ub
+
+
+def test_objective_dual_bound_stays_below_every_node_optimum():
+    # any point and any multipliers lam >= 0 bound every node box from
+    # below; a node's own solution bounds it within 1e-6
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(40):
+        prob = random_miqp(rng)
+        A, b = qp._equilibrate_rows(prob.A, prob.b)
+        optimal = []
+        for _ in range(6):
+            lb, ub = _random_node_box(rng, prob)
+            res = solve_qp(prob.H, prob.f, prob.A, prob.b, lb, ub, obj_const=prob.obj_const)
+            if res.status == "optimal":
+                assert res.multipliers.shape == b.shape and np.all(res.multipliers >= 0.0)
+                optimal.append((lb, ub, res))
+        pairs = [(rng.uniform(prob.lb - 1.0, prob.ub + 1.0),
+                  rng.exponential(size=len(b)) * (rng.random(len(b)) < 0.7))
+                 for _ in range(4)]
+        for _, _, res in optimal:
+            pairs += [(res.x, res.multipliers),
+                      (rng.uniform(prob.lb - 1.0, prob.ub + 1.0), res.multipliers)]
+        for x, lam in pairs:
+            bound = qp._objective_dual_bound(prob.H, prob.f, A, b, x, lam, prob.lb, prob.ub)
+            for lb, ub, res in optimal:
+                # the solve's point meets rows and bounds to qp.TOL, so its
+                # objective may lie below the exact optimum by TOL times the
+                # mass of its row and bound multipliers
+                c = prob.H @ res.x + prob.f + A.T @ res.multipliers
+                slack = 1e-9 * (1.0 + abs(res.objective) + res.multipliers.sum()
+                                + np.abs(c).sum())
+                assert bound(lb, ub) + prob.obj_const <= res.objective + slack
+                checked += 1
+        for lb, ub, res in optimal:
+            own = qp._objective_dual_bound(prob.H, prob.f, A, b, res.x, res.multipliers,
+                                           prob.lb, prob.ub)
+            assert own(lb, ub) + prob.obj_const >= res.objective - 1e-6
+    assert checked > 1000
+
+
 FEASIBLE_QP = (np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
                np.zeros(2), np.ones(2))
 
