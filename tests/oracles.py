@@ -36,7 +36,6 @@ from wws import stl
 from wws.milp import MiqpProblem, _box_redundant
 from wws.mpc import SweepResult, _bind
 from wws.predictor import lift
-from wws.qp import solve_qp
 
 
 class ProblemBuilder:
@@ -212,19 +211,80 @@ def builder_step_problem(cfg, cond, x_k: Sequence[float], k: int,
 
 
 def enumerate_miqp(problem: MiqpProblem) -> tuple[float, np.ndarray | None]:
-    """Brute-force optimum over all binary assignments (inf if infeasible)."""
-    bin_idx = np.flatnonzero(problem.binary)
-    best_obj, best_x = np.inf, None
-    for bits in itertools.product((0.0, 1.0), repeat=len(bin_idx)):
-        lb = problem.lb.copy()
-        ub = problem.ub.copy()
-        for i, v in zip(bin_idx, bits):
-            lb[i] = ub[i] = v
-        res = solve_qp(problem.H, problem.f, problem.A, problem.b, lb, ub,
-                       obj_const=problem.obj_const)
-        if res.status == "optimal" and res.objective < best_obj:
-            best_obj, best_x = res.objective, res.x
-    return best_obj, best_x
+    """Exact optimum over all binary assignments (inf if none is feasible).
+
+    Shares no code with ``wws.qp`` or ``wws.miqp``.  With the binaries p
+    fixed, a leaf is a QP in the n_c continuous variables x whose rows
+    G x <= h(p) (the rows that read x, then its bounds) have a right-hand
+    side affine in p, as is the gradient H_cc x + f_c + H_cp p.  An optimum
+    of a bounded convex QP has an active set of at most n_c constraints
+    with a nonsingular KKT system, so for every such set the KKT system is
+    solved once and x(p), lam(p) are evaluated for all 2^nb leaves together.
+    A leaf's optimum is a KKT-valid point: every row (scaled to unit
+    maximum coefficient) and bound met to 1e-9 and lam >= -1e-9.  A leaf
+    without one is infeasible: either a row that reads no continuous
+    variable fails outright, or ``elastic_violation_highs`` must find its
+    continuous system infeasible (t* > 0), else this raises.
+    """
+    bi = np.flatnonzero(problem.binary)
+    ci = np.flatnonzero(~problem.binary)
+    nb, nc = len(bi), len(ci)
+    H, f = problem.H, problem.f
+    scale = np.maximum(np.max(np.abs(problem.A), axis=1, initial=0.0), 1e-12)
+    A, b = problem.A / scale[:, None], problem.b / scale
+    P = np.array(list(itertools.product((0.0, 1.0), repeat=nb))).reshape(-1, nb)
+    reads_x = np.max(np.abs(A[:, ci]), axis=1, initial=0.0) > 0.0
+    constant_rows_hold = np.all(P @ A[~reads_x][:, bi].T <= b[~reads_x] + 1e-9, axis=1)
+    m = int(reads_x.sum())
+    G = np.vstack([A[reads_x][:, ci], np.eye(nc), -np.eye(nc)])
+    h = np.hstack([b[reads_x] - P @ A[reads_x][:, bi].T,
+                   np.broadcast_to(np.r_[problem.ub[ci], -problem.lb[ci]], (len(P), 2 * nc))])
+    g = f[ci] + P @ H[np.ix_(ci, bi)].T
+    # leaves with the same continuous QP are solved once
+    keys, leaf_key = np.unique(np.hstack([h, g]), axis=0, return_inverse=True)
+    leaf_key = leaf_key.ravel()
+    h_key, g_key = keys[:, :len(G)], keys[:, len(G):]
+    x_key = np.zeros((len(keys), nc))
+    solved = np.zeros(len(keys), dtype=bool)
+    for s in range(min(nc, len(G)) + 1):
+        sets = list(itertools.combinations(range(len(G)), s))
+        S = np.array(sets, dtype=int).reshape(len(sets), s)
+        kkt = np.zeros((len(S), nc + s, nc + s))
+        kkt[:, :nc, :nc] = H[np.ix_(ci, ci)]
+        kkt[:, nc:, :nc] = G[S]
+        kkt[:, :nc, nc:] = G[S].transpose(0, 2, 1)
+        regular = np.linalg.cond(kkt) < 1e10
+        S, inv = S[regular], np.linalg.inv(kkt[regular])
+        chunk = max(1, 2_000_000 // ((nc + s) * len(keys)))
+        for c in range(0, len(S), chunk):
+            open_keys = np.flatnonzero(~solved)
+            if not len(open_keys):
+                break
+            sol = (inv[c:c + chunk, :, :nc] @ -g_key[open_keys].T
+                   + inv[c:c + chunk, :, nc:] @ h_key[open_keys].T[S[c:c + chunk]])
+            set_i, key_i = np.nonzero(np.all(sol[:, nc:, :] >= -1e-9, axis=1))
+            x = sol[set_i, :nc, key_i]
+            key = open_keys[key_i]
+            valid = np.max(x @ G.T - h_key[key], axis=1) <= 1e-9
+            x_key[key[valid]] = x[valid]
+            solved[key[valid]] = True
+
+    unsolved = np.unique(leaf_key[~solved[leaf_key] & constant_rows_hold])
+    if len(unsolved):
+        t = elastic_violation_highs(G[:m], h_key[unsolved, :m], problem.lb[ci], problem.ub[ci])
+        if not np.all(t > 0.0):
+            raise RuntimeError("HiGHS finds a leaf feasible that has no KKT point")
+    feasible = solved[leaf_key] & constant_rows_hold
+    if not feasible.any():
+        return np.inf, None
+    x = np.zeros((len(P), problem.n))
+    x[:, bi] = P
+    x[:, ci] = x_key[leaf_key]
+    obj = np.full(len(P), np.inf)
+    z = x[feasible]
+    obj[feasible] = 0.5 * np.einsum("ij,jk,ik->i", z, H, z) + z @ f + problem.obj_const
+    best = int(np.argmin(obj))
+    return float(obj[best]), x[best]
 
 
 def random_miqp(rng: np.random.Generator, max_binaries: int = 8) -> MiqpProblem:
@@ -346,7 +406,7 @@ def kkt_residual(H, f, A, b, lb, ub, x, active_tol: float = 1e-5
     return float(np.max(np.abs(g))), violation
 
 
-def elastic_violation_highs(A, b, lb, ub) -> float:
+def elastic_violation_highs(A, b, lb, ub):
     """Optimal elastic violation t* of the row-equilibrated system, by HiGHS.
 
     Solves  min t  s.t.  Ax - t <= b,  lb <= x <= ub,  t >= -1  with every
@@ -354,24 +414,35 @@ def elastic_violation_highs(A, b, lb, ub) -> float:
     1e-12 floor), so t* is the smallest uniform relative violation and the
     rows are feasible iff t* <= 0.  Shares no code with ``wws.qp``: scipy's
     ``linprog`` with the HiGHS dual simplex.
+
+    ``b``, ``lb`` and ``ub`` may also be stacks of k right-hand sides and
+    boxes (k x m, k x n; a 1-d one is shared): the k systems are then one
+    block-diagonal LP, whose objective is the sum of the k values of t, so
+    each block's t is its own t*, and an array of the k values is returned.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    n = len(lb)
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    r = np.maximum(np.max(np.abs(A), axis=1), 1e-12)
-    cost = np.zeros(n + 1)
-    cost[-1] = 1.0
-    bounds = list(zip(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)))
-    res = linprog(cost, A_ub=np.column_stack([A / r[:, None], -np.ones(len(b))]),
-                  b_ub=b / r,
-                  bounds=bounds + [(-1.0, None)], method="highs-ds",
+    m, n = A.shape
+    b, lb, ub = (np.asarray(v, dtype=float) for v in (b, lb, ub))
+    single = b.ndim == lb.ndim == ub.ndim == 1
+    k = max(len(np.atleast_2d(v)) for v in (b, lb, ub))
+    b = np.broadcast_to(b, (k, m))
+    lb, ub = np.broadcast_to(lb, (k, n)), np.broadcast_to(ub, (k, n))
+    r = np.maximum(np.max(np.abs(A), axis=1, initial=0.0), 1e-12)
+    block = np.column_stack([A / r[:, None], -np.ones(m)])
+    cost = np.tile(np.r_[np.zeros(n), 1.0], k)
+    bounds = np.column_stack([np.column_stack([lb, np.full(k, -1.0)]).ravel(),
+                              np.column_stack([ub, np.full(k, np.inf)]).ravel()])
+    res = linprog(cost, A_ub=sparse.kron(sparse.eye(k), block, format="csr"),
+                  b_ub=(b / r).ravel(), bounds=bounds, method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed on the elastic LP: {res.message}")
-    return float(res.fun)
+    t = res.x[n::n + 1]
+    return float(t[0]) if single else t
 
 
 def milp_feasible(problem: MiqpProblem) -> bool:
