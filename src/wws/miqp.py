@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .milp import MiqpProblem, SolveResult
-from .qp import QpResult, _equilibrate_rows, _objective_dual_bound, _require_finite_boxes
+from .qp import (QpResult, _equilibrate_rows, _Factor, _objective_dual_bound,
+                 _require_finite_boxes)
 # node QPs are solved on rows equilibrated once per problem; tests and the
 # benchmark's layer tracer hook this module's ``solve_qp`` to see each one
 from .qp import _solve_equilibrated as solve_qp
@@ -58,6 +59,7 @@ class _Node:
     lb: np.ndarray
     ub: np.ndarray
     x: np.ndarray
+    working_set: np.ndarray
 
     def __lt__(self, other: "_Node") -> bool:
         return (self.bound, -self.counter) < (other.bound, -other.counter)
@@ -89,6 +91,7 @@ def solve_miqp(problem: MiqpProblem,
     A, b = _equilibrate_rows(np.asarray(problem.A, dtype=float),
                              np.asarray(problem.b, dtype=float))
     nonzero = A != 0.0
+    factor = _Factor(H, f, A)
 
     qp_solves = 0
     incumbent_x: np.ndarray | None = None
@@ -97,10 +100,11 @@ def solve_miqp(problem: MiqpProblem,
     # the last incumbent that an optimal QP gave
     incumbent_bound = None
 
-    def relax(lb: np.ndarray, ub: np.ndarray) -> QpResult:
+    def relax(lb: np.ndarray, ub: np.ndarray, warm=None) -> QpResult:
         nonlocal qp_solves
         qp_solves += 1
-        return solve_qp(H, f, A, b, lb, ub, obj_const=problem.obj_const, nonzero=nonzero)
+        return solve_qp(H, f, A, b, lb, ub, obj_const=problem.obj_const, nonzero=nonzero,
+                        factor=factor, warm=warm)
 
     def store(res: QpResult) -> None:
         nonlocal incumbent_x, incumbent_obj, incumbent_bound
@@ -118,14 +122,16 @@ def solve_miqp(problem: MiqpProblem,
     def integral(x: np.ndarray) -> bool:
         return all(abs(x[i] - round(x[i])) <= INTEGRALITY_TOL for i in bin_idx)
 
-    def solve_fixed(assign: dict[int, float]) -> QpResult:
+    def fixed_box(assign: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
         lb = box_lb.copy()
         ub = box_ub.copy()
         for i, v in assign.items():
             lb[i] = ub[i] = v
-        return relax(lb, ub)
+        return lb, ub
 
-    # warm start: fix the seeded binaries, keep the rest at their bounds
+    # warm start: fix the seeded binaries, keep the rest at their bounds;
+    # the root then starts from the seed's working set
+    root_warm = None
     if warm_binaries is not None and len(bin_idx) > 0:
         assign = {}
         for name, val in warm_binaries.items():
@@ -136,9 +142,11 @@ def solve_miqp(problem: MiqpProblem,
             if problem.binary[i]:
                 assign[i] = float(round(val))
         if len(assign) == len(bin_idx):
-            res = solve_fixed(assign)
+            seed_box = fixed_box(assign)
+            res = relax(*seed_box)
             if res.status == "optimal":
                 store(res)
+                root_warm = (res.working_set, *seed_box)
 
     # the root is an ordinary node: fathomed by a warm incumbent's bound, or
     # open only when its relaxation is optimal
@@ -147,9 +155,10 @@ def solve_miqp(problem: MiqpProblem,
     nodes = 0
     cutoff_bound = fathom(box_lb, box_ub)
     if cutoff_bound is None:
-        root = relax(box_lb, box_ub)
+        root = relax(box_lb, box_ub, root_warm)
         if root.status == "optimal":
-            heap.append(_Node(root.objective, counter, box_lb, box_ub, root.x))
+            heap.append(_Node(root.objective, counter, box_lb, box_ub, root.x,
+                              root.working_set))
 
     while heap:
         node = heapq.heappop(heap)
@@ -169,7 +178,8 @@ def solve_miqp(problem: MiqpProblem,
 
         if integral(node.x):
             assign = {i: float(round(node.x[i])) for i in bin_idx}
-            res = solve_fixed(assign) if assign else None
+            warm = (node.working_set, node.lb, node.ub)
+            res = relax(*fixed_box(assign), warm) if assign else None
             if res is not None and res.status == "optimal":
                 if res.objective < incumbent_obj:
                     store(res)
@@ -189,13 +199,14 @@ def solve_miqp(problem: MiqpProblem,
             lb[branch_var] = ub[branch_var] = side
             if fathom(lb, ub) is not None:
                 continue
-            child = relax(lb, ub)
+            child = relax(lb, ub, (node.working_set, node.lb, node.ub))
             if child.status != "optimal":
                 continue
             if child.objective >= incumbent_obj - GAP_TOL:
                 continue
             counter += 1
-            heapq.heappush(heap, _Node(child.objective, counter, lb, ub, child.x))
+            heapq.heappush(heap, _Node(child.objective, counter, lb, ub, child.x,
+                                       child.working_set))
 
     if incumbent_x is None:
         return SolveResult(status="infeasible", nodes=max(nodes, 1), qp_solves=qp_solves)

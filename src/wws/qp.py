@@ -1,34 +1,18 @@
-"""Convex quadratic programming via a primal-dual interior-point method.
+"""Convex quadratic programming by a proximal dual active-set method.
 
 Solves   minimize 0.5 x'Hx + f'x   subject to   A x <= b,  lb <= x <= ub
-with H symmetric PSD and every variable finitely boxed.
-The boxes are native to the interior-point method: each bound carries its
-own slack and multiplier, updated with vector operations, and adds only a
-diagonal to the reduced normal matrix H + A'DA.  That diagonal is positive,
-so the matrix stays positive definite even for singular H (satisfaction
-literals and relaxed binaries with zero quadratic cost need no extra
-regularization) and one Cholesky factorization serves both Newton solves of
-an iteration.
-
-Infeasibility is certified by multipliers on the rows, each turned into a
-weak-duality lower bound on the violation t* of the elastic LP (minimize
-the single violation variable t) by ``_elastic_dual_bound``; a positive
-bound is the certificate.  The multipliers come from one of two places.
-First, one pass of bound propagation, which reads fixed columns as
-constants and rows with one other nonzero as bounds, proposes multipliers
-when it finds an empty interval or a row that cannot be met; a positive
-bound ends the solve before the interior point.  Otherwise one Mehrotra
-predictor-corrector solve decides the unmodified problem, and the
-multipliers of each of its iterates are tested the same way.  The stop test
-includes the direct violation of the rows and bounds, so a converged point
-passes the direct feasibility check that accepts it as optimal.  A solve
-that neither converges to a checked point nor finds a certificate is a
-solver fault and raises ``QpSolverError``; it never becomes a verdict.
-
-An optimal result also carries the row multipliers of its final iterate.
-With any point, ``_objective_dual_bound`` turns them into a rounding-guarded
-weak-duality lower bound on the optimum over any smaller box, which
-branch-and-bound uses to fathom nodes without solving them.
+with H symmetric PSD and every variable finitely boxed.  H may be singular
+(relaxed binaries carry no quadratic cost), so each step of a proximal-point
+loop (Rockafellar 1976) minimizes with H + eps I, by the dual active-set
+method of Goldfarb and Idnani (1983, Math. Prog. 27), and the unregularized
+QP on its working set then gives the optimum (``_solve_equilibrated``).
+Infeasibility is certified by row multipliers, those of a bound-propagation
+pass or else the method's dual ray, that ``_elastic_dual_bound`` turns into
+a positive lower bound on the elastic violation; any other failure raises
+``QpSolverError`` and never becomes a verdict.  An optimal result carries
+its working set, which warm-starts a smaller box's solve, and its row
+multipliers, which ``_objective_dual_bound`` turns into a lower bound on
+the optimum over any smaller box.
 """
 
 from __future__ import annotations
@@ -37,24 +21,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-TOL = 1e-9          # stop measure of the interior point and feasibility check
-MAX_ITER = 80       # interior-point iterations per regularization
+TOL = 1e-9          # feasibility and stationarity tolerance of an optimum
+MAX_PROX = 50       # proximal steps per solve
+MAX_CHANGES = 2000  # working-set changes per solve
+DEPENDENT = 1e-9    # sine of the angle below which a normal is in a span
 
 
 class QpSolverError(RuntimeError):
     pass
-
-
-class _Infeasible(Exception):
-    """Raised by ``_ipm`` when its multipliers prove the rows inconsistent."""
-
-    def __init__(self, bound: float, iterations: int):
-        super().__init__(f"infeasible: certified violation {bound:.3g}")
-        self.bound = bound
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -62,38 +37,32 @@ class QpResult:
     status: str                 # "optimal" | "infeasible"
     x: np.ndarray | None
     objective: float | None
-    iterations: int
+    iterations: int             # working-set changes
     kkt_residual: float
     # when infeasible: certified lower bound on the elastic violation t*
     certified_violation: float = 0.0
-    # when optimal: the multipliers of the equilibrated rows at the final
-    # iterate, which ``_objective_dual_bound`` reads
+    # when optimal: the equilibrated rows' multipliers and the working set
     multipliers: np.ndarray | None = None
+    working_set: np.ndarray | None = None
 
 
-def _elastic_dual_bound(A, b, lb, ub):
+def _elastic_dual_bound(A, b, lb, ub, lam) -> float:
     """Weak-duality lower bound on the elastic violation t* of the rows.
 
     t* = min t  s.t.  Ax - t <= b,  lb <= x <= ub.  For any lam >= 0, with
-    c = A'lam, minimizing the Lagrangian over the box and scaling away the
-    coefficient of t gives
-    t* >= (sum_j min(c_j lb_j, c_j ub_j) - lam'b) / sum lam.
-    The numerator is lowered by a bound on its rounding error, so a positive
-    value proves infeasibility in exact arithmetic as well.  Returns the bound
-    as a function of (lam, c); the lam-independent parts of the rounding
-    bound are computed here, once per solve.
+    c = A'lam, minimizing the Lagrangian over the box and scaling away t's
+    coefficient gives t* >= (sum_j min(c_j lb_j, c_j ub_j) - lam'b) / sum lam,
+    its numerator lowered by a bound on its rounding error, so a positive
+    value proves infeasibility in exact arithmetic as well.
     """
+    weight = float(lam.sum())
+    if not weight > 0.0:
+        return -np.inf
+    c = lam @ A
     size = np.abs(A) @ np.maximum(np.abs(lb), np.abs(ub)) + np.abs(b)
     rounding = (len(b) + len(lb) + 3) * np.finfo(float).eps
-
-    def bound(lam, c) -> float:
-        weight = float(lam.sum())
-        if not weight > 0.0:
-            return -np.inf
-        value = np.minimum(c * lb, c * ub).sum() - lam @ b
-        return float((value - rounding * (lam @ size)) / weight)
-
-    return bound
+    value = np.minimum(c * lb, c * ub).sum() - lam @ b
+    return float((value - rounding * (lam @ size)) / weight)
 
 
 def _objective_dual_bound(H, f, A, b, x, lam, lb, ub):
@@ -104,15 +73,13 @@ def _objective_dual_bound(H, f, A, b, x, lam, lb, ub):
     q(z) >= q(x) + g'(z - x) + lam'(Az - b), so
     min q >= q(x) - g'x - lam'b + sum_j min(c_j l_j, c_j u_j)
            = -x'Hx/2 - lam'b + sum_j min(c_j l_j, c_j u_j).
-    The value is lowered by a bound on its rounding error, taken over the
-    box [lb, ub], so it is sound in exact arithmetic for every box inside
-    [lb, ub].  Returns the bound as a function of (l, u); c, the constant
-    and the rounding bound are computed here, once per (x, lam).
+    The value is lowered by a bound on its rounding error over [lb, ub], so
+    it is sound in exact arithmetic for every box inside [lb, ub].  Returns
+    the bound as a function of (l, u).
     """
     Hx = H @ x
     c = Hx + f + A.T @ lam
-    abs_x = np.abs(x)
-    abs_H = np.abs(H)
+    abs_x, abs_H = np.abs(x), np.abs(H)
     weight = abs_H @ abs_x + np.abs(f) + np.abs(A).T @ lam
     size = (2.0 * weight @ np.maximum(np.abs(lb), np.abs(ub))
             + abs_x @ abs_H @ abs_x + lam @ np.abs(b))
@@ -125,20 +92,17 @@ def _objective_dual_bound(H, f, A, b, x, lam, lb, ub):
     return bound
 
 
-def _propagation_certificate(A, b, lb, ub, bound, nonzero) -> float:
+def _propagation_certificate(A, b, lb, ub, nonzero) -> float:
     """Infeasibility bound from one pass of bound propagation, or -inf.
 
     Fixed columns (lb == ub) count as constants, so a row with one other
     nonzero a_pj is a bound on column j.  The tightest such bounds give a
     box [lo, hi].  If some column's interval is empty, the rows that bound
-    it, each with weight 1/|a_pj|, are the multipliers; otherwise, if some
-    row i cannot be met over the box (its minimum exceeds b_i), that row
-    with weight 1 and each singleton row p that tightened a bound row i
-    reads, with weight |a_ij|/|a_pj|, are.  Either way the bound columns
-    cancel in A'lam and the bound is the gap that was found, divided by the
-    sum of the weights.  The value is ``bound`` (``_elastic_dual_bound``) at
-    these multipliers, so its soundness does not rest on this pass.
-    ``nonzero`` is the pattern A != 0 of the rows.
+    it, each with weight 1/|a_pj|, are the multipliers; else, if some row i
+    cannot be met over the box, that row with weight 1 and each singleton
+    row p that tightened a bound row i reads, with weight |a_ij|/|a_pj|, are.
+    The value is ``_elastic_dual_bound`` at these multipliers, so its
+    soundness does not rest on this pass.  ``nonzero`` is A != 0.
     """
     if not A.size:
         return -np.inf
@@ -157,7 +121,6 @@ def _propagation_certificate(A, b, lb, ub, bound, nonzero) -> float:
         elif v > lo[j]:
             lo[j], lo_row[j] = v, p
     lo, hi = np.array(lo), np.array(hi)
-
     lam = np.zeros(len(b))
     gap = lo - hi
     j = int(gap.argmax())
@@ -176,155 +139,177 @@ def _propagation_certificate(A, b, lb, ub, bound, nonzero) -> float:
             for j, p in rows.items():
                 if reads * A[i, j] > 0.0:
                     lam[p] += abs(A[i, j] / A[p, j])
-    return bound(lam, A.T @ lam)
+    return _elastic_dual_bound(A, b, lb, ub, lam)
 
 
-def _step_to_boundary(v, dv) -> float:
-    """Largest step in (0, 1] that keeps v + alpha dv nonnegative (v > 0).
+class _Factor:
+    """What one problem's node QPs share, formed when the first one needs
+    it: eps, the residual scale, the normals [A; I; -I] of the constraints
+    and L^-T for the Cholesky factor L of H + eps I."""
 
-    The caller runs it with overflow ignored: an overflowing ratio is
-    infinite, and a negative one gives alpha 0.
-    """
-    lo = float((dv / v).min())
-    return 1.0 if lo >= -1.0 else -1.0 / lo
+    def __init__(self, H: np.ndarray, f: np.ndarray, A: np.ndarray):
+        self.H, self.f, self.A, self.inv_chol_t = H, f, A, None
+
+    def setup(self) -> _Factor:
+        if self.inv_chol_t is None:
+            n, top = len(self.H), float(np.abs(self.H).max())
+            self.eps, self.scale = 1e-6 * (top or 1.0), 1.0 + float(np.abs(self.f).max()) + top
+            self.normals = np.vstack([self.A, np.eye(n), -np.eye(n)])
+            try:
+                L = np.linalg.cholesky(self.H + self.eps * np.eye(n))
+            except np.linalg.LinAlgError:
+                raise QpSolverError("H + eps I is not positive definite") from None
+            self.inv_chol_t = np.linalg.inv(L).T
+        return self
 
 
-def _ipm(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-         lb: np.ndarray, ub: np.ndarray, x0: np.ndarray, reg: float, bound
-         ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Mehrotra predictor-corrector on  min 0.5x'Hx+f'x  s.t.  Ax <= b,
-    lb <= x <= ub.
+class _DualActiveSet:
+    """Goldfarb-Idnani on  min 0.5x'Gx + a'x  s.t.  C x <= d,  G = LL'.
 
-    The m rows and the 2n bounds each carry a slack s and a multiplier lam,
-    kept in one vector ordered (rows, upper bounds, lower bounds).  Each
-    Newton step factors the reduced normal matrix
-    K = H + A'D_A A + diag(lam_u/s_u + lam_l/s_l) + reg I, with
-    D_A = diag(lam_A / s_A), once by Cholesky; the predictor and corrector
-    share the factor.  The bounds make the diagonal positive, so K is
-    positive definite; a failed factorization raises ``QpSolverError``.
+    The working set W, its first ``n_eq`` entries equalities, has normals
+    N = C[W]'; L^-1 N = Q [R; 0], J = L^-T Q and ``Rinv`` = R^-1.  x
+    minimizes on W with multipliers u, u >= 0 on the inequalities.  An added
+    constraint costs a Householder reflection of J's free columns; any
+    other change factors W afresh."""
 
-    The stop measure is the largest of the scaled dual residual, primal
-    residual and complementarity, and of the unscaled direct violation
-    max(0, max(Ax - b), max(lb - x), max(x - ub)), so a point returned at
-    ``TOL`` violates no row or bound by more than ``TOL``.  Returns
-    (x, row multipliers, iterations, kkt).  Every iterate that has not
-    converged is tested for a certificate of infeasibility of the rows
-    within the bounds (``bound``, from ``_elastic_dual_bound``), and
-    ``_Infeasible`` is raised as soon as one proves a positive violation.
-    """
-    n = len(f)
-    m = len(b)
-    M = m + 2 * n
-    upper = slice(m, m + n)
-    lower = slice(m + n, M)
-    b_full = np.concatenate([b, ub, -lb])
-    lifted = np.empty(M)
+    def __init__(self, factor: _Factor, d: np.ndarray, W: list[int], n_eq: int):
+        self.inv_chol_t, self.C, self.d, self.n_eq = factor.inv_chol_t, factor.normals, d, n_eq
+        self.changes = 0
+        self._factor(W)
 
-    def lift(dx):  # [A; I; -I] dx, into the one buffer
-        np.matmul(A, dx, out=lifted[:m])
-        lifted[upper] = dx
-        np.negative(dx, out=lifted[lower])
-        return lifted
+    def _factor(self, W: list[int], u: np.ndarray | None = None) -> None:
+        """Factor W, less the normals in the span of earlier ones; ``u``
+        holds W's multipliers when they carry over."""
+        n, inv_chol_t = self.C.shape[1], self.inv_chol_t
+        while True:
+            D = inv_chol_t.T @ self.C[W].T
+            Q, R = np.linalg.qr(D, mode="complete")
+            if len(W) == self.n_eq:
+                break
+            keep = np.zeros(len(W), dtype=bool)
+            keep[:n] = np.abs(np.diagonal(R)) > DEPENDENT * np.sqrt((D * D).sum(axis=0)[:n])
+            if keep.all():
+                break
+            W = [w for w, k in zip(W, keep) if k]
+            u = None if u is None else u[keep]
+        q = self.q = len(W)
+        self.J, self.W = inv_chol_t @ Q, W
+        self.Rinv, self.u = np.zeros((n, n)), np.zeros(n)
+        self.Rinv[:q, :q] = np.linalg.inv(R[:q])
+        self.u[:q] = 0.0 if u is None else u
+        self.d_free = self.d.copy()     # d, with +inf on the working set
+        self.d_free[W] = np.inf
 
-    x = x0.astype(float).copy()
-    v = np.ones(2 * M)          # (s, lam)
-    s, lam = v[:M], v[M:]
-    np.maximum(b_full - lift(x), 1.0, out=s)
-    dv = np.empty(2 * M)        # (ds, dlam)
-    ds, dlam = dv[:M], dv[M:]
-    diag = np.diag_indices(n)
+    def solve(self, a: np.ndarray) -> np.ndarray | None:
+        """Minimize with linear term ``a`` from the working set; None at the
+        minimum, or the dual ray over the constraints if they conflict.
+        More than four constraints violated at the start join W at once: the
+        steps would add mostly those, at a cost each above one factoring."""
+        C, d, n_eq, bulk = self.C, self.d, self.n_eq, True
+        while True:     # the minimum on W, with multipliers >= 0
+            q, J, Rinv = self.q, self.J, self.Rinv[:self.q, :self.q]
+            w = d[self.W] @ Rinv
+            x = J[:, :q] @ w - J[:, q:] @ (a @ J[:, q:])
+            u = self.u[:q] = -Rinv @ (w + a @ J[:, :q])
+            if q > n_eq and (negative := u[n_eq:] < 0.0).any():
+                self.changes += int(negative.sum())
+                self._factor(self.W[:n_eq] + [c for c, neg in zip(self.W[n_eq:], negative)
+                                              if not neg])
+                continue
+            v = C @ x - self.d_free
+            if not bulk or (violated := (v > 0.1 * TOL).nonzero()[0]).size <= 4:
+                break
+            bulk = False
+            self.changes += len(violated)
+            self._factor(self.W + violated.tolist())
+        while True:
+            p = int(v.argmax())
+            vp = float(v[p])
+            if not vp > 0.1 * TOL:
+                if math.isnan(vp):
+                    raise QpSolverError("non-finite active-set iterate")
+                self.x = x
+                return None
+            n_p, u_p = C[p], 0.0
+            while True:     # make p active, dropping what blocks it
+                if self.changes >= MAX_CHANGES:
+                    raise QpSolverError(f"no optimum after {MAX_CHANGES} working-set changes")
+                q, J, u = self.q, self.J, self.u[:self.q]
+                dd = n_p @ J
+                d1, d2 = dd[:q], dd[q:]
+                zz = float(d2 @ d2)
+                r = self.Rinv[:q, :q] @ d1
+                k, t = -1, np.inf
+                if q > n_eq and (top := float(r[n_eq:].max())) > 1e-12 * -float(r.min()):
+                    blocking = (r[n_eq:] > 1e-12 * max(top, -float(r.min()))).nonzero()[0] + n_eq
+                    ratios = u[blocking] / r[blocking]
+                    k, t = int(blocking[ratios.argmin()]), float(ratios.min())
+                if zz <= DEPENDENT ** 2 * (zz + float(d1 @ d1)):
+                    if k < 0:   # n_p = N r with r <= 0 on the inequalities
+                        self.changes += 1
+                        ray = np.zeros(len(C))
+                        ray[self.W], ray[p] = -r, 1.0
+                        return np.maximum(ray, 0.0)
+                else:
+                    z = J[:, q:] @ d2
+                    full = vp / zz
+                    if full <= t:   # add p: J2 (I - 2hh'/h'h) maps d2 onto its first axis
+                        x = x - full * z
+                        u -= full * r
+                        sigma = float(d2[0])
+                        if len(d2) > 1:
+                            sigma = -math.copysign(math.sqrt(zz), sigma)
+                            h = d2.copy()
+                            h[0] -= sigma
+                            J[:, q:] -= (z - sigma * J[:, q])[:, None] * (h / (zz - sigma * d2[0]))
+                        self.Rinv[:q, q], self.Rinv[q, q], self.Rinv[q, :q] = r / -sigma, 1 / sigma, 0
+                        self.W.append(p)
+                        self.d_free[p], self.u[q] = np.inf, u_p + full
+                        self.q += 1
+                        self.changes += 1
+                        break
+                    x = x - t * z
+                    vp = float(n_p @ x) - d[p]
+                u -= t * r
+                u_p += t
+                self.changes += 1
+                self._factor(self.W[:k] + self.W[k + 1:], np.delete(u, k))
+            v = C @ x - self.d_free
 
-    scale_b = 1.0 + float(np.max(np.abs(b_full)))
-    scale_f = 1.0 + float(np.max(np.abs(f))) + (float(np.max(np.abs(H))) if H.size else 0.0)
 
-    best_kkt = np.inf
-    with np.errstate(over="ignore"):
-        for it in range(1, MAX_ITER + 1):
-            c = A.T @ lam[:m]
-            r_dual = H @ x + f + c + lam[upper] - lam[lower]
-            residual = lift(x) - b_full
-            r_pri = residual + s
-            mu = float(s @ lam / M)
-
-            kkt = max(
-                float(np.abs(r_dual).max()) / scale_f,
-                float(np.abs(r_pri).max()) / scale_b,
-                mu / scale_f,
-                float(residual.max()),
-            )
-            if not math.isfinite(kkt):
-                raise QpSolverError("non-finite iterate")
-            best_kkt = min(best_kkt, kkt)
-            if kkt <= TOL:
-                return x, lam[:m].copy(), it, kkt
-            certified = bound(lam[:m], c)
-            if certified > 1e-9:
-                raise _Infeasible(certified, it)
-
-            d = lam / s
-            # upper triangle of K by a rank-m update of H; the update and the
-            # factorization both run in scipy's BLAS, whose thread pool would
-            # otherwise alternate with numpy's on every iteration
-            K = np.array(H, order="F")
-            if m:
-                K = dsyrk(1.0, A.T * np.sqrt(d[:m]), beta=1.0, c=K, overwrite_c=1)
-            K[diag] += d[upper] + d[lower] + reg
-            factor, info = dpotrf(K, clean=0, overwrite_a=1)
-            if info != 0:
-                raise QpSolverError("singular KKT system")
-
-            # affine predictor; each Newton step solves the reduced system
-            # for the slack-scaled target w
-            target = d * r_pri - lam
-            dx, _ = dpotrs(factor, -(r_dual + A.T @ target[:m] + target[upper]
-                                     - target[lower]))
-            np.subtract(-r_pri, lift(dx), out=ds)
-            np.subtract(-lam, d * ds, out=dlam)
-            alpha_aff = _step_to_boundary(v, dv)
-            trial = v + alpha_aff * dv
-            mu_aff = float(trial[:M] @ trial[M:] / M)
-            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-            # corrector with centering; a non-finite predictor step makes
-            # this one non-finite too, so one check covers both
-            comp = (ds * dlam - sigma * mu) / s
-            w = target - comp
-            dx, _ = dpotrs(factor, -(r_dual + A.T @ w[:m] + w[upper] - w[lower]))
-            if not np.isfinite(dx).all():
-                raise QpSolverError("non-finite Newton step")
-            np.subtract(-r_pri, lift(dx), out=ds)
-            np.subtract(-lam, d * ds + comp, out=dlam)
-
-            frac = 0.995 if mu > 1e-8 * scale_f else 0.9999
-            alpha = frac * _step_to_boundary(v, dv)
-            x += alpha * dx
-            v += alpha * dv
-            np.maximum(v, 1e-300, out=v)
-
-    raise QpSolverError(f"no convergence in {MAX_ITER} iterations (kkt {best_kkt:.3g})")
+def _polish(H, f, N, h, n_eq, scale):
+    """min 0.5x'Hx + f'x s.t. N x = h: (x, u, kkt) when it has a solution
+    with u >= 0 on the inequalities and a scaled residual kkt <= ``TOL``."""
+    n, q = len(f), len(h)
+    K = np.zeros((n + q, n + q))
+    K[:n, :n], K[:n, n:], K[n:, :n] = H, N.T, N
+    try:
+        sol = np.linalg.solve(K, np.concatenate([-f, h]))
+    except np.linalg.LinAlgError:
+        return None
+    x, u = sol[:n], sol[n:]
+    if not u[n_eq:].min(initial=0.0) >= -TOL * scale:
+        return None
+    u[n_eq:] = np.maximum(u[n_eq:], 0.0)
+    kkt = float(np.abs(H @ x + f + u @ N).max()) / scale
+    return (x, u, kkt) if kkt <= TOL else None
 
 
 def _equilibrate_rows(A, b):
     """Scale rows to unit max coefficient; the feasible set is unchanged."""
-    if not A.size:
-        return A, b
-    r = np.maximum(np.max(np.abs(A), axis=1), 1e-12)
+    r = np.maximum(np.abs(A).max(axis=1, initial=0.0), 1e-12)
     return A / r[:, None], b / r
 
 
 def check_feasible_point(x, A, b, lb, ub) -> bool:
     """Direct check of a candidate point against rows and boxes within ``TOL``."""
-    if np.any(x < lb - TOL) or np.any(x > ub + TOL):
-        return False
-    if A.size and np.max(A @ x - b) > TOL:
-        return False
-    return True
+    return ((lb - x).max() <= TOL and (x - ub).max() <= TOL
+            and (not A.size or (A @ x - b).max() <= TOL))
 
 
 def _require_finite_boxes(lb, ub) -> None:
     """Refuse an infinite bound, unless an empty interval decides first."""
-    if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))) \
-            and not np.any(lb > ub + 1e-15):
+    if not np.isfinite(np.r_[lb, ub]).all() and not (lb > ub + 1e-15).any():
         raise ValueError("all variables must carry finite boxes")
 
 
@@ -332,58 +317,71 @@ def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
              lb: np.ndarray, ub: np.ndarray, obj_const: float = 0.0) -> QpResult:
     """Globally solve the convex QP; returns status "infeasible" with a
     certified positive lower bound on the row violation when no point
-    satisfies the constraints.
-
-    The rows are equilibrated (``_equilibrate_rows``) and the problem goes
-    to ``_solve_equilibrated``.
-    """
-    H = np.asarray(H, dtype=float)
-    f = np.asarray(f, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
+    satisfies the constraints.  The rows are equilibrated first."""
+    H, f, lb, ub = (np.asarray(v, dtype=float) for v in (H, f, lb, ub))
     _require_finite_boxes(lb, ub)
     A, b = _equilibrate_rows(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
     return _solve_equilibrated(H, f, A, b, lb, ub, obj_const=obj_const,
-                               nonzero=A != 0.0)
+                               nonzero=A != 0.0, factor=_Factor(H, f, A))
 
 
 def _solve_equilibrated(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
                         lb: np.ndarray, ub: np.ndarray, *, obj_const: float,
-                        nonzero: np.ndarray) -> QpResult:
+                        nonzero: np.ndarray, factor: _Factor,
+                        warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                        ) -> QpResult:
     """``solve_qp`` on float arrays, finite boxes and rows that
-    ``_equilibrate_rows`` already scaled, with their pattern ``nonzero``
-    (A != 0).  Branch-and-bound solves every node of one problem here, so
-    it scales the rows and scans their pattern once per problem.
+    ``_equilibrate_rows`` scaled, with their pattern ``nonzero`` (A != 0)
+    and the problem's ``_Factor``, all shared by branch-and-bound's nodes.
 
-    A propagation certificate (``_propagation_certificate``) ends the solve
-    with zero iterations.  Otherwise one interior-point solve decides the
-    problem: it either converges to a point that passes
-    ``check_feasible_point`` (its stop test includes that check), or its
-    multipliers certify infeasibility on the way.  A solve that fails, or
-    whose point fails the check, is retried at the next, larger
-    regularization; after the last one ``QpSolverError`` is raised.
+    A propagation certificate ends the solve with zero iterations.  Else
+    each proximal step minimizes with H + eps I and f - eps c, its centre c
+    the box's middle, then the last step's point, from the last step's
+    working set; the first starts from the fixed columns' upper bounds as
+    equalities and ``warm``: the working set, lb and ub of an earlier solve
+    of these rows, less the bounds of columns whose box differs.  The
+    optimum is the unregularized QP's solution with the working set as
+    equalities, once it meets every row and bound with multipliers >= 0
+    and a residual <= ``TOL``, or the step's own point once its residual is.
     """
-    if np.any(lb > ub + 1e-15):
-        return QpResult("infeasible", None, None, 0, np.inf,
-                        float(np.max(lb - ub)))
-    bound = _elastic_dual_bound(A, b, lb, ub)
-    certified = _propagation_certificate(A, b, lb, ub, bound, nonzero)
+    if (lb > ub + 1e-15).any():
+        return QpResult("infeasible", None, None, 0, np.inf, float((lb - ub).max()))
+    certified = _propagation_certificate(A, b, lb, ub, nonzero)
     if certified > 1e-9:
         return QpResult("infeasible", None, None, 0, np.inf, certified)
 
-    x0 = 0.5 * (lb + ub)
-    failure = ""
-    for reg in (1e-12, 1e-9, 1e-6):
-        try:
-            x, lam, iters, kkt = _ipm(H, f, A, b, lb, ub, x0, reg, bound)
-        except _Infeasible as proof:
-            return QpResult("infeasible", None, None, proof.iterations, np.inf,
-                            proof.bound)
-        except QpSolverError as exc:
-            failure = str(exc)
-            continue
-        if check_feasible_point(x, A, b, lb, ub):
-            obj = float(0.5 * x @ H @ x + f @ x + obj_const)
-            return QpResult("optimal", x, obj, iters, kkt, multipliers=lam)
-        failure = f"converged point fails the feasibility check (kkt {kkt:.3g})"
-    raise QpSolverError(f"interior point failed at all regularizations: {failure}")
+    m, n = A.shape
+    fixed = (lb == ub).nonzero()[0]
+    W = (m + fixed).tolist()
+    if warm is not None:
+        ws, lb0, ub0 = warm
+        j = (ws - m) % n
+        W += ws[(ws < m) | ((lb0[j] == lb[j]) & (ub0[j] == ub[j]) & (lb[j] < ub[j]))].tolist()
+    d = np.concatenate([b, ub, -lb])
+    d[m + n + fixed] = np.inf
+    method = _DualActiveSet(factor.setup(), d, W, len(fixed))
+    center = 0.5 * (lb + ub)
+    for _ in range(MAX_PROX):
+        ray = method.solve(f - factor.eps * center)
+        if ray is not None:
+            certified = _elastic_dual_bound(A, b, lb, ub, ray[:m])
+            if certified > 1e-9:
+                return QpResult("infeasible", None, None, method.changes, np.inf, certified)
+            raise QpSolverError(f"dual ray certifies no violation ({certified:.3g})")
+        N = factor.normals[method.W]
+        point = _polish(H, f, N, d[method.W], len(fixed), factor.scale)
+        if point is None or not check_feasible_point(point[0], A, b, lb, ub):
+            x, u = method.x, method.u[:method.q]
+            kkt = float(np.abs(H @ x + f + u @ N).max()) / factor.scale
+            if kkt > TOL:
+                center = x
+                continue
+            if not check_feasible_point(x, A, b, lb, ub):
+                raise QpSolverError(f"converged point fails the feasibility check (kkt {kkt:.3g})")
+            point = x, u, kkt
+        x, u, kkt = point
+        ws = np.array(method.W, dtype=int)
+        lam = np.bincount(ws[ws < m], u[ws < m], minlength=m)
+        return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + obj_const),
+                        method.changes, kkt, multipliers=lam, working_set=ws)
+    raise QpSolverError(f"no optimum after {MAX_PROX} proximal steps (kkt {kkt:.3g})")

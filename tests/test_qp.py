@@ -6,7 +6,9 @@ import pytest
 
 from oracles import elastic_violation_highs, kkt_residual, random_miqp
 from wws import miqp, mpc, qp
+from wws import predictor as P
 from wws.mpc import DEFAULT_INITIAL_TEMPS, DEFAULT_POWER_SPEC, plan_step, supply_spec
+from wws.plant import PlantModel
 from wws.qp import QpSolverError, solve_qp
 
 
@@ -36,19 +38,19 @@ def _propagation_verdict(A, b, lb, ub):
     return res.certified_violation
 
 
-def test_conflicting_singleton_rows_certified_before_the_interior_point():
+def test_conflicting_singleton_rows_certified_before_the_active_set():
     # x <= 0.3 and x >= 0.6 on [0, 1]: t* = 0.15 at x = 0.45
     bound = _propagation_verdict([[1.0], [-1.0]], [0.3, -0.6], [0.0], [1.0])
     assert bound == pytest.approx(0.15, abs=1e-12)
 
 
-def test_row_unmet_through_a_fixed_column_certified_before_the_interior_point():
+def test_row_unmet_through_a_fixed_column_certified_before_the_active_set():
     # x0 + x1 <= 0.2 with x1 fixed at 1: t* = 0.8 at x0 = 0
     bound = _propagation_verdict([[1.0, 1.0]], [0.2], [0.0, 1.0], [1.0, 1.0])
     assert bound == pytest.approx(0.8, abs=1e-12)
 
 
-def test_conflict_of_three_rows_is_certified_by_the_interior_point():
+def test_conflict_of_three_rows_is_certified_by_the_dual_ray():
     # x0 + x1 >= 1.2, x1 + x2 >= 1.2, x0 + x2 <= 0.2 on the unit box: any two
     # rows can be met, all three force x1 >= 1.1; t* = 0.2 / 3.  No row is a
     # singleton and none is unmeetable alone, so propagation finds nothing.
@@ -77,11 +79,24 @@ def test_random_inequality_qps_satisfy_kkt():
             continue
         solved += 1
         assert res.kkt_residual <= 1e-8
-        # stationarity against active-set multipliers (independent of the IPM)
+        # stationarity against active-set multipliers fitted independently
         stationarity, violation = kkt_residual(H, f, A, b, lb, ub, res.x)
         assert violation <= 1e-9
         assert stationarity <= 1e-5 * (1.0 + float(np.max(np.abs(f))))
     assert solved >= 30
+
+
+def test_fixed_columns_without_curvature_solve():
+    # zero objective; of the ten columns, five are fixed and the rows pin
+    # the sum of the rest
+    H, f = np.zeros((10, 10)), np.zeros(10)
+    A, b = np.array([np.ones(10), -np.ones(10)]), np.array([5.0, -5.0])
+    lb = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1.0])
+    ub = np.array([0, 1, 1, 0, 1, 0, 1, 1, 0, 1.0])
+    res = solve_qp(H, f, A, b, lb, ub)
+    assert res.status == "optimal"
+    stationarity, violation = kkt_residual(H, f, A, b, lb, ub, res.x)
+    assert stationarity <= 1e-9 and violation <= 1e-9
 
 
 def test_singular_hessian_with_free_literals():
@@ -215,8 +230,9 @@ def test_random_leaves_agree_with_highs():
     # x1 + x2 <= -0.5 on the unit box: t* = 0.5
     qps.append((np.zeros((2, 2)), np.zeros(2), np.array([[1.0, 1.0]]),
                 np.array([-0.5]), np.zeros(2), np.ones(2)))
-    infeasible, _ = _agrees_with_highs(qps)
-    assert 0 < infeasible < len(qps)
+    infeasible, propagated = _agrees_with_highs(qps)
+    # some verdicts rest on the active-set method's dual ray
+    assert 0 < propagated < infeasible < len(qps)
 
 
 def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_cond):
@@ -277,3 +293,27 @@ def test_sweep_certify_step0_qps_agree_with_highs(monkeypatch, demo_cfg, demo_co
     qps = [node for step in steps for node in step]
     infeasible, propagated = _agrees_with_highs(qps)
     assert infeasible == len(qps) > 0 and propagated > 0
+
+
+def test_reference40_node_qps_are_decided(monkeypatch):
+    # seed-11 demo predictor (K = 1000, states 5..60 degC) at reference 40,
+    # r-weight 10 and a 420 s deadline: the first steps of these three loops
+    # hold node QPs with fixed columns, binaries without curvature and thin
+    # feasible sets, on which an interior point meets a singular system.
+    # No cell may fail, and each of those steps' node QPs must be decided:
+    # optimal points by their KKT conditions, every verdict by HiGHS
+    model = PlantModel.demo()
+    data = P.generate_dataset(model, P.DatasetConfig(K=1000, seed=11, state_range=(5.0, 60.0)))
+    pred = P.fit_edmd_from_dataset(P.DEFAULT_OBSERVABLES, data)
+    cfg = replace(mpc.ControllerConfig(), reference=40.0, r_weight=10.0,
+                  stl_specs=(supply_spec(420.0), DEFAULT_POWER_SPEC))
+    cond = mpc.condense(pred, cfg)
+    steps = _capture_node_qps(monkeypatch)
+    qps = []
+    for temp in (20.0, 25.0, 35.0):
+        steps.clear()
+        note = mpc.evaluate_cell(model, cond, temp)[1]
+        assert not note.startswith("error"), (temp, note)
+        qps += [node for step in steps[:3] for node in step]
+    infeasible, _ = _agrees_with_highs(qps, stationarity_tol=1e-6)
+    assert 0 < infeasible < len(qps)
