@@ -12,16 +12,20 @@ re-solved, which cleans the incumbent to full constraint feasibility before
 it is stored.
 
 The rows are equilibrated once per problem, and every node QP is solved on
-them.  A node is fathomed before its QP when the incumbent proves it
-prunable: an incumbent from an optimal QP keeps that solve's point x and
-row multipliers lam, and ``qp._objective_dual_bound`` turns them into a
-weak-duality lower bound on the relaxation over any node box.  The root
-(after a warm seed) and each child are tested; a bound at or above the
-incumbent minus ``GAP_TOL`` skips the solve.  The search applies the same
-test to a relaxation's optimum after solving it, and the bound never
-exceeds that optimum, so (up to the solve's feasibility tolerance) only
-nodes the solve would have pruned are fathomed: decisions, incumbents and
-node counts stay as they were, and only interior-point work goes.
+them by ``qp``'s proximal dual active-set method, which factors the
+problem's H + eps I once, when the first node needs it.  A child starts
+from its parent's final working set, the root after a warm seed from the
+seed's, and an integral node's re-solve from the node's.  A node is
+fathomed before its QP when the incumbent proves it prunable: an incumbent
+from an optimal QP keeps that solve's point x and row multipliers lam, and
+``qp._objective_dual_bound`` turns them into a weak-duality lower bound on
+the relaxation over any node box.  The root (after a warm seed) and each
+child are tested; a bound at or above the incumbent minus ``GAP_TOL`` skips
+the solve.  The search applies the same test to a relaxation's optimum
+after solving it, and the bound never exceeds that optimum, so (up to the
+solve's feasibility tolerance) only nodes the solve would have pruned are
+fathomed: decisions, incumbents and node counts stay as they were, and
+only node-QP work goes.
 
 Scope: tens of binaries and continuous variables; no cutting planes or
 presolve beyond the problem builder's dropping of constant rows and of
@@ -176,9 +180,9 @@ def solve_miqp(problem: MiqpProblem,
                 assignment=None if incumbent_x is None else problem.assignment(incumbent_x),
                 nodes=nodes, gap=gap, qp_solves=qp_solves)
 
+        warm = (node.working_set, node.lb, node.ub)
         if integral(node.x):
             assign = {i: float(round(node.x[i])) for i in bin_idx}
-            warm = (node.working_set, node.lb, node.ub)
             res = relax(*fixed_box(assign), warm) if assign else None
             if res is not None and res.status == "optimal":
                 if res.objective < incumbent_obj:
@@ -199,7 +203,7 @@ def solve_miqp(problem: MiqpProblem,
             lb[branch_var] = ub[branch_var] = side
             if fathom(lb, ub) is not None:
                 continue
-            child = relax(lb, ub, (node.working_set, node.lb, node.ub))
+            child = relax(lb, ub, warm)
             if child.status != "optimal":
                 continue
             if child.objective >= incumbent_obj - GAP_TOL:

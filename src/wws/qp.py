@@ -73,13 +73,15 @@ def _objective_dual_bound(H, f, A, b, x, lam, lb, ub):
     q(z) >= q(x) + g'(z - x) + lam'(Az - b), so
     min q >= q(x) - g'x - lam'b + sum_j min(c_j l_j, c_j u_j)
            = -x'Hx/2 - lam'b + sum_j min(c_j l_j, c_j u_j).
-    The value is lowered by a bound on its rounding error over [lb, ub], so
-    it is sound in exact arithmetic for every box inside [lb, ub].  Returns
-    the bound as a function of (l, u).
+    The value is lowered by a bound on its rounding error, taken over the
+    box [lb, ub], so it is sound in exact arithmetic for every box inside
+    [lb, ub].  Returns the bound as a function of (l, u); c, the constant
+    and the rounding bound are computed here, once per (x, lam).
     """
     Hx = H @ x
     c = Hx + f + A.T @ lam
-    abs_x, abs_H = np.abs(x), np.abs(H)
+    abs_x = np.abs(x)
+    abs_H = np.abs(H)
     weight = abs_H @ abs_x + np.abs(f) + np.abs(A).T @ lam
     size = (2.0 * weight @ np.maximum(np.abs(lb), np.abs(ub))
             + abs_x @ abs_H @ abs_x + lam @ np.abs(b))
@@ -98,11 +100,14 @@ def _propagation_certificate(A, b, lb, ub, nonzero) -> float:
     Fixed columns (lb == ub) count as constants, so a row with one other
     nonzero a_pj is a bound on column j.  The tightest such bounds give a
     box [lo, hi].  If some column's interval is empty, the rows that bound
-    it, each with weight 1/|a_pj|, are the multipliers; else, if some row i
-    cannot be met over the box, that row with weight 1 and each singleton
-    row p that tightened a bound row i reads, with weight |a_ij|/|a_pj|, are.
-    The value is ``_elastic_dual_bound`` at these multipliers, so its
-    soundness does not rest on this pass.  ``nonzero`` is A != 0.
+    it, each with weight 1/|a_pj|, are the multipliers; otherwise, if some
+    row i cannot be met over the box (its minimum exceeds b_i), that row
+    with weight 1 and each singleton row p that tightened a bound row i
+    reads, with weight |a_ij|/|a_pj|, are.  Either way the bound columns
+    cancel in A'lam and the bound is the gap that was found, divided by the
+    sum of the weights.  The value is ``_elastic_dual_bound`` at these
+    multipliers, so its soundness does not rest on this pass.
+    ``nonzero`` is the pattern A != 0 of the rows.
     """
     if not A.size:
         return -np.inf
@@ -121,6 +126,7 @@ def _propagation_certificate(A, b, lb, ub, nonzero) -> float:
         elif v > lo[j]:
             lo[j], lo_row[j] = v, p
     lo, hi = np.array(lo), np.array(hi)
+
     lam = np.zeros(len(b))
     gap = lo - hi
     j = int(gap.argmax())
@@ -278,21 +284,20 @@ class _DualActiveSet:
 
 
 def _polish(H, f, N, h, n_eq, scale):
-    """min 0.5x'Hx + f'x s.t. N x = h: (x, u, kkt) when it has a solution
-    with u >= 0 on the inequalities and a scaled residual kkt <= ``TOL``."""
+    """[(x, u)] for the solution of min 0.5x'Hx + f'x s.t. N x = h when it
+    has u >= 0 on the inequalities (to ``TOL``, then clipped), else []."""
     n, q = len(f), len(h)
     K = np.zeros((n + q, n + q))
     K[:n, :n], K[:n, n:], K[n:, :n] = H, N.T, N
     try:
         sol = np.linalg.solve(K, np.concatenate([-f, h]))
     except np.linalg.LinAlgError:
-        return None
+        return []
     x, u = sol[:n], sol[n:]
     if not u[n_eq:].min(initial=0.0) >= -TOL * scale:
-        return None
+        return []
     u[n_eq:] = np.maximum(u[n_eq:], 0.0)
-    kkt = float(np.abs(H @ x + f + u @ N).max()) / scale
-    return (x, u, kkt) if kkt <= TOL else None
+    return [(x, u)]
 
 
 def _equilibrate_rows(A, b):
@@ -369,19 +374,15 @@ def _solve_equilibrated(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarr
                 return QpResult("infeasible", None, None, method.changes, np.inf, certified)
             raise QpSolverError(f"dual ray certifies no violation ({certified:.3g})")
         N = factor.normals[method.W]
-        point = _polish(H, f, N, d[method.W], len(fixed), factor.scale)
-        if point is None or not check_feasible_point(point[0], A, b, lb, ub):
-            x, u = method.x, method.u[:method.q]
+        polished = _polish(H, f, N, d[method.W], len(fixed), factor.scale)
+        for x, u in polished + [(method.x, method.u[:method.q])]:
             kkt = float(np.abs(H @ x + f + u @ N).max()) / factor.scale
-            if kkt > TOL:
-                center = x
-                continue
-            if not check_feasible_point(x, A, b, lb, ub):
-                raise QpSolverError(f"converged point fails the feasibility check (kkt {kkt:.3g})")
-            point = x, u, kkt
-        x, u, kkt = point
-        ws = np.array(method.W, dtype=int)
-        lam = np.bincount(ws[ws < m], u[ws < m], minlength=m)
-        return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + obj_const),
-                        method.changes, kkt, multipliers=lam, working_set=ws)
+            if kkt <= TOL and check_feasible_point(x, A, b, lb, ub):
+                ws = np.array(method.W, dtype=int)
+                lam = np.bincount(ws[ws < m], u[ws < m], minlength=m)
+                return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + obj_const),
+                                method.changes, kkt, multipliers=lam, working_set=ws)
+        if kkt <= TOL:
+            raise QpSolverError(f"converged point fails the feasibility check (kkt {kkt:.3g})")
+        center = method.x
     raise QpSolverError(f"no optimum after {MAX_PROX} proximal steps (kkt {kkt:.3g})")

@@ -1,10 +1,11 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the code paths it checks: enumeration
-instead of branch-and-bound, direct rollouts instead of condensing (the
-free response of a step problem included), random formula/signal
-generation paired with the quantitative monitor, HiGHS
-instead of the interior-point method for the elastic violation of a QP's
+of binary assignments and of each leaf's active sets, with one KKT solve
+per active set, instead of branch-and-bound and the QP solver, direct
+rollouts instead of condensing (the free response of a step problem
+included), random formula/signal generation paired with the quantitative
+monitor, HiGHS instead of the QP solver for the elastic violation of a QP's
 rows and instead of branch-and-bound for the feasibility of an encoded
 formula, nonnegative least squares on the active set for the KKT
 conditions of a returned QP point, and the plant polynomial written out

@@ -93,7 +93,7 @@ def test_power_band_selects_off_branch_when_cheap():
     u = res.assignment["u0"]
     assert 0.001 < u < 0.01
     # cost-minimal point is the epsilon-shifted band edge, recovered to
-    # interior-point accuracy (the objective is nearly flat there)
+    # solver accuracy (the objective is nearly flat there)
     assert u == pytest.approx(0.001 + CFG.eps, abs=1e-5)
 
 

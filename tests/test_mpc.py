@@ -89,8 +89,8 @@ def test_cached_layouts_build_the_fresh_problems(monkeypatch, demo_model, demo_c
 
 def test_propagation_only_removes_interior_point_work(monkeypatch, demo_model, demo_cfg,
                                                      demo_predictor):
-    # with the propagation pass finding nothing, the interior point decides
-    # every node; the seven demo loops must come out bit-identical
+    # with the propagation pass finding nothing, the active-set method
+    # decides every node; the seven demo loops must come out bit-identical
     def loops():
         return [run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, temp))
                 for temp in mpc.DEFAULT_INITIAL_TEMPS]
