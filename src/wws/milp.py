@@ -2,13 +2,13 @@
 
 A ``MiqpProblem`` is dense and frozen: linear rows ``A x <= b`` and a
 quadratic cost over named variables.  The controller assembles its step
-problems directly (``mpc.build_step_problem``) and drops the rows that no
-point of the variable box can violate (``_box_redundant``).  The condensed
-step problem has no equality rows: eliminating the lifted states removes
-the predictor dynamics, and an equality would only pin a variable, which
-its box already does.  Every variable carries a finite box (the solvers
-rely on bounded feasible sets), binaries are flagged in a mask, and the
-objective convention is
+problems directly (``mpc.build_step_problem``) and keeps every row with a
+nonzero coefficient, also one that no point of the variable box can
+violate.  The condensed step problem has no equality rows: eliminating the
+lifted states removes the predictor dynamics, and an equality would only
+pin a variable, which its box already does.  Every variable carries a
+finite box (the solvers rely on bounded feasible sets), binaries are
+flagged in a mask, and the objective convention is
 
     J(x) = 0.5 x' H x + f' x + const.
 
@@ -43,9 +43,6 @@ class MiqpProblem:
     def n(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.f @ x + self.obj_const)
 
@@ -67,24 +64,6 @@ class SolveResult:
     # GAP_TOL when optimal
     gap: float | None = None
     qp_solves: int = 0             # node QPs solved, fathomed nodes not counted
-
-
-def _box_redundant(A: np.ndarray, b: np.ndarray, lb: np.ndarray,
-                   ub: np.ndarray) -> np.ndarray:
-    """Mask of the rows that no point of the box lb <= x <= ub can violate.
-
-    A row is redundant when its exact maximum over the box,
-    sum_j max(a_j lb_j, a_j ub_j), stays at or below b after adding a bound
-    on the rounding error of that sum.  This generalizes the folding of
-    constant rows: a row whose coefficients are rounding noise against its
-    right-hand side is dropped here instead of reaching the solver, where
-    row equilibration would blow it up.
-    """
-    if not A.size:
-        return np.zeros(A.shape[0], dtype=bool)
-    sup = np.sum(np.maximum(A * lb, A * ub), axis=1)
-    size = np.abs(A) @ np.maximum(np.abs(lb), np.abs(ub))
-    return sup + (A.shape[1] + 2) * np.finfo(float).eps * size <= b
 
 
 def dump_lp(p: MiqpProblem, path: str | Path) -> None:

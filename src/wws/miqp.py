@@ -11,15 +11,15 @@ relaxation comes back integral the binaries are fixed and the node
 re-solved, which cleans the incumbent to full constraint feasibility before
 it is stored.
 
-The rows are equilibrated once per problem, and every node QP is solved on
-them by ``qp``'s proximal dual active-set method, which factors the
-problem's H + eps I once, when the first node needs it.  A child starts
-from its parent's final working set, the root after a warm seed from the
-seed's, and an integral node's re-solve from the node's.  A node is
-fathomed before its QP when the incumbent proves it prunable: an incumbent
-from an optimal QP keeps that solve's point x and row multipliers lam, and
-``qp._objective_dual_bound`` turns them into a weak-duality lower bound on
-the relaxation over any node box.  The root (after a warm seed) and each
+Every node QP is solved by ``qp``'s proximal dual active-set method on one
+``qp.NodeQp`` per problem, which equilibrates the rows once and factors
+H + eps I once, when the first node needs it.  A child starts from its
+parent's final working set, the root after a warm seed from the seed's,
+and an integral node's re-solve from the node's.  A node is fathomed
+before its QP when the incumbent proves it prunable: an incumbent from an
+optimal QP keeps that solve's point x and row multipliers lam, and
+``NodeQp.dual_bound`` turns them into a weak-duality lower bound on the
+relaxation over any node box.  The root (after a warm seed) and each
 child are tested; a bound at or above the incumbent minus ``GAP_TOL`` skips
 the solve.  The search applies the same test to a relaxation's optimum
 after solving it, and the bound never exceeds that optimum, so (up to the
@@ -28,23 +28,22 @@ fathomed: decisions, incumbents and node counts stay as they were, and
 only node-QP work goes.
 
 Scope: tens of binaries and continuous variables; no cutting planes or
-presolve beyond the problem builder's dropping of constant rows and of
-rows that no point of the box can violate.
+presolve beyond the problem builder's dropping of constant rows.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .milp import MiqpProblem, SolveResult
-from .qp import (QpResult, _equilibrate_rows, _Factor, _objective_dual_bound,
-                 _require_finite_boxes)
-# node QPs are solved on rows equilibrated once per problem; tests and the
-# benchmark's layer tracer hook this module's ``solve_qp`` to see each one
-from .qp import _solve_equilibrated as solve_qp
+from .qp import NodeQp, QpResult
+# tests and the benchmark's layer tracer hook this module's ``solve_qp`` to
+# see each node QP
+from .qp import solve_node as solve_qp
 
 INTEGRALITY_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
 GAP_TOL = 1e-6          # absolute optimality gap at which the search stops
@@ -70,14 +69,15 @@ class _Node:
 
 
 def solve_miqp(problem: MiqpProblem,
-               warm_binaries: dict[str, int] | None = None) -> SolveResult:
+               warm_binaries: Sequence[float] | None = None) -> SolveResult:
     """Globally minimize the MIQP to absolute gap ``GAP_TOL``.
 
-    ``warm_binaries`` seeds the incumbent by solving the QP with the given
-    binary assignment fixed; an incomplete or infeasible seed is simply
-    ignored.  Exceeding ``NODE_LIMIT`` returns status ``iteration-limit``
-    with the best incumbent found so far, if any; more than
-    ``BINARY_LIMIT`` binaries raise :class:`MiqpError`.
+    ``warm_binaries`` seeds the incumbent by solving the QP with the binary
+    columns fixed to these values, rounded, one per binary column in column
+    order (a seed of another length raises ``ValueError``); an infeasible
+    seed is simply ignored.  Exceeding ``NODE_LIMIT`` returns status
+    ``iteration-limit`` with the best incumbent found so far, if any; more
+    than ``BINARY_LIMIT`` binaries raise :class:`MiqpError`.
     """
     if problem.infeasible_reason is not None:
         return SolveResult(status="infeasible", nodes=0)
@@ -89,13 +89,12 @@ def solve_miqp(problem: MiqpProblem,
     if len(bin_idx) > BINARY_LIMIT:
         raise MiqpError(f"{len(bin_idx)} binaries exceed the limit of {BINARY_LIMIT}")
 
-    H, f, box_lb, box_ub = (np.asarray(v, dtype=float) for v in
-                            (problem.H, problem.f, problem.lb, problem.ub))
-    _require_finite_boxes(box_lb, box_ub)
-    A, b = _equilibrate_rows(np.asarray(problem.A, dtype=float),
-                             np.asarray(problem.b, dtype=float))
-    nonzero = A != 0.0
-    factor = _Factor(H, f, A)
+    if warm_binaries is not None and len(warm_binaries) != len(bin_idx):
+        raise ValueError(f"a warm seed needs {len(bin_idx)} binary values, "
+                         f"got {len(warm_binaries)}")
+    qp = NodeQp(problem.H, problem.f, problem.A, problem.b, problem.lb, problem.ub,
+                problem.obj_const)
+    box_lb, box_ub = qp.lb, qp.ub
 
     qp_solves = 0
     incumbent_x: np.ndarray | None = None
@@ -107,14 +106,12 @@ def solve_miqp(problem: MiqpProblem,
     def relax(lb: np.ndarray, ub: np.ndarray, warm=None) -> QpResult:
         nonlocal qp_solves
         qp_solves += 1
-        return solve_qp(H, f, A, b, lb, ub, obj_const=problem.obj_const, nonzero=nonzero,
-                        factor=factor, warm=warm)
+        return solve_qp(qp, lb, ub, warm)
 
     def store(res: QpResult) -> None:
         nonlocal incumbent_x, incumbent_obj, incumbent_bound
         incumbent_x, incumbent_obj = res.x, res.objective
-        incumbent_bound = _objective_dual_bound(H, f, A, b, res.x, res.multipliers,
-                                                box_lb, box_ub)
+        incumbent_bound = qp.dual_bound(res.x, res.multipliers)
 
     def fathom(lb: np.ndarray, ub: np.ndarray) -> float | None:
         """The incumbent's bound on the node, when it prunes the node."""
@@ -126,31 +123,22 @@ def solve_miqp(problem: MiqpProblem,
     def integral(x: np.ndarray) -> bool:
         return all(abs(x[i] - round(x[i])) <= INTEGRALITY_TOL for i in bin_idx)
 
-    def fixed_box(assign: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    def fixed_box(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The box with the binary columns fixed to ``values``, rounded."""
         lb = box_lb.copy()
         ub = box_ub.copy()
-        for i, v in assign.items():
-            lb[i] = ub[i] = v
+        lb[bin_idx] = ub[bin_idx] = [float(round(v)) for v in values]
         return lb, ub
 
     # warm start: fix the seeded binaries, keep the rest at their bounds;
     # the root then starts from the seed's working set
     root_warm = None
     if warm_binaries is not None and len(bin_idx) > 0:
-        assign = {}
-        for name, val in warm_binaries.items():
-            try:
-                i = problem.index(name)
-            except ValueError:
-                continue
-            if problem.binary[i]:
-                assign[i] = float(round(val))
-        if len(assign) == len(bin_idx):
-            seed_box = fixed_box(assign)
-            res = relax(*seed_box)
-            if res.status == "optimal":
-                store(res)
-                root_warm = (res.working_set, *seed_box)
+        seed_box = fixed_box(warm_binaries)
+        res = relax(*seed_box)
+        if res.status == "optimal":
+            store(res)
+            root_warm = (res.working_set, *seed_box)
 
     # the root is an ordinary node: fathomed by a warm incumbent's bound, or
     # open only when its relaxation is optimal
@@ -182,8 +170,7 @@ def solve_miqp(problem: MiqpProblem,
 
         warm = (node.working_set, node.lb, node.ub)
         if integral(node.x):
-            assign = {i: float(round(node.x[i])) for i in bin_idx}
-            res = relax(*fixed_box(assign), warm) if assign else None
+            res = relax(*fixed_box(node.x[bin_idx]), warm) if len(bin_idx) else None
             if res is not None and res.status == "optimal":
                 if res.objective < incumbent_obj:
                     store(res)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .condense import CondensedHorizon, condense
-from .milp import MiqpProblem, _box_redundant
+from .milp import MiqpProblem
 from .miqp import solve_miqp
 from .plant import DivergenceError, PlantModel
 from .predictor import LinearPredictor
@@ -203,9 +203,8 @@ def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
     output is refused.  The columns are u, then each template's auxiliary
     variables in template order, and the rows follow the templates.  A row
     left with no coefficient is the constant ``0 <= b``: it is dropped, and
-    a violated one marks the problem infeasible; so are the rows no point
-    of the box can violate.  The problem is usable directly for problem dumps and
-    cross-checking against external solvers.
+    a violated one marks the problem infeasible.  The problem is usable
+    directly for problem dumps and cross-checking against external solvers.
     """
     if len(y_hist) != k + 1:
         raise ValueError(f"need {k + 1} output samples, got {len(y_hist)}")
@@ -248,9 +247,6 @@ def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
         r += len(rhs)
     H, f, lb, ub = np.zeros((n, n)), np.zeros(n), np.zeros(n), np.ones(n)
     H[:np_h, :np_h], f[:np_h], lb[:np_h], ub[:np_h] = cond.H, f_u, cfg.u_min, cfg.u_max
-    violable = ~_box_redundant(A, b, lb, ub)
-    if not violable.all():
-        A, b = A[violable], b[violable]
     problem = MiqpProblem(names=tuple(names), H=H, f=f, obj_const=obj_const, A=A, b=b,
                           lb=lb, ub=ub, binary=np.array(binary, dtype=bool),
                           infeasible_reason=reasons[0] if reasons else None)
@@ -298,14 +294,13 @@ def _clamp_u0(x: np.ndarray, bounds: Sequence[tuple[int, float, float, float, fl
 
 
 def _shift_warm(prev: dict[str, float], sources: Sequence[tuple[str, ...]]
-                ) -> dict[str, float]:
-    """Seed each binary from the previous step's assignment.
+                ) -> list[float]:
+    """Seed each binary, in column order, from the previous step's assignment.
 
     A binary takes its own previous value, else that of the same
     disjunction or literal one to three samples earlier, else 1.
     """
-    return {chain[0]: next((prev[n] for n in chain if n in prev), 1.0)
-            for chain in sources}
+    return [next((prev[n] for n in chain if n in prev), 1.0) for chain in sources]
 
 
 @dataclass

@@ -5,14 +5,17 @@ with H symmetric PSD and every variable finitely boxed.  H may be singular
 (relaxed binaries carry no quadratic cost), so each step of a proximal-point
 loop (Rockafellar 1976) minimizes with H + eps I, by the dual active-set
 method of Goldfarb and Idnani (1983, Math. Prog. 27), and the unregularized
-QP on its working set then gives the optimum (``_solve_equilibrated``).
-Infeasibility is certified by row multipliers, those of a bound-propagation
-pass or else the method's dual ray, that ``_elastic_dual_bound`` turns into
-a positive lower bound on the elastic violation; any other failure raises
+QP on its working set then gives the optimum (``solve_node``).  What the
+QPs of one problem over smaller boxes share, branch-and-bound's node QPs,
+is prepared once in a ``NodeQp``: the rows equilibrated, their pattern, and
+H + eps I factored when the first of them needs it.  Infeasibility is
+certified by row multipliers, those of a bound-propagation pass or else
+the method's dual ray, that ``_elastic_dual_bound`` turns into a positive
+lower bound on the elastic violation; any other failure raises
 ``QpSolverError`` and never becomes a verdict.  An optimal result carries
 its working set, which warm-starts a smaller box's solve, and its row
-multipliers, which ``_objective_dual_bound`` turns into a lower bound on
-the optimum over any smaller box.
+multipliers, which ``NodeQp.dual_bound`` turns into a lower bound on the
+optimum over any smaller box.
 """
 
 from __future__ import annotations
@@ -148,15 +151,26 @@ def _propagation_certificate(A, b, lb, ub, nonzero) -> float:
     return _elastic_dual_bound(A, b, lb, ub, lam)
 
 
-class _Factor:
-    """What one problem's node QPs share, formed when the first one needs
-    it: eps, the residual scale, the normals [A; I; -I] of the constraints
-    and L^-T for the Cholesky factor L of H + eps I."""
+class NodeQp:
+    """One problem's node QPs: minimize 0.5 x'Hx + f'x + obj_const over the
+    rows A x <= b and any box inside [lb, ub].  The arrays are floats, the
+    boxes finite and the rows equilibrated (``_equilibrate_rows``), with
+    their pattern ``nonzero`` (A != 0); eps, the residual scale, the normals
+    [A; I; -I] of the constraints and L^-T for the Cholesky factor L of
+    H + eps I are formed when the first node that propagation leaves open
+    needs them (``setup``)."""
 
-    def __init__(self, H: np.ndarray, f: np.ndarray, A: np.ndarray):
-        self.H, self.f, self.A, self.inv_chol_t = H, f, A, None
+    def __init__(self, H, f, A, b, lb, ub, obj_const: float = 0.0):
+        self.H, self.f, self.lb, self.ub = (np.asarray(v, dtype=float) for v in (H, f, lb, ub))
+        # an infinite bound is refused, unless an empty interval decides first
+        if (not np.isfinite(np.r_[self.lb, self.ub]).all()
+                and not (self.lb > self.ub + 1e-15).any()):
+            raise ValueError("all variables must carry finite boxes")
+        self.A, self.b = _equilibrate_rows(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+        self.nonzero = self.A != 0.0
+        self.obj_const, self.inv_chol_t = obj_const, None
 
-    def setup(self) -> _Factor:
+    def setup(self) -> NodeQp:
         if self.inv_chol_t is None:
             n, top = len(self.H), float(np.abs(self.H).max())
             self.eps, self.scale = 1e-6 * (top or 1.0), 1.0 + float(np.abs(self.f).max()) + top
@@ -168,6 +182,11 @@ class _Factor:
             self.inv_chol_t = np.linalg.inv(L).T
         return self
 
+    def dual_bound(self, x: np.ndarray, lam: np.ndarray):
+        """``_objective_dual_bound`` of (x, lam) on these rows, over any box
+        inside [lb, ub], without obj_const."""
+        return _objective_dual_bound(self.H, self.f, self.A, self.b, x, lam, self.lb, self.ub)
+
 
 class _DualActiveSet:
     """Goldfarb-Idnani on  min 0.5x'Gx + a'x  s.t.  C x <= d,  G = LL'.
@@ -178,8 +197,8 @@ class _DualActiveSet:
     constraint costs a Householder reflection of J's free columns; any
     other change factors W afresh."""
 
-    def __init__(self, factor: _Factor, d: np.ndarray, W: list[int], n_eq: int):
-        self.inv_chol_t, self.C, self.d, self.n_eq = factor.inv_chol_t, factor.normals, d, n_eq
+    def __init__(self, qp: NodeQp, d: np.ndarray, W: list[int], n_eq: int):
+        self.inv_chol_t, self.C, self.d, self.n_eq = qp.inv_chol_t, qp.normals, d, n_eq
         self.changes = 0
         self._factor(W)
 
@@ -312,46 +331,33 @@ def check_feasible_point(x, A, b, lb, ub) -> bool:
             and (not A.size or (A @ x - b).max() <= TOL))
 
 
-def _require_finite_boxes(lb, ub) -> None:
-    """Refuse an infinite bound, unless an empty interval decides first."""
-    if not np.isfinite(np.r_[lb, ub]).all() and not (lb > ub + 1e-15).any():
-        raise ValueError("all variables must carry finite boxes")
-
-
 def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
              lb: np.ndarray, ub: np.ndarray, obj_const: float = 0.0) -> QpResult:
     """Globally solve the convex QP; returns status "infeasible" with a
     certified positive lower bound on the row violation when no point
     satisfies the constraints.  The rows are equilibrated first."""
-    H, f, lb, ub = (np.asarray(v, dtype=float) for v in (H, f, lb, ub))
-    _require_finite_boxes(lb, ub)
-    A, b = _equilibrate_rows(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
-    return _solve_equilibrated(H, f, A, b, lb, ub, obj_const=obj_const,
-                               nonzero=A != 0.0, factor=_Factor(H, f, A))
+    qp = NodeQp(H, f, A, b, lb, ub, obj_const)
+    return solve_node(qp, qp.lb, qp.ub)
 
 
-def _solve_equilibrated(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-                        lb: np.ndarray, ub: np.ndarray, *, obj_const: float,
-                        nonzero: np.ndarray, factor: _Factor,
-                        warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                        ) -> QpResult:
-    """``solve_qp`` on float arrays, finite boxes and rows that
-    ``_equilibrate_rows`` scaled, with their pattern ``nonzero`` (A != 0)
-    and the problem's ``_Factor``, all shared by branch-and-bound's nodes.
+def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
+               warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> QpResult:
+    """``solve_qp`` of ``qp`` over the box [lb, ub], a float box inside its own.
 
     A propagation certificate ends the solve with zero iterations.  Else
     each proximal step minimizes with H + eps I and f - eps c, its centre c
     the box's middle, then the last step's point, from the last step's
     working set; the first starts from the fixed columns' upper bounds as
     equalities and ``warm``: the working set, lb and ub of an earlier solve
-    of these rows, less the bounds of columns whose box differs.  The
-    optimum is the unregularized QP's solution with the working set as
-    equalities, once it meets every row and bound with multipliers >= 0
-    and a residual <= ``TOL``, or the step's own point once its residual is.
+    of ``qp``, less the bounds of columns whose box differs.  The optimum
+    is the unregularized QP's solution with the working set as equalities,
+    once it meets every row and bound with multipliers >= 0 and a residual
+    <= ``TOL``, or the step's own point once its residual is.
     """
+    H, f, A, b = qp.H, qp.f, qp.A, qp.b
     if (lb > ub + 1e-15).any():
         return QpResult("infeasible", None, None, 0, np.inf, float((lb - ub).max()))
-    certified = _propagation_certificate(A, b, lb, ub, nonzero)
+    certified = _propagation_certificate(A, b, lb, ub, qp.nonzero)
     if certified > 1e-9:
         return QpResult("infeasible", None, None, 0, np.inf, certified)
 
@@ -364,23 +370,23 @@ def _solve_equilibrated(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarr
         W += ws[(ws < m) | ((lb0[j] == lb[j]) & (ub0[j] == ub[j]) & (lb[j] < ub[j]))].tolist()
     d = np.concatenate([b, ub, -lb])
     d[m + n + fixed] = np.inf
-    method = _DualActiveSet(factor.setup(), d, W, len(fixed))
+    method = _DualActiveSet(qp.setup(), d, W, len(fixed))
     center = 0.5 * (lb + ub)
     for _ in range(MAX_PROX):
-        ray = method.solve(f - factor.eps * center)
+        ray = method.solve(f - qp.eps * center)
         if ray is not None:
             certified = _elastic_dual_bound(A, b, lb, ub, ray[:m])
             if certified > 1e-9:
                 return QpResult("infeasible", None, None, method.changes, np.inf, certified)
             raise QpSolverError(f"dual ray certifies no violation ({certified:.3g})")
-        N = factor.normals[method.W]
-        polished = _polish(H, f, N, d[method.W], len(fixed), factor.scale)
+        N = qp.normals[method.W]
+        polished = _polish(H, f, N, d[method.W], len(fixed), qp.scale)
         for x, u in polished + [(method.x, method.u[:method.q])]:
-            kkt = float(np.abs(H @ x + f + u @ N).max()) / factor.scale
+            kkt = float(np.abs(H @ x + f + u @ N).max()) / qp.scale
             if kkt <= TOL and check_feasible_point(x, A, b, lb, ub):
                 ws = np.array(method.W, dtype=int)
                 lam = np.bincount(ws[ws < m], u[ws < m], minlength=m)
-                return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + obj_const),
+                return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + qp.obj_const),
                                 method.changes, kkt, multipliers=lam, working_set=ws)
         if kkt <= TOL:
             raise QpSolverError(f"converged point fails the feasibility check (kkt {kkt:.3g})")

@@ -27,21 +27,21 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from wws import stl
-from wws.milp import MiqpProblem, _box_redundant
+from wws.milp import MiqpProblem
 from wws.mpc import SweepResult, _bind
 from wws.predictor import lift
 
 
 class ProblemBuilder:
     """Accumulates one MIQP by name: variables, row blocks and quadratic
-    cost, frozen by ``build`` without the rows no box point can violate.
+    cost, frozen by ``build``.
 
     The controller assembles its step problems directly; test problems are
     stated through this builder, which checks names, boxes and binaries
@@ -151,9 +151,6 @@ class ProblemBuilder:
                               A=A, b=b, lb=lb, ub=ub,
                               binary=binary, infeasible_reason=self._infeasible)
         _validate(problem)
-        violable = ~_box_redundant(A, b, lb, ub)
-        if not np.all(violable):
-            problem = replace(problem, A=A[violable], b=b[violable])
         return problem
 
 

@@ -488,8 +488,8 @@ def test_z_bounds_flag_removed(command, capsys):
 
 
 def test_nominal_run_with_noise_output_rows(tmp_path):
-    # the nominal output rows carry coefficients of about 3e-14; the builder
-    # drops those that no input can violate, so the node QPs never see them
+    # the nominal output rows carry coefficients of about 3e-14, rounding
+    # noise that reaches the node QPs
     pred = tmp_path / "nominal_pred"
     assert main(["fit", "--plant", "nominal", "--K", "300", "--seed", "4",
                  "--out", str(pred)]) == 0

@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wws.milp import _box_redundant, dump_lp
-from wws.mpc import build_step_problem
+from wws import predictor as P
+from wws.milp import dump_lp
+from wws.mpc import (DEFAULT_POWER_SPEC, ControllerConfig, build_step_problem, condense,
+                     run_closed_loop)
 from wws import miqp
 from wws.miqp import MiqpError, solve_miqp
+from wws.plant import output
 from wws.qp import solve_qp
 
 from oracles import (ProblemBuilder, add_squared_cost, encode_formula, enumerate_miqp,
@@ -114,8 +117,9 @@ def test_warm_start_reaches_same_optimum():
         cold = solve_miqp(prob)
         if cold.status != "optimal":
             continue
-        warm_bins = {n: v for n, v in cold.assignment.items()
-                     if n.startswith("p")}
+        warm_bins = cold.x[prob.binary]
+        with pytest.raises(ValueError, match="warm seed needs"):
+            solve_miqp(prob, warm_binaries=warm_bins[1:])
         warm = solve_miqp(prob, warm_binaries=warm_bins)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
@@ -151,7 +155,7 @@ def test_node_limit_returns_incumbent(monkeypatch):
     full = solve_miqp(prob)
     if full.status != "optimal":
         pytest.skip("instance infeasible")
-    warm_bins = {n: v for n, v in full.assignment.items() if n.startswith("p")}
+    warm_bins = full.x[prob.binary]
     monkeypatch.setattr(miqp, "NODE_LIMIT", 1)
     res = solve_miqp(prob, warm_binaries=warm_bins)
     assert res.status in ("iteration-limit", "optimal")
@@ -182,26 +186,27 @@ def test_empty_problem_is_trivially_optimal():
     assert res.status == "optimal" and res.objective == 0.0
 
 
-def test_build_drops_rows_no_box_point_can_violate(demo_cfg, demo_cond):
-    A = np.array([[3e-14, 0.0, 0.0],     # rounding noise against its rhs: dropped
-                  [1.0, 2.0, 1.0],       # box maximum 29.5: dropped
-                  [1.0, 2.0, 1.0],       # binding at a corner: kept
-                  [1.0, 0.0, -26.5],     # violable: kept
-                  [-3e-14, 0.0, 0.0]])   # violated by every box point: kept
-    b = np.array([15.0, 29.6, 29.5, 0.0, -1.0])
-    lb, ub = np.array([0.0, -1.0, 0.0]), np.array([26.5, 1.0, 1.0])
-    assert np.array_equal(_box_redundant(A, b, lb, ub), [True, True, False, False, False])
-    # the step problem leaves them out: u <= 27 holds on the whole box
-    # [0, 26.5], u >= 1 does not
-    args = (np.full(6, 15.0), 0, [15.0], [])
+def test_build_keeps_rows_no_box_point_can_violate(nominal_model, demo_cfg, demo_cond):
+    # a nominal predictor fitted on 300 draws (seed 4) gives output rows
+    # whose coefficients are rounding noise against their right-hand side;
+    # they stay in the step problem, and its node QPs still decide the
+    # 21-step loop from 20 degC under y >= 5 and the power bands
+    data = P.generate_dataset(nominal_model, P.DatasetConfig(K=300, seed=4))
+    pred = P.fit_edmd_from_dataset(P.DEFAULT_OBSERVABLES, data)
+    cfg = ControllerConfig(stl_specs=("alw_[0,end] (y >= 5)", DEFAULT_POWER_SPEC),
+                           output_index=nominal_model.output_index)
+    x0 = np.full(6, 20.0)
+    y0 = output(x0, nominal_model.output_index)
+    A = build_step_problem(cfg, condense(pred, cfg), x0, 0, [y0], []).problem.A
+    assert (np.abs(A).max(axis=1) < 1e-12).sum() == 10
+    trace = run_closed_loop(nominal_model, cfg, pred, x0)
+    assert len(trace.times) == 21 and trace.n_infeasible == 0 and not trace.aborted
+    # a binary used only in rows that u <= 26.5 meets still passes the usage
+    # rule, its rows kept
     np_h = demo_cond.horizon
-    cfg = replace(demo_cfg, stl_specs=("alw_[0,end] (u <= 27)", "alw_[0,end] (u >= 1)"))
-    prob = build_step_problem(cfg, demo_cond, *args).problem
-    assert np.array_equal(prob.A, -np.eye(np_h)) and np.all(prob.b == -1.0)
-    # a binary used only in dropped rows still passes the usage rule
     cfg = replace(demo_cfg, stl_specs=("alw_[0,end] ((u <= 27) or (u <= 28))",))
-    step = build_step_problem(cfg, demo_cond, *args)
-    assert step.problem.A.shape == (0, 2 * np_h) and step.n_binaries == np_h
+    step = build_step_problem(cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [])
+    assert step.problem.A.shape == (2 * np_h, 2 * np_h) and step.n_binaries == np_h
 
 
 def test_dump_lp_writes_sections(tmp_path):

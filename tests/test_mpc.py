@@ -87,8 +87,8 @@ def test_cached_layouts_build_the_fresh_problems(monkeypatch, demo_model, demo_c
         assert warm.u0_bounds == fresh.u0_bounds
 
 
-def test_propagation_only_removes_interior_point_work(monkeypatch, demo_model, demo_cfg,
-                                                     demo_predictor):
+def test_propagation_only_removes_node_qp_work(monkeypatch, demo_model, demo_cfg,
+                                               demo_predictor):
     # with the propagation pass finding nothing, the active-set method
     # decides every node; the seven demo loops must come out bit-identical
     def loops():
@@ -105,8 +105,8 @@ def test_propagation_only_removes_interior_point_work(monkeypatch, demo_model, d
         assert a.statuses == b.statuses
 
 
-def test_incumbent_fathoming_only_removes_interior_point_work(monkeypatch, demo_model,
-                                                              demo_cfg, demo_predictor):
+def test_incumbent_fathoming_only_removes_node_qp_work(monkeypatch, demo_model, demo_cfg,
+                                                        demo_predictor):
     # with the incumbent's bound proving nothing, every node it fathoms is
     # solved and then pruned; the seven demo loops must come out
     # bit-identical, and the bound must have saved some solves
@@ -125,7 +125,7 @@ def test_incumbent_fathoming_only_removes_interior_point_work(monkeypatch, demo_
 
     monkeypatch.setattr(miqp, "solve_qp", counting)
     fathomed, with_bound = loops()
-    monkeypatch.setattr(miqp, "_objective_dual_bound", lambda *args: lambda lb, ub: -np.inf)
+    monkeypatch.setattr(qp, "_objective_dual_bound", lambda *args: lambda lb, ub: -np.inf)
     solved, without_bound = loops()
     for a, b in zip(fathomed, solved):
         assert np.array_equal(a.inputs, b.inputs)
@@ -195,7 +195,9 @@ def test_warm_plans_take_one_node(monkeypatch, demo_model, demo_cfg, demo_predic
             t = [int(n.split(".t")[1].split(".")[0]) for n in chain]
             assert t == list(range(t[0], t[0] - len(t), -1)) and len(t) <= 4
             assert {n.split(".")[-1] for n in chain} == {chain[0].split(".")[-1]}
-        return original(prev, sources)
+        seed = original(prev, sources)
+        assert len(seed) == len(sources)
+        return seed
 
     monkeypatch.setattr(mpc, "_shift_warm", recording)
     for temp in mpc.DEFAULT_INITIAL_TEMPS:

@@ -239,9 +239,9 @@ def test_demo_step0_node_qps_agree_with_highs(monkeypatch, demo_cfg, demo_cond):
     qps = []
     original = miqp.solve_qp
 
-    def capture(H, f, A, b, lb, ub, **kwargs):
-        qps.append((H, f, A, b, lb.copy(), ub.copy()))
-        return original(H, f, A, b, lb, ub, **kwargs)
+    def capture(node, lb, ub, *warm):
+        qps.append((node.H, node.f, node.A, node.b, lb.copy(), ub.copy()))
+        return original(node, lb, ub, *warm)
 
     monkeypatch.setattr(miqp, "solve_qp", capture)
     res = plan_step(demo_cfg, demo_cond, np.full(6, 15.0), 0, [15.0], [])
@@ -255,9 +255,9 @@ def _capture_node_qps(monkeypatch):
     steps = []
     solve, plan = miqp.solve_qp, mpc.plan_step
 
-    def capture(H, f, A, b, lb, ub, **kwargs):
-        steps[-1].append((H, f, A, b, lb.copy(), ub.copy()))
-        return solve(H, f, A, b, lb, ub, **kwargs)
+    def capture(node, lb, ub, *warm):
+        steps[-1].append((node.H, node.f, node.A, node.b, lb.copy(), ub.copy()))
+        return solve(node, lb, ub, *warm)
 
     def each_plan(*args, **kwargs):
         steps.append([])
