@@ -14,8 +14,11 @@ it is stored.
 Every node QP is solved by ``qp``'s proximal dual active-set method on one
 ``qp.NodeQp`` per problem, which equilibrates the rows once and factors
 H + eps I once, when the first node needs it.  A child starts from its
-parent's final working set, the root after a warm seed from the seed's,
-and an integral node's re-solve from the node's.  A node is fathomed
+parent's final working set and that set's factorization
+(``QpResult.working_set``), the root after a warm seed from the seed's, and
+an integral node's re-solve from the node's: only the bounds of columns
+whose box changed leave the set, and the newly fixed columns join it as
+equalities by updates of the inherited factors.  A node is fathomed
 before its QP when the incumbent proves it prunable: an incumbent from an
 optimal QP keeps that solve's point x and row multipliers lam, and
 ``NodeQp.dual_bound`` turns them into a weak-duality lower bound on the
@@ -40,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .milp import MiqpProblem, SolveResult
-from .qp import NodeQp, QpResult
+from .qp import NodeQp, QpResult, WorkingSet
 # tests and the benchmark's layer tracer hook this module's ``solve_qp`` to
 # see each node QP
 from .qp import solve_node as solve_qp
@@ -62,7 +65,7 @@ class _Node:
     lb: np.ndarray
     ub: np.ndarray
     x: np.ndarray
-    working_set: np.ndarray
+    working_set: WorkingSet
 
     def __lt__(self, other: "_Node") -> bool:
         return (self.bound, -self.counter) < (other.bound, -other.counter)
@@ -103,7 +106,7 @@ def solve_miqp(problem: MiqpProblem,
     # the last incumbent that an optimal QP gave
     incumbent_bound = None
 
-    def relax(lb: np.ndarray, ub: np.ndarray, warm=None) -> QpResult:
+    def relax(lb: np.ndarray, ub: np.ndarray, warm: WorkingSet | None = None) -> QpResult:
         nonlocal qp_solves
         qp_solves += 1
         return solve_qp(qp, lb, ub, warm)
@@ -138,7 +141,7 @@ def solve_miqp(problem: MiqpProblem,
         res = relax(*seed_box)
         if res.status == "optimal":
             store(res)
-            root_warm = (res.working_set, *seed_box)
+            root_warm = res.working_set
 
     # the root is an ordinary node: fathomed by a warm incumbent's bound, or
     # open only when its relaxation is optimal
@@ -168,7 +171,7 @@ def solve_miqp(problem: MiqpProblem,
                 assignment=None if incumbent_x is None else problem.assignment(incumbent_x),
                 nodes=nodes, gap=gap, qp_solves=qp_solves)
 
-        warm = (node.working_set, node.lb, node.ub)
+        warm = node.working_set
         if integral(node.x):
             res = relax(*fixed_box(node.x[bin_idx]), warm) if len(bin_idx) else None
             if res is not None and res.status == "optimal":

@@ -8,14 +8,20 @@ method of Goldfarb and Idnani (1983, Math. Prog. 27), and the unregularized
 QP on its working set then gives the optimum (``solve_node``).  What the
 QPs of one problem over smaller boxes share, branch-and-bound's node QPs,
 is prepared once in a ``NodeQp``: the rows equilibrated, their pattern, and
-H + eps I factored when the first of them needs it.  Infeasibility is
+H + eps I factored when the first of them needs it.  The dense algebra runs
+in LAPACK through ``scipy.linalg.lapack``: the Cholesky factor (``dpotrf``)
+and every triangular inverse (``dtrtri``), the working set's QR updates
+(``dgeqrf``, with ``dormqr`` applying Q) and the final KKT solve
+(``dgesv``); a nonzero ``info`` raises ``QpSolverError``, except that a
+singular KKT system leaves the method's own point.  Infeasibility is
 certified by row multipliers, those of a bound-propagation pass or else
 the method's dual ray, that ``_elastic_dual_bound`` turns into a positive
 lower bound on the elastic violation; any other failure raises
 ``QpSolverError`` and never becomes a verdict.  An optimal result carries
-its working set, which warm-starts a smaller box's solve, and its row
-multipliers, which ``NodeQp.dual_bound`` turns into a lower bound on the
-optimum over any smaller box.
+its factored working set (``WorkingSet``), from which a smaller box's solve
+starts without factoring it again, and its row multipliers, which
+``NodeQp.dual_bound`` turns into a lower bound on the optimum over any
+smaller box.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 TOL = 1e-9          # feasibility and stationarity tolerance of an optimum
 MAX_PROX = 50       # proximal steps per solve
@@ -46,7 +53,7 @@ class QpResult:
     certified_violation: float = 0.0
     # when optimal: the equilibrated rows' multipliers and the working set
     multipliers: np.ndarray | None = None
-    working_set: np.ndarray | None = None
+    working_set: WorkingSet | None = None
 
 
 def _elastic_dual_bound(A, b, lb, ub, lam) -> float:
@@ -156,9 +163,9 @@ class NodeQp:
     rows A x <= b and any box inside [lb, ub].  The arrays are floats, the
     boxes finite and the rows equilibrated (``_equilibrate_rows``), with
     their pattern ``nonzero`` (A != 0); eps, the residual scale, the normals
-    [A; I; -I] of the constraints and L^-T for the Cholesky factor L of
-    H + eps I are formed when the first node that propagation leaves open
-    needs them (``setup``)."""
+    [A; I; -I] of the constraints, L^-T for the Cholesky factor L of
+    H + eps I and the mask ``upper`` of an upper triangle are formed when
+    the first node that propagation leaves open needs them (``setup``)."""
 
     def __init__(self, H, f, A, b, lb, ub, obj_const: float = 0.0):
         self.H, self.f, self.lb, self.ub = (np.asarray(v, dtype=float) for v in (H, f, lb, ub))
@@ -174,12 +181,13 @@ class NodeQp:
         if self.inv_chol_t is None:
             n, top = len(self.H), float(np.abs(self.H).max())
             self.eps, self.scale = 1e-6 * (top or 1.0), 1.0 + float(np.abs(self.f).max()) + top
-            self.normals = np.vstack([self.A, np.eye(n), -np.eye(n)])
-            try:
-                L = np.linalg.cholesky(self.H + self.eps * np.eye(n))
-            except np.linalg.LinAlgError:
-                raise QpSolverError("H + eps I is not positive definite") from None
-            self.inv_chol_t = np.linalg.inv(L).T
+            eye = np.eye(n)
+            self.normals = np.concatenate((self.A, eye, -eye))
+            self.upper = ~np.tri(n, k=-1, dtype=bool)
+            L, info = lapack.dpotrf(self.H + self.eps * eye, lower=1)
+            if info != 0:
+                raise QpSolverError("H + eps I is not positive definite")
+            self.inv_chol_t = _triangular_inverse(L, lower=True).T
         return self
 
     def dual_bound(self, x: np.ndarray, lam: np.ndarray):
@@ -188,65 +196,185 @@ class NodeQp:
         return _objective_dual_bound(self.H, self.f, self.A, self.b, x, lam, self.lb, self.ub)
 
 
+def _qr(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of D, at least one row, by ``dgeqrf``: R in the upper
+    triangle, Q as reflectors below it and their factors tau."""
+    qr, tau, _, info = lapack.dgeqrf(D)
+    if info != 0:
+        raise QpSolverError(f"QR factorization failed (info {info})")
+    return qr, tau
+
+
+def _times_q(J: np.ndarray, qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """J Q for the square Q of ``_qr``'s (qr, tau), by ``dormqr``."""
+    JQ, _, info = lapack.dormqr("R", "N", qr[:, :len(tau)], tau, J, max(1, len(J)))
+    if info != 0:
+        raise QpSolverError(f"applying Q failed (info {info})")
+    return JQ
+
+
+def _triangular_inverse(T: np.ndarray, lower: bool = False) -> np.ndarray:
+    """The inverse of T's upper (or lower) triangle, by ``dtrtri``; the
+    other triangle of the result is T's."""
+    inverse, info = lapack.dtrtri(T, lower=lower)
+    if info != 0:
+        raise QpSolverError(f"singular triangular factor (info {info})")
+    return inverse
+
+
+@dataclass(frozen=True)
+class WorkingSet:
+    """The factored working set an optimal solve ended on, and the box it
+    solved: W indexes the normals [A; I; -I], ``eq`` marks the fixed
+    columns' equalities, and J and R^-1 (its leading q x q block, q =
+    len(W)) are ``_DualActiveSet``'s factors.  A warm solve copies them;
+    nothing writes them."""
+    W: np.ndarray
+    eq: np.ndarray
+    J: np.ndarray
+    Rinv: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+
+
 class _DualActiveSet:
     """Goldfarb-Idnani on  min 0.5x'Gx + a'x  s.t.  C x <= d,  G = LL'.
 
-    The working set W, its first ``n_eq`` entries equalities, has normals
-    N = C[W]'; L^-1 N = Q [R; 0], J = L^-T Q and ``Rinv`` = R^-1.  x
-    minimizes on W with multipliers u, u >= 0 on the inequalities.  An added
-    constraint costs a Householder reflection of J's free columns; any
-    other change factors W afresh."""
+    The working set W has normals N = C[W]'; L^-1 N = Q [R; 0], J = L^-T Q
+    and R^-1 is the leading q x q block of ``Rinv``, q = |W|.  Where ``eq``
+    marks an entry of W it is an equality, else an inequality.  x minimizes
+    on W with multipliers u, u >= 0 on the inequalities.  The factors start
+    as copies of ``start``'s, or at J = L^-T on an empty W.  One added
+    constraint costs a Householder reflection of J's free columns, several
+    a QR of their block (Goldfarb and Idnani 1983); a drop costs a QR of
+    R's block right of the first dropped column (Gill, Golub, Murray and
+    Saunders 1974)."""
 
-    def __init__(self, qp: NodeQp, d: np.ndarray, W: list[int], n_eq: int):
-        self.inv_chol_t, self.C, self.d, self.n_eq = qp.inv_chol_t, qp.normals, d, n_eq
-        self.changes = 0
-        self._factor(W)
+    def __init__(self, qp: NodeQp, d: np.ndarray, start: WorkingSet | None = None):
+        n = len(qp.H)
+        self.C, self.d, self.upper = qp.normals, d, qp.upper
+        self.eq, self.u, self.changes = np.zeros(n, dtype=bool), np.zeros(n), 0
+        if start is None:
+            self.W, self.q, self.J, self.Rinv = [], 0, qp.inv_chol_t.copy(), np.zeros((n, n))
+        else:
+            self.W, self.q = start.W.tolist(), len(start.W)
+            self.eq[:self.q] = start.eq
+            self.J, self.Rinv = start.J.copy(), start.Rinv.copy()
+        self.d_free = d.copy()      # d, with +inf on the working set
+        self.d_free[self.W] = np.inf
 
-    def _factor(self, W: list[int], u: np.ndarray | None = None) -> None:
-        """Factor W, less the normals in the span of earlier ones; ``u``
-        holds W's multipliers when they carry over."""
-        n, inv_chol_t = self.C.shape[1], self.inv_chol_t
+    def fix(self, bounds: list[int]) -> None:
+        """Make the fixed columns' bounds ``bounds`` equalities of W.  While
+        a new one lies in the span of W's normals, the last inequality of W
+        that its expansion in them uses leaves W: a factoring of W with the
+        equalities first would drop that one."""
+        new = [p for p in bounds if p not in self.W]
+        if len(new) > 1:
+            new = self._join(new, eq=True)
+        for p in new:
+            while True:
+                q = self.q
+                dd = self.C[p] @ self.J
+                d1, d2 = dd[:q], dd[q:]
+                zz = float(d2 @ d2)
+                r = self.Rinv[:q, :q] @ d1
+                if zz > DEPENDENT ** 2 * (zz + float(d1 @ d1)):
+                    break
+                # the other equalities are unit normals orthogonal to p's,
+                # so the expansion uses some inequality
+                used = (~self.eq[:q] & (np.abs(r) > DEPENDENT * np.abs(r).max())).nonzero()[0]
+                gone = np.zeros(q, dtype=bool)
+                gone[used[-1]] = True
+                self.drop(gone)
+            self._add(p, d1, d2, zz, self.J[:, q:] @ d2, r, 0.0, eq=True)
+
+    def _join(self, cols: list[int], eq: bool = False) -> list[int]:
+        """Add ``cols`` to W by one QR of their block, less those whose
+        normals lie in the span of W's and earlier ones; returns those."""
+        q, n, dependent = self.q, len(self.J), []
         while True:
-            D = inv_chol_t.T @ self.C[W].T
-            Q, R = np.linalg.qr(D, mode="complete")
-            if len(W) == self.n_eq:
-                break
-            keep = np.zeros(len(W), dtype=bool)
-            keep[:n] = np.abs(np.diagonal(R)) > DEPENDENT * np.sqrt((D * D).sum(axis=0)[:n])
+            if not cols or q == n:
+                return dependent + cols
+            E = self.C[cols] @ self.J           # row i: (L^-1 n_i)' Q
+            qr, tau = _qr(E[:, q:].T)
+            keep = np.zeros(len(cols), dtype=bool)
+            size = np.sqrt((E * E).sum(axis=1))[:n - q]
+            keep[:n - q] = np.abs(np.diagonal(qr)) > DEPENDENT * size
             if keep.all():
                 break
-            W = [w for w, k in zip(W, keep) if k]
-            u = None if u is None else u[keep]
-        q = self.q = len(W)
-        self.J, self.W = inv_chol_t @ Q, W
-        self.Rinv, self.u = np.zeros((n, n)), np.zeros(n)
-        self.Rinv[:q, :q] = np.linalg.inv(R[:q])
-        self.u[:q] = 0.0 if u is None else u
-        self.d_free = self.d.copy()     # d, with +inf on the working set
-        self.d_free[W] = np.inf
+            dependent += [c for c, k in zip(cols, keep) if not k]
+            cols = [c for c, k in zip(cols, keep) if k]
+        k = len(cols)
+        self.J[:, q:] = _times_q(self.J[:, q:], qr, tau)
+        # R gains the columns [E[:, :q]'; R2], R2 the triangle of qr[:k]
+        R2inv = _triangular_inverse(qr[:k]) * self.upper[:k, :k]
+        self.Rinv[:q, q:q + k] = -(self.Rinv[:q, :q] @ E[:, :q].T) @ R2inv
+        self.Rinv[q:q + k, :q] = 0.0
+        self.Rinv[q:q + k, q:q + k] = R2inv
+        self.W += cols
+        self.eq[q:q + k], self.u[q:q + k] = eq, 0.0
+        self.d_free[cols] = np.inf
+        self.q += k
+        return dependent
+
+    def _add(self, p: int, d1, d2, zz: float, z, r, u_p: float, eq: bool = False) -> None:
+        """Add p, with (d1, d2) = J' C[p], zz = |d2|^2, z = J2 d2 and
+        r = R^-1 d1: J2 (I - 2hh'/h'h) maps d2 onto its first axis."""
+        q, J = self.q, self.J
+        sigma = float(d2[0])
+        if len(d2) > 1:
+            sigma = -math.copysign(math.sqrt(zz), sigma)
+            h = d2.copy()
+            h[0] -= sigma
+            J[:, q:] -= (z - sigma * J[:, q])[:, None] * (h / (zz - sigma * d2[0]))
+        self.Rinv[:q, q], self.Rinv[q, q], self.Rinv[q, :q] = r / -sigma, 1 / sigma, 0
+        self.W.append(p)
+        self.eq[q], self.u[q] = eq, u_p
+        self.d_free[p] = np.inf
+        self.q += 1
+
+    def drop(self, gone: np.ndarray) -> None:
+        """Remove the entries of W that the mask ``gone`` marks; the other
+        multipliers carry over."""
+        q = self.q
+        keep = (~gone).nonzero()[0]
+        first, q2 = int(gone.argmax()), len(keep)
+        rest = keep[first:]         # the kept entries after the first dropped
+        if len(rest):     # R without the dropped columns is Hessenberg from first on
+            R = _triangular_inverse(self.Rinv[:q, :q])
+            qr, tau = _qr(R[first:q, rest])
+            self.J[:, first:q] = _times_q(self.J[:, first:q], qr, tau)
+            R[:first, first:q2] = R[:first, rest]
+            R[first:q, first:q2] = qr * self.upper[:q - first, :q2 - first]
+            self.Rinv[:q2, :q2] = _triangular_inverse(R[:q2, :q2])
+        dropped = [self.W[i] for i in gone.nonzero()[0]]
+        self.d_free[dropped] = self.d[dropped]
+        self.W = [self.W[i] for i in keep]
+        self.eq[:q2], self.u[:q2] = self.eq[keep], self.u[keep]
+        self.q = q2
 
     def solve(self, a: np.ndarray) -> np.ndarray | None:
         """Minimize with linear term ``a`` from the working set; None at the
         minimum, or the dual ray over the constraints if they conflict.
         More than four constraints violated at the start join W at once: the
-        steps would add mostly those, at a cost each above one factoring."""
-        C, d, n_eq, bulk = self.C, self.d, self.n_eq, True
+        steps would add mostly those, at a cost each above one block update."""
+        C, d, bulk = self.C, self.d, True
         while True:     # the minimum on W, with multipliers >= 0
             q, J, Rinv = self.q, self.J, self.Rinv[:self.q, :self.q]
-            w = d[self.W] @ Rinv
-            x = J[:, :q] @ w - J[:, q:] @ (a @ J[:, q:])
-            u = self.u[:q] = -Rinv @ (w + a @ J[:, :q])
-            if q > n_eq and (negative := u[n_eq:] < 0.0).any():
+            w, g = d[self.W] @ Rinv, a @ J
+            u = self.u[:q] = -(Rinv @ (w + g[:q]))
+            g[:q] = -w
+            x = -(J @ g)
+            if (negative := (u < 0.0) & ~self.eq[:q]).any():
                 self.changes += int(negative.sum())
-                self._factor(self.W[:n_eq] + [c for c, neg in zip(self.W[n_eq:], negative)
-                                              if not neg])
+                self.drop(negative)
                 continue
             v = C @ x - self.d_free
             if not bulk or (violated := (v > 0.1 * TOL).nonzero()[0]).size <= 4:
                 break
             bulk = False
             self.changes += len(violated)
-            self._factor(self.W + violated.tolist())
+            self._join(violated.tolist())
         while True:
             p = int(v.argmax())
             vp = float(v[p])
@@ -265,10 +393,13 @@ class _DualActiveSet:
                 zz = float(d2 @ d2)
                 r = self.Rinv[:q, :q] @ d1
                 k, t = -1, np.inf
-                if q > n_eq and (top := float(r[n_eq:].max())) > 1e-12 * -float(r.min()):
-                    blocking = (r[n_eq:] > 1e-12 * max(top, -float(r.min()))).nonzero()[0] + n_eq
-                    ratios = u[blocking] / r[blocking]
-                    k, t = int(blocking[ratios.argmin()]), float(ratios.min())
+                if q:
+                    r_ineq = np.where(self.eq[:q], -np.inf, r)
+                    top, low = float(r_ineq.max()), float(r.min())
+                    if top > 1e-12 * -low:
+                        blocking = (r_ineq > 1e-12 * max(top, -low)).nonzero()[0]
+                        ratios = u[blocking] / r[blocking]
+                        k, t = int(blocking[ratios.argmin()]), float(ratios.min())
                 if zz <= DEPENDENT ** 2 * (zz + float(d1 @ d1)):
                     if k < 0:   # n_p = N r with r <= 0 on the inequalities
                         self.changes += 1
@@ -278,19 +409,10 @@ class _DualActiveSet:
                 else:
                     z = J[:, q:] @ d2
                     full = vp / zz
-                    if full <= t:   # add p: J2 (I - 2hh'/h'h) maps d2 onto its first axis
+                    if full <= t:
                         x = x - full * z
                         u -= full * r
-                        sigma = float(d2[0])
-                        if len(d2) > 1:
-                            sigma = -math.copysign(math.sqrt(zz), sigma)
-                            h = d2.copy()
-                            h[0] -= sigma
-                            J[:, q:] -= (z - sigma * J[:, q])[:, None] * (h / (zz - sigma * d2[0]))
-                        self.Rinv[:q, q], self.Rinv[q, q], self.Rinv[q, :q] = r / -sigma, 1 / sigma, 0
-                        self.W.append(p)
-                        self.d_free[p], self.u[q] = np.inf, u_p + full
-                        self.q += 1
+                        self._add(p, d1, d2, zz, z, r, u_p + full)
                         self.changes += 1
                         break
                     x = x - t * z
@@ -298,24 +420,26 @@ class _DualActiveSet:
                 u -= t * r
                 u_p += t
                 self.changes += 1
-                self._factor(self.W[:k] + self.W[k + 1:], np.delete(u, k))
+                gone = np.zeros(q, dtype=bool)
+                gone[k] = True
+                self.drop(gone)
             v = C @ x - self.d_free
 
 
-def _polish(H, f, N, h, n_eq, scale):
+def _polish(H, f, N, h, eq, scale):
     """[(x, u)] for the solution of min 0.5x'Hx + f'x s.t. N x = h when it
-    has u >= 0 on the inequalities (to ``TOL``, then clipped), else []."""
+    has u >= 0 on the inequalities, those ``eq`` does not mark (to ``TOL``,
+    then clipped), else []; the KKT system is solved by ``dgesv``."""
     n, q = len(f), len(h)
     K = np.zeros((n + q, n + q))
     K[:n, :n], K[:n, n:], K[n:, :n] = H, N.T, N
-    try:
-        sol = np.linalg.solve(K, np.concatenate([-f, h]))
-    except np.linalg.LinAlgError:
+    sol, info = lapack.dgesv(K, np.concatenate([-f, h]))[2:]
+    if info != 0:
         return []
     x, u = sol[:n], sol[n:]
-    if not u[n_eq:].min(initial=0.0) >= -TOL * scale:
+    if not u[~eq].min(initial=0.0) >= -TOL * scale:
         return []
-    u[n_eq:] = np.maximum(u[n_eq:], 0.0)
+    u[~eq] = np.maximum(u[~eq], 0.0)
     return [(x, u)]
 
 
@@ -331,28 +455,22 @@ def check_feasible_point(x, A, b, lb, ub) -> bool:
             and (not A.size or (A @ x - b).max() <= TOL))
 
 
-def solve_qp(H: np.ndarray, f: np.ndarray, A: np.ndarray, b: np.ndarray,
-             lb: np.ndarray, ub: np.ndarray, obj_const: float = 0.0) -> QpResult:
-    """Globally solve the convex QP; returns status "infeasible" with a
-    certified positive lower bound on the row violation when no point
-    satisfies the constraints.  The rows are equilibrated first."""
-    qp = NodeQp(H, f, A, b, lb, ub, obj_const)
-    return solve_node(qp, qp.lb, qp.ub)
-
-
 def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
-               warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> QpResult:
-    """``solve_qp`` of ``qp`` over the box [lb, ub], a float box inside its own.
+               warm: WorkingSet | None = None) -> QpResult:
+    """Globally solve ``qp`` over the box [lb, ub], a float box inside its
+    own; status "infeasible" comes with a certified positive lower bound on
+    the row violation.
 
     A propagation certificate ends the solve with zero iterations.  Else
     each proximal step minimizes with H + eps I and f - eps c, its centre c
     the box's middle, then the last step's point, from the last step's
-    working set; the first starts from the fixed columns' upper bounds as
-    equalities and ``warm``: the working set, lb and ub of an earlier solve
-    of ``qp``, less the bounds of columns whose box differs.  The optimum
-    is the unregularized QP's solution with the working set as equalities,
-    once it meets every row and bound with multipliers >= 0 and a residual
-    <= ``TOL``, or the step's own point once its residual is.
+    working set.  The first starts from ``warm``, the factored working set
+    of an earlier optimal solve of ``qp``, less the bounds of columns whose
+    box differs, or else from an empty set; the fixed columns' upper bounds
+    then join it as equalities.  The optimum is the unregularized QP's
+    solution with the working set as equalities, once it meets every row
+    and bound with multipliers >= 0 and a residual <= ``TOL``, or the
+    step's own point once its residual is.
     """
     H, f, A, b = qp.H, qp.f, qp.A, qp.b
     if (lb > ub + 1e-15).any():
@@ -363,14 +481,15 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
 
     m, n = A.shape
     fixed = (lb == ub).nonzero()[0]
-    W = (m + fixed).tolist()
-    if warm is not None:
-        ws, lb0, ub0 = warm
-        j = (ws - m) % n
-        W += ws[(ws < m) | ((lb0[j] == lb[j]) & (ub0[j] == ub[j]) & (lb[j] < ub[j]))].tolist()
     d = np.concatenate([b, ub, -lb])
     d[m + n + fixed] = np.inf
-    method = _DualActiveSet(qp.setup(), d, W, len(fixed))
+    method = _DualActiveSet(qp.setup(), d, warm)
+    if warm is not None:
+        j = (warm.W - m) % n
+        stale = (warm.W >= m) & ((warm.lb[j] != lb[j]) | (warm.ub[j] != ub[j]))
+        if stale.any():
+            method.drop(stale)
+    method.fix((m + fixed).tolist())
     center = 0.5 * (lb + ub)
     for _ in range(MAX_PROX):
         ray = method.solve(f - qp.eps * center)
@@ -379,15 +498,16 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
             if certified > 1e-9:
                 return QpResult("infeasible", None, None, method.changes, np.inf, certified)
             raise QpSolverError(f"dual ray certifies no violation ({certified:.3g})")
-        N = qp.normals[method.W]
-        polished = _polish(H, f, N, d[method.W], len(fixed), qp.scale)
+        N, eq = qp.normals[method.W], method.eq[:method.q]
+        polished = _polish(H, f, N, d[method.W], eq, qp.scale)
         for x, u in polished + [(method.x, method.u[:method.q])]:
             kkt = float(np.abs(H @ x + f + u @ N).max()) / qp.scale
             if kkt <= TOL and check_feasible_point(x, A, b, lb, ub):
                 ws = np.array(method.W, dtype=int)
                 lam = np.bincount(ws[ws < m], u[ws < m], minlength=m)
+                factored = WorkingSet(ws, eq.copy(), method.J, method.Rinv, lb, ub)
                 return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + qp.obj_const),
-                                method.changes, kkt, multipliers=lam, working_set=ws)
+                                method.changes, kkt, multipliers=lam, working_set=factored)
         if kkt <= TOL:
             raise QpSolverError(f"converged point fails the feasibility check (kkt {kkt:.3g})")
         center = method.x

@@ -8,8 +8,8 @@ from wws import mpc
 from wws.condense import condense
 from wws.mpc import ControllerConfig, build_step_problem, run_closed_loop
 from wws.predictor import LinearPredictor, lift, linearize_local
-from wws.qp import solve_qp
 
+from boxqp import solve_box
 from oracles import iterated_free_response
 
 
@@ -116,8 +116,8 @@ def test_unconstrained_tracking_hits_reference():
     cfg = _tracking_cfg(horizon=1, reference=40.0, r_weight=1e-9, u_max=100.0)
     prob = build_step_problem(cfg, condense(pred, cfg), np.zeros(6), 0,
                               [0.0], []).problem
-    res = solve_qp(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
-                   obj_const=prob.obj_const)
+    res = solve_box(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
+                    obj_const=prob.obj_const)
     assert res.x[0] == pytest.approx(40.0, abs=1e-7)
 
 
@@ -204,7 +204,7 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
     # condensed
     cfg = _tracking_cfg(horizon=np_h, q_weight=q_w, r_weight=r_w, reference=ref)
     p1 = build_step_problem(cfg, condense(pred, cfg), x0, 0, [30.0], []).problem
-    r1 = solve_qp(p1.H, p1.f, p1.A, p1.b, p1.lb, p1.ub, obj_const=p1.obj_const)
+    r1 = solve_box(p1.H, p1.f, p1.A, p1.b, p1.lb, p1.ub, obj_const=p1.obj_const)
 
     # explicit lifted states: v = (u_0..u_{Np-1}, z_0, .., z_Np), E v = d
     n_z = 6 * (np_h + 1)

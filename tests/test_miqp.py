@@ -10,8 +10,8 @@ from wws.mpc import (DEFAULT_POWER_SPEC, ControllerConfig, build_step_problem, c
 from wws import miqp
 from wws.miqp import MiqpError, solve_miqp
 from wws.plant import output
-from wws.qp import solve_qp
 
+from boxqp import solve_box
 from oracles import (ProblemBuilder, add_squared_cost, encode_formula, enumerate_miqp,
                      max_violation, random_miqp)
 
@@ -37,8 +37,8 @@ def test_no_binaries_reduces_to_qp():
     b.add_rows(["x"], [[1.0]], [2.0])
     prob = b.build()
     res = solve_miqp(prob)
-    qp = solve_qp(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
-                  obj_const=prob.obj_const)
+    qp = solve_box(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
+                   obj_const=prob.obj_const)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(qp.objective, abs=1e-9)
     assert res.nodes == 1
@@ -65,24 +65,24 @@ def test_root_relaxation_bounds_integer_optimum():
         oracle_obj, _ = enumerate_miqp(prob)
         if oracle_obj == np.inf:
             continue
-        root = solve_qp(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
-                        obj_const=prob.obj_const)
+        root = solve_box(prob.H, prob.f, prob.A, prob.b, prob.lb, prob.ub,
+                         obj_const=prob.obj_const)
         assert root.status == "optimal"
         assert root.objective <= oracle_obj + 1e-8
         # a partial integer fix still lower-bounds its completions
         bin_idx = np.flatnonzero(prob.binary)
         lb, ub = prob.lb.copy(), prob.ub.copy()
         lb[bin_idx[0]] = ub[bin_idx[0]] = 1.0
-        part = solve_qp(prob.H, prob.f, prob.A, prob.b, lb, ub,
-                        obj_const=prob.obj_const)
+        part = solve_box(prob.H, prob.f, prob.A, prob.b, lb, ub,
+                         obj_const=prob.obj_const)
         sub_best = np.inf
         import itertools
         for bits in itertools.product((0.0, 1.0), repeat=len(bin_idx) - 1):
             l2, u2 = lb.copy(), ub.copy()
             for i, v in zip(bin_idx[1:], bits):
                 l2[i] = u2[i] = v
-            leaf = solve_qp(prob.H, prob.f, prob.A, prob.b, l2, u2,
-                            obj_const=prob.obj_const)
+            leaf = solve_box(prob.H, prob.f, prob.A, prob.b, l2, u2,
+                             obj_const=prob.obj_const)
             if leaf.status == "optimal":
                 sub_best = min(sub_best, leaf.objective)
         if part.status == "optimal" and sub_best < np.inf:

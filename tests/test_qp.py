@@ -4,35 +4,36 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boxqp import solve_box
 from oracles import elastic_violation_highs, kkt_residual, random_miqp
 from wws import miqp, mpc, qp
 from wws import predictor as P
 from wws.mpc import DEFAULT_INITIAL_TEMPS, DEFAULT_POWER_SPEC, plan_step, supply_spec
 from wws.plant import PlantModel
-from wws.qp import QpSolverError, solve_qp
+from wws.qp import QpSolverError
 
 
 def test_clipped_parabola():
-    res = solve_qp(H=np.array([[2.0]]), f=np.array([-6.0]),
-                   A=np.array([[1.0]]), b=np.array([2.0]),
-                   lb=np.array([-10.0]), ub=np.array([10.0]), obj_const=9.0)
+    res = solve_box(H=np.array([[2.0]]), f=np.array([-6.0]),
+                    A=np.array([[1.0]]), b=np.array([2.0]),
+                    lb=np.array([-10.0]), ub=np.array([10.0]), obj_const=9.0)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(2.0, abs=1e-8)
     assert res.objective == pytest.approx(1.0, abs=1e-8)
 
 
 def test_infeasible_box_pair():
-    res = solve_qp(H=np.array([[2.0]]), f=np.array([0.0]),
-                   A=np.array([[1.0], [-1.0]]), b=np.array([0.0, -1.0]),
-                   lb=np.array([-5.0]), ub=np.array([5.0]))
+    res = solve_box(H=np.array([[2.0]]), f=np.array([0.0]),
+                    A=np.array([[1.0], [-1.0]]), b=np.array([0.0, -1.0]),
+                    lb=np.array([-5.0]), ub=np.array([5.0]))
     assert res.status == "infeasible"
     assert res.certified_violation > 1e-3  # certified separation
 
 
 def _propagation_verdict(A, b, lb, ub):
-    res = solve_qp(np.zeros((len(lb), len(lb))), np.zeros(len(lb)),
-                   np.array(A, dtype=float), np.array(b, dtype=float),
-                   np.array(lb, dtype=float), np.array(ub, dtype=float))
+    res = solve_box(np.zeros((len(lb), len(lb))), np.zeros(len(lb)),
+                    np.array(A, dtype=float), np.array(b, dtype=float),
+                    np.array(lb, dtype=float), np.array(ub, dtype=float))
     assert res.status == "infeasible" and res.iterations == 0
     assert 1e-9 < res.certified_violation <= elastic_violation_highs(A, b, lb, ub) + 1e-9
     return res.certified_violation
@@ -57,7 +58,7 @@ def test_conflict_of_three_rows_is_certified_by_the_dual_ray():
     A = np.array([[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [1.0, 0.0, 1.0]])
     b = np.array([-1.2, -1.2, 0.2])
     lb, ub = np.zeros(3), np.ones(3)
-    res = solve_qp(np.zeros((3, 3)), np.zeros(3), A, b, lb, ub)
+    res = solve_box(np.zeros((3, 3)), np.zeros(3), A, b, lb, ub)
     assert res.status == "infeasible" and res.iterations > 0
     assert 1e-9 < res.certified_violation <= elastic_violation_highs(A, b, lb, ub) + 1e-9
 
@@ -74,7 +75,7 @@ def test_random_inequality_qps_satisfy_kkt():
         b = rng.normal(size=m) + 1.0
         lb = np.full(n, -10.0)
         ub = np.full(n, 10.0)
-        res = solve_qp(H, f, A, b, lb, ub)
+        res = solve_box(H, f, A, b, lb, ub)
         if res.status != "optimal":
             continue
         solved += 1
@@ -93,7 +94,7 @@ def test_fixed_columns_without_curvature_solve():
     A, b = np.array([np.ones(10), -np.ones(10)]), np.array([5.0, -5.0])
     lb = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1.0])
     ub = np.array([0, 1, 1, 0, 1, 0, 1, 1, 0, 1.0])
-    res = solve_qp(H, f, A, b, lb, ub)
+    res = solve_box(H, f, A, b, lb, ub)
     assert res.status == "optimal"
     stationarity, violation = kkt_residual(H, f, A, b, lb, ub, res.x)
     assert stationarity <= 1e-9 and violation <= 1e-9
@@ -102,26 +103,26 @@ def test_fixed_columns_without_curvature_solve():
 def test_singular_hessian_with_free_literals():
     H = np.zeros((3, 3))
     H[0, 0] = 2.0
-    res = solve_qp(H, np.array([-2.0, 0.0, 0.0]),
-                   A=np.array([[1.0, 1.0, 0.0]]), b=np.array([1.5]),
-                   lb=np.zeros(3), ub=np.ones(3))
+    res = solve_box(H, np.array([-2.0, 0.0, 0.0]),
+                    A=np.array([[1.0, 1.0, 0.0]]), b=np.array([1.5]),
+                    lb=np.zeros(3), ub=np.ones(3))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_degenerate_pinned_variable():
-    res = solve_qp(np.zeros((2, 2)), np.array([1.0, 0.0]),
-                   A=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                   b=np.array([0.5, -0.5]),
-                   lb=np.zeros(2), ub=np.ones(2))
+    res = solve_box(np.zeros((2, 2)), np.array([1.0, 0.0]),
+                    A=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                    b=np.array([0.5, -0.5]),
+                    lb=np.zeros(2), ub=np.ones(2))
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(0.5, abs=1e-7)
 
 
 def test_finite_boxes_required():
     with pytest.raises(ValueError, match="finite"):
-        solve_qp(np.eye(1), np.zeros(1), np.zeros((0, 1)), np.zeros(0),
-                 lb=np.array([-np.inf]), ub=np.array([1.0]))
+        solve_box(np.eye(1), np.zeros(1), np.zeros((0, 1)), np.zeros(0),
+                  lb=np.array([-np.inf]), ub=np.array([1.0]))
 
 
 def _random_node_box(rng, prob):
@@ -149,7 +150,7 @@ def test_objective_dual_bound_stays_below_every_node_optimum():
         optimal = []
         for _ in range(6):
             lb, ub = _random_node_box(rng, prob)
-            res = solve_qp(prob.H, prob.f, prob.A, prob.b, lb, ub, obj_const=prob.obj_const)
+            res = solve_box(prob.H, prob.f, prob.A, prob.b, lb, ub, obj_const=prob.obj_const)
             if res.status == "optimal":
                 assert res.multipliers.shape == b.shape and np.all(res.multipliers >= 0.0)
                 optimal.append((lb, ub, res))
@@ -183,10 +184,93 @@ FEASIBLE_QP = (np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
 
 def test_failed_feasibility_check_raises(monkeypatch):
     # a converged point that fails the check is a solver fault, never a verdict
-    assert solve_qp(*FEASIBLE_QP).status == "optimal"
+    assert solve_box(*FEASIBLE_QP).status == "optimal"
     monkeypatch.setattr(qp, "check_feasible_point", lambda *a, **k: False)
     with pytest.raises(QpSolverError, match="feasibility check"):
-        solve_qp(*FEASIBLE_QP)
+        solve_box(*FEASIBLE_QP)
+
+
+def test_indefinite_hessian_raises():
+    # dpotrf reports H + eps I indefinite: a solver fault, never a verdict
+    with pytest.raises(QpSolverError, match="not positive definite"):
+        solve_box(np.diag([1.0, -1.0]), np.zeros(2), np.zeros((0, 2)), np.zeros(0),
+                  -np.ones(2), np.ones(2))
+
+
+def test_singular_working_set_factor_raises():
+    # two equal normals: their QR leaves an exact zero on R's diagonal,
+    # which dtrtri reports instead of returning an inverse
+    qr, _ = qp._qr(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    assert qr[1, 1] == 0.0
+    with pytest.raises(QpSolverError, match="singular"):
+        qp._triangular_inverse(np.triu(qr))
+
+
+def test_singular_kkt_system_is_not_polished():
+    # no curvature and no constraint on x1: dgesv finds the KKT matrix
+    # singular, and the solve falls back to the active-set point
+    K_free = (np.zeros((2, 2)), np.zeros(2), np.array([[1.0, 0.0]]), np.array([0.0]))
+    assert qp._polish(*K_free, np.array([False]), 1.0) == []
+    res = solve_box(np.zeros((2, 2)), np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0),
+                    np.zeros(2), np.ones(2))
+    assert res.status == "optimal" and res.x[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_warm_node_solves_match_cold_solves(monkeypatch):
+    # every node QP that branch-and-bound starts from an inherited
+    # factorization (children, roots after a seed, integral re-solves) agrees
+    # with a cold solve of its box.  A child fixes one more binary, one that
+    # was fractional at its parent and so has no bound in the parent's
+    # working set; it opens without a fresh factorization: no QR before its
+    # first working-set change, which is a drop when the new equality lies in
+    # the span of the parent's working set
+    events = []
+    for name in ("drop", "solve"):
+        method = getattr(qp._DualActiveSet, name)
+
+        def record(self, *args, _method=method, _name=name):
+            events.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(qp._DualActiveSet, name, record)
+    qr = qp._qr
+
+    def record_qr(D):
+        events.append("_qr")
+        return qr(D)
+
+    monkeypatch.setattr(qp, "_qr", record_qr)
+    solve, checked = miqp.solve_qp, {"child": 0, "inherited": 0, "other": 0}
+
+    def warm_and_cold(node, lb, ub, warm=None):
+        events.clear()
+        res = solve(node, lb, ub, warm)
+        if warm is None:
+            return res
+        opening = events[:events.index("solve")] if "solve" in events else events
+        changed = ((warm.lb != lb) | (warm.ub != ub)).nonzero()[0]
+        m, n = node.A.shape
+        child = (len(changed) == 1 and lb[changed] == ub[changed]
+                 and not np.isin(m + changed + [0, n], warm.W).any())
+        if child:
+            assert opening[:1] in ([], ["drop"]), opening
+            checked["inherited"] += opening == []
+        checked["child" if child else "other"] += 1
+        cold = solve(node, lb, ub)
+        assert res.status == cold.status
+        if res.status == "optimal":
+            assert abs(res.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+            stationarity, violation = kkt_residual(node.H, node.f, node.A, node.b, lb, ub, res.x)
+            assert stationarity <= 1e-9 and violation <= 1e-9
+        return res
+
+    monkeypatch.setattr(miqp, "solve_qp", warm_and_cold)
+    rng = np.random.default_rng(123)
+    for i in range(80):
+        prob = random_miqp(rng)
+        seed = rng.integers(0, 2, int(prob.binary.sum())) if i % 2 else None
+        miqp.solve_miqp(prob, seed)
+    assert checked["child"] > 80 and checked["inherited"] > 60 and checked["other"] > 80
 
 
 def _agrees_with_highs(qps, stationarity_tol=None):
@@ -199,7 +283,7 @@ def _agrees_with_highs(qps, stationarity_tol=None):
     """
     infeasible = propagated = 0
     for H, f, A, b, lb, ub in qps:
-        res = solve_qp(H, f, A, b, lb, ub)
+        res = solve_box(H, f, A, b, lb, ub)
         t_star = elastic_violation_highs(A, b, lb, ub)
         if res.status == "infeasible":
             infeasible += 1
@@ -275,7 +359,7 @@ def test_warm_step_node_qps_agree_with_highs(monkeypatch, demo_model, demo_cfg,
     trace = mpc.run_closed_loop(demo_model, demo_cfg, demo_predictor, np.full(6, 15.0))
     assert trace.n_infeasible == 0
     for qps in steps[1:]:
-        if any(solve_qp(*node).status == "infeasible" for node in qps):
+        if any(solve_box(*node).status == "infeasible" for node in qps):
             break
     else:
         pytest.fail("no warm step with an infeasible child")

@@ -32,3 +32,44 @@ def test_branch_and_bound_uses_public_qp_names():
                if module == "wws.qp" and name.startswith("_")]
     assert private == []
     assert ("wws.qp", "NodeQp") in _imports(ROOT / "src" / "wws" / "miqp.py")
+
+
+# public names kept for callers outside the package: the closed loop is the
+# library's entry point (README, ROADMAP)
+UNREFERENCED_ENTRY_POINTS = {("mpc", "run_closed_loop")}
+
+
+def test_every_public_name_in_the_package_has_a_caller():
+    # a public top-level function or class of src/wws is referenced somewhere
+    # in src/wws outside its own definition; a name bound by an import alias
+    # (``from .qp import solve_node as solve_qp``) counts as the imported name
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "wws").glob("*.py"))}
+
+    def references(node, aliases: dict[str, str]) -> list[str]:
+        found = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.append(aliases.get(sub.id, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                found.append(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                found += [alias.name for alias in sub.names]
+        return found
+
+    aliases = {module: {alias.asname: alias.name for sub in ast.walk(tree)
+                        if isinstance(sub, (ast.Import, ast.ImportFrom))
+                        for alias in sub.names if alias.asname}
+               for module, tree in trees.items()}
+    everywhere = [name for module, tree in trees.items()
+                  for name in references(tree, aliases[module])]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and (module, node.name) not in UNREFERENCED_ENTRY_POINTS
+                    and everywhere.count(node.name)
+                    <= references(node, aliases[module]).count(node.name)):
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
