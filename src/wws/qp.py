@@ -163,9 +163,9 @@ class NodeQp:
     rows A x <= b and any box inside [lb, ub].  The arrays are floats, the
     boxes finite and the rows equilibrated (``_equilibrate_rows``), with
     their pattern ``nonzero`` (A != 0); eps, the residual scale, the normals
-    [A; I; -I] of the constraints, L^-T for the Cholesky factor L of
-    H + eps I and the mask ``upper`` of an upper triangle are formed when
-    the first node that propagation leaves open needs them (``setup``)."""
+    [A; I; -I] of the constraints, G = H + eps I and the mask ``upper`` of
+    an upper triangle are formed when the first node that propagation
+    leaves open needs them (``setup``)."""
 
     def __init__(self, H, f, A, b, lb, ub, obj_const: float = 0.0):
         self.H, self.f, self.lb, self.ub = (np.asarray(v, dtype=float) for v in (H, f, lb, ub))
@@ -175,20 +175,35 @@ class NodeQp:
             raise ValueError("all variables must carry finite boxes")
         self.A, self.b = _equilibrate_rows(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
         self.nonzero = self.A != 0.0
-        self.obj_const, self.inv_chol_t = obj_const, None
+        self.obj_const, self.normals = obj_const, None
 
     def setup(self) -> NodeQp:
-        if self.inv_chol_t is None:
+        if self.normals is None:
             n, top = len(self.H), float(np.abs(self.H).max())
             self.eps, self.scale = 1e-6 * (top or 1.0), 1.0 + float(np.abs(self.f).max()) + top
             eye = np.eye(n)
             self.normals = np.concatenate((self.A, eye, -eye))
+            self.G = self.H + self.eps * eye
             self.upper = ~np.tri(n, k=-1, dtype=bool)
-            L, info = lapack.dpotrf(self.H + self.eps * eye, lower=1)
-            if info != 0:
-                raise QpSolverError("H + eps I is not positive definite")
-            self.inv_chol_t = _triangular_inverse(L, lower=True).T
         return self
+
+    def fixed_first(self, fixed: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The upper bounds of the columns that the mask ``fixed`` marks, as
+        a working set of equalities in column order, with its factors J
+        and R^-1 (``_DualActiveSet``).  With those columns first, G = U U'
+        for an upper-triangular U, the reversed Cholesky factor of the
+        reversed G (``dpotrf``); J = U^-T, its rows put back in column
+        order, has J'GJ = I and the rows [R' 0] at the fixed columns, with
+        R^-1 U's leading block, so the set needs no QR."""
+        n, first = len(self.H), fixed.nonzero()[0]
+        order = np.concatenate((first, (~fixed).nonzero()[0]))
+        L, info = lapack.dpotrf(self.G.take(order[::-1], 0).take(order[::-1], 1), lower=1)
+        if info != 0:
+            raise QpSolverError("H + eps I is not positive definite")
+        J, Rinv, k = np.empty((n, n)), np.zeros((n, n)), len(first)
+        J[order] = _triangular_inverse(L, lower=True).T[::-1, ::-1]
+        Rinv[:k, :k] = L[n - k:, n - k:][::-1, ::-1]
+        return (len(self.A) + first).tolist(), J, Rinv
 
     def dual_bound(self, x: np.ndarray, lam: np.ndarray):
         """``_objective_dual_bound`` of (x, lam) on these rows, over any box
@@ -240,28 +255,26 @@ class WorkingSet:
 class _DualActiveSet:
     """Goldfarb-Idnani on  min 0.5x'Gx + a'x  s.t.  C x <= d,  G = LL'.
 
-    The working set W has normals N = C[W]'; L^-1 N = Q [R; 0], J = L^-T Q
-    and R^-1 is the leading q x q block of ``Rinv``, q = |W|.  Where ``eq``
-    marks an entry of W it is an equality, else an inequality.  x minimizes
-    on W with multipliers u, u >= 0 on the inequalities.  The factors start
-    as copies of ``start``'s, or at J = L^-T on an empty W.  One added
-    constraint costs a Householder reflection of J's free columns, several
-    a QR of their block (Goldfarb and Idnani 1983); a drop costs a QR of
-    R's block right of the first dropped column (Gill, Golub, Murray and
-    Saunders 1974)."""
+    The working set W has normals N = C[W]'; for a square L with G = LL'
+    and an orthogonal Q, L^-1 N = Q [R; 0] with R upper triangular,
+    J = L^-T Q, and R^-1 is the leading q x q block of ``Rinv``, q = |W|.
+    Where ``eq`` marks an entry of W it is an equality, else an inequality.
+    x minimizes on W with multipliers u, u >= 0 on the inequalities.  The
+    method owns the J and ``Rinv`` it is given.  One added constraint
+    costs a Householder reflection of J's free columns, several a QR of
+    their block (Goldfarb and Idnani 1983); a drop costs a QR of R's block
+    right of the first dropped column (Gill, Golub, Murray and Saunders
+    1974)."""
 
-    def __init__(self, qp: NodeQp, d: np.ndarray, start: WorkingSet | None = None):
+    def __init__(self, qp: NodeQp, d: np.ndarray, W: list[int], eq, J: np.ndarray,
+                 Rinv: np.ndarray):
         n = len(qp.H)
         self.C, self.d, self.upper = qp.normals, d, qp.upper
+        self.W, self.q, self.J, self.Rinv = W, len(W), J, Rinv
         self.eq, self.u, self.changes = np.zeros(n, dtype=bool), np.zeros(n), 0
-        if start is None:
-            self.W, self.q, self.J, self.Rinv = [], 0, qp.inv_chol_t.copy(), np.zeros((n, n))
-        else:
-            self.W, self.q = start.W.tolist(), len(start.W)
-            self.eq[:self.q] = start.eq
-            self.J, self.Rinv = start.J.copy(), start.Rinv.copy()
+        self.eq[:self.q] = eq
         self.d_free = d.copy()      # d, with +inf on the working set
-        self.d_free[self.W] = np.inf
+        self.d_free[W] = np.inf
 
     def fix(self, bounds: list[int]) -> None:
         """Make the fixed columns' bounds ``bounds`` equalities of W.  While
@@ -466,8 +479,9 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
     the box's middle, then the last step's point, from the last step's
     working set.  The first starts from ``warm``, the factored working set
     of an earlier optimal solve of ``qp``, less the bounds of columns whose
-    box differs, or else from an empty set; the fixed columns' upper bounds
-    then join it as equalities.  The optimum is the unregularized QP's
+    box differs and with the upper bounds of the newly fixed columns joined
+    as equalities, or else from the fixed columns' upper bounds alone
+    (``NodeQp.fixed_first``).  The optimum is the unregularized QP's
     solution with the working set as equalities, once it meets every row
     and bound with multipliers >= 0 and a residual <= ``TOL``, or the
     step's own point once its residual is.
@@ -480,16 +494,20 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
         return QpResult("infeasible", None, None, 0, np.inf, certified)
 
     m, n = A.shape
-    fixed = (lb == ub).nonzero()[0]
+    fixed = lb == ub
     d = np.concatenate([b, ub, -lb])
-    d[m + n + fixed] = np.inf
-    method = _DualActiveSet(qp.setup(), d, warm)
-    if warm is not None:
+    d[m + n + fixed.nonzero()[0]] = np.inf
+    qp.setup()
+    if warm is None:
+        W, J, Rinv = qp.fixed_first(fixed)
+        method = _DualActiveSet(qp, d, W, True, J, Rinv)
+    else:
+        method = _DualActiveSet(qp, d, warm.W.tolist(), warm.eq, warm.J.copy(), warm.Rinv.copy())
         j = (warm.W - m) % n
         stale = (warm.W >= m) & ((warm.lb[j] != lb[j]) | (warm.ub[j] != ub[j]))
         if stale.any():
             method.drop(stale)
-    method.fix((m + fixed).tolist())
+        method.fix((m + fixed.nonzero()[0]).tolist())
     center = 0.5 * (lb + ub)
     for _ in range(MAX_PROX):
         ray = method.solve(f - qp.eps * center)
@@ -498,13 +516,14 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
             if certified > 1e-9:
                 return QpResult("infeasible", None, None, method.changes, np.inf, certified)
             raise QpSolverError(f"dual ray certifies no violation ({certified:.3g})")
-        N, eq = qp.normals[method.W], method.eq[:method.q]
-        polished = _polish(H, f, N, d[method.W], eq, qp.scale)
+        ws, eq = np.array(method.W, dtype=int), method.eq[:method.q]
+        N = qp.normals[ws]
+        polished = _polish(H, f, N, d[ws], eq, qp.scale)
         for x, u in polished + [(method.x, method.u[:method.q])]:
             kkt = float(np.abs(H @ x + f + u @ N).max()) / qp.scale
             if kkt <= TOL and check_feasible_point(x, A, b, lb, ub):
-                ws = np.array(method.W, dtype=int)
-                lam = np.bincount(ws[ws < m], u[ws < m], minlength=m)
+                rows = ws < m
+                lam = np.bincount(ws[rows], u[rows], minlength=m)
                 factored = WorkingSet(ws, eq.copy(), method.J, method.Rinv, lb, ub)
                 return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + qp.obj_const),
                                 method.changes, kkt, multipliers=lam, working_set=factored)
