@@ -209,8 +209,8 @@ def test_singular_working_set_factor_raises():
 def test_singular_kkt_system_is_not_polished():
     # no curvature and no constraint on x1: dgesv finds the KKT matrix
     # singular, and the solve falls back to the active-set point
-    K_free = (np.zeros((2, 2)), np.zeros(2), np.array([[1.0, 0.0]]), np.array([0.0]))
-    assert qp._polish(*K_free, np.array([False]), 1.0) == []
+    H, f, N, h = np.zeros((2, 2)), np.zeros(2), np.array([[1.0, 0.0]]), np.array([0.0])
+    assert qp._polish(H, f, N, h, np.array([False]), 1.0) == []
     res = solve_box(np.zeros((2, 2)), np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0),
                     np.zeros(2), np.ones(2))
     assert res.status == "optimal" and res.x[0] == pytest.approx(0.0, abs=1e-9)
