@@ -261,8 +261,8 @@ class _DualActiveSet:
     Where ``eq`` marks an entry of W it is an equality, else an inequality.
     x minimizes on W with multipliers u, u >= 0 on the inequalities.  The
     method owns the J and ``Rinv`` it is given.  One added constraint
-    costs a Householder reflection of J's free columns, several a QR of
-    their block (Goldfarb and Idnani 1983); a drop costs a QR of R's block
+    costs a Householder reflection of J's free columns (Goldfarb and Idnani
+    1983), several one QR of their block; a drop costs a QR of R's block
     right of the first dropped column (Gill, Golub, Murray and Saunders
     1974)."""
 
