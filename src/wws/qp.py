@@ -240,10 +240,10 @@ def _triangular_inverse(T: np.ndarray, lower: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class WorkingSet:
     """The factored working set an optimal solve ended on, and the box it
-    solved: W indexes the normals [A; I; -I], ``eq`` marks the fixed
-    columns' equalities, and J and R^-1 (its leading q x q block, q =
-    len(W)) are ``_DualActiveSet``'s factors.  A warm solve copies them;
-    nothing writes them."""
+    solved (the arrays it was given, not copies): W indexes the normals
+    [A; I; -I], ``eq`` marks the fixed columns' equalities, and J and R^-1
+    (its leading q x q block, q = len(W)) are ``_DualActiveSet``'s
+    factors.  A warm solve copies them; nothing writes them."""
     W: np.ndarray
     eq: np.ndarray
     J: np.ndarray
