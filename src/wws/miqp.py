@@ -15,10 +15,11 @@ Every node QP is solved by ``qp``'s proximal dual active-set method on one
 ``qp.NodeQp`` per problem, which equilibrates the rows once and factors
 H + eps I once, when the first node needs it.  A child starts from its
 parent's final working set and that set's factorization
-(``QpResult.working_set``), the root after a warm seed from the seed's, and
-an integral node's re-solve from the node's: only the bounds of columns
-whose box changed leave the set, and the newly fixed columns join it as
-equalities by updates of the inherited factors.  A node is fathomed
+(``QpResult.working_set``): its branched column, fractional at the parent
+and so without a bound in that set, joins it as an equality by an update
+of the inherited factors.  Every other solve (the warm seed, the root and
+an integral node's re-solve) opens from one Cholesky factor with its own
+fixed columns first (``NodeQp.fixed_first``).  A node is fathomed
 before its QP when the incumbent proves it prunable: an incumbent from an
 optimal QP keeps that solve's point x and row multipliers lam, and
 ``NodeQp.dual_bound`` turns them into a weak-duality lower bound on the
@@ -106,10 +107,10 @@ def solve_miqp(problem: MiqpProblem,
     # the last incumbent that an optimal QP gave
     incumbent_bound = None
 
-    def relax(lb: np.ndarray, ub: np.ndarray, warm: WorkingSet | None = None) -> QpResult:
+    def relax(lb: np.ndarray, ub: np.ndarray, parent: WorkingSet | None = None) -> QpResult:
         nonlocal qp_solves
         qp_solves += 1
-        return solve_qp(qp, lb, ub, warm)
+        return solve_qp(qp, lb, ub, parent)
 
     def store(res: QpResult) -> None:
         nonlocal incumbent_x, incumbent_obj, incumbent_bound
@@ -133,15 +134,11 @@ def solve_miqp(problem: MiqpProblem,
         lb[bin_idx] = ub[bin_idx] = [float(round(v)) for v in values]
         return lb, ub
 
-    # warm start: fix the seeded binaries, keep the rest at their bounds;
-    # the root then starts from the seed's working set
-    root_warm = None
+    # warm start: fix the seeded binaries, keep the rest at their bounds
     if warm_binaries is not None and len(bin_idx) > 0:
-        seed_box = fixed_box(warm_binaries)
-        res = relax(*seed_box)
+        res = relax(*fixed_box(warm_binaries))
         if res.status == "optimal":
             store(res)
-            root_warm = res.working_set
 
     # the root is an ordinary node: fathomed by a warm incumbent's bound, or
     # open only when its relaxation is optimal
@@ -150,7 +147,7 @@ def solve_miqp(problem: MiqpProblem,
     nodes = 0
     cutoff_bound = fathom(box_lb, box_ub)
     if cutoff_bound is None:
-        root = relax(box_lb, box_ub, root_warm)
+        root = relax(box_lb, box_ub)
         if root.status == "optimal":
             heap.append(_Node(root.objective, counter, box_lb, box_ub, root.x,
                               root.working_set))
@@ -171,9 +168,8 @@ def solve_miqp(problem: MiqpProblem,
                 assignment=None if incumbent_x is None else problem.assignment(incumbent_x),
                 nodes=nodes, gap=gap, qp_solves=qp_solves)
 
-        warm = node.working_set
         if integral(node.x):
-            res = relax(*fixed_box(node.x[bin_idx]), warm) if len(bin_idx) else None
+            res = relax(*fixed_box(node.x[bin_idx])) if len(bin_idx) else None
             if res is not None and res.status == "optimal":
                 if res.objective < incumbent_obj:
                     store(res)
@@ -193,7 +189,7 @@ def solve_miqp(problem: MiqpProblem,
             lb[branch_var] = ub[branch_var] = side
             if fathom(lb, ub) is not None:
                 continue
-            child = relax(lb, ub, warm)
+            child = relax(lb, ub, node.working_set)
             if child.status != "optimal":
                 continue
             if child.objective >= incumbent_obj - GAP_TOL:

@@ -17,11 +17,13 @@ singular KKT system leaves the method's own point.  Infeasibility is
 certified by row multipliers, those of a bound-propagation pass or else
 the method's dual ray, that ``_elastic_dual_bound`` turns into a positive
 lower bound on the elastic violation; any other failure raises
-``QpSolverError`` and never becomes a verdict.  An optimal result carries
-its factored working set (``WorkingSet``), from which a smaller box's solve
-starts without factoring it again, and its row multipliers, which
-``NodeQp.dual_bound`` turns into a lower bound on the optimum over any
-smaller box.
+``QpSolverError`` and never becomes a verdict.  A solve opens in one of
+two ways: a branch-and-bound child from its parent's factored working set
+(``WorkingSet``), without factoring it again, the two boxes differing in
+one newly fixed column; any other solve from one Cholesky factor with its
+fixed columns first (``NodeQp.fixed_first``).  An optimal result carries
+its working set and its row multipliers, which ``NodeQp.dual_bound``
+turns into a lower bound on the optimum over any smaller box.
 """
 
 from __future__ import annotations
@@ -187,12 +189,12 @@ class NodeQp:
             self.upper = ~np.tri(n, k=-1, dtype=bool)
         return self
 
-    def fixed_first(self, fixed: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """The upper bounds of the columns that the mask ``fixed`` marks, as
-        a working set of equalities in column order, with its factors J
-        and R^-1 (``_DualActiveSet``).  With those columns first, G = U U'
-        for an upper-triangular U, the reversed Cholesky factor of the
-        reversed G (``dpotrf``); J = U^-T, its rows put back in column
+    def fixed_first(self, fixed: np.ndarray) -> WorkingSet:
+        """The factored working set of the upper bounds of the columns that
+        the mask ``fixed`` marks, all equalities, in column order: the set a
+        solve opens from unless it inherits one.  With those columns first,
+        G = U U' for an upper-triangular U, the reversed Cholesky factor of
+        the reversed G (``dpotrf``); J = U^-T, its rows put back in column
         order, has J'GJ = I and the rows [R' 0] at the fixed columns, with
         R^-1 U's leading block, so the set needs no QR."""
         n, first = len(self.H), fixed.nonzero()[0]
@@ -203,7 +205,7 @@ class NodeQp:
         J, Rinv, k = np.empty((n, n)), np.zeros((n, n)), len(first)
         J[order] = _triangular_inverse(L, lower=True).T[::-1, ::-1]
         Rinv[:k, :k] = L[n - k:, n - k:][::-1, ::-1]
-        return (len(self.A) + first).tolist(), J, Rinv
+        return WorkingSet(len(self.A) + first, np.ones(k, dtype=bool), J, Rinv)
 
     def dual_bound(self, x: np.ndarray, lam: np.ndarray):
         """``_objective_dual_bound`` of (x, lam) on these rows, over any box
@@ -239,17 +241,16 @@ def _triangular_inverse(T: np.ndarray, lower: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorkingSet:
-    """The factored working set an optimal solve ended on, and the box it
-    solved (the arrays it was given, not copies): W indexes the normals
-    [A; I; -I], ``eq`` marks the fixed columns' equalities, and J and R^-1
-    (its leading q x q block, q = len(W)) are ``_DualActiveSet``'s
-    factors.  A warm solve copies them; nothing writes them."""
+    """A factored working set: the one an optimal solve ended on, or the
+    fixed columns' equalities a solve opens from (``NodeQp.fixed_first``).
+    W indexes the normals [A; I; -I], ``eq`` marks the fixed columns'
+    equalities, and J and R^-1 (its leading q x q block, q = len(W)) are
+    ``_DualActiveSet``'s factors.  A solve that starts from the set copies
+    them; nothing writes them."""
     W: np.ndarray
     eq: np.ndarray
     J: np.ndarray
     Rinv: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
 
 
 class _DualActiveSet:
@@ -260,31 +261,29 @@ class _DualActiveSet:
     J = L^-T Q, and R^-1 is the leading q x q block of ``Rinv``, q = |W|.
     Where ``eq`` marks an entry of W it is an equality, else an inequality.
     x minimizes on W with multipliers u, u >= 0 on the inequalities.  The
-    method owns the J and ``Rinv`` it is given.  One added constraint
-    costs a Householder reflection of J's free columns (Goldfarb and Idnani
-    1983), several one QR of their block; a drop costs a QR of R's block
-    right of the first dropped column (Gill, Golub, Murray and Saunders
-    1974)."""
+    method starts from a copy of the factored working set ``start``.  One
+    added constraint costs a Householder reflection of J's free columns
+    (Goldfarb and Idnani 1983), several one QR of their block; a drop costs
+    a QR of R's block right of the first dropped column (Gill, Golub,
+    Murray and Saunders 1974)."""
 
-    def __init__(self, qp: NodeQp, d: np.ndarray, W: list[int], eq, J: np.ndarray,
-                 Rinv: np.ndarray):
+    def __init__(self, qp: NodeQp, d: np.ndarray, start: WorkingSet):
         n = len(qp.H)
         self.C, self.d, self.upper = qp.normals, d, qp.upper
-        self.W, self.q, self.J, self.Rinv = W, len(W), J, Rinv
+        self.W, self.q = start.W.tolist(), len(start.W)
+        self.J, self.Rinv = start.J.copy(), start.Rinv.copy()
         self.eq, self.u, self.changes = np.zeros(n, dtype=bool), np.zeros(n), 0
-        self.eq[:self.q] = eq
+        self.eq[:self.q] = start.eq
         self.d_free = d.copy()      # d, with +inf on the working set
-        self.d_free[W] = np.inf
+        self.d_free[start.W] = np.inf
 
     def fix(self, bounds: list[int]) -> None:
-        """Make the fixed columns' bounds ``bounds`` equalities of W.  While
+        """Make the fixed columns' bounds ``bounds`` equalities of W; those
+        not in W yet, a child's branched column, join one at a time.  While
         a new one lies in the span of W's normals, the last inequality of W
         that its expansion in them uses leaves W: a factoring of W with the
         equalities first would drop that one."""
-        new = [p for p in bounds if p not in self.W]
-        if len(new) > 1:
-            new = self._join(new, eq=True)
-        for p in new:
+        for p in [p for p in bounds if p not in self.W]:
             while True:
                 q = self.q
                 dd = self.C[p] @ self.J
@@ -301,13 +300,13 @@ class _DualActiveSet:
                 self.drop(gone)
             self._add(p, d1, d2, zz, self.J[:, q:] @ d2, r, 0.0, eq=True)
 
-    def _join(self, cols: list[int], eq: bool = False) -> list[int]:
+    def _join(self, cols: list[int]) -> None:
         """Add ``cols`` to W by one QR of their block, less those whose
-        normals lie in the span of W's and earlier ones; returns those."""
-        q, n, dependent = self.q, len(self.J), []
+        normals lie in the span of W's and earlier ones."""
+        q, n = self.q, len(self.J)
         while True:
             if not cols or q == n:
-                return dependent + cols
+                return
             E = self.C[cols] @ self.J           # row i: (L^-1 n_i)' Q
             qr, tau = _qr(E[:, q:].T)
             keep = np.zeros(len(cols), dtype=bool)
@@ -315,7 +314,6 @@ class _DualActiveSet:
             keep[:n - q] = np.abs(np.diagonal(qr)) > DEPENDENT * size
             if keep.all():
                 break
-            dependent += [c for c, k in zip(cols, keep) if not k]
             cols = [c for c, k in zip(cols, keep) if k]
         k = len(cols)
         self.J[:, q:] = _times_q(self.J[:, q:], qr, tau)
@@ -325,10 +323,9 @@ class _DualActiveSet:
         self.Rinv[q:q + k, :q] = 0.0
         self.Rinv[q:q + k, q:q + k] = R2inv
         self.W += cols
-        self.eq[q:q + k], self.u[q:q + k] = eq, 0.0
+        self.eq[q:q + k], self.u[q:q + k] = False, 0.0
         self.d_free[cols] = np.inf
         self.q += k
-        return dependent
 
     def _add(self, p: int, d1, d2, zz: float, z, r, u_p: float, eq: bool = False) -> None:
         """Add p, with (d1, d2) = J' C[p], zz = |d2|^2, z = J2 d2 and
@@ -469,7 +466,7 @@ def check_feasible_point(x, A, b, lb, ub) -> bool:
 
 
 def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
-               warm: WorkingSet | None = None) -> QpResult:
+               parent: WorkingSet | None = None) -> QpResult:
     """Globally solve ``qp`` over the box [lb, ub], a float box inside its
     own; status "infeasible" comes with a certified positive lower bound on
     the row violation.
@@ -477,14 +474,14 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
     A propagation certificate ends the solve with zero iterations.  Else
     each proximal step minimizes with H + eps I and f - eps c, its centre c
     the box's middle, then the last step's point, from the last step's
-    working set.  The first starts from ``warm``, the factored working set
-    of an earlier optimal solve of ``qp``, less the bounds of columns whose
-    box differs and with the upper bounds of the newly fixed columns joined
-    as equalities, or else from the fixed columns' upper bounds alone
-    (``NodeQp.fixed_first``).  The optimum is the unregularized QP's
-    solution with the working set as equalities, once it meets every row
-    and bound with multipliers >= 0 and a residual <= ``TOL``, or the
-    step's own point once its residual is.
+    working set.  The first starts from ``parent``, the working set of an
+    optimal solve of ``qp`` over a box that differs from [lb, ub] only in
+    one column, fixed here, that has no bound in that set, and joins that
+    column's upper bound as an equality; or else from the fixed columns'
+    upper bounds alone (``NodeQp.fixed_first``).  The optimum is the
+    unregularized QP's solution with the working set as equalities, once
+    it meets every row and bound with multipliers >= 0 and a residual
+    <= ``TOL``, or the step's own point once its residual is.
     """
     H, f, A, b = qp.H, qp.f, qp.A, qp.b
     if (lb > ub + 1e-15).any():
@@ -498,16 +495,8 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
     d = np.concatenate([b, ub, -lb])
     d[m + n + fixed.nonzero()[0]] = np.inf
     qp.setup()
-    if warm is None:
-        W, J, Rinv = qp.fixed_first(fixed)
-        method = _DualActiveSet(qp, d, W, True, J, Rinv)
-    else:
-        method = _DualActiveSet(qp, d, warm.W.tolist(), warm.eq, warm.J.copy(), warm.Rinv.copy())
-        j = (warm.W - m) % n
-        stale = (warm.W >= m) & ((warm.lb[j] != lb[j]) | (warm.ub[j] != ub[j]))
-        if stale.any():
-            method.drop(stale)
-        method.fix((m + fixed.nonzero()[0]).tolist())
+    method = _DualActiveSet(qp, d, parent or qp.fixed_first(fixed))
+    method.fix((m + fixed.nonzero()[0]).tolist())
     center = 0.5 * (lb + ub)
     for _ in range(MAX_PROX):
         ray = method.solve(f - qp.eps * center)
@@ -524,7 +513,7 @@ def solve_node(qp: NodeQp, lb: np.ndarray, ub: np.ndarray,
             if kkt <= TOL and check_feasible_point(x, A, b, lb, ub):
                 rows = ws < m
                 lam = np.bincount(ws[rows], u[rows], minlength=m)
-                factored = WorkingSet(ws, eq.copy(), method.J, method.Rinv, lb, ub)
+                factored = WorkingSet(ws, eq.copy(), method.J, method.Rinv)
                 return QpResult("optimal", x, float(0.5 * x @ H @ x + f @ x + qp.obj_const),
                                 method.changes, kkt, multipliers=lam, working_set=factored)
         if kkt <= TOL:

@@ -1,5 +1,7 @@
+import heapq
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,13 +219,14 @@ def test_singular_kkt_system_is_not_polished():
 
 
 def test_warm_node_solves_match_cold_solves(monkeypatch):
-    # every node QP that branch-and-bound starts from an inherited
-    # factorization (children, roots after a seed, integral re-solves) agrees
-    # with a cold solve of its box.  A child fixes one more binary, one that
-    # was fractional at its parent and so has no bound in the parent's
-    # working set; it opens without a fresh factorization: no QR before its
-    # first working-set change, which is a drop when the new equality lies in
-    # the span of the parent's working set
+    # branch-and-bound hands a working set only to a child, the working set
+    # of the node it just expanded.  The child's box differs from the node's
+    # in one newly fixed binary, fractional at the node and so without a
+    # bound in that set.  The child opens without a fresh factorization: no
+    # QR before its first working-set change, which is a drop when the new
+    # equality lies in the span of the node's working set.  It agrees with
+    # a cold solve of its box.  The seed, the root and an integral node's
+    # re-solve get no working set
     events = []
     for name in ("drop", "solve"):
         method = getattr(qp._DualActiveSet, name)
@@ -240,22 +243,39 @@ def test_warm_node_solves_match_cold_solves(monkeypatch):
         return qr(D)
 
     monkeypatch.setattr(qp, "_qr", record_qr)
-    solve, checked = miqp.solve_qp, {"child": 0, "inherited": 0, "other": 0}
+    popped = []
 
-    def warm_and_cold(node, lb, ub, warm=None):
+    def pop(heap):
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(miqp, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=pop))
+    solve = miqp.solve_qp
+    checked = dict.fromkeys(("seed", "root", "integral", "child", "inherited"), 0)
+
+    def warm_and_cold(node, lb, ub, parent=None):
         events.clear()
-        res = solve(node, lb, ub, warm)
-        if warm is None:
+        res = solve(node, lb, ub, parent)
+        if not popped:
+            kind = "root" if (lb == node.lb).all() and (ub == node.ub).all() else "seed"
+        else:
+            x = popped[-1].x[prob.binary]
+            kind = "integral" if (np.abs(x - x.round()) <= miqp.INTEGRALITY_TOL).all() else "child"
+        checked[kind] += 1
+        if kind != "child":
+            assert parent is None, kind
             return res
-        opening = events[:events.index("solve")] if "solve" in events else events
-        changed = ((warm.lb != lb) | (warm.ub != ub)).nonzero()[0]
+        expanded = popped[-1]
+        assert parent is expanded.working_set
+        changed = ((expanded.lb != lb) | (expanded.ub != ub)).nonzero()[0]
+        assert len(changed) == 1, changed
+        j = int(changed[0])
+        assert prob.binary[j] and lb[j] == ub[j] and expanded.lb[j] < expanded.ub[j]
         m, n = node.A.shape
-        child = (len(changed) == 1 and lb[changed] == ub[changed]
-                 and not np.isin(m + changed + [0, n], warm.W).any())
-        if child:
-            assert opening[:1] in ([], ["drop"]), opening
-            checked["inherited"] += opening == []
-        checked["child" if child else "other"] += 1
+        assert not np.isin([m + j, m + n + j], parent.W).any()
+        opening = events[:events.index("solve")] if "solve" in events else events
+        assert opening[:1] in ([], ["drop"]), opening
+        checked["inherited"] += opening == []
         cold = solve(node, lb, ub)
         assert res.status == cold.status
         if res.status == "optimal":
@@ -269,8 +289,10 @@ def test_warm_node_solves_match_cold_solves(monkeypatch):
     for i in range(80):
         prob = random_miqp(rng)
         seed = rng.integers(0, 2, int(prob.binary.sum())) if i % 2 else None
+        popped.clear()
         miqp.solve_miqp(prob, seed)
-    assert checked["child"] > 80 and checked["inherited"] > 60 and checked["other"] > 80
+    assert checked["seed"] == 40 and checked["root"] > 60 and checked["integral"] > 60
+    assert checked["child"] > 80 and checked["inherited"] > 60
 
 
 def _agrees_with_highs(qps, stationarity_tol=None):
