@@ -326,6 +326,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
+    for name in ("bench_rollouts", "bench_steps"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     model = cfg.load_plant()
     predictor = _load_or_fit_predictor(cfg, model)
     if predictor.h != cfg.h:

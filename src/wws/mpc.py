@@ -6,10 +6,10 @@ compiled once per controller configuration into a template
 (``stl.FormulaTemplate``).  Each step maps the lifted measured state onto
 its free response y0 (one affine map), binds the template's slots (history
 samples to their recorded values, horizon outputs to ``Y u + y0``, horizon
-inputs to u), takes the template's rows in slot space (folded and emitted
-once per leaf pattern, so only their right-hand side is new), maps them
-onto u with one affine map, assembles the MIQP directly, solves it and
-applies the first input under zeroth-order hold.
+inputs to u), takes the template's rows (folded and emitted once per leaf
+pattern, so only their right-hand side is new), maps each row's one slot
+onto u, assembles the MIQP directly, solves it and applies the first input
+under zeroth-order hold.
 
 Specification windows follow the shrinking-horizon reading: past samples
 are constants, samples inside the horizon are decision variables, and
@@ -101,6 +101,8 @@ class ControllerConfig:
             raise ValueError("horizon, h and end_time must be positive")
         if self.q_weight <= 0 or self.r_weight <= 0:
             raise ValueError("weights must be positive")
+        if not self.eps > 0:
+            raise ValueError(f"eps, the strictness margin, must be positive, got {self.eps}")
         if self.end_time / self.h != round(self.end_time / self.h):
             raise ValueError("end_time must be a multiple of the sampling period")
         if not (np.isfinite(self.u_min) and np.isfinite(self.u_max) and self.u_min <= self.u_max):
@@ -169,13 +171,14 @@ def _bind(tmpl: FormulaTemplate, k: int, y_hist: np.ndarray, u_hist: np.ndarray,
     """State, value and map onto u of each slot of ``tmpl`` at step ``k``.
 
     Outputs up to sample k and inputs before it are history; the horizon's
-    outputs k+1..k+Np are ``Y u + y0`` and its inputs k..k+Np-1 are u.
+    outputs k+1..k+Np are ``Y u + y0`` and its inputs k..k+Np-1 are u.  ``M``
+    has one more row, the pad slot's zeros.
     """
     np_h = len(Y)
     n = len(tmpl.slots)
     state = np.zeros(n, dtype=np.int8)
     values = np.zeros(n)
-    M = np.zeros((n, np_h))
+    M = np.zeros((n + 1, np_h))
     # a channel's slots are one run ordered by sample: history, then the
     # horizon's decision samples, then unbound ones
     if "y" in tmpl.channel_slots:
@@ -223,7 +226,7 @@ def build_step_problem(cfg: ControllerConfig, cond: CondensedHorizon,
         rows = tmpl.instantiate(state, values)
         if rows.infeasible:
             reasons.append(f"{rows.name}: violated by already-fixed samples")
-        RM, aux, rhs = rows.R @ M, rows.aux, rows.b
+        RM, aux, rhs = -rows.sign[:, None] * M[rows.slot], rows.aux, rows.rhs(values)
         live = RM.any(axis=1) | aux.any(axis=1)
         if not live.all():
             reasons += [f"constant constraint violated ({-v:.3g} > 0)"

@@ -244,7 +244,8 @@ def step(
     :data:`STATE_BOUNDS` at one of the quarters of the interval raises
     :class:`DivergenceError`, in a block naming the lowest such column; an
     excursion between those grid points goes unseen.  A non-finite state,
-    input, disturbance or ``h`` raises ``ValueError`` before any LSODA call.
+    input, disturbance or ``h``, or a block of no columns, raises
+    ``ValueError`` before any LSODA call.
     """
     # imported here, before any fork, so that the block workers inherit it
     # and `import wws` stays free of scipy.integrate
@@ -259,6 +260,8 @@ def step(
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
     k = 1 if x.ndim == 1 else x.shape[1]
+    if k == 0:
+        raise ValueError(f"state block has no columns, got {x.shape}")
     u = np.broadcast_to(np.asarray(u, dtype=float), (k,))
     w = np.broadcast_to(np.asarray(w, dtype=float), (k,))
     for name, v in (("input u", u), ("disturbance w", w)):

@@ -24,11 +24,13 @@ oracle for the encoder.  The encoder compiles a formula once into a
 indices, negation pushed to the leaves, and every leaf's slot (its channel
 at its sample), sign, constant, eps and big-M fixed.  At each use the
 caller marks every slot as history, decision or unbound; the template
-folds the history truths, folds the tree, and emits the live nodes' rows
-over the slots (``StepRows``), each row reading one slot, which the caller
-maps onto its variables.  Fold and rows are kept per leaf pattern (which
-leaves are history, decision or unbound, and which history leaves hold),
-so a use whose pattern was seen before computes only the right-hand side.
+folds the tree by recursion (each history leaf to its truth, each node from
+its folded children) and emits the live nodes' rows (``StepRows``): plain
+per-row data, each row naming the one slot it reads, which the caller maps
+onto its variables.  Rows are kept per leaf pattern (which leaves are
+history, decision or unbound, and which history leaves hold), so a use
+whose pattern was seen before gets the same rows and computes only their
+right-hand side.
 
 The encoder puts binaries only where the formula branches (Kurtz & Lin
 2022, "Mixed-integer programming for signal temporal logic with fewer
@@ -46,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -459,20 +461,16 @@ class _Leaf:
 class _Node:
     """And (``conj``) or Or over children: leaf indices or nodes.
 
-    Compiled nodes cover the leaves ``lo..hi-1`` (depth-first order);
-    nodes that folding creates at a step do not.  ``first`` is the
-    earliest sample read, which names the disjunction binary; ``hull``
-    caches the interval pair of a 2-way Or (None: not computed yet, False:
-    not an interval pair).
+    ``first`` is the earliest sample read, which names the disjunction
+    binary; the fold sets it on the nodes it makes.
     """
 
-    __slots__ = ("conj", "kids", "first", "lo", "hi", "hull")
+    __slots__ = ("conj", "kids", "first")
 
     def __init__(self, conj: bool, kids: list):
         self.conj = conj
         self.kids = kids
-        self.first = self.lo = self.hi = -1
-        self.hull = None
+        self.first = -1
 
 
 def _unroll(f: Formula, t: int, neg: bool, h: float):
@@ -536,49 +534,39 @@ def _combine(kids: list, conj: bool):
 class StepRows:
     """What one formula asks of one step's problem.
 
-    The rows read ``R s + aux a <= b``: ``s`` are the template's slots
-    (a row of R holds at most one nonzero, +1 or -1, and only in a decision
-    slot's column) and ``a`` the auxiliary
-    variables created for this step, in creation order (``aux_names``,
-    binaries flagged in ``aux_binary``).  ``warm_sources`` gives, per
-    binary in creation order, its own name and the names of the same
-    disjunction or literal one to three samples earlier.  ``bounds`` lists
-    the intervals that rows put on single slots: ``(slot, aux, lo0, hi0,
-    lo1, hi1)``, the second interval applying when auxiliary ``aux`` rounds
-    to 1 (``aux`` is -1 for an unconditional row).  Every binding with the
-    same leaf pattern shares all but ``b``, so ``R`` and ``aux`` are
-    read-only.
+    Row ``r`` reads ``-sign[r] s[slot[r]] + aux[r] a <= rhs(values)[r]``:
+    ``s`` are the template's slots, each row naming the one decision slot
+    it reads or the pad slot (``FormulaTemplate.pad``, which reads 0) when
+    it reads only auxiliary columns, and ``a`` the auxiliary variables
+    created for this step, in creation order (``aux_names``, binaries
+    flagged in ``aux_binary``).  ``warm_sources`` gives, per binary in
+    creation order, its own name and the names of the same disjunction or
+    literal one to three samples earlier.  ``bounds`` lists the intervals
+    that rows put on single slots: ``(slot, aux, lo0, hi0, lo1, hi1)``, the
+    second interval applying when auxiliary ``aux`` rounds to 1 (``aux`` is
+    -1 for an unconditional row).  Every binding with the same leaf pattern
+    gets the same object, so its arrays are read-only.
     """
 
     name: str
     infeasible: bool
     deferred: bool
-    R: np.ndarray
+    slot: np.ndarray
+    sign: np.ndarray
     aux: np.ndarray
-    b: np.ndarray
+    const: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
     aux_names: tuple[str, ...]
     aux_binary: tuple[bool, ...]
     warm_sources: tuple[tuple[str, ...], ...]
     bounds: tuple[tuple[int, int, float, float, float, float], ...]
 
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """The rows of one leaf pattern: everything of ``StepRows`` but ``b``,
-    which row ``r`` gives as ``(sign[r] (values[slot[r]] - const[r]) +
-    k1[r]) - k2[r]``."""
-
-    rows: StepRows
-    slot: np.ndarray
-    sign: np.ndarray
-    const: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-
-    def at(self, values: np.ndarray) -> StepRows:
-        b = (self.sign * (values[self.slot] - self.const) + self.k1) - self.k2
-        return replace(self.rows, b=b)
+    def rhs(self, values: np.ndarray) -> np.ndarray:
+        """Right-hand sides under the slot ``values`` the rows were
+        instantiated with: ``(sign (value - const) + k1) - k2``."""
+        val = np.append(values, 0.0)           # the pad slot reads 0.0
+        return (self.sign * (val[self.slot] - self.const) + self.k1) - self.k2
 
 
 class FormulaTemplate:
@@ -586,22 +574,19 @@ class FormulaTemplate:
 
     Compiling expands every temporal operator over absolute sample indices,
     pushes negation to the leaves and precomputes each leaf's slot, sign,
-    constant, eps, big-M and edge, and each 2-way Or's interval pair.
-    :meth:`instantiate` then only classifies the leaves against the caller's
-    binding, folds the history truths and the internal nodes, and emits the
-    rows of the live nodes in slot space.  The fold and the rows depend on
-    the binding only through the leaf pattern (each leaf's state and each
-    history leaf's truth), so they are kept per pattern: at most one entry
-    for each pattern the template has been instantiated with.
+    constant, eps, big-M and edge.  :meth:`instantiate` then only
+    classifies the leaves against the caller's binding, folds the tree and
+    emits the rows of the live nodes.  The fold and the rows depend on the
+    binding only through the leaf pattern (each leaf's state and each
+    history leaf's truth), so the rows are kept per pattern: at most one
+    ``StepRows`` for each pattern the template has been instantiated with.
     """
 
     def __init__(self, f: Formula, h: float, cfg: EncodingConfig, name: str = "stl"):
         self.name = name
         self.cfg = cfg
-        root = _unroll(f, 0, False, h)
         leaves: list[_Leaf] = []
-        nodes: list[_Node] = []
-        self.root = self._number(root, leaves, nodes)
+        self.root = _number(_unroll(f, 0, False, h), leaves)
         # slots ordered by channel, then sample: each channel's slots are
         # one contiguous run, ``channel_slots[ch] = (first slot, samples)``
         read = sorted({(leaf.pred.channel, leaf.t) for leaf in leaves})
@@ -612,25 +597,7 @@ class FormulaTemplate:
             self.channel_slots[ch] = (self.slots[(ch, min(t for c, t in read if c == ch))],
                                       np.array([t for c, t in read if c == ch]))
         self._compile_leaves(leaves)
-        for node in nodes:
-            if not node.conj and len(node.kids) == 2:
-                self.hull(node)
-        self._names: dict[tuple[str, int, int], tuple[str, ...]] = {}
-        self._layouts: dict[bytes, _Layout] = {}
-
-    def _number(self, node, leaves: list, nodes: list):
-        """Leaves to depth-first indices; nodes get their leaf range."""
-        if isinstance(node, _Fold):
-            return node
-        if isinstance(node, _Leaf):
-            leaves.append(node)
-            return len(leaves) - 1
-        node.lo = len(leaves)
-        node.kids = [self._number(k, leaves, nodes) for k in node.kids]
-        node.hi = len(leaves)
-        node.first = min(leaves[k].t if isinstance(k, int) else k.first for k in node.kids)
-        nodes.append(node)
-        return node
+        self._rows: dict[bytes, StepRows] = {}
 
     def _compile_leaves(self, leaves: list[_Leaf]) -> None:
         """Each leaf's slot, sample, predicate constants and edge."""
@@ -645,12 +612,10 @@ class FormulaTemplate:
         self.leaf_slot = np.array(slots, dtype=int)
         self.leaf_t = [leaf.t for leaf in leaves]
         # predicate key, sign, const, eps, fold threshold, big-M and edge
-        (self.pred_key, self.leaf_sign, self.leaf_const, self.leaf_eps, fold_at,
+        (self.pred_key, sign, const, self.leaf_eps, fold_at,
          self.big_m_of, edges) = ([info[i] for info in infos] for i in range(7))
         self.edges = [(slot, *edge) for slot, edge in zip(slots, edges)]
-        self.fold_at = np.array(fold_at)
-        self.leaf_sign_arr = np.array(self.leaf_sign)
-        self.leaf_const_arr = np.array(self.leaf_const)
+        self.leaf_sign, self.leaf_const, self.fold_at = map(np.array, (sign, const, fold_at))
 
     def _pred_constants(self, pred: Pred) -> tuple:
         """Sign, constant, eps, fold threshold, big-M (or the error message
@@ -683,65 +648,43 @@ class FormulaTemplate:
         step, disjunctive ones are enforced over the visible part of the
         window, which is stricter and hence sound); history leaves fold to
         constants.  Only the first binding with a given leaf pattern folds
-        and emits; a later one reuses those rows, whose arrays are
-        read-only, and computes only its right-hand side.
+        and emits; a later one gets the same ``StepRows``, whose arrays are
+        read-only.  Their right-hand side is ``rhs(values)``.
         """
         leaf_state = state[self.leaf_slot]
-        val = np.append(values, 0.0)           # the pad slot reads 0.0
         # a non-strict predicate folds with zero tolerance; a strict one with
         # a grace of 1e-9, which keeps inputs applied exactly at an encoded
         # band edge (margin == eps by construction) folding to true despite
         # float round-off
         truth = (leaf_state == HISTORY) & (
-            self.leaf_sign_arr * (val[self.leaf_slot] - self.leaf_const_arr) >= self.fold_at)
+            self.leaf_sign * (values[self.leaf_slot] - self.leaf_const) >= self.fold_at)
         key = leaf_state.tobytes() + truth.tobytes()
-        layout = self._layouts.get(key)
-        if layout is None:
-            tree = self._fold(leaf_state, truth)
+        rows = self._rows.get(key)
+        if rows is None:
+            tree = self._fold(self.root, leaf_state.tolist(), truth.tolist())
             em = _Emitter(self)
             if isinstance(tree, (_Node, int)):
                 em.require(tree, None, True)
-            layout = self._layouts[key] = em.layout(tree)
-        return layout.at(val)
+            rows = self._rows[key] = em.step_rows(tree)
+        return rows
 
-    def _fold(self, leaf_state: np.ndarray, leaf_truth: np.ndarray):
-        root = self.root
-        if isinstance(root, _Fold):
-            return root
-        state = leaf_state.tolist()
-        truth = leaf_truth.tolist()
-        dec = [0] + np.cumsum(leaf_state == DECISION).tolist()
-        und = [0] + np.cumsum(leaf_state == UNBOUND).tolist()
-
-        def holds(node) -> bool:  # a subtree of history leaves only
-            if isinstance(node, int):
-                return truth[node]
-            return (all if node.conj else any)(holds(k) for k in node.kids)
-
-        def fold(node):
-            if isinstance(node, int):
-                s = state[node]
-                if s == DECISION:
-                    return node
-                if s == UNBOUND:
-                    return _Fold.DEFERRED
-                return _Fold.TRUE if truth[node] else _Fold.FALSE
-            lo, hi = node.lo, node.hi
-            n_dec, n_und = dec[hi] - dec[lo], und[hi] - und[lo]
-            if n_dec == hi - lo:
+    def _fold(self, node, state: list, truth: list):
+        """``node`` under one leaf pattern: a decision leaf stays, an unbound
+        one is deferred, a history one folds to its truth, and a node is the
+        ``_combine`` of its folded children."""
+        if isinstance(node, _Fold):
+            return node
+        if isinstance(node, int):
+            if state[node] == DECISION:
                 return node
-            if n_und == hi - lo:
+            if state[node] == UNBOUND:
                 return _Fold.DEFERRED
-            if n_dec + n_und == 0:
-                return _Fold.TRUE if holds(node) else _Fold.FALSE
-            kids = [fold(k) for k in node.kids]
-            folded = _combine(kids, node.conj)
-            if isinstance(folded, _Node):
-                folded.first = min(self.leaf_t[k] if isinstance(k, int) else k.first
-                                   for k in folded.kids)
-            return folded
-
-        return fold(root)
+            return _Fold.TRUE if truth[node] else _Fold.FALSE
+        folded = _combine([self._fold(k, state, truth) for k in node.kids], node.conj)
+        if isinstance(folded, _Node):
+            folded.first = min(self.leaf_t[k] if isinstance(k, int) else k.first
+                               for k in folded.kids)
+        return folded
 
     def interval(self, node) -> tuple[int, float, float] | None:
         """(slot, lo, hi) when ``node`` bounds one slot to a finite,
@@ -763,25 +706,24 @@ class FormulaTemplate:
             return None
         return slot, lo, hi
 
-    def hull(self, node: _Node):
+    def hull(self, node: _Node) -> tuple[int, float, float, float, float] | None:
         """(slot, lo0, hi0, lo1, hi1) of a 2-way Or of two distinct
-        intervals on one slot, else False; cached on the node."""
-        if node.hull is None:
-            first, second = (self.interval(k) for k in node.kids)
-            if first is None or second is None or first[0] != second[0] \
-                    or first[1:] == second[1:]:
-                node.hull = False
-            else:
-                node.hull = (first[0], first[1], first[2], second[1], second[2])
-        return node.hull
+        intervals on one slot, else None."""
+        first, second = (self.interval(k) for k in node.kids)
+        if first is None or second is None or first[0] != second[0] \
+                or first[1:] == second[1:]:
+            return None
+        return (*first, *second[1:])
 
-    def binary_name(self, tag: str, t: int, j: int) -> tuple[str, ...]:
-        """``{name}.t{t}.{tag}{j}`` and the same binary 1..3 samples earlier."""
-        key = (tag, t, j)
-        if key not in self._names:
-            self._names[key] = tuple(f"{self.name}.t{s}.{tag}{j}"
-                                     for s in range(t, max(t - 4, -1), -1))
-        return self._names[key]
+
+def _number(node, leaves: list):
+    """``node`` with its leaves replaced by their depth-first indices."""
+    if isinstance(node, _Leaf):
+        leaves.append(node)
+        return len(leaves) - 1
+    if isinstance(node, _Node):
+        node.kids = [_number(k, leaves) for k in node.kids]
+    return node
 
 
 class _Emitter:
@@ -799,11 +741,9 @@ class _Emitter:
     under a fractional ``lower`` (below an n-ary Or's continuous selectors)
     uses continuous selectors and two-sided predicate literals.
 
-    Each row reads one slot with coefficient ``-sign`` (a leaf's slot, or
-    the slot of a hull row), or the pad slot for a row over selectors only,
-    plus auxiliary columns; its right-hand side is
-    ``(sign (value - const) + k1) - k2``, ``value`` the slot's offset (0.0
-    for the pad slot).
+    Each row is one entry of ``slot``, ``sign``, ``const``, ``k1`` and
+    ``k2`` in ``StepRows``'s terms: a leaf's slot, the slot of a hull row,
+    or the pad slot for a row over selectors only.
     """
 
     def __init__(self, tmpl: FormulaTemplate):
@@ -835,7 +775,9 @@ class _Emitter:
         return len(self.aux_names) - 1
 
     def binary(self, tag: str, t: int, j: int) -> int:
-        chain = self.tmpl.binary_name(tag, t, j)
+        """Binary ``{name}.t{t}.{tag}{j}``, warm-started from the same one
+        1..3 samples earlier."""
+        chain = tuple(f"{self.tmpl.name}.t{s}.{tag}{j}" for s in range(t, max(t - 4, -1), -1))
         self.warm_sources.append(chain)
         return self.new_aux(chain[0], True)
 
@@ -891,7 +833,7 @@ class _Emitter:
         """Convex hull of s in [lo0, hi0] (d = 0) or s in [lo1, hi1] (d = 1):
         s >= lo0 + (lo1 - lo0) d  and  s <= hi0 + (hi1 - hi0) d."""
         pair = self.tmpl.hull(node)
-        if not pair:
+        if pair is None:
             return False
         slot, lo0, hi0, lo1, hi1 = pair
         d = self.disjunction_binary(node)
@@ -932,31 +874,22 @@ class _Emitter:
         for kid, sel in zip(kids, sels):
             self.require(kid, (0.0, {sel: 1.0}), False)
 
-    def layout(self, tree) -> _Layout:
+    def step_rows(self, tree) -> StepRows:
         """The rows emitted so far, checked once for every binding that
         shares them: aux names are unique and every binary is in a row."""
-        tmpl = self.tmpl
-        m = len(self.slot)
-        slot = np.array(self.slot, dtype=int)
-        sign = np.array(self.sign)
-        R = np.zeros((m, tmpl.pad + 1))
-        R[np.arange(m), slot] = -sign
-        aux = np.zeros((m, len(self.aux_names)))
+        aux = np.zeros((len(self.slot), len(self.aux_names)))
         if self.aux_at:
             r, c, v = zip(*self.aux_at)
             aux[list(r), list(c)] = v
         if len(set(self.aux_names)) != len(self.aux_names):
-            raise ValueError(f"{tmpl.name}: duplicate auxiliary variable")
+            raise ValueError(f"{self.tmpl.name}: duplicate auxiliary variable")
         unused = np.array(self.aux_binary, dtype=bool) & ~aux.any(axis=0)
         if unused.any():
             raise ValueError(f"binary {self.aux_names[np.argmax(unused)]!r} appears in no row")
-        R = R[:, :tmpl.pad]
-        per_row = (slot, sign, np.array(self.const), np.array(self.k1), np.array(self.k2))
-        for a in (R, aux, *per_row):
+        arrays = (np.array(self.slot, dtype=int), np.array(self.sign), aux,
+                  np.array(self.const), np.array(self.k1), np.array(self.k2))
+        for a in arrays:
             a.setflags(write=False)
-        rows = StepRows(
-            name=tmpl.name, infeasible=tree is _Fold.FALSE,
-            deferred=tree is _Fold.DEFERRED, R=R, aux=aux, b=np.zeros(0),
-            aux_names=tuple(self.aux_names), aux_binary=tuple(self.aux_binary),
-            warm_sources=tuple(self.warm_sources), bounds=tuple(self.bounds))
-        return _Layout(rows, *per_row)
+        return StepRows(self.tmpl.name, tree is _Fold.FALSE, tree is _Fold.DEFERRED, *arrays,
+                        aux_names=tuple(self.aux_names), aux_binary=tuple(self.aux_binary),
+                        warm_sources=tuple(self.warm_sources), bounds=tuple(self.bounds))

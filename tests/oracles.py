@@ -167,18 +167,21 @@ def _validate(p: MiqpProblem) -> None:
 
 
 def add_step_rows(builder: ProblemBuilder, rows: stl.StepRows, names: Sequence[str],
-                  M: np.ndarray) -> None:
+                  M: np.ndarray, values: np.ndarray) -> None:
     """Add a template's rows to ``builder`` with the slots mapped through ``M``.
 
-    Slot ``s`` is ``M[s] @ v + offset``, ``v`` the named variables; the
-    offsets were the ``values`` that gave ``rows.b``.
+    Slot ``s`` is ``M[s] @ v + values[s]``, ``v`` the named variables;
+    ``values`` were the slot values the rows were instantiated with, and
+    ``M`` has one more row, the pad slot's zeros.
     """
     if rows.infeasible:
         builder.mark_infeasible(f"{rows.name}: violated by already-fixed samples")
         return
     builder.add_variables(rows.aux_names, 0.0, 1.0, rows.aux_binary)
-    if len(rows.b):
-        builder.add_rows([*names, *rows.aux_names], np.hstack((rows.R @ M, rows.aux)), rows.b)
+    if len(rows.slot):
+        builder.add_rows([*names, *rows.aux_names],
+                         np.hstack((-rows.sign[:, None] * M[rows.slot], rows.aux)),
+                         rows.rhs(values))
 
 
 def iterated_free_response(pred, cfg, x: Sequence[float]) -> np.ndarray:
@@ -204,7 +207,7 @@ def builder_step_problem(cfg, cond, x_k: Sequence[float], k: int,
     for tmpl in cfg.templates:
         state, values, M = _bind(tmpl, k, np.asarray(y_hist, dtype=float),
                                  np.asarray(u_hist, dtype=float), y0, cond.Y)
-        add_step_rows(builder, tmpl.instantiate(state, values), u_names, M)
+        add_step_rows(builder, tmpl.instantiate(state, values), u_names, M, values)
     return builder.build()
 
 
@@ -349,7 +352,7 @@ def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBindi
                                for v in samples.values() if isinstance(v, str)))
     state = np.full(len(tmpl.slots), stl.UNBOUND, dtype=np.int8)
     values = np.zeros(len(tmpl.slots))
-    M = np.zeros((len(tmpl.slots), len(names)))
+    M = np.zeros((len(tmpl.slots) + 1, len(names)))
     for (ch, t), s in tmpl.slots.items():
         v = binding.get(ch, {}).get(t)
         if isinstance(v, str):
@@ -357,11 +360,11 @@ def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBindi
         elif v is not None:
             state[s], values[s] = stl.HISTORY, v
     rows = tmpl.instantiate(state, values)
-    add_step_rows(builder, rows, names, M)
+    add_step_rows(builder, rows, names, M, values)
     return EncodedFormula(binaries=[chain[0] for chain in rows.warm_sources],
                           literals=[n for n, is_bin in zip(rows.aux_names, rows.aux_binary)
                                     if not is_bin],
-                          constraints=len(rows.b), deferred=rows.deferred,
+                          constraints=len(rows.slot), deferred=rows.deferred,
                           infeasible=rows.infeasible)
 
 

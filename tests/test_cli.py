@@ -128,6 +128,25 @@ def test_bench_rolls_out_at_the_predictor_ambient(tmp_path, capsys):
     assert not (tmp_path / "w0").exists()
 
 
+def test_settings_out_of_range_are_refused_up_front(tmp_path, monkeypatch, capsys):
+    # refused by name before any fit or plant step: an empty bench block
+    # from any source, and a strictness margin that is not positive
+    out = tmp_path / "refused"
+    cases = [(["bench", "--bench-rollouts", "0"], {}, "bench_rollouts must be at least 1, got 0"),
+             (["bench"], {"WWS_BENCH_ROLLOUTS": "-3"},
+              "bench_rollouts must be at least 1, got -3"),
+             (["bench", "--bench-steps", "0"], {}, "bench_steps must be at least 1, got 0"),
+             (["run", "--eps=-1"], {}, "eps, the strictness margin, must be positive, got -1.0"),
+             (["run", "--eps=0"], {}, "eps, the strictness margin, must be positive, got 0.0")]
+    for argv, env, message in cases:
+        with monkeypatch.context() as m:
+            for var, value in env.items():
+                m.setenv(var, value)
+            assert main([*argv, "--plant", "demo", "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, setting, value", [
     ("run", "K", 5), ("run", "w0", 0.0), ("run", "state_range", [5.0, 60.0]),
     ("run", "u_band", [20.0, 26.5]), ("run", "p_off", 0.5),

@@ -98,17 +98,20 @@ def test_power_band_selects_off_branch_when_cheap():
 
 
 def test_cached_rows_are_read_only():
-    # a second binding with the same leaf pattern shares the first one's
-    # rows and gets its own right-hand side
+    # a second binding with the same leaf pattern gets the first one's rows
+    # themselves; only their right-hand side follows the slot values
     tmpl = stl.FormulaTemplate(stl.parse(f"alw_[0,120] ({POWER_BAND})"), 60.0, CFG)
     state = np.full(len(tmpl.slots), stl.DECISION, dtype=np.int8)
-    first = tmpl.instantiate(state, np.zeros(len(tmpl.slots)))
-    second = tmpl.instantiate(state, np.ones(len(tmpl.slots)))
-    assert second.R is first.R and second.aux is first.aux and len(tmpl._layouts) == 1
-    assert not np.array_equal(second.b, first.b)
-    for a in (first.R, first.aux):
+    zeros, ones = np.zeros(len(tmpl.slots)), np.ones(len(tmpl.slots))
+    rows = tmpl.instantiate(state, zeros)
+    assert tmpl.instantiate(state, ones) is rows and len(tmpl._rows) == 1
+    for name in ("slot", "sign", "aux", "const", "k1", "k2"):
+        a = getattr(rows, name)
         with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
+            a[(0,) * a.ndim] = 1
+    # a row reads -sign * slot, so a unit shift of every slot moves each
+    # right-hand side by its sign
+    assert len(rows.slot) and np.allclose(rows.rhs(ones) - rows.rhs(zeros), rows.sign)
 
 
 def test_history_constants_fold_away():

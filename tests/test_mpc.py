@@ -52,11 +52,16 @@ def test_violated_history_after_a_cached_feasible_pattern(demo_cfg, demo_cond):
         == "stl0: violated by already-fixed samples"
 
 
+@pytest.mark.parametrize("extra", [
+    pytest.param((), id="default"),
+    # n-ary selectors, predicate literals and rows on the pad slot
+    pytest.param(("alw_[0,end] (ev_[0,120] (u >= 21.2))",), id="nested-ev"),
+])
 def test_cached_layouts_build_the_fresh_problems(monkeypatch, demo_model, demo_cfg,
-                                                 demo_predictor):
+                                                 demo_predictor, extra):
     # every step of the seven demo loops is built by templates that have
     # seen all earlier steps, by freshly compiled ones, and by the builder
-    warm_cfg = replace(demo_cfg)
+    warm_cfg = replace(demo_cfg, stl_specs=demo_cfg.stl_specs + extra)
     original = mpc.build_step_problem
     steps = []
 
@@ -70,7 +75,9 @@ def test_cached_layouts_build_the_fresh_problems(monkeypatch, demo_model, demo_c
     for temp in mpc.DEFAULT_INITIAL_TEMPS:
         run_closed_loop(demo_model, warm_cfg, demo_predictor, np.full(6, temp))
     assert len(steps) == len(mpc.DEFAULT_INITIAL_TEMPS) * (warm_cfg.n_steps + 1)
-    assert sum(len(t._layouts) for t in warm_cfg.templates) < len(steps)
+    assert sum(len(t._rows) for t in warm_cfg.templates) < len(steps)
+    assert any(t.pad in rows.slot for t in warm_cfg.templates
+               for rows in t._rows.values()) == bool(extra)
     for warm, fresh, built in steps:
         for p in (fresh.problem, built):
             for name in ("A", "H", "lb", "ub", "binary"):
@@ -418,3 +425,8 @@ def test_controller_config_validation():
         ControllerConfig(end_time=1000.0)
     with pytest.raises(ValueError, match="finite box"):
         ControllerConfig(u_min=5.0, u_max=1.0)
+    # a margin of 0 admits u = 0.01 kW, which breaks the strict u < 0.01, and
+    # a negative one admits inputs in neither power band
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eps"):
+            ControllerConfig(eps=eps)

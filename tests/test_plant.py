@@ -128,6 +128,11 @@ def test_step_rejects_empty_interval(nominal_model):
         step(nominal_model, np.ones(6), 0.0, 0.0, 0.0)
 
 
+def test_step_rejects_a_block_of_no_columns(demo_model):
+    with pytest.raises(ValueError, match="no columns"):
+        step(demo_model, np.ones((6, 0)), np.ones(0), 10.0, 60.0)
+
+
 def test_reference_step_matches_rk45_anchor(nominal_model):
     ref = reference_step(nominal_model, np.ones(6), 0.0, 0.0, 60.0)
     assert np.max(np.abs(ref - RK45_ANCHOR)) < 1e-9
