@@ -281,15 +281,14 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     wall = time.perf_counter() - t0
     trace.write_csv(out / "trace.csv")
     start_idx = int(np.ceil(cfg.start_time / cfg.h - 1e-9))
-    y_after = trace.outputs[start_idx:] if len(trace.outputs) > start_idx else np.array([])
+    y_after = trace.outputs[start_idx:]
     summary = {
         "statuses": trace.statuses,
         "n_infeasible": trace.n_infeasible,
         "aborted": trace.aborted,
         "min_y_after_start": float(y_after.min()) if y_after.size else None,
         "max_y_after_start": float(y_after.max()) if y_after.size else None,
-        "final_robustness": trace.final_robustness() if not trace.aborted and
-                            len(trace.times) == controller.n_steps + 1 else None,
+        "final_robustness": None if trace.aborted else trace.final_robustness(),
         "solver_seconds": float(trace.plan_seconds.sum()),
         "wall_seconds": wall,
         "seed": cfg.seed,
@@ -310,7 +309,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                                    initial_temps=cfg.initial_temps,
                                    start_times=cfg.start_times, jobs=cfg.jobs)
     result.write_csv(out / "sweep.csv")
-    notes = {f"{mpc._fmt(k[0])},{mpc._fmt(k[1])}": v for k, v in result.notes.items()}
+    notes = {",".join(map(mpc.format_number, cell)): v for cell, v in result.notes.items()}
     (out / "sweep_notes.json").write_text(json.dumps(
         {"monotone_staircase": result.is_monotone_staircase(), "notes": notes},
         indent=1))

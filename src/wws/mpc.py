@@ -56,10 +56,11 @@ DEFAULT_POWER_SPEC = ("alw_[0,end] (((u > 0.001) and (u < 0.01))"
 
 def supply_spec(start_time_s: float) -> str:
     """Supply guarantee with a configurable warm-up deadline."""
-    return f"alw_[{_fmt(start_time_s)},end] (y >= 40)"
+    return f"alw_[{format_number(start_time_s)},end] (y >= 40)"
 
 
-def _fmt(v: float) -> str:
+def format_number(v: float) -> str:
+    """``v`` as an integer when it is integral, else as its float repr."""
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
@@ -142,10 +143,6 @@ class StepResult:
     binaries: int
     nodes: int
     infeasible_reason: str | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "optimal"
 
 
 class StepProblem(NamedTuple):
@@ -311,9 +308,10 @@ class ClosedLoopTrace:
     """Per-step record of the realized closed loop.
 
     Row ``k`` holds the state measured at time ``k h``, the input chosen at
-    that time (the final row's input is planned but never applied) and the
-    solver outcome.  ``robustness_so_far`` monitors each specification over
-    the realized prefix, every window clipped to that prefix.
+    that time and the solver outcome.  The final row's input is planned but
+    never applied, whether the loop ran to its end, stopped or aborted.
+    ``robustness_so_far`` monitors each specification over the realized
+    prefix, every window clipped to that prefix.
     """
 
     h: float
@@ -328,7 +326,7 @@ class ClosedLoopTrace:
     nodes: np.ndarray
     robustness_so_far: np.ndarray     # (steps, n_formulas)
     spec_texts: tuple[str, ...]
-    plan_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    plan_seconds: np.ndarray
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -373,83 +371,59 @@ def run_condensed(model: PlantModel, cond: CondensedHorizon, x0: Sequence[float]
                   stop_on_infeasible: bool = False) -> ClosedLoopTrace:
     """The closed loop of ``cond.cfg`` on ``model`` from ``x0``.
 
-    The plan at the final sample is solved (so the input channel covers the
-    whole window of the power specification) but not applied.  On an
-    infeasible step the best-effort incumbent is applied if the solver
-    produced one, otherwise the previous input is held.  The plant runs at
-    the predictor's ambient ``cond.pred.w``.  The controller must read the
-    plant's output state.
+    Each step appends its row to plain lists, from which the trace is built
+    once.  The last step's plan is solved but not applied: at the final
+    sample (so the input channel covers the whole window of the power
+    specification), at an infeasible step under ``stop_on_infeasible``,
+    and before a plant step that raises ``DivergenceError`` (the trace is
+    then ``aborted``).  On an infeasible step the best-effort incumbent is
+    applied if the solver produced one, otherwise the previous input is
+    held.  The plant runs at the predictor's ambient ``cond.pred.w``.  The
+    controller must read the plant's output state.
     """
     cfg, pred = cond.cfg, cond.pred
     if cfg.output_index != model.output_index:
         raise ValueError(f"controller reads x{cfg.output_index}, "
                          f"plant output is x{model.output_index}")
-    cfg.templates  # compiled once per configuration, before the first step
-    n = cfg.n_steps
-    times = np.arange(n + 1) * cfg.h
-    states = np.zeros((n + 1, plant_mod.N_STATES))
-    inputs = np.zeros(n + 1)
-    outputs = np.zeros(n + 1)
-    objectives = np.full(n + 1, np.nan)
-    binaries = np.zeros(n + 1, dtype=int)
-    nodes = np.zeros(n + 1, dtype=int)
-    statuses: list[str] = []
-    rob = np.full((n + 1, len(cfg.stl_specs)), np.inf)
-    plan_seconds = np.zeros(n + 1)
     x = np.asarray(x0, dtype=float)
+    if x.shape != (plant_mod.N_STATES,):
+        raise ValueError(f"initial state needs shape ({plant_mod.N_STATES},), got {x.shape}")
+    cfg.templates  # compiled once per configuration, before the first step
     warm: dict[str, float] | None = None
-    y_hist: list[float] = []
-    u_hist: list[float] = []
-    aborted = False
+    states, y_hist, u_hist, statuses, objectives = [], [], [], [], []
+    binaries, nodes, rob, plan_seconds = [], [], [], []
     abort_reason = None
-    last_k = n
-
-    for k in range(n + 1):
-        states[k] = x
-        y_k = plant_mod.output(x, cfg.output_index)
-        outputs[k] = y_k
-        y_hist.append(y_k)
+    for k in range(cfg.n_steps + 1):
+        states.append(x)
+        y_hist.append(plant_mod.output(x, cfg.output_index))
         t_plan = time.perf_counter()
         step_res = plan_step(cfg, cond, x, k, y_hist, u_hist, warm=warm)
-        plan_seconds[k] = time.perf_counter() - t_plan
+        plan_seconds.append(time.perf_counter() - t_plan)
         statuses.append(step_res.status)
-        if step_res.objective is not None:
-            objectives[k] = step_res.objective
-        binaries[k] = step_res.binaries
-        nodes[k] = step_res.nodes
-        if step_res.u0 is not None:
-            u_k = step_res.u0
-        else:
-            u_k = u_hist[-1] if u_hist else 0.0
-        inputs[k] = u_k
+        objectives.append(np.nan if step_res.objective is None else step_res.objective)
+        binaries.append(step_res.binaries)
+        nodes.append(step_res.nodes)
+        u_k = step_res.u0 if step_res.u0 is not None else (u_hist[-1] if u_hist else 0.0)
         warm = step_res.assignment if step_res.assignment is not None else warm
-        sig = SampledSignal(channels={"y": np.array(y_hist),
-                                      "u": np.append(np.array(u_hist), u_k)},
-                            h=cfg.h)
-        for j, f in enumerate(cfg.formulas):
-            rob[k, j] = robustness(f, sig, 0, prefix=True)
-        if stop_on_infeasible and not step_res.feasible:
-            last_k = k
-            break
-        if k == n:
+        sig = SampledSignal({"y": np.array(y_hist), "u": np.array(u_hist + [u_k])}, cfg.h)
+        rob.append([robustness(f, sig, 0, prefix=True) for f in cfg.formulas])
+        if k == cfg.n_steps or (stop_on_infeasible and step_res.status != "optimal"):
             break
         try:
             x = plant_mod.step(model, x, u_k, pred.w, cfg.h)
         except DivergenceError as exc:
-            aborted = True
             abort_reason = str(exc)
-            last_k = k
             break
         u_hist.append(u_k)
-
-    end = last_k + 1
+    steps = len(states)
     return ClosedLoopTrace(
-        h=cfg.h, times=times[:end], states=states[:end], inputs=inputs[:end],
-        disturbances=np.full(end, pred.w), outputs=outputs[:end],
-        statuses=statuses[:end], objectives=objectives[:end],
-        binaries=binaries[:end], nodes=nodes[:end], robustness_so_far=rob[:end],
-        spec_texts=cfg.stl_specs, plan_seconds=plan_seconds[:end],
-        aborted=aborted, abort_reason=abort_reason)
+        h=cfg.h, times=np.arange(steps) * cfg.h, states=np.array(states),
+        inputs=np.array(u_hist + [u_k]), disturbances=np.full(steps, pred.w),
+        outputs=np.array(y_hist), statuses=statuses, objectives=np.array(objectives),
+        binaries=np.array(binaries, dtype=int), nodes=np.array(nodes, dtype=int),
+        robustness_so_far=np.array(rob), spec_texts=cfg.stl_specs,
+        plan_seconds=np.array(plan_seconds),
+        aborted=abort_reason is not None, abort_reason=abort_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +451,9 @@ class SweepResult:
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["initial\\start"] + [_fmt(s) for s in self.start_times])
+            w.writerow(["initial\\start"] + [format_number(s) for s in self.start_times])
             for temp, row in zip(self.initial_temps, self.table):
-                w.writerow([_fmt(temp)] + [str(int(v)) for v in row])
+                w.writerow([format_number(temp)] + [str(int(v)) for v in row])
 
 
 def evaluate_cell(model: PlantModel, cond: CondensedHorizon,
@@ -493,9 +467,8 @@ def evaluate_cell(model: PlantModel, cond: CondensedHorizon,
         return 0, f"error: {exc}"
     if trace.aborted:
         return 0, f"aborted: {trace.abort_reason}"
-    if trace.n_infeasible > 0:
-        first = next(i for i, s in enumerate(trace.statuses) if s != "optimal")
-        return 0, f"infeasible at step {first}"
+    if trace.n_infeasible > 0:  # the loop stopped at its first infeasible step
+        return 0, f"infeasible at step {len(trace.statuses) - 1}"
     final = trace.final_robustness()
     if min(final) < 0.0:
         return 0, f"realized robustness {min(final):.3g} < 0"
@@ -534,7 +507,7 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
             columns.append(f"error: {exc}")
     cells = [(i, j) for i in range(len(initial_temps)) for j in range(len(start_times))]
     run = [(i, j) for i, j in cells if not isinstance(columns[j], str)]
-    results = dict(zip(run, plant_mod._map_blocks(
+    results = dict(zip(run, plant_mod.map_blocks(
         evaluate_cell, [(model, columns[j], initial_temps[i]) for i, j in run], jobs)))
     for i, j in cells:
         val, note = results.get((i, j), (0, columns[j]))

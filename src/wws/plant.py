@@ -169,7 +169,7 @@ class PlantModel:
 
         def f(x) -> np.ndarray:
             x = np.asarray(x, dtype=float)
-            phi[:] = _monomials(*(x.tolist() if x.ndim == 1 else x))
+            phi[:] = monomials(*(x.tolist() if x.ndim == 1 else x))
             return Fx @ phi + drive
 
         return f
@@ -198,7 +198,7 @@ class PlantModel:
         return self.coefficients[:, W].copy()
 
 
-def _monomials(x1, x2, x3, x4, x5, x6) -> tuple:
+def monomials(x1, x2, x3, x4, x5, x6) -> tuple:
     """The monomials of :data:`MONOMIALS`, in order, over floats or rows."""
     s3, s4, s5 = x3 * x3, x4 * x4, x5 * x5
     return (x1, x2, x3, x4, x5, x6, s3, s4, s5,
@@ -274,7 +274,7 @@ def step(
     # results are gathered in block order, so the lowest failing block
     # raises first whatever the schedule
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return np.concatenate(_map_blocks(_step_block, [
+    return np.concatenate(map_blocks(_step_block, [
         (model, x[:, a:b], u[a:b], w[a:b], h, config, a)
         for a, b in zip(edges, edges[1:])], cores), axis=1)
 
@@ -338,7 +338,7 @@ def _step_block(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray,
     return out.reshape(k, n).T.reshape(x.shape).copy()
 
 
-def _map_blocks(fn: Callable, calls: list[tuple], procs: int) -> list:
+def map_blocks(fn: Callable, calls: list[tuple], procs: int) -> list:
     """``[fn(*args) for args in calls]``, spread over ``procs`` processes.
 
     With p = min(procs, len(calls)), p - 1 forked worker processes take the

@@ -39,7 +39,7 @@ def lift(x: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
     (6,) or a batch (6, K), by the plant's own products; the first six are
     the state itself, and the plant's right-hand side is linear in all 16."""
     x = np.asarray(x, dtype=float)
-    return np.array(plant_mod._monomials(*(x.tolist() if x.ndim == 1 else x))[:n])
+    return np.array(plant_mod.monomials(*(x.tolist() if x.ndim == 1 else x))[:n])
 
 
 #: Observable count of a regression fit: all of the plant's monomials.

@@ -49,7 +49,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -450,12 +450,16 @@ class _Fold(enum.Enum):
     DEFERRED = "deferred"   # every obligation lies beyond the bound samples
 
 
-@dataclass(eq=False)
-class _Leaf:
-    """Predicate at one absolute sample; only alive during compilation."""
+class _Constants(NamedTuple):
+    """What compiling fixes for one predicate, shared by all its leaves."""
 
-    pred: Pred
-    t: int
+    sign: float
+    const: float
+    fold_at: float          # least margin of a history sample that folds true
+    eps: float              # strictness margin of its rows
+    big_m: float | str      # or why it has none: no declared channel bounds
+    lo: float               # the interval the predicate bounds its slot to
+    hi: float
 
 
 class _Node:
@@ -474,11 +478,12 @@ class _Node:
 
 
 def _unroll(f: Formula, t: int, neg: bool, h: float):
-    """Expand temporal operators over absolute samples, negation at leaves."""
+    """Expand temporal operators over absolute samples, negation at the
+    leaves, which are ``(pred, t)`` pairs."""
     if isinstance(f, Not):
         return _unroll(f.child, t, not neg, h)
     if isinstance(f, Pred):
-        return _Leaf(f.negate() if neg else f, t)
+        return (f.negate() if neg else f, t)
     if isinstance(f, (And, Or)):
         return _combine([_unroll(c, t, neg, h) for c in f.children],
                         isinstance(f, And) ^ neg)
@@ -573,8 +578,9 @@ class FormulaTemplate:
     """One formula compiled once for encoding at sample 0.
 
     Compiling expands every temporal operator over absolute sample indices,
-    pushes negation to the leaves and precomputes each leaf's slot, sign,
-    constant, eps, big-M and edge.  :meth:`instantiate` then only
+    pushes negation to the leaves and precomputes each leaf's slot and each
+    predicate's sign, constant, eps, big-M and interval (``_Constants``,
+    shared by the predicate's leaves).  :meth:`instantiate` then only
     classifies the leaves against the caller's binding, folds the tree and
     emits the rows of the live nodes.  The fold and the rows depend on the
     binding only through the leaf pattern (each leaf's state and each
@@ -585,56 +591,44 @@ class FormulaTemplate:
     def __init__(self, f: Formula, h: float, cfg: EncodingConfig, name: str = "stl"):
         self.name = name
         self.cfg = cfg
-        leaves: list[_Leaf] = []
+        leaves: list[tuple[Pred, int]] = []
         self.root = _number(_unroll(f, 0, False, h), leaves)
         # slots ordered by channel, then sample: each channel's slots are
         # one contiguous run, ``channel_slots[ch] = (first slot, samples)``
-        read = sorted({(leaf.pred.channel, leaf.t) for leaf in leaves})
+        read = sorted({(pred.channel, t) for pred, t in leaves})
         self.slots: dict[tuple[str, int], int] = {key: s for s, key in enumerate(read)}
         self.pad = len(read)                   # a slot index that reads 0.0
-        self.channel_slots: dict[str, tuple[int, np.ndarray]] = {}
-        for ch in dict.fromkeys(ch for ch, _ in read):
-            self.channel_slots[ch] = (self.slots[(ch, min(t for c, t in read if c == ch))],
-                                      np.array([t for c, t in read if c == ch]))
-        self._compile_leaves(leaves)
+        runs: dict[str, tuple[int, list[int]]] = {}
+        for s, (ch, t) in enumerate(read):
+            runs.setdefault(ch, (s, []))[1].append(t)
+        self.channel_slots = {ch: (s, np.array(ts)) for ch, (s, ts) in runs.items()}
+        # each leaf's slot, sample and predicate (an index into ``constants``)
+        index: dict[Pred, int] = {}
+        self.leaf_pred = [index.setdefault(pred, len(index)) for pred, _ in leaves]
+        self.leaf_t = [t for _, t in leaves]
+        self.leaf_slot = np.array([self.slots[(p.channel, t)] for p, t in leaves], dtype=int)
+        self.constants = [self._constants(pred) for pred in index]
+        # what the fold reads, per leaf
+        self.leaf_sign, self.leaf_const, self.fold_at = np.array(
+            [c[:3] for c in self.constants]).reshape(-1, 3)[self.leaf_pred].T
         self._rows: dict[bytes, StepRows] = {}
 
-    def _compile_leaves(self, leaves: list[_Leaf]) -> None:
-        """Each leaf's slot, sample, predicate constants and edge."""
-        per_pred: dict[Pred, tuple] = {}
-        infos = []
-        for leaf in leaves:
-            info = per_pred.get(leaf.pred)
-            if info is None:
-                info = per_pred[leaf.pred] = (len(per_pred), *self._pred_constants(leaf.pred))
-            infos.append(info)
-        slots = [self.slots[(leaf.pred.channel, leaf.t)] for leaf in leaves]
-        self.leaf_slot = np.array(slots, dtype=int)
-        self.leaf_t = [leaf.t for leaf in leaves]
-        # predicate key, sign, const, eps, fold threshold, big-M and edge
-        (self.pred_key, sign, const, self.leaf_eps, fold_at,
-         self.big_m_of, edges) = ([info[i] for info in infos] for i in range(7))
-        self.edges = [(slot, *edge) for slot, edge in zip(slots, edges)]
-        self.leaf_sign, self.leaf_const, self.fold_at = map(np.array, (sign, const, fold_at))
-
-    def _pred_constants(self, pred: Pred) -> tuple:
-        """Sign, constant, eps, fold threshold, big-M (or the error message
-        when the channel has no declared bounds) and the (lo, hi) that the
-        predicate bounds its slot to."""
+    def _constants(self, pred: Pred) -> _Constants:
         eps = self.cfg.eps
         sign = 1.0 if pred.op in (">=", ">") else -1.0
-        big_m: float | str
-        if pred.channel in self.cfg.channel_bounds:
-            lo, hi = self.cfg.channel_bounds[pred.channel]
-            big_m = BIG_M_MARGIN * (max(abs(lo - pred.const), abs(hi - pred.const))
-                                    + eps + 1.0)
-        else:
-            big_m = f"no declared bounds for channel {pred.channel!r}"
+        box = self.cfg.channel_bounds.get(pred.channel)
+        big_m = (f"no declared bounds for channel {pred.channel!r}" if box is None else
+                 BIG_M_MARGIN * (max(abs(box[0] - pred.const), abs(box[1] - pred.const))
+                                 + eps + 1.0))
         # margin = sign (s - const) >= eps  <=>  sign s >= sign const + eps
         at = (sign * pred.const + (eps if pred.strict else 0.0)) / sign
-        edge = (at, math.inf) if sign > 0.0 else (-math.inf, at)
-        return (sign, pred.const, eps if pred.strict else 0.0,
-                eps - 1e-9 if pred.strict else 0.0, big_m, edge)
+        lo, hi = (at, math.inf) if sign > 0.0 else (-math.inf, at)
+        return _Constants(sign, pred.const, eps - 1e-9 if pred.strict else 0.0,
+                          eps if pred.strict else 0.0, big_m, lo, hi)
+
+    def leaf(self, i: int) -> tuple[int, _Constants]:
+        """Slot and predicate constants of leaf ``i``."""
+        return int(self.leaf_slot[i]), self.constants[self.leaf_pred[i]]
 
     # -- one step --------------------------------------------------------
 
@@ -695,16 +689,12 @@ class FormulaTemplate:
             kids = node.kids
         else:
             return None
-        slot, lo, hi = None, -math.inf, math.inf
-        for k in kids:
-            edge = self.edges[k]
-            if slot is not None and edge[0] != slot:
-                return None
-            slot = edge[0]
-            lo, hi = max(lo, edge[1]), min(hi, edge[2])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        slots = {int(self.leaf_slot[k]) for k in kids}
+        lo = max(self.constants[self.leaf_pred[k]].lo for k in kids)
+        hi = min(self.constants[self.leaf_pred[k]].hi for k in kids)
+        if len(slots) > 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             return None
-        return slot, lo, hi
+        return slots.pop(), lo, hi
 
     def hull(self, node: _Node) -> tuple[int, float, float, float, float] | None:
         """(slot, lo0, hi0, lo1, hi1) of a 2-way Or of two distinct
@@ -717,8 +707,9 @@ class FormulaTemplate:
 
 
 def _number(node, leaves: list):
-    """``node`` with its leaves replaced by their depth-first indices."""
-    if isinstance(node, _Leaf):
+    """``node`` with its leaves replaced by their depth-first indices, so
+    only leaves that the compile-time fold kept are numbered."""
+    if isinstance(node, tuple):
         leaves.append(node)
         return len(leaves) - 1
     if isinstance(node, _Node):
@@ -781,39 +772,36 @@ class _Emitter:
         self.warm_sources.append(chain)
         return self.new_aux(chain[0], True)
 
-    def big_m(self, leaf: int) -> float:
-        m = self.tmpl.big_m_of[leaf]
-        if isinstance(m, str):
-            raise StlEncodingError(m)
-        return m
+    def big_m(self, c: _Constants) -> float:
+        if isinstance(c.big_m, str):
+            raise StlEncodingError(c.big_m)
+        return c.big_m
 
     def implied_row(self, leaf: int, lower) -> None:
         """margin >= eps - M (1 - lower) for an integral ``lower``."""
-        t = self.tmpl
-        slot, lo, hi = t.edges[leaf]
+        slot, c = self.tmpl.leaf(leaf)
         if lower is None:  # the plain predicate row
-            self.row(slot, t.leaf_sign[leaf], t.leaf_const[leaf], 0.0, t.leaf_eps[leaf])
-            self.bounds.append((slot, -1, lo, hi, lo, hi))
+            self.row(slot, c.sign, c.const, 0.0, c.eps)
+            self.bounds.append((slot, -1, c.lo, c.hi, c.lo, c.hi))
             return
-        m = self.big_m(leaf)
+        m = self.big_m(c)
         const, coefs = lower
-        self.row(slot, t.leaf_sign[leaf], t.leaf_const[leaf], m * (1.0 - const),
-                 t.leaf_eps[leaf], [(a, m * c) for a, c in coefs.items()])
+        self.row(slot, c.sign, c.const, m * (1.0 - const), c.eps,
+                 [(a, m * v) for a, v in coefs.items()])
 
     def pred_literal(self, leaf: int) -> int:
         """Binary with two-sided big-M linking: p == 1 iff the margin is met."""
         t = self.tmpl
-        key = (t.pred_key[leaf], t.leaf_t[leaf])
+        key = (t.leaf_pred[leaf], t.leaf_t[leaf])
         if key in self.pred_literals:
             return self.pred_literals[key]
         pid = self.pred_ids.setdefault(key[0], len(self.pred_ids))
         p = self.binary("p", t.leaf_t[leaf], pid)
-        m = self.big_m(leaf)
-        eps, sign, const = t.leaf_eps[leaf], t.leaf_sign[leaf], t.leaf_const[leaf]
+        slot, c = t.leaf(leaf)
+        m = self.big_m(c)
         # margin >= -M (1 - p) + eps   and   margin <= M p - eps
-        slot = t.leaf_slot[leaf]
-        self.row(slot, sign, const, -(eps - m), 0.0, [(p, m)])
-        self.row(slot, -sign, const, 0.0, eps, [(p, -m)])
+        self.row(slot, c.sign, c.const, -(c.eps - m), 0.0, [(p, m)])
+        self.row(slot, -c.sign, c.const, 0.0, c.eps, [(p, -m)])
         self.pred_literals[key] = p
         return p
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from wws import miqp, mpc, qp, stl
+from wws import miqp, mpc, plant, qp, stl
 from wws.mpc import (
     ClosedLoopTrace,
     ControllerConfig,
@@ -17,6 +17,7 @@ from wws.mpc import (
     run_closed_loop,
     supply_spec,
 )
+from wws.plant import DivergenceError
 from wws.stl import SampledSignal, parse, resolve_end, robustness
 
 from oracles import builder_step_problem, read_sweep_csv, read_trace_csv
@@ -338,12 +339,58 @@ def test_infeasible_policy_holds_input(demo_model, demo_cfg, demo_predictor):
     assert len(trace.times) == cfg.n_steps + 1  # loop continues recording
 
 
+#: the per-step fields of a trace, one row per step taken
+TRACE_ROWS = ("times", "states", "inputs", "disturbances", "outputs", "statuses",
+              "objectives", "binaries", "nodes", "robustness_so_far", "plan_seconds")
+
+
+def _rows(trace: ClosedLoopTrace) -> dict[str, int]:
+    return {name: len(getattr(trace, name)) for name in TRACE_ROWS}
+
+
 def test_stop_on_infeasible_truncates(demo_model, demo_cfg, demo_predictor):
     cfg = replace(demo_cfg, stl_specs=(supply_spec(60.0), DEFAULT_POWER_SPEC),
                   end_time=240.0)
     trace = run_closed_loop(demo_model, cfg, demo_predictor, np.full(6, 5.0),
                             stop_on_infeasible=True)
-    assert len(trace.times) == 1
+    assert _rows(trace) == dict.fromkeys(TRACE_ROWS, 1)
+    assert trace.statuses == ["infeasible"] and not trace.aborted
+
+
+def test_initial_state_of_another_shape_is_refused(demo_model, demo_cond):
+    for x0 in (np.full(7, 20.0), np.full((6, 1), 20.0)):
+        with pytest.raises(ValueError, match=r"initial state needs shape \(6,\)"):
+            mpc.run_condensed(demo_model, demo_cond, x0)
+
+
+def test_divergence_aborts_after_the_planned_step(monkeypatch, demo_model, demo_cfg,
+                                                  demo_cond):
+    # the plant step after step 3 diverges: the trace keeps steps 0..3, and
+    # step 3's input is the one planned there, never applied
+    step, applied, planned = plant.step, [], []
+
+    def diverging(model, x, u, *args):
+        if len(applied) == 3:
+            raise DivergenceError("state left the temperature bounds")
+        applied.append(u)
+        return step(model, x, u, *args)
+
+    def recording(*args, **kwargs):
+        res = plan_step(*args, **kwargs)
+        planned.append(res.u0)
+        return res
+
+    monkeypatch.setattr(plant, "step", diverging)
+    monkeypatch.setattr(mpc, "plan_step", recording)
+    trace = mpc.run_condensed(demo_model, demo_cond, np.full(6, 20.0))
+    assert _rows(trace) == dict.fromkeys(TRACE_ROWS, 4)
+    assert trace.aborted and trace.abort_reason == "state left the temperature bounds"
+    assert trace.statuses == ["optimal"] * 4
+    assert trace.inputs.tolist() == applied + planned[3:] == planned
+    assert trace.times.tolist() == [0.0, 60.0, 120.0, 180.0]
+    applied.clear()
+    assert evaluate_cell(demo_model, demo_cond, 20.0) == \
+        (0, "aborted: state left the temperature bounds")
 
 
 def test_trace_csv_roundtrip(tmp_path, demo_trace):

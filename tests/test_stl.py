@@ -79,20 +79,23 @@ def test_spec_lines_skips_comments():
     assert isinstance(parse(spec_lines(text)[1]), Ev)
 
 
-formula_strategy = st.deferred(lambda: st.one_of(
+_WINDOW = (st.integers(0, 10), st.integers(0, 10))
+
+formula_strategy = st.recursive(
     st.builds(Pred, st.sampled_from(["y", "u"]), st.sampled_from([">=", "<=", ">", "<"]),
               st.integers(-50, 50).map(float)),
-    st.builds(Not, formula_strategy),
-    st.builds(lambda a, b: And((a, b)), formula_strategy, formula_strategy),
-    st.builds(lambda a, b: Or((a, b)), formula_strategy, formula_strategy),
-    st.builds(lambda a, b, f: Alw(float(min(a, b)), float(max(a, b)), f),
-              st.integers(0, 10), st.integers(0, 10), formula_strategy),
-    st.builds(lambda a, b, f: Ev(float(min(a, b)), float(max(a, b)), f),
-              st.integers(0, 10), st.integers(0, 10), formula_strategy),
-    st.builds(lambda a, b, l, r: Until(float(min(a, b)), float(max(a, b)), l, r),
-              st.integers(0, 10), st.integers(0, 10),
-              formula_strategy, formula_strategy),
-))
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(lambda a, b: And((a, b)), sub, sub),
+        st.builds(lambda a, b: Or((a, b)), sub, sub),
+        st.builds(lambda a, b, f: Alw(float(min(a, b)), float(max(a, b)), f),
+                  *_WINDOW, sub),
+        st.builds(lambda a, b, f: Ev(float(min(a, b)), float(max(a, b)), f),
+                  *_WINDOW, sub),
+        st.builds(lambda a, b, l, r: Until(float(min(a, b)), float(max(a, b)), l, r),
+                  *_WINDOW, sub, sub),
+    ),
+    max_leaves=12)
 
 
 @settings(max_examples=120, deadline=None)

@@ -40,6 +40,31 @@ def test_branch_and_bound_uses_public_qp_names():
     assert ("wws.qp", "NodeQp") in _imports(ROOT / "src" / "wws" / "miqp.py")
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a module of src/wws takes only public names from the package's other
+    # modules, by import (``from .qp import x``) or by attribute
+    # (``plant_mod.x`` after ``from . import plant as plant_mod``)
+    found = []
+    for path in sorted((ROOT / "src" / "wws").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names bound to a module of the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "wws"):
+                for alias in node.names:
+                    if node.module in (None, "wws"):
+                        modules.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        found.append(f"{path.stem}: from {node.module} import {alias.name}")
+        found += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert found == []
+
+
 # public names kept for callers outside the package: the closed loop is the
 # library's entry point (README, ROADMAP)
 UNREFERENCED_ENTRY_POINTS = {("mpc", "run_closed_loop")}
