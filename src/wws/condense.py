@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .predictor import LinearPredictor, lift
 
@@ -48,7 +49,7 @@ class CondensedHorizon:
     cfg: "ControllerConfig"
     Y: np.ndarray          # (Np, Np)   output rows of offsets 1..Np over u
     H: np.ndarray          # (Np, Np)
-    Phi: np.ndarray        # (Np, N)    row i: out_row A^(i+1)
+    Phi: np.ndarray        # (Np, N)    row i: e A^(i+1)
     psi: np.ndarray        # (Np,)      output response to b_d w + c alone
 
     @property
@@ -75,30 +76,27 @@ class CondensedHorizon:
 def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon:
     """Unroll the predictor over the controller's horizon, once per run.
 
-    The predictor's sampling period must be the controller's.  The Hessian
-    is checked symmetric and positive semidefinite here, once per run:
-    every step problem reuses it and checks neither.
+    The output is selected from the lift, so the powers  r_i = e A^i  of its
+    unit row e give Y (the lower-triangular Toeplitz matrix of the Markov
+    parameters r_i b_u), Phi[i] = r_{i+1} and psi[i] = sum_{k<=i} r_k d,
+    d = b_d w + c.  The predictor's sampling period must be the controller's.
+    The Hessian is checked symmetric and positive semidefinite here, once per
+    run: every step problem reuses it and checks neither.
     """
     if pred.h != cfg.h:
         raise ValueError(f"predictor sampled at h={pred.h:g} s, "
                          f"controller at h={cfg.h:g} s")
     np_h = cfg.horizon
-    G = np.zeros((np_h + 1, pred.n, np_h))
+    rows = np.zeros((np_h + 1, pred.n))   # row i: r_i = e A^i
+    rows[0, cfg.output_index - 1] = 1.0
     for i in range(np_h):
-        G[i + 1] = pred.A @ G[i]
-        G[i + 1][:, i] += pred.b_u
-    out_row = pred.C[cfg.output_index - 1]
-    Y = np.einsum("j,ijp->ip", out_row, G)[1:]
+        rows[i + 1] = rows[i] @ pred.A
+    Y = toeplitz(rows[:-1] @ pred.b_u, np.zeros(np_h))
     H = 2.0 * (cfg.q_weight * (Y.T @ Y) + cfg.r_weight * np.eye(np_h))
     if not np.allclose(H, H.T, atol=1e-12):
         raise ValueError("objective quadratic term is not symmetric")
     w = np.linalg.eigvalsh(H)
     if w.min() < -1e-8 * (1.0 + float(np.max(np.abs(H)))):
         raise ValueError(f"objective quadratic term not PSD (min eig {w.min():.3g})")
-    # y0_i = out_row (A^(i+1) z0 + sum_{k<=i} A^k d),  d = b_d w + c
-    Phi, psi = np.zeros((np_h, pred.n)), np.zeros(np_h)
-    row, g, d = out_row, np.zeros(pred.n), pred.b_d * pred.w + pred.c
-    for i in range(np_h):
-        row, g = row @ pred.A, pred.A @ g + d
-        Phi[i], psi[i] = row, out_row @ g
-    return CondensedHorizon(pred=pred, cfg=cfg, Y=Y, H=H, Phi=Phi, psi=psi)
+    psi = np.cumsum(rows[:-1] @ (pred.b_d * pred.w + pred.c))
+    return CondensedHorizon(pred=pred, cfg=cfg, Y=Y, H=H, Phi=rows[1:], psi=psi)

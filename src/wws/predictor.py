@@ -3,15 +3,16 @@
 Two routes produce the same predictor interface:
 
 * lifted least-squares regression on snapshot pairs (monomial observables,
-  pseudo-inverse estimation of the lifted transition and read-out maps), and
+  pseudo-inverse estimation of the lifted transition), and
 * local linearization at an equilibrium with exact ZOH discretization,
   exposed in absolute coordinates by folding the operating point into an
   affine constant.
 
-Both yield a discrete-time map  z+ = A z + b_u u + b_d w + c,  x_hat = C z
-with z the lifted state and c zero for the regression route.  Each predictor
-records the constant ambient w it was built for: the one its data held, or
-the one it was linearized at.
+Both yield a discrete-time map  z+ = A z + b_u u + b_d w + c,  x_hat = z[:6]
+with z the lifted state, whose first six observables are the state itself
+(so no output map is fitted), and c zero for the regression route.  Each
+predictor records the constant ambient w it was built for: the one its data
+held, or the one it was linearized at.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ DEFAULT_OBSERVABLES = plant_mod.N_MONOMIALS
 
 @dataclass(frozen=True)
 class LinearPredictor:
-    """Discrete-time lifted linear model  z+ = A z + b_u u + b_d w + c,  x = C z.
+    """Discrete-time lifted linear model  z+ = A z + b_u u + b_d w + c,  x = z[:6].
 
-    z holds the first n = len(b_u) of the plant's monomials.  c is zero for
-    a regression fit; a local linearization folds its operating point into
-    c, so both routes share one interface.  ``w`` is the constant ambient the
+    z holds the first n = len(b_u) of the plant's monomials, 6 <= n <= 16,
+    so its first six entries are the state.  c is zero for a regression fit;
+    a local linearization folds its operating point into c, so both routes
+    share one interface.  ``w`` is the constant ambient the
     predictor was built for (a regression fit's data hold it, so there b_d
     acts only as a constant term); the loop predicts and runs at it.
     """
@@ -61,24 +63,22 @@ class LinearPredictor:
     b_u: np.ndarray
     b_d: np.ndarray
     c: np.ndarray
-    C: np.ndarray
     h: float
     w: float
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         n = self.n if self.b_u.ndim == 1 else 0
-        if not 1 <= n <= plant_mod.N_MONOMIALS:
-            raise ValueError(f"a predictor has 1..{plant_mod.N_MONOMIALS} observables, "
-                             f"got b_u of shape {self.b_u.shape}")
-        if (self.A.shape != (n, n) or self.b_d.shape != (n,) or self.c.shape != (n,)
-                or self.C.shape != (plant_mod.N_STATES, n)):
+        if not plant_mod.N_STATES <= n <= plant_mod.N_MONOMIALS:
+            raise ValueError(f"a predictor has {plant_mod.N_STATES}..{plant_mod.N_MONOMIALS} "
+                             f"observables, got b_u of shape {self.b_u.shape}")
+        if self.A.shape != (n, n) or self.b_d.shape != (n,) or self.c.shape != (n,):
             raise ValueError("inconsistent predictor dimensions")
         if self.h <= 0:
             raise ValueError("sampling period must be positive")
         if not np.isfinite(self.w):
             raise ValueError(f"ambient w must be finite, got {self.w}")
-        for arr in (self.A, self.b_u, self.b_d, self.c, self.C):
+        for arr in (self.A, self.b_u, self.b_d, self.c):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite predictor entry")
 
@@ -88,17 +88,17 @@ class LinearPredictor:
 
     def predict(self, x0: Sequence[float], u_seq: Sequence[float],
                 w_seq: Sequence[float]) -> np.ndarray:
-        """Open-loop rollout; returns n+1 predicted states (row 0 = C z0)."""
+        """Open-loop rollout; returns n+1 predicted states (row 0 is ``x0``)."""
         u_seq = list(u_seq)
         w_seq = list(w_seq)
         if len(u_seq) != len(w_seq):
             raise ValueError("input and disturbance sequences must have equal length")
         z = lift(x0, self.n)
         out = np.empty((len(u_seq) + 1, plant_mod.N_STATES))
-        out[0] = self.C @ z
+        out[0] = z[:plant_mod.N_STATES]
         for k, (u, w) in enumerate(zip(u_seq, w_seq)):
             z = self.A @ z + self.b_u * u + self.b_d * w + self.c
-            out[k + 1] = self.C @ z
+            out[k + 1] = z[:plant_mod.N_STATES]
         return out
 
     # -- persistence --------------------------------------------------------
@@ -112,7 +112,6 @@ class LinearPredictor:
             "bu": self.b_u.tolist(),
             "bd": self.b_d.tolist(),
             "c": self.c.tolist(),
-            "C": self.C.tolist(),
             "observables": [list(e) for e in plant_mod.MONOMIALS[:self.n]],
             "meta": self.meta,
         }
@@ -134,11 +133,16 @@ class LinearPredictor:
             b_u=np.array(doc["bu"], dtype=float),
             b_d=np.array(doc["bd"], dtype=float),
             c=np.array(doc["c"], dtype=float),
-            C=np.array(doc["C"], dtype=float),
             h=float(doc["h"]),
             w=float(doc["w"]),
             meta=dict(doc.get("meta", {})),
         )
+        # older files carry a fitted read-out C, which must be the selection
+        eye = np.eye(plant_mod.N_STATES, pred.n)
+        C = np.array(doc.get("C", eye), dtype=float)
+        if C.shape != eye.shape or not np.allclose(C, eye, rtol=0.0, atol=1e-9):
+            raise ValueError("predictor file's read-out 'C' is not the selection "
+                             f"of the first {plant_mod.N_STATES} observables")
         obs = tuple(tuple(int(v) for v in e) for e in doc["observables"])
         if obs != plant_mod.MONOMIALS[:pred.n]:
             raise ValueError(f"observables must be the {pred.n}-monomial prefix of the "
@@ -221,33 +225,7 @@ def generate_dataset(model: PlantModel, cfg: DatasetConfig) -> Dataset:
 # Regression
 # ---------------------------------------------------------------------------
 
-RCOND = 1e-12  # relative singular-value cutoff of every pseudo-inverse fit
-
-
-def _equilibrated_pinv_fit(target: np.ndarray,
-                           regressor: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Least-squares fit  target ~= M @ regressor  via an SVD pseudo-inverse.
-
-    Regressor rows are scaled to unit RMS before inversion (monomial rows
-    span several orders of magnitude) and the scaling is folded back into M,
-    which leaves the solution of the unscaled problem unchanged while
-    keeping the SVD well conditioned.
-    """
-    scale = np.sqrt(np.mean(regressor ** 2, axis=1))
-    scale[scale < 1e-300] = 1.0
-    reg_s = regressor / scale[:, None]
-    m_scaled = target @ np.linalg.pinv(reg_s, rcond=RCOND)
-    m = m_scaled / scale[None, :]
-    sv = np.linalg.svd(reg_s, compute_uv=False)
-    resid = target - m @ regressor
-    diag = {
-        "cond": float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf"),
-        "rank": int(np.sum(sv > RCOND * sv[0])),
-        "rows": int(regressor.shape[0]),
-        "residual_max": float(np.max(np.abs(resid))),
-        "residual_rms": float(np.sqrt(np.mean(resid ** 2))),
-    }
-    return m, diag
+RCOND = 1e-12  # relative singular-value cutoff of the pseudo-inverse fit
 
 
 def fit_linear_maps(Z: np.ndarray, U: np.ndarray, W: np.ndarray,
@@ -267,25 +245,41 @@ def fit_linear_maps(Z: np.ndarray, U: np.ndarray, W: np.ndarray,
     if k < n + 2:
         raise ValueError(f"need at least {n + 2} snapshot pairs, got {k}")
     regressor = np.vstack([Z, np.asarray(U, float)[None, :], W[None, :]])
-    m, diag = _equilibrated_pinv_fit(Zp, regressor)
+    # rows scaled to unit RMS (monomials span orders of magnitude) keep the SVD
+    # well conditioned; folding the scale back leaves the solution unchanged
+    scale = np.sqrt(np.mean(regressor ** 2, axis=1))
+    scale[scale < 1e-300] = 1.0
+    reg_s = regressor / scale[:, None]
+    m = (Zp @ np.linalg.pinv(reg_s, rcond=RCOND)) / scale[None, :]
+    sv = np.linalg.svd(reg_s, compute_uv=False)
+    resid = Zp - m @ regressor
+    diag = {
+        "cond": float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf"),
+        "rank": int(np.sum(sv > RCOND * sv[0])),
+        "rows": int(regressor.shape[0]),
+        "residual_max": float(np.max(np.abs(resid))),
+        "residual_rms": float(np.sqrt(np.mean(resid ** 2))),
+    }
     if diag["rank"] < n + 1 + bool(W.any()):
         warnings.warn(f"rank-deficient regressor (rank {diag['rank']} of {n + 2})")
     return m[:, :n], m[:, n], m[:, n + 1], diag
 
 
 def fit_edmd_from_dataset(n: int, data: Dataset) -> LinearPredictor:
-    """Fit the lifted transition and read-out maps over the first ``n``
-    monomials from a snapshot dataset; the affine constant is zero."""
+    """Fit the lifted transition over the first ``n`` monomials from a
+    snapshot dataset; the affine constant is zero.  The state is read out
+    of the lift by selection, so there is no read-out map to fit; the
+    report's read-out residual, max |lift(X)[:6] - X|, reads 0."""
     Z = lift(data.X, n)
     Zp = lift(data.Xp, n)
     A, b_u, b_d, dyn_diag = fit_linear_maps(Z, data.U, data.W, Zp)
-    C, out_diag = _equilibrated_pinv_fit(data.X, Z)
+    out_diag = {"residual_max": float(np.max(np.abs(Z[:plant_mod.N_STATES] - data.X)))}
     meta = {"seed": data.config.seed, "K": data.config.K,
             "state_range": list(data.config.state_range),
             "u_band": list(data.config.u_band), "p_off": data.config.p_off,
             "fit": {"dynamics": dyn_diag, "readout": out_diag,
                     "K": int(data.X.shape[1]), "rcond": RCOND}}
-    return LinearPredictor(A=A, b_u=b_u, b_d=b_d, c=np.zeros(n), C=C,
+    return LinearPredictor(A=A, b_u=b_u, b_d=b_d, c=np.zeros(n),
                            h=float(data.config.h), w=float(data.config.w0), meta=meta)
 
 
@@ -393,7 +387,7 @@ def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
     """Local-linearization predictor at an equilibrium, absolute interface.
 
     The continuous-time Jacobians are evaluated analytically and discretized
-    exactly under ZOH (n = 6, so z = x and C = I); the operating point folds
+    exactly under ZOH (n = 6, so z = x); the operating point folds
     into  c = x* - A x* - b_u u* - b_d w*; x* and u* are recorded in
     ``meta`` and w* is the predictor's ambient.
     """
@@ -408,7 +402,7 @@ def linearize_local(model: PlantModel, x_star: Sequence[float], u_star: float,
     u_star, w_star = float(u_star), float(w_star)
     return LinearPredictor(
         A=A_d, b_u=b_u, b_d=b_d, c=x_star - A_d @ x_star - b_u * u_star - b_d * w_star,
-        C=np.eye(plant_mod.N_STATES), h=float(h), w=w_star,
+        h=float(h), w=w_star,
         meta={"kind": "local-linearization", "residual": resid,
               "x_ref": x_star.tolist(), "u_ref": u_star},
     )

@@ -191,7 +191,7 @@ def iterated_free_response(pred, cfg, x: Sequence[float]) -> np.ndarray:
     g[0] = lift(x, pred.n)
     for i in range(cfg.horizon):
         g[i + 1] = pred.A @ g[i] + pred.b_d * pred.w + pred.c
-    return (g @ pred.C[cfg.output_index - 1])[1:]
+    return g[1:, cfg.output_index - 1]
 
 
 def builder_step_problem(cfg, cond, x_k: Sequence[float], k: int,

@@ -130,14 +130,21 @@ def test_bench_rolls_out_at_the_predictor_ambient(tmp_path, capsys):
 
 def test_settings_out_of_range_are_refused_up_front(tmp_path, monkeypatch, capsys):
     # refused by name before any fit or plant step: an empty bench block
-    # from any source, and a strictness margin that is not positive
+    # from any source, a strictness margin that is not positive, and a
+    # sweep with no process to run on or an empty grid
     out = tmp_path / "refused"
+    empty_temps = tmp_path / "empty_temps.json"
+    empty_temps.write_text(json.dumps({"initial_temps": []}))
     cases = [(["bench", "--bench-rollouts", "0"], {}, "bench_rollouts must be at least 1, got 0"),
              (["bench"], {"WWS_BENCH_ROLLOUTS": "-3"},
               "bench_rollouts must be at least 1, got -3"),
              (["bench", "--bench-steps", "0"], {}, "bench_steps must be at least 1, got 0"),
              (["run", "--eps=-1"], {}, "eps, the strictness margin, must be positive, got -1.0"),
-             (["run", "--eps=0"], {}, "eps, the strictness margin, must be positive, got 0.0")]
+             (["run", "--eps=0"], {}, "eps, the strictness margin, must be positive, got 0.0"),
+             (["sweep", "--jobs", "0"], {}, "jobs must be at least 1, got 0"),
+             (["sweep"], {"WWS_JOBS": "-3"}, "jobs must be at least 1, got -3"),
+             (["sweep", "--config", str(empty_temps)], {}, "initial_temps must not be empty"),
+             (["sweep"], {"WWS_START_TIMES": "[]"}, "start_times must not be empty")]
     for argv, env, message in cases:
         with monkeypatch.context() as m:
             for var, value in env.items():
@@ -247,7 +254,8 @@ def test_bench_report(tmp_path, demo_pred_file):
     assert code == 0
     report = json.loads((out / "bench.json").read_text())
     assert report["rollouts"] == 4
-    assert report["zero_step_max_error"] <= 1e-8
+    assert "zero_step_max_error" not in report
+    assert all(v[0] == 0.0 for v in report["rmse_per_step"].values())
     assert set(report["rmse_per_step"]) == {f"x{i}" for i in range(1, 7)}
     assert all(len(v) == 5 for v in report["rmse_per_step"].values())
 

@@ -15,7 +15,7 @@ from oracles import iterated_free_response
 
 def _identity_predictor(A, b_u, b_d, h=60.0):
     return LinearPredictor(A=np.asarray(A, float), b_u=np.asarray(b_u, float),
-                           b_d=np.asarray(b_d, float), c=np.zeros(6), C=np.eye(6), h=h,
+                           b_d=np.asarray(b_d, float), c=np.zeros(6), h=h,
                            w=10.0)
 
 

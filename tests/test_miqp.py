@@ -150,17 +150,18 @@ def test_equal_bounds_search_newest_first():
 
 
 def test_node_limit_returns_incumbent(monkeypatch):
-    rng = np.random.default_rng(9)
-    prob = random_miqp(rng, max_binaries=6)
+    # an instance whose full solve needs 5 nodes, cut after the first: the
+    # warm incumbent is returned with its gap to the open node's bound
+    prob = random_miqp(np.random.default_rng(13), max_binaries=6)
     full = solve_miqp(prob)
-    if full.status != "optimal":
-        pytest.skip("instance infeasible")
-    warm_bins = full.x[prob.binary]
+    assert full.status == "optimal" and full.nodes >= 3
     monkeypatch.setattr(miqp, "NODE_LIMIT", 1)
-    res = solve_miqp(prob, warm_binaries=warm_bins)
-    assert res.status in ("iteration-limit", "optimal")
-    if res.status == "iteration-limit":
-        assert res.objective is not None  # best effort incumbent retained
+    res = solve_miqp(prob, warm_binaries=full.x[prob.binary])
+    assert res.status == "iteration-limit"
+    assert res.nodes == miqp.NODE_LIMIT + 1
+    assert res.x is not None and res.assignment is not None
+    assert res.objective >= full.objective - 1e-9
+    assert res.gap >= 0.0
 
 
 def test_binary_limit_enforced():

@@ -18,6 +18,7 @@ from wws.mpc import (
     supply_spec,
 )
 from wws.plant import DivergenceError
+from wws.predictor import LinearPredictor
 from wws.stl import SampledSignal, parse, resolve_end, robustness
 
 from oracles import builder_step_problem, read_sweep_csv, read_trace_csv
@@ -51,6 +52,25 @@ def test_violated_history_after_a_cached_feasible_pattern(demo_cfg, demo_cond):
     fresh = build_step_problem(replace(demo_cfg), demo_cond, x, 8, bad, u_hist).problem
     assert warm.infeasible_reason == fresh.infeasible_reason \
         == "stl0: violated by already-fixed samples"
+
+
+def test_constant_rows_are_checked_and_dropped():
+    # with b_u = 0 no output moves with the inputs (Y = 0), so each supply
+    # row is the constant 0 <= y0 - 40: violated, it makes the problem
+    # infeasible; satisfied, it is dropped, where an input gain keeps it
+    still = LinearPredictor(A=np.eye(6), b_u=np.zeros(6), b_d=np.zeros(6), c=np.zeros(6),
+                            h=60.0, w=10.0)
+    cfg = ControllerConfig(stl_specs=(supply_spec(60.0),))
+    assert not condense(still, cfg).Y.any()
+
+    def problem(pred, x):
+        return build_step_problem(cfg, condense(pred, cfg), np.full(6, x), 0, [x], []).problem
+
+    assert problem(still, 30.0).infeasible_reason == "constant constraint violated (10 > 0)"
+    warm = problem(still, 50.0)
+    assert warm.infeasible_reason is None and warm.A.shape == (0, cfg.horizon)
+    moved = problem(replace(still, b_u=np.full(6, 0.1)), 50.0)
+    assert moved.infeasible_reason is None and moved.A.shape == (cfg.horizon, cfg.horizon)
 
 
 @pytest.mark.parametrize("extra", [

@@ -65,17 +65,18 @@ def test_lift_is_the_plants_monomial_evaluation(demo_model):
 def test_observable_validation():
     skipped = plant_mod.MONOMIALS[:6] + plant_mod.MONOMIALS[7:]
     doc = {"N": 15, "h": 60.0, "A": np.eye(15).tolist(), "bu": [0.0] * 15,
-           "bd": [0.0] * 15, "c": [0.0] * 15, "w": 10.0, "C": np.eye(6, 15).tolist(),
+           "bd": [0.0] * 15, "c": [0.0] * 15, "w": 10.0,
            "observables": [list(e) for e in skipped]}
     with pytest.raises(ValueError, match="prefix"):
         LinearPredictor.from_dict(doc)
 
 
-@pytest.mark.parametrize("n", [0, 17])
+@pytest.mark.parametrize("n", [0, 5, 17])
 def test_predictor_observable_count_bounds(n):
-    with pytest.raises(ValueError, match="1..16 observables"):
+    # the first six observables are the state the predictor reads out
+    with pytest.raises(ValueError, match="6..16 observables"):
         LinearPredictor(A=np.eye(n), b_u=np.zeros(n), b_d=np.zeros(n), c=np.zeros(n),
-                        C=np.eye(6, n), h=60.0, w=10.0)
+                        h=60.0, w=10.0)
 
 
 # -- dataset -----------------------------------------------------------------
@@ -188,16 +189,16 @@ def test_zero_disturbance_row_is_not_a_deficiency():
 
 
 def test_training_set_output_reconstruction(nominal_predictor, nominal_dataset_10k):
-    Z = lift(nominal_dataset_10k.X, DEFAULT_OBSERVABLES)
-    resid = nominal_predictor.C @ Z - nominal_dataset_10k.X
-    assert np.max(np.abs(resid)) <= 1e-8
+    # the read-out is the selection of the first six observables: exact
+    X = nominal_dataset_10k.X
+    assert np.array_equal(lift(X, nominal_predictor.n)[:6], X)
+    assert nominal_predictor.meta["fit"]["readout"] == {"residual_max": 0.0}
 
 
 def test_fit_shapes(nominal_predictor):
     assert nominal_predictor.A.shape == (16, 16)
     assert nominal_predictor.b_u.shape == (16,)
     assert nominal_predictor.b_d.shape == (16,)
-    assert nominal_predictor.C.shape == (6, 16)
     assert nominal_predictor.h == 60.0
 
 
@@ -207,7 +208,7 @@ def test_predict_zero_steps(nominal_predictor):
     x0 = np.full(6, 20.0)
     out = nominal_predictor.predict(x0, [], [])
     assert out.shape == (1, 6)
-    assert np.allclose(out[0], nominal_predictor.C @ lift(x0, nominal_predictor.n))
+    assert np.array_equal(out[0], x0)
 
 
 def test_predict_reproduces_planted_trajectory():
@@ -215,16 +216,15 @@ def test_predict_reproduces_planted_trajectory():
     A0 = rng.normal(0, 0.2, size=(16, 16))
     bu0 = rng.normal(size=16)
     bd0 = rng.normal(size=16)
-    C0 = np.hstack([np.eye(6), np.zeros((6, 10))])
-    pred = LinearPredictor(A=A0, b_u=bu0, b_d=bd0, c=np.zeros(16), C=C0, h=60.0, w=1.0)
+    pred = LinearPredictor(A=A0, b_u=bu0, b_d=bd0, c=np.zeros(16), h=60.0, w=1.0)
     x0 = rng.uniform(10, 40, size=6)
     u = rng.uniform(0, 5, size=4)
     w = rng.uniform(0, 2, size=4)
     z = lift(x0, DEFAULT_OBSERVABLES)
-    manual = [C0 @ z]
+    manual = [z[:6]]
     for k in range(4):
         z = A0 @ z + bu0 * u[k] + bd0 * w[k]
-        manual.append(C0 @ z)
+        manual.append(z[:6])
     assert np.allclose(pred.predict(x0, u, w), np.array(manual), atol=1e-12)
 
 
@@ -290,7 +290,6 @@ def test_linearize_local_equilibrium_invariance(demo_model, demo_equilibrium):
     eq = demo_equilibrium
     pred = linearize_local(demo_model, eq.x, eq.u, 10.0, 60.0)
     assert pred.n == 6
-    assert np.array_equal(pred.C, np.eye(6))
     traj = pred.predict(eq.x, [eq.u] * 5, [10.0] * 5)
     assert np.max(np.abs(traj - eq.x[None, :])) < 1e-9
 
@@ -309,11 +308,11 @@ def test_predictor_json_roundtrip(tmp_path, nominal_predictor):
     replace(nominal_predictor, w=-2.5).to_json(path)
     again = LinearPredictor.from_json(path)
     assert np.array_equal(again.A, nominal_predictor.A)
-    assert np.array_equal(again.C, nominal_predictor.C)
+    assert np.array_equal(again.b_u, nominal_predictor.b_u)
     assert np.array_equal(again.c, np.zeros(16))
     assert again.w == -2.5
     doc = json.loads(path.read_text())
-    assert set(doc) == {"N", "h", "w", "A", "bu", "bd", "c", "C", "observables", "meta"}
+    assert set(doc) == {"N", "h", "w", "A", "bu", "bd", "c", "observables", "meta"}
     assert doc["N"] == 16
     assert doc["observables"] == [list(e) for e in plant_mod.MONOMIALS]
 
@@ -364,6 +363,20 @@ def test_predictor_file_without_w_is_refused(demo_predictor):
     del doc["w"]
     with pytest.raises(ValueError, match="'w'.*refit"):
         LinearPredictor.from_dict(doc)
+
+
+def test_legacy_readout_must_be_the_selection(demo_predictor):
+    # files from before the read-out was a selection carry a fitted "C"; it
+    # loads when it is [I 0] to within 1e-9 and is refused by name otherwise
+    doc = demo_predictor.to_dict()
+    C = np.eye(6, 16)
+    C[4, 7] = 3e-15
+    again = LinearPredictor.from_dict({**doc, "C": C.tolist()})
+    assert json.dumps(again.to_dict()) == json.dumps(doc)
+    wrong_row = np.eye(6, 16)[[1, 0, 2, 3, 4, 5]]
+    for bad in (wrong_row, np.eye(6, 16) * (1 + 1e-6), np.eye(6, 15), np.full((6, 16), np.nan)):
+        with pytest.raises(ValueError, match="read-out 'C' is not the selection"):
+            LinearPredictor.from_dict({**doc, "C": bad.tolist()})
 
 
 def test_fit_pipeline_deterministic(nominal_model):

@@ -120,6 +120,16 @@ def test_format_parse_is_canonical():
 def test_resolve_end():
     f = resolve_end(parse("alw_[420,end] (y >= 40)"), 1200.0)
     assert f == Alw(420.0, 1200.0, Pred("y", ">=", 40.0))
+    # through negation and until, into both of until's operands
+    g = resolve_end(parse("not (ev_[0,end] (u > 1)) or "
+                          "((ev_[0,end] (y >= 1)) until_[0,end] (alw_[0,end] (u <= 2)))"),
+                    600.0)
+    assert g == Or((Not(Ev(0.0, 600.0, Pred("u", ">", 1.0))),
+                    Until(0.0, 600.0, Ev(0.0, 600.0, Pred("y", ">=", 1.0)),
+                          Alw(0.0, 600.0, Pred("u", "<=", 2.0)))))
+    assert "end" not in format_formula(g)
+    fixed = parse("not (y >= 1 until_[0,60] (ev_[0,120] (u <= 2)))")
+    assert resolve_end(fixed, 600.0) == fixed
 
 
 def test_horizon_examples():

@@ -1,13 +1,16 @@
-"""Import structure: what each module may take from the solver modules, and
-the names the benchmark's layer tracer reads."""
+"""Import structure: what each module may take from the solver modules, the
+names the benchmark's layer tracer reads and the fit-report keys its fit
+check reads."""
 
 import ast
 import importlib.util
 import inspect
+import json
 from dataclasses import fields
 from pathlib import Path
 
 from wws import mpc, qp
+from wws.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -126,3 +129,13 @@ def test_benchmark_tracer_finds_what_it_patches():
     assert mpc.StepProblem._fields[2] == "n_binaries"
     assert list(inspect.signature(mpc.plan_step).parameters)[3] == "k"
     assert {"status", "iterations"} <= {field.name for field in fields(qp.QpResult)}
+
+
+def test_benchmark_fit_check_finds_its_report_keys(tmp_path):
+    # perfbench/workloads.py checks each `wws fit` by the dynamics rank and
+    # the read-out residual of its report
+    out = tmp_path / "pred.json"
+    assert main(["fit", "--plant", "demo", "--K", "100", "--out", str(out)]) == 0
+    report = json.loads(out.with_name("pred_report.json").read_text())
+    assert report["dynamics"]["rank"] == 18  # 16 observables, input, ambient
+    assert report["readout"]["residual_max"] <= 1e-8
