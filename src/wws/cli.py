@@ -301,11 +301,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
-    for name in ("initial_temps", "start_times"):
-        if not getattr(cfg, name):
-            raise ValueError(f"{name} must not be empty")
+    mpc.check_sweep(cfg.initial_temps, cfg.start_times, cfg.jobs)
     model = cfg.load_plant()
     controller = cfg.controller(model)
     predictor = _load_or_fit_predictor(cfg, model)

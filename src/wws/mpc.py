@@ -39,12 +39,10 @@ from .predictor import LinearPredictor
 from .stl import (
     DECISION,
     HISTORY,
-    EncodingConfig,
     Formula,
     FormulaTemplate,
     SampledSignal,
     parse,
-    resolve_end,
     robustness,
 )
 
@@ -75,13 +73,15 @@ DEFAULT_SUPPLY_SPEC = supply_spec(DEFAULT_START_TIME)
 class ControllerConfig:
     """Horizon, weights, bounds and specifications of the controller.
 
-    The specifications are parsed once, at construction, into ``formulas``
-    with the ``end`` token resolved to ``end_time``; the encoder and the
-    prefix monitor both read them (a realized prefix clips every window
-    to its last sample, which is never past ``end_time``).  ``templates``
-    compiles the formulas on first use, once per configuration; they do
-    not depend on the predictor.  A pickled configuration carries only its
-    fields: the process that unpickles it compiles its own templates.
+    The specifications are parsed once, at construction, into ``formulas``,
+    each ``end`` read as ``end_time``; the encoder and the prefix monitor
+    both read them (a realized prefix clips every window to its last
+    sample, which is never past ``end_time``).  ``templates`` compiles the
+    formulas on first use, once per configuration, bounding ``y`` by the
+    plant's state range and ``u`` by the input box for big-M, with strict
+    predicates held by ``eps``; they do not depend on the predictor.  A
+    pickled configuration carries only its fields: the process that
+    unpickles it compiles its own templates.
     """
 
     horizon: int = 10
@@ -109,21 +109,16 @@ class ControllerConfig:
         if not (np.isfinite(self.u_min) and np.isfinite(self.u_max) and self.u_min <= self.u_max):
             raise ValueError(f"inputs need a finite box, got [{self.u_min}, {self.u_max}]")
         object.__setattr__(self, "formulas", tuple(
-            resolve_end(parse(text), self.end_time) for text in self.stl_specs))
+            parse(text, self.end_time) for text in self.stl_specs))
 
     @property
     def n_steps(self) -> int:
         return int(round(self.end_time / self.h))
 
-    def encoding(self) -> EncodingConfig:
-        return EncodingConfig(
-            channel_bounds={"y": plant_mod.STATE_BOUNDS, "u": (self.u_min, self.u_max)},
-            eps=self.eps)
-
     @cached_property
     def templates(self) -> tuple[FormulaTemplate, ...]:
-        enc = self.encoding()
-        return tuple(FormulaTemplate(f, self.h, enc, name=f"stl{j}")
+        bounds = {"y": plant_mod.STATE_BOUNDS, "u": (self.u_min, self.u_max)}
+        return tuple(FormulaTemplate(f, self.h, bounds, self.eps, name=f"stl{j}")
                      for j, f in enumerate(self.formulas))
 
     def __getstate__(self) -> dict:
@@ -406,7 +401,7 @@ def run_condensed(model: PlantModel, cond: CondensedHorizon, x0: Sequence[float]
         u_k = step_res.u0 if step_res.u0 is not None else (u_hist[-1] if u_hist else 0.0)
         warm = step_res.assignment if step_res.assignment is not None else warm
         sig = SampledSignal({"y": np.array(y_hist), "u": np.array(u_hist + [u_k])}, cfg.h)
-        rob.append([robustness(f, sig, 0, prefix=True) for f in cfg.formulas])
+        rob.append([robustness(f, sig, prefix=True) for f in cfg.formulas])
         if k == cfg.n_steps or (stop_on_infeasible and step_res.status != "optimal"):
             break
         try:
@@ -456,6 +451,20 @@ class SweepResult:
                 w.writerow([format_number(temp)] + [str(int(v)) for v in row])
 
 
+def check_sweep(initial_temps: Sequence[float], start_times: Sequence[float],
+                jobs: int) -> None:
+    """Refuse, by setting name, a sweep with no worker, an empty grid or a
+    grid value given twice (whose cells would share one note)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for name, values in (("initial_temps", initial_temps), ("start_times", start_times)):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
+        twice = [v for i, v in enumerate(values) if v in values[:i]]
+        if twice:
+            raise ValueError(f"{name} repeats {format_number(twice[0])}")
+
+
 def evaluate_cell(model: PlantModel, cond: CondensedHorizon,
                   initial_temp: float) -> tuple[int, str]:
     """One sweep cell: uniform initial state under its column's condensed
@@ -492,10 +501,11 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
     processes, each cell's condensed horizon travelling with its
     arguments (its configuration without templates, which each worker
     compiles), with identical per-cell results, and ``jobs == 1`` runs
-    them here in order.
+    them here in order.  The grids and ``jobs`` must pass ``check_sweep``.
     """
     initial_temps = tuple(float(v) for v in initial_temps)
     start_times = tuple(float(v) for v in start_times)
+    check_sweep(initial_temps, start_times, jobs)
     table = np.zeros((len(initial_temps), len(start_times)), dtype=int)
     notes: dict[tuple[float, float], str] = {}
     columns: list[CondensedHorizon | str] = []

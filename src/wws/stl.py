@@ -13,8 +13,9 @@ A predicate compares one channel with a number; sums, scaled channels and
 channel-to-channel comparisons are outside the grammar.
 
 Interval bounds are seconds; the upper bound may be the token ``end``, which
-is resolved to the final closed-loop time before monitoring or encoding.
-Windows map to sample indices as  {t + ceil(a/h) .. t + floor(b/h)}.
+the parser reads as the run's end time, so every parsed window is numeric.
+A window that starts after the end time is empty.  Windows map to sample
+indices as  {t + ceil(a/h) .. t + floor(b/h)}.
 
 The module provides two consumers of the same AST: a quantitative
 robustness monitor (min/max semantics) and a big-M mixed-integer encoder.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -67,23 +68,6 @@ class StlEvaluationError(RuntimeError):
 class StlEncodingError(RuntimeError):
     pass
 
-
-class _End:
-    """Sentinel for the 'end' upper bound."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "end"
-
-
-END = _End()
-Bound = Union[float, _End]
 
 _FLIP = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
 _STRICT = {">", "<"}
@@ -134,21 +118,21 @@ class Or:
 @dataclass(frozen=True)
 class Alw:
     a: float
-    b: Bound
+    b: float
     child: "Formula"
 
 
 @dataclass(frozen=True)
 class Ev:
     a: float
-    b: Bound
+    b: float
     child: "Formula"
 
 
 @dataclass(frozen=True)
 class Until:
     a: float
-    b: Bound
+    b: float
     left: "Formula"
     right: "Formula"
 
@@ -198,9 +182,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, end_time: float | None):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.end_time = end_time
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -277,14 +262,17 @@ class _Parser:
             return Pred(value, op, self.number())
         raise StlSyntaxError(f"expected a formula, found {value!r}", pos)
 
-    def bounds(self) -> tuple[float, Bound]:
-        # the opening 'xx_[' token was already consumed
+    def bounds(self) -> tuple[float, float]:
+        # the opening 'xx_[' token was already consumed; 'end' is the end
+        # time, which may precede the start: that window is empty
         a = self.number()
         self.take("comma")
         kind, value, pos = self.peek()
         if kind == "end":
+            if self.end_time is None:
+                raise StlSyntaxError("'end' needs the run's end time", pos)
             self.take()
-            b: Bound = END
+            b = self.end_time
         elif kind == "number":
             b = self.number()
         else:
@@ -292,40 +280,21 @@ class _Parser:
         self.take("rbrack")
         if a < 0:
             raise StlSyntaxError("interval start must be non-negative", pos)
-        if not isinstance(b, _End) and b < a:
+        if kind == "number" and b < a:
             raise StlSyntaxError("interval end precedes start", pos)
         return a, b
 
 
-def parse(text: str) -> Formula:
-    """Parse one formula from its concrete syntax."""
-    return _Parser(text).parse()
+def parse(text: str, end_time: float | None = None) -> Formula:
+    """Parse one formula from its concrete syntax, reading the bound
+    ``end`` as ``end_time`` [s]; without one, ``end`` is refused."""
+    return _Parser(text, end_time).parse()
 
 
 def spec_lines(text: str) -> list[str]:
     """Formula texts of a spec file: one per line, '#' starts a comment."""
     bodies = (line.split("#", 1)[0].strip() for line in text.splitlines())
     return [body for body in bodies if body]
-
-
-def resolve_end(f: Formula, end_time: float) -> Formula:
-    """Substitute the 'end' token with a concrete time in seconds."""
-    if isinstance(f, Pred):
-        return f
-    if isinstance(f, Not):
-        return Not(resolve_end(f.child, end_time))
-    if isinstance(f, And):
-        return And(tuple(resolve_end(c, end_time) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(resolve_end(c, end_time) for c in f.children))
-    b = end_time if isinstance(f.b, _End) else f.b
-    if isinstance(f, Alw):
-        return Alw(f.a, b, resolve_end(f.child, end_time))
-    if isinstance(f, Ev):
-        return Ev(f.a, b, resolve_end(f.child, end_time))
-    if isinstance(f, Until):
-        return Until(f.a, b, resolve_end(f.left, end_time), resolve_end(f.right, end_time))
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +321,18 @@ class SampledSignal:
         return len(next(iter(self.channels.values()))) if self.channels else 0
 
 
-def _window_indices(t: int, a: float, b: Bound, h: float,
+def _window_indices(t: int, a: float, b: float, h: float,
                     last: int | None = None) -> range:
     """Samples of the window [a, b] at ``t``, clipped to ``last`` if given."""
-    hi = math.inf if isinstance(b, _End) else t + math.floor(b / h + 1e-9)
+    hi = t + math.floor(b / h + 1e-9)
     if last is not None:
         hi = min(hi, last)
-    elif isinstance(b, _End):
-        raise StlEvaluationError("unbounded interval: resolve 'end' first")
-    lo = t + math.ceil(a / h - 1e-9)
-    return range(lo, hi + 1)
+    return range(t + math.ceil(a / h - 1e-9), hi + 1)
 
 
-def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
-               strict_shift: float = 0.0, prefix: bool = False) -> float:
-    """Quantitative robustness of ``f`` at sample ``t_index``.
+def robustness(f: Formula, signal: SampledSignal, strict_shift: float = 0.0,
+               prefix: bool = False) -> float:
+    """Quantitative robustness of ``f`` at sample 0.
 
     Positive means satisfied with slack.  ``strict_shift`` subtracts a
     margin from strict predicates only; the mixed-integer encoder replaces
@@ -374,8 +340,8 @@ def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
     monitor the exact feasibility oracle for the encoding.
 
     With ``prefix`` the signal is a realized prefix: every window is clipped
-    to its last sample and ``end`` means that sample, so samples not yet
-    realized are left out instead of raising.
+    to its last sample, so samples not yet realized are left out instead
+    of raising.
     """
     n = signal.length
     last = n - 1 if prefix else None
@@ -412,7 +378,7 @@ def robustness(f: Formula, signal: SampledSignal, t_index: int = 0,
             return best
         raise TypeError(f"not a formula: {node!r}")
 
-    return ev(f, t_index)
+    return ev(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +392,6 @@ BIG_M_MARGIN = 1.1
 #: (the obligation is deferred), a realized value, or an affine expression
 #: over decision variables.
 UNBOUND, HISTORY, DECISION = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class EncodingConfig:
-    """Big-M derivation and strictness margin for the MILP encoding.
-
-    Per-predicate constants are derived from the declared channel ranges
-    with the safety factor ``BIG_M_MARGIN``; a predicate below a disjunction
-    (the only place that needs one) over a channel without declared bounds
-    cannot be encoded.  Strict inequalities are encoded with margin ``eps``.
-    """
-
-    channel_bounds: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    eps: float = 1e-6
 
 
 class _Fold(enum.Enum):
@@ -586,11 +538,20 @@ class FormulaTemplate:
     binding only through the leaf pattern (each leaf's state and each
     history leaf's truth), so the rows are kept per pattern: at most one
     ``StepRows`` for each pattern the template has been instantiated with.
+
+    Each predicate's big-M comes from its channel's declared range in
+    ``channel_bounds`` with the safety factor ``BIG_M_MARGIN``; a predicate
+    below a disjunction (the only place that needs one) over a channel
+    without declared bounds cannot be encoded.  Strict inequalities are
+    encoded with margin ``eps``.
     """
 
-    def __init__(self, f: Formula, h: float, cfg: EncodingConfig, name: str = "stl"):
+    def __init__(self, f: Formula, h: float,
+                 channel_bounds: Mapping[str, tuple[float, float]], eps: float,
+                 name: str = "stl"):
         self.name = name
-        self.cfg = cfg
+        self.channel_bounds = channel_bounds
+        self.eps = eps
         leaves: list[tuple[Pred, int]] = []
         self.root = _number(_unroll(f, 0, False, h), leaves)
         # slots ordered by channel, then sample: each channel's slots are
@@ -614,9 +575,9 @@ class FormulaTemplate:
         self._rows: dict[bytes, StepRows] = {}
 
     def _constants(self, pred: Pred) -> _Constants:
-        eps = self.cfg.eps
+        eps = self.eps
         sign = 1.0 if pred.op in (">=", ">") else -1.0
-        box = self.cfg.channel_bounds.get(pred.channel)
+        box = self.channel_bounds.get(pred.channel)
         big_m = (f"no declared bounds for channel {pred.channel!r}" if box is None else
                  BIG_M_MARGIN * (max(abs(box[0] - pred.const), abs(box[1] - pred.const))
                                  + eps + 1.0))

@@ -339,7 +339,8 @@ class EncodedFormula:
 
 
 def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBinding,
-                   h: float, cfg: stl.EncodingConfig, name: str = "stl") -> EncodedFormula:
+                   h: float, channel_bounds: Mapping[str, tuple[float, float]], eps: float,
+                   name: str = "stl") -> EncodedFormula:
     """Assert that ``f`` holds at sample 0 over a generic binding of its signals.
 
     History samples appear in ``binding`` as float constants and fold away;
@@ -347,7 +348,7 @@ def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBindi
     which are substituted for the template's slots.  Samples with no
     binding are unbound: their obligations are deferred.
     """
-    tmpl = stl.FormulaTemplate(f, h, cfg, name)
+    tmpl = stl.FormulaTemplate(f, h, channel_bounds, eps, name)
     names = list(dict.fromkeys(v for samples in binding.values()
                                for v in samples.values() if isinstance(v, str)))
     state = np.full(len(tmpl.slots), stl.UNBOUND, dtype=np.int8)
@@ -532,8 +533,7 @@ def encode_fixed_signal(formula: stl.Formula, signal: stl.SampledSignal,
     for ch, vals in signal.channels.items():
         for t, v in enumerate(vals):
             builder.add_variables([binding[ch][t]], float(v), float(v), [False])
-    cfg = stl.EncodingConfig(channel_bounds=CHANNEL_RANGES, eps=eps)
-    encode_formula(builder, formula, binding, signal.h, cfg)
+    encode_formula(builder, formula, binding, signal.h, CHANNEL_RANGES, eps)
     return builder.build()
 
 
@@ -551,7 +551,7 @@ def soundness_case(rng: np.random.Generator, eps: float = 1e-6):
             continue
         length = int(rng.integers(needed, 9))
         signal = random_signal(rng, length)
-        rho = stl.robustness(formula, signal, 0, strict_shift=eps)
+        rho = stl.robustness(formula, signal, strict_shift=eps)
         if abs(rho) < 10 * eps:
             continue
         return formula, signal, rho
@@ -567,8 +567,6 @@ def horizon(f: stl.Formula, h: float) -> int:
         return max(horizon(c, h) for c in f.children)
     if not isinstance(f, (stl.Alw, stl.Ev, stl.Until)):
         raise TypeError(f"not a formula: {f!r}")
-    if isinstance(f.b, type(stl.END)):
-        raise stl.StlEvaluationError("unbounded interval: resolve 'end' first")
     window = math.ceil(f.b / h - 1e-9)
     if isinstance(f, stl.Until):
         return window + max(horizon(f.left, h), horizon(f.right, h))
@@ -577,10 +575,6 @@ def horizon(f: stl.Formula, h: float) -> int:
 
 def _fmt_num(v: float) -> str:
     return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
-
-
-def _fmt_bound(b: stl.Bound) -> str:
-    return "end" if isinstance(b, type(stl.END)) else _fmt_num(b)
 
 
 def format_formula(f: stl.Formula) -> str:
@@ -604,11 +598,11 @@ def format_formula(f: stl.Formula) -> str:
             f"({format_formula(c)})" if isinstance(c, stl.Or) else format_formula(c)
             for c in f.children)
     if isinstance(f, stl.Alw):
-        return f"alw_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.child)}"
+        return f"alw_[{_fmt_num(f.a)},{_fmt_num(f.b)}] {wrap(f.child)}"
     if isinstance(f, stl.Ev):
-        return f"ev_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.child)}"
+        return f"ev_[{_fmt_num(f.a)},{_fmt_num(f.b)}] {wrap(f.child)}"
     if isinstance(f, stl.Until):
-        return f"{wrap(f.left)} until_[{_fmt_num(f.a)},{_fmt_bound(f.b)}] {wrap(f.right)}"
+        return f"{wrap(f.left)} until_[{_fmt_num(f.a)},{_fmt_num(f.b)}] {wrap(f.right)}"
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -131,7 +131,8 @@ def test_bench_rolls_out_at_the_predictor_ambient(tmp_path, capsys):
 def test_settings_out_of_range_are_refused_up_front(tmp_path, monkeypatch, capsys):
     # refused by name before any fit or plant step: an empty bench block
     # from any source, a strictness margin that is not positive, and a
-    # sweep with no process to run on or an empty grid
+    # sweep with no process to run on, an empty grid or a grid value given
+    # twice (its cells would share one note)
     out = tmp_path / "refused"
     empty_temps = tmp_path / "empty_temps.json"
     empty_temps.write_text(json.dumps({"initial_temps": []}))
@@ -144,7 +145,9 @@ def test_settings_out_of_range_are_refused_up_front(tmp_path, monkeypatch, capsy
              (["sweep", "--jobs", "0"], {}, "jobs must be at least 1, got 0"),
              (["sweep"], {"WWS_JOBS": "-3"}, "jobs must be at least 1, got -3"),
              (["sweep", "--config", str(empty_temps)], {}, "initial_temps must not be empty"),
-             (["sweep"], {"WWS_START_TIMES": "[]"}, "start_times must not be empty")]
+             (["sweep"], {"WWS_START_TIMES": "[]"}, "start_times must not be empty"),
+             (["sweep", "--initial-temps", "5", "5", "10"], {}, "initial_temps repeats 5"),
+             (["sweep", "--start-times", "60", "60"], {}, "start_times repeats 60")]
     for argv, env, message in cases:
         with monkeypatch.context() as m:
             for var, value in env.items():
@@ -386,7 +389,8 @@ def test_non_finite_tuple_flag_rejected(tmp_path, capsys, argv, reason):
     ({"K": "100"}, "config key 'K': '100' is not an integer"),
     ({"h": None}, "config key 'h': None is not a finite number"),
     ({"reference": float("nan")}, "config key 'reference': nan is not a finite number"),
-], ids=["svg-string", "K-string", "h-null", "reference-nan"])
+    ({"plant": 3}, "config key 'plant': 3 is not a string"),
+], ids=["svg-string", "K-string", "h-null", "reference-nan", "plant-number"])
 def test_config_scalar_setting_checked(tmp_path, capsys, doc, reason):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -410,11 +414,13 @@ def test_non_finite_scalar_setting_rejected(tmp_path, monkeypatch, capsys, argv,
     assert not out.exists()
 
 
-def test_config_values_converted_to_their_setting_type(tmp_path):
+def test_config_values_converted_to_their_setting_type(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"K": 400.0, "reference": 42, "predictor": None,
                                     "state_range": [5, 60]}))
+    monkeypatch.setenv("WWS_SVG", "yes")  # a WWS_* bool is read as a word
     cfg = resolve_config(make_parser().parse_args(["run", "--config", str(cfg_path)]))
+    assert cfg.svg is True
     assert type(cfg.K) is int and cfg.K == 400
     assert type(cfg.reference) is float and cfg.reference == 42.0
     assert cfg.predictor is None and cfg.state_range == (5.0, 60.0)
@@ -583,7 +589,7 @@ def test_monitor_clips_numeric_windows_to_the_prefix(tmp_path, demo_pred_file, s
     y, u = np.array(cols["y"]), np.array(cols["u"])
     for k in range(len(y)):
         sig = SampledSignal(channels={"y": y[:k + 1], "u": u[:k + 1]}, h=60.0)
-        assert cols["rob0"][k] == robustness(parse(spec), sig, 0, prefix=True)
+        assert cols["rob0"][k] == robustness(parse(spec), sig, prefix=True)
     if spec.startswith("ev"):
         assert cols["rob0"][:10] == [-np.inf] * 10
 

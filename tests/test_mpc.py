@@ -19,7 +19,7 @@ from wws.mpc import (
 )
 from wws.plant import DivergenceError
 from wws.predictor import LinearPredictor
-from wws.stl import SampledSignal, parse, resolve_end, robustness
+from wws.stl import SampledSignal, parse, robustness
 
 from oracles import builder_step_problem, read_sweep_csv, read_trace_csv
 
@@ -265,8 +265,8 @@ def test_closed_loop_history_consistency(demo_trace, demo_cfg):
     sig = SampledSignal(channels={"y": demo_trace.outputs,
                                   "u": demo_trace.inputs}, h=demo_cfg.h)
     for j, text in enumerate(demo_trace.spec_texts):
-        f = resolve_end(parse(text), demo_trace.times[-1])
-        assert robustness(f, sig, 0) == pytest.approx(
+        f = parse(text, demo_trace.times[-1])
+        assert robustness(f, sig) == pytest.approx(
             demo_trace.robustness_so_far[-1, j], abs=1e-12)
 
 
@@ -282,8 +282,8 @@ def test_closed_loop_prefix_robustness_equals_fresh_monitor(demo_trace, demo_cfg
         sig = SampledSignal(channels={"y": demo_trace.outputs[:k + 1],
                                       "u": demo_trace.inputs[:k + 1]}, h=demo_cfg.h)
         for j, text in enumerate(demo_trace.spec_texts):
-            f = resolve_end(parse(text), t)
-            assert robustness(f, sig, 0) == demo_trace.robustness_so_far[k, j]
+            f = parse(text, t)
+            assert robustness(f, sig) == demo_trace.robustness_so_far[k, j]
 
 
 class _CountingTemplate(mpc.FormulaTemplate):
@@ -299,9 +299,9 @@ def test_closed_loop_parses_each_spec_once(monkeypatch, demo_model, demo_cfg,
     calls = []
     original = mpc.parse
 
-    def counting_parse(text):
+    def counting_parse(text, end_time):
         calls.append(text)
-        return original(text)
+        return original(text, end_time)
 
     monkeypatch.setattr(mpc, "parse", counting_parse)
     cfg = replace(demo_cfg, stl_specs=(supply_spec(60.0), DEFAULT_POWER_SPEC),
@@ -330,8 +330,8 @@ def test_sweep_compiles_once_per_deadline_column(monkeypatch, demo_model, demo_c
     starts = (120.0, 240.0, 360.0)
     feasibility_sweep(demo_model, demo_cfg, demo_predictor,
                       initial_temps=(15.0, 30.0), start_times=starts)
-    supply = [resolve_end(parse(supply_spec(s)), demo_cfg.end_time) for s in starts]
-    power = resolve_end(parse(DEFAULT_POWER_SPEC), demo_cfg.end_time)
+    supply = [parse(supply_spec(s), demo_cfg.end_time) for s in starts]
+    power = parse(DEFAULT_POWER_SPEC, demo_cfg.end_time)
     assert _CountingTemplate.compiled == [f for s in supply for f in (s, power)]
 
 
@@ -443,6 +443,38 @@ def test_mini_sweep_staircase(demo_model, demo_cfg, demo_predictor):
     # frozen expectation for the shipped demo coefficients and seed
     assert np.array_equal(sweep.table, [[0, 0, 1], [0, 0, 1], [0, 1, 1]])
     assert sweep.notes[(30.0, 360.0)] == "feasible"
+
+
+def test_negative_realized_robustness_fails_the_cell(monkeypatch, demo_model, demo_cond,
+                                                    demo_trace):
+    # a loop with every step planned that still ends below a specification
+    # is no feasible cell: feasibility needs robustness >= 0 on the specs
+    # as given, untightened
+    rob = demo_trace.robustness_so_far.copy()
+    rob[-1, 0] = -0.25
+    trace = replace(demo_trace, robustness_so_far=rob)
+    assert len(trace.statuses) == demo_cond.cfg.n_steps + 1
+    assert trace.n_infeasible == 0 and not trace.aborted
+    monkeypatch.setattr(mpc, "run_condensed", lambda *args, **kwargs: trace)
+    assert evaluate_cell(demo_model, demo_cond, 20.0) == (0, "realized robustness -0.25 < 0")
+
+
+def test_sweep_refuses_no_worker_empty_and_repeated_grids(monkeypatch, demo_model,
+                                                          demo_cfg, demo_predictor):
+    # refused by setting name before any column is condensed
+    def no_condense(*args):
+        raise AssertionError("condensed a column of a refused sweep")
+
+    monkeypatch.setattr(mpc, "condense", no_condense)
+    grid = {"initial_temps": (15.0,), "start_times": (60.0,)}
+    for change, message in (({"jobs": 0}, "jobs must be at least 1, got 0"),
+                            ({"jobs": -3}, "jobs must be at least 1, got -3"),
+                            ({"initial_temps": ()}, "initial_temps must not be empty"),
+                            ({"start_times": []}, "start_times must not be empty"),
+                            ({"initial_temps": (5, 5.0, 10)}, "initial_temps repeats 5"),
+                            ({"start_times": (60.5, 60.5)}, "start_times repeats 60.5")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            feasibility_sweep(demo_model, demo_cfg, demo_predictor, **{**grid, **change})
 
 
 def test_sweep_cell_parallel_equals_serial(demo_model, demo_cfg, demo_predictor):

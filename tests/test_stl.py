@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wws.stl import (
-    END,
     Alw,
     And,
     Ev,
@@ -17,7 +16,6 @@ from wws.stl import (
     StlSyntaxError,
     Until,
     parse,
-    resolve_end,
     robustness,
     spec_lines,
 )
@@ -28,14 +26,14 @@ from oracles import format_formula, horizon
 # -- parsing ------------------------------------------------------------------
 
 def test_parse_supply_guarantee():
-    f = parse("alw_[420,end] (y >= 40)")
-    assert f == Alw(420.0, END, Pred("y", ">=", 40.0))
+    f = parse("alw_[420,end] (y >= 40)", 1200.0)
+    assert f == Alw(420.0, 1200.0, Pred("y", ">=", 40.0))
 
 
 def test_parse_power_band():
     f = parse("alw_[0,end] (((u > 0.001) and (u < 0.01))"
-              " or ((u >= 21.2) and (u <= 26.5)))")
-    assert isinstance(f, Alw) and f.a == 0.0 and f.b is END
+              " or ((u >= 21.2) and (u <= 26.5)))", 1200.0)
+    assert isinstance(f, Alw) and f.a == 0.0 and f.b == 1200.0
     assert isinstance(f.child, Or) and len(f.child.children) == 2
     off, run = f.child.children
     assert off == And((Pred("u", ">", 0.001), Pred("u", "<", 0.01)))
@@ -61,6 +59,13 @@ def test_parse_errors_carry_positions():
         parse("y >= 40 )")
     with pytest.raises(StlSyntaxError, match="precedes"):
         parse("alw_[10,5] (y >= 0)")
+    for text, message, pos in (
+            ("alw_[0,10] or", "expected a formula, found 'or'", 11),
+            ("alw_[0,y] (y >= 0)", "expected a bound, found 'y'", 7),
+            ("alw_[-5,10] (y >= 0)", "interval start must be non-negative", 8),
+            ("alw_[0,end] (y >= 0)", "'end' needs the run's end time", 7)):
+        with pytest.raises(StlSyntaxError, match=f"^{message} \\(at position {pos}\\)$"):
+            parse(text)
     with pytest.raises(StlSyntaxError, match="unexpected character"):
         parse("y >= 40 & u <= 2")
     for text in ("u + y >= 1", "2 * u >= 1", "y >= u"):  # one channel against a number
@@ -69,8 +74,27 @@ def test_parse_errors_carry_positions():
     # a number that overflows to infinity is refused where it stands
     for text, pos in (("alw_[0,1e999] (y >= 1)", 7), ("alw_[0,end] (y >= 1e999)", 18)):
         with pytest.raises(StlSyntaxError, match="not finite") as err:
-            parse(text)
+            parse(text, 1200.0)
         assert err.value.pos == pos
+
+
+def test_parse_reads_end_as_end_time():
+    assert parse("alw_[420,end] (y >= 40)", 1200.0) == Alw(420.0, 1200.0, Pred("y", ">=", 40.0))
+    # through negation and until, into both of until's operands
+    g = parse("not (ev_[0,end] (u > 1)) or "
+              "((ev_[0,end] (y >= 1)) until_[0,end] (alw_[0,end] (u <= 2)))", 600.0)
+    assert g == Or((Not(Ev(0.0, 600.0, Pred("u", ">", 1.0))),
+                    Until(0.0, 600.0, Ev(0.0, 600.0, Pred("y", ">=", 1.0)),
+                          Alw(0.0, 600.0, Pred("u", "<=", 2.0)))))
+    # an end-free formula ignores the end time
+    fixed = "not (y >= 1 until_[0,60] (ev_[0,120] (u <= 2)))"
+    assert parse(fixed, 600.0) == parse(fixed)
+    # a window that starts after the end time is empty, not refused: an
+    # always over it holds vacuously
+    late = parse("alw_[1500,end] (y >= 40)", 1200.0)
+    assert late == Alw(1500.0, 1200.0, Pred("y", ">=", 40.0))
+    sig = SampledSignal(channels={"y": np.full(21, 10.0)}, h=60.0)
+    assert robustness(late, sig) == math.inf
 
 
 def test_spec_lines_skips_comments():
@@ -111,36 +135,16 @@ def test_format_parse_is_canonical():
         "y >= 1 until_[0,5] (u <= 2 or y > 3)",
     ]
     for text in texts:
-        canon = format_formula(parse(text))
+        canon = format_formula(parse(text, 1200.0))
         assert format_formula(parse(canon)) == canon
 
 
-# -- end resolution and horizon -------------------------------------------------
-
-def test_resolve_end():
-    f = resolve_end(parse("alw_[420,end] (y >= 40)"), 1200.0)
-    assert f == Alw(420.0, 1200.0, Pred("y", ">=", 40.0))
-    # through negation and until, into both of until's operands
-    g = resolve_end(parse("not (ev_[0,end] (u > 1)) or "
-                          "((ev_[0,end] (y >= 1)) until_[0,end] (alw_[0,end] (u <= 2)))"),
-                    600.0)
-    assert g == Or((Not(Ev(0.0, 600.0, Pred("u", ">", 1.0))),
-                    Until(0.0, 600.0, Ev(0.0, 600.0, Pred("y", ">=", 1.0)),
-                          Alw(0.0, 600.0, Pred("u", "<=", 2.0)))))
-    assert "end" not in format_formula(g)
-    fixed = parse("not (y >= 1 until_[0,60] (ev_[0,120] (u <= 2)))")
-    assert resolve_end(fixed, 600.0) == fixed
-
+# -- horizon ---------------------------------------------------------------------
 
 def test_horizon_examples():
     assert horizon(parse("y >= 40"), 60.0) == 0
     assert horizon(parse("alw_[0,600] (y >= 40)"), 60.0) == 10
     assert horizon(parse("alw_[0,120] (ev_[0,60] (y >= 1))"), 60.0) == 3
-
-
-def test_horizon_requires_bounded_intervals():
-    with pytest.raises(StlEvaluationError, match="unbounded"):
-        horizon(parse("alw_[0,end] (y >= 40)"), 60.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -164,8 +168,8 @@ def test_robustness_eventually():
 
 def test_robustness_power_band_single_sample():
     sig = SampledSignal(channels={"u": np.array([23.0])}, h=60.0)
-    f = resolve_end(parse("alw_[0,end] (((u > 0.001) and (u < 0.01))"
-                          " or ((u >= 21.2) and (u <= 26.5)))"), 0.0)
+    f = parse("alw_[0,end] (((u > 0.001) and (u < 0.01))"
+              " or ((u >= 21.2) and (u <= 26.5)))", 0.0)
     assert robustness(f, sig) == pytest.approx(1.8)
 
 
@@ -204,7 +208,7 @@ def test_robustness_until_hand_case():
 def test_robustness_monotone_in_output(y, bump):
     base = SampledSignal(channels={"y": np.array(y)}, h=60.0)
     raised = SampledSignal(channels={"y": np.array(y) + np.array(bump)}, h=60.0)
-    f = resolve_end(parse("alw_[120,end] (y >= 40)"), 420.0)
+    f = parse("alw_[120,end] (y >= 40)", 420.0)
     assert robustness(f, raised) >= robustness(f, base) - 1e-12
 
 
