@@ -63,14 +63,12 @@ class ExperimentConfig:
     # controller
     horizon: int = ControllerConfig.horizon
     h: float = ControllerConfig.h
-    q_weight: float = ControllerConfig.q_weight
     r_weight: float = ControllerConfig.r_weight
     reference: float = ControllerConfig.reference
     u_min: float = ControllerConfig.u_min
     u_max: float = ControllerConfig.u_max
     end_time: float = ControllerConfig.end_time
     start_time: float = mpc.DEFAULT_START_TIME
-    eps: float = ControllerConfig.eps
     stl_file: str | None = None
     no_stl: bool = False
     x0: float = 15.0
@@ -106,10 +104,9 @@ class ExperimentConfig:
     def controller(self, model: PlantModel) -> ControllerConfig:
         """The controller that reads ``model``'s output; parses the specs."""
         return ControllerConfig(
-            horizon=self.horizon, h=self.h, q_weight=self.q_weight,
-            r_weight=self.r_weight, reference=self.reference,
-            u_min=self.u_min, u_max=self.u_max, end_time=self.end_time,
-            stl_specs=self.spec_texts(), eps=self.eps,
+            horizon=self.horizon, h=self.h, r_weight=self.r_weight,
+            reference=self.reference, u_min=self.u_min, u_max=self.u_max,
+            end_time=self.end_time, stl_specs=self.spec_texts(),
             output_index=model.output_index)
 
     def dataset_config(self) -> DatasetConfig:
@@ -436,11 +433,10 @@ COMMANDS = {
             (*_FIT, "local", "target_y", "u_min", "u_max")),
     "run": (cmd_run, "closed-loop simulation",
             (*_FIT, "predictor", "x0", "no_stl", "stl_file", "start_time", "end_time",
-             "horizon", "q_weight", "r_weight", "reference", "u_min", "u_max", "eps",
-             "svg", "dump_lp")),
+             "horizon", "r_weight", "reference", "u_min", "u_max", "svg", "dump_lp")),
     "sweep": (cmd_sweep, "feasibility table over initial temperatures and deadlines",
               (*_FIT, "predictor", "jobs", "initial_temps", "start_times", "end_time",
-               "horizon", "q_weight", "r_weight", "reference", "u_min", "u_max", "eps")),
+               "horizon", "r_weight", "reference", "u_min", "u_max")),
     "bench": (cmd_bench, "predictor-vs-plant rollout accuracy",
               (*_FIT, "predictor", "bench_rollouts", "bench_steps")),
 }

@@ -9,10 +9,10 @@ plus inputs down to the inputs alone.
 
 Y, the input Hessian of the tracking cost and the free response's affine
 map  y0 = Phi lift(x) + psi  depend only on the predictor and the
-controller's horizon, weights and output (Korda & Mezic 2018), so
-``condense`` computes them once per closed loop, and a sweep once per
-deadline column; each step computes only y0 and the cost's linear term,
-the parametric-QP split of qpOASES (Ferreau et al. 2014).
+controller's horizon, input weight and output (Korda & Mezic 2018), so
+``condense`` computes them once per closed loop or sweep; each step
+computes only y0 and the cost's linear term, the parametric-QP split of
+qpOASES (Ferreau et al. 2014).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 #: The controller settings ``condense`` reads; a horizon serves any
 #: configuration that agrees with its own on all of them.
-CONDENSED_SETTINGS = ("horizon", "h", "q_weight", "r_weight", "reference", "output_index")
+CONDENSED_SETTINGS = ("horizon", "h", "r_weight", "reference", "output_index")
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class CondensedHorizon:
 
     Predicted outputs at horizon offsets 1..Np are ``Y @ u + y0``, where
     ``free_response`` gives y0 = Phi lift(x) + psi for a measured state x.
-    The tracking cost  sum_i q (y_i - ref)^2 + r u_i^2  is
-    0.5 u'Hu + f'u + const  with the fixed  H = 2 (q Y'Y + r I);
+    The tracking cost  sum_i (y_i - ref)^2 + r u_i^2  is
+    0.5 u'Hu + f'u + const  with the fixed  H = 2 (Y'Y + r I);
     ``linear_cost`` gives f and const.  ``cfg`` is the configuration it was
     condensed for.
     """
@@ -67,10 +67,9 @@ class CondensedHorizon:
         return self.Phi @ lift(x, self.pred.n) + self.psi
 
     def linear_cost(self, y0: np.ndarray) -> tuple[np.ndarray, float]:
-        """Linear term f = 2q Y'(y0 - ref) and constant q |y0 - ref|^2."""
-        q = self.cfg.q_weight
+        """Linear term f = 2 Y'(y0 - ref) and constant |y0 - ref|^2."""
         e = y0 - self.cfg.reference
-        return 2.0 * q * (self.Y.T @ e), q * float(e @ e)
+        return 2.0 * (self.Y.T @ e), float(e @ e)
 
 
 def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon:
@@ -92,7 +91,7 @@ def condense(pred: LinearPredictor, cfg: "ControllerConfig") -> CondensedHorizon
     for i in range(np_h):
         rows[i + 1] = rows[i] @ pred.A
     Y = toeplitz(rows[:-1] @ pred.b_u, np.zeros(np_h))
-    H = 2.0 * (cfg.q_weight * (Y.T @ Y) + cfg.r_weight * np.eye(np_h))
+    H = 2.0 * (Y.T @ Y + cfg.r_weight * np.eye(np_h))
     if not np.allclose(H, H.T, atol=1e-12):
         raise ValueError("objective quadratic term is not symmetric")
     w = np.linalg.eigvalsh(H)

@@ -1,15 +1,15 @@
 """Receding-horizon control with temporal-logic constraints.
 
-The predictor is condensed over the horizon once per run (``condense``)
-and once per deadline column of a sweep, and each specification is
-compiled once per controller configuration into a template
-(``stl.FormulaTemplate``).  Each step maps the lifted measured state onto
-its free response y0 (one affine map), binds the template's slots (history
-samples to their recorded values, horizon outputs to ``Y u + y0``, horizon
-inputs to u), takes the template's rows (folded and emitted once per leaf
-pattern, so only their right-hand side is new), maps each row's one slot
-onto u, assembles the MIQP directly, solves it and applies the first input
-under zeroth-order hold.
+The predictor is condensed over the horizon once per run or sweep
+(``condense``), and each specification is compiled once per controller
+configuration into a template (``stl.FormulaTemplate``).  Each step maps
+the lifted measured state onto its free response y0 (one affine map),
+binds the template's slots (history samples to their recorded values,
+horizon outputs to ``Y u + y0``, horizon inputs to u), takes the
+template's rows (folded and emitted once per leaf pattern, so only their
+right-hand side is new), maps each row's one slot onto u, assembles the
+MIQP directly, solves it and applies the first input under zeroth-order
+hold.
 
 Specification windows follow the shrinking-horizon reading: past samples
 are constants, samples inside the horizon are decision variables, and
@@ -79,31 +79,28 @@ class ControllerConfig:
     sample, which is never past ``end_time``).  ``templates`` compiles the
     formulas on first use, once per configuration, bounding ``y`` by the
     plant's state range and ``u`` by the input box for big-M, with strict
-    predicates held by ``eps``; they do not depend on the predictor.  A
-    pickled configuration carries only its fields: the process that
-    unpickles it compiles its own templates.
+    predicates held by ``stl.EPS``; they do not depend on the predictor.
+    The tracking cost weighs the squared output error by 1 and the squared
+    input by ``r_weight``.  A pickled configuration carries only its
+    fields: the process that unpickles it compiles its own templates.
     """
 
     horizon: int = 10
     h: float = 60.0
-    q_weight: float = 1.0
     r_weight: float = 10.0
     reference: float = 40.0
     u_min: float = 0.0
     u_max: float = 26.5
     end_time: float = 1200.0
     stl_specs: tuple[str, ...] = (DEFAULT_SUPPLY_SPEC, DEFAULT_POWER_SPEC)
-    eps: float = 1e-6
     output_index: int = 5
     formulas: tuple[Formula, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1 or self.h <= 0 or self.end_time <= 0:
             raise ValueError("horizon, h and end_time must be positive")
-        if self.q_weight <= 0 or self.r_weight <= 0:
-            raise ValueError("weights must be positive")
-        if not self.eps > 0:
-            raise ValueError(f"eps, the strictness margin, must be positive, got {self.eps}")
+        if not self.r_weight > 0:
+            raise ValueError(f"r_weight must be positive, got {self.r_weight}")
         if self.end_time / self.h != round(self.end_time / self.h):
             raise ValueError("end_time must be a multiple of the sampling period")
         if not (np.isfinite(self.u_min) and np.isfinite(self.u_max) and self.u_min <= self.u_max):
@@ -118,7 +115,7 @@ class ControllerConfig:
     @cached_property
     def templates(self) -> tuple[FormulaTemplate, ...]:
         bounds = {"y": plant_mod.STATE_BOUNDS, "u": (self.u_min, self.u_max)}
-        return tuple(FormulaTemplate(f, self.h, bounds, self.eps, name=f"stl{j}")
+        return tuple(FormulaTemplate(f, self.h, bounds, name=f"stl{j}")
                      for j, f in enumerate(self.formulas))
 
     def __getstate__(self) -> dict:
@@ -144,10 +141,10 @@ class StepProblem(NamedTuple):
     """The horizon MIQP of one step and what the step needs besides it.
 
     ``warm_sources`` holds, per binary in column order, its name followed
-    by the names of the same disjunction or literal one to three samples
-    earlier; ``u0_bounds`` holds ``(col, lo0, hi0, lo1, hi1)`` for every
-    row that bounds the first input to an interval, the second interval
-    applying when binary column ``col`` rounds to 1 (``col`` is -1 for an
+    by the name of the same disjunction or literal one sample earlier;
+    ``u0_bounds`` holds ``(col, lo0, hi0, lo1, hi1)`` for every row that
+    bounds the first input to an interval, the second interval applying
+    when binary column ``col`` rounds to 1 (``col`` is -1 for an
     unconditional row).
     """
 
@@ -293,7 +290,7 @@ def _shift_warm(prev: dict[str, float], sources: Sequence[tuple[str, ...]]
     """Seed each binary, in column order, from the previous step's assignment.
 
     A binary takes its own previous value, else that of the same
-    disjunction or literal one to three samples earlier, else 1.
+    disjunction or literal one sample earlier, else 1.
     """
     return [next((prev[n] for n in chain if n in prev), 1.0) for chain in sources]
 
@@ -493,35 +490,34 @@ def feasibility_sweep(model: PlantModel, cfg: ControllerConfig,
 
     The sweep owns the specifications: each deadline column replaces
     ``cfg.stl_specs`` with the supply guarantee at its deadline and the
-    power specification.  Each column is condensed once, here, and its
-    cells share that condensed horizon and its configuration, so in one
-    process a column's specs are parsed and compiled once; a column whose
-    condensing fails gives each of its cells that error.  Cells are
-    independent closed loops; ``jobs > 1`` spreads them over that many
-    processes, each cell's condensed horizon travelling with its
-    arguments (its configuration without templates, which each worker
-    compiles), with identical per-cell results, and ``jobs == 1`` runs
-    them here in order.  The grids and ``jobs`` must pass ``check_sweep``.
+    power specification.  The condensed maps read none of the specs, so
+    ``cfg`` is condensed once, here, and each column pairs that horizon
+    with its own configuration; a column's cells share it, so in one
+    process a column's specs are parsed and compiled once.  If condensing
+    fails, every cell gets that error.  Cells are independent closed
+    loops; ``jobs > 1`` spreads them over that many processes, each cell's
+    condensed horizon travelling with its arguments (its configuration
+    without templates, which each worker compiles), with identical
+    per-cell results, and ``jobs == 1`` runs them here in order.  The
+    grids and ``jobs`` must pass ``check_sweep``.
     """
     initial_temps = tuple(float(v) for v in initial_temps)
     start_times = tuple(float(v) for v in start_times)
     check_sweep(initial_temps, start_times, jobs)
     table = np.zeros((len(initial_temps), len(start_times)), dtype=int)
     notes: dict[tuple[float, float], str] = {}
-    columns: list[CondensedHorizon | str] = []
-    for start in start_times:
-        column = replace(cfg, stl_specs=(supply_spec(start), DEFAULT_POWER_SPEC))
-        try:
-            columns.append(condense(pred, column))
-        except Exception as exc:  # recorded in each of the column's cells
-            columns.append(f"error: {exc}")
     cells = [(i, j) for i in range(len(initial_temps)) for j in range(len(start_times))]
-    run = [(i, j) for i, j in cells if not isinstance(columns[j], str)]
-    results = dict(zip(run, plant_mod.map_blocks(
-        evaluate_cell, [(model, columns[j], initial_temps[i]) for i, j in run], jobs)))
+    try:
+        cond = condense(pred, cfg)
+    except Exception as exc:  # recorded in every cell
+        results = dict.fromkeys(cells, (0, f"error: {exc}"))
+    else:
+        columns = [replace(cond, cfg=replace(cfg, stl_specs=(supply_spec(start),
+                                                             DEFAULT_POWER_SPEC)))
+                   for start in start_times]
+        results = dict(zip(cells, plant_mod.map_blocks(
+            evaluate_cell, [(model, columns[j], initial_temps[i]) for i, j in cells], jobs)))
     for i, j in cells:
-        val, note = results.get((i, j), (0, columns[j]))
-        table[i, j] = val
-        notes[(initial_temps[i], start_times[j])] = note
+        table[i, j], notes[(initial_temps[i], start_times[j])] = results[(i, j)]
     return SweepResult(initial_temps=initial_temps, start_times=start_times,
                        table=table, notes=notes)

@@ -23,15 +23,15 @@ The monitor works directly on the AST, which keeps it an independent
 oracle for the encoder.  The encoder compiles a formula once into a
 ``FormulaTemplate``: temporal operators expanded over absolute sample
 indices, negation pushed to the leaves, and every leaf's slot (its channel
-at its sample), sign, constant, eps and big-M fixed.  At each use the
-caller marks every slot as history, decision or unbound; the template
-folds the tree by recursion (each history leaf to its truth, each node from
-its folded children) and emits the live nodes' rows (``StepRows``): plain
-per-row data, each row naming the one slot it reads, which the caller maps
-onto its variables.  Rows are kept per leaf pattern (which leaves are
-history, decision or unbound, and which history leaves hold), so a use
-whose pattern was seen before gets the same rows and computes only their
-right-hand side.
+at its sample), sign, constant, strictness margin and big-M fixed.  At
+each use the caller marks every slot as history, decision or unbound; the
+template folds the tree by recursion (each history leaf to its truth, each
+node from its folded children) and emits the live nodes' rows
+(``StepRows``): plain per-row data, each row naming the one slot it reads,
+which the caller maps onto its variables.  Rows are kept per leaf pattern
+(which leaves are history, decision or unbound, and which history leaves
+hold), so a use whose pattern was seen before gets the same rows and
+computes only their right-hand side.
 
 The encoder puts binaries only where the formula branches (Kurtz & Lin
 2022, "Mixed-integer programming for signal temporal logic with fewer
@@ -335,9 +335,9 @@ def robustness(f: Formula, signal: SampledSignal, strict_shift: float = 0.0,
     """Quantitative robustness of ``f`` at sample 0.
 
     Positive means satisfied with slack.  ``strict_shift`` subtracts a
-    margin from strict predicates only; the mixed-integer encoder replaces
-    strictness with an epsilon, and passing that epsilon here makes the
-    monitor the exact feasibility oracle for the encoding.
+    margin from strict predicates only; the mixed-integer encoder holds a
+    strict predicate by the margin ``EPS``, and passing ``EPS`` here makes
+    the monitor the exact feasibility oracle for the encoding.
 
     With ``prefix`` the signal is a realized prefix: every window is clipped
     to its last sample, so samples not yet realized are left out instead
@@ -387,6 +387,14 @@ def robustness(f: Formula, signal: SampledSignal, strict_shift: float = 0.0,
 
 #: Safety factor on the predicate range that makes each big-M constant.
 BIG_M_MARGIN = 1.1
+#: Margin by which the encoder holds a strict predicate: ``u > c`` is
+#: encoded as ``u >= c + EPS``.
+EPS = 1e-6
+#: Round-off grace of a strict predicate's history fold: a sample within it
+#: of the encoded edge (margin EPS by construction) still folds true.  The
+#: fold is sound only while EPS > FOLD_GRACE, so that a sample that fails
+#: the strict predicate itself never folds true.
+FOLD_GRACE = 1e-9
 
 #: What a caller binds each slot (one channel at one sample) to: nothing yet
 #: (the obligation is deferred), a realized value, or an affine expression
@@ -408,7 +416,7 @@ class _Constants(NamedTuple):
     sign: float
     const: float
     fold_at: float          # least margin of a history sample that folds true
-    eps: float              # strictness margin of its rows
+    eps: float              # strictness margin of its rows: EPS or 0
     big_m: float | str      # or why it has none: no declared channel bounds
     lo: float               # the interval the predicate bounds its slot to
     hi: float
@@ -497,11 +505,11 @@ class StepRows:
     it reads only auxiliary columns, and ``a`` the auxiliary variables
     created for this step, in creation order (``aux_names``, binaries
     flagged in ``aux_binary``).  ``warm_sources`` gives, per binary in
-    creation order, its own name and the names of the same disjunction or
-    literal one to three samples earlier.  ``bounds`` lists the intervals
-    that rows put on single slots: ``(slot, aux, lo0, hi0, lo1, hi1)``, the
-    second interval applying when auxiliary ``aux`` rounds to 1 (``aux`` is
-    -1 for an unconditional row).  Every binding with the same leaf pattern
+    creation order, its own name and the name of the same disjunction or
+    literal one sample earlier.  ``bounds`` lists the intervals that rows
+    put on single slots: ``(slot, aux, lo0, hi0, lo1, hi1)``, the second
+    interval applying when auxiliary ``aux`` rounds to 1 (``aux`` is -1 for
+    an unconditional row).  Every binding with the same leaf pattern
     gets the same object, so its arrays are read-only.
     """
 
@@ -531,7 +539,7 @@ class FormulaTemplate:
 
     Compiling expands every temporal operator over absolute sample indices,
     pushes negation to the leaves and precomputes each leaf's slot and each
-    predicate's sign, constant, eps, big-M and interval (``_Constants``,
+    predicate's sign, constant, margin, big-M and interval (``_Constants``,
     shared by the predicate's leaves).  :meth:`instantiate` then only
     classifies the leaves against the caller's binding, folds the tree and
     emits the rows of the live nodes.  The fold and the rows depend on the
@@ -543,15 +551,13 @@ class FormulaTemplate:
     ``channel_bounds`` with the safety factor ``BIG_M_MARGIN``; a predicate
     below a disjunction (the only place that needs one) over a channel
     without declared bounds cannot be encoded.  Strict inequalities are
-    encoded with margin ``eps``.
+    encoded with margin ``EPS``.
     """
 
     def __init__(self, f: Formula, h: float,
-                 channel_bounds: Mapping[str, tuple[float, float]], eps: float,
-                 name: str = "stl"):
+                 channel_bounds: Mapping[str, tuple[float, float]], name: str = "stl"):
         self.name = name
         self.channel_bounds = channel_bounds
-        self.eps = eps
         leaves: list[tuple[Pred, int]] = []
         self.root = _number(_unroll(f, 0, False, h), leaves)
         # slots ordered by channel, then sample: each channel's slots are
@@ -575,17 +581,17 @@ class FormulaTemplate:
         self._rows: dict[bytes, StepRows] = {}
 
     def _constants(self, pred: Pred) -> _Constants:
-        eps = self.eps
+        eps = EPS if pred.strict else 0.0
         sign = 1.0 if pred.op in (">=", ">") else -1.0
         box = self.channel_bounds.get(pred.channel)
         big_m = (f"no declared bounds for channel {pred.channel!r}" if box is None else
                  BIG_M_MARGIN * (max(abs(box[0] - pred.const), abs(box[1] - pred.const))
-                                 + eps + 1.0))
+                                 + EPS + 1.0))
         # margin = sign (s - const) >= eps  <=>  sign s >= sign const + eps
-        at = (sign * pred.const + (eps if pred.strict else 0.0)) / sign
+        at = (sign * pred.const + eps) / sign
         lo, hi = (at, math.inf) if sign > 0.0 else (-math.inf, at)
-        return _Constants(sign, pred.const, eps - 1e-9 if pred.strict else 0.0,
-                          eps if pred.strict else 0.0, big_m, lo, hi)
+        return _Constants(sign, pred.const, eps - FOLD_GRACE if pred.strict else 0.0,
+                          eps, big_m, lo, hi)
 
     def leaf(self, i: int) -> tuple[int, _Constants]:
         """Slot and predicate constants of leaf ``i``."""
@@ -608,9 +614,9 @@ class FormulaTemplate:
         """
         leaf_state = state[self.leaf_slot]
         # a non-strict predicate folds with zero tolerance; a strict one with
-        # a grace of 1e-9, which keeps inputs applied exactly at an encoded
-        # band edge (margin == eps by construction) folding to true despite
-        # float round-off
+        # FOLD_GRACE, which keeps inputs applied exactly at an encoded band
+        # edge (margin == EPS by construction) folding to true despite float
+        # round-off
         truth = (leaf_state == HISTORY) & (
             self.leaf_sign * (values[self.leaf_slot] - self.leaf_const) >= self.fold_at)
         key = leaf_state.tobytes() + truth.tobytes()
@@ -727,9 +733,10 @@ class _Emitter:
         return len(self.aux_names) - 1
 
     def binary(self, tag: str, t: int, j: int) -> int:
-        """Binary ``{name}.t{t}.{tag}{j}``, warm-started from the same one
-        1..3 samples earlier."""
-        chain = tuple(f"{self.tmpl.name}.t{s}.{tag}{j}" for s in range(t, max(t - 4, -1), -1))
+        """Binary ``{name}.t{t}.{tag}{j}``, warm-started from its own
+        previous value, else from that of the same binary one sample
+        earlier."""
+        chain = tuple(f"{self.tmpl.name}.t{s}.{tag}{j}" for s in range(t, max(t - 2, -1), -1))
         self.warm_sources.append(chain)
         return self.new_aux(chain[0], True)
 

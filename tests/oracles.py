@@ -4,21 +4,23 @@ Everything here deliberately avoids the code paths it checks: enumeration
 of binary assignments and of each leaf's active sets, with one KKT solve
 per active set, instead of branch-and-bound and the QP solver, direct
 rollouts instead of condensing (the free response of a step problem
-included), random formula/signal generation paired with the quantitative
-monitor, HiGHS instead of the QP solver for the elastic violation of a QP's
-rows and instead of branch-and-bound for the feasibility of an encoded
-formula, nonnegative least squares on the active set for the KKT
-conditions of a returned QP point, and the plant polynomial written out
-term by term, integrated by Radau, instead of the coefficient matrix
-integrated by LSODA.  The readers of the CSV files that the
-program writes live here too, since only the tests read those files back,
-and the writer of plant files, since only the tests write them, as does
-``ProblemBuilder``, which states test problems by name: their
-variables, rows and costs through ``add_variables``, ``add_rows`` and
-``add_quadratic``.  Three adapters build on it: ``add_squared_cost`` (the
-squared cost of a linear form), ``add_step_rows`` (a template's rows
-mapped onto named variables) and ``encode_formula`` (a formula over a
-generic binding through ``stl.FormulaTemplate``).
+included), each slot of a step problem bound by its channel and sample
+instead of by the controller's per-channel runs, random formula/signal
+generation paired with the quantitative monitor, HiGHS instead of the QP
+solver for the elastic violation of a QP's rows and instead of
+branch-and-bound for the feasibility of an encoded formula, nonnegative
+least squares on the active set for the KKT conditions of a returned QP
+point, and the plant polynomial written out term by term, integrated by
+Radau, instead of the coefficient matrix integrated by LSODA.  The
+readers of the CSV files that the program writes live here too, since only
+the tests read those files back, and the writer of plant files, since only
+the tests write them, as does ``ProblemBuilder``, which states test
+problems by name: their variables, rows and costs through
+``add_variables``, ``add_rows`` and ``add_quadratic``.  Three adapters
+build on it: ``add_squared_cost`` (the squared cost of a linear form),
+``add_step_rows`` (a template's rows mapped onto named variables) and
+``encode_formula`` (a formula over a generic binding through
+``stl.FormulaTemplate``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from wws import stl
 from wws.milp import MiqpProblem
-from wws.mpc import SweepResult, _bind
+from wws.mpc import SweepResult
 from wws.predictor import lift
 
 
@@ -194,19 +196,39 @@ def iterated_free_response(pred, cfg, x: Sequence[float]) -> np.ndarray:
     return g[1:, cfg.output_index - 1]
 
 
+def bind_slots(tmpl: stl.FormulaTemplate, k: int, y_hist: Sequence[float],
+               u_hist: Sequence[float], y0: np.ndarray, Y: np.ndarray):
+    """State, value and map onto u of each slot of ``tmpl`` at step ``k``,
+    slot by slot: y at t <= k and u at t < k are history, y at
+    k < t <= k + Np is a decision on ``Y[t-k-1] u + y0[t-k-1]``, u at
+    k <= t < k + Np is the unit column t - k, and any other slot is
+    unbound.  ``M`` has one more row, the pad slot's zeros."""
+    np_h = len(Y)
+    state = np.full(len(tmpl.slots), stl.UNBOUND, dtype=np.int8)
+    values = np.zeros(len(tmpl.slots))
+    M = np.zeros((len(tmpl.slots) + 1, np_h))
+    for (ch, t), s in tmpl.slots.items():
+        if (ch == "y" and t <= k) or (ch == "u" and t < k):
+            state[s], values[s] = stl.HISTORY, (y_hist if ch == "y" else u_hist)[t]
+        elif ch == "y" and t <= k + np_h:
+            state[s], values[s], M[s] = stl.DECISION, y0[t - k - 1], Y[t - k - 1]
+        elif ch == "u" and t < k + np_h:
+            state[s], M[s, t - k] = stl.DECISION, 1.0
+    return state, values, M
+
+
 def builder_step_problem(cfg, cond, x_k: Sequence[float], k: int,
                          y_hist: Sequence[float], u_hist: Sequence[float]) -> MiqpProblem:
     """The step problem of ``mpc.build_step_problem`` stated through the
-    builder: the same bindings and template rows, assembled by name, from
-    the iterated free response."""
+    builder: the template rows under ``bind_slots``, assembled by name,
+    from the iterated free response."""
     builder = ProblemBuilder()
     u_names = [f"u{k + i}" for i in range(cond.horizon)]
     builder.add_variables(u_names, cfg.u_min, cfg.u_max, [False] * len(u_names))
     y0 = iterated_free_response(cond.pred, cfg, x_k)
     builder.add_quadratic(u_names, cond.H, *cond.linear_cost(y0))
     for tmpl in cfg.templates:
-        state, values, M = _bind(tmpl, k, np.asarray(y_hist, dtype=float),
-                                 np.asarray(u_hist, dtype=float), y0, cond.Y)
+        state, values, M = bind_slots(tmpl, k, y_hist, u_hist, y0, cond.Y)
         add_step_rows(builder, tmpl.instantiate(state, values), u_names, M, values)
     return builder.build()
 
@@ -339,7 +361,7 @@ class EncodedFormula:
 
 
 def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBinding,
-                   h: float, channel_bounds: Mapping[str, tuple[float, float]], eps: float,
+                   h: float, channel_bounds: Mapping[str, tuple[float, float]],
                    name: str = "stl") -> EncodedFormula:
     """Assert that ``f`` holds at sample 0 over a generic binding of its signals.
 
@@ -348,7 +370,7 @@ def encode_formula(builder: ProblemBuilder, f: stl.Formula, binding: SignalBindi
     which are substituted for the template's slots.  Samples with no
     binding are unbound: their obligations are deferred.
     """
-    tmpl = stl.FormulaTemplate(f, h, channel_bounds, eps, name)
+    tmpl = stl.FormulaTemplate(f, h, channel_bounds, name)
     names = list(dict.fromkeys(v for samples in binding.values()
                                for v in samples.values() if isinstance(v, str)))
     state = np.full(len(tmpl.slots), stl.UNBOUND, dtype=np.int8)
@@ -520,8 +542,7 @@ def random_signal(rng: np.random.Generator, length: int) -> stl.SampledSignal:
         channels={ch: rng.uniform(-8, 8, size=length) for ch in CHANNELS}, h=1.0)
 
 
-def encode_fixed_signal(formula: stl.Formula, signal: stl.SampledSignal,
-                        eps: float = 1e-6) -> MiqpProblem:
+def encode_fixed_signal(formula: stl.Formula, signal: stl.SampledSignal) -> MiqpProblem:
     """Encode with every signal sample pinned through equal variable bounds.
 
     Pinning by bounds (rather than folding constants) exercises the full
@@ -533,16 +554,16 @@ def encode_fixed_signal(formula: stl.Formula, signal: stl.SampledSignal,
     for ch, vals in signal.channels.items():
         for t, v in enumerate(vals):
             builder.add_variables([binding[ch][t]], float(v), float(v), [False])
-    encode_formula(builder, formula, binding, signal.h, CHANNEL_RANGES, eps)
+    encode_formula(builder, formula, binding, signal.h, CHANNEL_RANGES)
     return builder.build()
 
 
-def soundness_case(rng: np.random.Generator, eps: float = 1e-6):
+def soundness_case(rng: np.random.Generator):
     """One (formula, signal, adjusted robustness) triple, boundary-filtered.
 
-    Cases whose eps-adjusted robustness sits within 10 eps of zero are
-    rejected: strictness is approximated by a margin, so the encoding is
-    undefined inside that band by construction.
+    Cases whose ``stl.EPS``-adjusted robustness sits within 10 EPS of zero
+    are rejected: strictness is approximated by a margin, so the encoding
+    is undefined inside that band by construction.
     """
     while True:
         formula = random_formula(rng, int(rng.integers(1, 4)), 8)
@@ -551,8 +572,8 @@ def soundness_case(rng: np.random.Generator, eps: float = 1e-6):
             continue
         length = int(rng.integers(needed, 9))
         signal = random_signal(rng, length)
-        rho = stl.robustness(formula, signal, strict_shift=eps)
-        if abs(rho) < 10 * eps:
+        rho = stl.robustness(formula, signal, strict_shift=stl.EPS)
+        if abs(rho) < 10 * stl.EPS:
             continue
         return formula, signal, rho
 

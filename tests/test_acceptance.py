@@ -120,7 +120,7 @@ def test_feasibility_table(nominal_model, predictors):
 
 def test_encoding_soundness():
     """>= 200 random bounded formulas: MILP feasibility at a pinned signal
-    coincides with the sign of the eps-adjusted robustness."""
+    coincides with the sign of the ``stl.EPS``-adjusted robustness."""
     rng = np.random.default_rng(77)
     disagreements = 0
     total = 220

@@ -130,8 +130,8 @@ def test_bench_rolls_out_at_the_predictor_ambient(tmp_path, capsys):
 
 def test_settings_out_of_range_are_refused_up_front(tmp_path, monkeypatch, capsys):
     # refused by name before any fit or plant step: an empty bench block
-    # from any source, a strictness margin that is not positive, and a
-    # sweep with no process to run on, an empty grid or a grid value given
+    # from any source, an input weight that is not positive, and a sweep
+    # with no process to run on, an empty grid or a grid value given
     # twice (its cells would share one note)
     out = tmp_path / "refused"
     empty_temps = tmp_path / "empty_temps.json"
@@ -140,8 +140,7 @@ def test_settings_out_of_range_are_refused_up_front(tmp_path, monkeypatch, capsy
              (["bench"], {"WWS_BENCH_ROLLOUTS": "-3"},
               "bench_rollouts must be at least 1, got -3"),
              (["bench", "--bench-steps", "0"], {}, "bench_steps must be at least 1, got 0"),
-             (["run", "--eps=-1"], {}, "eps, the strictness margin, must be positive, got -1.0"),
-             (["run", "--eps=0"], {}, "eps, the strictness margin, must be positive, got 0.0"),
+             (["run", "--r-weight", "0"], {}, "r_weight must be positive, got 0.0"),
              (["sweep", "--jobs", "0"], {}, "jobs must be at least 1, got 0"),
              (["sweep"], {"WWS_JOBS": "-3"}, "jobs must be at least 1, got -3"),
              (["sweep", "--config", str(empty_temps)], {}, "initial_temps must not be empty"),
@@ -313,10 +312,12 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
+    # the strictness margin and the output weight are constants, not settings
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"not_a_key": 1}))
-    assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for key in ("not_a_key", "eps", "q_weight"):
+        cfg_path.write_text(json.dumps({key: 1}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("command, doc, reason", [
@@ -356,10 +357,12 @@ def test_config_tuple_setting_must_be_a_list(tmp_path, capsys, command, doc, rea
     ("sweep", "WWS_START_TIMES", "[NaN]",
      "WWS_START_TIMES: [nan] is not a list of finite numbers"),
     ("bench", "WWS_JOBS", "2", "WWS_JOBS: wws bench does not read this setting"),
+    ("run", "WWS_EPS", "1e-6", "unknown environment variable WWS_EPS"),
+    ("sweep", "WWS_Q_WEIGHT", "1", "unknown environment variable WWS_Q_WEIGHT"),
 ], ids=["WWS_ATOLL", "WWS_Z_BOUNDS", "WWS_SVG", "WWS_ATOL", "WWS_MIQP_GAP",
         "WWS_SHARED_STATE_DRAW", "WWS_W_FORECAST", "WWS_H", "WWS_STATE_RANGE-scalar",
         "WWS_STATE_RANGE-triple", "WWS_INITIAL_TEMPS-string", "WWS_INITIAL_TEMPS-inf",
-        "WWS_START_TIMES-nan", "WWS_JOBS"])
+        "WWS_START_TIMES-nan", "WWS_JOBS", "WWS_EPS", "WWS_Q_WEIGHT"])
 def test_bad_environment_variable_rejected(tmp_path, demo_pred_file, monkeypatch,
                                            capsys, command, var, value, reason):
     monkeypatch.setenv(var, value)
@@ -450,8 +453,8 @@ def test_jobs_is_a_sweep_flag(command, tmp_path, monkeypatch, capsys):
 
 FIT_FLAGS = {"--config", "--seed", "--out", "--plant", "--K", "--h", "--state-range",
              "--u-band", "--p-off", "--w0"}
-LOOP_FLAGS = {"--predictor", "--end-time", "--horizon", "--q-weight", "--r-weight",
-              "--reference", "--u-min", "--u-max", "--eps"}
+LOOP_FLAGS = {"--predictor", "--end-time", "--horizon", "--r-weight", "--reference",
+              "--u-min", "--u-max"}
 
 
 def test_flag_table():

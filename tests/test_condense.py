@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from wws import mpc
-from wws.condense import condense
+from wws.condense import CONDENSED_SETTINGS, condense
 from wws.mpc import ControllerConfig, build_step_problem, run_closed_loop
 from wws.predictor import LinearPredictor, lift, linearize_local
 
@@ -81,24 +81,24 @@ def test_horizon_refused_for_another_configuration(demo_cfg, demo_cond):
     args = (np.full(6, 15.0), 0, [15.0], [])
     # the specifications and the input box are not condensed: any may pair
     build_step_problem(replace(demo_cfg, stl_specs=(), u_max=20.0), demo_cond, *args)
-    for change in ({"horizon": 5}, {"q_weight": 2.0}, {"r_weight": 10.0},
+    for change in ({"horizon": 5}, {"r_weight": 10.0},
                    {"reference": 40.0}, {"output_index": 4}, {"h": 30.0, "end_time": 1200.0}):
         with pytest.raises(ValueError, match="condensed for another controller configuration"):
             build_step_problem(replace(demo_cfg, **change), demo_cond, *args)
 
 
 def test_objective_matches_expanded_tracking_cost(demo_predictor):
-    # expand sum_i q (y_i - ref)^2 + r u_i^2 with y = M u + y0 read off
+    # expand sum_i (y_i - ref)^2 + r u_i^2 with y = M u + y0 read off
     # predictor rollouts, independently of the condensed recursion
-    cfg = _tracking_cfg(q_weight=1.5, r_weight=0.3, reference=42.0)
+    cfg = _tracking_cfg(r_weight=0.2, reference=42.0)
     x0 = np.full(6, 15.0)
     n, w = cfg.horizon, [demo_predictor.w] * cfg.horizon
     y0 = demo_predictor.predict(x0, np.zeros(n), w)[1:, 4]
     M = np.column_stack([demo_predictor.predict(x0, np.eye(n)[j], w)[1:, 4] - y0
                          for j in range(n)])
-    H = 2.0 * (cfg.q_weight * M.T @ M + cfg.r_weight * np.eye(n))
-    f = 2.0 * cfg.q_weight * M.T @ (y0 - cfg.reference)
-    const = cfg.q_weight * np.sum((y0 - cfg.reference) ** 2)
+    H = 2.0 * (M.T @ M + cfg.r_weight * np.eye(n))
+    f = 2.0 * M.T @ (y0 - cfg.reference)
+    const = np.sum((y0 - cfg.reference) ** 2)
 
     problem, u_names = build_step_problem(cfg, condense(demo_predictor, cfg),
                                           x0, 0, [15.0], [])[:2]
@@ -122,8 +122,10 @@ def test_unconstrained_tracking_hits_reference():
 
 
 def test_default_weights():
+    # the output error weighs 1: the input weight alone sets the trade-off
     cfg = ControllerConfig()
-    assert cfg.q_weight == 1.0 and cfg.r_weight == 10.0
+    assert cfg.r_weight == 10.0
+    assert CONDENSED_SETTINGS == ("horizon", "h", "r_weight", "reference", "output_index")
     assert cfg.horizon == 10 and cfg.h == 60.0 and cfg.reference == 40.0
     assert (cfg.u_min, cfg.u_max) == (0.0, 26.5)
     assert cfg.end_time == 1200.0
@@ -152,24 +154,23 @@ def test_one_condense_per_closed_loop(monkeypatch, demo_model, demo_cfg, demo_pr
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_one_condense_per_sweep_column(monkeypatch, demo_model, demo_cfg, demo_predictor,
-                                       jobs):
-    # the columns are condensed in the calling process, never in a cell
+def test_one_condense_per_sweep(monkeypatch, demo_model, demo_cfg, demo_predictor, jobs):
+    # the sweep's configuration is condensed once, in the calling process,
+    # never in a cell: every column pairs that horizon with its own specs
     calls, caller = [], os.getpid()
     original = mpc.condense
 
     def counting(pred, cfg):
         if os.getpid() != caller:
             raise RuntimeError("condensed in a worker")
-        calls.append(cfg.stl_specs)
+        calls.append(cfg)
         return original(pred, cfg)
 
     monkeypatch.setattr(mpc, "condense", counting)
-    starts = (60.0, 120.0)
     sweep = mpc.feasibility_sweep(demo_model, demo_cfg, demo_predictor,
-                                  initial_temps=(5.0, 15.0, 30.0), start_times=starts,
+                                  initial_temps=(5.0, 15.0, 30.0), start_times=(60.0, 120.0),
                                   jobs=jobs)
-    assert calls == [(mpc.supply_spec(s), mpc.DEFAULT_POWER_SPEC) for s in starts]
+    assert calls == [demo_cfg]
     assert not [n for n in sweep.notes.values() if n.startswith("error:")]
 
 
@@ -199,10 +200,10 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
     x0 = np.full(6, 30.0)
     np_h = 3
     w = [10.0] * np_h
-    q_w, r_w, ref = 1.0, 10.0, 40.0
+    r_w, ref = 10.0, 40.0
 
     # condensed
-    cfg = _tracking_cfg(horizon=np_h, q_weight=q_w, r_weight=r_w, reference=ref)
+    cfg = _tracking_cfg(horizon=np_h, r_weight=r_w, reference=ref)
     p1 = build_step_problem(cfg, condense(pred, cfg), x0, 0, [30.0], []).problem
     r1 = solve_box(p1.H, p1.f, p1.A, p1.b, p1.lb, p1.ub, obj_const=p1.obj_const)
 
@@ -219,9 +220,9 @@ def test_condensed_equals_explicit_state_formulation(demo_model, demo_equilibriu
     for i in range(np_h):
         H[i, i] = 2.0 * r_w
         y = z(i + 1, 4)
-        H[y, y] = 2.0 * q_w
-        f[y] = -2.0 * q_w * ref
-        const += q_w * ref ** 2
+        H[y, y] = 2.0
+        f[y] = -2.0 * ref
+        const += ref ** 2
     E = np.zeros((n_z, n))
     d = np.zeros(n_z)
     E[:6, np_h:np_h + 6] = np.eye(6)

@@ -23,7 +23,7 @@ def _band_problem(y0=42.0, gain=0.1):
     b = ProblemBuilder()
     b.add_variables(["u0"], 0.0, 26.5, [False])
     f = stl.parse("((u > 0.001) and (u < 0.01)) or ((u >= 21.2) and (u <= 26.5))")
-    encode_formula(b, f, {"u": {0: "u0"}}, 60.0, {"u": (0.0, 26.5)}, 1e-6)
+    encode_formula(b, f, {"u": {0: "u0"}}, 60.0, {"u": (0.0, 26.5)})
     add_squared_cost(b, ["u0"], [gain], 1.0, target=40.0 - y0)
     add_squared_cost(b, ["u0"], [1.0], 10.0)
     return b.build()

@@ -36,6 +36,14 @@ def test_oracles_share_no_code_with_the_solvers():
         assert f"{module}.{name}" not in solvers, (module, name)
 
 
+def test_oracles_take_only_public_names_from_the_package():
+    # an oracle built on a private helper checks that helper with itself
+    # (the step problems' slot binding, for one)
+    private = [(module, name) for module, name in _imports(ROOT / "tests" / "oracles.py")
+               if module.split(".")[0] == "wws" and _private(name)]
+    assert private == []
+
+
 def test_branch_and_bound_uses_public_qp_names():
     private = [name for module, name in _imports(ROOT / "src" / "wws" / "miqp.py")
                if module == "wws.qp" and name.startswith("_")]
